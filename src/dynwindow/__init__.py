@@ -39,8 +39,6 @@ from .systems import (
     is_totally_minimal,
     orbit_along,
     orbit_at,
-    product,
-    step,
     system_distance,
 )
 from .recurrence import (

@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import Optional
 
 from .intsets import (
-    SequenceFormatError,
     Verdict,
     Window,
     banach_density_estimate,
@@ -44,12 +43,9 @@ from .recurrence import (
 from .permpoly import (
     CapExceededError,
     PolyModP,
-    PolynomialSyntaxError,
-    brute_permutation_check,
+    decide_permutation,
     find_non_surjective_prime,
     format_int_polynomial,
-    hermite_check,
-    is_permutation,
     parse_int_polynomial,
 )
 from .constructions import (
@@ -176,12 +172,12 @@ def _sequence_info(source: str, w: Window) -> dict:
     return {"source": source, "horizon": w.horizon, "count": len(w)}
 
 
-def _emit(report: dict, args) -> None:
+def _emit(report: dict, path: Optional[str], to_stdout: bool) -> None:
     doc = json.dumps(_jsonify(report), sort_keys=True, indent=2) + "\n"
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(doc)
-    if getattr(args, "json", False):
+    if to_stdout:
         sys.stdout.write(doc)
 
 
@@ -222,7 +218,7 @@ def _cmd_classify(args) -> int:
     _print_verdict(f"thick (run {args.run})", checks["thick"])
     _print_verdict(f"piecewise-syndetic certificate (gap {args.gap}, block {args.block})", checks["piecewise_syndetic"])
     print(f"banach density (length {args.density_length}): {density} = {float(density):.6g}")
-    _emit(report, args)
+    _emit(report, args.out, args.json)
     return 0
 
 
@@ -238,6 +234,8 @@ def _cmd_recurrence(args) -> int:
 
     else:
         sys_obj = parse_system_spec(family)
+        if not family.startswith(("rot:", "skew:")):
+            raise SystemSpecError(f"recurrence takes cyclic:<=M or a metric system (rot:..., skew:...), not {family!r}")
         family_str = f"{family} eps={args.eps}"
 
         def tester(window):
@@ -257,7 +255,7 @@ def _cmd_recurrence(args) -> int:
         **rep_json,
     }
     _print_verdict(f"recurrence vs {family}", verdict)
-    _emit(report, args)
+    _emit(report, args.out, args.json)
     return 0
 
 
@@ -291,7 +289,7 @@ def _cmd_crosscheck(args) -> int:
         f"cross-check ({len(windows)} windows, m <= {args.max_period}, shifts {args.shifts.start}..{args.shifts.stop - 1})",
         overall,
     )
-    _emit(report, args)
+    _emit(report, args.out, args.json)
     return 0
 
 
@@ -301,9 +299,7 @@ def _cmd_permpoly(args) -> int:
         if args.p is None:
             raise SystemSpecError("permpoly check needs --p")
         f = PolyModP.make(args.p, coeffs)
-        permutes = is_permutation(f)
-        ok_h, evidence = hermite_check(f)
-        _, image = brute_permutation_check(f)
+        permutes, evidence, image = decide_permutation(f)
         report = {
             "polynomial": format_int_polynomial(coeffs),
             "p": args.p,
@@ -329,7 +325,7 @@ def _cmd_permpoly(args) -> int:
             f"{report['polynomial']}: p = {res.p}, missing residue {res.missing} "
             f"(image size {len(res.image)} of {res.p})"
         )
-    _emit(report, args)
+    _emit(report, args.out, args.json)
     return 0
 
 
@@ -370,12 +366,7 @@ def _cmd_construct(args) -> int:
         shifted,
     )
     # --out holds the sequence file; the JSON report goes to --report/--json.
-    if args.report:
-        doc = json.dumps(_jsonify(report), sort_keys=True, indent=2) + "\n"
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(doc)
-    if args.json:
-        sys.stdout.write(json.dumps(_jsonify(report), sort_keys=True, indent=2) + "\n")
+    _emit(report, args.report, args.json)
     return 0
 
 
@@ -391,7 +382,7 @@ def _cmd_product(args) -> int:
         f"(orbit of (0,0) has {res.orbit_size} states of {res.m * res.n}; "
         f"enumeration {'agrees' if res.agrees else 'DISAGREES'})"
     )
-    _emit(report, args)
+    _emit(report, args.out, args.json)
     return 0 if res.agrees else 1
 
 
@@ -472,15 +463,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        SequenceFormatError,
-        SystemSpecError,
-        PolynomialSyntaxError,
-        CapExceededError,
-        FileNotFoundError,
-        ValueError,
-        TypeError,
-    ) as exc:
+    except (CapExceededError, FileNotFoundError, ValueError) as exc:
+        # Bad input; ValueError covers SequenceFormatError, SystemSpecError and
+        # PolynomialSyntaxError.  Anything else is a bug and keeps its traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -104,18 +104,21 @@ class IPBlockSchedule:
 
     @classmethod
     def from_json(cls, data: dict) -> "IPBlockSchedule":
-        if "t" not in data or "k" not in data:
+        if not isinstance(data, dict) or "t" not in data or "k" not in data:
             raise ValueError("schedule JSON needs 't' and 'k' arrays")
-        t = tuple(int(x) for x in data["t"])
-        k = tuple(int(x) for x in data["k"])
-        base = data.get("base")
-        if base is None:
-            base_t = None
-        elif isinstance(base, (int, float)):
-            base_t = (int(base),) * len(t)
-        else:
-            base_t = tuple(None if b is None else int(b) for b in base)
-        gap = int(data.get("initial_gap", _DEFAULT_INITIAL_GAP))
+        try:
+            t = tuple(int(x) for x in data["t"])
+            k = tuple(int(x) for x in data["k"])
+            base = data.get("base")
+            if base is None:
+                base_t = None
+            elif isinstance(base, (int, float)):
+                base_t = (int(base),) * len(t)
+            else:
+                base_t = tuple(None if b is None else int(b) for b in base)
+            gap = int(data.get("initial_gap", _DEFAULT_INITIAL_GAP))
+        except TypeError as exc:  # a value of the wrong JSON type is bad input
+            raise ValueError(f"malformed schedule JSON: {exc}") from exc
         return cls(t=t, k=k, base=base_t, initial_gap=gap)
 
 

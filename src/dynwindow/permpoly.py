@@ -25,6 +25,7 @@ __all__ = [
     "pow_reduced",
     "hermite_check",
     "brute_permutation_check",
+    "decide_permutation",
     "is_permutation",
     "find_non_surjective_prime",
     "parse_int_polynomial",
@@ -209,8 +210,8 @@ def brute_permutation_check(f: PolyModP) -> tuple[bool, tuple[int, ...]]:
     return len(image) == p, tuple(image)
 
 
-def is_permutation(f: PolyModP) -> bool:
-    """Both deciders, compared; raises OracleDisagreementError on mismatch."""
+def decide_permutation(f: PolyModP) -> tuple[bool, dict, tuple[int, ...]]:
+    """Both deciders, compared: (verdict, evidence, image); raises OracleDisagreementError on mismatch."""
     via_criterion, evidence = hermite_check(f)
     via_brute, image = brute_permutation_check(f)
     if via_criterion != via_brute:
@@ -218,7 +219,12 @@ def is_permutation(f: PolyModP) -> bool:
             f"permutation deciders disagree on {f} over F_{f.p}: "
             f"criterion={via_criterion} ({evidence}), brute={via_brute} (image {image})"
         )
-    return via_brute
+    return via_brute, evidence, image
+
+
+def is_permutation(f: PolyModP) -> bool:
+    """Does f permute F_p?  Raises OracleDisagreementError if the deciders disagree."""
+    return decide_permutation(f)[0]
 
 
 @dataclass(frozen=True)

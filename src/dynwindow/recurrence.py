@@ -19,10 +19,9 @@ import numpy as np
 from .intsets import Verdict, Window, difference_set, shifted_hit
 from .systems import (
     CyclicSystem,
-    OdometerSystem,
     ProductSystem,
     RotationSystem,
-    SkewProductSystem,
+    TorusSystem,
     cover_for,
     eps_dense,
     mult_angle_mod1,
@@ -102,17 +101,8 @@ def return_times(sys, start, cell, horizon: int, cover=None) -> ReturnTimesResul
         raise ValueError("horizon must be >= 1")
     if cover is None:
         cover = cover_for(sys)
-    times = []
-    if isinstance(sys, (CyclicSystem, OdometerSystem, ProductSystem)):
-        state = start
-        for n in range(1, horizon + 1):
-            state = sys.step(state)
-            if cover.cell_of(state) == cell:
-                times.append(n)
-    else:
-        for n in range(1, horizon + 1):
-            if cover.cell_of(orbit_at(sys, start, n)) == cell:
-                times.append(n)
+    walk = enumerate(sys.trajectory(start, horizon), 1)
+    times = [n for n, state in walk if cover.cell_of(state) == cell]
     return ReturnTimesResult(Window(tuple(times), horizon), cell, start)
 
 
@@ -155,9 +145,12 @@ def r_sequence_cyclic(a: Window, max_period: int) -> RSequenceReport:
     return RSequenceReport(f"cyclic m <= {max_period}", verdict, per_system)
 
 
-def _metric_budget_note(a: Window, eps: float) -> Optional[str]:
+def _metric_budget_note(a: Window, sys, eps: float) -> Optional[str]:
     # Angle representation error (half an ulp of a number < 1) amplified by
-    # the largest time must stay well under the cell size.
+    # the largest time must stay well under the cell size.  Exact orbits
+    # carry no such error.
+    if sys.exact_orbits:
+        return None
     drift = (a.elements[-1] if a.elements else a.horizon) * 2.0 ** -53
     if drift > eps / 10.0:
         return (
@@ -167,41 +160,26 @@ def _metric_budget_note(a: Window, eps: float) -> Optional[str]:
     return None
 
 
-def _start_grid(sys, resolution: float) -> list:
-    k = max(1, math.ceil(1.0 / resolution))
-    axis = [i / k for i in range(k)]
-    if isinstance(sys, RotationSystem):
-        if sys.dimension == 1:
-            return axis
-        grid = [axis] * sys.dimension
-        out = [()]
-        for ax in grid:
-            out = [prev + (x,) for prev in out for x in ax]
-        return out
-    if isinstance(sys, SkewProductSystem):
-        return [(x, y) for x in axis for y in axis]
-    raise TypeError(f"not a metric catalog system: {sys!r}")
-
-
 def r_sequence_metric(a: Window, sys, eps: float, start_grid_resolution: float) -> RSequenceReport:
     """Numeric orbit-density test on a rotation or skew product.
 
     Searches start points on a lexicographic grid; Holds iff some start's
     orbit along a is eps-dense.  Otherwise reports the best start (most
     cells hit) and its first empty cell.  The report is a claim about this
-    window and eps only.
+    window and eps only.  Exact rational rotations skip the floating-point
+    budget; finite systems and products raise TypeError.
     """
+    if not isinstance(sys, TorusSystem):
+        raise TypeError(f"not a metric catalog system: {sys!r}")
     family = f"{sys.spec_string()} eps={eps}"
-    exact = isinstance(sys, RotationSystem) and sys.exact is not None
-    if not exact:
-        note = _metric_budget_note(a, eps)
-        if note is not None:
-            return RSequenceReport(family, Verdict.undecided(note=note), {})
+    note = _metric_budget_note(a, sys, eps)
+    if note is not None:
+        return RSequenceReport(family, Verdict.undecided(note=note), {})
     cover = cover_for(sys, eps)
     total = cover.cell_count()
     window_desc = f"{len(a)} elements on [0, {a.horizon}], eps={eps}"
     best = None  # (hit count, start, first empty cell)
-    for start in _start_grid(sys, start_grid_resolution):
+    for start in sys.starts(start_grid_resolution):
         states = orbit_along(sys, start, a)
         verdict = eps_dense(sys, states, cover)
         if verdict.holds:
@@ -226,22 +204,15 @@ def r_sequence_metric(a: Window, sys, eps: float, start_grid_resolution: float) 
 def birkhoff_window_test(a: Window, sys, eps: float, start_grid_resolution: float = 1.0) -> Verdict:
     """Does some start return eps-close to itself at a time in the window?
 
-    Grid starts in lexicographic order, first witness (start, n) wins.
-    Element 0 of the window is ignored (trivial return).
+    Starts come from the system's start set (all states of a finite system,
+    the grid of a torus), first witness (start, n) wins.  Element 0 of the
+    window is ignored (trivial return).
     """
-    if isinstance(sys, (CyclicSystem, OdometerSystem)):
-        starts: list = (
-            list(range(sys.period))
-            if isinstance(sys, CyclicSystem)
-            else [sys.decode(v) for v in range(sys.size)]
-        )
-    else:
-        note = _metric_budget_note(a, eps)
-        if note is not None:
-            return Verdict.undecided(note=note)
-        starts = _start_grid(sys, start_grid_resolution)
+    note = _metric_budget_note(a, sys, eps)
+    if note is not None:
+        return Verdict.undecided(note=note)
     closest = None  # (distance, start, n)
-    for start in starts:
+    for start in sys.starts(start_grid_resolution):
         for n in a.elements:
             if n == 0:
                 continue

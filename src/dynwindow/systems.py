@@ -3,8 +3,14 @@
 Finite systems (cycles, truncated odometers) are exact.  Metric systems
 (torus rotations, the skew product (x, y) -> (x + a, y + x)) run in double
 precision, with integer-times-angle products reduced mod 1 exactly so closed
-forms do not lose accuracy at large times.  Every system is an immutable
-value object; all operations are pure.
+forms do not lose accuracy at large times; rotations with exact rational
+angles run in Fraction arithmetic.  Every system is an immutable value
+object; all operations are pure.
+
+Every system answers one protocol: ``step``, ``orbit_at``, ``trajectory``,
+``cover``, ``distance``, ``starts``, ``rational_structure`` and
+``exact_orbits``.  Cycles and odometers share ``FiniteSystem``; rotations
+and the skew product share ``TorusSystem``.
 """
 from __future__ import annotations
 
@@ -12,11 +18,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .intsets import Verdict, Window
 
 __all__ = [
+    "FiniteSystem",
+    "TorusSystem",
     "CyclicSystem",
     "RotationSystem",
     "OdometerSystem",
@@ -28,13 +36,11 @@ __all__ = [
     "ProductCover",
     "CoverMismatchError",
     "GOLDEN",
-    "step",
     "orbit_at",
     "orbit_along",
     "cover_for",
     "eps_dense",
     "is_totally_minimal",
-    "product",
     "system_distance",
     "mult_angle_mod1",
 ]
@@ -61,13 +67,36 @@ def _mod1(x: float) -> float:
     return y if y < 1.0 else 0.0
 
 
-def _circular_dist(a: float, b: float) -> float:
-    d = abs(float(a) - float(b)) % 1.0
-    return min(d, 1.0 - d)
+class FiniteSystem:
+    """A cycle of ``size`` states behind a codec: T^n(s) = decode((encode(s) + n) mod size)."""
+
+    exact_orbits = True
+
+    def orbit_at(self, start, n: int):
+        return self.decode((self.encode(start) + n) % self.size)
+
+    def trajectory(self, start, horizon: int) -> Iterator:
+        # Honest stepping, kept apart from the closed form it is checked against.
+        state = start
+        for _ in range(horizon):
+            state = self.step(state)
+            yield state
+
+    def cover(self, eps: float) -> "FiniteCover":
+        return FiniteCover(self, self.size)
+
+    def distance(self, s1, s2) -> float:
+        return 0.0 if self.encode(s1) == self.encode(s2) else 1.0
+
+    def starts(self, resolution: float) -> list:
+        return [self.decode(v) for v in range(self.size)]
+
+    def rational_structure(self) -> tuple[Optional[int], bool, bool]:
+        return self.size, False, True
 
 
 @dataclass(frozen=True)
-class CyclicSystem:
+class CyclicSystem(FiniteSystem):
     """x -> x + 1 on Z/period.  Minimal for every period; the exact oracle family."""
 
     period: int
@@ -75,6 +104,16 @@ class CyclicSystem:
     def __post_init__(self) -> None:
         if self.period < 1:
             raise ValueError("period must be >= 1")
+
+    @property
+    def size(self) -> int:
+        return self.period
+
+    def encode(self, state: int) -> int:
+        return state % self.period
+
+    def decode(self, value: int) -> int:
+        return value
 
     def step(self, state: int) -> int:
         return (state + 1) % self.period
@@ -84,71 +123,7 @@ class CyclicSystem:
 
 
 @dataclass(frozen=True)
-class RotationSystem:
-    """Rotation by a fixed angle vector on the d-torus.
-
-    Angles live in [0,1); an optional exact rational form switches orbit
-    computations to exact Fraction arithmetic (and makes the system
-    equivalent to a cycle of period lcm of the denominators).
-    """
-
-    angles: tuple[float, ...]
-    exact: Optional[tuple[Fraction, ...]] = None
-
-    def __post_init__(self) -> None:
-        if not self.angles:
-            raise ValueError("need at least one angle")
-        object.__setattr__(self, "angles", tuple(_mod1(float(a)) for a in self.angles))
-        if self.exact is not None:
-            ex = tuple(Fraction(e) % 1 for e in self.exact)
-            if len(ex) != len(self.angles):
-                raise ValueError("exact form must match dimension")
-            object.__setattr__(self, "exact", ex)
-
-    @classmethod
-    def from_angle(cls, angle: float) -> "RotationSystem":
-        return cls((float(angle),))
-
-    @classmethod
-    def from_rationals(cls, *fracs: Fraction) -> "RotationSystem":
-        fracs = tuple(Fraction(f) % 1 for f in fracs)
-        return cls(tuple(float(f) for f in fracs), fracs)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.angles)
-
-    @property
-    def rational_period(self) -> Optional[int]:
-        """lcm of denominators when an exact rational form is present."""
-        if self.exact is None:
-            return None
-        return math.lcm(*(f.denominator for f in self.exact))
-
-    def _tuple(self, state):
-        if self.dimension == 1 and not isinstance(state, tuple):
-            return (state,)
-        return tuple(state)
-
-    def _untuple(self, coords):
-        return coords[0] if self.dimension == 1 else tuple(coords)
-
-    def step(self, state):
-        coords = self._tuple(state)
-        if self.exact is not None and all(isinstance(c, (int, Fraction)) for c in coords):
-            out = tuple((Fraction(c) + f) % 1 for c, f in zip(coords, self.exact))
-        else:
-            out = tuple(_mod1(float(c) + a) for c, a in zip(coords, self.angles))
-        return self._untuple(out)
-
-    def spec_string(self) -> str:
-        if self.exact is not None:
-            return "rot:" + ",".join(f"{f.numerator}/{f.denominator}" for f in self.exact)
-        return "rot:" + ",".join(repr(a) for a in self.angles)
-
-
-@dataclass(frozen=True)
-class OdometerSystem:
+class OdometerSystem(FiniteSystem):
     """Truncated adding machine: add-1-with-carry on depth base-p digits.
 
     States are digit tuples, least significant first; integer states are
@@ -201,8 +176,116 @@ class OdometerSystem:
         return f"odo:{self.base}^{self.depth}"
 
 
+class TorusSystem:
+    """A map on the d-torus; states are coordinate tuples (bare coordinates when d = 1)."""
+
+    exact_orbits = False
+
+    def _coords(self, state) -> tuple:
+        if self.dimension == 1 and not isinstance(state, tuple):
+            return (state,)
+        return tuple(state)
+
+    def _state(self, coords):
+        return coords[0] if self.dimension == 1 else tuple(coords)
+
+    def trajectory(self, start, horizon: int) -> Iterator:
+        return (orbit_at(self, start, n) for n in range(1, horizon + 1))
+
+    def cover(self, eps: float) -> "TorusCover":
+        return TorusCover(self, self.dimension, max(1, math.ceil(1.0 / eps)), eps)
+
+    def distance(self, s1, s2) -> float:
+        """Max circular distance over the coordinates."""
+        gaps = [abs(float(a) - float(b)) % 1.0 for a, b in zip(self._coords(s1), self._coords(s2))]
+        return max(min(d, 1.0 - d) for d in gaps)
+
+    def starts(self, resolution: float) -> list:
+        k = max(1, math.ceil(1.0 / resolution))
+        axis = [i / k for i in range(k)]
+        return [self._state(p) for p in itertools.product(axis, repeat=self.dimension)]
+
+
 @dataclass(frozen=True)
-class SkewProductSystem:
+class RotationSystem(TorusSystem):
+    """Rotation by a fixed angle vector on the d-torus.
+
+    Angles live in [0,1); an optional exact rational form switches orbit
+    computations to exact Fraction arithmetic (a float start counts as the
+    dyadic rational it stores) and makes the system equivalent to a cycle of
+    period lcm of the denominators.
+    """
+
+    angles: tuple[float, ...]
+    exact: Optional[tuple[Fraction, ...]] = None
+
+    def __post_init__(self) -> None:
+        if not self.angles:
+            raise ValueError("need at least one angle")
+        object.__setattr__(self, "angles", tuple(_mod1(float(a)) for a in self.angles))
+        if self.exact is not None:
+            ex = tuple(Fraction(e) % 1 for e in self.exact)
+            if len(ex) != len(self.angles):
+                raise ValueError("exact form must match dimension")
+            object.__setattr__(self, "exact", ex)
+
+    @classmethod
+    def from_angle(cls, angle: float) -> "RotationSystem":
+        return cls((float(angle),))
+
+    @classmethod
+    def from_rationals(cls, *fracs: Fraction) -> "RotationSystem":
+        fracs = tuple(Fraction(f) % 1 for f in fracs)
+        return cls(tuple(float(f) for f in fracs), fracs)
+
+    @property
+    def dimension(self) -> int:
+        return len(self.angles)
+
+    @property
+    def exact_orbits(self) -> bool:
+        return self.exact is not None
+
+    @property
+    def rational_period(self) -> Optional[int]:
+        """lcm of denominators when an exact rational form is present."""
+        if self.exact is None:
+            return None
+        return math.lcm(*(f.denominator for f in self.exact))
+
+    def step(self, state):
+        coords = self._coords(state)
+        if self.exact is not None:
+            out = tuple((Fraction(c) + f) % 1 for c, f in zip(coords, self.exact))
+        else:
+            out = tuple(_mod1(float(c) + a) for c, a in zip(coords, self.angles))
+        return self._state(out)
+
+    def orbit_at(self, start, n: int):
+        coords = self._coords(start)
+        if self.exact is None:
+            out = tuple(_mod1(float(c) + mult_angle_mod1(n, a)) for c, a in zip(coords, self.angles))
+        else:
+            # (c + n p/q) mod 1 over the common denominator: one gcd, not three.
+            out = []
+            for c, f in zip(coords, self.exact):
+                num, den = c.as_integer_ratio()
+                d = den * f.denominator
+                out.append(Fraction((num * f.denominator + n * f.numerator * den) % d, d))
+        return self._state(out)
+
+    def rational_structure(self) -> tuple[Optional[int], bool, bool]:
+        # Float angles: no rational factor, asserted under the irrationality caveat.
+        return self.rational_period or 1, self.exact is None, True
+
+    def spec_string(self) -> str:
+        if self.exact is not None:
+            return "rot:" + ",".join(f"{f.numerator}/{f.denominator}" for f in self.exact)
+        return "rot:" + ",".join(repr(a) for a in self.angles)
+
+
+@dataclass(frozen=True)
+class SkewProductSystem(TorusSystem):
     """(x, y) -> (x + a, y + x) on the 2-torus over a circle rotation.
 
     Closed form: T^n(x, y) = (x + n a, y + n x + n(n-1)/2 a) mod 1.
@@ -210,6 +293,8 @@ class SkewProductSystem:
 
     angle: float
     exact: Optional[Fraction] = None
+
+    dimension = 2
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "angle", _mod1(float(self.angle)))
@@ -220,20 +305,55 @@ class SkewProductSystem:
         x, y = state
         return (_mod1(float(x) + self.angle), _mod1(float(y) + float(x)))
 
+    def orbit_at(self, start, n: int):
+        x, y = float(start[0]), float(start[1])
+        nx = _mod1(x + mult_angle_mod1(n, self.angle))
+        ny = _mod1(y + mult_angle_mod1(n, x) + mult_angle_mod1(n * (n - 1) // 2, self.angle))
+        return (nx, ny)
+
+    def rational_structure(self) -> tuple[Optional[int], bool, bool]:
+        # A rational angle leaves orbit closures finitely many circles: not minimal.
+        return (1, True, True) if self.exact is None else (None, False, False)
+
     def spec_string(self) -> str:
         return f"skew:{self.angle!r}"
 
 
 @dataclass(frozen=True)
 class ProductSystem:
-    """Componentwise product of any two catalog systems."""
+    """Componentwise product of any two catalog systems; it has no start set."""
 
     left: object
     right: object
 
+    @property
+    def exact_orbits(self) -> bool:
+        return self.left.exact_orbits and self.right.exact_orbits
+
     def step(self, state):
         sl, sr = state
         return (self.left.step(sl), self.right.step(sr))
+
+    def orbit_at(self, start, n: int):
+        return (self.left.orbit_at(start[0], n), self.right.orbit_at(start[1], n))
+
+    trajectory = FiniteSystem.trajectory  # stepped componentwise
+
+    def cover(self, eps: float) -> "ProductCover":
+        return ProductCover(self, self.left.cover(eps), self.right.cover(eps))
+
+    def distance(self, s1, s2) -> float:
+        return max(self.left.distance(s1[0], s2[0]), self.right.distance(s1[1], s2[1]))
+
+    def starts(self, resolution: float) -> list:
+        raise TypeError(f"not a metric catalog system: {self!r}")
+
+    def rational_structure(self) -> tuple[Optional[int], bool, bool]:
+        ql, cl, ml = self.left.rational_structure()
+        qr, cr, mr = self.right.rational_structure()
+        if not (ml and mr and math.gcd(ql, qr) == 1):
+            return None, cl or cr, False
+        return ql * qr, cl or cr, True
 
     def spec_string(self) -> str:
         return f"prod({self.left.spec_string()},{self.right.spec_string()})"
@@ -242,33 +362,9 @@ class ProductSystem:
 System = Union[CyclicSystem, RotationSystem, OdometerSystem, SkewProductSystem, ProductSystem]
 
 
-def step(sys: System, state):
-    """One application of the system map."""
-    return sys.step(state)
-
-
 def orbit_at(sys: System, start, n: int):
     """T^n(start) by closed form (exact for finite systems, mod-1 exact products otherwise)."""
-    if isinstance(sys, CyclicSystem):
-        return (start + n) % sys.period
-    if isinstance(sys, OdometerSystem):
-        return sys.decode((sys.encode(start) + n) % sys.size)
-    if isinstance(sys, RotationSystem):
-        coords = sys._tuple(start)
-        if sys.exact is not None and all(isinstance(c, (int, Fraction)) for c in coords):
-            out = tuple((Fraction(c) + n * f) % 1 for c, f in zip(coords, sys.exact))
-        else:
-            out = tuple(_mod1(float(c) + mult_angle_mod1(n, a)) for c, a in zip(coords, sys.angles))
-        return sys._untuple(out)
-    if isinstance(sys, SkewProductSystem):
-        x, y = float(start[0]), float(start[1])
-        nx = _mod1(x + mult_angle_mod1(n, sys.angle))
-        ny = _mod1(y + mult_angle_mod1(n, x) + mult_angle_mod1(n * (n - 1) // 2, sys.angle))
-        return (nx, ny)
-    if isinstance(sys, ProductSystem):
-        sl, sr = start
-        return (orbit_at(sys.left, sl, n), orbit_at(sys.right, sr, n))
-    raise TypeError(f"not a catalog system: {sys!r}")
+    return sys.orbit_at(start, n)
 
 
 def orbit_along(sys: System, start, a: Window) -> list:
@@ -298,16 +394,14 @@ class GridCover:
 
 @dataclass(frozen=True)
 class FiniteCover(GridCover):
-    """Singleton cells for a finite system; ids are state values 0..size-1."""
+    """Singleton cells for a finite system; ids are cycle positions 0..size-1."""
 
-    system: System
+    system: FiniteSystem
     size: int
     resolution: float = 1.0
 
     def cell_of(self, state):
-        if isinstance(self.system, OdometerSystem):
-            return self.system.encode(state)
-        return state % self.size
+        return self.system.encode(state)
 
     def cell_ids(self):
         return range(self.size)
@@ -327,7 +421,7 @@ class TorusCover(GridCover):
 
     def _coord_cell(self, x) -> int:
         if isinstance(x, Fraction):
-            idx = int(x * self.k)
+            idx = x.numerator * self.k // x.denominator
         else:
             idx = int(float(x) * self.k)
         return min(max(idx, 0), self.k - 1)
@@ -374,17 +468,7 @@ def cover_for(sys: System, eps: float = 1.0) -> GridCover:
     """The canonical cover: singletons for finite systems, mesh <= eps grids otherwise."""
     if eps <= 0:
         raise ValueError("eps must be > 0")
-    if isinstance(sys, CyclicSystem):
-        return FiniteCover(sys, sys.period)
-    if isinstance(sys, OdometerSystem):
-        return FiniteCover(sys, sys.size)
-    if isinstance(sys, RotationSystem):
-        return TorusCover(sys, sys.dimension, max(1, math.ceil(1.0 / eps)), eps)
-    if isinstance(sys, SkewProductSystem):
-        return TorusCover(sys, 2, max(1, math.ceil(1.0 / eps)), eps)
-    if isinstance(sys, ProductSystem):
-        return ProductCover(sys, cover_for(sys.left, eps), cover_for(sys.right, eps))
-    raise TypeError(f"not a catalog system: {sys!r}")
+    return sys.cover(eps)
 
 
 def eps_dense(sys: System, states: Sequence, cover: GridCover) -> Verdict:
@@ -401,10 +485,6 @@ def eps_dense(sys: System, states: Sequence, cover: GridCover) -> Verdict:
     return Verdict.hold(note=f"all {cover.cell_count()} cells visited by {len(states)} states")
 
 
-def product(left: System, right: System) -> ProductSystem:
-    return ProductSystem(left, right)
-
-
 def _smallest_prime_factor(n: int) -> int:
     d = 2
     while d * d <= n:
@@ -414,46 +494,16 @@ def _smallest_prime_factor(n: int) -> int:
     return n
 
 
-def _rational_structure(sys: System) -> tuple[Optional[int], bool, bool]:
-    """(rational period, irrationality caveat, minimal-on-its-space).
-
-    The rational period is the order of the system's finite cyclic factor
-    (1 when there is none); None paired with minimal=False marks systems
-    that are not minimal at all.
-    """
-    if isinstance(sys, CyclicSystem):
-        return sys.period, False, True
-    if isinstance(sys, OdometerSystem):
-        return sys.size, False, True
-    if isinstance(sys, RotationSystem):
-        if sys.exact is not None:
-            return sys.rational_period, False, True
-        return 1, True, True
-    if isinstance(sys, SkewProductSystem):
-        if sys.exact is not None:
-            # Rational angle: orbit closures are finitely many circles,
-            # never the whole 2-torus.
-            return None, False, False
-        return 1, True, True
-    if isinstance(sys, ProductSystem):
-        ql, cl, ml = _rational_structure(sys.left)
-        qr, cr, mr = _rational_structure(sys.right)
-        if not (ml and mr) or ql is None or qr is None:
-            return None, cl or cr, False
-        if math.gcd(ql, qr) != 1:
-            return None, cl or cr, False
-        return ql * qr, cl or cr, True
-    raise TypeError(f"not a catalog system: {sys!r}")
-
-
 def is_totally_minimal(sys: System) -> Verdict:
     """Is (X, T^n) minimal for every n?
 
     Exact on finite systems and rational rotations (any rational period q > 1
     fails at n = smallest prime factor of q).  For irrational angles the
     verdict is asserted on the window with the caveat recorded in the note.
+    ``rational_structure()`` is (order of the finite cyclic factor, or None
+    when the system is not minimal; irrationality caveat; minimal).
     """
-    q, caveat, minimal = _rational_structure(sys)
+    q, caveat, minimal = sys.rational_structure()
     if not minimal:
         return Verdict.fail(1, note="system is not minimal on its space")
     if q is not None and q > 1:
@@ -470,18 +520,4 @@ def is_totally_minimal(sys: System) -> Verdict:
 
 def system_distance(sys: System, s1, s2) -> float:
     """Discrete metric on finite systems, max circular distance on tori."""
-    if isinstance(sys, (CyclicSystem, OdometerSystem)):
-        if isinstance(sys, OdometerSystem):
-            return 0.0 if sys.encode(s1) == sys.encode(s2) else 1.0
-        return 0.0 if (s1 - s2) % sys.period == 0 else 1.0
-    if isinstance(sys, RotationSystem):
-        t1, t2 = sys._tuple(s1), sys._tuple(s2)
-        return max(_circular_dist(a, b) for a, b in zip(t1, t2))
-    if isinstance(sys, SkewProductSystem):
-        return max(_circular_dist(s1[0], s2[0]), _circular_dist(s1[1], s2[1]))
-    if isinstance(sys, ProductSystem):
-        return max(
-            system_distance(sys.left, s1[0], s2[0]),
-            system_distance(sys.right, s1[1], s2[1]),
-        )
-    raise TypeError(f"not a catalog system: {sys!r}")
+    return sys.distance(s1, s2)

@@ -217,3 +217,52 @@ def test_horizon_override(tmp_path, capsys):
     out = capsys.readouterr().out
     doc = json.loads(out[out.index("{"):])
     assert doc["sequence"]["horizon"] == 10 and doc["sequence"]["count"] == 2
+
+
+def test_permpoly_check_runs_each_decider_once(monkeypatch, capsys):
+    import dynwindow.permpoly as permpoly
+
+    calls = {"hermite": 0, "brute": 0}
+    hermite, brute = permpoly.hermite_check, permpoly.brute_permutation_check
+
+    def counted_hermite(f):
+        calls["hermite"] += 1
+        return hermite(f)
+
+    def counted_brute(f):
+        calls["brute"] += 1
+        return brute(f)
+
+    monkeypatch.setattr(permpoly, "hermite_check", counted_hermite)
+    monkeypatch.setattr(permpoly, "brute_permutation_check", counted_brute)
+    assert main(["permpoly", "check", "x^3", "--p", "11", "--json"]) == 0
+    assert calls == {"hermite": 1, "brute": 1}
+    out = capsys.readouterr().out
+    doc = json.loads(out[out.index("{"):])
+    assert doc["is_permutation"] is True and doc["image_size"] == 11
+
+
+@pytest.mark.parametrize("spec", ["cyclic:5", "prod(cyclic:2,cyclic:3)", "prod(rot:golden,rot:golden)"])
+def test_recurrence_non_metric_spec_is_operational_error(squares_file, capsys, spec):
+    assert main(["recurrence", squares_file, spec]) == 1
+    assert "metric" in capsys.readouterr().err
+
+
+def test_malformed_schedule_is_operational_error(tmp_path, capsys):
+    sched = tmp_path / "sched.json"
+    for doc in ({"t": 5, "k": [2]}, {"t": [None], "k": [2]}, [1, 2], 7):
+        sched.write_text(json.dumps(doc))
+        assert main(["construct", "example", "--schedule", str(sched)]) == 1
+        assert "schedule JSON" in capsys.readouterr().err
+
+
+def test_internal_type_error_is_not_bad_input(evens_file, monkeypatch):
+    # A TypeError inside a subcommand is a bug: it must keep its traceback.
+    import dynwindow.cli as cli
+
+    def broken(*args, **kwargs):
+        raise TypeError("internal bug")
+
+    monkeypatch.setattr(cli, "is_syndetic", broken)
+    with pytest.raises(TypeError, match="internal bug"):
+        main(["classify", evens_file])

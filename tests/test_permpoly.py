@@ -21,7 +21,7 @@ from dynwindow import (
     pow_reduced,
     reduce_mod_field_poly,
 )
-from dynwindow.permpoly import format_int_polynomial, is_prime, poly_mul
+from dynwindow.permpoly import OracleDisagreementError, decide_permutation, format_int_polynomial, is_prime, poly_mul
 
 
 def mono(p: int, k: int, c: int = 1) -> PolyModP:
@@ -221,3 +221,21 @@ def test_format_parse_roundtrip(coeffs):
     if text == "0":
         return
     assert parse_int_polynomial(text) == tuple(trimmed)
+
+
+def test_decide_permutation_returns_both_deciders_results():
+    f = PolyModP.make(7, (3, 1))  # x + 3
+    assert decide_permutation(f) == (True, hermite_check(f)[1], brute_permutation_check(f)[1])
+    f = mono(5, 2)
+    permutes, evidence, image = decide_permutation(f)
+    assert not permutes and evidence["reason"] == "power_degree_full" and image == (0, 1, 4)
+
+
+def test_decide_permutation_raises_when_deciders_disagree(monkeypatch):
+    import dynwindow.permpoly as permpoly
+
+    monkeypatch.setattr(permpoly, "hermite_check", lambda f: (False, {"reason": "forced"}))
+    with pytest.raises(OracleDisagreementError):
+        decide_permutation(PolyModP.make(7, (3, 1)))
+    with pytest.raises(OracleDisagreementError):
+        is_permutation(PolyModP.make(7, (3, 1)))

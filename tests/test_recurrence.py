@@ -351,3 +351,22 @@ def test_random_windows_deterministic():
     assert a != c
     assert all(w.elements[0] >= 50 for w in a if w.elements)
     assert all(w.horizon == 1000 for w in a)
+
+
+# -- exact rational rotations --------------------------------------------------------
+
+
+def test_metric_exact_rotation_is_exact_at_large_times():
+    # The exact orbit of every start along multiples of 3 is a single point.
+    w = Window(tuple(3 * 10 ** 17 + 3 * i for i in range(2000)), 3 * 10 ** 17 + 3 * 1999)
+    report = r_sequence_metric(w, RotationSystem.from_rationals(Fraction(1, 3)), 0.1, 0.25)
+    assert report.verdict.fails and report.verdict.witness == 1
+    assert report.per_system == {"0.0": {"cells_hit": 1, "cells": 10, "empty_cell": 1}}
+
+
+@pytest.mark.parametrize("base", [3 * 10 ** 12, 3 * 10 ** 17])
+def test_birkhoff_exact_rotation_returns_exactly(base):
+    w = Window(tuple(base + 3 * i for i in range(1, 51)), base + 150)
+    v = birkhoff_window_test(w, RotationSystem.from_rationals(Fraction(1, 3)), 0.01)
+    assert v.holds and v.witness == (0.0, base + 3)
+    assert "within 0 <" in v.note

@@ -12,6 +12,9 @@ from conftest import squares
 from dynwindow import (
     GOLDEN,
     CoverMismatchError,
+    FiniteCover,
+    ProductCover,
+    TorusCover,
     CyclicSystem,
     OdometerSystem,
     ProductSystem,
@@ -23,17 +26,15 @@ from dynwindow import (
     is_totally_minimal,
     orbit_along,
     orbit_at,
-    product,
-    step,
     system_distance,
 )
 
 
 def test_step_examples():
-    assert step(CyclicSystem(3), 2) == 0
-    assert step(RotationSystem.from_angle(0.25), 0.9) == pytest.approx(0.15)
+    assert CyclicSystem(3).step(2) == 0
+    assert RotationSystem.from_angle(0.25).step(0.9) == pytest.approx(0.15)
     skew = SkewProductSystem(GOLDEN)
-    x, y = step(skew, (0.0, 0.0))
+    x, y = skew.step((0.0, 0.0))
     assert x == pytest.approx(GOLDEN) and y == 0.0
 
 
@@ -66,6 +67,7 @@ def test_orbit_along_odometer_positional():
         (RotationSystem((0.3, 0.71)), (0.1, 0.9)),
         (SkewProductSystem(GOLDEN), (0.0, 0.0)),
         (ProductSystem(CyclicSystem(4), RotationSystem.from_angle(GOLDEN)), (1, 0.25)),
+        (RotationSystem.from_rationals(Fraction(2, 7)), 0.25),
     ],
 )
 def test_closed_form_agrees_with_stepping(sys, start):
@@ -81,7 +83,7 @@ def test_closed_form_agrees_with_stepping(sys, start):
     state = start
     checkpoints = set(list(range(1, 101)) + [500, 1000, 5000, 10_000])
     for n in range(1, 10_001):
-        state = step(sys, state)
+        state = sys.step(state)
         if n in checkpoints:
             closed = orbit_at(sys, start, n)
             for a, b in zip(flat(state), flat(closed)):
@@ -105,7 +107,7 @@ def test_rational_rotation_matches_cycle():
 
 
 def test_product_orbit_projects_to_components():
-    sysp = product(CyclicSystem(4), OdometerSystem(2, 2))
+    sysp = ProductSystem(CyclicSystem(4), OdometerSystem(2, 2))
     w = Window(tuple(range(10)), 10)
     states = orbit_along(sysp, (1, 0), w)
     assert [s[0] for s in states] == orbit_along(CyclicSystem(4), 1, w)
@@ -114,12 +116,12 @@ def test_product_orbit_projects_to_components():
 
 @pytest.mark.parametrize("m,n", [(2, 3), (2, 2), (4, 6), (5, 7), (1, 9)])
 def test_product_cycle_orbit_size_is_lcm(m, n):
-    sysp = product(CyclicSystem(m), CyclicSystem(n))
+    sysp = ProductSystem(CyclicSystem(m), CyclicSystem(n))
     seen = set()
     state = (0, 0)
     while state not in seen:
         seen.add(state)
-        state = step(sysp, state)
+        state = sysp.step(state)
     assert len(seen) == math.lcm(m, n)
     assert (len(seen) == m * n) == (math.gcd(m, n) == 1)
 
@@ -179,7 +181,7 @@ def test_torus_cover_every_point_in_exactly_one_cell(x, k):
 
 
 def test_product_cover_cells_are_pairs():
-    sysp = product(CyclicSystem(2), CyclicSystem(3))
+    sysp = ProductSystem(CyclicSystem(2), CyclicSystem(3))
     cover = cover_for(sysp)
     assert list(cover.cell_ids()) == [(a, b) for a in range(2) for b in range(3)]
     assert cover.cell_of((1, 2)) == (1, 2)
@@ -217,11 +219,11 @@ def test_totally_minimal_odometer_fails():
 
 
 def test_totally_minimal_products():
-    v = is_totally_minimal(product(CyclicSystem(2), CyclicSystem(2)))
+    v = is_totally_minimal(ProductSystem(CyclicSystem(2), CyclicSystem(2)))
     assert v.fails and v.witness == 1  # not even minimal
-    v = is_totally_minimal(product(CyclicSystem(2), CyclicSystem(3)))
+    v = is_totally_minimal(ProductSystem(CyclicSystem(2), CyclicSystem(3)))
     assert v.fails and v.witness == 2
-    v = is_totally_minimal(product(RotationSystem.from_angle(GOLDEN), CyclicSystem(1)))
+    v = is_totally_minimal(ProductSystem(RotationSystem.from_angle(GOLDEN), CyclicSystem(1)))
     assert v.holds
 
 
@@ -245,4 +247,72 @@ def test_spec_strings():
     assert CyclicSystem(5).spec_string() == "cyclic:5"
     assert OdometerSystem(2, 3).spec_string() == "odo:2^3"
     assert RotationSystem.from_rationals(Fraction(1, 3)).spec_string() == "rot:1/3"
-    assert product(CyclicSystem(2), CyclicSystem(3)).spec_string() == "prod(cyclic:2,cyclic:3)"
+    assert ProductSystem(CyclicSystem(2), CyclicSystem(3)).spec_string() == "prod(cyclic:2,cyclic:3)"
+
+
+# -- the system protocol -------------------------------------------------------------
+
+
+PROTOCOL_CASES = [
+    (CyclicSystem(5), 3, FiniteCover),
+    (OdometerSystem(2, 3), (1, 0, 1), FiniteCover),
+    (RotationSystem((GOLDEN, 0.3)), (0.25, 0.5), TorusCover),
+    (SkewProductSystem(GOLDEN), (0.25, 0.5), TorusCover),
+    (ProductSystem(CyclicSystem(2), RotationSystem.from_angle(GOLDEN)), (1, 0.25), ProductCover),
+]
+
+
+@pytest.mark.parametrize("sys,start,cover_type", PROTOCOL_CASES, ids=lambda v: type(v).__name__)
+def test_every_system_answers_the_protocol(sys, start, cover_type):
+    stepped = sys.step(start)
+    assert system_distance(sys, sys.orbit_at(start, 1), stepped) <= 1e-12
+    assert orbit_at(sys, start, 12) == sys.orbit_at(start, 12)
+    walk = list(sys.trajectory(start, 4))
+    assert len(walk) == 4 and system_distance(sys, walk[0], stepped) <= 1e-12
+    assert system_distance(sys, walk[3], sys.orbit_at(start, 4)) <= 1e-12
+    cover = sys.cover(0.25)
+    assert type(cover) is cover_type and cover.system == sys and cover == cover_for(sys, 0.25)
+    assert sys.distance(start, start) == 0.0
+    assert system_distance(sys, start, stepped) == sys.distance(start, stepped)
+    q, caveat, minimal = sys.rational_structure()
+    assert isinstance(caveat, bool) and isinstance(minimal, bool) and (q is None) == (not minimal)
+    assert isinstance(sys.exact_orbits, bool)
+    if isinstance(sys, ProductSystem):
+        with pytest.raises(TypeError):
+            sys.starts(0.5)
+    else:
+        starts = sys.starts(0.5)
+        assert len(starts) == len({cover.cell_of(s) for s in starts})
+
+
+def test_start_sets():
+    assert CyclicSystem(4).starts(0.5) == [0, 1, 2, 3]
+    assert OdometerSystem(2, 2).starts(0.5) == [(0, 0), (1, 0), (0, 1), (1, 1)]
+    assert RotationSystem.from_angle(GOLDEN).starts(0.25) == [0.0, 0.25, 0.5, 0.75]
+    grid = [(0.0, 0.0), (0.0, 0.5), (0.5, 0.0), (0.5, 0.5)]
+    assert RotationSystem((GOLDEN, 0.3)).starts(0.5) == grid
+    assert SkewProductSystem(GOLDEN).starts(0.5) == grid
+
+
+@pytest.mark.parametrize(
+    "sys", [CyclicSystem(6), OdometerSystem(3, 2), ProductSystem(CyclicSystem(2), OdometerSystem(2, 2))],
+    ids=lambda v: v.spec_string(),
+)
+def test_finite_closed_form_lands_in_the_stepped_cell(sys):
+    if isinstance(sys, ProductSystem):
+        states = [(a, b) for a in sys.left.starts(1.0) for b in sys.right.starts(1.0)]
+    else:
+        states = sys.starts(1.0)
+    cover = sys.cover(1.0)
+    for start in states:
+        state = start
+        for n in range(1, 2 * len(states) + 1):
+            state = sys.step(state)
+            assert cover.cell_of(sys.orbit_at(start, n)) == cover.cell_of(state)
+
+
+def test_exact_rotation_computes_from_the_exact_start():
+    rot = RotationSystem.from_rationals(Fraction(1, 3))
+    n = 3 * 10 ** 17
+    assert rot.orbit_at(0.0, n) == 0 and orbit_at(rot, 0.25, n + 1) == Fraction(7, 12)
+    assert rot.step(0.25) == Fraction(7, 12)
