@@ -1,8 +1,9 @@
 """Batch front-end: sequence files and system specs in, deterministic reports out.
 
-JSON is the single machine-readable output; the plain-text summary is a
-rendering of the JSON, never the source of truth.  Identical (inputs,
-params, seed) give byte-identical reports.  Exit code 0 means a verdict was
+Subcommands return their report, summary lines and exit code; ``main`` alone
+prints, stamps the run parameters and writes.  JSON is the single machine-readable
+output; the summary is rendered from the same values as the report.  Identical
+(inputs, params, seed) give byte-identical reports.  Exit code 0 means a verdict was
 computed (even a failing one); nonzero is reserved for operational errors.
 """
 from __future__ import annotations
@@ -181,24 +182,24 @@ def _emit(report: dict, path: Optional[str], to_stdout: bool) -> None:
         sys.stdout.write(doc)
 
 
-def _params_of(args, exclude=("func", "out", "json", "report")) -> dict:
-    # Output routing (--out/--json/--report) is not part of the run config:
-    # the same inputs + params + seed must give byte-identical reports
-    # wherever they are written.
-    params = {k: v for k, v in vars(args).items() if k not in exclude and not callable(v)}
+def _params_of(args) -> dict:
+    # Output routing (the report's --out/--json, construct's sequence file) is
+    # not part of the run config: the same inputs + params + seed must give
+    # byte-identical reports wherever they are written.
+    params = {k: v for k, v in vars(args).items() if k not in ("func", "out", "json", "sequence")}
     if isinstance(params.get("shifts"), range):
         r = params["shifts"]
         params["shifts"] = f"{r.start}..{r.stop - 1}"
     return params
 
 
-def _print_verdict(label: str, v: Verdict) -> None:
+def _verdict_line(label: str, v: Verdict) -> str:
     extra = f" witness={v.witness}" if v.witness is not None else ""
     note = f"  ({v.note})" if v.note else ""
-    print(f"{label}: {v.status.value}{extra}{note}")
+    return f"{label}: {v.status.value}{extra}{note}"
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> tuple[dict, list[str], int]:
     w = _load_window(args.path, args.horizon)
     checks = {
         "syndetic": is_syndetic(w, args.gap),
@@ -209,20 +210,20 @@ def _cmd_classify(args) -> int:
     report = {
         "sequence": _sequence_info(args.path, w),
         "family": "window classifiers",
-        "checks": {k: v for k, v in checks.items()},
+        "checks": checks,
         "banach_density": density,
-        "params": _params_of(args),
     }
-    print(f"sequence {args.path}: {len(w)} elements, horizon {w.horizon}")
-    _print_verdict(f"syndetic (gap {args.gap})", checks["syndetic"])
-    _print_verdict(f"thick (run {args.run})", checks["thick"])
-    _print_verdict(f"piecewise-syndetic certificate (gap {args.gap}, block {args.block})", checks["piecewise_syndetic"])
-    print(f"banach density (length {args.density_length}): {density} = {float(density):.6g}")
-    _emit(report, args.out, args.json)
-    return 0
+    summary = [
+        f"sequence {args.path}: {len(w)} elements, horizon {w.horizon}",
+        _verdict_line(f"syndetic (gap {args.gap})", checks["syndetic"]),
+        _verdict_line(f"thick (run {args.run})", checks["thick"]),
+        _verdict_line(f"piecewise-syndetic certificate (gap {args.gap}, block {args.block})", checks["piecewise_syndetic"]),
+        f"banach density (length {args.density_length}): {density} = {float(density):.6g}",
+    ]
+    return report, summary, 0
 
 
-def _cmd_recurrence(args) -> int:
+def _cmd_recurrence(args) -> tuple[dict, list[str], int]:
     w = _load_window(args.path, args.horizon)
     family = args.family.strip()
     if family.startswith("cyclic:<="):
@@ -241,25 +242,18 @@ def _cmd_recurrence(args) -> int:
         def tester(window):
             return r_sequence_metric(window, sys_obj, args.eps, args.start_grid)
 
+    report = {"sequence": _sequence_info(args.path, w)}
     if args.shifts is not None:
         verdict = shift_family_test(w, args.shifts, tester)
-        rep_json: dict = {"per_system": [], "family": family_str + ", shifted"}
-        rep_json.update(verdict.to_json())
+        report.update(per_system=[], family=family_str + ", shifted", **verdict.to_json())
     else:
-        report_obj = tester(w)
-        verdict = report_obj.verdict
-        rep_json = report_obj.to_json()
-    report = {
-        "sequence": _sequence_info(args.path, w),
-        "params": _params_of(args),
-        **rep_json,
-    }
-    _print_verdict(f"recurrence vs {family}", verdict)
-    _emit(report, args.out, args.json)
-    return 0
+        result = tester(w)
+        verdict = result.verdict
+        report.update(result.to_json())
+    return report, [_verdict_line(f"recurrence vs {family}", verdict)], 0
 
 
-def _cmd_crosscheck(args) -> int:
+def _cmd_crosscheck(args) -> tuple[dict, list[str], int]:
     if args.path:
         windows = [(_load_window(args.path, args.horizon), args.path)]
     else:
@@ -267,13 +261,9 @@ def _cmd_crosscheck(args) -> int:
             (w, f"seeded[{i}]")
             for i, w in enumerate(random_windows(args.count, args.horizon or 10_000, seed=args.seed))
         ]
-    entries = []
-    disagreements = 0
-    for w, name in windows:
-        v = crosscheck_cyclic_equivalence(w, args.max_period, args.shifts)
-        if not v.holds:
-            disagreements += 1
-        entries.append({"sequence": _sequence_info(name, w), **v.to_json()})
+    verdicts = [crosscheck_cyclic_equivalence(w, args.max_period, args.shifts) for w, _ in windows]
+    entries = [{"sequence": _sequence_info(name, w), **v.to_json()} for (w, name), v in zip(windows, verdicts)]
+    disagreements = sum(not v.holds for v in verdicts)
     overall = (
         Verdict.hold(note=f"three predicates agree on all {len(windows)} windows")
         if disagreements == 0
@@ -282,18 +272,13 @@ def _cmd_crosscheck(args) -> int:
     report = {
         "family": f"cyclic m <= {args.max_period} equivalence cross-check",
         "per_system": entries,
-        "params": _params_of(args),
         **overall.to_json(),
     }
-    _print_verdict(
-        f"cross-check ({len(windows)} windows, m <= {args.max_period}, shifts {args.shifts.start}..{args.shifts.stop - 1})",
-        overall,
-    )
-    _emit(report, args.out, args.json)
-    return 0
+    label = f"cross-check ({len(windows)} windows, m <= {args.max_period}, shifts {args.shifts.start}..{args.shifts.stop - 1})"
+    return report, [_verdict_line(label, overall)], 0
 
 
-def _cmd_permpoly(args) -> int:
+def _cmd_permpoly(args) -> tuple[dict, list[str], int]:
     coeffs = parse_int_polynomial(args.polynomial)
     if args.action == "check":
         if args.p is None:
@@ -307,11 +292,9 @@ def _cmd_permpoly(args) -> int:
             "criterion_evidence": evidence,
             "image_size": len(image),
             "image": list(image),
-            "params": _params_of(args),
         }
-        print(
-            f"{report['polynomial']} over F_{args.p}: "
-            + ("permutation" if permutes else f"not a permutation (image size {len(image)})")
+        line = f"{report['polynomial']} over F_{args.p}: " + (
+            "permutation" if permutes else f"not a permutation (image size {len(image)})"
         )
     else:  # find-prime
         res = find_non_surjective_prime(coeffs, args.cap)
@@ -319,17 +302,15 @@ def _cmd_permpoly(args) -> int:
             "polynomial": format_int_polynomial(coeffs),
             **res.to_json(),
             "image": list(res.image),
-            "params": _params_of(args),
         }
-        print(
+        line = (
             f"{report['polynomial']}: p = {res.p}, missing residue {res.missing} "
             f"(image size {len(res.image)} of {res.p})"
         )
-    _emit(report, args.out, args.json)
-    return 0
+    return report, [line], 0
 
 
-def _cmd_construct(args) -> int:
+def _cmd_construct(args) -> tuple[dict, list[str], int]:
     if args.schedule:
         with open(args.schedule, "r", encoding="utf-8") as fh:
             schedule = IPBlockSchedule.from_json(json.load(fh))
@@ -339,51 +320,50 @@ def _cmd_construct(args) -> int:
     w = built.window
     not_pws = verify_not_pws(built, args.gap, args.block_length)
     shifted = verify_shifted_recurrence(built, args.max_period, args.shifts)
-    if args.out:
+    spacing_law = built.spacing_law_holds()
+    summary = []
+    if args.sequence:
         comment = (
             f"ip-block sequence: {schedule.block_count} blocks, "
             f"t-schedule {'default' if schedule.uses_default_t else 'custom'}"
         )
-        write_sequence_file(args.out, w, comment)
-        print(f"wrote {len(w)} elements to {args.out}")
+        write_sequence_file(args.sequence, w, comment)
+        summary.append(f"wrote {len(w)} elements to {args.sequence}")
     report = {
-        "sequence": _sequence_info(args.out or "<not written>", w),
+        "sequence": _sequence_info(args.sequence or "<not written>", w),
         "family": "ip-block construction",
-        "spacing_law": built.spacing_law_holds(),
+        "spacing_law": spacing_law,
         "blocks": [
             {"index": b.index, "t": b.t, "offset": b.offset, "size": b.hi - b.lo, "lo": b.lo, "hi": b.hi}
             for b in built.blocks
         ],
         "not_piecewise_syndetic": not_pws,
         "shifted_recurrence": shifted,
-        "params": _params_of(args),
     }
-    print(f"built {schedule.block_count} blocks, horizon {w.horizon}")
-    print(f"spacing law: {'holds' if built.spacing_law_holds() else 'VIOLATED'}")
-    _print_verdict(f"not piecewise syndetic (gap {args.gap}, block {args.block_length})", not_pws)
-    _print_verdict(
-        f"shifted recurrence (m <= {args.max_period}, shifts {args.shifts.start}..{args.shifts.stop - 1})",
-        shifted,
-    )
-    # --out holds the sequence file; the JSON report goes to --report/--json.
-    _emit(report, args.report, args.json)
-    return 0
+    summary += [
+        f"built {schedule.block_count} blocks, horizon {w.horizon}",
+        f"spacing law: {'holds' if spacing_law else 'VIOLATED'}",
+        _verdict_line(f"not piecewise syndetic (gap {args.gap}, block {args.block_length})", not_pws),
+        _verdict_line(
+            f"shifted recurrence (m <= {args.max_period}, shifts {args.shifts.start}..{args.shifts.stop - 1})",
+            shifted,
+        ),
+    ]
+    return report, summary, 0
 
 
-def _cmd_product(args) -> int:
+def _cmd_product(args) -> tuple[dict, list[str], int]:
     left = parse_system_spec(args.left)
     right = parse_system_spec(args.right)
     if not isinstance(left, CyclicSystem) or not isinstance(right, CyclicSystem):
         raise SystemSpecError("product transitivity oracle takes two cyclic:m specs")
     res = product_transitive_finite(left.period, right.period)
-    report = {**res.to_json(), "params": _params_of(args)}
-    print(
+    line = (
         f"cyclic:{res.m} x cyclic:{res.n}: transitive={res.coprime} "
         f"(orbit of (0,0) has {res.orbit_size} states of {res.m * res.n}; "
         f"enumeration {'agrees' if res.agrees else 'DISAGREES'})"
     )
-    _emit(report, args.out, args.json)
-    return 0 if res.agrees else 1
+    return res.to_json(), [line], 0 if res.agrees else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -439,8 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=("example",), help="construction to build")
     p.add_argument("--blocks", type=int, default=30)
     p.add_argument("--schedule", default=None, help="custom schedule JSON ({t, k, base})")
-    p.add_argument("--out", default=None, help="write the sequence file here")
-    p.add_argument("--report", default=None, help="write the JSON report here")
+    # --out names the sequence file; the JSON report goes to --report (dest "out", as elsewhere).
+    p.add_argument("--out", dest="sequence", metavar="OUT", default=None, help="write the sequence file here")
+    p.add_argument("--report", dest="out", metavar="REPORT", default=None, help="write the JSON report here")
     p.add_argument("--json", action="store_true", help="print the JSON report to stdout")
     p.add_argument("--gap", type=int, default=10)
     p.add_argument("--block-length", type=int, default=100, dest="block_length")
@@ -462,7 +443,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        report, summary, code = args.func(args)
+        for line in summary:
+            print(line)
+        report["params"] = _params_of(args)
+        _emit(report, args.out, args.json)
+        return code
     except (CapExceededError, FileNotFoundError, ValueError) as exc:
         # Bad input; ValueError covers SequenceFormatError, SystemSpecError and
         # PolynomialSyntaxError.  Anything else is a bug and keeps its traceback.

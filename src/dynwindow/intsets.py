@@ -145,10 +145,14 @@ class Window:
         """Bitmask with bit e set per element, or None if the horizon is too large."""
         if self.horizon > _BITMASK_HORIZON_CAP:
             return None
-        mask = 0
-        for e in self.elements:
-            mask |= 1 << e
-        return mask
+        if not self.elements:
+            return 0
+        import numpy as np
+
+        # Pack an indicator array little-endian: O(n + max element) for the whole mask.
+        bits = np.zeros(self.elements[-1] + 1, dtype=np.uint8)
+        bits[np.asarray(self.elements, dtype=np.int64)] = 1
+        return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
     def shift(self, n: int) -> "Window":
         """(self + n) truncated back to [0, horizon]; the horizon is kept."""

@@ -23,7 +23,6 @@ from .systems import (
     RotationSystem,
     TorusSystem,
     cover_for,
-    eps_dense,
     mult_angle_mod1,
     orbit_along,
     orbit_at,
@@ -167,31 +166,33 @@ def r_sequence_metric(a: Window, sys, eps: float, start_grid_resolution: float) 
     orbit along a is eps-dense.  Otherwise reports the best start (most
     cells hit) and its first empty cell.  The report is a claim about this
     window and eps only.  Exact rational rotations skip the floating-point
-    budget; finite systems and products raise TypeError.
+    budget; finite systems and products raise TypeError, and eps <= 0 or a
+    start grid <= 0 raise ValueError before the budget is checked.
     """
     if not isinstance(sys, TorusSystem):
         raise TypeError(f"not a metric catalog system: {sys!r}")
     family = f"{sys.spec_string()} eps={eps}"
+    cover = cover_for(sys, eps)
+    starts = sys.starts(start_grid_resolution)
     note = _metric_budget_note(a, sys, eps)
     if note is not None:
         return RSequenceReport(family, Verdict.undecided(note=note), {})
-    cover = cover_for(sys, eps)
     total = cover.cell_count()
     window_desc = f"{len(a)} elements on [0, {a.horizon}], eps={eps}"
     best = None  # (hit count, start, first empty cell)
-    for start in sys.starts(start_grid_resolution):
-        states = orbit_along(sys, start, a)
-        verdict = eps_dense(sys, states, cover)
-        if verdict.holds:
+    for start in starts:
+        # cell_of clamps into the cell ids, so the orbit is eps-dense iff it hits `total` cells.
+        cells = {cover.cell_of(s) for s in orbit_along(sys, start, a)}
+        if len(cells) == total:
             detail = {str(start): {"cells_hit": total, "cells": total}}
             return RSequenceReport(
                 family,
                 Verdict.hold(start, note=f"orbit of {start} along {window_desc} is dense"),
                 detail,
             )
-        hit = len({cover.cell_of(s) for s in states})
-        if best is None or hit > best[0]:
-            best = (hit, start, verdict.witness)
+        if best is None or len(cells) > best[0]:
+            empty = next(c for c in cover.cell_ids() if c not in cells)
+            best = (len(cells), start, empty)
     hit, start, empty = best
     detail = {str(start): {"cells_hit": hit, "cells": total, "empty_cell": empty}}
     verdict = Verdict.fail(
@@ -206,8 +207,10 @@ def birkhoff_window_test(a: Window, sys, eps: float, start_grid_resolution: floa
 
     Starts come from the system's start set (all states of a finite system,
     the grid of a torus), first witness (start, n) wins.  Element 0 of the
-    window is ignored (trivial return).
+    window is ignored (trivial return).  eps <= 0 raises ValueError.
     """
+    if not eps > 0:
+        raise ValueError("eps must be > 0")
     note = _metric_budget_note(a, sys, eps)
     if note is not None:
         return Verdict.undecided(note=note)
@@ -244,17 +247,27 @@ def shift_family_test(a: Window, shifts: Iterable[int], tester: Callable) -> Ver
     return Verdict.hold(note=f"all {len(shifts)} shifts pass")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
+def _comparison_windows(horizon: int) -> dict:
+    # The cross-check's windows at one horizon, filled on demand.  Only the
+    # latest horizon is kept: a sweep shares one, and older ones hold MiBs.
+    return {}
+
+
 def _cyclic_return_window(m: int, horizon: int) -> Window:
     # N(U,U) for the singleton cell {0} of Z/m, computed by honest stepping.
-    return return_times(CyclicSystem(m), 0, 0, horizon).times
+    store = _comparison_windows(horizon)
+    if ("return", m) not in store:
+        store["return", m] = return_times(CyclicSystem(m), 0, 0, horizon).times
+    return store["return", m]
 
 
-@lru_cache(maxsize=None)
 def _progression_difference_window(m: int, r: int, horizon: int) -> Window:
     # S - S for the syndetic progression S = {r, r+m, r+2m, ...} on [0, horizon].
-    s = Window(tuple(range(r, horizon + 1, m)), horizon)
-    return difference_set(s)
+    store = _comparison_windows(horizon)
+    if ("difference", m, r) not in store:
+        store["difference", m, r] = difference_set(Window(tuple(range(r, horizon + 1, m)), horizon))
+    return store["difference", m, r]
 
 
 def crosscheck_cyclic_equivalence(a: Window, max_period: int, shifts: Iterable[int]) -> Verdict:

@@ -201,6 +201,8 @@ class TorusSystem:
         return max(min(d, 1.0 - d) for d in gaps)
 
     def starts(self, resolution: float) -> list:
+        if not resolution > 0:
+            raise ValueError(f"start grid resolution must be > 0, got {resolution}")
         k = max(1, math.ceil(1.0 / resolution))
         axis = [i / k for i in range(k)]
         return [self._state(p) for p in itertools.product(axis, repeat=self.dimension)]

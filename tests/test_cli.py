@@ -172,6 +172,13 @@ def test_crosscheck_single_file(squares_file, capsys):
     assert "holds" in capsys.readouterr().out  # the three predicates agree (all fail)
 
 
+@pytest.mark.parametrize("flag", ["--eps=0", "--eps=-1", "--start-grid=0", "--start-grid=-1"])
+def test_recurrence_nonpositive_eps_or_grid_is_operational_error(squares_file, capsys, flag):
+    assert main(["recurrence", squares_file, "rot:golden", flag]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+
+
 # -- determinism and errors ------------------------------------------------------------
 
 

@@ -6,7 +6,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import evens, interval, multiples, odds
@@ -52,6 +52,14 @@ def test_window_restrict():
     w = Window((0, 3, 7), 10)
     assert w.restrict(6).elements == (0, 3)
     assert w.restrict(6).horizon == 6
+
+
+@given(st.lists(st.integers(0, 2000), max_size=80, unique=True), st.integers(0, 100))
+@example([], 0)
+@settings(max_examples=80, deadline=None)
+def test_window_bitmask_sets_one_bit_per_element(elems, slack):
+    w = Window(tuple(sorted(elems)), max(elems, default=0) + slack)
+    assert w.bitmask == sum(1 << e for e in w.elements)
 
 
 # -- is_syndetic ---------------------------------------------------------------

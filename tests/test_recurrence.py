@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import cmath
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -198,6 +200,13 @@ def test_birkhoff_ip_window_on_rotation():
     assert n in w.as_set
 
 
+@pytest.mark.parametrize("eps", [0.0, -1.0])
+@pytest.mark.parametrize("sys", [CyclicSystem(3), RotationSystem.from_angle(GOLDEN)])
+def test_birkhoff_rejects_nonpositive_eps(sys, eps):
+    with pytest.raises(ValueError, match="eps"):
+        birkhoff_window_test(interval(0, 10), sys, eps)
+
+
 # -- shift_family_test ---------------------------------------------------------------
 
 
@@ -233,6 +242,17 @@ def test_crosscheck_internal_windows_coincide():
         for r in range(m):
             d = _progression_difference_window(m, r, 500)
             assert d.elements == tuple(range(m, 501 - r, m))
+
+
+def test_crosscheck_keeps_windows_of_the_latest_horizon_only():
+    w = _cyclic_return_window(3, 500)
+    assert _cyclic_return_window(3, 500) is w
+    assert _progression_difference_window(3, 1, 500) is _progression_difference_window(3, 1, 500)
+    ref = weakref.ref(w)
+    del w
+    _cyclic_return_window(3, 501)
+    gc.collect()
+    assert ref() is None
 
 
 def test_crosscheck_odds_agree_on_failure():
