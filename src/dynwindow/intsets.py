@@ -40,6 +40,14 @@ _BITMASK_HORIZON_CAP = 4_000_000
 # Spans beyond this would need >128MB FFT scratch; fall back to the scan.
 _FFT_SPAN_CAP = 8_000_000
 
+# Windows with an element above this have no int64 array: sums of two such
+# values (an element plus a shift, say) could overflow 64 bits.
+_ARRAY_ELEMENT_CAP = 2 ** 62
+
+# Bits a cross-check may keep in the shifted copies of one window (32 MiB);
+# 601 shifts at horizon 10^6 would otherwise keep 75 MB alive.
+_SHIFT_FAMILY_BITS_CAP = 2 ** 28
+
 Witness = Union[int, tuple, None]
 
 
@@ -141,6 +149,15 @@ class Window:
         return frozenset(self.elements)
 
     @cached_property
+    def array(self):
+        """The elements as an int64 numpy array, or None if one exceeds 2^62."""
+        if self.elements and self.elements[-1] > _ARRAY_ELEMENT_CAP:
+            return None
+        import numpy as np
+
+        return np.asarray(self.elements, dtype=np.int64)
+
+    @cached_property
     def bitmask(self) -> Optional[int]:
         """Bitmask with bit e set per element, or None if the horizon is too large."""
         if self.horizon > _BITMASK_HORIZON_CAP:
@@ -156,8 +173,13 @@ class Window:
 
     def shift(self, n: int) -> "Window":
         """(self + n) truncated back to [0, horizon]; the horizon is kept."""
-        lo, hi = 0, self.horizon
-        shifted = tuple(e + n for e in self.elements if lo <= e + n <= hi)
+        # The survivors are the one contiguous run with -n <= e <= horizon - n.
+        lo = bisect.bisect_left(self.elements, -n)
+        hi = bisect.bisect_right(self.elements, self.horizon - n)
+        if self.array is not None and abs(n) < _ARRAY_ELEMENT_CAP:
+            shifted = tuple((self.array[lo:hi] + n).tolist())
+        else:
+            shifted = tuple(e + n for e in self.elements[lo:hi])
         return Window(shifted, self.horizon)
 
     def restrict(self, horizon: int) -> "Window":
@@ -285,36 +307,56 @@ def difference_set(w: Window) -> Window:
     return Window(tuple(sorted(out)), w.horizon)
 
 
+def _shift_mask(mask: int, shift: int) -> int:
+    return mask << shift if shift >= 0 else mask >> -shift
+
+
+def _least_common(a: Window, d: Window, shift: int) -> Optional[int]:
+    # The least element of a ∩ (shift + d), or None when they do not meet.
+    if not a.elements or not d.elements:
+        return None
+    mask_a, mask_d = a.bitmask, d.bitmask
+    if mask_a is not None and mask_d is not None:
+        common = mask_a & _shift_mask(mask_d, shift)
+        return (common & -common).bit_length() - 1 if common else None
+    if len(a) <= len(d):
+        dset = d.as_set
+        return next((x for x in a.elements if x - shift in dset), None)
+    aset = a.as_set
+    return next((y + shift for y in d.elements if y + shift in aset), None)
+
+
+class _ShiftFamily:
+    # The shifted copies a + n, n in shifts, met against one window at a time.
+    # Each copy's bitmask is kept, so a window costs one AND per shift, unless
+    # the copies would pass _SHIFT_FAMILY_BITS_CAP: then each call shifts anew.
+
+    def __init__(self, a: Window, shifts: Iterable[int]):
+        self.a, self.shifts, self.mask = a, tuple(shifts), a.bitmask
+        self.masks = None
+        if self.mask is not None and len(self.shifts) * self.mask.bit_length() <= _SHIFT_FAMILY_BITS_CAP:
+            self.masks = [_shift_mask(self.mask, n) for n in self.shifts]
+
+    def meets(self, d: Window) -> bool:
+        # Does a + n meet d (a meet d - n) for every n?  Stops at the first miss.
+        # Bits pushed below 0 drop out: x + n < 0 lies in no window.
+        mask_d = d.bitmask
+        if self.mask is None or mask_d is None:
+            return all(_least_common(self.a, d, -n) is not None for n in self.shifts)
+        masks = self.masks if self.masks is not None else (_shift_mask(self.mask, n) for n in self.shifts)
+        return all(mask & mask_d for mask in masks)
+
+
 def shifted_hit(a: Window, d: Window, shift: int) -> Verdict:
     """Does a meet (shift + d)?  Holds with the least common element.
 
     Fails carries min(horizons) to signal how far the search reached.
     """
-    fail = Verdict.fail(
-        min(a.horizon, d.horizon),
-        note=f"a ∩ ({shift:+d} + d) empty up to horizon {min(a.horizon, d.horizon)}",
-    )
-    if not a.elements or not d.elements:
-        return fail
-    mask_a, mask_d = a.bitmask, d.bitmask
-    if mask_a is not None and mask_d is not None:
-        shifted = mask_d << shift if shift >= 0 else mask_d >> -shift
-        common = mask_a & shifted
-        if common:
-            witness = (common & -common).bit_length() - 1
-            return Verdict.hold(witness, note=f"{witness} = {shift:+d} + {witness - shift}")
-        return fail
-    if len(a) <= len(d):
-        dset = d.as_set
-        for x in a.elements:
-            if x - shift in dset:
-                return Verdict.hold(x, note=f"{x} = {shift:+d} + {x - shift}")
-    else:
-        aset = a.as_set
-        for y in d.elements:
-            if y + shift in aset:
-                return Verdict.hold(y + shift, note=f"{y + shift} = {shift:+d} + {y}")
-    return fail
+    x = _least_common(a, d, shift)
+    if x is None:
+        bound = min(a.horizon, d.horizon)
+        return Verdict.fail(bound, note=f"a ∩ ({shift:+d} + d) empty up to horizon {bound}")
+    return Verdict.hold(x, note=f"{x} = {shift:+d} + {x - shift}")
 
 
 def finite_ip(generators: Sequence[int]) -> Window:

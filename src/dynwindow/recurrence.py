@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .intsets import Verdict, Window, difference_set, shifted_hit
+from .intsets import Verdict, Window, _ShiftFamily, difference_set
 from .systems import (
     CyclicSystem,
     ProductSystem,
@@ -109,13 +109,9 @@ def _missing_residue(a: Window, m: int) -> Optional[int]:
     """Smallest residue class mod m not hit by the window, or None if covered."""
     if not a.elements:
         return 0
-    if a.elements[-1] <= 2 ** 62:
-        arr = np.asarray(a.elements, dtype=np.int64)
-        hit = np.unique(arr % m)
-        if hit.size == m:
-            return None
-        mismatch = np.nonzero(hit != np.arange(hit.size))[0]
-        return int(mismatch[0]) if mismatch.size else int(hit.size)
+    if a.array is not None:
+        empty = np.flatnonzero(np.bincount(a.array % m, minlength=m) == 0)
+        return int(empty[0]) if empty.size else None
     seen = {e % m for e in a.elements}
     for r in range(m):
         if r not in seen:
@@ -298,16 +294,12 @@ def crosscheck_cyclic_equivalence(a: Window, max_period: int, shifts: Iterable[i
     if not shifts:
         raise ValueError("shift range must be nonempty")
     ext = a.horizon + max(shifts[-1], 0) + max_period
+    family = _ShiftFamily(a, shifts)
     for m in range(1, max_period + 1):
         covered = _missing_residue(a, m) is None
         nuu = _cyclic_return_window(m, ext)
-        return_hit = all(shifted_hit(a, nuu, -n).holds for n in shifts)
-        diff_hit = True
-        for r in range(m):
-            d = _progression_difference_window(m, r, ext)
-            if not all(shifted_hit(a, d, -n).holds for n in shifts):
-                diff_hit = False
-                break
+        return_hit = family.meets(nuu)
+        diff_hit = all(family.meets(_progression_difference_window(m, r, ext)) for r in range(m))
         if not (covered == return_hit == diff_hit):
             return Verdict.fail(
                 (m, covered, return_hit, diff_hit),
@@ -440,6 +432,6 @@ def random_windows(
     for _ in range(count):
         density = 10.0 ** rng.uniform(math.log10(lo), math.log10(hi))
         mask = rng.random(span) < density
-        elements = tuple(int(x) + min_element for x in np.nonzero(mask)[0])
+        elements = tuple((np.flatnonzero(mask) + min_element).tolist())
         out.append(Window(elements, horizon))
     return out

@@ -40,6 +40,11 @@ GOLDEN = {
     "product cyclic:2 cyclic:3": (0, "889d0c2996c10b84614e07bc4339855702f83a19a304e1adc1ddbdb689cf7c0c"),
     "product cyclic:2 cyclic:2": (0, "41aae519255b848f267be3be5e13c579fc624bc83af75db24bc9bbfddf87b485"),
     "recurrence squares.txt odo:2^3": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    # Elements above 2^62: residues and shifts take the Python path.
+    "recurrence huge.txt cyclic:<=7 --shifts=-3..3": (0, "f51d94d8486c9f32a3ef2acb0ac321f7f4a6146ad8c56f8c04c496a8e2526e14"),
+    "recurrence squares.txt cyclic:<=50 --shifts=-10..10": (0, "f272a338af188798237bba3874f3bf9ab5e793db7af2ca22665624923d433a96"),
+    # {0, 1, 2, 3} hugs 0, so the three predicates disagree at m = 2.
+    "crosscheck low.txt --max-period 3 --shifts=-2..2": (0, "fb269f727c0e4d8c3f5abbdcc03c532abd6967e5d20bd95ebce8c14b0dc67a39"),
 }
 
 
@@ -49,6 +54,8 @@ def fixture_dir(tmp_path, monkeypatch):
     write_sequence_file("squares.txt", Window(tuple(n * n for n in range(101)), 10_000), "squares")
     write_sequence_file("evens.txt", Window(tuple(range(0, 1001, 2)), 1000))
     write_sequence_file("interval.txt", Window(tuple(range(101)), 100))
+    write_sequence_file("huge.txt", Window(tuple(2 ** 63 + k * k for k in range(101)), 2 ** 63 + 10_000))
+    write_sequence_file("low.txt", Window((0, 1, 2, 3), 50))
 
 
 @pytest.mark.parametrize("call", list(GOLDEN))

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import evens, interval, multiples, odds
+from dynwindow import intsets
 from dynwindow import (
     SequenceFormatError,
     Window,
@@ -23,6 +24,7 @@ from dynwindow import (
     piecewise_syndetic_certificate,
     shifted_hit,
 )
+from dynwindow.intsets import _BITMASK_HORIZON_CAP, _ShiftFamily
 
 
 # -- Window type ---------------------------------------------------------------
@@ -46,6 +48,28 @@ def test_window_shift_drops_out_of_range():
     assert w.shift(-1).elements == (2, 6)
     assert w.shift(5).elements == (5, 8)
     assert w.shift(0) == w
+
+
+@given(
+    st.lists(st.integers(0, 500), max_size=40, unique=True),
+    st.sampled_from([0, 2 ** 63]),
+    st.sampled_from([0, 37, 2 ** 64]),
+    st.one_of(st.integers(-600, 600), st.sampled_from([2 ** 62 - 1, 2 ** 62, 2 ** 63, -(2 ** 63)])),
+)
+@example([], 0, 0, 0)
+@example([0, 5], 0, 2 ** 64, 2 ** 63)
+@settings(max_examples=120, deadline=None)
+def test_window_shift_matches_filtering(elems, base, slack, n):
+    # base 2^63 puts the elements above 2^62, where the window has no int64 array.
+    w = Window(tuple(base + e for e in sorted(elems)), base + max(elems, default=0) + slack)
+    assert (w.array is None) == (base > 0 and bool(elems))
+    kept = tuple(e + n for e in w.elements if 0 <= e + n <= w.horizon)
+    assert w.shift(n) == Window(kept, w.horizon)
+
+
+def test_window_shift_does_not_wrap_at_the_int64_edge():
+    # 2^62 still has an int64 array, but 2^62 + 2^62 is past int64.
+    assert Window((0, 2 ** 62), 2 ** 64).shift(2 ** 62).elements == (2 ** 62, 2 ** 63)
 
 
 def test_window_restrict():
@@ -254,6 +278,51 @@ def test_shifted_hit_paths_agree():
     big = 5_000_000_000  # horizon beyond the bitmask cap forces the set path
     v_slow = shifted_hit(Window(a.elements, big), Window(d.elements, big), 5)
     assert v_fast.holds == v_slow.holds and v_fast.witness == v_slow.witness
+
+
+_SMALL_ELEMENTS = st.lists(st.integers(0, 300), max_size=40, unique=True)
+
+
+def _small_window(elems, set_path: bool) -> Window:
+    # A horizon above the bitmask cap sends the window down the set path.
+    return Window(tuple(sorted(elems)), _BITMASK_HORIZON_CAP + 1 if set_path else 300)
+
+
+@given(_SMALL_ELEMENTS, _SMALL_ELEMENTS, st.integers(-320, 320))
+@example([3, 10], [1, 8], 2)
+@example([3], [5], 0)
+@settings(max_examples=150, deadline=None)
+def test_shifted_hit_report_is_the_same_on_both_paths(a_elems, d_elems, shift):
+    fast = shifted_hit(_small_window(a_elems, False), _small_window(d_elems, False), shift)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(intsets, "_BITMASK_HORIZON_CAP", -1)
+        a, d = _small_window(a_elems, False), _small_window(d_elems, False)
+        assert a.bitmask is None and d.bitmask is None
+        slow = shifted_hit(a, d, shift)
+    assert fast.to_json() == slow.to_json()
+
+
+@given(
+    _SMALL_ELEMENTS,
+    _SMALL_ELEMENTS,
+    st.lists(st.integers(-320, 320), max_size=12),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+)
+@example([5], [3], [-2], False, False, False)
+@example([5], [3], [-2], True, True, False)
+@example([5], [3], [-2], False, False, True)
+@settings(max_examples=200, deadline=None)
+def test_shift_family_meets_iff_every_shifted_hit_holds(a_elems, d_elems, shifts, a_set, d_set, over_cap):
+    a, d = _small_window(a_elems, a_set), _small_window(d_elems, d_set)
+    assert (a.bitmask is None, d.bitmask is None) == (a_set, d_set)
+    with pytest.MonkeyPatch.context() as mp:
+        if over_cap:  # the shifted copies are not kept, but shifted per call
+            mp.setattr(intsets, "_SHIFT_FAMILY_BITS_CAP", -1)
+        family = _ShiftFamily(a, shifts)
+    assert (family.masks is None) == (a_set or over_cap)
+    assert family.meets(d) == all(shifted_hit(a, d, -n).holds for n in shifts)
 
 
 # -- finite_ip --------------------------------------------------------------------

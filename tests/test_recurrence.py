@@ -8,7 +8,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import evens, interval, multiples, odds, squares
@@ -35,8 +35,10 @@ from dynwindow import (
     return_times,
     shift_family_test,
 )
+from dynwindow import recurrence
 from dynwindow.recurrence import (
     _cyclic_return_window,
+    _missing_residue,
     _progression_difference_window,
 )
 
@@ -102,6 +104,20 @@ def test_evens_fail_mod_2():
 def test_empty_window_fails_mod_1():
     report = r_sequence_cyclic(Window((), 10), 1)
     assert report.verdict.fails and report.verdict.witness == (1, 0)
+
+
+@given(st.lists(st.integers(0, 5000), max_size=60, unique=True), st.sampled_from([0, 2 ** 63]))
+@example([], 0)
+@example(list(range(70)), 0)
+@example(list(range(70)), 2 ** 63)
+@settings(max_examples=80, deadline=None)
+def test_missing_residue_matches_brute_force(elems, base):
+    # base 2^63 puts the elements above 2^62, where the Python path runs.
+    w = Window(tuple(base + e for e in sorted(elems)), base + 5000)
+    assert (w.array is None) == (base > 0 and bool(elems))
+    for m in range(1, 61):
+        missing = set(range(m)) - {e % m for e in w.elements}
+        assert _missing_residue(w, m) == min(missing, default=None)
 
 
 @given(st.lists(st.integers(0, 2000), min_size=0, max_size=150, unique=True), st.integers(1, 20))
@@ -263,6 +279,25 @@ def test_crosscheck_odds_agree_on_failure():
 def test_crosscheck_interval_agrees_on_success():
     v = crosscheck_cyclic_equivalence(interval(0, 100), 12, range(-6, 7))
     assert v.holds
+
+
+def test_crosscheck_reports_the_bottom_edge_disagreement():
+    # a - 2 = {-2, ..., 1} misses every positive even time, though a covers Z/2.
+    v = crosscheck_cyclic_equivalence(Window((0, 1, 2, 3), 50), 3, range(-2, 3))
+    assert v.fails and v.witness == (2, True, False, False)
+    assert v.note == "m=2: residue coverage=True, return-time hitting=False, difference-set hitting=False"
+
+
+@pytest.mark.parametrize(
+    "missing, window, witness",
+    [(None, odds(1001), (2, True, False, False)), (0, interval(0, 100), (1, False, True, True))],
+    ids=["always-covered", "never-covered"],
+)
+def test_crosscheck_residue_oracle_feeds_only_the_coverage_predicate(monkeypatch, missing, window, witness):
+    # A wrong residue answer must show as a disagreement, never move predicates 2 and 3.
+    monkeypatch.setattr(recurrence, "_missing_residue", lambda a, m: missing)
+    v = crosscheck_cyclic_equivalence(window, 2, range(-2, 3))
+    assert v.fails and v.witness == witness
 
 
 def test_crosscheck_rejects_huge_elements():
