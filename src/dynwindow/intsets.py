@@ -408,7 +408,14 @@ def banach_density_estimate(w: Window, interval_length: int) -> Fraction:
 # natural per line, strictly ascending; `#` starts a comment line.
 
 
+def _is_ascii_natural(token: str) -> bool:
+    return token.isascii() and token.isdigit()
+
+
 def parse_sequence_text(text: str) -> Window:
+    # ASCII digits only: str.isdigit() also accepts '²', '１' and '١'.  An
+    # ASCII text (an O(1) check) needs no test per line.
+    is_natural = str.isdigit if text.isascii() else _is_ascii_natural
     horizon = None
     elements: list[int] = []
     prev = -1
@@ -421,14 +428,14 @@ def parse_sequence_text(text: str) -> Window:
             if saw_directive:
                 raise SequenceFormatError("duplicate directive", lineno)
             parts = line[1:].split()
-            if len(parts) != 2 or parts[0] != "horizon" or not parts[1].isdigit():
+            if len(parts) != 2 or parts[0] != "horizon" or not is_natural(parts[1]):
                 raise SequenceFormatError(f"bad directive {line!r}, expected '!horizon N'", lineno)
             horizon = int(parts[1])
             saw_directive = True
             continue
         if not saw_directive:
             raise SequenceFormatError("missing '!horizon N' directive before data", lineno)
-        if not line.isdigit():
+        if not is_natural(line):
             raise SequenceFormatError(f"not a decimal natural: {line!r}", lineno)
         value = int(line)
         if value <= prev:

@@ -24,9 +24,6 @@ from .systems import (
     TorusSystem,
     cover_for,
     mult_angle_mod1,
-    orbit_along,
-    orbit_at,
-    system_distance,
 )
 
 __all__ = [
@@ -53,6 +50,14 @@ DEFAULT_SWEEP_SEED = 1729
 # Element bound beyond which the cross-check would have to materialize
 # impractically large return-time / difference windows.
 _CROSSCHECK_ELEMENT_CAP = 1_000_000
+
+# Covers up to this many cells count their hits in a boolean mask; larger
+# ones sort the window's cell ids.
+_MASK_CELL_CAP = 1 << 20
+
+# birkhoff_window_test reads each start's orbit in slices of this many
+# times, then twice, four times as many, ...: a return at index i costs O(i).
+_FIRST_SLICE = 32
 
 
 class CoverageError(ValueError):
@@ -155,15 +160,30 @@ def _metric_budget_note(a: Window, sys, eps: float) -> Optional[str]:
     return None
 
 
+def _coverage(ids: np.ndarray, total: int) -> tuple[int, int]:
+    """(number of distinct flat cell ids, least flat id not among them)."""
+    if total <= _MASK_CELL_CAP:
+        seen = np.zeros(total, dtype=bool)
+        seen[ids] = True
+        return int(np.count_nonzero(seen)), int(np.argmin(seen))
+    ids = np.sort(ids)
+    hit = ids[np.concatenate(([True], (ids[1:] != ids[:-1]).astype(bool)))] if ids.size else ids
+    gaps = np.flatnonzero(hit != np.arange(hit.size))
+    return hit.size, int(gaps[0]) if gaps.size else hit.size
+
+
 def r_sequence_metric(a: Window, sys, eps: float, start_grid_resolution: float) -> RSequenceReport:
     """Numeric orbit-density test on a rotation or skew product.
 
     Searches start points on a lexicographic grid; Holds iff some start's
     orbit along a is eps-dense.  Otherwise reports the best start (most
     cells hit) and its first empty cell.  The report is a claim about this
-    window and eps only.  Exact rational rotations skip the floating-point
-    budget; finite systems and products raise TypeError, and eps <= 0 or a
-    start grid <= 0 raise ValueError before the budget is checked.
+    window and eps only.  Each start's orbit is evaluated over the whole
+    window at once (``sys.along``), with the same doubles and the same
+    rounding as ``orbit_at`` and the same cells as ``cell_of``.  Exact
+    rational rotations skip the floating-point budget; finite systems and
+    products raise TypeError, and eps <= 0 or a start grid <= 0 raise
+    ValueError before the budget is checked.
     """
     if not isinstance(sys, TorusSystem):
         raise TypeError(f"not a metric catalog system: {sys!r}")
@@ -175,20 +195,20 @@ def r_sequence_metric(a: Window, sys, eps: float, start_grid_resolution: float) 
         return RSequenceReport(family, Verdict.undecided(note=note), {})
     total = cover.cell_count()
     window_desc = f"{len(a)} elements on [0, {a.horizon}], eps={eps}"
+    orbits = sys.along(a)
     best = None  # (hit count, start, first empty cell)
     for start in starts:
-        # cell_of clamps into the cell ids, so the orbit is eps-dense iff it hits `total` cells.
-        cells = {cover.cell_of(s) for s in orbit_along(sys, start, a)}
-        if len(cells) == total:
+        # Flat ids are clamped into the cells, so the orbit is eps-dense iff it hits `total` of them.
+        hit, empty = _coverage(orbits.cells(start, cover), total)
+        if hit == total:
             detail = {str(start): {"cells_hit": total, "cells": total}}
             return RSequenceReport(
                 family,
                 Verdict.hold(start, note=f"orbit of {start} along {window_desc} is dense"),
                 detail,
             )
-        if best is None or len(cells) > best[0]:
-            empty = next(c for c in cover.cell_ids() if c not in cells)
-            best = (len(cells), start, empty)
+        if best is None or hit > best[0]:
+            best = (hit, start, cover.cell_at(empty))
     hit, start, empty = best
     detail = {str(start): {"cells_hit": hit, "cells": total, "empty_cell": empty}}
     verdict = Verdict.fail(
@@ -203,23 +223,33 @@ def birkhoff_window_test(a: Window, sys, eps: float, start_grid_resolution: floa
 
     Starts come from the system's start set (all states of a finite system,
     the grid of a torus), first witness (start, n) wins.  Element 0 of the
-    window is ignored (trivial return).  eps <= 0 raises ValueError.
+    window is ignored (trivial return).  eps <= 0 raises ValueError.  Each
+    start's return distances are evaluated as arrays (``sys.along``) with
+    the same doubles and rounding as ``orbit_at`` and ``distance``, in
+    slices of the window that double in length, so an early return costs
+    only the times before it.
     """
     if not eps > 0:
         raise ValueError("eps must be > 0")
     note = _metric_budget_note(a, sys, eps)
     if note is not None:
         return Verdict.undecided(note=note)
+    starts = sys.starts(start_grid_resolution)
+    orbits = sys.along(a)
+    first = 1 if a.elements[:1] == (0,) else 0
     closest = None  # (distance, start, n)
-    for start in sys.starts(start_grid_resolution):
-        for n in a.elements:
-            if n == 0:
-                continue
-            d = system_distance(sys, orbit_at(sys, start, n), start)
-            if d < eps:
-                return Verdict.hold((start, n), note=f"T^{n} returns within {d:.3g} < {eps}")
-            if closest is None or d < closest[0]:
-                closest = (d, start, n)
+    for start in starts:
+        lo, hi = first, first + _FIRST_SLICE
+        while lo < len(a):
+            d = orbits.distances(start, lo, hi)
+            near = np.flatnonzero(d < eps)
+            if near.size:
+                n, dist = a.elements[lo + near[0]], float(d[near[0]])
+                return Verdict.hold((start, n), note=f"T^{n} returns within {dist:.3g} < {eps}")
+            i = int(np.argmin(d))
+            if closest is None or d[i] < closest[0]:
+                closest = (float(d[i]), start, a.elements[lo + i])
+            lo, hi = hi, 3 * hi - 2 * lo
     if closest is None:
         return Verdict.fail(min(a.horizon, 0), note="window has no positive elements")
     d, start, n = closest

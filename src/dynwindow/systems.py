@@ -8,9 +8,20 @@ angles run in Fraction arithmetic.  Every system is an immutable value
 object; all operations are pure.
 
 Every system answers one protocol: ``step``, ``orbit_at``, ``trajectory``,
-``cover``, ``distance``, ``starts``, ``rational_structure`` and
+``along``, ``cover``, ``distance``, ``starts``, ``rational_structure`` and
 ``exact_orbits``.  Cycles and odometers share ``FiniteSystem``; rotations
 and the skew product share ``TorusSystem``.
+
+``along(a)`` evaluates orbits over a whole window at once.  On a float
+torus the start-free phases ``m * angle mod 1`` are numpy arrays computed
+once per window with the same doubles and the same single rounding as
+``orbit_at``; each start then adds its coordinates, reduces mod 1 and finds
+cells and distances in a few array operations, so every state, cell and
+distance equals the per-state one bit for bit.  Systems whose orbits repeat
+(cycles, odometers, exact rational rotations) evaluate ``orbit_at`` once per
+distinct residue of the time.  ``orbit_at``, ``step`` and ``trajectory``
+stay per state: they walk return-time windows and are the reference the
+window form is tested against.
 """
 from __future__ import annotations
 
@@ -18,7 +29,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Iterator, Optional, Sequence, Union
+
+import numpy as np
 
 from .intsets import Verdict, Window
 
@@ -48,6 +62,9 @@ __all__ = [
 # (sqrt(5) - 1) / 2, the classical well-distributed rotation angle.
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+# Covers with more cells than this number their cells with Python ints.
+_FLAT_ID_CAP = 2 ** 62
+
 
 def mult_angle_mod1(n: int, x: float) -> float:
     """n * x mod 1 computed exactly for the binary rational that x is.
@@ -67,6 +84,88 @@ def _mod1(x: float) -> float:
     return y if y < 1.0 else 0.0
 
 
+def _mod1_array(x: np.ndarray) -> np.ndarray:
+    y = np.remainder(x, 1.0)
+    return np.where(y < 1.0, y, 0.0)
+
+
+def _mult_angle_mod1_array(
+    times: Sequence[int], u64: Optional[np.ndarray], x: float, tri: bool = False
+) -> np.ndarray:
+    """mult_angle_mod1(m, x) for m = n in times, or m = n(n-1)/2 with ``tri``.
+
+    ``u64`` holds the times as uint64, or is None when one reaches 2^64.  A
+    double x is num / 2^e; for e <= 64, (m * num) mod 2^e depends only on
+    m mod 2^64, so wrapping uint64 products are exact, and the conversion to
+    float64 is the one correctly rounded step, as in the scalar form.
+    """
+    num, den = float(x).as_integer_ratio()
+    if u64 is None or den > 2 ** 64:
+        return np.array([mult_angle_mod1(n * (n - 1) // 2 if tri else n, x) for n in times], dtype=np.float64)
+    if tri:
+        u64 = np.where(u64 & 1, u64 * (u64 >> 1), (u64 >> 1) * (u64 - 1))
+    r = (u64 * np.uint64(num % 2 ** 64)) & np.uint64(den - 1)
+    return r.astype(np.float64) / float(den)
+
+
+class _TorusOrbits:
+    """T^n(start) for the times n of one window on a float torus, as arrays.
+
+    The start-free phases are computed once per slice of the window and
+    shared by every start.  Slices are keyed by their bounds, so a caller
+    that walks the window in growing prefixes pays only for what it reads.
+    """
+
+    def __init__(self, sys: "TorusSystem", a: Window):
+        self.sys, self.times, self._slices = sys, a.elements, {}
+
+    def coords(self, start, lo: int, hi: int) -> list:
+        """One float64 array per coordinate: the states at times[lo:hi]."""
+        if (lo, hi) not in self._slices:
+            times = self.times[lo:hi]
+            u64 = np.array(times, dtype=np.uint64) if not times or times[-1] < 2 ** 64 else None
+            self._slices[lo, hi] = times, u64, self.sys._phases(times, u64)
+        return self.sys._coords_along(start, *self._slices[lo, hi])
+
+    def cells(self, start, cover: "TorusCover") -> np.ndarray:
+        return cover.flat_ids(self.coords(start, 0, len(self.times)))
+
+    def distances(self, start, lo: int, hi: int) -> np.ndarray:
+        """distance(T^n(start), start) for the times n in times[lo:hi]."""
+        gaps = []
+        for x, c in zip(self.coords(start, lo, hi), self.sys._coords(start)):
+            g = np.remainder(np.abs(x - float(c)), 1.0)
+            gaps.append(np.minimum(g, 1.0 - g))
+        return reduce(np.maximum, gaps)
+
+
+class _PeriodicOrbits:
+    """T^n(start) for the times n of one window, when T^period is the identity.
+
+    T^n(start) = T^(n mod period)(start), so orbit_at runs once per distinct
+    residue of a slice of the window, and the results are spread by index.
+    """
+
+    def __init__(self, sys, a: Window, period: int):
+        self.sys, self.times, self.period, self._slices = sys, a.elements, period, {}
+
+    def _states(self, start, lo: int, hi: int) -> tuple[list, np.ndarray]:
+        if (lo, hi) not in self._slices:
+            first: dict[int, int] = {}
+            index = [first.setdefault(n % self.period, len(first)) for n in self.times[lo:hi]]
+            self._slices[lo, hi] = list(first), np.array(index, dtype=np.intp)
+        residues, index = self._slices[lo, hi]
+        return [self.sys.orbit_at(start, m) for m in residues], index
+
+    def cells(self, start, cover) -> np.ndarray:
+        states, index = self._states(start, 0, len(self.times))
+        return cover.ids_of(states)[index]
+
+    def distances(self, start, lo: int, hi: int) -> np.ndarray:
+        states, index = self._states(start, lo, hi)
+        return np.array([self.sys.distance(s, start) for s in states], dtype=np.float64)[index]
+
+
 class FiniteSystem:
     """A cycle of ``size`` states behind a codec: T^n(s) = decode((encode(s) + n) mod size)."""
 
@@ -74,6 +173,9 @@ class FiniteSystem:
 
     def orbit_at(self, start, n: int):
         return self.decode((self.encode(start) + n) % self.size)
+
+    def along(self, a: Window) -> _PeriodicOrbits:
+        return _PeriodicOrbits(self, a, self.size)
 
     def trajectory(self, start, horizon: int) -> Iterator:
         # Honest stepping, kept apart from the closed form it is checked against.
@@ -192,6 +294,10 @@ class TorusSystem:
     def trajectory(self, start, horizon: int) -> Iterator:
         return (orbit_at(self, start, n) for n in range(1, horizon + 1))
 
+    def along(self, a: Window):
+        """Orbits over the window a, start by start, as arrays (see the module docstring)."""
+        return _TorusOrbits(self, a)
+
     def cover(self, eps: float) -> "TorusCover":
         return TorusCover(self, self.dimension, max(1, math.ceil(1.0 / eps)), eps)
 
@@ -276,6 +382,17 @@ class RotationSystem(TorusSystem):
                 out.append(Fraction((num * f.denominator + n * f.numerator * den) % d, d))
         return self._state(out)
 
+    def along(self, a: Window):
+        if self.exact is not None:
+            return _PeriodicOrbits(self, a, self.rational_period)
+        return _TorusOrbits(self, a)
+
+    def _phases(self, times, u64) -> list:
+        return [_mult_angle_mod1_array(times, u64, a) for a in self.angles]
+
+    def _coords_along(self, start, times, u64, phases) -> list:
+        return [_mod1_array(float(c) + p) for c, p in zip(self._coords(start), phases)]
+
     def rational_structure(self) -> tuple[Optional[int], bool, bool]:
         # Float angles: no rational factor, asserted under the irrationality caveat.
         return self.rational_period or 1, self.exact is None, True
@@ -312,6 +429,18 @@ class SkewProductSystem(TorusSystem):
         nx = _mod1(x + mult_angle_mod1(n, self.angle))
         ny = _mod1(y + mult_angle_mod1(n, x) + mult_angle_mod1(n * (n - 1) // 2, self.angle))
         return (nx, ny)
+
+    def _phases(self, times, u64) -> list:
+        return [
+            _mult_angle_mod1_array(times, u64, self.angle),
+            _mult_angle_mod1_array(times, u64, self.angle, tri=True),
+        ]
+
+    def _coords_along(self, start, times, u64, phases) -> list:
+        x, y = float(start[0]), float(start[1])
+        nx = _mod1_array(x + phases[0])
+        ny = _mod1_array(y + _mult_angle_mod1_array(times, u64, x) + phases[1])
+        return [nx, ny]
 
     def rational_structure(self) -> tuple[Optional[int], bool, bool]:
         # A rational angle leaves orbit closures finitely many circles: not minimal.
@@ -438,6 +567,35 @@ class TorusCover(GridCover):
         if self.dimension == 1:
             return range(self.k)
         return itertools.product(range(self.k), repeat=self.dimension)
+
+    def flat_id(self, cell) -> int:
+        """The position of a cell in cell_ids(): base-k digits, first coordinate first."""
+        flat = 0
+        for c in cell if isinstance(cell, tuple) else (cell,):
+            flat = flat * self.k + c
+        return flat
+
+    def cell_at(self, flat: int):
+        """The cell at position flat of cell_ids(); the inverse of flat_id."""
+        digits = []
+        for _ in range(self.dimension):
+            flat, c = divmod(flat, self.k)
+            digits.append(c)
+        return digits[0] if self.dimension == 1 else tuple(reversed(digits))
+
+    def ids_of(self, states) -> np.ndarray:
+        """flat_id(cell_of(s)) for each state; int64, or Python ints past 2^62 cells."""
+        ids = [self.flat_id(self.cell_of(s)) for s in states]
+        return np.array(ids, dtype=np.int64 if self.cell_count() <= _FLAT_ID_CAP else object)
+
+    def flat_ids(self, coords: Sequence[np.ndarray]) -> np.ndarray:
+        """ids_of for states given as float64 coordinate arrays, clamped like cell_of."""
+        if self.cell_count() > _FLAT_ID_CAP:
+            return self.ids_of(zip(*(x.tolist() for x in coords)))
+        ids = np.zeros(len(coords[0]), dtype=np.int64)
+        for x in coords:
+            ids = ids * self.k + np.clip((x * float(self.k)).astype(np.int64), 0, self.k - 1)
+        return ids
 
     def cell_count(self) -> int:
         return self.k ** self.dimension

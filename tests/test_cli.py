@@ -201,6 +201,14 @@ def test_parse_error_exit_code_and_line(tmp_path, capsys):
     assert "line 3" in err and "3 then 2" in err
 
 
+def test_superscript_digit_is_a_parse_error_with_line(tmp_path, capsys):
+    bad = tmp_path / "sup.txt"
+    bad.write_text("!horizon 10\n3\n\u00b2\n", encoding="utf-8")
+    assert main(["classify", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert "line 3" in err and "not a decimal natural" in err
+
+
 def test_missing_directive_is_operational_error(tmp_path, capsys):
     bad = tmp_path / "nodirective.txt"
     bad.write_text("1\n2\n")

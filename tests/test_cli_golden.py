@@ -45,6 +45,11 @@ GOLDEN = {
     "recurrence squares.txt cyclic:<=50 --shifts=-10..10": (0, "f272a338af188798237bba3874f3bf9ab5e793db7af2ca22665624923d433a96"),
     # {0, 1, 2, 3} hugs 0, so the three predicates disagree at m = 2.
     "crosscheck low.txt --max-period 3 --shifts=-2..2": (0, "fb269f727c0e4d8c3f5abbdcc03c532abd6967e5d20bd95ebce8c14b0dc67a39"),
+    # Torus corners: a non-dyadic skew angle, an exact 2-d rotation, and a
+    # failing 2-d float rotation whose witness is a tuple cell.
+    "recurrence evens.txt skew:0.3": (0, "8ebec63b1b29733da9496321c0df49b567458ceeb713b08c9f9434136c17da08"),
+    "recurrence squares.txt rot:2/7,1/3": (0, "89a0d1fc449910ffa5c950bd770ceb6b9c265fcc15a1af128cc357cb0c5980f4"),
+    "recurrence squares.txt rot:golden,0.41421356 --eps 0.02": (0, "18780578982093df4408f580d0ad90346db83ea46234e9a0351ff55a0ca669b1"),
 }
 
 

@@ -461,6 +461,21 @@ def test_sequence_rejects_element_beyond_horizon():
         parse_sequence_text("!horizon 4\n7\n")
 
 
+@pytest.mark.parametrize("token", ["\u00b2", "\uff11", "\u0661", "1\u00b2"])
+def test_sequence_rejects_non_ascii_digits(token):
+    # '²' once escaped as a bare int() error; '１' and '١' were read as 1.
+    with pytest.raises(SequenceFormatError) as info:
+        parse_sequence_text(f"!horizon 10\n0\n{token}\n")
+    assert info.value.line == 3 and "not a decimal natural" in str(info.value)
+
+
+@pytest.mark.parametrize("token", ["\u00b2", "\uff11\uff10", "\u0661"])
+def test_sequence_directive_rejects_non_ascii_digits(token):
+    with pytest.raises(SequenceFormatError) as info:
+        parse_sequence_text(f"# header\n!horizon {token}\n1\n")
+    assert info.value.line == 2 and "bad directive" in str(info.value)
+
+
 def test_sequence_comments_and_blanks_ok():
     w = parse_sequence_text("!horizon 9\n# a comment\n\n3\n9\n")
     assert w.elements == (3, 9) and w.horizon == 9

@@ -16,6 +16,7 @@ from dynwindow import (
     GOLDEN,
     CoverageError,
     CyclicSystem,
+    OdometerSystem,
     RotationSystem,
     SkewProductSystem,
     Window,
@@ -425,3 +426,141 @@ def test_birkhoff_exact_rotation_returns_exactly(base):
     v = birkhoff_window_test(w, RotationSystem.from_rationals(Fraction(1, 3)), 0.01)
     assert v.holds and v.witness == (0.0, base + 3)
     assert "within 0 <" in v.note
+
+
+# -- window-at-once engine vs the per-state loops ------------------------------------
+#
+# Copies of the per-state loops that r_sequence_metric and birkhoff_window_test
+# ran before orbits were evaluated a window at a time.  The reports must
+# stay equal, byte for byte.
+
+
+def _per_state_r_sequence_metric(a, sys, eps, start_grid_resolution):
+    family = f"{sys.spec_string()} eps={eps}"
+    cover = cover_for(sys, eps)
+    starts = sys.starts(start_grid_resolution)
+    note = recurrence._metric_budget_note(a, sys, eps)
+    if note is not None:
+        return recurrence.RSequenceReport(family, recurrence.Verdict.undecided(note=note), {})
+    total = cover.cell_count()
+    window_desc = f"{len(a)} elements on [0, {a.horizon}], eps={eps}"
+    best = None
+    for start in starts:
+        cells = {cover.cell_of(s) for s in orbit_along(sys, start, a)}
+        if len(cells) == total:
+            detail = {str(start): {"cells_hit": total, "cells": total}}
+            return recurrence.RSequenceReport(
+                family,
+                recurrence.Verdict.hold(start, note=f"orbit of {start} along {window_desc} is dense"),
+                detail,
+            )
+        if best is None or len(cells) > best[0]:
+            empty = next(c for c in cover.cell_ids() if c not in cells)
+            best = (len(cells), start, empty)
+    hit, start, empty = best
+    detail = {str(start): {"cells_hit": hit, "cells": total, "empty_cell": empty}}
+    verdict = recurrence.Verdict.fail(
+        empty,
+        note=f"best start {start} hits {hit}/{total} cells along {window_desc}; cell {empty} stays empty",
+    )
+    return recurrence.RSequenceReport(family, verdict, detail)
+
+
+def _per_state_birkhoff(a, sys, eps, start_grid_resolution=1.0):
+    note = recurrence._metric_budget_note(a, sys, eps)
+    if note is not None:
+        return recurrence.Verdict.undecided(note=note)
+    closest = None
+    for start in sys.starts(start_grid_resolution):
+        for n in a.elements:
+            if n == 0:
+                continue
+            d = sys.distance(sys.orbit_at(start, n), start)
+            if d < eps:
+                return recurrence.Verdict.hold((start, n), note=f"T^{n} returns within {d:.3g} < {eps}")
+            if closest is None or d < closest[0]:
+                closest = (d, start, n)
+    if closest is None:
+        return recurrence.Verdict.fail(min(a.horizon, 0), note="window has no positive elements")
+    d, start, n = closest
+    return recurrence.Verdict.fail((start, n), note=f"closest return distance {d:.3g} >= eps = {eps}")
+
+
+METRIC_SYSTEMS = [
+    RotationSystem.from_angle(GOLDEN),
+    RotationSystem((GOLDEN, math.sqrt(2.0) - 1.0)),
+    RotationSystem.from_angle(0.1),
+    SkewProductSystem(GOLDEN),
+    SkewProductSystem(0.3),
+    RotationSystem.from_rationals(Fraction(2, 7)),
+    RotationSystem.from_rationals(Fraction(1, 3), Fraction(2, 5)),
+]
+
+
+@st.composite
+def metric_windows(draw):
+    # Times up to 10^digits, so the float budget passes at small digits and
+    # not at large ones; some windows hold 0, some are empty.
+    top = 10 ** draw(st.integers(1, 15))
+    times = set(draw(st.lists(st.integers(1, top), max_size=150)))
+    if draw(st.booleans()):
+        times.add(0)
+    times = tuple(sorted(times))
+    return Window(times, max(times, default=0) + draw(st.integers(0, 5)))
+
+
+@given(
+    st.sampled_from(METRIC_SYSTEMS),
+    metric_windows(),
+    st.sampled_from([0.6, 0.25, 0.1, 0.05, 0.02, 0.007]),
+    st.sampled_from([1.0, 0.5, 0.3, 0.25]),
+)
+@settings(max_examples=200, deadline=None)
+def test_metric_engine_matches_per_state_loops(sys, w, eps, grid):
+    expected = _per_state_r_sequence_metric(w, sys, eps, grid)
+    assert r_sequence_metric(w, sys, eps, grid).to_json() == expected.to_json()
+    assert birkhoff_window_test(w, sys, eps, grid) == _per_state_birkhoff(w, sys, eps, grid)
+
+
+@pytest.mark.parametrize("sys", [CyclicSystem(5), OdometerSystem(2, 3)], ids=lambda v: v.spec_string())
+@pytest.mark.parametrize("eps", [0.5, 1.5])
+def test_finite_birkhoff_matches_per_state_loop(sys, eps):
+    for w in (odds(101), multiples(8, 200), Window((), 0), Window((0,), 3), Window((0, 3, 2 ** 70), 2 ** 70)):
+        assert birkhoff_window_test(w, sys, eps) == _per_state_birkhoff(w, sys, eps)
+
+
+def test_birkhoff_late_return_crosses_slices():
+    # Returns after several doubled slices, and the closest return when the
+    # first start never comes back.
+    rot = RotationSystem.from_angle(GOLDEN)
+    w = Window(tuple(range(1, 400)), 400)
+    for eps in (0.001, 0.0005, 1e-4):
+        v = birkhoff_window_test(w, rot, eps, 0.5)
+        assert v == _per_state_birkhoff(w, rot, eps, 0.5)
+    assert birkhoff_window_test(w, rot, 0.001, 0.5).witness == (0.0, 377)
+
+
+@pytest.mark.parametrize("zero", [False, True])
+def test_birkhoff_return_at_every_slice_edge(zero):
+    # Only the time at index b returns on Z/7; b runs across the first
+    # three slice boundaries, with and without a leading 0.
+    sys = CyclicSystem(7)
+    for b in [*range(29, 36), *range(93, 100), *range(221, 228)]:
+        times = [7 * i + 1 + i % 6 for i in range(240)]
+        times[b] = 7 * b
+        w = Window(((0,) if zero else ()) + tuple(times), 7 * 240)
+        expected = _per_state_birkhoff(w, sys, 0.5)
+        assert expected.witness == (0, 7 * b)
+        assert birkhoff_window_test(w, sys, 0.5) == expected
+
+
+def test_metric_huge_cover_reports_without_listing_cells():
+    # 10^10 x 10^10 cells: flat ids past int64, and far too many cells to list
+    # (the per-state loop's itertools.product over them raises MemoryError).
+    rot = RotationSystem((GOLDEN, 0.3))
+    w = interval(0, 100)
+    cover = cover_for(rot, 1e-10)
+    hit = len({cover.cell_of(s) for s in orbit_along(rot, (0.0, 0.0), w)})
+    report = r_sequence_metric(w, rot, 1e-10, 0.5)
+    assert report.verdict.fails and report.verdict.witness == (0, 1)
+    assert report.per_system == {"(0.0, 0.0)": {"cells_hit": hit, "cells": 10 ** 20, "empty_cell": (0, 1)}}

@@ -316,3 +316,93 @@ def test_exact_rotation_computes_from_the_exact_start():
     n = 3 * 10 ** 17
     assert rot.orbit_at(0.0, n) == 0 and orbit_at(rot, 0.25, n + 1) == Fraction(7, 12)
     assert rot.step(0.25) == Fraction(7, 12)
+
+
+# -- window-at-once orbits (along) ---------------------------------------------------
+
+ALONG_SYSTEMS = [
+    RotationSystem.from_angle(GOLDEN),
+    RotationSystem((GOLDEN, math.sqrt(2.0) - 1.0)),
+    RotationSystem.from_angle(0.1),
+    SkewProductSystem(GOLDEN),
+    SkewProductSystem(0.3),
+    RotationSystem.from_rationals(Fraction(2, 7)),
+    RotationSystem.from_rationals(Fraction(1, 3), Fraction(2, 5)),
+]
+
+unit_floats = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+window_times = st.lists(st.integers(0, 10 ** 15), max_size=60, unique=True).map(sorted)
+
+
+def _start(sys, coords):
+    return coords[0] if sys.dimension == 1 else tuple(coords[: sys.dimension])
+
+
+@given(
+    st.sampled_from(ALONG_SYSTEMS),
+    st.tuples(unit_floats, unit_floats),
+    window_times,
+    st.sampled_from([0.5, 0.1, 0.02, 0.003]),
+    st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_along_matches_per_state_cells_and_distances(sys, coords, times, eps, data):
+    start = _start(sys, coords)
+    w = Window(tuple(times), times[-1] if times else 0)
+    cover, orbits = sys.cover(eps), sys.along(w)
+    states = [sys.orbit_at(start, n) for n in times]
+    assert orbits.cells(start, cover).tolist() == [cover.flat_id(cover.cell_of(s)) for s in states]
+    lo = data.draw(st.integers(0, len(times)))
+    hi = data.draw(st.integers(lo, len(times) + 40))
+    got = orbits.distances(start, lo, hi).tolist()
+    assert got == [sys.distance(s, start) for s in states[lo:hi]]
+    if not sys.exact_orbits:
+        coords_along = orbits.coords(start, 0, len(times))
+        assert [tuple(float(x[i]) for x in coords_along) for i in range(len(times))] == [
+            sys._coords(s) for s in states
+        ]
+
+
+@pytest.mark.parametrize("sys", ALONG_SYSTEMS[:5], ids=lambda v: v.spec_string())
+def test_along_past_two_to_the_64(sys):
+    # Times at and past 2^64 leave the uint64 path; tiny starts have
+    # denominators past 2^64 and leave it too.
+    for times in ((2 ** 63 + 5, 2 ** 64 - 3), (2 ** 64 - 3, 2 ** 64), (7, 2 ** 64 + 7, 3 ** 45, 10 ** 30)):
+        orbits = sys.along(Window(times, times[-1]))
+        for coords in ((0.25, 0.75), (1e-30, 5e-300), (0.1, 0.3)):
+            start = _start(sys, coords)
+            states = [sys.orbit_at(start, n) for n in times]
+            assert orbits.distances(start, 0, len(times)).tolist() == [sys.distance(s, start) for s in states]
+            cover = sys.cover(0.01)
+            assert orbits.cells(start, cover).tolist() == [cover.flat_id(cover.cell_of(s)) for s in states]
+
+
+@pytest.mark.parametrize("sys", [CyclicSystem(6), OdometerSystem(3, 2)], ids=lambda v: v.spec_string())
+def test_finite_along_matches_per_state_distances(sys):
+    times = (0, 1, 5, 6, 9, 12, 2 ** 70, 2 ** 70 + 3)
+    orbits = sys.along(Window(times, times[-1]))
+    for start in sys.starts(1.0):
+        expected = [sys.distance(sys.orbit_at(start, n), start) for n in times]
+        assert orbits.distances(start, 0, len(times)).tolist() == expected
+        assert orbits.distances(start, 2, 5).tolist() == expected[2:5]
+
+
+def test_torus_cover_flat_ids_in_canonical_order():
+    cover = RotationSystem((GOLDEN, 0.3)).cover(0.25)
+    cells = list(cover.cell_ids())
+    assert [cover.flat_id(c) for c in cells] == list(range(16))
+    assert [cover.cell_at(i) for i in range(16)] == cells
+    one = RotationSystem.from_angle(GOLDEN).cover(0.25)
+    assert one.flat_id(3) == 3 and one.cell_at(3) == 3
+
+
+def test_torus_cover_ids_past_int64_are_python_ints():
+    # 10^10 x 10^10 cells do not fit int64 flat ids.
+    sys = RotationSystem((GOLDEN, 0.3))
+    cover = sys.cover(1e-10)
+    times = (1, 2, 10 ** 5)
+    orbits = sys.along(Window(times, times[-1]))
+    ids = orbits.cells((0.5, 0.25), cover)
+    assert ids.dtype == object
+    expected = [cover.flat_id(cover.cell_of(sys.orbit_at((0.5, 0.25), n))) for n in times]
+    assert ids.tolist() == expected and max(expected) > 2 ** 63
