@@ -408,14 +408,8 @@ def banach_density_estimate(w: Window, interval_length: int) -> Fraction:
 # natural per line, strictly ascending; `#` starts a comment line.
 
 
-def _is_ascii_natural(token: str) -> bool:
-    return token.isascii() and token.isdigit()
-
-
 def parse_sequence_text(text: str) -> Window:
-    # ASCII digits only: str.isdigit() also accepts '²', '１' and '١'.  An
-    # ASCII text (an O(1) check) needs no test per line.
-    is_natural = str.isdigit if text.isascii() else _is_ascii_natural
+    # ASCII digits only: str.isdigit() alone also accepts '²', '１' and '١'.
     horizon = None
     elements: list[int] = []
     prev = -1
@@ -428,14 +422,16 @@ def parse_sequence_text(text: str) -> Window:
             if saw_directive:
                 raise SequenceFormatError("duplicate directive", lineno)
             parts = line[1:].split()
-            if len(parts) != 2 or parts[0] != "horizon" or not is_natural(parts[1]):
+            if len(parts) != 2 or parts[0] != "horizon" or not (
+                parts[1].isascii() and parts[1].isdigit()
+            ):
                 raise SequenceFormatError(f"bad directive {line!r}, expected '!horizon N'", lineno)
             horizon = int(parts[1])
             saw_directive = True
             continue
         if not saw_directive:
             raise SequenceFormatError("missing '!horizon N' directive before data", lineno)
-        if not is_natural(line):
+        if not (line.isascii() and line.isdigit()):
             raise SequenceFormatError(f"not a decimal natural: {line!r}", lineno)
         value = int(line)
         if value <= prev:

@@ -51,10 +51,6 @@ DEFAULT_SWEEP_SEED = 1729
 # impractically large return-time / difference windows.
 _CROSSCHECK_ELEMENT_CAP = 1_000_000
 
-# Covers up to this many cells count their hits in a boolean mask; larger
-# ones sort the window's cell ids.
-_MASK_CELL_CAP = 1 << 20
-
 # birkhoff_window_test reads each start's orbit in slices of this many
 # times, then twice, four times as many, ...: a return at index i costs O(i).
 _FIRST_SLICE = 32
@@ -160,14 +156,12 @@ def _metric_budget_note(a: Window, sys, eps: float) -> Optional[str]:
     return None
 
 
-def _coverage(ids: np.ndarray, total: int) -> tuple[int, int]:
+def _coverage(ids: np.ndarray) -> tuple[int, int]:
     """(number of distinct flat cell ids, least flat id not among them)."""
-    if total <= _MASK_CELL_CAP:
-        seen = np.zeros(total, dtype=bool)
-        seen[ids] = True
-        return int(np.count_nonzero(seen)), int(np.argmin(seen))
     ids = np.sort(ids)
-    hit = ids[np.concatenate(([True], (ids[1:] != ids[:-1]).astype(bool)))] if ids.size else ids
+    first = np.ones(ids.size, dtype=bool)
+    first[1:] = ids[1:] != ids[:-1]
+    hit = ids[first]
     gaps = np.flatnonzero(hit != np.arange(hit.size))
     return hit.size, int(gaps[0]) if gaps.size else hit.size
 
@@ -199,7 +193,7 @@ def r_sequence_metric(a: Window, sys, eps: float, start_grid_resolution: float) 
     best = None  # (hit count, start, first empty cell)
     for start in starts:
         # Flat ids are clamped into the cells, so the orbit is eps-dense iff it hits `total` of them.
-        hit, empty = _coverage(orbits.cells(start, cover), total)
+        hit, empty = _coverage(orbits.cells(start, cover))
         if hit == total:
             detail = {str(start): {"cells_hit": total, "cells": total}}
             return RSequenceReport(

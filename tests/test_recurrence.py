@@ -522,6 +522,15 @@ def test_metric_engine_matches_per_state_loops(sys, w, eps, grid):
     assert birkhoff_window_test(w, sys, eps, grid) == _per_state_birkhoff(w, sys, eps, grid)
 
 
+@pytest.mark.parametrize("sys", METRIC_SYSTEMS, ids=lambda v: v.spec_string())
+def test_metric_engine_on_empty_and_zero_windows(sys):
+    for w in (Window((), 0), Window((), 9), Window((0,), 0), Window((0, 5), 6)):
+        for eps in (0.6, 0.05):
+            expected = _per_state_r_sequence_metric(w, sys, eps, 0.5)
+            assert r_sequence_metric(w, sys, eps, 0.5).to_json() == expected.to_json()
+            assert birkhoff_window_test(w, sys, eps, 0.5) == _per_state_birkhoff(w, sys, eps, 0.5)
+
+
 @pytest.mark.parametrize("sys", [CyclicSystem(5), OdometerSystem(2, 3)], ids=lambda v: v.spec_string())
 @pytest.mark.parametrize("eps", [0.5, 1.5])
 def test_finite_birkhoff_matches_per_state_loop(sys, eps):
