@@ -1,0 +1,163 @@
+"""Fingerprint a fixed list of CLI calls, to diff the output of two source trees.
+
+Runs in-process ``dynwindow.cli.main`` calls against the ``dynwindow`` found
+on ``PYTHONPATH``, from an empty temporary directory, and prints one line per
+call: the exit code, the sha256 of stdout and stderr, and the sha256 of each
+file the call writes (the values of ``--out`` and ``--report``).  The calls
+cover every subcommand, the cli-files benchmark inputs of seed 1 (generated
+by ``perfbench/workloads.py``) and a set of malformed sequence files.
+
+    PYTHONPATH=/path/to/parent/src python3 scripts/report_diff.py > parent.txt
+    PYTHONPATH=src python3 scripts/report_diff.py > change.txt
+    diff parent.txt change.txt
+
+Both runs must use this script and this checkout's ``perfbench``; only the
+``dynwindow`` sources differ.  The path it was imported from goes to stderr.
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# name -> file text, written byte for byte (no newline translation).
+FILES = {
+    "squares.txt": "!horizon 10000\n# squares\n" + "".join(f"{n * n}\n" for n in range(101)),
+    "evens.txt": "!horizon 1000\n" + "".join(f"{n}\n" for n in range(0, 1001, 2)),
+    "interval.txt": "!horizon 100\n" + "".join(f"{n}\n" for n in range(101)),
+    "huge.txt": f"!horizon {2 ** 63 + 10_000}\n" + "".join(f"{2 ** 63 + k * k}\n" for k in range(101)),
+    "low.txt": "!horizon 50\n0\n1\n2\n3\n",
+    "blocks.txt": "!horizon 3000\n"
+    + "".join(f"{n}\n" for b in range(0, 3000, 300) for n in range(b, b + 40 + b // 30)),
+}
+
+# Files off the common layout: each is parsed line by line, or rejected with its line.
+MALFORMED = {
+    "empty-body.txt": "!horizon 7\n",
+    "crlf.txt": "!horizon 100\r\n# crlf\r\n3\r\n9\r\n27\r\n81\r\n",
+    "cr.txt": "!horizon 100\r3\r9\r27\r",
+    "zeros-comment.txt": "!horizon 100\n# header\n007\n# body comment\n010\n\n042\n",
+    "padded.txt": "!horizon 100\n 5\n7 \n\t9\n",
+    "no-final-newline.txt": "!horizon 100\n5\n7",
+    "nineteen-digits.txt": f"!horizon {10 ** 19}\n1\n{10 ** 18}\n",
+    "over-2-62.txt": f"!horizon {2 ** 63}\n5\n{2 ** 62 + 1}\n",
+    "missing-directive.txt": "# no directive\n1\n2\n",
+    "descent.txt": "!horizon 10\n1\n5\n3\n",
+    "over-horizon.txt": "!horizon 4\n1\n7\n",
+    "superscript.txt": "!horizon 10\n0\n²\n",
+    "fullwidth.txt": "!horizon 10\n0\n１\n",
+    "space-inside.txt": "!horizon 10\n1 2\n",
+    "plus.txt": "!horizon 10\n+5\n",
+    "duplicate-directive.txt": "!horizon 10\n1\n!horizon 20\n2\n",
+    "bad-directive.txt": "!horizon ten\n1\n",
+    "empty.txt": "",
+}
+
+CALLS = [
+    "classify squares.txt",
+    "classify evens.txt --gap 2 --run 3",
+    "classify interval.txt --run 50 --block 20 --density-length 7",
+    "classify blocks.txt --gap 5 --run 60 --block 150 --density-length 100",
+    "classify blocks.txt --horizon 1000",
+    "classify blocks.txt --horizon 5000",
+    "classify blocks.txt --horizon -1",
+    f"classify evens.txt --horizon {2 ** 63}",
+    "classify huge.txt --gap 100000 --block 1000000",
+    "classify low.txt --gap 60 --run 5 --block 51",
+    "recurrence squares.txt cyclic:<=3",
+    "recurrence squares.txt cyclic:<=3 --shifts=-2..2",
+    "recurrence squares.txt cyclic:<=50 --shifts=-10..10",
+    "recurrence interval.txt cyclic:<=50",
+    "recurrence huge.txt cyclic:<=7 --shifts=-3..3",
+    "recurrence blocks.txt cyclic:<=20 --horizon 2000 --shifts=-1..1",
+    "recurrence squares.txt rot:golden",
+    "recurrence squares.txt rot:golden --shifts=-2..2",
+    "recurrence evens.txt rot:0.25,0.5",
+    "recurrence evens.txt rot:0.25,0.5 --shifts=-2..2",
+    "recurrence squares.txt rot:golden,0.41421356 --eps 0.02",
+    "recurrence evens.txt skew:golden",
+    "recurrence evens.txt skew:golden --shifts=-2..2",
+    "recurrence evens.txt skew:0.3",
+    "recurrence squares.txt rot:1/3",
+    "recurrence squares.txt rot:1/3 --shifts=-2..2",
+    "recurrence squares.txt rot:2/7,1/3",
+    "recurrence evens.txt skew:1/3",
+    "recurrence interval.txt rot:golden --eps 0.1 --start-grid 0.5",
+    "recurrence squares.txt odo:2^3",
+    "recurrence squares.txt rot:golden --eps 0",
+    "crosscheck squares.txt --max-period 3 --shifts=-2..2",
+    "crosscheck evens.txt --max-period 5",
+    "crosscheck low.txt --max-period 3 --shifts=-2..2",
+    "crosscheck blocks.txt --horizon 4000",
+    "crosscheck --count 5 --horizon 500 --seed 7",
+    "permpoly check x^2+3x+1 --p 7",
+    "permpoly check x^3 --p 11",
+    "permpoly find-prime x^2 --cap 100",
+    "permpoly find-prime x^3+x --cap 1000",
+    "construct example --blocks 8 --out construct8.txt",
+    "recurrence construct8.txt cyclic:<=20 --shifts=-3..3",
+    "classify construct8.txt",
+    "product cyclic:2 cyclic:3",
+    "product cyclic:2 cyclic:2",
+    "classify",
+] + [f"classify {name}" for name in MALFORMED] + [f"recurrence {name} cyclic:<=5" for name in MALFORMED]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _written(argv: list[str]) -> list[str]:
+    return [argv[i + 1] for i, a in enumerate(argv[:-1]) if a in ("--out", "--report")]
+
+
+def fingerprint(main, argv: list[str]) -> str:
+    for path in _written(argv):
+        if os.path.exists(path):
+            os.remove(path)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+        except Exception as exc:  # a bug: record it instead of stopping the list
+            code = f"raised {type(exc).__name__}"
+            err.write(str(exc))
+    fields = [f"exit={code}", f"stdout={_sha(out.getvalue().encode())}", f"stderr={_sha(err.getvalue().encode())}"]
+    for path in _written(argv):
+        fields.append(f"{path}={_sha(Path(path).read_bytes()) if os.path.exists(path) else 'absent'}")
+    return " ".join(fields) + " :: " + " ".join(argv)
+
+
+def main() -> int:
+    sys.path.insert(0, str(PERFBENCH))
+    import dynwindow
+    from dynwindow.cli import main as cli_main
+
+    import workloads
+
+    print(f"dynwindow from {Path(dynwindow.__file__).parent}", file=sys.stderr)
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, text in {**FILES, **MALFORMED}.items():
+                Path(name).write_bytes(text.encode("utf-8"))
+            calls = [call.split() + ["--json"] for call in CALLS]
+            calls += [op.params["argv"] for op in workloads.build_cli_files(1, Path("cli-files"))]
+            for argv in calls:
+                print(fingerprint(cli_main, argv), flush=True)
+        finally:
+            os.chdir(cwd)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -161,12 +161,7 @@ def _jsonify(value):
 
 def _load_window(path: str, horizon_override: Optional[int]) -> Window:
     w = parse_sequence_file(path)
-    if horizon_override is not None:
-        if horizon_override < w.horizon:
-            w = w.restrict(horizon_override)
-        else:
-            w = Window(w.elements, horizon_override)
-    return w
+    return w if horizon_override is None else w.restrict(horizon_override)
 
 
 def _sequence_info(source: str, w: Window) -> dict:

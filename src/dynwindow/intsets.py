@@ -15,6 +15,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
+import numpy as np
+
 __all__ = [
     "Status",
     "Verdict",
@@ -132,6 +134,19 @@ class Window:
                 )
 
     @classmethod
+    def _trusted(cls, elements: tuple, horizon: int, array: Optional[np.ndarray] = None) -> "Window":
+        # For elements already known to be strictly ascending naturals <= horizon:
+        # skips the ascent check.  ``array``, the same elements as int64, seeds
+        # Window.array unless an element is past its cap.
+        if horizon < 0:
+            raise ValueError(f"horizon must be >= 0, got {horizon}")
+        w = object.__new__(cls)
+        w.__dict__.update(elements=elements, horizon=horizon)
+        if array is not None and (not elements or elements[-1] <= _ARRAY_ELEMENT_CAP):
+            w.__dict__["array"] = array
+        return w
+
+    @classmethod
     def from_iterable(cls, elements: Iterable[int], horizon: Optional[int] = None) -> "Window":
         elems = tuple(sorted(set(int(e) for e in elements)))
         if horizon is None:
@@ -153,8 +168,6 @@ class Window:
         """The elements as an int64 numpy array, or None if one exceeds 2^62."""
         if self.elements and self.elements[-1] > _ARRAY_ELEMENT_CAP:
             return None
-        import numpy as np
-
         return np.asarray(self.elements, dtype=np.int64)
 
     @cached_property
@@ -164,8 +177,6 @@ class Window:
             return None
         if not self.elements:
             return 0
-        import numpy as np
-
         # Pack an indicator array little-endian: O(n + max element) for the whole mask.
         bits = np.zeros(self.elements[-1] + 1, dtype=np.uint8)
         bits[np.asarray(self.elements, dtype=np.int64)] = 1
@@ -177,15 +188,21 @@ class Window:
         lo = bisect.bisect_left(self.elements, -n)
         hi = bisect.bisect_right(self.elements, self.horizon - n)
         if self.array is not None and abs(n) < _ARRAY_ELEMENT_CAP:
-            shifted = tuple((self.array[lo:hi] + n).tolist())
-        else:
-            shifted = tuple(e + n for e in self.elements[lo:hi])
-        return Window(shifted, self.horizon)
+            shifted = self.array[lo:hi] + n
+            return Window._trusted(tuple(shifted.tolist()), self.horizon, shifted)
+        return Window._trusted(tuple(e + n for e in self.elements[lo:hi]), self.horizon)
 
     def restrict(self, horizon: int) -> "Window":
-        """Re-windowed copy: elements above the new horizon are dropped."""
+        """Re-windowed copy: elements above the new horizon are dropped, a larger one keeps all."""
         cut = bisect.bisect_right(self.elements, horizon)
-        return Window(self.elements[:cut], horizon)
+        array = self.array
+        return Window._trusted(self.elements[:cut], horizon, None if array is None else array[:cut])
+
+
+def _int64_elements(w: Window) -> Optional[np.ndarray]:
+    # The int64 array the classifiers scan, or None for the Python scans: when
+    # the horizon is below 2^62, a sum of two values up to it fits in int64.
+    return w.array if w.horizon < _ARRAY_ELEMENT_CAP else None
 
 
 class SequenceFormatError(ValueError):
@@ -205,11 +222,19 @@ def is_syndetic(w: Window, gap_bound: int) -> Verdict:
         raise ValueError("gap_bound must be >= 1")
     if w.horizon + 1 < gap_bound:
         return Verdict.hold(note=f"vacuous: no run of {gap_bound} fits inside [0, {w.horizon}]")
-    prev = -1
-    for e in w.elements:
-        if e - prev - 1 >= gap_bound:
-            return Verdict.fail(prev + 1, note=f"empty run [{prev + 1}, {prev + gap_bound}]")
-        prev = e
+    # prev: the element (or -1) before the first empty gap_bound-run, else the last one.
+    a = _int64_elements(w)
+    if a is None:
+        prev = -1
+        for e in w.elements:
+            if e - prev - 1 >= gap_bound:
+                break
+            prev = e
+    else:
+        prevs = np.concatenate(([-1], a))
+        gaps = np.flatnonzero(np.diff(prevs) > gap_bound)
+        prev = int(prevs[gaps[0]] if gaps.size else prevs[-1])
+    # A gap found before an element leaves horizon - prev > gap_bound, so this test fails it too.
     if w.horizon - prev >= gap_bound:
         return Verdict.fail(prev + 1, note=f"empty run [{prev + 1}, {prev + gap_bound}]")
     return Verdict.hold(note=f"every {gap_bound}-run in [0, {w.horizon}] meets the window")
@@ -219,18 +244,31 @@ def is_thick(w: Window, run_length: int) -> Verdict:
     """Does w contain run_length consecutive integers?  Witness: the run's start."""
     if run_length < 1:
         raise ValueError("run_length must be >= 1")
-    best_len, best_start = 0, None
-    run_start = None
-    prev = None
-    for e in w.elements:
-        if prev is None or e != prev + 1:
-            run_start = e
-        run_len = e - run_start + 1
-        if run_len > best_len:
-            best_len, best_start = run_len, run_start
-        if run_len >= run_length:
-            return Verdict.hold(run_start, note=f"run of {run_len} starting at {run_start}")
-        prev = e
+    # found: the start of the first run of run_length; best_*: the first longest run.
+    found, best_len, best_start = None, 0, None
+    a = _int64_elements(w)
+    if a is None:
+        run_start = prev = None
+        for e in w.elements:
+            if prev is None or e != prev + 1:
+                run_start = e
+            run_len = e - run_start + 1
+            if run_len > best_len:
+                best_len, best_start = run_len, run_start
+            if run_len >= run_length:
+                found = run_start
+                break
+            prev = e
+    elif a.size:
+        firsts = np.concatenate(([0], np.flatnonzero(np.diff(a) != 1) + 1))
+        lengths = np.diff(firsts, append=a.size)
+        long_runs = np.flatnonzero(lengths >= min(run_length, a.size + 1))
+        if long_runs.size:
+            found = int(a[firsts[long_runs[0]]])
+        i = int(np.argmax(lengths))
+        best_len, best_start = int(lengths[i]), int(a[firsts[i]])
+    if found is not None:
+        return Verdict.hold(found, note=f"run of {run_length} starting at {found}")
     return Verdict.fail(
         w.horizon,
         note=f"longest run has length {best_len}"
@@ -254,16 +292,26 @@ def piecewise_syndetic_certificate(w: Window, gap_bound: int, block_length: int)
     # A valid interval must sit around a maximal chain of elements whose
     # successive differences are <= gap_bound; it may extend gap_bound-1
     # past the chain on either side.
-    i, n = 0, len(w.elements)
-    while i < n:
-        j = i
-        while j + 1 < n and w.elements[j + 1] - w.elements[j] <= gap_bound:
-            j += 1
-        lo = max(0, w.elements[i] - gap_bound + 1)
-        hi = min(w.horizon, w.elements[j] + gap_bound - 1)
-        if hi - lo + 1 >= block_length:
+    a = _int64_elements(w)
+    if a is None:
+        i, n = 0, len(w.elements)
+        while i < n:
+            j = i
+            while j + 1 < n and w.elements[j + 1] - w.elements[j] <= gap_bound:
+                j += 1
+            lo = max(0, w.elements[i] - gap_bound + 1)
+            hi = min(w.horizon, w.elements[j] + gap_bound - 1)
+            if hi - lo + 1 >= block_length:
+                return Verdict.hold(lo, note=f"interval [{lo}, {lo + block_length - 1}]")
+            i = j + 1
+    elif a.size:
+        breaks = np.flatnonzero(np.diff(a) > gap_bound)
+        lo = np.maximum(a[np.concatenate(([0], breaks + 1))] - (gap_bound - 1), 0)
+        hi = np.minimum(a[np.append(breaks, a.size - 1)] + (gap_bound - 1), w.horizon)
+        fits = np.flatnonzero(hi - lo >= block_length - 1)
+        if fits.size:
+            lo = int(lo[fits[0]])
             return Verdict.hold(lo, note=f"interval [{lo}, {lo + block_length - 1}]")
-        i = j + 1
     return Verdict.fail(
         w.horizon, note=f"no {gap_bound}-syndetic interval of length {block_length} up to {w.horizon}"
     )
@@ -286,18 +334,16 @@ def difference_set(w: Window) -> Window:
         return Window((), w.horizon)
     span = w.elements[-1] - w.elements[0]
     if n > 400 and span <= _FFT_SPAN_CAP:
-        import numpy as np
-
         base = w.elements[0]
         ind = np.zeros(span + 1)
-        ind[[e - base for e in w.elements]] = 1.0
+        ind[w.array - base if w.array is not None else [e - base for e in w.elements]] = 1.0
         size = 1
         while size < 2 * (span + 1):
             size *= 2
         spectrum = np.fft.rfft(ind, size)
-        counts = np.fft.irfft(spectrum * np.conj(spectrum), size)[: span + 1]
-        diffs = tuple(int(d) for d in np.nonzero(counts > 0.5)[0] if d > 0)
-        return Window(diffs, w.horizon)
+        counts = np.fft.irfft(spectrum * np.conj(spectrum), size)[1 : span + 1]
+        # No array is seeded: cached comparison windows would keep it alive.
+        return Window._trusted(tuple((np.flatnonzero(counts > 0.5) + 1).tolist()), w.horizon)
     out = set()
     elems = w.elements
     for i in range(n):
@@ -390,15 +436,21 @@ def banach_density_estimate(w: Window, interval_length: int) -> Fraction:
         return Fraction(0)
     elems = w.elements
     last_start = w.horizon - interval_length + 1
-    best = 0
     # The max is attained by an interval starting at an element, or at the
     # rightmost admissible start.
-    starts = [e for e in elems if e <= last_start]
-    starts.append(last_start)
-    for x in starts:
-        count = bisect.bisect_right(elems, x + interval_length - 1) - bisect.bisect_left(elems, x)
-        if count > best:
-            best = count
+    a = _int64_elements(w)
+    if a is None:
+        best = 0
+        starts = [e for e in elems if e <= last_start]
+        starts.append(last_start)
+        for x in starts:
+            count = bisect.bisect_right(elems, x + interval_length - 1) - bisect.bisect_left(elems, x)
+            if count > best:
+                best = count
+    else:
+        starts = np.append(a[: np.searchsorted(a, last_start, side="right")], last_start)
+        counts = np.searchsorted(a, starts + (interval_length - 1), side="right") - np.searchsorted(a, starts)
+        best = int(counts.max())
     return Fraction(best, interval_length)
 
 
@@ -409,6 +461,55 @@ def banach_density_estimate(w: Window, interval_length: int) -> Fraction:
 
 
 def parse_sequence_text(text: str) -> Window:
+    window = _parse_well_formed(text)
+    return window if window is not None else _parse_lines(text)
+
+
+def _parse_well_formed(text: str) -> Optional[Window]:
+    # The common file, checked and converted as arrays: '!horizon N' among
+    # '#' and blank lines, then only lines of 1-18 ASCII digits, each ending in
+    # '\n', strictly ascending and at most N.  Anything else gives None, and
+    # _parse_lines then parses the text or reports the offending line.
+    horizon, pos = None, 0
+    while pos < len(text):
+        end = text.find("\n", pos)
+        if end < 0:
+            return None
+        line = text[pos:end]
+        digits = line[9:] if line.startswith("!horizon ") else ""
+        if horizon is None and digits.isascii() and digits.isdigit():
+            horizon = int(digits)
+        elif line and not (line[0] == "#" and line.splitlines() == [line]):
+            break
+        pos = end + 1
+    if horizon is None:
+        return None
+    body = text[pos:]
+    if not body:
+        return Window._trusted((), horizon)
+    if not body.isascii() or body[-1] != "\n":
+        return None
+    buf = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    newline = buf == ord("\n")
+    if not ((buf - np.uint8(ord("0")) < 10) | newline).all():
+        return None
+    ends = np.flatnonzero(newline)
+    lengths = np.diff(ends, prepend=-1) - 1
+    if lengths.min() < 1 or lengths.max() > 18:  # 18 digits stay below 2^62
+        return None
+    values = np.zeros(ends.size, dtype=np.int64)
+    power = 1
+    for place in range(int(lengths.max())):
+        digit = buf[ends - 1 - place] - np.uint8(ord("0"))
+        digit[lengths <= place] = 0
+        values += digit * np.int64(power)
+        power *= 10
+    if (np.diff(values) <= 0).any() or int(values[-1]) > horizon:
+        return None
+    return Window._trusted(tuple(values.tolist()), horizon, values)
+
+
+def _parse_lines(text: str) -> Window:
     # ASCII digits only: str.isdigit() alone also accepts '²', '１' and '١'.
     horizon = None
     elements: list[int] = []

@@ -552,10 +552,18 @@ class TorusCover(GridCover):
 
     def _coord_cell(self, x) -> int:
         if isinstance(x, Fraction):
-            idx = x.numerator * self.k // x.denominator
+            idx = self._exact_cell(x)
         else:
-            idx = int(float(x) * self.k)
+            product = float(x) * self.k
+            idx = int(product)
+            if idx == product:
+                # x * k may have rounded up onto a cell edge: take the exact floor.
+                idx = self._exact_cell(float(x))
         return min(max(idx, 0), self.k - 1)
+
+    def _exact_cell(self, x: Union[float, Fraction]) -> int:
+        num, den = x.as_integer_ratio()
+        return num * self.k // den
 
     def cell_of(self, state):
         if self.dimension == 1 and not isinstance(state, tuple):
@@ -566,7 +574,7 @@ class TorusCover(GridCover):
     def cell_ids(self):
         if self.dimension == 1:
             return range(self.k)
-        return itertools.product(range(self.k), repeat=self.dimension)
+        return (self.cell_at(i) for i in range(self.cell_count()))
 
     def flat_id(self, cell) -> int:
         """The position of a cell in cell_ids(): base-k digits, first coordinate first."""
@@ -594,7 +602,11 @@ class TorusCover(GridCover):
             return self.ids_of(zip(*(x.tolist() for x in coords)))
         ids = np.zeros(len(coords[0]), dtype=np.int64)
         for x in coords:
-            ids = ids * self.k + np.clip((x * float(self.k)).astype(np.int64), 0, self.k - 1)
+            product = x * float(self.k)
+            cells = product.astype(np.int64)
+            for i in np.flatnonzero(np.trunc(product) == product).tolist():  # as in _coord_cell
+                cells[i] = self._exact_cell(float(x[i]))
+            ids = ids * self.k + np.clip(cells, 0, self.k - 1)
         return ids
 
     def cell_count(self) -> int:
@@ -618,7 +630,7 @@ class ProductCover(GridCover):
         return (self.left.cell_of(sl), self.right.cell_of(sr))
 
     def cell_ids(self):
-        return itertools.product(self.left.cell_ids(), self.right.cell_ids())
+        return ((left, right) for left in self.left.cell_ids() for right in self.right.cell_ids())
 
     def cell_count(self) -> int:
         return self.left.cell_count() * self.right.cell_count()

@@ -209,6 +209,25 @@ def test_superscript_digit_is_a_parse_error_with_line(tmp_path, capsys):
     assert "line 3" in err and "not a decimal natural" in err
 
 
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("# no directive\n1\n2\n", 2, "missing '!horizon N' directive before data"),
+        ("!horizon 10\n1\n5\n3\n9\n", 4, "not strictly ascending: 5 then 3"),
+        ("!horizon 10\n1\n5\n11\n", 4, "element 11 exceeds horizon 10"),
+        ("!horizon 10\n1\n²\n", 3, "not a decimal natural: '²'"),
+        ("!horizon 10\n1\n2 3\n", 3, "not a decimal natural: '2 3'"),
+    ],
+    ids=["missing-directive", "descent", "over-horizon", "superscript", "space-inside"],
+)
+def test_malformed_file_exits_1_naming_the_line(tmp_path, capsys, text, line, message):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text, encoding="utf-8")
+    assert main(["classify", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: line {line}: {message}\n" and captured.out == ""
+
+
 def test_missing_directive_is_operational_error(tmp_path, capsys):
     bad = tmp_path / "nodirective.txt"
     bad.write_text("1\n2\n")

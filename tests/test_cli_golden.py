@@ -7,6 +7,7 @@ records the sequence path.
 from __future__ import annotations
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -47,9 +48,17 @@ GOLDEN = {
     "crosscheck low.txt --max-period 3 --shifts=-2..2": (0, "fb269f727c0e4d8c3f5abbdcc03c532abd6967e5d20bd95ebce8c14b0dc67a39"),
     # Torus corners: a non-dyadic skew angle, an exact 2-d rotation, and a
     # failing 2-d float rotation whose witness is a tuple cell.
-    "recurrence evens.txt skew:0.3": (0, "8ebec63b1b29733da9496321c0df49b567458ceeb713b08c9f9434136c17da08"),
+    # Its float states land on cell edges: cells are the exact floor of x * k
+    # since the cell-edge fix (15 -> 13 cells hit; the verdict is unchanged).
+    "recurrence evens.txt skew:0.3": (0, "866aa82772e248ea71c16d35c37816244ec4a13608fd109809db488da964c049"),
     "recurrence squares.txt rot:2/7,1/3": (0, "89a0d1fc449910ffa5c950bd770ceb6b9c265fcc15a1af128cc357cb0c5980f4"),
     "recurrence squares.txt rot:golden,0.41421356 --eps 0.02": (0, "18780578982093df4408f580d0ad90346db83ea46234e9a0351ff55a0ca669b1"),
+    # Off the common layout, so parsed line by line: CRLF line ends (translated
+    # on read), and leading zeros with comment and blank lines in the body.
+    "classify crlf.txt --gap 30": (0, "f189310fc566ccf2cb30cc57c9d0b1aff79849cb2017a266fc2907a28964b8fb"),
+    "recurrence crlf.txt cyclic:<=3": (0, "2d89efc171268521efe47cb4f81408316279304ba1d316f84038427f0faf8b57"),
+    "classify zeros.txt": (0, "1fb162963b24f1339019d3af61754c10788db4319ecda8e9f8b49973212cfd47"),
+    "recurrence zeros.txt cyclic:<=3 --shifts=-1..1": (0, "a437a8379ded0975b702994920ae43e2c7a561e31eeee0a957e01b3899d4050c"),
 }
 
 
@@ -61,6 +70,8 @@ def fixture_dir(tmp_path, monkeypatch):
     write_sequence_file("interval.txt", Window(tuple(range(101)), 100))
     write_sequence_file("huge.txt", Window(tuple(2 ** 63 + k * k for k in range(101)), 2 ** 63 + 10_000))
     write_sequence_file("low.txt", Window((0, 1, 2, 3), 50))
+    Path("crlf.txt").write_bytes(b"!horizon 100\r\n# crlf\r\n3\r\n9\r\n27\r\n81\r\n")
+    Path("zeros.txt").write_bytes(b"!horizon 100\n# header\n007\n# body comment\n010\n\n042\n")
 
 
 @pytest.mark.parametrize("call", list(GOLDEN))

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -479,3 +480,238 @@ def test_sequence_directive_rejects_non_ascii_digits(token):
 def test_sequence_comments_and_blanks_ok():
     w = parse_sequence_text("!horizon 9\n# a comment\n\n3\n9\n")
     assert w.elements == (3, 9) and w.horizon == 9
+
+
+# -- the parse fork: array path vs the line loop ------------------------------------
+
+
+def _reference_parse(text: str) -> Window:
+    # The line loop as it stood before the array path, kept verbatim as the reference.
+    horizon = None
+    elements: list[int] = []
+    prev = -1
+    saw_directive = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("!"):
+            if saw_directive:
+                raise SequenceFormatError("duplicate directive", lineno)
+            parts = line[1:].split()
+            if len(parts) != 2 or parts[0] != "horizon" or not (
+                parts[1].isascii() and parts[1].isdigit()
+            ):
+                raise SequenceFormatError(f"bad directive {line!r}, expected '!horizon N'", lineno)
+            horizon = int(parts[1])
+            saw_directive = True
+            continue
+        if not saw_directive:
+            raise SequenceFormatError("missing '!horizon N' directive before data", lineno)
+        if not (line.isascii() and line.isdigit()):
+            raise SequenceFormatError(f"not a decimal natural: {line!r}", lineno)
+        value = int(line)
+        if value <= prev:
+            raise SequenceFormatError(f"not strictly ascending: {prev} then {value}", lineno)
+        if value > horizon:
+            raise SequenceFormatError(f"element {value} exceeds horizon {horizon}", lineno)
+        elements.append(value)
+        prev = value
+    if not saw_directive:
+        raise SequenceFormatError("missing '!horizon N' directive", 1)
+    return Window(tuple(elements), horizon)
+
+
+def _parse_outcome(parse, text):
+    try:
+        w = parse(text)
+    except SequenceFormatError as exc:
+        return ("error", exc.line, str(exc))
+    return ("window", w.elements, w.horizon)
+
+
+_ODD_LINES = [
+    "", "   ", "# note", " 7", "7 ", "\t7", "+7", "-3", "1 2", "1_000", "0x1f", "²", "１",
+    "١", "7\r", "7\x0c8", "# a\x85b", "!horizon 5", "!horizon", "9" * 19, str(2 ** 62 + 1), "0" * 20 + "1",
+]
+
+
+@st.composite
+def _sequence_texts(draw):
+    values = sorted(draw(st.lists(st.integers(0, 10 ** 6), max_size=25, unique=True)))
+    lines = ["0" * draw(st.integers(0, 2)) + str(v) for v in values]
+    if len(lines) >= 2 and draw(st.booleans()):
+        i = draw(st.integers(0, len(lines) - 2))
+        lines[i], lines[i + 1] = lines[i + 1], lines[i]  # a descent
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_ODD_LINES)))
+    horizon = max(values, default=0) + draw(st.integers(-3, 3))
+    directive = draw(st.sampled_from([f"!horizon {horizon}", f"!horizon  {horizon}", f" !horizon {horizon}"]))
+    header = draw(st.sampled_from([[], ["# head"], ["", "#"]])) + [directive]
+    header += draw(st.sampled_from([[], ["# after"], ["", "# after", ""]]))
+    if draw(st.integers(0, 9)) == 0:
+        header = header[:-1]  # no directive
+    sep = draw(st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", " "]))
+    return sep.join(header + lines) + draw(st.sampled_from([sep, sep, "", "\n\n"]))
+
+
+@given(st.one_of(
+    _sequence_texts(),
+    st.text(alphabet="0123456789\n\r #!horizn²１", max_size=60),
+    st.text(alphabet="0123456789\n", max_size=60).map(lambda body: "!horizon 500000\n" + body),
+))
+@example("!horizon 10\n")
+@example("!horizon 10")
+@example("")
+@example("!horizon 10\n5\n5\n")
+@settings(max_examples=400, deadline=None)
+def test_parse_matches_the_line_loop_on_every_text(text):
+    assert _parse_outcome(parse_sequence_text, text) == _parse_outcome(_reference_parse, text)
+
+
+def test_parse_well_formed_text_takes_the_array_path():
+    text = "# made by hand\n!horizon 2000000000000000000\n# header comment\n\n0\n007\n19\n999999999999999999\n"
+    w = intsets._parse_well_formed(text)
+    assert w == _reference_parse(text) and w.elements == (0, 7, 19, 10 ** 18 - 1)
+    assert w.array.dtype == np.int64 and w.array.tolist() == list(w.elements)
+    assert intsets._parse_well_formed("!horizon 4\n") == Window((), 4)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("!horizon 10\r\n1\r\n5\r\n", Window((1, 5), 10)),  # CRLF
+        ("!horizon 10\n1\n# body comment\n5\n", Window((1, 5), 10)),
+        ("!horizon 10\n1\n2 3\n", SequenceFormatError("not a decimal natural: '2 3'", 3)),
+        (f"!horizon {10 ** 19}\n{10 ** 18}\n", Window((10 ** 18,), 10 ** 19)),  # 19 digits
+        (f"!horizon {2 ** 63}\n5\n{2 ** 62 + 1}\n", Window((5, 2 ** 62 + 1), 2 ** 63)),
+    ],
+    ids=["crlf", "body-comment", "space-inside", "19-digits", "above-2^62"],
+)
+def test_parse_falls_back_to_the_line_loop(text, expected):
+    assert intsets._parse_well_formed(text) is None
+    if isinstance(expected, SequenceFormatError):
+        with pytest.raises(SequenceFormatError) as info:
+            parse_sequence_text(text)
+        assert (info.value.line, str(info.value)) == (expected.line, str(expected))
+    else:
+        w = parse_sequence_text(text)
+        assert w == expected
+        assert (w.array is None) == (w.elements[-1] > 2 ** 62)
+
+
+# -- the array forks: classifiers and difference_set vs the Python scans ------------
+
+
+def _python_scans():
+    # Routes every classifier to its Python scan, the reference for the array path.
+    return mock.patch.object(intsets, "_int64_elements", lambda w: None)
+
+
+# base 2^62 - 3000 keeps the window just under the int64 cap (array path near
+# its edge); base 2^63 and slack 2^63 put it past the cap (Python scans).
+_FORK_BASES = st.sampled_from([0, 2 ** 62 - 3000, 2 ** 63])
+_FORK_SLACK = st.sampled_from([0, 1, 7, 400, 2 ** 63])
+
+
+def _fork_window(elems, base, slack):
+    return Window(tuple(base + e for e in sorted(elems)), base + max(elems, default=0) + slack)
+
+
+@given(
+    st.lists(st.integers(0, 1200), max_size=80, unique=True),
+    _FORK_BASES,
+    _FORK_SLACK,
+    st.integers(1, 60),
+    st.integers(0, 200),
+    st.integers(1, 1300),
+)
+@example([], 0, 0, 1, 0, 1)
+@example([5], 0, 0, 1, 0, 1)
+@example([0], 2 ** 63, 0, 1, 0, 1)
+@example(list(range(0, 40)) + list(range(100, 200)), 0, 7, 12, 150, 100)
+@example([0, 2, 4], 2 ** 62 - 3000, 0, 3, 2, 1)
+@settings(max_examples=300, deadline=None)
+def test_classifiers_match_the_python_scans(elems, base, slack, gap, extra, length):
+    w = _fork_window(elems, base, slack)
+    block = gap + extra
+    length = min(length, w.horizon) if w.horizon else None
+    fast = [is_syndetic(w, gap).to_json(), is_thick(w, gap).to_json()]
+    if block <= w.horizon + 1:
+        fast.append(piecewise_syndetic_certificate(w, gap, block).to_json())
+    if length:
+        fast.append(banach_density_estimate(w, length))
+    with _python_scans():
+        slow = [is_syndetic(w, gap).to_json(), is_thick(w, gap).to_json()]
+        if block <= w.horizon + 1:
+            slow.append(piecewise_syndetic_certificate(w, gap, block).to_json())
+        if length:
+            slow.append(banach_density_estimate(w, length))
+    assert fast == slow
+
+
+@given(
+    st.lists(st.integers(0, 3000), max_size=60, unique=True),
+    st.integers(1, 5000),
+    st.integers(1, 5000),
+    st.sampled_from([0, 2 ** 62 - 6000]),
+)
+@settings(max_examples=200, deadline=None)
+def test_classifiers_with_parameters_up_to_the_horizon(elems, gap, length, base):
+    # gap_bound, block_length and interval_length near horizon + 1, at both ends of int64 room.
+    w = Window(tuple(base + e for e in sorted(elems)), base + 3000)
+    length = min(length, w.horizon)
+    block = max(gap, length)
+    with _python_scans():
+        slow = [is_syndetic(w, gap), is_thick(w, length), piecewise_syndetic_certificate(w, gap, block),
+                banach_density_estimate(w, length)]
+    assert [is_syndetic(w, gap), is_thick(w, length), piecewise_syndetic_certificate(w, gap, block),
+            banach_density_estimate(w, length)] == slow
+
+
+@given(
+    st.integers(0, 2 ** 32),
+    st.integers(0, 900),
+    st.sampled_from([0.002, 0.05, 0.5, 0.95]),
+    st.sampled_from([0, 2 ** 63]),
+)
+@example(0, 0, 0.5, 0)
+@example(0, 1, 0.5, 0)
+@example(0, 1, 0.5, 2 ** 63)
+@settings(max_examples=40, deadline=None)
+def test_difference_set_matches_the_quadratic_scan(seed, count, density, base):
+    # Sizes on both sides of the 400-element switch to the FFT; base 2^63
+    # builds the FFT indicator without the int64 array.
+    rng = np.random.default_rng(seed)
+    span = max(1, int(count / density))
+    elems = np.sort(rng.choice(span, size=min(count, span), replace=False)).tolist()
+    w = Window(tuple(base + e for e in elems), base + span + 3)
+    scan = Window(tuple(sorted({b - a for a, b in combinations(elems, 2)})), w.horizon)
+    got = difference_set(w)
+    assert got == scan and hash(got) == hash(scan)
+    assert "array" not in got.__dict__  # not seeded: cached comparison windows would keep it
+
+
+# -- the trusted constructor ---------------------------------------------------------
+
+
+@given(st.lists(st.integers(0, 10 ** 6), max_size=30, unique=True), st.integers(0, 10))
+@settings(max_examples=60, deadline=None)
+def test_trusted_window_equals_and_hashes_like_a_checked_one(elems, slack):
+    elements = tuple(sorted(elems))
+    horizon = max(elements, default=0) + slack
+    checked = Window(elements, horizon)
+    trusted = Window._trusted(elements, horizon, np.array(elements, dtype=np.int64))
+    assert trusted == checked and hash(trusted) == hash(checked) and repr(trusted) == repr(checked)
+    assert trusted.array.tolist() == checked.array.tolist() and trusted.array.dtype == checked.array.dtype
+    assert trusted.restrict(horizon // 2) == checked.restrict(horizon // 2)
+    assert trusted.restrict(horizon // 2).array.tolist() == list(checked.restrict(horizon // 2).elements)
+
+
+def test_trusted_window_keeps_the_array_cap_and_the_horizon_check():
+    big = (5, 2 ** 62 + 1)
+    assert Window._trusted(big, 2 ** 63, np.array(big, dtype=np.int64)).array is None
+    assert Window((0, 2 ** 62), 2 ** 64).shift(2 ** 62 - 1).array is None
+    with pytest.raises(ValueError, match="horizon must be >= 0"):
+        Window((0, 3), 10).restrict(-1)
+    assert Window((0, 3), 10).restrict(20) == Window((0, 3), 20)

@@ -4,8 +4,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import squares
@@ -169,6 +170,7 @@ def test_torus_cover_tiles_half_open():
 
 
 @given(st.floats(min_value=0.0, max_value=1.0, exclude_max=True), st.integers(1, 40))
+@example(0.3333333333333333, 33)
 @settings(max_examples=80, deadline=None)
 def test_torus_cover_every_point_in_exactly_one_cell(x, k):
     rot = RotationSystem.from_angle(GOLDEN)
@@ -178,6 +180,27 @@ def test_torus_cover_every_point_in_exactly_one_cell(x, k):
     # cell boundaries replay: x lies in [cell/k', (cell+1)/k')
     width = 1.0 / cover.k
     assert cell * width <= x < (cell + 1) * width or math.isclose(x, (cell + 1) * width)
+
+
+def test_torus_cover_cell_is_the_exact_floor_at_float_cell_edges():
+    # x * k can round up onto a cell edge (0.3333333333333333 * 33 == 11.0);
+    # cell_of and the array path flat_ids both take floor(Fraction(x) * k).
+    xs = [0.3333333333333333, 0.6, 0.3, 0.7, 0.1, 0.9, 0.0, 0.5, 1 / 3, 2 / 3, 0.9999999999999999]
+    for k in range(1, 41):
+        cover = cover_for(RotationSystem.from_angle(GOLDEN), 1.0 / k)
+        expected = [min(math.floor(Fraction(x) * cover.k), cover.k - 1) for x in xs]
+        assert [cover.cell_of(x) for x in xs] == expected
+        assert cover.flat_ids([np.array(xs)]).tolist() == expected
+
+
+def test_eps_dense_on_a_cover_too_large_to_list():
+    # 10^10 x 10^10 cells: the cells are visited in order, never listed.
+    sys = RotationSystem((GOLDEN, 0.3))
+    verdict = eps_dense(sys, [(0.0, 0.0)], cover_for(sys, 1e-10))
+    assert verdict.fails and verdict.witness == (0, 1)
+    prod = ProductSystem(CyclicSystem(2), sys)
+    verdict = eps_dense(prod, [(0, (0.0, 0.0))], cover_for(prod, 1e-10))
+    assert verdict.fails and verdict.witness == (0, (0, 1))
 
 
 def test_product_cover_cells_are_pairs():
