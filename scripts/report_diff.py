@@ -35,6 +35,7 @@ FILES = {
     "low.txt": "!horizon 50\n0\n1\n2\n3\n",
     "blocks.txt": "!horizon 3000\n"
     + "".join(f"{n}\n" for b in range(0, 3000, 300) for n in range(b, b + 40 + b // 30)),
+    "zero.txt": "!horizon 0\n0\n",
 }
 
 # Files off the common layout: each is parsed line by line, or rejected with its line.
@@ -70,6 +71,7 @@ CALLS = [
     f"classify evens.txt --horizon {2 ** 63}",
     "classify huge.txt --gap 100000 --block 1000000",
     "classify low.txt --gap 60 --run 5 --block 51",
+    "classify zero.txt",
     "recurrence squares.txt cyclic:<=3",
     "recurrence squares.txt cyclic:<=3 --shifts=-2..2",
     "recurrence squares.txt cyclic:<=50 --shifts=-10..10",
@@ -91,10 +93,15 @@ CALLS = [
     "recurrence interval.txt rot:golden --eps 0.1 --start-grid 0.5",
     "recurrence squares.txt odo:2^3",
     "recurrence squares.txt rot:golden --eps 0",
+    "recurrence squares.txt rot:golden --eps nan",
+    "recurrence squares.txt rot:nan",
+    "recurrence squares.txt rot:inf",
+    "recurrence squares.txt skew:1e400",
     "crosscheck squares.txt --max-period 3 --shifts=-2..2",
     "crosscheck evens.txt --max-period 5",
     "crosscheck low.txt --max-period 3 --shifts=-2..2",
     "crosscheck blocks.txt --horizon 4000",
+    "crosscheck squares.txt --max-period 0",
     "crosscheck --count 5 --horizon 500 --seed 7",
     "permpoly check x^2+3x+1 --p 7",
     "permpoly check x^3 --p 11",

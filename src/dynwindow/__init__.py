@@ -27,19 +27,15 @@ from .systems import (
     CoverMismatchError,
     CyclicSystem,
     FiniteCover,
-    GridCover,
     OdometerSystem,
     ProductCover,
     ProductSystem,
     RotationSystem,
     SkewProductSystem,
     TorusCover,
-    cover_for,
     eps_dense,
     is_totally_minimal,
-    orbit_along,
     orbit_at,
-    system_distance,
 )
 from .recurrence import (
     DEFAULT_SWEEP_SEED,

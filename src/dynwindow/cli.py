@@ -3,7 +3,7 @@
 Subcommands return their report, summary lines and exit code; ``main`` alone
 prints, stamps the run parameters and writes.  JSON is the single machine-readable
 output; the summary is rendered from the same values as the report.  Identical
-(inputs, params, seed) give byte-identical reports.  Exit code 0 means a verdict was
+inputs and params give byte-identical reports.  Exit code 0 means a verdict was
 computed (even a failing one); nonzero is reserved for operational errors.
 """
 from __future__ import annotations
@@ -74,7 +74,7 @@ def _parse_angle_token(token: str):
             raise SystemSpecError(f"bad rational angle {token!r}") from exc
         return float(frac % 1), frac % 1
     try:
-        return float(token) % 1.0, None
+        return float(token), None
     except ValueError as exc:
         raise SystemSpecError(f"bad angle {token!r}") from exc
 
@@ -127,8 +127,7 @@ def parse_system_spec(spec: str):
         except ValueError as exc:
             raise SystemSpecError(f"bad odometer spec {arg!r}") from exc
     if kind == "skew":
-        angle, frac = _parse_angle_token(arg)
-        return SkewProductSystem(angle, frac)
+        return SkewProductSystem(*_parse_angle_token(arg))
     raise SystemSpecError(f"unknown system kind {kind!r}")
 
 
@@ -179,7 +178,7 @@ def _emit(report: dict, path: Optional[str], to_stdout: bool) -> None:
 
 def _params_of(args) -> dict:
     # Output routing (the report's --out/--json, construct's sequence file) is
-    # not part of the run config: the same inputs + params + seed must give
+    # not part of the run config: the same inputs and params must give
     # byte-identical reports wherever they are written.
     params = {k: v for k, v in vars(args).items() if k not in ("func", "out", "json", "sequence")}
     if isinstance(params.get("shifts"), range):
@@ -371,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--out", help="write the JSON report to this path")
         p.add_argument("--json", action="store_true", help="print the JSON report to stdout")
-        p.add_argument("--seed", type=int, default=DEFAULT_SWEEP_SEED, help="seed recorded in the report")
 
     p = sub.add_parser("classify", help="syndetic / thick / piecewise-syndetic / density checks")
     p.add_argument("path", help="sequence file")
@@ -399,6 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, default=None, help="horizon for random windows / override for files")
     p.add_argument("--max-period", type=int, default=12, dest="max_period")
     p.add_argument("--shifts", type=_parse_shifts, default=range(-6, 7))
+    p.add_argument("--seed", type=int, default=DEFAULT_SWEEP_SEED, help="seed of the random windows")
     add_common(p)
     p.set_defaults(func=_cmd_crosscheck)
 
@@ -422,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--block-length", type=int, default=100, dest="block_length")
     p.add_argument("--max-period", type=int, default=20, dest="max_period")
     p.add_argument("--shifts", type=_parse_shifts, default=range(-10, 11))
-    p.add_argument("--seed", type=int, default=DEFAULT_SWEEP_SEED)
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("product", help="transitivity oracle for a product of two cycles")

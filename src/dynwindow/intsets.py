@@ -146,13 +146,6 @@ class Window:
             w.__dict__["array"] = array
         return w
 
-    @classmethod
-    def from_iterable(cls, elements: Iterable[int], horizon: Optional[int] = None) -> "Window":
-        elems = tuple(sorted(set(int(e) for e in elements)))
-        if horizon is None:
-            horizon = elems[-1] if elems else 0
-        return cls(elems, int(horizon))
-
     def __len__(self) -> int:
         return len(self.elements)
 
@@ -178,8 +171,10 @@ class Window:
         if not self.elements:
             return 0
         # Pack an indicator array little-endian: O(n + max element) for the whole mask.
+        # Reuse a cached array, never compute one: cached comparison windows would keep it.
+        index = self.__dict__.get("array")
         bits = np.zeros(self.elements[-1] + 1, dtype=np.uint8)
-        bits[np.asarray(self.elements, dtype=np.int64)] = 1
+        bits[index if index is not None else np.asarray(self.elements, dtype=np.int64)] = 1
         return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
     def shift(self, n: int) -> "Window":
@@ -428,10 +423,11 @@ def finite_ip(generators: Sequence[int]) -> Window:
 def banach_density_estimate(w: Window, interval_length: int) -> Fraction:
     """Max of |w ∩ I| / interval_length over intervals I of that length in [0, horizon].
 
-    Exact rational; a window-bounded stand-in for upper Banach density.
+    Exact rational; a window-bounded stand-in for upper Banach density.  The
+    longest admissible interval, horizon + 1, is the whole window.
     """
-    if not 1 <= interval_length <= w.horizon:
-        raise ValueError("need 1 <= interval_length <= horizon")
+    if not 1 <= interval_length <= w.horizon + 1:
+        raise ValueError("need 1 <= interval_length <= horizon + 1")
     if not w.elements:
         return Fraction(0)
     elems = w.elements

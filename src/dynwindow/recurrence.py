@@ -22,7 +22,6 @@ from .systems import (
     ProductSystem,
     RotationSystem,
     TorusSystem,
-    cover_for,
     mult_angle_mod1,
 )
 
@@ -100,7 +99,7 @@ def return_times(sys, start, cell, horizon: int, cover=None) -> ReturnTimesResul
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if cover is None:
-        cover = cover_for(sys)
+        cover = sys.cover(1.0)
     walk = enumerate(sys.trajectory(start, horizon), 1)
     times = [n for n, state in walk if cover.cell_of(state) == cell]
     return ReturnTimesResult(Window(tuple(times), horizon), cell, start)
@@ -182,7 +181,7 @@ def r_sequence_metric(a: Window, sys, eps: float, start_grid_resolution: float) 
     if not isinstance(sys, TorusSystem):
         raise TypeError(f"not a metric catalog system: {sys!r}")
     family = f"{sys.spec_string()} eps={eps}"
-    cover = cover_for(sys, eps)
+    cover = sys.cover(eps)
     starts = sys.starts(start_grid_resolution)
     note = _metric_budget_note(a, sys, eps)
     if note is not None:
@@ -307,8 +306,10 @@ def crosscheck_cyclic_equivalence(a: Window, max_period: int, shifts: Iterable[i
     agreement is guaranteed when the shift range spans at least max_period
     consecutive integers and every inhabited residue class has an element
     >= max_period + |most negative shift|; windows hugging 0 can disagree
-    honestly at the bottom edge.
+    honestly at the bottom edge.  max_period < 1 raises ValueError.
     """
+    if max_period < 1:
+        raise ValueError("max_period must be >= 1")
     if a.elements and a.elements[-1] > _CROSSCHECK_ELEMENT_CAP:
         raise ValueError(
             f"cross-check materializes comparison windows up to the largest element; "

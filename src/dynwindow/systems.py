@@ -9,8 +9,11 @@ object; all operations are pure.
 
 Every system answers one protocol: ``step``, ``orbit_at``, ``trajectory``,
 ``along``, ``cover``, ``distance``, ``starts``, ``rational_structure`` and
-``exact_orbits``.  Cycles and odometers share ``FiniteSystem``; rotations
-and the skew product share ``TorusSystem``.
+``exact_orbits``.  ``cover(eps)`` raises ValueError unless eps > 0; its cover
+partitions the space into cells of mesh <= eps and answers ``cell_of``,
+``cell_ids`` (in canonical order) and ``cell_count`` for its ``system``.
+Cycles and odometers share ``FiniteSystem``; rotations and the skew product
+share ``TorusSystem``; ``ProductSystem`` answers componentwise.
 
 ``along(a)`` evaluates orbits over a whole window at once.  On a float
 torus the start-free phases ``m * angle mod 1`` are numpy arrays computed
@@ -30,7 +33,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -44,18 +47,14 @@ __all__ = [
     "OdometerSystem",
     "SkewProductSystem",
     "ProductSystem",
-    "GridCover",
     "FiniteCover",
     "TorusCover",
     "ProductCover",
     "CoverMismatchError",
     "GOLDEN",
     "orbit_at",
-    "orbit_along",
-    "cover_for",
     "eps_dense",
     "is_totally_minimal",
-    "system_distance",
     "mult_angle_mod1",
 ]
 
@@ -82,6 +81,13 @@ def mult_angle_mod1(n: int, x: float) -> float:
 def _mod1(x: float) -> float:
     y = x % 1.0
     return y if y < 1.0 else 0.0
+
+
+def _angle(a) -> float:
+    a = float(a)
+    if not math.isfinite(a):
+        raise ValueError(f"angle must be finite, got {a!r}")
+    return _mod1(a)
 
 
 def _mod1_array(x: np.ndarray) -> np.ndarray:
@@ -185,6 +191,8 @@ class FiniteSystem:
             yield state
 
     def cover(self, eps: float) -> "FiniteCover":
+        if not eps > 0:
+            raise ValueError("eps must be > 0")
         return FiniteCover(self, self.size)
 
     def distance(self, s1, s2) -> float:
@@ -299,6 +307,8 @@ class TorusSystem:
         return _TorusOrbits(self, a)
 
     def cover(self, eps: float) -> "TorusCover":
+        if not eps > 0:
+            raise ValueError("eps must be > 0")
         return TorusCover(self, self.dimension, max(1, math.ceil(1.0 / eps)), eps)
 
     def distance(self, s1, s2) -> float:
@@ -330,7 +340,7 @@ class RotationSystem(TorusSystem):
     def __post_init__(self) -> None:
         if not self.angles:
             raise ValueError("need at least one angle")
-        object.__setattr__(self, "angles", tuple(_mod1(float(a)) for a in self.angles))
+        object.__setattr__(self, "angles", tuple(_angle(a) for a in self.angles))
         if self.exact is not None:
             ex = tuple(Fraction(e) % 1 for e in self.exact)
             if len(ex) != len(self.angles):
@@ -416,7 +426,7 @@ class SkewProductSystem(TorusSystem):
     dimension = 2
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "angle", _mod1(float(self.angle)))
+        object.__setattr__(self, "angle", _angle(self.angle))
         if self.exact is not None:
             object.__setattr__(self, "exact", Fraction(self.exact) % 1)
 
@@ -490,41 +500,17 @@ class ProductSystem:
         return f"prod({self.left.spec_string()},{self.right.spec_string()})"
 
 
-System = Union[CyclicSystem, RotationSystem, OdometerSystem, SkewProductSystem, ProductSystem]
-
-
-def orbit_at(sys: System, start, n: int):
-    """T^n(start) by closed form (exact for finite systems, mod-1 exact products otherwise)."""
+def orbit_at(sys, start, n: int):
+    """T^n(start) by closed form: ``sys.orbit_at(start, n)``."""
     return sys.orbit_at(start, n)
-
-
-def orbit_along(sys: System, start, a: Window) -> list:
-    """States T^n(start) for n in a.elements, in order."""
-    return [orbit_at(sys, start, n) for n in a.elements]
 
 
 class CoverMismatchError(ValueError):
     """The cover was built for a different system."""
 
 
-class GridCover:
-    """Resolution-eps partition of a system's space into replayable cells."""
-
-    system: System
-    resolution: float
-
-    def cell_of(self, state):
-        raise NotImplementedError
-
-    def cell_ids(self) -> Iterable:
-        raise NotImplementedError
-
-    def cell_count(self) -> int:
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class FiniteCover(GridCover):
+class FiniteCover:
     """Singleton cells for a finite system; ids are cycle positions 0..size-1."""
 
     system: FiniteSystem
@@ -542,10 +528,10 @@ class FiniteCover(GridCover):
 
 
 @dataclass(frozen=True)
-class TorusCover(GridCover):
+class TorusCover:
     """Half-open boxes [k/K, (k+1)/K)^d with K = ceil(1/eps), tiling exactly."""
 
-    system: System
+    system: TorusSystem
     dimension: int
     k: int
     resolution: float
@@ -614,15 +600,15 @@ class TorusCover(GridCover):
 
 
 @dataclass(frozen=True)
-class ProductCover(GridCover):
+class ProductCover:
     """Product of component covers; ids are (left id, right id) pairs."""
 
-    system: System
-    left: GridCover
-    right: GridCover
+    system: ProductSystem
+    left: object
+    right: object
 
     @property
-    def resolution(self) -> float:  # type: ignore[override]
+    def resolution(self) -> float:
         return max(self.left.resolution, self.right.resolution)
 
     def cell_of(self, state):
@@ -636,14 +622,7 @@ class ProductCover(GridCover):
         return self.left.cell_count() * self.right.cell_count()
 
 
-def cover_for(sys: System, eps: float = 1.0) -> GridCover:
-    """The canonical cover: singletons for finite systems, mesh <= eps grids otherwise."""
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
-    return sys.cover(eps)
-
-
-def eps_dense(sys: System, states: Sequence, cover: GridCover) -> Verdict:
+def eps_dense(sys, states: Sequence, cover) -> Verdict:
     """Does every cell of the cover contain at least one listed state?
 
     Fails with the first empty cell in canonical order.
@@ -666,7 +645,7 @@ def _smallest_prime_factor(n: int) -> int:
     return n
 
 
-def is_totally_minimal(sys: System) -> Verdict:
+def is_totally_minimal(sys) -> Verdict:
     """Is (X, T^n) minimal for every n?
 
     Exact on finite systems and rational rotations (any rational period q > 1
@@ -688,8 +667,3 @@ def is_totally_minimal(sys: System) -> Verdict:
             "rationally independent; not decidable from floats"
         )
     return Verdict.hold(note=note)
-
-
-def system_distance(sys: System, s1, s2) -> float:
-    """Discrete metric on finite systems, max circular distance on tori."""
-    return sys.distance(s1, s2)

@@ -22,12 +22,10 @@ from dynwindow import (
     build_ip_block_sequence,
     cesaro_average_along,
     cesaro_interval_closed_form,
-    cover_for,
     crosscheck_cyclic_equivalence,
     eps_dense,
     find_non_surjective_prime,
     finite_subcover,
-    orbit_along,
     product_transitive_finite,
     r_sequence_cyclic,
     random_windows,
@@ -146,8 +144,8 @@ def test_acceptance_7_equidistribution_surrogate():
     t0 = time.perf_counter()
     rot = RotationSystem.from_angle(GOLDEN)
     squares = Window(tuple(n * n for n in range(1, 10_001)), 10 ** 8)
-    states = orbit_along(rot, 0.0, squares)
-    assert eps_dense(rot, states, cover_for(rot, 0.05)).holds
+    states = [rot.orbit_at(0.0, n) for n in squares.elements]
+    assert eps_dense(rot, states, rot.cover(0.05)).holds
     n_max = 10_000
     trace = cesaro_average_along(interval(1, n_max, horizon=n_max), rot, 1)
     assert trace[n_max - 1] < 0.05

@@ -12,10 +12,9 @@ PUBLIC_NAMES = {
     "parse_sequence_file", "parse_sequence_text", "piecewise_syndetic_certificate",
     "shifted_hit", "write_sequence_file",
     # systems
-    "GOLDEN", "CoverMismatchError", "CyclicSystem", "FiniteCover", "GridCover",
+    "GOLDEN", "CoverMismatchError", "CyclicSystem", "FiniteCover",
     "OdometerSystem", "ProductCover", "ProductSystem", "RotationSystem",
-    "SkewProductSystem", "TorusCover", "cover_for", "eps_dense", "is_totally_minimal",
-    "orbit_along", "orbit_at", "system_distance",
+    "SkewProductSystem", "TorusCover", "eps_dense", "is_totally_minimal", "orbit_at",
     # recurrence
     "DEFAULT_SWEEP_SEED", "CoverageError", "ProductTransitivityResult", "RSequenceReport",
     "ReturnTimesResult", "birkhoff_window_test", "cesaro_average_along",

@@ -172,11 +172,45 @@ def test_crosscheck_single_file(squares_file, capsys):
     assert "holds" in capsys.readouterr().out  # the three predicates agree (all fail)
 
 
-@pytest.mark.parametrize("flag", ["--eps=0", "--eps=-1", "--start-grid=0", "--start-grid=-1"])
+@pytest.mark.parametrize("flag", ["--eps=0", "--eps=-1", "--eps=nan", "--start-grid=0", "--start-grid=-1"])
 def test_recurrence_nonpositive_eps_or_grid_is_operational_error(squares_file, capsys, flag):
     assert main(["recurrence", squares_file, "rot:golden", flag]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and captured.out == ""
+
+
+@pytest.mark.parametrize("family", ["rot:nan", "rot:inf", "rot:-inf", "rot:1e400", "rot:0.3,nan", "skew:nan", "skew:1e400"])
+def test_non_finite_angle_is_operational_error(squares_file, capsys, family):
+    assert main(["recurrence", squares_file, family]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: angle must be finite") and captured.out == ""
+
+
+def test_crosscheck_max_period_below_one_is_operational_error(squares_file, capsys):
+    assert main(["crosscheck", squares_file, "--max-period", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: max_period must be >= 1\n" and captured.out == ""
+
+
+def test_classify_horizon_zero_file(tmp_path, capsys):
+    # The density interval is clamped to length 1 = horizon + 1: the whole window.
+    path, out = tmp_path / "zero.txt", tmp_path / "report.json"
+    path.write_text("!horizon 0\n0\n")
+    assert main(["classify", str(path), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["banach_density"]["exact"] == "1/1"
+    assert report["sequence"]["horizon"] == 0 and report["sequence"]["count"] == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["classify", "FILE"], ["recurrence", "FILE", "cyclic:<=3"], ["permpoly", "check", "x", "--p", "3"],
+    ["construct", "example"], ["product", "cyclic:2", "cyclic:3"],
+])
+def test_only_crosscheck_takes_seed(squares_file, capsys, command):
+    argv = [squares_file if a == "FILE" else a for a in command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "9"])
+    assert exc.value.code == 2 and "unrecognized arguments: --seed 9" in capsys.readouterr().err
 
 
 # -- determinism and errors ------------------------------------------------------------
@@ -184,13 +218,13 @@ def test_recurrence_nonpositive_eps_or_grid_is_operational_error(squares_file, c
 
 def test_reports_byte_identical(squares_file, tmp_path, capsys):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-    main(["recurrence", squares_file, "cyclic:<=5", "--out", str(out1), "--seed", "9"])
-    main(["recurrence", squares_file, "cyclic:<=5", "--out", str(out2), "--seed", "9"])
+    main(["crosscheck", squares_file, "--max-period", "5", "--out", str(out1), "--seed", "9"])
+    main(["crosscheck", squares_file, "--max-period", "5", "--out", str(out2), "--seed", "9"])
     b1, b2 = out1.read_bytes(), out2.read_bytes()
     assert b1 == b2
     # params (with the seed) are embedded
     doc = json.loads(b1)
-    assert doc["params"]["seed"] == 9 and doc["params"]["family"] == "cyclic:<=5"
+    assert doc["params"]["seed"] == 9 and doc["params"]["max_period"] == 5
 
 
 def test_parse_error_exit_code_and_line(tmp_path, capsys):

@@ -16,49 +16,49 @@ from dynwindow.cli import main
 
 # argv (space-separated) -> (exit code, sha256 of stdout)
 GOLDEN = {
-    "classify squares.txt": (0, "65a0986ad29c5cbfbc85593785f80db154d556b1c8236dd564ad0797a08dc23d"),
-    "classify evens.txt --gap 2": (0, "09b218fcbd838cb558de5f16498cd757df8ef0061d81d352e6ec9d79b665531a"),
-    "recurrence squares.txt cyclic:<=3": (0, "6cafb2906ca678fc5b792e1e3f88490571d27829ec97a516589967f759208194"),
-    "recurrence squares.txt cyclic:<=3 --shifts=-2..2": (0, "a979269f29e1ad00315901ae6fb3346788745a6c85ba900de696d0b1e6cd0985"),
-    "recurrence interval.txt cyclic:<=50": (0, "ab0fb4689482fb34d4dd4bf29e404812d98352e5c0dd28b37d8cc0f7fb6a04b1"),
-    "recurrence squares.txt rot:golden": (0, "0ea623022b974aa08026986bab501768001037bbded642ec8077a80f614e4554"),
-    "recurrence squares.txt rot:golden --shifts=-2..2": (0, "c6d7941fdcca1ef5b6c8bdc760e1842fce4424ce8fbe35e9cf0d366b3138c843"),
-    "recurrence evens.txt rot:0.25,0.5": (0, "1b7e1a97c4e8502c81af6b7265d29473c6fe2d5d74de762bee1940eb26481ca5"),
-    "recurrence evens.txt rot:0.25,0.5 --shifts=-2..2": (0, "9d0a76685deea0c7c6ecc32d74a1ffec60e625935945a07f236f9b92b878ce55"),
-    "recurrence evens.txt skew:golden": (0, "c5a8ca7a15b73b8ccef4f68c9f225beefbfd93835eb9abb1dba990b1de949bd3"),
-    "recurrence evens.txt skew:golden --shifts=-2..2": (0, "39dfe6b465b86ab6158da72947ee46faf9a1c7a7c1995ceb82a3b15306fab6c0"),
-    "recurrence squares.txt rot:1/3": (0, "f9ffed4a125ffb06548f27df25a71d483de80a3092247ba9649383ff3d10c7d0"),
-    "recurrence squares.txt rot:1/3 --shifts=-2..2": (0, "c705378332f1e55f9ad05a3531ef83b54637f706670e2b4cde7092352bd50687"),
-    "recurrence interval.txt rot:golden --eps 0.1 --start-grid 0.5": (0, "3ba2efbf6d87fc006605d83311e87fff214bbe7ec301a5a02db1305a70fd9146"),
+    "classify squares.txt": (0, "41bb23c20be1c8caad8a6141c379a7f153d7c145f5ce28077f6b62179416f34d"),
+    "classify evens.txt --gap 2": (0, "8ac2457d67e9d984b0568b03e01923f74050c1e3ff76669ca93ef31b032370ba"),
+    "recurrence squares.txt cyclic:<=3": (0, "bc5e7dc54b403ecd8523f6073bbfdbb69b03a7b9b1d7bb6bd16ac1439d032930"),
+    "recurrence squares.txt cyclic:<=3 --shifts=-2..2": (0, "56db2647e115168bea90b36dac057367e3d9c6dec00db0fd607b836a0c6ba0f0"),
+    "recurrence interval.txt cyclic:<=50": (0, "51c5fd5366b0387fe273a3ddf913feafa64b80de81ec755e13f53e98dd691458"),
+    "recurrence squares.txt rot:golden": (0, "defbe855a077ebfdaa4877827b46dfc488464163e39fd291d1b8e59f335f9780"),
+    "recurrence squares.txt rot:golden --shifts=-2..2": (0, "1717273018fd96be7b99a85de779eec9190a85113e26796105c129aba912f540"),
+    "recurrence evens.txt rot:0.25,0.5": (0, "f45abe6467c014ca1c92126f21249d9a70ffdd3bbfe848a20c8de5fbdc07d0f3"),
+    "recurrence evens.txt rot:0.25,0.5 --shifts=-2..2": (0, "27de02761606122f5fa081aac22487cee0795222f8bef0c2f49f629717ff6b95"),
+    "recurrence evens.txt skew:golden": (0, "33e2d04edc7a9ae2e0e27d4c098e1130e2c8649be1f099ea9418175dc478a326"),
+    "recurrence evens.txt skew:golden --shifts=-2..2": (0, "77daa33aa5c0736a1537059f92e2bd1c545882494ace64993d7a3cd320fc6b80"),
+    "recurrence squares.txt rot:1/3": (0, "daaaf1ad45aa2f526738ace6f8b6b376129da61aa73f80d22e470fc6bad3427d"),
+    "recurrence squares.txt rot:1/3 --shifts=-2..2": (0, "137b4ee137d266c74b7843511d021e2d9a0e2731beeae0d7dfe4b864c3e718be"),
+    "recurrence interval.txt rot:golden --eps 0.1 --start-grid 0.5": (0, "5f95e73444458d208812a361f74e4c25f0e493a52f6d151ded4a7cdfb2aafcdb"),
     "crosscheck squares.txt --max-period 3 --shifts=-2..2": (0, "1d03ad2d08506718621e88a1c8f1ebe8077d9fb05a85cb15f80ade09b92f4b53"),
     "crosscheck evens.txt --max-period 5": (0, "ea3fc2d89e729b3a102fdb09def5d8f67aa571ffb1941d4cfbb464a369920570"),
     "crosscheck --count 5 --horizon 500 --seed 7": (0, "69a17e0adabb11890725bc42a966716cc55c1d1572cf26abf533137128ce98bd"),
-    "permpoly check x^2+3x+1 --p 7": (0, "4824fb0ebd5ba1c6da0ec8a2d9c2657913a1b4af2dc6fe1c7991eb6cb9251722"),
-    "permpoly check x^3 --p 11": (0, "234e3eec551d7aa45b5382e4cee4c655b4f6bda02d2d56ff21d71046c4723cb5"),
-    "permpoly find-prime x^2 --cap 100": (0, "562ef17ce53b27bbc3f1749fd07c321c3ea71d279ca7e3895879e2e923e766d0"),
-    "permpoly find-prime x^3+x --cap 1000": (0, "f39f64624a89a0deade7b14b2f31445da362cc77409af45ee5c3b7760e51b21a"),
-    "construct example --blocks 8": (0, "4175528f108f9d74785ddb58a5204511f18ef1ceaf690244444fa18eb1a010af"),
-    "product cyclic:2 cyclic:3": (0, "889d0c2996c10b84614e07bc4339855702f83a19a304e1adc1ddbdb689cf7c0c"),
-    "product cyclic:2 cyclic:2": (0, "41aae519255b848f267be3be5e13c579fc624bc83af75db24bc9bbfddf87b485"),
+    "permpoly check x^2+3x+1 --p 7": (0, "1cff16abdd93ae91d39eec44cb48d6f9098e0cee5b06aa95907ab8e12d3b9ea8"),
+    "permpoly check x^3 --p 11": (0, "9bfe8f52eebce9dabb315066c5851a642fb132cf0d17a8cb4d02d4974b9a0e66"),
+    "permpoly find-prime x^2 --cap 100": (0, "4b6d009e3fcb43ae4631c5b114bb6867ff30d49319f3845d1a720d73e65a7b0a"),
+    "permpoly find-prime x^3+x --cap 1000": (0, "5ee84a5939889e178166ee00da9d03fbbe74d2160e8c3f17acdac3358d77343e"),
+    "construct example --blocks 8": (0, "f33203ff03e70d620d34058094a89d4fea39f687e4ea22af3692b9401f7de000"),
+    "product cyclic:2 cyclic:3": (0, "7acef7d39e253c7febc4ce896cca305af39bcb2cdcfb2e1a281f3d2d55e5fd08"),
+    "product cyclic:2 cyclic:2": (0, "4e538d229b661b2f2b79c3b498f3ae44eae194529b6392c85547740820333e4e"),
     "recurrence squares.txt odo:2^3": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     # Elements above 2^62: residues and shifts take the Python path.
-    "recurrence huge.txt cyclic:<=7 --shifts=-3..3": (0, "f51d94d8486c9f32a3ef2acb0ac321f7f4a6146ad8c56f8c04c496a8e2526e14"),
-    "recurrence squares.txt cyclic:<=50 --shifts=-10..10": (0, "f272a338af188798237bba3874f3bf9ab5e793db7af2ca22665624923d433a96"),
+    "recurrence huge.txt cyclic:<=7 --shifts=-3..3": (0, "f14efd2c821e53fc903f03a038a2fbee9c7529632b40c8fb101287ea65301f4b"),
+    "recurrence squares.txt cyclic:<=50 --shifts=-10..10": (0, "ec7e396f367fab98a8b04e5b32b086f7ea4b5aeeed63743fa9153f447291007f"),
     # {0, 1, 2, 3} hugs 0, so the three predicates disagree at m = 2.
     "crosscheck low.txt --max-period 3 --shifts=-2..2": (0, "fb269f727c0e4d8c3f5abbdcc03c532abd6967e5d20bd95ebce8c14b0dc67a39"),
     # Torus corners: a non-dyadic skew angle, an exact 2-d rotation, and a
     # failing 2-d float rotation whose witness is a tuple cell.
     # Its float states land on cell edges: cells are the exact floor of x * k
     # since the cell-edge fix (15 -> 13 cells hit; the verdict is unchanged).
-    "recurrence evens.txt skew:0.3": (0, "866aa82772e248ea71c16d35c37816244ec4a13608fd109809db488da964c049"),
-    "recurrence squares.txt rot:2/7,1/3": (0, "89a0d1fc449910ffa5c950bd770ceb6b9c265fcc15a1af128cc357cb0c5980f4"),
-    "recurrence squares.txt rot:golden,0.41421356 --eps 0.02": (0, "18780578982093df4408f580d0ad90346db83ea46234e9a0351ff55a0ca669b1"),
+    "recurrence evens.txt skew:0.3": (0, "e5f6374797ba197a9680e10e5f2601a8835f1320d3408f8c8fd3e7884b0f7664"),
+    "recurrence squares.txt rot:2/7,1/3": (0, "36eb6e28b553420d42883d22702388199b6c59414959479921707a690abf0697"),
+    "recurrence squares.txt rot:golden,0.41421356 --eps 0.02": (0, "b8e9e61da0b128073691d0639df51d641614b66ff67c498bc549d50eb05b5ca0"),
     # Off the common layout, so parsed line by line: CRLF line ends (translated
     # on read), and leading zeros with comment and blank lines in the body.
-    "classify crlf.txt --gap 30": (0, "f189310fc566ccf2cb30cc57c9d0b1aff79849cb2017a266fc2907a28964b8fb"),
-    "recurrence crlf.txt cyclic:<=3": (0, "2d89efc171268521efe47cb4f81408316279304ba1d316f84038427f0faf8b57"),
-    "classify zeros.txt": (0, "1fb162963b24f1339019d3af61754c10788db4319ecda8e9f8b49973212cfd47"),
-    "recurrence zeros.txt cyclic:<=3 --shifts=-1..1": (0, "a437a8379ded0975b702994920ae43e2c7a561e31eeee0a957e01b3899d4050c"),
+    "classify crlf.txt --gap 30": (0, "db414ceb34559b2ad98c8877b0ff47185a7181640d73c7c49a0a904661b98688"),
+    "recurrence crlf.txt cyclic:<=3": (0, "55364a49c5d0a3537a186d172c4ba22ecaf18df0447c9d9e6abf0f6213bbf9f0"),
+    "classify zeros.txt": (0, "daa86e299917e1ea527d87c62e4751e2605cbd7a5f66fec8a2f7518f9b4436ae"),
+    "recurrence zeros.txt cyclic:<=3 --shifts=-1..1": (0, "ed98c03f0ed594a9a9233a280022774c904392f3a2cfa33b0c25eaa5b0319f75"),
 }
 
 

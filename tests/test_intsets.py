@@ -85,6 +85,9 @@ def test_window_restrict():
 def test_window_bitmask_sets_one_bit_per_element(elems, slack):
     w = Window(tuple(sorted(elems)), max(elems, default=0) + slack)
     assert w.bitmask == sum(1 << e for e in w.elements)
+    assert "array" not in w.__dict__  # the mask never computes an array
+    seeded = Window._trusted(w.elements, w.horizon, np.array(w.elements, dtype=np.int64))
+    assert seeded.bitmask == w.bitmask
 
 
 # -- is_syndetic ---------------------------------------------------------------
@@ -378,6 +381,8 @@ def _density_oracle(w: Window, length: int) -> Fraction:
 
 
 @given(st.lists(st.integers(0, 200), min_size=0, max_size=30, unique=True), st.integers(1, 50))
+@example([], 221)  # length horizon + 1: the whole window is the one interval
+@example([0, 7, 200], 221)
 @settings(max_examples=50, deadline=None)
 def test_density_matches_exhaustive_oracle(elems, length):
     w = Window(tuple(sorted(elems)), 220)

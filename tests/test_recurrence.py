@@ -23,12 +23,10 @@ from dynwindow import (
     birkhoff_window_test,
     cesaro_average_along,
     cesaro_interval_closed_form,
-    cover_for,
     crosscheck_cyclic_equivalence,
     eps_dense,
     finite_ip,
     finite_subcover,
-    orbit_along,
     product_transitive_finite,
     r_sequence_cyclic,
     r_sequence_metric,
@@ -57,20 +55,20 @@ def test_return_times_replayable_and_excludes_zero():
     sys = CyclicSystem(4)
     rt = return_times(sys, 0, 0, 20)
     assert rt.times.elements == (4, 8, 12, 16, 20)  # n = 0 not included
-    cover = cover_for(sys)
+    cover = sys.cover(1.0)
     for n in range(1, 21):
         assert (n in rt.times.as_set) == (cover.cell_of((0 + n) % 4) == 0)
 
 
 def test_return_times_rational_rotation_exact():
     rot = RotationSystem.from_rationals(Fraction(1, 3))
-    rt = return_times(rot, Fraction(0), 0, 9, cover=cover_for(rot, Fraction(1, 3)))
+    rt = return_times(rot, Fraction(0), 0, 9, cover=rot.cover(Fraction(1, 3)))
     assert rt.times.elements == (3, 6, 9)
 
 
 def test_return_times_skew_golden_nonempty():
     skew = SkewProductSystem(GOLDEN)
-    rt = return_times(skew, (0.0, 0.0), (0, 0), 10_000, cover=cover_for(skew, 0.1))
+    rt = return_times(skew, (0.0, 0.0), (0, 0), 10_000, cover=skew.cover(0.1))
     assert len(rt.times) > 0
     # replay the first hit
     n = rt.times.elements[0]
@@ -130,7 +128,7 @@ def test_exactness_bridge_cyclic_vs_eps_dense(elems, m):
     report = r_sequence_cyclic(w, m)
     covered = report.per_system[f"cyclic:{m}"]["covered"]
     sys = CyclicSystem(m)
-    dense = eps_dense(sys, orbit_along(sys, 0, w), cover_for(sys))
+    dense = eps_dense(sys, [sys.orbit_at(0, n) for n in w.elements], sys.cover(1.0))
     assert covered == dense.holds
 
 
@@ -306,6 +304,13 @@ def test_crosscheck_rejects_huge_elements():
         crosscheck_cyclic_equivalence(Window((10 ** 9,), 10 ** 9), 3, range(-1, 2))
 
 
+def test_crosscheck_rejects_max_period_below_one():
+    # As r_sequence_cyclic does: no m <= 0 to agree on, so nothing holds vacuously.
+    for max_period in (0, -1):
+        with pytest.raises(ValueError, match="max_period must be >= 1"):
+            crosscheck_cyclic_equivalence(interval(0, 10), max_period, range(-1, 2))
+
+
 @given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_crosscheck_agreement_property(data):
@@ -437,7 +442,7 @@ def test_birkhoff_exact_rotation_returns_exactly(base):
 
 def _per_state_r_sequence_metric(a, sys, eps, start_grid_resolution):
     family = f"{sys.spec_string()} eps={eps}"
-    cover = cover_for(sys, eps)
+    cover = sys.cover(eps)
     starts = sys.starts(start_grid_resolution)
     note = recurrence._metric_budget_note(a, sys, eps)
     if note is not None:
@@ -446,7 +451,7 @@ def _per_state_r_sequence_metric(a, sys, eps, start_grid_resolution):
     window_desc = f"{len(a)} elements on [0, {a.horizon}], eps={eps}"
     best = None
     for start in starts:
-        cells = {cover.cell_of(s) for s in orbit_along(sys, start, a)}
+        cells = {cover.cell_of(sys.orbit_at(start, n)) for n in a.elements}
         if len(cells) == total:
             detail = {str(start): {"cells_hit": total, "cells": total}}
             return recurrence.RSequenceReport(
@@ -568,8 +573,8 @@ def test_metric_huge_cover_reports_without_listing_cells():
     # (the per-state loop's itertools.product over them raises MemoryError).
     rot = RotationSystem((GOLDEN, 0.3))
     w = interval(0, 100)
-    cover = cover_for(rot, 1e-10)
-    hit = len({cover.cell_of(s) for s in orbit_along(rot, (0.0, 0.0), w)})
+    cover = rot.cover(1e-10)
+    hit = len({cover.cell_of(rot.orbit_at((0.0, 0.0), n)) for n in w.elements})
     report = r_sequence_metric(w, rot, 1e-10, 0.5)
     assert report.verdict.fails and report.verdict.witness == (0, 1)
     assert report.per_system == {"(0.0, 0.0)": {"cells_hit": hit, "cells": 10 ** 20, "empty_cell": (0, 1)}}

@@ -22,12 +22,9 @@ from dynwindow import (
     RotationSystem,
     SkewProductSystem,
     Window,
-    cover_for,
     eps_dense,
     is_totally_minimal,
-    orbit_along,
     orbit_at,
-    system_distance,
 )
 
 
@@ -41,20 +38,20 @@ def test_step_examples():
 
 def test_orbit_along_squares_mod_5():
     w = squares(10, horizon=100)
-    states = orbit_along(CyclicSystem(5), 0, w)
+    states = [CyclicSystem(5).orbit_at(0, n) for n in w.elements]
     assert states == [n * n % 5 for n in range(11)]
     assert set(states) == {0, 1, 4}
 
 
 def test_orbit_along_zero_rotation_is_constant():
     rot = RotationSystem.from_angle(0.0)
-    states = orbit_along(rot, 0.3, Window((1, 5, 9), 10))
+    states = [rot.orbit_at(0.3, n) for n in Window((1, 5, 9), 10).elements]
     assert states == [0.3, 0.3, 0.3]
 
 
 def test_orbit_along_odometer_positional():
     odo = OdometerSystem(2, 3)
-    assert orbit_along(odo, 0, Window((1, 2, 4), 8)) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert [odo.orbit_at(0, n) for n in Window((1, 2, 4), 8).elements] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     assert orbit_at(odo, (1, 1, 1), 1) == (0, 0, 0)  # wraps at p^d
 
 
@@ -100,8 +97,8 @@ def test_rational_rotation_matches_cycle():
     rot = RotationSystem.from_rationals(Fraction(5, q))
     cyc = CyclicSystem(q)
     w = Window(tuple(range(0, 3 * q)), 3 * q)
-    rot_orbit = orbit_along(rot, Fraction(0), w)
-    cyc_orbit = orbit_along(cyc, 0, w)
+    rot_orbit = [rot.orbit_at(Fraction(0), n) for n in w.elements]
+    cyc_orbit = [cyc.orbit_at(0, n) for n in w.elements]
     assert set(rot_orbit) == {Fraction(k, q) for k in range(q)}
     # bijection k/q <-> k intertwines the two orbits exactly
     assert [Fraction(5 * k % q, q) for k in cyc_orbit] == rot_orbit
@@ -110,9 +107,9 @@ def test_rational_rotation_matches_cycle():
 def test_product_orbit_projects_to_components():
     sysp = ProductSystem(CyclicSystem(4), OdometerSystem(2, 2))
     w = Window(tuple(range(10)), 10)
-    states = orbit_along(sysp, (1, 0), w)
-    assert [s[0] for s in states] == orbit_along(CyclicSystem(4), 1, w)
-    assert [s[1] for s in states] == orbit_along(OdometerSystem(2, 2), 0, w)
+    states = [sysp.orbit_at((1, 0), n) for n in w.elements]
+    assert [s[0] for s in states] == [CyclicSystem(4).orbit_at(1, n) for n in w.elements]
+    assert [s[1] for s in states] == [OdometerSystem(2, 2).orbit_at(0, n) for n in w.elements]
 
 
 @pytest.mark.parametrize("m,n", [(2, 3), (2, 2), (4, 6), (5, 7), (1, 9)])
@@ -132,36 +129,36 @@ def test_product_cycle_orbit_size_is_lcm(m, n):
 
 def test_eps_dense_squares_mod_3_misses_cell_2():
     cyc = CyclicSystem(3)
-    states = orbit_along(cyc, 0, squares(100, horizon=10_000))
-    v = eps_dense(cyc, states, cover_for(cyc))
+    states = [cyc.orbit_at(0, n) for n in squares(100, horizon=10_000).elements]
+    v = eps_dense(cyc, states, cyc.cover(1.0))
     assert v.fails and v.witness == 2
 
 
 def test_eps_dense_full_residues_holds():
     cyc = CyclicSystem(6)
-    v = eps_dense(cyc, list(range(6)), cover_for(cyc))
+    v = eps_dense(cyc, list(range(6)), cyc.cover(1.0))
     assert v.holds
 
 
 def test_eps_dense_golden_orbit_by_three_distance_oracle():
     rot = RotationSystem.from_angle(GOLDEN)
     w = Window(tuple(range(0, 201)), 200)
-    states = orbit_along(rot, 0.0, w)
+    states = [rot.orbit_at(0.0, n) for n in w.elements]
     # oracle: sorted points, max circular gap below the cell size
     pts = sorted(states)
     gaps = [b - a for a, b in zip(pts, pts[1:])] + [1.0 - pts[-1] + pts[0]]
     assert max(gaps) < 0.02
-    v = eps_dense(rot, states, cover_for(rot, 0.02))
+    v = eps_dense(rot, states, rot.cover(0.02))
     assert v.holds
 
 
 def test_eps_dense_cover_mismatch_raises():
     with pytest.raises(CoverMismatchError):
-        eps_dense(CyclicSystem(3), [0], cover_for(CyclicSystem(4)))
+        eps_dense(CyclicSystem(3), [0], CyclicSystem(4).cover(1.0))
 
 
 def test_torus_cover_tiles_half_open():
-    cover = cover_for(RotationSystem.from_angle(GOLDEN), 0.02)
+    cover = RotationSystem.from_angle(GOLDEN).cover(0.02)
     assert cover.k == 50
     assert cover.cell_of(0.0) == 0
     assert cover.cell_of(0.02) == 1  # left-closed boundary
@@ -174,7 +171,7 @@ def test_torus_cover_tiles_half_open():
 @settings(max_examples=80, deadline=None)
 def test_torus_cover_every_point_in_exactly_one_cell(x, k):
     rot = RotationSystem.from_angle(GOLDEN)
-    cover = cover_for(rot, 1.0 / k)
+    cover = rot.cover(1.0 / k)
     cell = cover.cell_of(x)
     assert 0 <= cell < cover.cell_count()
     # cell boundaries replay: x lies in [cell/k', (cell+1)/k')
@@ -187,7 +184,7 @@ def test_torus_cover_cell_is_the_exact_floor_at_float_cell_edges():
     # cell_of and the array path flat_ids both take floor(Fraction(x) * k).
     xs = [0.3333333333333333, 0.6, 0.3, 0.7, 0.1, 0.9, 0.0, 0.5, 1 / 3, 2 / 3, 0.9999999999999999]
     for k in range(1, 41):
-        cover = cover_for(RotationSystem.from_angle(GOLDEN), 1.0 / k)
+        cover = RotationSystem.from_angle(GOLDEN).cover(1.0 / k)
         expected = [min(math.floor(Fraction(x) * cover.k), cover.k - 1) for x in xs]
         assert [cover.cell_of(x) for x in xs] == expected
         assert cover.flat_ids([np.array(xs)]).tolist() == expected
@@ -196,22 +193,22 @@ def test_torus_cover_cell_is_the_exact_floor_at_float_cell_edges():
 def test_eps_dense_on_a_cover_too_large_to_list():
     # 10^10 x 10^10 cells: the cells are visited in order, never listed.
     sys = RotationSystem((GOLDEN, 0.3))
-    verdict = eps_dense(sys, [(0.0, 0.0)], cover_for(sys, 1e-10))
+    verdict = eps_dense(sys, [(0.0, 0.0)], sys.cover(1e-10))
     assert verdict.fails and verdict.witness == (0, 1)
     prod = ProductSystem(CyclicSystem(2), sys)
-    verdict = eps_dense(prod, [(0, (0.0, 0.0))], cover_for(prod, 1e-10))
+    verdict = eps_dense(prod, [(0, (0.0, 0.0))], prod.cover(1e-10))
     assert verdict.fails and verdict.witness == (0, (0, 1))
 
 
 def test_product_cover_cells_are_pairs():
     sysp = ProductSystem(CyclicSystem(2), CyclicSystem(3))
-    cover = cover_for(sysp)
+    cover = sysp.cover(1.0)
     assert list(cover.cell_ids()) == [(a, b) for a in range(2) for b in range(3)]
     assert cover.cell_of((1, 2)) == (1, 2)
 
 
 def test_skew_cover_is_2d():
-    cover = cover_for(SkewProductSystem(GOLDEN), 0.25)
+    cover = SkewProductSystem(GOLDEN).cover(0.25)
     assert cover.cell_count() == 16
     assert cover.cell_of((0.3, 0.8)) == (1, 3)
 
@@ -259,11 +256,11 @@ def test_rational_skew_not_minimal():
 
 
 def test_system_distance():
-    assert system_distance(CyclicSystem(5), 1, 6) == 0.0
-    assert system_distance(CyclicSystem(5), 1, 2) == 1.0
-    assert system_distance(RotationSystem.from_angle(0.1), 0.95, 0.05) == pytest.approx(0.1)
+    assert CyclicSystem(5).distance(1, 6) == 0.0
+    assert CyclicSystem(5).distance(1, 2) == 1.0
+    assert RotationSystem.from_angle(0.1).distance(0.95, 0.05) == pytest.approx(0.1)
     skew = SkewProductSystem(GOLDEN)
-    assert system_distance(skew, (0.0, 0.9), (0.0, 0.1)) == pytest.approx(0.2)
+    assert skew.distance((0.0, 0.9), (0.0, 0.1)) == pytest.approx(0.2)
 
 
 def test_spec_strings():
@@ -288,15 +285,14 @@ PROTOCOL_CASES = [
 @pytest.mark.parametrize("sys,start,cover_type", PROTOCOL_CASES, ids=lambda v: type(v).__name__)
 def test_every_system_answers_the_protocol(sys, start, cover_type):
     stepped = sys.step(start)
-    assert system_distance(sys, sys.orbit_at(start, 1), stepped) <= 1e-12
+    assert sys.distance(sys.orbit_at(start, 1), stepped) <= 1e-12
     assert orbit_at(sys, start, 12) == sys.orbit_at(start, 12)
     walk = list(sys.trajectory(start, 4))
-    assert len(walk) == 4 and system_distance(sys, walk[0], stepped) <= 1e-12
-    assert system_distance(sys, walk[3], sys.orbit_at(start, 4)) <= 1e-12
+    assert len(walk) == 4 and sys.distance(walk[0], stepped) <= 1e-12
+    assert sys.distance(walk[3], sys.orbit_at(start, 4)) <= 1e-12
     cover = sys.cover(0.25)
-    assert type(cover) is cover_type and cover.system == sys and cover == cover_for(sys, 0.25)
+    assert type(cover) is cover_type and cover.system == sys
     assert sys.distance(start, start) == 0.0
-    assert system_distance(sys, start, stepped) == sys.distance(start, stepped)
     q, caveat, minimal = sys.rational_structure()
     assert isinstance(caveat, bool) and isinstance(minimal, bool) and (q is None) == (not minimal)
     assert isinstance(sys.exact_orbits, bool)
@@ -306,6 +302,20 @@ def test_every_system_answers_the_protocol(sys, start, cover_type):
     else:
         starts = sys.starts(0.5)
         assert len(starts) == len({cover.cell_of(s) for s in starts})
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("sys", [case[0] for case in PROTOCOL_CASES], ids=lambda v: type(v).__name__)
+def test_cover_rejects_eps_not_above_zero(sys, eps):
+    with pytest.raises(ValueError, match="eps must be > 0"):
+        sys.cover(eps)
+
+
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_non_finite_angles_are_rejected(angle):
+    for make, arg in ((RotationSystem, (angle,)), (RotationSystem, (GOLDEN, angle)), (SkewProductSystem, angle)):
+        with pytest.raises(ValueError, match="angle must be finite"):
+            make(arg)
 
 
 def test_start_sets():
