@@ -36,6 +36,8 @@ FILES = {
     "blocks.txt": "!horizon 3000\n"
     + "".join(f"{n}\n" for b in range(0, 3000, 300) for n in range(b, b + 40 + b // 30)),
     "zero.txt": "!horizon 0\n0\n",
+    # Small elements under a horizon past 2^62.
+    "wide.txt": f"!horizon {2 ** 63}\n" + "".join(f"{n * n}\n" for n in range(101)),
 }
 
 # Files off the common layout: each is parsed line by line, or rejected with its line.
@@ -72,11 +74,14 @@ CALLS = [
     "classify huge.txt --gap 100000 --block 1000000",
     "classify low.txt --gap 60 --run 5 --block 51",
     "classify zero.txt",
+    "classify wide.txt",
+    "classify interval.txt --density-length 0",
     "recurrence squares.txt cyclic:<=3",
     "recurrence squares.txt cyclic:<=3 --shifts=-2..2",
     "recurrence squares.txt cyclic:<=50 --shifts=-10..10",
     "recurrence interval.txt cyclic:<=50",
     "recurrence huge.txt cyclic:<=7 --shifts=-3..3",
+    "recurrence wide.txt cyclic:<=12 --shifts=-2..2",
     "recurrence blocks.txt cyclic:<=20 --horizon 2000 --shifts=-1..1",
     "recurrence squares.txt rot:golden",
     "recurrence squares.txt rot:golden --shifts=-2..2",
@@ -102,7 +107,9 @@ CALLS = [
     "crosscheck low.txt --max-period 3 --shifts=-2..2",
     "crosscheck blocks.txt --horizon 4000",
     "crosscheck squares.txt --max-period 0",
+    "crosscheck squares.txt --horizon 1000001 --max-period 2",
     "crosscheck --count 5 --horizon 500 --seed 7",
+    "crosscheck --count 0 --horizon 500",
     "permpoly check x^2+3x+1 --p 7",
     "permpoly check x^3 --p 11",
     "permpoly find-prime x^2 --cap 100",

@@ -33,6 +33,7 @@ from .systems import (
     SkewProductSystem,
 )
 from .recurrence import (
+    _CROSSCHECK_HORIZON_CAP,
     DEFAULT_SWEEP_SEED,
     crosscheck_cyclic_equivalence,
     product_transitive_finite,
@@ -194,13 +195,16 @@ def _verdict_line(label: str, v: Verdict) -> str:
 
 
 def _cmd_classify(args) -> tuple[dict, list[str], int]:
+    if args.density_length < 1:
+        raise ValueError(f"--density-length must be >= 1, got {args.density_length}")
     w = _load_window(args.path, args.horizon)
     checks = {
         "syndetic": is_syndetic(w, args.gap),
         "thick": is_thick(w, args.run),
         "piecewise_syndetic": piecewise_syndetic_certificate(w, args.gap, args.block),
     }
-    density = banach_density_estimate(w, min(args.density_length, w.horizon) or 1)
+    density_length = min(args.density_length, w.horizon) or 1
+    density = banach_density_estimate(w, density_length)
     report = {
         "sequence": _sequence_info(args.path, w),
         "family": "window classifiers",
@@ -212,7 +216,7 @@ def _cmd_classify(args) -> tuple[dict, list[str], int]:
         _verdict_line(f"syndetic (gap {args.gap})", checks["syndetic"]),
         _verdict_line(f"thick (run {args.run})", checks["thick"]),
         _verdict_line(f"piecewise-syndetic certificate (gap {args.gap}, block {args.block})", checks["piecewise_syndetic"]),
-        f"banach density (length {args.density_length}): {density} = {float(density):.6g}",
+        f"banach density (length {density_length}): {density} = {float(density):.6g}",
     ]
     return report, summary, 0
 
@@ -251,10 +255,10 @@ def _cmd_crosscheck(args) -> tuple[dict, list[str], int]:
     if args.path:
         windows = [(_load_window(args.path, args.horizon), args.path)]
     else:
-        windows = [
-            (w, f"seeded[{i}]")
-            for i, w in enumerate(random_windows(args.count, args.horizon or 10_000, seed=args.seed))
-        ]
+        horizon = args.horizon or 10_000
+        if horizon > _CROSSCHECK_HORIZON_CAP:
+            raise ValueError(f"sweep horizon {horizon} exceeds the cross-check's {_CROSSCHECK_HORIZON_CAP} cap")
+        windows = [(w, f"seeded[{i}]") for i, w in enumerate(random_windows(args.count, horizon, seed=args.seed))]
     verdicts = [crosscheck_cyclic_equivalence(w, args.max_period, args.shifts) for w, _ in windows]
     entries = [{"sequence": _sequence_info(name, w), **v.to_json()} for (w, name), v in zip(windows, verdicts)]
     disagreements = sum(not v.holds for v in verdicts)

@@ -42,15 +42,20 @@ _BITMASK_HORIZON_CAP = 4_000_000
 # Spans beyond this would need >128MB FFT scratch; fall back to the scan.
 _FFT_SPAN_CAP = 8_000_000
 
-# Windows with an element above this have no int64 array: sums of two such
-# values (an element plus a shift, say) could overflow 64 bits.
-_ARRAY_ELEMENT_CAP = 2 ** 62
+# Element arrays are int64 for horizons below this, so the sum of two values up
+# to the horizon (an element plus a shift, say) still fits; past it they hold
+# Python ints (dtype object).
+_INT64_HORIZON_CAP = 2 ** 62
 
 # Bits a cross-check may keep in the shifted copies of one window (32 MiB);
 # 601 shifts at horizon 10^6 would otherwise keep 75 MB alive.
 _SHIFT_FAMILY_BITS_CAP = 2 ** 28
 
 Witness = Union[int, tuple, None]
+
+
+def _dtype(horizon: int):
+    return np.int64 if horizon < _INT64_HORIZON_CAP else object
 
 
 class Status(Enum):
@@ -134,16 +139,16 @@ class Window:
                 )
 
     @classmethod
-    def _trusted(cls, elements: tuple, horizon: int, array: Optional[np.ndarray] = None) -> "Window":
+    def _trusted(cls, elements: tuple, horizon: int, seed: Optional[np.ndarray] = None) -> "Window":
         # For elements already known to be strictly ascending naturals <= horizon:
-        # skips the ascent check.  ``array``, the same elements as int64, seeds
-        # Window.array unless an element is past its cap.
+        # skips the ascent check.  ``seed``, the same elements as an array,
+        # becomes Window.array in the dtype of this horizon.
         if horizon < 0:
             raise ValueError(f"horizon must be >= 0, got {horizon}")
         w = object.__new__(cls)
         w.__dict__.update(elements=elements, horizon=horizon)
-        if array is not None and (not elements or elements[-1] <= _ARRAY_ELEMENT_CAP):
-            w.__dict__["array"] = array
+        if seed is not None:
+            w.__dict__["array"] = seed.astype(_dtype(horizon), copy=False)
         return w
 
     def __len__(self) -> int:
@@ -157,11 +162,9 @@ class Window:
         return frozenset(self.elements)
 
     @cached_property
-    def array(self):
-        """The elements as an int64 numpy array, or None if one exceeds 2^62."""
-        if self.elements and self.elements[-1] > _ARRAY_ELEMENT_CAP:
-            return None
-        return np.asarray(self.elements, dtype=np.int64)
+    def array(self) -> np.ndarray:
+        """The elements as a numpy array: int64 below horizon 2^62, Python ints (object) from there."""
+        return np.array(self.elements, dtype=_dtype(self.horizon))
 
     @cached_property
     def bitmask(self) -> Optional[int]:
@@ -182,22 +185,16 @@ class Window:
         # The survivors are the one contiguous run with -n <= e <= horizon - n.
         lo = bisect.bisect_left(self.elements, -n)
         hi = bisect.bisect_right(self.elements, self.horizon - n)
-        if self.array is not None and abs(n) < _ARRAY_ELEMENT_CAP:
-            shifted = self.array[lo:hi] + n
-            return Window._trusted(tuple(shifted.tolist()), self.horizon, shifted)
-        return Window._trusted(tuple(e + n for e in self.elements[lo:hi]), self.horizon)
+        if lo == hi:
+            return Window._trusted((), self.horizon, self.array[:0])
+        # A survivor e + n lies in [0, horizon], so n fits the array's dtype.
+        shifted = self.array[lo:hi] + n
+        return Window._trusted(tuple(shifted.tolist()), self.horizon, shifted)
 
     def restrict(self, horizon: int) -> "Window":
         """Re-windowed copy: elements above the new horizon are dropped, a larger one keeps all."""
         cut = bisect.bisect_right(self.elements, horizon)
-        array = self.array
-        return Window._trusted(self.elements[:cut], horizon, None if array is None else array[:cut])
-
-
-def _int64_elements(w: Window) -> Optional[np.ndarray]:
-    # The int64 array the classifiers scan, or None for the Python scans: when
-    # the horizon is below 2^62, a sum of two values up to it fits in int64.
-    return w.array if w.horizon < _ARRAY_ELEMENT_CAP else None
+        return Window._trusted(self.elements[:cut], horizon, self.array[:cut])
 
 
 class SequenceFormatError(ValueError):
@@ -218,17 +215,9 @@ def is_syndetic(w: Window, gap_bound: int) -> Verdict:
     if w.horizon + 1 < gap_bound:
         return Verdict.hold(note=f"vacuous: no run of {gap_bound} fits inside [0, {w.horizon}]")
     # prev: the element (or -1) before the first empty gap_bound-run, else the last one.
-    a = _int64_elements(w)
-    if a is None:
-        prev = -1
-        for e in w.elements:
-            if e - prev - 1 >= gap_bound:
-                break
-            prev = e
-    else:
-        prevs = np.concatenate(([-1], a))
-        gaps = np.flatnonzero(np.diff(prevs) > gap_bound)
-        prev = int(prevs[gaps[0]] if gaps.size else prevs[-1])
+    prevs = np.concatenate(([-1], w.array))
+    gaps = np.flatnonzero(np.diff(prevs) > gap_bound)
+    prev = int(prevs[gaps[0]] if gaps.size else prevs[-1])
     # A gap found before an element leaves horizon - prev > gap_bound, so this test fails it too.
     if w.horizon - prev >= gap_bound:
         return Verdict.fail(prev + 1, note=f"empty run [{prev + 1}, {prev + gap_bound}]")
@@ -241,20 +230,8 @@ def is_thick(w: Window, run_length: int) -> Verdict:
         raise ValueError("run_length must be >= 1")
     # found: the start of the first run of run_length; best_*: the first longest run.
     found, best_len, best_start = None, 0, None
-    a = _int64_elements(w)
-    if a is None:
-        run_start = prev = None
-        for e in w.elements:
-            if prev is None or e != prev + 1:
-                run_start = e
-            run_len = e - run_start + 1
-            if run_len > best_len:
-                best_len, best_start = run_len, run_start
-            if run_len >= run_length:
-                found = run_start
-                break
-            prev = e
-    elif a.size:
+    a = w.array
+    if a.size:
         firsts = np.concatenate(([0], np.flatnonzero(np.diff(a) != 1) + 1))
         lengths = np.diff(firsts, append=a.size)
         long_runs = np.flatnonzero(lengths >= min(run_length, a.size + 1))
@@ -287,19 +264,8 @@ def piecewise_syndetic_certificate(w: Window, gap_bound: int, block_length: int)
     # A valid interval must sit around a maximal chain of elements whose
     # successive differences are <= gap_bound; it may extend gap_bound-1
     # past the chain on either side.
-    a = _int64_elements(w)
-    if a is None:
-        i, n = 0, len(w.elements)
-        while i < n:
-            j = i
-            while j + 1 < n and w.elements[j + 1] - w.elements[j] <= gap_bound:
-                j += 1
-            lo = max(0, w.elements[i] - gap_bound + 1)
-            hi = min(w.horizon, w.elements[j] + gap_bound - 1)
-            if hi - lo + 1 >= block_length:
-                return Verdict.hold(lo, note=f"interval [{lo}, {lo + block_length - 1}]")
-            i = j + 1
-    elif a.size:
+    a = w.array
+    if a.size:
         breaks = np.flatnonzero(np.diff(a) > gap_bound)
         lo = np.maximum(a[np.concatenate(([0], breaks + 1))] - (gap_bound - 1), 0)
         hi = np.minimum(a[np.append(breaks, a.size - 1)] + (gap_bound - 1), w.horizon)
@@ -331,7 +297,7 @@ def difference_set(w: Window) -> Window:
     if n > 400 and span <= _FFT_SPAN_CAP:
         base = w.elements[0]
         ind = np.zeros(span + 1)
-        ind[w.array - base if w.array is not None else [e - base for e in w.elements]] = 1.0
+        ind[(w.array - base).astype(np.int64, copy=False)] = 1.0
         size = 1
         while size < 2 * (span + 1):
             size *= 2
@@ -430,24 +396,12 @@ def banach_density_estimate(w: Window, interval_length: int) -> Fraction:
         raise ValueError("need 1 <= interval_length <= horizon + 1")
     if not w.elements:
         return Fraction(0)
-    elems = w.elements
-    last_start = w.horizon - interval_length + 1
+    a, last_start = w.array, w.horizon - interval_length + 1
     # The max is attained by an interval starting at an element, or at the
     # rightmost admissible start.
-    a = _int64_elements(w)
-    if a is None:
-        best = 0
-        starts = [e for e in elems if e <= last_start]
-        starts.append(last_start)
-        for x in starts:
-            count = bisect.bisect_right(elems, x + interval_length - 1) - bisect.bisect_left(elems, x)
-            if count > best:
-                best = count
-    else:
-        starts = np.append(a[: np.searchsorted(a, last_start, side="right")], last_start)
-        counts = np.searchsorted(a, starts + (interval_length - 1), side="right") - np.searchsorted(a, starts)
-        best = int(counts.max())
-    return Fraction(best, interval_length)
+    starts = np.append(a[: np.searchsorted(a, last_start, side="right")], last_start)
+    counts = np.searchsorted(a, starts + (interval_length - 1), side="right") - np.searchsorted(a, starts)
+    return Fraction(int(counts.max()), interval_length)
 
 
 # -- sequence file format -----------------------------------------------------

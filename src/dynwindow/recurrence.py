@@ -46,9 +46,9 @@ __all__ = [
 
 DEFAULT_SWEEP_SEED = 1729
 
-# Element bound beyond which the cross-check would have to materialize
+# Horizon beyond which the cross-check would have to materialize
 # impractically large return-time / difference windows.
-_CROSSCHECK_ELEMENT_CAP = 1_000_000
+_CROSSCHECK_HORIZON_CAP = 1_000_000
 
 # birkhoff_window_test reads each start's orbit in slices of this many
 # times, then twice, four times as many, ...: a return at index i costs O(i).
@@ -107,16 +107,8 @@ def return_times(sys, start, cell, horizon: int, cover=None) -> ReturnTimesResul
 
 def _missing_residue(a: Window, m: int) -> Optional[int]:
     """Smallest residue class mod m not hit by the window, or None if covered."""
-    if not a.elements:
-        return 0
-    if a.array is not None:
-        empty = np.flatnonzero(np.bincount(a.array % m, minlength=m) == 0)
-        return int(empty[0]) if empty.size else None
-    seen = {e % m for e in a.elements}
-    for r in range(m):
-        if r not in seen:
-            return r
-    return None
+    empty = np.flatnonzero(np.bincount((a.array % m).astype(np.int64, copy=False), minlength=m) == 0)
+    return int(empty[0]) if empty.size else None
 
 
 def r_sequence_cyclic(a: Window, max_period: int) -> RSequenceReport:
@@ -310,10 +302,10 @@ def crosscheck_cyclic_equivalence(a: Window, max_period: int, shifts: Iterable[i
     """
     if max_period < 1:
         raise ValueError("max_period must be >= 1")
-    if a.elements and a.elements[-1] > _CROSSCHECK_ELEMENT_CAP:
+    if a.horizon > _CROSSCHECK_HORIZON_CAP:
         raise ValueError(
-            f"cross-check materializes comparison windows up to the largest element; "
-            f"{a.elements[-1]} exceeds the {_CROSSCHECK_ELEMENT_CAP} cap"
+            f"cross-check materializes comparison windows up to the horizon; "
+            f"{a.horizon} exceeds the {_CROSSCHECK_HORIZON_CAP} cap"
         )
     shifts = sorted(shifts)
     if not shifts:
@@ -448,6 +440,8 @@ def random_windows(
     never triggers; identical (count, horizon, seed, ...) give identical
     windows byte for byte.
     """
+    if count < 1:
+        raise ValueError("count must be >= 1")
     if min_element > horizon:
         raise ValueError("min_element beyond horizon")
     rng = np.random.default_rng(seed)

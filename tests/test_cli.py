@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from dynwindow import Window, parse_sequence_file, write_sequence_file
+from dynwindow import Window, cli, parse_sequence_file, write_sequence_file
 from dynwindow.cli import main, parse_system_spec, SystemSpecError
 from dynwindow.systems import CyclicSystem, OdometerSystem, ProductSystem, RotationSystem, SkewProductSystem, GOLDEN
 
@@ -200,6 +200,39 @@ def test_classify_horizon_zero_file(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["banach_density"]["exact"] == "1/1"
     assert report["sequence"]["horizon"] == 0 and report["sequence"]["count"] == 1
+
+
+@pytest.mark.parametrize("length, used", [(1000, 100), (7, 7)])
+def test_classify_prints_the_density_length_it_used(tmp_path, capsys, length, used):
+    # A request longer than the horizon is clamped; the summary names the clamped length.
+    path, out = tmp_path / "interval.txt", tmp_path / "report.json"
+    write_sequence_file(path, Window(tuple(range(101)), 100))
+    assert main(["classify", str(path), "--density-length", str(length), "--out", str(out)]) == 0
+    assert f"banach density (length {used}): 1 = 1\n" in capsys.readouterr().out
+    assert json.loads(out.read_text())["params"]["density_length"] == length
+
+
+@pytest.mark.parametrize("length", ["0", "-5"])
+def test_classify_density_length_below_one_is_operational_error(evens_file, capsys, length):
+    assert main(["classify", evens_file, "--density-length", length]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --density-length must be >= 1, got {length}\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_crosscheck_empty_sweep_is_operational_error(capsys, count):
+    assert main(["crosscheck", "--count", count, "--horizon", "500"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: count must be >= 1\n" and captured.out == ""
+
+
+def test_crosscheck_sweep_horizon_past_the_cap_draws_nothing(monkeypatch, capsys):
+    def draw(*args, **kwargs):
+        raise AssertionError("random_windows called")
+
+    monkeypatch.setattr(cli, "random_windows", draw)
+    assert main(["crosscheck", "--count", "2", "--horizon", "1000001"]) == 1
+    assert capsys.readouterr().err == "error: sweep horizon 1000001 exceeds the cross-check's 1000000 cap\n"
 
 
 @pytest.mark.parametrize("command", [

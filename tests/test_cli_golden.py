@@ -41,7 +41,7 @@ GOLDEN = {
     "product cyclic:2 cyclic:3": (0, "7acef7d39e253c7febc4ce896cca305af39bcb2cdcfb2e1a281f3d2d55e5fd08"),
     "product cyclic:2 cyclic:2": (0, "4e538d229b661b2f2b79c3b498f3ae44eae194529b6392c85547740820333e4e"),
     "recurrence squares.txt odo:2^3": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    # Elements above 2^62: residues and shifts take the Python path.
+    # Horizon above 2^62: residues and shifts run on arrays of Python ints.
     "recurrence huge.txt cyclic:<=7 --shifts=-3..3": (0, "f14efd2c821e53fc903f03a038a2fbee9c7529632b40c8fb101287ea65301f4b"),
     "recurrence squares.txt cyclic:<=50 --shifts=-10..10": (0, "ec7e396f367fab98a8b04e5b32b086f7ea4b5aeeed63743fa9153f447291007f"),
     # {0, 1, 2, 3} hugs 0, so the three predicates disagree at m = 2.
@@ -55,9 +55,9 @@ GOLDEN = {
     "recurrence squares.txt rot:golden,0.41421356 --eps 0.02": (0, "b8e9e61da0b128073691d0639df51d641614b66ff67c498bc549d50eb05b5ca0"),
     # Off the common layout, so parsed line by line: CRLF line ends (translated
     # on read), and leading zeros with comment and blank lines in the body.
-    "classify crlf.txt --gap 30": (0, "db414ceb34559b2ad98c8877b0ff47185a7181640d73c7c49a0a904661b98688"),
+    "classify crlf.txt --gap 30": (0, "20538a4e3fff8015e0247456909332727ea9662a1c67ae48cab77912a550f9fe"),
     "recurrence crlf.txt cyclic:<=3": (0, "55364a49c5d0a3537a186d172c4ba22ecaf18df0447c9d9e6abf0f6213bbf9f0"),
-    "classify zeros.txt": (0, "daa86e299917e1ea527d87c62e4751e2605cbd7a5f66fec8a2f7518f9b4436ae"),
+    "classify zeros.txt": (0, "5c3a87023a4250bf8439b7d69512106dafc589294dcd4650402a8657bd216900"),
     "recurrence zeros.txt cyclic:<=3 --shifts=-1..1": (0, "ed98c03f0ed594a9a9233a280022774c904392f3a2cfa33b0c25eaa5b0319f75"),
 }
 

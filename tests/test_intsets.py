@@ -1,9 +1,9 @@
 """Window type and classifier tests, with brute-force oracles for derived values."""
 from __future__ import annotations
 
+import bisect
 from fractions import Fraction
 from itertools import combinations
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from conftest import evens, interval, multiples, odds
 from dynwindow import intsets
 from dynwindow import (
     SequenceFormatError,
+    Verdict,
     Window,
     banach_density_estimate,
     difference_set,
@@ -61,15 +62,17 @@ def test_window_shift_drops_out_of_range():
 @example([0, 5], 0, 2 ** 64, 2 ** 63)
 @settings(max_examples=120, deadline=None)
 def test_window_shift_matches_filtering(elems, base, slack, n):
-    # base 2^63 puts the elements above 2^62, where the window has no int64 array.
+    # base 2^63 or slack 2^64 puts the horizon past 2^62, where the array holds Python ints.
     w = Window(tuple(base + e for e in sorted(elems)), base + max(elems, default=0) + slack)
-    assert (w.array is None) == (base > 0 and bool(elems))
+    assert w.array.dtype == (np.int64 if w.horizon < 2 ** 62 else object)
     kept = tuple(e + n for e in w.elements if 0 <= e + n <= w.horizon)
-    assert w.shift(n) == Window(kept, w.horizon)
+    shifted = w.shift(n)
+    assert shifted == Window(kept, w.horizon)
+    assert shifted.array.dtype == w.array.dtype and shifted.array.tolist() == list(kept)
 
 
 def test_window_shift_does_not_wrap_at_the_int64_edge():
-    # 2^62 still has an int64 array, but 2^62 + 2^62 is past int64.
+    # Horizon 2^64 keeps Python ints, so 2^62 + 2^62 does not wrap.
     assert Window((0, 2 ** 62), 2 ** 64).shift(2 ** 62).elements == (2 ** 62, 2 ** 63)
 
 
@@ -602,19 +605,87 @@ def test_parse_falls_back_to_the_line_loop(text, expected):
     else:
         w = parse_sequence_text(text)
         assert w == expected
-        assert (w.array is None) == (w.elements[-1] > 2 ** 62)
+        assert w.array.dtype == (np.int64 if w.horizon < 2 ** 62 else object)
+        assert w.array.tolist() == list(w.elements)
 
 
-# -- the array forks: classifiers and difference_set vs the Python scans ------------
+# -- classifiers and difference_set vs element-by-element scans --------------------
+#
+# The scans read the definitions one element at a time: the reference for the
+# array classifiers.
 
 
-def _python_scans():
-    # Routes every classifier to its Python scan, the reference for the array path.
-    return mock.patch.object(intsets, "_int64_elements", lambda w: None)
+def _scan_is_syndetic(w, gap_bound):
+    if w.horizon + 1 < gap_bound:
+        return Verdict.hold(note=f"vacuous: no run of {gap_bound} fits inside [0, {w.horizon}]")
+    prev = -1
+    for e in w.elements:
+        if e - prev - 1 >= gap_bound:
+            break
+        prev = e
+    if w.horizon - prev >= gap_bound:
+        return Verdict.fail(prev + 1, note=f"empty run [{prev + 1}, {prev + gap_bound}]")
+    return Verdict.hold(note=f"every {gap_bound}-run in [0, {w.horizon}] meets the window")
 
 
-# base 2^62 - 3000 keeps the window just under the int64 cap (array path near
-# its edge); base 2^63 and slack 2^63 put it past the cap (Python scans).
+def _scan_is_thick(w, run_length):
+    found, best_len, best_start = None, 0, None
+    run_start = prev = None
+    for e in w.elements:
+        if prev is None or e != prev + 1:
+            run_start = e
+        run_len = e - run_start + 1
+        if run_len > best_len:
+            best_len, best_start = run_len, run_start
+        if run_len >= run_length:
+            found = run_start
+            break
+        prev = e
+    if found is not None:
+        return Verdict.hold(found, note=f"run of {run_length} starting at {found}")
+    return Verdict.fail(
+        w.horizon,
+        note=f"longest run has length {best_len}"
+        + (f" (starts at {best_start})" if best_start is not None else "")
+        + f"; searched up to horizon {w.horizon}",
+    )
+
+
+def _scan_piecewise_syndetic_certificate(w, gap_bound, block_length):
+    if block_length > w.horizon + 1:
+        return Verdict.fail(w.horizon, note=f"no interval of length {block_length} fits")
+    i, n = 0, len(w.elements)
+    while i < n:
+        j = i
+        while j + 1 < n and w.elements[j + 1] - w.elements[j] <= gap_bound:
+            j += 1
+        lo = max(0, w.elements[i] - gap_bound + 1)
+        hi = min(w.horizon, w.elements[j] + gap_bound - 1)
+        if hi - lo + 1 >= block_length:
+            return Verdict.hold(lo, note=f"interval [{lo}, {lo + block_length - 1}]")
+        i = j + 1
+    return Verdict.fail(
+        w.horizon, note=f"no {gap_bound}-syndetic interval of length {block_length} up to {w.horizon}"
+    )
+
+
+def _scan_banach_density_estimate(w, interval_length):
+    if not w.elements:
+        return Fraction(0)
+    elems = w.elements
+    last_start = w.horizon - interval_length + 1
+    best = 0
+    starts = [e for e in elems if e <= last_start]
+    starts.append(last_start)
+    for x in starts:
+        count = bisect.bisect_right(elems, x + interval_length - 1) - bisect.bisect_left(elems, x)
+        if count > best:
+            best = count
+    return Fraction(best, interval_length)
+
+
+# base 2^62 - 3000 keeps the window just under 2^62 (int64 arrays near their
+# edge); base 2^63 or slack 2^63 puts the horizon past it (arrays of Python ints).
 _FORK_BASES = st.sampled_from([0, 2 ** 62 - 3000, 2 ** 63])
 _FORK_SLACK = st.sampled_from([0, 1, 7, 400, 2 ** 63])
 
@@ -636,22 +707,20 @@ def _fork_window(elems, base, slack):
 @example([0], 2 ** 63, 0, 1, 0, 1)
 @example(list(range(0, 40)) + list(range(100, 200)), 0, 7, 12, 150, 100)
 @example([0, 2, 4], 2 ** 62 - 3000, 0, 3, 2, 1)
+@example([0, 1, 2, 5, 9, 10, 11], 0, 2 ** 63, 2, 1, 3)  # small elements, object arrays
 @settings(max_examples=300, deadline=None)
 def test_classifiers_match_the_python_scans(elems, base, slack, gap, extra, length):
     w = _fork_window(elems, base, slack)
     block = gap + extra
     length = min(length, w.horizon) if w.horizon else None
     fast = [is_syndetic(w, gap).to_json(), is_thick(w, gap).to_json()]
+    slow = [_scan_is_syndetic(w, gap).to_json(), _scan_is_thick(w, gap).to_json()]
     if block <= w.horizon + 1:
         fast.append(piecewise_syndetic_certificate(w, gap, block).to_json())
+        slow.append(_scan_piecewise_syndetic_certificate(w, gap, block).to_json())
     if length:
         fast.append(banach_density_estimate(w, length))
-    with _python_scans():
-        slow = [is_syndetic(w, gap).to_json(), is_thick(w, gap).to_json()]
-        if block <= w.horizon + 1:
-            slow.append(piecewise_syndetic_certificate(w, gap, block).to_json())
-        if length:
-            slow.append(banach_density_estimate(w, length))
+        slow.append(_scan_banach_density_estimate(w, length))
     assert fast == slow
 
 
@@ -667,9 +736,8 @@ def test_classifiers_with_parameters_up_to_the_horizon(elems, gap, length, base)
     w = Window(tuple(base + e for e in sorted(elems)), base + 3000)
     length = min(length, w.horizon)
     block = max(gap, length)
-    with _python_scans():
-        slow = [is_syndetic(w, gap), is_thick(w, length), piecewise_syndetic_certificate(w, gap, block),
-                banach_density_estimate(w, length)]
+    slow = [_scan_is_syndetic(w, gap), _scan_is_thick(w, length), _scan_piecewise_syndetic_certificate(w, gap, block),
+            _scan_banach_density_estimate(w, length)]
     assert [is_syndetic(w, gap), is_thick(w, length), piecewise_syndetic_certificate(w, gap, block),
             banach_density_estimate(w, length)] == slow
 
@@ -686,7 +754,7 @@ def test_classifiers_with_parameters_up_to_the_horizon(elems, gap, length, base)
 @settings(max_examples=40, deadline=None)
 def test_difference_set_matches_the_quadratic_scan(seed, count, density, base):
     # Sizes on both sides of the 400-element switch to the FFT; base 2^63
-    # builds the FFT indicator without the int64 array.
+    # builds the FFT indicator from an array of Python ints.
     rng = np.random.default_rng(seed)
     span = max(1, int(count / density))
     elems = np.sort(rng.choice(span, size=min(count, span), replace=False)).tolist()
@@ -714,9 +782,14 @@ def test_trusted_window_equals_and_hashes_like_a_checked_one(elems, slack):
 
 
 def test_trusted_window_keeps_the_array_cap_and_the_horizon_check():
+    # A seeded array takes the dtype of the window's horizon.
     big = (5, 2 ** 62 + 1)
-    assert Window._trusted(big, 2 ** 63, np.array(big, dtype=np.int64)).array is None
-    assert Window((0, 2 ** 62), 2 ** 64).shift(2 ** 62 - 1).array is None
+    seeded = Window._trusted(big, 2 ** 63, np.array(big, dtype=np.int64))
+    assert seeded.array.dtype == object and seeded.array.tolist() == list(big)
+    assert Window((0, 2 ** 62), 2 ** 64).shift(2 ** 62 - 1).array.dtype == object
+    narrowed, widened = Window((5,), 2 ** 63).restrict(10), Window((5,), 10).restrict(2 ** 63)
+    assert narrowed.array.dtype == np.int64 and widened.array.dtype == object
+    assert narrowed.array.tolist() == widened.array.tolist() == [5]
     with pytest.raises(ValueError, match="horizon must be >= 0"):
         Window((0, 3), 10).restrict(-1)
     assert Window((0, 3), 10).restrict(20) == Window((0, 3), 20)

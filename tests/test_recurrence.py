@@ -7,6 +7,7 @@ import math
 import weakref
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -105,18 +106,33 @@ def test_empty_window_fails_mod_1():
     assert report.verdict.fails and report.verdict.witness == (1, 0)
 
 
+def _scan_missing_residue(a, m):
+    # The residues as a set, one element at a time: the reference for the bincount.
+    if not a.elements:
+        return 0
+    seen = {e % m for e in a.elements}
+    for r in range(m):
+        if r not in seen:
+            return r
+    return None
+
+
 @given(st.lists(st.integers(0, 5000), max_size=60, unique=True), st.sampled_from([0, 2 ** 63]))
 @example([], 0)
 @example(list(range(70)), 0)
 @example(list(range(70)), 2 ** 63)
 @settings(max_examples=80, deadline=None)
 def test_missing_residue_matches_brute_force(elems, base):
-    # base 2^63 puts the elements above 2^62, where the Python path runs.
+    # base 2^63 puts the horizon past 2^62, where the array holds Python ints;
+    # `wide` keeps the small elements under such a horizon.
     w = Window(tuple(base + e for e in sorted(elems)), base + 5000)
-    assert (w.array is None) == (base > 0 and bool(elems))
+    wide = Window(w.elements, w.horizon + 2 ** 63)
+    assert w.array.dtype == (np.int64 if w.horizon < 2 ** 62 else object) and wide.array.dtype == object
     for m in range(1, 61):
         missing = set(range(m)) - {e % m for e in w.elements}
-        assert _missing_residue(w, m) == min(missing, default=None)
+        expected = min(missing, default=None)
+        assert _missing_residue(w, m) == _scan_missing_residue(w, m) == expected
+        assert _missing_residue(wide, m) == expected
 
 
 @given(st.lists(st.integers(0, 2000), min_size=0, max_size=150, unique=True), st.integers(1, 20))
@@ -304,6 +320,16 @@ def test_crosscheck_rejects_huge_elements():
         crosscheck_cyclic_equivalence(Window((10 ** 9,), 10 ** 9), 3, range(-1, 2))
 
 
+def test_crosscheck_cap_bounds_the_horizon(monkeypatch):
+    # The comparison windows reach the horizon, so small elements under a wide one are refused.
+    with pytest.raises(ValueError, match="30000000 exceeds the 1000000 cap"):
+        crosscheck_cyclic_equivalence(Window((50, 77), 30_000_000), 2, range(-1, 2))
+    monkeypatch.setattr(recurrence, "_CROSSCHECK_HORIZON_CAP", 400)
+    assert crosscheck_cyclic_equivalence(Window((50, 77), 400), 2, range(-1, 2)).holds
+    with pytest.raises(ValueError, match="401 exceeds the 400 cap"):
+        crosscheck_cyclic_equivalence(Window((50, 77), 401), 2, range(-1, 2))
+
+
 def test_crosscheck_rejects_max_period_below_one():
     # As r_sequence_cyclic does: no m <= 0 to agree on, so nothing holds vacuously.
     for max_period in (0, -1):
@@ -402,6 +428,12 @@ def test_cesaro_k_zero_rejected():
 
 
 # -- seeded window sweep --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_random_windows_rejects_an_empty_sweep(count):
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        random_windows(count, 500)
 
 
 def test_random_windows_deterministic():
