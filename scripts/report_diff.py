@@ -110,10 +110,19 @@ CALLS = [
     "crosscheck squares.txt --horizon 1000001 --max-period 2",
     "crosscheck --count 5 --horizon 500 --seed 7",
     "crosscheck --count 0 --horizon 500",
+    "crosscheck --count 1 --horizon 0",
+    "crosscheck --count 1 --horizon 30",
+    "crosscheck --count 1 --horizon 50 --max-period 3",
     "permpoly check x^2+3x+1 --p 7",
     "permpoly check x^3 --p 11",
     "permpoly find-prime x^2 --cap 100",
     "permpoly find-prime x^3+x --cap 1000",
+    "permpoly check x^13+x --p 11",
+    "permpoly check x+1 --p 2",
+    "permpoly check 0 --p 5",
+    "permpoly find-prime 2003x^4-3x+7 --cap 10000",
+    "permpoly find-prime 1001x^5+x^2-4 --cap 10000",
+    "permpoly find-prime 307x^6-x^2+5 --cap 10000",
     "construct example --blocks 8 --out construct8.txt",
     "recurrence construct8.txt cyclic:<=20 --shifts=-3..3",
     "classify construct8.txt",

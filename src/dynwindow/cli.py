@@ -146,6 +146,9 @@ def _parse_shifts(text: str) -> range:
 
 
 def _jsonify(value):
+    # Primitives first: most of a report (a find-prime image) and matched by no branch below.
+    if value is None or isinstance(value, (str, int, float)):
+        return value
     if isinstance(value, Verdict):
         return value.to_json()
     if isinstance(value, Fraction):
@@ -154,8 +157,6 @@ def _jsonify(value):
         return {str(k): _jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonify(v) for v in value]
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
     return str(value)
 
 
@@ -255,7 +256,7 @@ def _cmd_crosscheck(args) -> tuple[dict, list[str], int]:
     if args.path:
         windows = [(_load_window(args.path, args.horizon), args.path)]
     else:
-        horizon = args.horizon or 10_000
+        horizon = 10_000 if args.horizon is None else args.horizon
         if horizon > _CROSSCHECK_HORIZON_CAP:
             raise ValueError(f"sweep horizon {horizon} exceeds the cross-check's {_CROSSCHECK_HORIZON_CAP} cap")
         windows = [(w, f"seeded[{i}]") for i, w in enumerate(random_windows(args.count, horizon, seed=args.seed))]

@@ -12,6 +12,8 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 __all__ = [
     "PrimeField",
     "PolyModP",
@@ -109,69 +111,71 @@ class PolyModP:
         return acc
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
         parts = []
-        for e in range(self.degree, -1, -1):
+        for e in range(self.degree, 0, -1):
             c = self.coeffs[e]
-            if c == 0:
-                continue
-            if e == 0:
-                parts.append(str(c))
-            elif e == 1:
-                parts.append("x" if c == 1 else f"{c}x")
-            else:
-                parts.append(f"x^{e}" if c == 1 else f"{c}x^{e}")
-        return "+".join(parts)
+            x = "x" if e == 1 else f"x^{e}"
+            if c:
+                parts.append(x if c == 1 else f"{c}{x}")
+        if self.coeffs and self.coeffs[0]:
+            parts.append(str(self.coeffs[0]))
+        return "+".join(parts) or "0"
+
+
+def _dtype(p: int, terms: int = 1):
+    # int64 while a sum of `terms` products of residues fits (a Horner step is one term).
+    return np.int64 if terms * p * p < 2 ** 63 else object
+
+
+def _array(f: PolyModP) -> np.ndarray:
+    return np.array(f.coeffs or (0,), dtype=_dtype(f.p))  # the zero polynomial is [0]
+
+
+def _convolve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    dtype = _dtype(p, min(a.size, b.size))
+    return np.convolve(a.astype(dtype, copy=False), b.astype(dtype, copy=False)) % p
+
+
+def _fold(coeffs: np.ndarray, p: int) -> np.ndarray:
+    """Remainder mod (x^p - x) of a residue array, via exponent folding.
+
+    x^p = x on F_p, so exponent e >= 1 folds to the unique r in [1, p-1]
+    with r ≡ e (mod p-1); exponent 0 stays; colliding coefficients add.
+    The result has degree <= p-1 and induces the same function on F_p.
+    """
+    if coeffs.size <= p:
+        return coeffs
+    rows = -(-(coeffs.size - 1) // (p - 1))  # exponents 1, 2, ... in rows of p - 1
+    tail = np.zeros(rows * (p - 1), dtype=coeffs.dtype)
+    tail[: coeffs.size - 1] = coeffs[1:]
+    return np.concatenate((coeffs[:1], tail.reshape(-1, p - 1).sum(axis=0) % p))
 
 
 def poly_mul(f: PolyModP, g: PolyModP) -> PolyModP:
     """Plain convolution product over F_p (no field-polynomial reduction)."""
     if f.p != g.p:
         raise ValueError("mixed fields")
-    if f.is_zero or g.is_zero:
-        return PolyModP(f.field, ())
-    p = f.p
-    out = [0] * (f.degree + g.degree + 1)
-    for i, ci in enumerate(f.coeffs):
-        if ci == 0:
-            continue
-        for j, cj in enumerate(g.coeffs):
-            out[i + j] = (out[i + j] + ci * cj) % p
-    return PolyModP.make(p, out)
+    return PolyModP.make(f.field, _convolve(_array(f), _array(g), f.p).tolist())
 
 
 def reduce_mod_field_poly(f: PolyModP) -> PolyModP:
-    """Remainder of f mod (x^p - x), via exponent folding.
-
-    x^p = x on F_p, so exponent e >= 1 folds to the unique r in [1, p-1]
-    with r ≡ e (mod p-1); exponent 0 stays; colliding coefficients add.
-    The result has degree <= p-1 and induces the same function on F_p.
-    """
-    p = f.p
-    if f.degree <= p - 1:
-        return f
-    out = [0] * p
-    for e, c in enumerate(f.coeffs):
-        if c == 0:
-            continue
-        r = e if e == 0 else (e - 1) % (p - 1) + 1
-        out[r] = (out[r] + c) % p
-    return PolyModP.make(p, out)
+    """Remainder of f mod (x^p - x); see `_fold`."""
+    return PolyModP.make(f.field, _fold(_array(f), f.p).tolist())
 
 
 def pow_reduced(f: PolyModP, k: int) -> PolyModP:
     """reduce(f^k) by square-and-multiply, reducing after every product."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    result = PolyModP.make(f.p, (1,))
-    base = reduce_mod_field_poly(f)
+    p = f.p
+    result = np.ones(1, dtype=_dtype(p))
+    base = _fold(_array(f), p)
     while k:
         if k & 1:
-            result = reduce_mod_field_poly(poly_mul(result, base))
-        base = reduce_mod_field_poly(poly_mul(base, base))
+            result = _fold(_convolve(result, base, p), p)
+        base = _fold(_convolve(base, base, p), p)
         k >>= 1
-    return result
+    return PolyModP.make(f.field, result.tolist())
 
 
 def hermite_check(f: PolyModP) -> tuple[bool, dict]:
@@ -180,23 +184,21 @@ def hermite_check(f: PolyModP) -> tuple[bool, dict]:
     f permutes F_p iff (1) reduce(f^(p-1)) is monic of degree p-1 and
     (2) for every k in [1, p-2] with k not divisible by p, reduce(f^k) has
     degree <= p-2.  Evidence names the failing k or the bad leading data.
-    (The k-divisibility guard only bites over proper prime powers; it is
-    vacuous here but kept to match the standard statement.)
+    (The k-divisibility guard only bites over proper prime powers.)  As
+    reduce(g·f) = reduce(g·reduce(f)), each power is one product with reduce(f).
     """
     p = f.p
-    g = PolyModP.make(p, (1,))
+    base = _fold(_array(f), p)
+    g = np.ones(1, dtype=base.dtype)
     for k in range(1, p):
-        g = reduce_mod_field_poly(poly_mul(g, f))
-        if k <= p - 2:
-            if k % p != 0 and g.degree > p - 2:
-                return False, {"reason": "power_degree_full", "k": k, "degree": g.degree}
-        else:  # k == p - 1
-            if g.degree != p - 1 or g.coeffs[-1] != 1:
-                return False, {
-                    "reason": "top_power_not_monic",
-                    "degree": g.degree,
-                    "leading": g.coeffs[-1] if g.coeffs else 0,
-                }
+        g = _fold(_convolve(g, base, p), p)
+        if k <= p - 2 and g.size == p and g[-1]:
+            return False, {"reason": "power_degree_full", "k": k, "degree": p - 1}
+    nonzero = np.flatnonzero(g)  # g = reduce(f^(p-1))
+    degree = int(nonzero[-1]) if nonzero.size else -1
+    leading = int(g[degree]) if degree >= 0 else 0
+    if degree != p - 1 or leading != 1:
+        return False, {"reason": "top_power_not_monic", "degree": degree, "leading": leading}
     return True, {"reason": "ok"}
 
 
@@ -205,9 +207,8 @@ def brute_permutation_check(f: PolyModP) -> tuple[bool, tuple[int, ...]]:
 
     Always returns the image set (sorted) — this is the authoritative oracle.
     """
-    p = f.p
-    image = sorted({f.evaluate(x) for x in range(p)})
-    return len(image) == p, tuple(image)
+    image = tuple(np.flatnonzero(_int_poly_image_mod_p(f.coeffs, f.p)).tolist())
+    return len(image) == f.p, image
 
 
 def decide_permutation(f: PolyModP) -> tuple[bool, dict, tuple[int, ...]]:
@@ -239,17 +240,14 @@ class NonSurjectiveResult:
         return {"p": self.p, "missing": self.missing, "image_size": len(self.image)}
 
 
-def _int_poly_image_mod_p(coeffs: Sequence[int], p: int) -> set[int]:
-    reduced = [c % p for c in coeffs]
-    image = set()
-    for x in range(p):
-        acc = 0
-        for c in reversed(reduced):
-            acc = (acc * x + c) % p
-        image.add(acc)
-        if len(image) == p:
-            break
-    return image
+def _int_poly_image_mod_p(coeffs: Sequence[int], p: int) -> np.ndarray:
+    """Boolean mask of the residues hit by f over F_p: Horner's rule at all p points at once."""
+    dtype = _dtype(p)
+    x = np.arange(p, dtype=dtype)
+    acc = np.zeros(p, dtype=dtype)
+    for c in reversed(coeffs):
+        acc = (acc * x + c % p) % p
+    return np.bincount(acc.astype(np.int64), minlength=p) > 0
 
 
 def find_non_surjective_prime(coeffs: Sequence[int], prime_cap: int) -> NonSurjectiveResult:
@@ -270,13 +268,14 @@ def find_non_surjective_prime(coeffs: Sequence[int], prime_cap: int) -> NonSurje
     lead = abs(trimmed[-1])
     if prime_cap < degree + 2:
         raise ValueError(f"prime_cap must be >= degree + 2 = {degree + 2}")
-    p = degree + 1
+    p = max(degree + 1, lead + 1)
+    p += (1 - p) % degree  # the first candidate p ≡ 1 (mod degree) above lead
     while p <= prime_cap:
-        if p > lead and is_prime(p):
-            image = _int_poly_image_mod_p(trimmed, p)
-            if len(image) < p:
-                missing = min(set(range(p)) - image)
-                return NonSurjectiveResult(p, missing, tuple(sorted(image)))
+        if is_prime(p):
+            hit = _int_poly_image_mod_p(trimmed, p)
+            if not hit.all():
+                # argmin of a boolean mask is its first False: the least missing residue.
+                return NonSurjectiveResult(p, int(np.argmin(hit)), tuple(np.flatnonzero(hit).tolist()))
         p += degree
     raise CapExceededError(
         f"no prime p ≡ 1 (mod {degree}) with p > {lead} and a proper image found up to "

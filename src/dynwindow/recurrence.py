@@ -443,7 +443,7 @@ def random_windows(
     if count < 1:
         raise ValueError("count must be >= 1")
     if min_element > horizon:
-        raise ValueError("min_element beyond horizon")
+        raise ValueError(f"horizon {horizon} is below the sweep's support floor min_element = {min_element}")
     rng = np.random.default_rng(seed)
     lo, hi = density_range
     out = []

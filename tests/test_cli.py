@@ -235,6 +235,22 @@ def test_crosscheck_sweep_horizon_past_the_cap_draws_nothing(monkeypatch, capsys
     assert capsys.readouterr().err == "error: sweep horizon 1000001 exceeds the cross-check's 1000000 cap\n"
 
 
+@pytest.mark.parametrize("horizon", ["0", "30", "49", "-5"])
+def test_crosscheck_sweep_horizon_below_the_floor_is_operational_error(capsys, horizon):
+    # An explicit --horizon 0 is a horizon, not "unset": it is below the support floor.
+    assert main(["crosscheck", "--count", "1", "--horizon", horizon]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: horizon {horizon} is below the sweep's support floor min_element = 50\n"
+    assert captured.out == ""
+
+
+def test_crosscheck_sweep_draws_on_the_given_horizon(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["crosscheck", "--count", "1", "--horizon", "50", "--max-period", "3", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["params"]["horizon"] == 50 and report["per_system"][0]["sequence"]["horizon"] == 50
+
+
 @pytest.mark.parametrize("command", [
     ["classify", "FILE"], ["recurrence", "FILE", "cyclic:<=3"], ["permpoly", "check", "x", "--p", "3"],
     ["construct", "example"], ["product", "cyclic:2", "cyclic:3"],

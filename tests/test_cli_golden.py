@@ -59,6 +59,20 @@ GOLDEN = {
     "recurrence crlf.txt cyclic:<=3": (0, "55364a49c5d0a3537a186d172c4ba22ecaf18df0447c9d9e6abf0f6213bbf9f0"),
     "classify zeros.txt": (0, "5c3a87023a4250bf8439b7d69512106dafc589294dcd4650402a8657bd216900"),
     "recurrence zeros.txt cyclic:<=3 --shifts=-1..1": (0, "ed98c03f0ed594a9a9233a280022774c904392f3a2cfa33b0c25eaa5b0319f75"),
+    # The permpoly calls of the cli-files benchmark (seed 1), an unreduced f,
+    # F_2, the zero polynomial and prime searches at degrees 4-6.
+    "permpoly check 1x^5+170x^4+11560x^3+393040x^2+6681680x+45435426 --p 199": (0, "da96ebc23f89451544114a23693774b4551ce013940d68443fde8452b3db9c06"),
+    "permpoly check 1x^3+633x^2+133563x+9394083 --p 401": (0, "1b0e97b093186ab20f04edbab7227caf8d7dd1eb752e3d2bd9ac1a1dee32ac61"),
+    "permpoly check 147x^4+64x^3+68x^2+134x+13 --p 151": (0, "6b99aed3e2d0657ad1adf62634f3fd11e034aabe916edfe472d988e90d4379b3"),
+    "permpoly check 289x^6+258x^5+269x^4+182x^3+55x^2+238x+297 --p 307": (0, "aa37a58f63dd966b04808ce97984b4be072331dd442936436e9fe0d29c34f665"),
+    "permpoly find-prime 29001x^2+45x+31 --cap 40000": (0, "5a2615393fe7328640c0bc870ecd9635a6a422d7e0945a2bdd6ede76c8c7e042"),
+    "permpoly find-prime 29766x^3-4x^2-28x-31 --cap 40000": (0, "9e34fa362b2bcf2e52828769d596ed1721780810c9c36eb573e267a9a431fe0e"),
+    "permpoly check x^13+x --p 11": (0, "24b9756dd2d542005779f3165049f89efc42b7824622591eccb12269038ea021"),
+    "permpoly check x+1 --p 2": (0, "35f9d147b7a01528f3f5db8364b27cfc37754d7cecf01e2a4229a8a8f505870d"),
+    "permpoly check 0 --p 5": (0, "9a33ff82c1713b6b9a3a36e2fc1eecd44aa3c04195b667c8c6be95c2697f9a97"),
+    "permpoly find-prime 2003x^4-3x+7 --cap 10000": (0, "83b2036cc6dbc8c575244119d5fe5c3d265c7696ebe55ca3c12ab13768cdef90"),
+    "permpoly find-prime 1001x^5+x^2-4 --cap 10000": (0, "a9a86387dfeeead2472f9cdb1fec60f73e187a3c590c9ecee11d825f6e350748"),
+    "permpoly find-prime 307x^6-x^2+5 --cap 10000": (0, "070af30a7a9a6d58e87b80832ddffd8dbbc5309161869117914add52e9cfb835"),
 }
 
 

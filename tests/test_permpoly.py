@@ -3,9 +3,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynwindow import (
@@ -21,7 +23,17 @@ from dynwindow import (
     pow_reduced,
     reduce_mod_field_poly,
 )
-from dynwindow.permpoly import OracleDisagreementError, decide_permutation, format_int_polynomial, is_prime, poly_mul
+from dynwindow.permpoly import (
+    NonSurjectiveResult,
+    OracleDisagreementError,
+    _dtype,
+    _fold,
+    _int_poly_image_mod_p,
+    decide_permutation,
+    format_int_polynomial,
+    is_prime,
+    poly_mul,
+)
 
 
 def mono(p: int, k: int, c: int = 1) -> PolyModP:
@@ -239,3 +251,211 @@ def test_decide_permutation_raises_when_deciders_disagree(monkeypatch):
         decide_permutation(PolyModP.make(7, (3, 1)))
     with pytest.raises(OracleDisagreementError):
         is_permutation(PolyModP.make(7, (3, 1)))
+
+
+# -- the array engine against the pure-Python loops it replaced --------------------------
+#
+# Verbatim copies of the loop implementations (only the names of the functions
+# they call are prefixed), kept as references for the numpy engine.
+
+
+def _ref_poly_mul(f: PolyModP, g: PolyModP) -> PolyModP:
+    """Plain convolution product over F_p (no field-polynomial reduction)."""
+    if f.p != g.p:
+        raise ValueError("mixed fields")
+    if f.is_zero or g.is_zero:
+        return PolyModP(f.field, ())
+    p = f.p
+    out = [0] * (f.degree + g.degree + 1)
+    for i, ci in enumerate(f.coeffs):
+        if ci == 0:
+            continue
+        for j, cj in enumerate(g.coeffs):
+            out[i + j] = (out[i + j] + ci * cj) % p
+    return PolyModP.make(p, out)
+
+
+def _ref_reduce_mod_field_poly(f: PolyModP) -> PolyModP:
+    p = f.p
+    if f.degree <= p - 1:
+        return f
+    out = [0] * p
+    for e, c in enumerate(f.coeffs):
+        if c == 0:
+            continue
+        r = e if e == 0 else (e - 1) % (p - 1) + 1
+        out[r] = (out[r] + c) % p
+    return PolyModP.make(p, out)
+
+
+def _ref_pow_reduced(f: PolyModP, k: int) -> PolyModP:
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    result = PolyModP.make(f.p, (1,))
+    base = _ref_reduce_mod_field_poly(f)
+    while k:
+        if k & 1:
+            result = _ref_reduce_mod_field_poly(_ref_poly_mul(result, base))
+        base = _ref_reduce_mod_field_poly(_ref_poly_mul(base, base))
+        k >>= 1
+    return result
+
+
+def _ref_hermite_check(f: PolyModP) -> tuple[bool, dict]:
+    p = f.p
+    g = PolyModP.make(p, (1,))
+    for k in range(1, p):
+        g = _ref_reduce_mod_field_poly(_ref_poly_mul(g, f))
+        if k <= p - 2:
+            if k % p != 0 and g.degree > p - 2:
+                return False, {"reason": "power_degree_full", "k": k, "degree": g.degree}
+        else:  # k == p - 1
+            if g.degree != p - 1 or g.coeffs[-1] != 1:
+                return False, {
+                    "reason": "top_power_not_monic",
+                    "degree": g.degree,
+                    "leading": g.coeffs[-1] if g.coeffs else 0,
+                }
+    return True, {"reason": "ok"}
+
+
+def _ref_brute_permutation_check(f: PolyModP) -> tuple[bool, tuple[int, ...]]:
+    p = f.p
+    image = sorted({f.evaluate(x) for x in range(p)})
+    return len(image) == p, tuple(image)
+
+
+def _ref_int_poly_image_mod_p(coeffs, p: int) -> set[int]:
+    reduced = [c % p for c in coeffs]
+    image = set()
+    for x in range(p):
+        acc = 0
+        for c in reversed(reduced):
+            acc = (acc * x + c) % p
+        image.add(acc)
+        if len(image) == p:
+            break
+    return image
+
+
+def _ref_find_non_surjective_prime(coeffs, prime_cap: int) -> NonSurjectiveResult:
+    trimmed = list(coeffs)
+    while trimmed and trimmed[-1] == 0:
+        trimmed.pop()
+    degree = len(trimmed) - 1
+    if degree < 2:
+        raise ValueError(f"degree must be >= 2, got {degree}")
+    lead = abs(trimmed[-1])
+    if prime_cap < degree + 2:
+        raise ValueError(f"prime_cap must be >= degree + 2 = {degree + 2}")
+    p = degree + 1
+    while p <= prime_cap:
+        if p > lead and is_prime(p):
+            image = _ref_int_poly_image_mod_p(trimmed, p)
+            if len(image) < p:
+                missing = min(set(range(p)) - image)
+                return NonSurjectiveResult(p, missing, tuple(sorted(image)))
+        p += degree
+    raise CapExceededError("cap")
+
+
+PRIMES_TO_409 = [q for q in range(2, 410) if is_prime(q)]
+
+
+@st.composite
+def field_polys(draw, max_degree=lambda p: 2 * p + 1):
+    """An unreduced polynomial over F_p, p <= 409: random, zero, or (x+b)^k + c."""
+    p = draw(st.sampled_from(PRIMES_TO_409))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    shape = draw(st.sampled_from(("random", "random", "zero", "shifted power")))
+    if shape == "zero":
+        return PolyModP.make(p, ())
+    if shape == "shifted power":  # a permutation when gcd(k, p-1) = 1: the full criterion loop
+        b, c, k = rng.randrange(p), rng.randrange(p), draw(st.integers(1, 7))
+        return PolyModP.make(p, [math.comb(k, i) * b ** (k - i) + (c if i == 0 else 0) for i in range(k + 1)])
+    degree = draw(st.integers(0, max_degree(p)))
+    return PolyModP.make(p, [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)])
+
+
+@given(field_polys(), st.integers(0, 2 ** 32))
+@example(PolyModP.make(2, ()), 0)
+@example(PolyModP.make(2, (1, 1)), 1)
+@example(PolyModP.make(2, (1, 1, 1, 1, 1)), 2)
+@example(PolyModP.make(11, (0, 1) + (0,) * 11 + (1,)), 3)  # x^13 + x
+@example(PolyModP.make(409, (3, 1)), 4)
+@example(PolyModP.make(3, (0, 0, 1, 0, 2)), 5)  # x^2 + 2x^4 folds to 3x^2 = 0
+@settings(max_examples=120, deadline=None)
+def test_array_engine_matches_the_python_loops(f, seed):
+    p = f.p
+    assert hermite_check(f) == _ref_hermite_check(f)
+    assert brute_permutation_check(f) == _ref_brute_permutation_check(f)
+    assert reduce_mod_field_poly(f) == _ref_reduce_mod_field_poly(f)
+    rng = random.Random(seed)
+    g = PolyModP.make(p, [rng.randrange(p) for _ in range(rng.randrange(2 * p + 3))])
+    product = poly_mul(f, g)
+    assert product == _ref_poly_mul(f, g) == _ref_poly_mul(g, f)
+    assert reduce_mod_field_poly(product) == _ref_reduce_mod_field_poly(product)  # degree up to 4p + 2
+    for dtype in (np.int64, object):  # the kernel itself returns residues, on either dtype
+        folded = _fold(np.array(product.coeffs or (0,), dtype=dtype), p).tolist()
+        while folded and folded[-1] == 0:
+            folded.pop()
+        assert tuple(folded) == _ref_reduce_mod_field_poly(product).coeffs
+
+
+@given(field_polys(max_degree=lambda p: min(2 * p + 1, 40)), st.integers(0, 40))
+@example(PolyModP.make(2, ()), 0)
+@example(PolyModP.make(2, ()), 3)
+@example(PolyModP.make(2, (1, 1)), 5)
+@settings(max_examples=60, deadline=None)
+def test_pow_reduced_matches_the_python_loop(f, k):
+    assert pow_reduced(f, k) == _ref_pow_reduced(f, k)
+
+
+@given(
+    st.sampled_from(PRIMES_TO_409),
+    st.lists(st.integers(-(2 ** 70), 2 ** 70), min_size=0, max_size=8),
+)
+@example(2, [])
+@example(2, [1, 1])
+@settings(max_examples=80, deadline=None)
+def test_int_poly_image_matches_the_python_loop(p, coeffs):
+    assert set(np.flatnonzero(_int_poly_image_mod_p(coeffs, p)).tolist()) == _ref_int_poly_image_mod_p(coeffs, p)
+
+
+@given(st.integers(2, 6), st.lists(st.integers(-(2 ** 40), 2 ** 40), min_size=6, max_size=6), st.integers(1, 409), st.booleans())
+@example(2, [0] * 6, 1, False)
+@example(3, [0] * 6, 409, True)
+@settings(max_examples=60, deadline=None)
+def test_find_prime_matches_the_python_loop(degree, lows, lead, negate):
+    coeffs = lows[:degree] + [-lead if negate else lead]
+    try:
+        expected = _ref_find_non_surjective_prime(coeffs, 2000)
+    except CapExceededError:
+        with pytest.raises(CapExceededError):
+            find_non_surjective_prime(coeffs, 2000)
+        return
+    assert find_non_surjective_prime(coeffs, 2000) == expected
+
+
+def _prime_from(n: int, step: int) -> int:
+    while not is_prime(n):
+        n += step
+    return n
+
+
+@pytest.mark.parametrize("terms", [1, 2, 3])
+def test_kernel_on_both_sides_of_the_int64_bound(terms):
+    # The largest p whose `terms`-term sums of residue products fit in int64;
+    # for terms = 1 it is about 3.04e9, the Horner and constant-factor bound.
+    bound = math.isqrt((2 ** 63 - 1) // terms)
+    below, above = _prime_from(bound, -1), _prime_from(bound + 1, 1)
+    assert _dtype(below, terms) is np.int64 and _dtype(above, terms) is object
+    for p in (below, above):
+        f = PolyModP.make(p, [p - 1] * terms)  # every product term is (p-1)^2
+        g = PolyModP.make(p, [p - 1, p - 2] * terms + [p - 1])
+        assert poly_mul(f, g) == _ref_poly_mul(f, g)
+        assert poly_mul(g, f) == _ref_poly_mul(g, f)
+        assert reduce_mod_field_poly(poly_mul(f, g)) == _ref_reduce_mod_field_poly(_ref_poly_mul(f, g))
+        assert pow_reduced(f, 5) == _ref_pow_reduced(f, 5)
+    # Past the bound the largest sum really leaves int64: int64 there would wrap.
+    assert terms * (above - 1) ** 2 > 2 ** 63 - 1
