@@ -1,4 +1,4 @@
-"""Fingerprint a fixed list of CLI calls, to diff the output of two source trees.
+"""Fingerprint a fixed list of CLI calls, to pin and to diff their output.
 
 Runs in-process ``dynwindow.cli.main`` calls against the ``dynwindow`` found
 on ``PYTHONPATH``, from an empty temporary directory, and prints one line per
@@ -7,15 +7,24 @@ file the call writes (the values of ``--out`` and ``--report``).  The calls
 cover every subcommand, the cli-files benchmark inputs of seed 1 (generated
 by ``perfbench/workloads.py``) and a set of malformed sequence files.
 
+``tests/golden/cli.txt`` holds these lines, and ``tests/test_cli_golden.py``
+regenerates them and names every call whose line moved.  A change that moves
+a line on purpose rewrites the file and explains the line:
+
+    PYTHONPATH=src python3 scripts/report_diff.py --write
+
+To diff two source trees, run both with this script and this checkout's
+``perfbench``; only the ``dynwindow`` sources differ:
+
     PYTHONPATH=/path/to/parent/src python3 scripts/report_diff.py > parent.txt
     PYTHONPATH=src python3 scripts/report_diff.py > change.txt
     diff parent.txt change.txt
 
-Both runs must use this script and this checkout's ``perfbench``; only the
-``dynwindow`` sources differ.  The path it was imported from goes to stderr.
+The path ``dynwindow`` was imported from goes to stderr.
 """
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -24,7 +33,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+GOLDEN = ROOT / "tests" / "golden" / "cli.txt"
 
 # name -> file text, written byte for byte (no newline translation).
 FILES = {
@@ -36,6 +47,7 @@ FILES = {
     "blocks.txt": "!horizon 3000\n"
     + "".join(f"{n}\n" for b in range(0, 3000, 300) for n in range(b, b + 40 + b // 30)),
     "zero.txt": "!horizon 0\n0\n",
+    "zeros.txt": "!horizon 100\n# header\n007\n# body comment\n010\n\n042\n",
     # Small elements under a horizon past 2^62.
     "wide.txt": f"!horizon {2 ** 63}\n" + "".join(f"{n * n}\n" for n in range(101)),
 }
@@ -64,6 +76,7 @@ MALFORMED = {
 
 CALLS = [
     "classify squares.txt",
+    "classify evens.txt --gap 2",
     "classify evens.txt --gap 2 --run 3",
     "classify interval.txt --run 50 --block 20 --density-length 7",
     "classify blocks.txt --gap 5 --run 60 --block 150 --density-length 100",
@@ -123,12 +136,26 @@ CALLS = [
     "permpoly find-prime 2003x^4-3x+7 --cap 10000",
     "permpoly find-prime 1001x^5+x^2-4 --cap 10000",
     "permpoly find-prime 307x^6-x^2+5 --cap 10000",
+    # The permpoly calls of the cli-files benchmark (seed 1), printed.
+    "permpoly check 1x^5+170x^4+11560x^3+393040x^2+6681680x+45435426 --p 199",
+    "permpoly check 1x^3+633x^2+133563x+9394083 --p 401",
+    "permpoly check 147x^4+64x^3+68x^2+134x+13 --p 151",
+    "permpoly check 289x^6+258x^5+269x^4+182x^3+55x^2+238x+297 --p 307",
+    "permpoly find-prime 29001x^2+45x+31 --cap 40000",
+    "permpoly find-prime 29766x^3-4x^2-28x-31 --cap 40000",
+    "construct example --blocks 8",
     "construct example --blocks 8 --out construct8.txt",
     "recurrence construct8.txt cyclic:<=20 --shifts=-3..3",
     "classify construct8.txt",
     "product cyclic:2 cyclic:3",
     "product cyclic:2 cyclic:2",
     "classify",
+    # Off the common layout, so parsed line by line: CRLF line ends, and
+    # leading zeros with comment and blank lines in the body.
+    "classify crlf.txt --gap 30",
+    "recurrence crlf.txt cyclic:<=3",
+    "classify zeros.txt",
+    "recurrence zeros.txt cyclic:<=3 --shifts=-1..1",
 ] + [f"classify {name}" for name in MALFORMED] + [f"recurrence {name} cyclic:<=5" for name in MALFORMED]
 
 
@@ -159,14 +186,14 @@ def fingerprint(main, argv: list[str]) -> str:
     return " ".join(fields) + " :: " + " ".join(argv)
 
 
-def main() -> int:
-    sys.path.insert(0, str(PERFBENCH))
-    import dynwindow
+def fingerprints() -> list[str]:
+    """The line of every call, in list order, all run in one temporary directory of input files."""
+    if str(PERFBENCH) not in sys.path:
+        sys.path.insert(0, str(PERFBENCH))
     from dynwindow.cli import main as cli_main
 
     import workloads
 
-    print(f"dynwindow from {Path(dynwindow.__file__).parent}", file=sys.stderr)
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
@@ -175,10 +202,24 @@ def main() -> int:
                 Path(name).write_bytes(text.encode("utf-8"))
             calls = [call.split() + ["--json"] for call in CALLS]
             calls += [op.params["argv"] for op in workloads.build_cli_files(1, Path("cli-files"))]
-            for argv in calls:
-                print(fingerprint(cli_main, argv), flush=True)
+            return [fingerprint(cli_main, argv) for argv in calls]
         finally:
             os.chdir(cwd)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Fingerprint the output of a fixed list of dynwindow CLI calls.")
+    parser.add_argument("--write", action="store_true", help=f"write the lines to {GOLDEN.relative_to(ROOT)}")
+    args = parser.parse_args(argv)
+    import dynwindow
+
+    print(f"dynwindow from {Path(dynwindow.__file__).parent}", file=sys.stderr)
+    text = "".join(line + "\n" for line in fingerprints())
+    if args.write:
+        GOLDEN.parent.mkdir(parents=True, exist_ok=True)
+        GOLDEN.write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
     return 0
 
 

@@ -35,6 +35,7 @@ from .systems import (
 from .recurrence import (
     _CROSSCHECK_HORIZON_CAP,
     DEFAULT_SWEEP_SEED,
+    _shift_family_cyclic,
     crosscheck_cyclic_equivalence,
     product_transitive_finite,
     r_sequence_cyclic,
@@ -169,8 +170,23 @@ def _sequence_info(source: str, w: Window) -> dict:
     return {"source": source, "horizon": w.horizon, "count": len(w)}
 
 
+def _render(value, pad: str = "") -> str:
+    # json.dumps(value, sort_keys=True, indent=2), byte for byte, on _jsonify's output:
+    # with indent set the stdlib runs its pure-Python encoder, one item at a time.
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        items = (f"{json.dumps(k)}: {_render(v, inner)}" for k, v in sorted(value.items()))
+    elif isinstance(value, (list, tuple)) and value:
+        ints = all(type(v) is int for v in value)  # bool is not int here
+        items = map(str, value) if ints else (_render(v, inner) for v in value)
+    else:
+        return json.dumps(value)
+    opening, closing = "{}" if isinstance(value, dict) else "[]"
+    return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{closing}"
+
+
 def _emit(report: dict, path: Optional[str], to_stdout: bool) -> None:
-    doc = json.dumps(_jsonify(report), sort_keys=True, indent=2) + "\n"
+    doc = _render(_jsonify(report)) + "\n"
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(doc)
@@ -242,13 +258,14 @@ def _cmd_recurrence(args) -> tuple[dict, list[str], int]:
             return r_sequence_metric(window, sys_obj, args.eps, args.start_grid)
 
     report = {"sequence": _sequence_info(args.path, w)}
-    if args.shifts is not None:
-        verdict = shift_family_test(w, args.shifts, tester)
-        report.update(per_system=[], family=family_str + ", shifted", **verdict.to_json())
-    else:
+    if args.shifts is None:
         result = tester(w)
         verdict = result.verdict
         report.update(result.to_json())
+    else:
+        cyclic = family.startswith("cyclic:<=")
+        verdict = _shift_family_cyclic(w, args.shifts, max_period) if cyclic else shift_family_test(w, args.shifts, tester)
+        report.update(per_system=[], family=family_str + ", shifted", **verdict.to_json())
     return report, [_verdict_line(f"recurrence vs {family}", verdict)], 0
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from .intsets import Verdict, Window, finite_ip, piecewise_syndetic_certificate
-from .recurrence import r_sequence_cyclic, shift_family_test
+from .recurrence import _shift_family_cyclic
 
 __all__ = [
     "IPBlockSchedule",
@@ -224,4 +224,4 @@ def verify_shifted_recurrence(
                 )
             )
     w = _to_window(seq)
-    return shift_family_test(w, shifts, lambda shifted: r_sequence_cyclic(shifted, max_period))
+    return _shift_family_cyclic(w, shifts, max_period)

@@ -278,6 +278,17 @@ def piecewise_syndetic_certificate(w: Window, gap_bound: int, block_length: int)
     )
 
 
+def _fft_size(n: int) -> int:
+    """The least 2^a·3^b·5^c >= n: a length on which pocketfft is fast."""
+    best, p5 = 1 << (n - 1).bit_length(), 1
+    while p5 < best:
+        p = p5
+        while p < best:  # p = 3^b·5^c, lifted to n by the least power of two
+            best, p = min(best, p << (-(-n // p) - 1).bit_length()), p * 3
+        p5 *= 5
+    return best
+
+
 def difference_set(w: Window) -> Window:
     """All positive differences {s - s' : s, s' in w, s > s'}.
 
@@ -298,9 +309,8 @@ def difference_set(w: Window) -> Window:
         base = w.elements[0]
         ind = np.zeros(span + 1)
         ind[(w.array - base).astype(np.int64, copy=False)] = 1.0
-        size = 1
-        while size < 2 * (span + 1):
-            size *= 2
+        # Lags -span..span fill 2·span+1 points, so no wrapped lag lands in 1..span.
+        size = _fft_size(2 * span + 1)
         spectrum = np.fft.rfft(ind, size)
         counts = np.fft.irfft(spectrum * np.conj(spectrum), size)[1 : span + 1]
         # No array is seeded: cached comparison windows would keep it alive.

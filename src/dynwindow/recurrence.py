@@ -9,6 +9,7 @@ membership in any recurrence family.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -19,6 +20,7 @@ import numpy as np
 from .intsets import Verdict, Window, _ShiftFamily, difference_set
 from .systems import (
     CyclicSystem,
+    FiniteSystem,
     ProductSystem,
     RotationSystem,
     TorusSystem,
@@ -94,20 +96,58 @@ def return_times(sys, start, cell, horizon: int, cover=None) -> ReturnTimesResul
     """Positive times n <= horizon at which the orbit of start visits the cell.
 
     Time 0 is deliberately excluded: these windows feed recurrence tests,
-    where the trivial visit at n = 0 would make everything pass.
+    where the trivial visit at n = 0 would make everything pass.  Finite
+    systems of at most horizon states read a table of ``step``; the rest step.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if cover is None:
         cover = sys.cover(1.0)
-    walk = enumerate(sys.trajectory(start, horizon), 1)
-    times = [n for n, state in walk if cover.cell_of(state) == cell]
-    return ReturnTimesResult(Window(tuple(times), horizon), cell, start)
+    if isinstance(sys, FiniteSystem) and sys.size <= horizon:
+        times = tuple(_step_table_times(sys, start, cell, horizon, cover).tolist())
+    else:
+        walk = enumerate(sys.trajectory(start, horizon), 1)
+        times = tuple(n for n, state in walk if cover.cell_of(state) == cell)
+    # No array is seeded: cached comparison windows would keep it alive.
+    return ReturnTimesResult(Window._trusted(times, horizon), cell, start)
+
+
+def _step_table_times(sys: FiniteSystem, start, cell, horizon: int, cover) -> np.ndarray:
+    # The step is tabulated once over the codes, table[v] = encode(step(decode(v))),
+    # and squared while the orbit doubles: with the orbit at T^0..T^(L-1) of the
+    # start, the table is T^L, so table[orbit] is T^L..T^(2L-1).  The dynamics
+    # enter only through step, never as n mod size.
+    states = [sys.decode(v) for v in range(sys.size)]
+    table = np.array([sys.encode(sys.step(s)) for s in states], dtype=np.int64)
+    inside = np.array([cover.cell_of(s) == cell for s in states], dtype=bool)
+    orbit = np.array([sys.encode(start)], dtype=np.int64)
+    while orbit.size <= horizon:
+        orbit = np.concatenate((orbit, table[orbit]))
+        table = table[table]
+    return np.flatnonzero(inside[orbit[1 : horizon + 1]]) + 1
+
+
+def _small_ints(arr: np.ndarray) -> np.ndarray:
+    # Window.array holds Python ints from horizon 2^62 on, but a residue needs
+    # no sum: an ascending array whose last element is below 2^63 fits int64.
+    if arr.dtype == object and arr.size and arr[-1] < 2 ** 63:
+        return arr.astype(np.int64)
+    return arr
+
+
+def _empty_residues(arr: np.ndarray, m: int) -> np.ndarray:
+    # The classes mod m that arr misses, ascending.  A prefix of 16·m elements
+    # is counted first: if it covers Z/m, so does arr, and the rest is not read.
+    head = arr[: 16 * m]
+    counts = np.bincount((head % m).astype(np.int64, copy=False), minlength=m)
+    if head.size < arr.size and not counts.all():
+        counts = np.bincount((arr % m).astype(np.int64, copy=False), minlength=m)
+    return np.flatnonzero(counts == 0)
 
 
 def _missing_residue(a: Window, m: int) -> Optional[int]:
     """Smallest residue class mod m not hit by the window, or None if covered."""
-    empty = np.flatnonzero(np.bincount((a.array % m).astype(np.int64, copy=False), minlength=m) == 0)
+    empty = _empty_residues(_small_ints(a.array), m)
     return int(empty[0]) if empty.size else None
 
 
@@ -122,8 +162,10 @@ def r_sequence_cyclic(a: Window, max_period: int) -> RSequenceReport:
         raise ValueError("max_period must be >= 1")
     per_system = {}
     verdict = None
+    arr = _small_ints(a.array)
     for m in range(1, max_period + 1):
-        missing = _missing_residue(a, m)
+        empty = _empty_residues(arr, m)
+        missing = int(empty[0]) if empty.size else None
         per_system[f"cyclic:{m}"] = {"covered": missing is None, "missing": missing}
         if missing is not None and verdict is None:
             verdict = Verdict.fail((m, missing), note=f"residue {missing} mod {m} never hit")
@@ -256,6 +298,34 @@ def shift_family_test(a: Window, shifts: Iterable[int], tester: Callable) -> Ver
         if verdict.inconclusive:
             return Verdict.undecided(note=f"shift {n:+d} inconclusive: {verdict.note}")
     return Verdict.hold(note=f"all {len(shifts)} shifts pass")
+
+
+def _shift_family_cyclic(a: Window, shifts: Iterable[int], max_period: int) -> Verdict:
+    """shift_family_test(a, shifts, lambda w: r_sequence_cyclic(w, max_period)), verdict for verdict.
+
+    Shift n keeps the slice of a with -n <= e <= horizon - n and permutes Z/m,
+    so the shifted copy misses (empty + n) mod m; no shifted window is built.
+    m runs outermost (residues of Python ints are taken once per m), and only
+    shifts before the first failing one found so far are read.
+    """
+    shifts = sorted(shifts)
+    if shifts and max_period < 1:
+        raise ValueError("max_period must be >= 1")
+    arr, e = _small_ints(a.array), a.elements
+    bounds = [(bisect.bisect_left(e, -n), bisect.bisect_right(e, a.horizon - n)) for n in shifts]
+    failure = None  # (index, m, missing residue) of the first failing shift found so far
+    for m in range(1, max_period + 1):
+        residues = arr if arr.dtype != object else (arr % m).astype(np.int64)
+        for i in range(len(shifts) if failure is None else failure[0]):
+            lo, hi = bounds[i]
+            empty = _empty_residues(residues[lo:hi], m)
+            if empty.size:
+                failure = (i, m, int(((empty + shifts[i] % m) % m).min()))
+                break
+    if failure is None:
+        return Verdict.hold(note=f"all {len(shifts)} shifts pass")
+    i, m, missing = failure
+    return Verdict.fail(shifts[i], note=f"shift {shifts[i]:+d} fails: residue {missing} mod {m} never hit")
 
 
 @lru_cache(maxsize=1)

@@ -4,6 +4,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dynwindow import Window, cli, parse_sequence_file, write_sequence_file
 from dynwindow.cli import main, parse_system_spec, SystemSpecError
@@ -260,6 +262,35 @@ def test_only_crosscheck_takes_seed(squares_file, capsys, command):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--seed", "9"])
     assert exc.value.code == 2 and "unrecognized arguments: --seed 9" in capsys.readouterr().err
+
+
+# -- the report writer ----------------------------------------------------------------
+
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(2 ** 63 - 2, 2 ** 70)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([-0.0, 0.0, float("nan"), float("inf"), float("-inf")])
+    | st.text()
+    | st.sampled_from(["", "é∩…", '"\\/\b\f\n\r\t\x00\x1f', "\ud800", "😀"])
+)
+_REPORTS = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(st.integers(), max_size=30)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=5),
+    max_leaves=40,
+)
+
+
+@given(_REPORTS)
+@example({"image": [0, 1, 2 ** 64], "empty": [], "none": {}, "flags": [True, 1, False], "x": [-0.0]})
+@example([[], {}, [[]], {"": {}}])
+@settings(max_examples=120, deadline=None)
+def test_report_writer_matches_json_dumps(value):
+    assert cli._render(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
 # -- determinism and errors ------------------------------------------------------------

@@ -26,7 +26,7 @@ from dynwindow import (
     piecewise_syndetic_certificate,
     shifted_hit,
 )
-from dynwindow.intsets import _BITMASK_HORIZON_CAP, _ShiftFamily
+from dynwindow.intsets import _BITMASK_HORIZON_CAP, _ShiftFamily, _fft_size
 
 
 # -- Window type ---------------------------------------------------------------
@@ -763,6 +763,39 @@ def test_difference_set_matches_the_quadratic_scan(seed, count, density, base):
     got = difference_set(w)
     assert got == scan and hash(got) == hash(scan)
     assert "array" not in got.__dict__  # not seeded: cached comparison windows would keep it
+
+
+def _is_5_smooth(n):
+    for q in (2, 3, 5):
+        while n % q == 0:
+            n //= q
+    return n == 1
+
+
+def test_fft_size_is_the_least_5_smooth_length():
+    least = {}
+    m = 5000
+    for n in range(5000, 0, -1):
+        if _is_5_smooth(n):
+            m = n
+        least[n] = m
+    assert [_fft_size(n) for n in range(1, 5001)] == [least[n] for n in range(1, 5001)]
+    assert _fft_size(2 * 10 ** 4 + 1) == 20250  # 32768 as a power of two
+
+
+# Spans whose 5-smooth FFT length is below the power of two: 2·span+1 is itself
+# 5-smooth for 562 (1125), 607 (1215), 1012 (2025) and 1687 (3375).
+@pytest.mark.parametrize("span", [562, 607, 1012, 1687, 1100, 3000])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_difference_set_on_5_smooth_fft_lengths(span, seed):
+    size = _fft_size(2 * span + 1)
+    assert size < 1 << (2 * span).bit_length() and size >= 2 * span + 1
+    rng = np.random.default_rng(seed)
+    inner = rng.choice(np.arange(1, span), size=min(span - 1, 420 + seed * span // 3), replace=False)
+    elems = [7, *sorted(int(e) + 7 for e in inner), span + 7]  # the span is pinned by both ends
+    w = Window(tuple(elems), span + 20)
+    assert len(w) > 400
+    assert difference_set(w) == Window(tuple(sorted({b - a for a, b in combinations(elems, 2)})), w.horizon)
 
 
 # -- the trusted constructor ---------------------------------------------------------

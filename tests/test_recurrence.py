@@ -20,6 +20,7 @@ from dynwindow import (
     OdometerSystem,
     RotationSystem,
     SkewProductSystem,
+    Verdict,
     Window,
     birkhoff_window_test,
     cesaro_average_along,
@@ -37,9 +38,14 @@ from dynwindow import (
 )
 from dynwindow import recurrence
 from dynwindow.recurrence import (
+    ReturnTimesResult,
+    _comparison_windows,
     _cyclic_return_window,
     _missing_residue,
     _progression_difference_window,
+    _shift_family_cyclic,
+    _small_ints,
+    _step_table_times,
 )
 
 
@@ -77,6 +83,42 @@ def test_return_times_skew_golden_nonempty():
 
     x, y = orbit_at(skew, (0.0, 0.0), n)
     assert x < 0.1 and y < 0.1
+
+
+def _ref_return_times(sys, start, cell, horizon: int, cover=None) -> ReturnTimesResult:
+    # The stepped walk return_times ran on every system before the step table: the reference.
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    if cover is None:
+        cover = sys.cover(1.0)
+    walk = enumerate(sys.trajectory(start, horizon), 1)
+    times = [n for n, state in walk if cover.cell_of(state) == cell]
+    return ReturnTimesResult(Window(tuple(times), horizon), cell, start)
+
+
+FINITE_SYSTEMS = [CyclicSystem(1), CyclicSystem(2), CyclicSystem(7), CyclicSystem(12), OdometerSystem(2, 3), OdometerSystem(3, 2)]
+
+
+@given(st.sampled_from(FINITE_SYSTEMS), st.integers(1, 300))
+@example(CyclicSystem(5), 10_000)
+@example(OdometerSystem(2, 2), 10_000)
+@settings(max_examples=40, deadline=None)
+def test_step_table_return_times_match_the_stepped_walk(sys, horizon):
+    # Every start (a cycle also from an unreduced one) and every cell, on both
+    # sides of size = horizon, where return_times switches to the table.
+    cover = sys.cover(1.0)
+    starts = sys.starts(1.0) + ([sys.size + 2] if isinstance(sys, CyclicSystem) else [])
+    for start in starts:
+        for cell in cover.cell_ids():
+            want = _ref_return_times(sys, start, cell, horizon)
+            assert _step_table_times(sys, start, cell, horizon, cover).tolist() == list(want.times.elements)
+            got = return_times(sys, start, cell, horizon)
+            assert got == want and "array" not in got.times.__dict__
+
+
+def test_return_times_of_a_cycle_larger_than_the_horizon_are_stepped():
+    # A table of 10^12 states is never built: the walk reads 5 steps.
+    assert return_times(CyclicSystem(10 ** 12), 10 ** 12 - 3, 0, 5).times.elements == (3,)
 
 
 # -- r_sequence_cyclic --------------------------------------------------------------
@@ -121,6 +163,8 @@ def _scan_missing_residue(a, m):
 @example([], 0)
 @example(list(range(70)), 0)
 @example(list(range(70)), 2 ** 63)
+@example([*range(0, 1000, 2), 1001], 0)  # a prefix of 16·m evens misses what 1001 hits
+@example([*range(0, 1000, 2), 1001], 2 ** 63)
 @settings(max_examples=80, deadline=None)
 def test_missing_residue_matches_brute_force(elems, base):
     # base 2^63 puts the horizon past 2^62, where the array holds Python ints;
@@ -174,6 +218,20 @@ def test_shift_soundness_mod_m(elems, m, t):
     before = r_sequence_cyclic(a, m).per_system[f"cyclic:{m}"]
     after = r_sequence_cyclic(shifted, m).per_system[f"cyclic:{m}"]
     assert before["covered"] == after["covered"]
+
+
+def test_small_elements_under_a_wide_horizon_take_int64_residues():
+    # Window.array is object from horizon 2^62 on; residues convert it while
+    # the last element is below 2^63, and keep Python ints from there.
+    elems = tuple(range(3, 4000, 2))
+    small, wide = Window(elems, 4000), Window(elems, 2 ** 63)
+    assert wide.array.dtype == object and _small_ints(wide.array).dtype == np.int64
+    assert r_sequence_cyclic(wide, 50) == r_sequence_cyclic(small, 50)
+    top = Window((3, 2 ** 63 - 1), 2 ** 63)
+    assert _small_ints(top.array).dtype == np.int64 and _small_ints(top.array).tolist() == [3, 2 ** 63 - 1]
+    beyond = Window((3, 2 ** 63), 2 ** 63)
+    assert _small_ints(beyond.array).dtype == object
+    assert r_sequence_cyclic(beyond, 6).verdict.witness == (3, 1)  # 2^63 = 2 mod 3
 
 
 # -- r_sequence_metric ---------------------------------------------------------------
@@ -262,6 +320,71 @@ def test_shift_family_propagates_inconclusive():
     assert v.inconclusive
 
 
+def _cyclic_shift_family(a, shifts, max_period):
+    return shift_family_test(a, shifts, lambda w: r_sequence_cyclic(w, max_period))
+
+
+def _scan_shift_family(a, shifts, max_period):
+    # The same verdicts from a set of residues per shifted window and m, sharing no kernel.
+    def tester(w):
+        for m in range(1, max_period + 1):
+            missing = _scan_missing_residue(w, m)
+            if missing is not None:
+                return Verdict.fail((m, missing), note=f"residue {missing} mod {m} never hit")
+        return Verdict.hold()
+
+    return shift_family_test(a, shifts, tester)
+
+
+@st.composite
+def shift_family_cases(draw):
+    # Dense and sparse windows, windows hugging 0, elements at 2^63 (residues of
+    # Python ints), small elements under a horizon past 2^62 (converted to int64),
+    # slices emptied by shifts past the horizon, and windows longer than 16·M,
+    # where the covering prefix settles m or falls back to the whole slice.
+    span = draw(st.integers(0, 1500))
+    density = draw(st.sampled_from([0.0, 0.005, 0.05, 0.3, 0.9, 1.0]))
+    low = draw(st.sampled_from([0, 0, 7, 40]))
+    offset = draw(st.sampled_from([0, 0, 2 ** 63]))
+    wide = draw(st.sampled_from([0, 0, 2 ** 63]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    elems = np.flatnonzero(rng.random(span + 1) < density)
+    elems = elems[elems >= low]
+    if draw(st.booleans()):
+        elems = elems[np.isin(elems % 6, (0, 1, 3, 4))]  # misses two classes mod 6
+    if draw(st.booleans()):
+        elems = elems[(elems % 2 == 0) | (elems > span // 2)]  # odd classes only late
+    a = Window(tuple(offset + int(e) for e in elems), offset + span + wide)
+    first = draw(st.integers(-span - 60, span + 60)) - draw(st.sampled_from([0, offset]))
+    shifts = range(first, first + draw(st.integers(0, 14)))
+    return a, shifts, draw(st.integers(1, 14))
+
+
+@given(shift_family_cases())
+@example((Window((), 10), range(-2, 3), 5))
+@example((Window((*range(0, 3000, 2), 3001), 3001), range(-3, 4), 12))
+@example((Window((0, 1, 2, 3), 50), range(-3, 4), 1))
+@example((interval(0, 999), range(-1001, -998), 12))
+@example((interval(0, 999), range(998, 1002), 12))
+@example((Window(tuple(range(0, 3000, 2)), 2 ** 63), range(-2, 3), 12))
+@settings(max_examples=150, deadline=None)
+def test_cyclic_shift_family_matches_the_shifted_windows(case):
+    a, shifts, max_period = case
+    got = _shift_family_cyclic(a, shifts, max_period)
+    assert got == _cyclic_shift_family(a, shifts, max_period) == _scan_shift_family(a, shifts, max_period)
+
+
+def test_cyclic_shift_family_edges():
+    # Like the shifted windows: no shift holds vacuously, before max_period is
+    # checked; a shift past the horizon leaves an empty window, which misses 0 mod 1.
+    assert _shift_family_cyclic(interval(0, 10), [], 0) == Verdict.hold(note="all 0 shifts pass")
+    with pytest.raises(ValueError, match="max_period must be >= 1"):
+        _shift_family_cyclic(interval(0, 10), [0], 0)
+    v = _shift_family_cyclic(interval(0, 10), [3, 11, -11, 0], 4)
+    assert v == Verdict.fail(-11, note="shift -11 fails: residue 0 mod 1 never hit")
+    assert v == _cyclic_shift_family(interval(0, 10), [3, 11, -11, 0], 4)
+
+
 # -- crosscheck ------------------------------------------------------------------------
 
 
@@ -313,6 +436,25 @@ def test_crosscheck_residue_oracle_feeds_only_the_coverage_predicate(monkeypatch
     monkeypatch.setattr(recurrence, "_missing_residue", lambda a, m: missing)
     v = crosscheck_cyclic_equivalence(window, 2, range(-2, 3))
     assert v.fails and v.witness == witness
+
+
+def test_crosscheck_sees_a_corrupted_step(monkeypatch):
+    # Return times read the dynamics through step alone: send 4 to 1 on Z/5, so
+    # the orbit of 0 never comes back, and only predicate (2) moves, at m = 5.
+    step = CyclicSystem.step
+
+    def corrupted(self, state):
+        return 1 if (self.period, state) == (5, 4) else step(self, state)
+
+    w = interval(20, 400)
+    assert crosscheck_cyclic_equivalence(w, 6, range(-6, 7)).holds
+    monkeypatch.setattr(CyclicSystem, "step", corrupted)
+    _comparison_windows.cache_clear()
+    try:
+        v = crosscheck_cyclic_equivalence(w, 6, range(-6, 7))
+    finally:
+        _comparison_windows.cache_clear()
+    assert v.fails and v.witness == (5, True, False, True)
 
 
 def test_crosscheck_rejects_huge_elements():
