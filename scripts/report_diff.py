@@ -126,6 +126,9 @@ CALLS = [
     "crosscheck --count 1 --horizon 0",
     "crosscheck --count 1 --horizon 30",
     "crosscheck --count 1 --horizon 50 --max-period 3",
+    # Cold M = 12 cross-checks: every m <= 12 builds its translation-class windows.
+    "crosscheck evens.txt --max-period 12 --horizon 5003",
+    "crosscheck --count 3 --horizon 2000 --max-period 12 --seed 11",
     "permpoly check x^2+3x+1 --p 7",
     "permpoly check x^3 --p 11",
     "permpoly find-prime x^2 --cap 100",

@@ -9,6 +9,7 @@ computed (even a failing one); nonzero is reserved for operational errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -382,7 +383,9 @@ def _cmd_product(args) -> tuple[dict, list[str], int]:
     return res.to_json(), [line], 0 if res.agrees else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # Built on the first call and shared by every later main call in the process.
     parser = argparse.ArgumentParser(
         prog="dynwindow",
         description="Window-bounded recurrence, density and permutation-polynomial checks.",

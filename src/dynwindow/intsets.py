@@ -299,22 +299,29 @@ def difference_set(w: Window) -> Window:
     Large windows go through an indicator autocorrelation (counts are
     integers <= |w|, so double-precision FFT roundoff of ~1e-9 cannot cross
     the 0.5 decision threshold); small or extremely wide-spanned windows
-    use the quadratic scan.
+    use the quadratic scan.  The autocorrelation runs on the common stride:
+    with g the gcd of the offsets from the least element b, S - S is
+    g·(T - T) for T = (S - b)/g, so a progression of step m costs a
+    transform of about 2·span/m points.
     """
     n = len(w.elements)
     if n < 2:
         return Window((), w.horizon)
     span = w.elements[-1] - w.elements[0]
     if n > 400 and span <= _FFT_SPAN_CAP:
-        base = w.elements[0]
-        ind = np.zeros(span + 1)
-        ind[(w.array - base).astype(np.int64, copy=False)] = 1.0
-        # Lags -span..span fill 2·span+1 points, so no wrapped lag lands in 1..span.
-        size = _fft_size(2 * span + 1)
+        offsets = (w.array - w.elements[0]).astype(np.int64, copy=False)
+        stride = int(np.gcd.reduce(offsets))
+        offsets //= stride
+        top = span // stride
+        ind = np.zeros(top + 1)
+        ind[offsets] = 1.0
+        # Lags -top..top fill 2·top+1 points, so no wrapped lag lands in 1..top.
+        size = _fft_size(2 * top + 1)
         spectrum = np.fft.rfft(ind, size)
-        counts = np.fft.irfft(spectrum * np.conj(spectrum), size)[1 : span + 1]
+        counts = np.fft.irfft(spectrum * np.conj(spectrum), size)[1 : top + 1]
         # No array is seeded: cached comparison windows would keep it alive.
-        return Window._trusted(tuple((np.flatnonzero(counts > 0.5) + 1).tolist()), w.horizon)
+        lags = (np.flatnonzero(counts > 0.5) + 1) * stride
+        return Window._trusted(tuple(lags.tolist()), w.horizon)
     out = set()
     elems = w.elements
     for i in range(n):

@@ -345,10 +345,14 @@ def _cyclic_return_window(m: int, horizon: int) -> Window:
 
 def _progression_difference_window(m: int, r: int, horizon: int) -> Window:
     # S - S for the syndetic progression S = {r, r+m, r+2m, ...} on [0, horizon].
+    # S is a translate of {0, m, ..., (k-1)m}, k = |S|, and S - S is translation
+    # invariant: one window per (m, k), built from the first S of that length.
     store = _comparison_windows(horizon)
-    if ("difference", m, r) not in store:
-        store["difference", m, r] = difference_set(Window(tuple(range(r, horizon + 1, m)), horizon))
-    return store["difference", m, r]
+    key = ("difference", m, (horizon - r) // m + 1)
+    if key not in store:
+        seed = np.arange(r, horizon + 1, m)
+        store[key] = difference_set(Window._trusted(tuple(range(r, horizon + 1, m)), horizon, seed))
+    return store[key]
 
 
 def crosscheck_cyclic_equivalence(a: Window, max_period: int, shifts: Iterable[int]) -> Verdict:
@@ -361,7 +365,10 @@ def crosscheck_cyclic_equivalence(a: Window, max_period: int, shifts: Iterable[i
       (2) for every shift n, (a + n) meets the return-time set N(U,U) of the
           m-cycle (built by orbit stepping);
       (3) for every shift n and every progression S = mN + r, (a + n) meets
-          S - S (built by difference_set).
+          S - S (built by difference_set).  On [0, ext] the m progressions
+          fall into at most two translation classes (ext // m + 1 elements
+          or one fewer), and S - S is the same across a class, so one
+          difference set is built and met per class.
 
     Any disagreement is an implementation bug, reported as Fails with the
     offending (m, coverage, return-hit, difference-hit) tuple.  Exact
@@ -386,7 +393,9 @@ def crosscheck_cyclic_equivalence(a: Window, max_period: int, shifts: Iterable[i
         covered = _missing_residue(a, m) is None
         nuu = _cyclic_return_window(m, ext)
         return_hit = family.meets(nuu)
-        diff_hit = all(family.meets(_progression_difference_window(m, r, ext)) for r in range(m))
+        # Progressions r <= ext mod m have one element more than the rest: two translation classes.
+        leaders = (0,) if ext % m == m - 1 else (0, ext % m + 1)
+        diff_hit = all(family.meets(_progression_difference_window(m, r, ext)) for r in leaders)
         if not (covered == return_hit == diff_hit):
             return Verdict.fail(
                 (m, covered, return_hit, diff_hit),

@@ -2,11 +2,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dynwindow
 from dynwindow import Window, cli, parse_sequence_file, write_sequence_file
 from dynwindow.cli import main, parse_system_spec, SystemSpecError
 from dynwindow.systems import CyclicSystem, OdometerSystem, ProductSystem, RotationSystem, SkewProductSystem, GOLDEN
@@ -262,6 +267,28 @@ def test_only_crosscheck_takes_seed(squares_file, capsys, command):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--seed", "9"])
     assert exc.value.code == 2 and "unrecognized arguments: --seed 9" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_a_usage_error_leaves_the_shared_parser_as_a_fresh_process_has_it(squares_file, capsys, monkeypatch):
+    # The failed call sets --shifts before it dies on --eps; the next call must not see it.
+    bad = ["recurrence", squares_file, "cyclic:<=3", "--shifts=-2..2", "--eps", "x"]
+    good = ["recurrence", squares_file, "cyclic:<=3", "--json"]
+    monkeypatch.setenv("COLUMNS", "80")
+    env = {**os.environ, "PYTHONPATH": str(Path(dynwindow.__file__).resolve().parent.parent)}
+    fresh = [subprocess.run([sys.executable, "-m", "dynwindow", *argv], capture_output=True, env=env, check=False)
+             for argv in (bad, good)]
+    with pytest.raises(SystemExit) as exc:
+        main(bad)
+    err = capsys.readouterr().err
+    assert (exc.value.code, err.encode()) == (fresh[0].returncode, fresh[0].stderr) and exc.value.code == 2
+    code = main(good)
+    out, err = capsys.readouterr()
+    assert (code, out.encode(), err.encode()) == (fresh[1].returncode, fresh[1].stdout, fresh[1].stderr)
+    assert '"shifts": null' in out
 
 
 # -- the report writer ----------------------------------------------------------------

@@ -745,20 +745,24 @@ def test_classifiers_with_parameters_up_to_the_horizon(elems, gap, length, base)
 @given(
     st.integers(0, 2 ** 32),
     st.integers(0, 900),
-    st.sampled_from([0.002, 0.05, 0.5, 0.95]),
-    st.sampled_from([0, 2 ** 63]),
+    st.sampled_from([0.002, 0.05, 0.5, 0.95, 1.0]),
+    st.sampled_from([1, 2, 3, 7, 12]),
+    st.sampled_from([0, 5, 2 ** 63]),
 )
-@example(0, 0, 0.5, 0)
-@example(0, 1, 0.5, 0)
-@example(0, 1, 0.5, 2 ** 63)
-@settings(max_examples=40, deadline=None)
-def test_difference_set_matches_the_quadratic_scan(seed, count, density, base):
-    # Sizes on both sides of the 400-element switch to the FFT; base 2^63
-    # builds the FFT indicator from an array of Python ints.
+@example(0, 0, 0.5, 1, 0)
+@example(0, 1, 0.5, 1, 0)
+@example(0, 1, 0.5, 1, 2 ** 63)
+@example(0, 401, 1.0, 12, 5)  # a progression: the FFT runs on an interval of 401 points
+@example(0, 401, 1.0, 7, 2 ** 63)
+@settings(max_examples=60, deadline=None)
+def test_difference_set_matches_the_quadratic_scan(seed, count, density, stride, base):
+    # Windows base + stride·S, with sizes on both sides of the 400-element
+    # switch to the FFT, which runs on S and scales its lags back by the
+    # common stride; base 2^63 builds the indicator from Python ints.
     rng = np.random.default_rng(seed)
     span = max(1, int(count / density))
-    elems = np.sort(rng.choice(span, size=min(count, span), replace=False)).tolist()
-    w = Window(tuple(base + e for e in elems), base + span + 3)
+    elems = [stride * e for e in np.sort(rng.choice(span, size=min(count, span), replace=False)).tolist()]
+    w = Window(tuple(base + e for e in elems), base + stride * span + 3)
     scan = Window(tuple(sorted({b - a for a, b in combinations(elems, 2)})), w.horizon)
     got = difference_set(w)
     assert got == scan and hash(got) == hash(scan)

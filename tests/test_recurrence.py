@@ -26,6 +26,7 @@ from dynwindow import (
     cesaro_average_along,
     cesaro_interval_closed_form,
     crosscheck_cyclic_equivalence,
+    difference_set,
     eps_dense,
     finite_ip,
     finite_subcover,
@@ -389,13 +390,18 @@ def test_cyclic_shift_family_edges():
 
 
 def test_crosscheck_internal_windows_coincide():
-    # the return-time path and the difference-set path must build the same set
-    for m in (1, 2, 5, 12):
-        nuu = _cyclic_return_window(m, 500)
-        assert nuu.elements == tuple(range(m, 501, m))
-        for r in range(m):
-            d = _progression_difference_window(m, r, 500)
-            assert d.elements == tuple(range(m, 501 - r, m))
+    # The return-time path and the difference-set path must build the same set.
+    # Horizons 500..511 take every residue mod m for each m, so every
+    # progression, of either length, is read through its class window.
+    for horizon in range(500, 512):
+        for m in (1, 2, 5, 12):
+            nuu = _cyclic_return_window(m, horizon)
+            assert nuu.elements == tuple(range(m, horizon + 1, m))
+            for r in range(m):
+                d = _progression_difference_window(m, r, horizon)
+                assert d.elements == tuple(range(m, horizon + 1 - r, m))
+                assert d is _progression_difference_window(m, 0 if r <= horizon % m else horizon % m + 1, horizon)
+                assert d == difference_set(Window(tuple(range(r, horizon + 1, m)), horizon))
 
 
 def test_crosscheck_keeps_windows_of_the_latest_horizon_only():
@@ -455,6 +461,53 @@ def test_crosscheck_sees_a_corrupted_step(monkeypatch):
     finally:
         _comparison_windows.cache_clear()
     assert v.fails and v.witness == (5, True, False, True)
+
+
+def test_crosscheck_sees_a_corrupted_difference_set(monkeypatch):
+    # Predicate (3) reads S - S through difference_set alone: empty it for the
+    # m = 5 progressions, and only predicate (3) moves, at m = 5.
+    honest = recurrence.difference_set
+
+    def corrupted(w):
+        return Window((), w.horizon) if w.elements[1] - w.elements[0] == 5 else honest(w)
+
+    w = interval(20, 400)
+    assert crosscheck_cyclic_equivalence(w, 6, range(-6, 7)).holds
+    monkeypatch.setattr(recurrence, "difference_set", corrupted)
+    _comparison_windows.cache_clear()
+    try:
+        v = crosscheck_cyclic_equivalence(w, 6, range(-6, 7))
+    finally:
+        _comparison_windows.cache_clear()
+    assert v.fails and v.witness == (5, True, True, False)
+
+
+def test_crosscheck_builds_one_difference_set_per_translation_class(monkeypatch):
+    # The m progressions on [0, ext] have at most two lengths, so a cold
+    # M = 12 cross-check builds at most 1 + 2·11 = 2M - 1 difference sets,
+    # and meets each once, besides one return-time window per m.
+    calls, meets = [], []
+    honest_meets = recurrence._ShiftFamily.meets
+
+    def counted(w):
+        calls.append(len(w))
+        return difference_set(w)
+
+    def counted_meets(family, d):
+        meets.append(d)
+        return honest_meets(family, d)
+
+    monkeypatch.setattr(recurrence, "difference_set", counted)
+    monkeypatch.setattr(recurrence._ShiftFamily, "meets", counted_meets)
+    _comparison_windows.cache_clear()
+    try:
+        v = crosscheck_cyclic_equivalence(interval(20, 2000), 12, range(-6, 7))
+    finally:
+        _comparison_windows.cache_clear()
+    assert v.holds
+    ext = 2000 + 6 + 12
+    assert len(calls) == len({(m, (ext - r) // m + 1) for m in range(1, 13) for r in range(m)}) <= 23
+    assert len(meets) == 12 + len(calls)
 
 
 def test_crosscheck_rejects_huge_elements():
