@@ -147,21 +147,6 @@ def _parse_shifts(text: str) -> range:
     return range(a, b + 1)
 
 
-def _jsonify(value):
-    # Primitives first: most of a report (a find-prime image) and matched by no branch below.
-    if value is None or isinstance(value, (str, int, float)):
-        return value
-    if isinstance(value, Verdict):
-        return value.to_json()
-    if isinstance(value, Fraction):
-        return {"exact": f"{value.numerator}/{value.denominator}", "float": float(value)}
-    if isinstance(value, dict):
-        return {str(k): _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    return str(value)
-
-
 def _load_window(path: str, horizon_override: Optional[int]) -> Window:
     w = parse_sequence_file(path)
     return w if horizon_override is None else w.restrict(horizon_override)
@@ -172,8 +157,12 @@ def _sequence_info(source: str, w: Window) -> dict:
 
 
 def _render(value, pad: str = "") -> str:
-    # json.dumps(value, sort_keys=True, indent=2), byte for byte, on _jsonify's output:
-    # with indent set the stdlib runs its pure-Python encoder, one item at a time.
+    # json.dumps(value, sort_keys=True, indent=2), byte for byte, reading a Verdict as to_json()
+    # and a Fraction as {"exact", "float"}: with indent set the stdlib encodes in pure Python.
+    if isinstance(value, Verdict):
+        value = value.to_json()
+    elif isinstance(value, Fraction):
+        value = {"exact": f"{value.numerator}/{value.denominator}", "float": float(value)}
     inner = pad + "  "
     if isinstance(value, dict) and value:
         items = (f"{json.dumps(k)}: {_render(v, inner)}" for k, v in sorted(value.items()))
@@ -187,7 +176,7 @@ def _render(value, pad: str = "") -> str:
 
 
 def _emit(report: dict, path: Optional[str], to_stdout: bool) -> None:
-    doc = _render(_jsonify(report)) + "\n"
+    doc = _render(report) + "\n"
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(doc)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -41,6 +42,12 @@ _BITMASK_HORIZON_CAP = 4_000_000
 
 # Spans beyond this would need >128MB FFT scratch; fall back to the scan.
 _FFT_SPAN_CAP = 8_000_000
+
+# difference_set's transform costs about one scanned pair per 4 points, plus
+# 1600 points (~35 us) to set up: measured on a 2-vCPU x86-64 host, where the
+# crossover lay at 2.5-5 points a pair for 40-1280 elements.
+_FFT_POINTS_PER_PAIR = 4
+_FFT_SETUP_POINTS = 1600
 
 # Element arrays are int64 for horizons below this, so the sum of two values up
 # to the horizon (an element plus a shift, say) still fits; past it they hold
@@ -125,18 +132,15 @@ class Window:
     def __post_init__(self) -> None:
         if self.horizon < 0:
             raise ValueError(f"horizon must be >= 0, got {self.horizon}")
+        if self.elements and self.elements[0] < 0:
+            raise ValueError(f"negative element {self.elements[0]}")
         prev = -1
         for e in self.elements:
             if e <= prev:
                 raise ValueError(f"elements not strictly ascending at {prev}, {e}")
             prev = e
-        if self.elements:
-            if self.elements[0] < 0:
-                raise ValueError(f"negative element {self.elements[0]}")
-            if self.elements[-1] > self.horizon:
-                raise ValueError(
-                    f"element {self.elements[-1]} exceeds horizon {self.horizon}"
-                )
+        if self.elements and self.elements[-1] > self.horizon:
+            raise ValueError(f"element {self.elements[-1]} exceeds horizon {self.horizon}")
 
     @classmethod
     def _trusted(cls, elements: tuple, horizon: int, seed: Optional[np.ndarray] = None) -> "Window":
@@ -155,11 +159,8 @@ class Window:
         return len(self.elements)
 
     def __contains__(self, n: int) -> bool:
-        return n in self.as_set
-
-    @cached_property
-    def as_set(self) -> frozenset:
-        return frozenset(self.elements)
+        i = bisect.bisect_left(self.elements, n)
+        return i < len(self.elements) and self.elements[i] == n
 
     @cached_property
     def array(self) -> np.ndarray:
@@ -296,23 +297,22 @@ def difference_set(w: Window) -> Window:
     and 0 would make every such test trivially pass.  Result horizon is the
     input horizon.
 
-    Large windows go through an indicator autocorrelation (counts are
-    integers <= |w|, so double-precision FFT roundoff of ~1e-9 cannot cross
-    the 0.5 decision threshold); small or extremely wide-spanned windows
-    use the quadratic scan.  The autocorrelation runs on the common stride:
-    with g the gcd of the offsets from the least element b, S - S is
-    g·(T - T) for T = (S - b)/g, so a progression of step m costs a
-    transform of about 2·span/m points.
+    The autocorrelation runs on the common stride: with g the gcd of the
+    offsets from the least element b, S - S is g·(T - T) for T = (S - b)/g,
+    so a progression of step m costs a transform of about 2·span/m points.
+    That transform of the indicator is taken when it is cheaper than the
+    quadratic scan of all pairs (counts are integers <= |w|, so
+    double-precision FFT roundoff of ~1e-9 cannot cross the 0.5 decision
+    threshold); sparse or extremely wide-spanned windows use the scan.
     """
     n = len(w.elements)
     if n < 2:
         return Window((), w.horizon)
-    span = w.elements[-1] - w.elements[0]
-    if n > 400 and span <= _FFT_SPAN_CAP:
-        offsets = (w.array - w.elements[0]).astype(np.int64, copy=False)
-        stride = int(np.gcd.reduce(offsets))
-        offsets //= stride
-        top = span // stride
+    offsets = w.array - w.elements[0]
+    stride = int(np.gcd.reduce(offsets))
+    top = (w.elements[-1] - w.elements[0]) // stride
+    if top <= _FFT_SPAN_CAP and 2 * top + _FFT_SETUP_POINTS < _FFT_POINTS_PER_PAIR * (n * (n - 1) // 2):
+        offsets = (offsets // stride).astype(np.int64, copy=False)
         ind = np.zeros(top + 1)
         ind[offsets] = 1.0
         # Lags -top..top fill 2·top+1 points, so no wrapped lag lands in 1..top.
@@ -320,14 +320,9 @@ def difference_set(w: Window) -> Window:
         spectrum = np.fft.rfft(ind, size)
         counts = np.fft.irfft(spectrum * np.conj(spectrum), size)[1 : top + 1]
         # No array is seeded: cached comparison windows would keep it alive.
-        lags = (np.flatnonzero(counts > 0.5) + 1) * stride
+        lags = (np.flatnonzero(counts > 0.5) + 1).astype(w.array.dtype) * stride
         return Window._trusted(tuple(lags.tolist()), w.horizon)
-    out = set()
-    elems = w.elements
-    for i in range(n):
-        ei = elems[i]
-        for j in range(i + 1, n):
-            out.add(elems[j] - ei)
+    out = {b - a for a, b in combinations(w.elements, 2)}
     return Window(tuple(sorted(out)), w.horizon)
 
 
@@ -337,17 +332,18 @@ def _shift_mask(mask: int, shift: int) -> int:
 
 def _least_common(a: Window, d: Window, shift: int) -> Optional[int]:
     # The least element of a ∩ (shift + d), or None when they do not meet.
-    if not a.elements or not d.elements:
+    # Only the y in d with 0 <= y + shift <= a.horizon can meet a.
+    lo = bisect.bisect_left(d.elements, -shift)
+    hi = bisect.bisect_right(d.elements, a.horizon - shift)
+    if not a.elements or lo == hi:
         return None
-    mask_a, mask_d = a.bitmask, d.bitmask
-    if mask_a is not None and mask_d is not None:
-        common = mask_a & _shift_mask(mask_d, shift)
-        return (common & -common).bit_length() - 1 if common else None
-    if len(a) <= len(d):
-        dset = d.as_set
-        return next((x for x in a.elements if x - shift in dset), None)
-    aset = a.as_set
-    return next((y + shift for y in d.elements if y + shift in aset), None)
+    moved = d.array[lo:hi]
+    if object in (a.array.dtype, moved.dtype):
+        moved = moved.astype(object)  # an int64 y + shift may pass 2^63
+    moved = (moved + shift).astype(a.array.dtype, copy=False)
+    at = np.searchsorted(a.array, moved)
+    found = np.flatnonzero(a.array[np.minimum(at, len(a) - 1)] == moved)
+    return int(moved[found[0]]) if found.size else None
 
 
 class _ShiftFamily:

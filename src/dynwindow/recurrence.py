@@ -24,6 +24,7 @@ from .systems import (
     ProductSystem,
     RotationSystem,
     TorusSystem,
+    _coverage,
     mult_angle_mod1,
 )
 
@@ -97,7 +98,8 @@ def return_times(sys, start, cell, horizon: int, cover=None) -> ReturnTimesResul
 
     Time 0 is deliberately excluded: these windows feed recurrence tests,
     where the trivial visit at n = 0 would make everything pass.  Finite
-    systems of at most horizon states read a table of ``step``; the rest step.
+    systems of at most horizon states read a table of ``step``; the rest
+    read ``orbit_at(start, n)`` at each n.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -106,8 +108,7 @@ def return_times(sys, start, cell, horizon: int, cover=None) -> ReturnTimesResul
     if isinstance(sys, FiniteSystem) and sys.size <= horizon:
         times = tuple(_step_table_times(sys, start, cell, horizon, cover).tolist())
     else:
-        walk = enumerate(sys.trajectory(start, horizon), 1)
-        times = tuple(n for n, state in walk if cover.cell_of(state) == cell)
+        times = tuple(n for n in range(1, horizon + 1) if cover.cell_of(sys.orbit_at(start, n)) == cell)
     # No array is seeded: cached comparison windows would keep it alive.
     return ReturnTimesResult(Window._trusted(times, horizon), cell, start)
 
@@ -187,16 +188,6 @@ def _metric_budget_note(a: Window, sys, eps: float) -> Optional[str]:
             f"> eps/10 = {eps / 10.0:.3g}"
         )
     return None
-
-
-def _coverage(ids: np.ndarray) -> tuple[int, int]:
-    """(number of distinct flat cell ids, least flat id not among them)."""
-    ids = np.sort(ids)
-    first = np.ones(ids.size, dtype=bool)
-    first[1:] = ids[1:] != ids[:-1]
-    hit = ids[first]
-    gaps = np.flatnonzero(hit != np.arange(hit.size))
-    return hit.size, int(gaps[0]) if gaps.size else hit.size
 
 
 def r_sequence_metric(a: Window, sys, eps: float, start_grid_resolution: float) -> RSequenceReport:

@@ -7,11 +7,12 @@ forms do not lose accuracy at large times; rotations with exact rational
 angles run in Fraction arithmetic.  Every system is an immutable value
 object; all operations are pure.
 
-Every system answers one protocol: ``step``, ``orbit_at``, ``trajectory``,
-``along``, ``cover``, ``distance``, ``starts``, ``rational_structure`` and
+Every system answers one protocol: ``step``, ``orbit_at``, ``along``,
+``cover``, ``distance``, ``starts``, ``rational_structure`` and
 ``exact_orbits``.  ``cover(eps)`` raises ValueError unless eps > 0; its cover
-partitions the space into cells of mesh <= eps and answers ``cell_of``,
-``cell_ids`` (in canonical order) and ``cell_count`` for its ``system``.
+partitions the space into cells of mesh <= eps, numbered 0..cell_count()-1,
+and answers ``cell_of``, ``ids_of`` (many states' cell numbers, as an array),
+``cell_at`` (the cell with a number) and ``cell_count`` for its ``system``.
 Cycles and odometers share ``FiniteSystem``; rotations and the skew product
 share ``TorusSystem``; ``ProductSystem`` answers componentwise.
 
@@ -22,9 +23,9 @@ once per window with the same doubles and the same single rounding as
 cells and distances in a few array operations, so every state, cell and
 distance equals the per-state one bit for bit.  Systems whose orbits repeat
 (cycles, odometers, exact rational rotations) evaluate ``orbit_at`` once per
-distinct residue of the time.  ``orbit_at``, ``step`` and ``trajectory``
-stay per state: they walk return-time windows and are the reference the
-window form is tested against.
+distinct residue of the time.  ``orbit_at`` and ``step`` stay per state:
+``return_times`` reads one of them, and both are the reference the window
+form is tested against.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -183,13 +184,6 @@ class FiniteSystem:
     def along(self, a: Window) -> _PeriodicOrbits:
         return _PeriodicOrbits(self, a, self.size)
 
-    def trajectory(self, start, horizon: int) -> Iterator:
-        # Honest stepping, kept apart from the closed form it is checked against.
-        state = start
-        for _ in range(horizon):
-            state = self.step(state)
-            yield state
-
     def cover(self, eps: float) -> "FiniteCover":
         if not eps > 0:
             raise ValueError("eps must be > 0")
@@ -298,9 +292,6 @@ class TorusSystem:
 
     def _state(self, coords):
         return coords[0] if self.dimension == 1 else tuple(coords)
-
-    def trajectory(self, start, horizon: int) -> Iterator:
-        return (orbit_at(self, start, n) for n in range(1, horizon + 1))
 
     def along(self, a: Window):
         """Orbits over the window a, start by start, as arrays (see the module docstring)."""
@@ -478,8 +469,6 @@ class ProductSystem:
     def orbit_at(self, start, n: int):
         return (self.left.orbit_at(start[0], n), self.right.orbit_at(start[1], n))
 
-    trajectory = FiniteSystem.trajectory  # stepped componentwise
-
     def cover(self, eps: float) -> "ProductCover":
         return ProductCover(self, self.left.cover(eps), self.right.cover(eps))
 
@@ -520,8 +509,11 @@ class FiniteCover:
     def cell_of(self, state):
         return self.system.encode(state)
 
-    def cell_ids(self):
-        return range(self.size)
+    def ids_of(self, states) -> np.ndarray:
+        return _id_array([self.cell_of(s) for s in states], self.size)
+
+    def cell_at(self, flat: int):
+        return flat
 
     def cell_count(self) -> int:
         return self.size
@@ -557,20 +549,15 @@ class TorusCover:
         cells = tuple(self._coord_cell(c) for c in state)
         return cells[0] if self.dimension == 1 else cells
 
-    def cell_ids(self):
-        if self.dimension == 1:
-            return range(self.k)
-        return (self.cell_at(i) for i in range(self.cell_count()))
-
     def flat_id(self, cell) -> int:
-        """The position of a cell in cell_ids(): base-k digits, first coordinate first."""
+        """The number of a cell: base-k digits, first coordinate first."""
         flat = 0
         for c in cell if isinstance(cell, tuple) else (cell,):
             flat = flat * self.k + c
         return flat
 
     def cell_at(self, flat: int):
-        """The cell at position flat of cell_ids(); the inverse of flat_id."""
+        """The cell numbered flat; the inverse of flat_id."""
         digits = []
         for _ in range(self.dimension):
             flat, c = divmod(flat, self.k)
@@ -579,8 +566,7 @@ class TorusCover:
 
     def ids_of(self, states) -> np.ndarray:
         """flat_id(cell_of(s)) for each state; int64, or Python ints past 2^62 cells."""
-        ids = [self.flat_id(self.cell_of(s)) for s in states]
-        return np.array(ids, dtype=np.int64 if self.cell_count() <= _FLAT_ID_CAP else object)
+        return _id_array([self.flat_id(self.cell_of(s)) for s in states], self.cell_count())
 
     def flat_ids(self, coords: Sequence[np.ndarray]) -> np.ndarray:
         """ids_of for states given as float64 coordinate arrays, clamped like cell_of."""
@@ -601,7 +587,7 @@ class TorusCover:
 
 @dataclass(frozen=True)
 class ProductCover:
-    """Product of component covers; ids are (left id, right id) pairs."""
+    """Product of component covers; cell (l, r) is numbered l * right.cell_count() + r."""
 
     system: ProductSystem
     left: object
@@ -615,11 +601,34 @@ class ProductCover:
         sl, sr = state
         return (self.left.cell_of(sl), self.right.cell_of(sr))
 
-    def cell_ids(self):
-        return ((left, right) for left in self.left.cell_ids() for right in self.right.cell_ids())
+    def ids_of(self, states) -> np.ndarray:
+        left = self.left.ids_of([s[0] for s in states])
+        right = self.right.ids_of([s[1] for s in states])
+        if self.cell_count() > _FLAT_ID_CAP:
+            left = left.astype(object)
+        return left * self.right.cell_count() + right
+
+    def cell_at(self, flat: int):
+        left, right = divmod(flat, self.right.cell_count())
+        return (self.left.cell_at(left), self.right.cell_at(right))
 
     def cell_count(self) -> int:
         return self.left.cell_count() * self.right.cell_count()
+
+
+def _id_array(ids: list, cells: int) -> np.ndarray:
+    # Cell numbers are int64, or Python ints past 2^62 cells.
+    return np.array(ids, dtype=np.int64 if cells <= _FLAT_ID_CAP else object)
+
+
+def _coverage(ids: np.ndarray) -> tuple[int, int]:
+    """(number of distinct cell numbers, least cell number not among them)."""
+    ids = np.sort(ids)
+    first = np.ones(ids.size, dtype=bool)
+    first[1:] = ids[1:] != ids[:-1]
+    hit = ids[first]
+    gaps = np.flatnonzero(hit != np.arange(hit.size))
+    return hit.size, int(gaps[0]) if gaps.size else hit.size
 
 
 def eps_dense(sys, states: Sequence, cover) -> Verdict:
@@ -629,10 +638,10 @@ def eps_dense(sys, states: Sequence, cover) -> Verdict:
     """
     if cover.system != sys:
         raise CoverMismatchError(f"cover built for {cover.system!r}, not {sys!r}")
-    hit = {cover.cell_of(s) for s in states}
-    for cell in cover.cell_ids():
-        if cell not in hit:
-            return Verdict.fail(cell, note=f"cell {cell} of {cover.cell_count()} is unvisited")
+    hit, empty = _coverage(cover.ids_of(states))
+    if hit < cover.cell_count():
+        cell = cover.cell_at(empty)
+        return Verdict.fail(cell, note=f"cell {cell} of {cover.cell_count()} is unvisited")
     return Verdict.hold(note=f"all {cover.cell_count()} cells visited by {len(states)} states")
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dynwindow
-from dynwindow import Window, cli, parse_sequence_file, write_sequence_file
+from dynwindow import Status, Verdict, Window, cli, parse_sequence_file, write_sequence_file
 from dynwindow.cli import main, parse_system_spec, SystemSpecError
 from dynwindow.systems import CyclicSystem, OdometerSystem, ProductSystem, RotationSystem, SkewProductSystem, GOLDEN
 
@@ -318,6 +319,45 @@ _REPORTS = st.recursive(
 @settings(max_examples=120, deadline=None)
 def test_report_writer_matches_json_dumps(value):
     assert cli._render(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def _ref_jsonify(value):
+    # The conversion the writer once ran over the whole report before rendering it.
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    if isinstance(value, Verdict):
+        return value.to_json()
+    if isinstance(value, Fraction):
+        return {"exact": f"{value.numerator}/{value.denominator}", "float": float(value)}
+    if isinstance(value, dict):
+        return {str(k): _ref_jsonify(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_ref_jsonify(v) for v in value]
+    return str(value)
+
+
+_WITNESSES = st.none() | st.integers() | st.tuples(st.integers(), st.floats(0, 1)) | st.tuples(
+    st.tuples(st.floats(0, 1), st.floats(0, 1)), st.integers(0, 2 ** 70)
+)
+_VERDICTS = st.builds(
+    Verdict, st.sampled_from(list(Status)), _WITNESSES, st.text(max_size=12)
+)
+_FRACTIONS = st.fractions(-(10 ** 6), 10 ** 6, max_denominator=2 ** 70)
+_RICH_REPORTS = st.recursive(
+    _SCALARS | _VERDICTS | _FRACTIONS,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=5),
+    max_leaves=40,
+)
+
+
+@given(_RICH_REPORTS)
+@example({"checks": {"thick": Verdict.fail(30, "longest run")}, "banach_density": Fraction(1, 3)})
+@example([Verdict.hold(((0.25, 0.5), 7)), (Fraction(-2, 7), Verdict.undecided("budget"))])
+@settings(max_examples=120, deadline=None)
+def test_report_writer_renders_verdicts_and_fractions_like_the_reference(value):
+    assert cli._render(value) == json.dumps(_ref_jsonify(value), sort_keys=True, indent=2)
 
 
 # -- determinism and errors ------------------------------------------------------------

@@ -178,4 +178,4 @@ def test_finite_subcover_of_construction():
     b = finite_subcover(built.window, 6)
     assert len(b) == 6
     assert {e % 6 for e in b.elements} == set(range(6))
-    assert set(b.elements) <= built.window.as_set
+    assert set(b.elements) <= set(built.window.elements)

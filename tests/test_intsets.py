@@ -45,6 +45,24 @@ def test_window_validation():
     assert Window((0, 5, 9), 9).horizon == 9
 
 
+def test_window_validation_names_the_fault():
+    with pytest.raises(ValueError, match=r"^negative element -5$"):
+        Window((-5, 3), 10)
+    with pytest.raises(ValueError, match=r"^elements not strictly ascending at 2, -1$"):
+        Window((2, -1), 10)
+
+
+@given(
+    st.lists(st.integers(0, 60), max_size=20, unique=True),
+    st.sampled_from([0, 2 ** 62 - 30, 2 ** 63 - 30, 2 ** 70]),
+    st.integers(-5, 90),
+)
+@settings(max_examples=80, deadline=None)
+def test_window_membership_matches_a_set(elems, base, n):
+    w = Window(tuple(base + e for e in sorted(elems)), base + 64)
+    assert (base + n in w) == (base + n in frozenset(w.elements))
+
+
 def test_window_shift_drops_out_of_range():
     w = Window((0, 3, 7), 10)
     assert w.shift(-1).elements == (2, 6)
@@ -115,7 +133,7 @@ def test_syndetic_witness_replays():
     v = is_syndetic(w, 3)
     assert v.fails
     start = v.witness
-    assert all(x not in w.as_set for x in range(start, start + 3))
+    assert all(x not in w for x in range(start, start + 3))
 
 
 def test_syndetic_vacuous_when_no_run_fits():
@@ -233,7 +251,7 @@ def test_difference_set_examples():
 
 
 def test_difference_set_excludes_zero():
-    assert 0 not in difference_set(Window((2, 4), 10)).as_set
+    assert 0 not in difference_set(Window((2, 4), 10))
 
 
 def test_difference_set_dense_and_sparse_paths_agree():
@@ -244,12 +262,38 @@ def test_difference_set_dense_and_sparse_paths_agree():
 
 
 def test_difference_set_fft_path_matches_brute():
-    # > 400 elements routes through the autocorrelation path
+    # 900 elements on a span of 9001: the autocorrelation is far cheaper than the scan
     elems = tuple(sorted({(11 * i * i + 5 * i) % 9001 for i in range(900)}))
     w = Window(elems, 9001)
     assert len(w) > 400
     brute = sorted({b - a for a in elems for b in elems if b > a})
     assert list(difference_set(w).elements) == brute
+
+
+def _ref_difference_set(w: Window) -> Window:
+    # The quadratic scan over all pairs.
+    return Window(tuple(sorted({b - a for a, b in combinations(w.elements, 2)})), w.horizon)
+
+
+@given(
+    st.lists(st.integers(0, 120), min_size=2, max_size=60, unique=True),
+    st.sampled_from([0, 7, 2 ** 62 - 200_000, 2 ** 70]),
+    st.sampled_from([1, 3, 12, 1000, 2 ** 40, 2 ** 70]),
+    st.sampled_from(["default", "scan", "fft"]),
+)
+@example(list(range(30)), 0, 12, "default")  # a short progression: the strided transform wins
+@example([0, 1], 0, 2 ** 70, "fft")  # a stride past 2^63 on the transform's path
+@settings(max_examples=120, deadline=None)
+def test_difference_set_matches_the_pair_scan_on_both_paths(elems, base, stride, path):
+    w = Window(tuple(base + stride * e for e in sorted(elems)), base + stride * 121)
+    with pytest.MonkeyPatch.context() as mp:
+        if path == "scan":
+            mp.setattr(intsets, "_FFT_POINTS_PER_PAIR", 0)
+        elif path == "fft":
+            mp.setattr(intsets, "_FFT_SETUP_POINTS", 0)
+            mp.setattr(intsets, "_FFT_POINTS_PER_PAIR", 10 ** 9)
+        got = difference_set(w)
+    assert got == _ref_difference_set(w)
 
 
 @given(st.lists(st.integers(0, 500), min_size=2, max_size=40, unique=True), st.integers(0, 200))
@@ -295,18 +339,40 @@ def _small_window(elems, set_path: bool) -> Window:
     return Window(tuple(sorted(elems)), _BITMASK_HORIZON_CAP + 1 if set_path else 300)
 
 
+def _ref_shifted_hit(a: Window, d: Window, shift: int) -> Verdict:
+    # shifted_hit by a scan of d against a frozenset of a.
+    members = frozenset(a.elements)
+    x = next((y + shift for y in d.elements if y + shift in members), None)
+    if x is None:
+        bound = min(a.horizon, d.horizon)
+        return Verdict.fail(bound, note=f"a ∩ ({shift:+d} + d) empty up to horizon {bound}")
+    return Verdict.hold(x, note=f"{x} = {shift:+d} + {x - shift}")
+
+
 @given(_SMALL_ELEMENTS, _SMALL_ELEMENTS, st.integers(-320, 320))
 @example([3, 10], [1, 8], 2)
 @example([3], [5], 0)
 @settings(max_examples=150, deadline=None)
 def test_shifted_hit_report_is_the_same_on_both_paths(a_elems, d_elems, shift):
-    fast = shifted_hit(_small_window(a_elems, False), _small_window(d_elems, False), shift)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(intsets, "_BITMASK_HORIZON_CAP", -1)
-        a, d = _small_window(a_elems, False), _small_window(d_elems, False)
-        assert a.bitmask is None and d.bitmask is None
-        slow = shifted_hit(a, d, shift)
-    assert fast.to_json() == slow.to_json()
+    # The engine with and without bitmasks against the set-scan reference.
+    a, d = _small_window(a_elems, False), _small_window(d_elems, True)
+    assert shifted_hit(a, d, shift) == _ref_shifted_hit(a, d, shift)
+    assert shifted_hit(d, a, shift) == _ref_shifted_hit(d, a, shift)
+
+
+_BASES = st.sampled_from([0, 2 ** 62 - 100, 2 ** 63 - 5, 2 ** 64, 2 ** 70])
+
+
+@given(_SMALL_ELEMENTS, _BASES, st.integers(0, 400), _SMALL_ELEMENTS, _BASES, st.integers(0, 400), st.integers(-350, 350))
+@example([5], 2 ** 63 - 5, 0, [0, 5], 0, 10, 0)  # 2^63 - 5 + int64 d would wrap
+@example([0, 7], 0, 2 ** 63, [7], 0, 0, 0)
+@settings(max_examples=200, deadline=None)
+def test_shifted_hit_matches_a_set_scan_on_int64_and_object_windows(a_elems, a_base, a_slack, d_elems, d_base, d_slack, offset):
+    # Bases past 2^62 make object arrays; shifts near a_base - d_base carry d onto a.
+    a = Window(tuple(a_base + e for e in sorted(a_elems)), a_base + 300 + a_slack)
+    d = Window(tuple(d_base + e for e in sorted(d_elems)), d_base + 300 + d_slack)
+    for shift in (a_base - d_base + offset, offset, a.horizon + 1, -d.horizon - 1, -d.horizon):
+        assert shifted_hit(a, d, shift) == _ref_shifted_hit(a, d, shift), shift
 
 
 @given(
@@ -376,7 +442,7 @@ def test_density_examples():
 
 
 def _density_oracle(w: Window, length: int) -> Fraction:
-    members = w.as_set
+    members = set(w.elements)
     best = 0
     for x in range(0, w.horizon - length + 2):
         best = max(best, sum(1 for y in range(x, x + length) if y in members))
@@ -440,7 +506,7 @@ def test_every_long_run_meets_a_syndetic_set(spans, gap, slack):
     if is_thick(w, run_len).holds:
         for x in range(0, 330 - run_len + 1):
             if all(y in members for y in range(x, x + run_len)):
-                assert any(y in s.as_set for y in range(x, x + run_len))
+                assert any(y in s for y in range(x, x + run_len))
 
 
 # -- sequence file format ------------------------------------------------------------

@@ -18,6 +18,7 @@ from dynwindow import (
     CoverageError,
     CyclicSystem,
     OdometerSystem,
+    ProductSystem,
     RotationSystem,
     SkewProductSystem,
     Verdict,
@@ -65,7 +66,7 @@ def test_return_times_replayable_and_excludes_zero():
     assert rt.times.elements == (4, 8, 12, 16, 20)  # n = 0 not included
     cover = sys.cover(1.0)
     for n in range(1, 21):
-        assert (n in rt.times.as_set) == (cover.cell_of((0 + n) % 4) == 0)
+        assert (n in rt.times) == (cover.cell_of((0 + n) % 4) == 0)
 
 
 def test_return_times_rational_rotation_exact():
@@ -92,8 +93,11 @@ def _ref_return_times(sys, start, cell, horizon: int, cover=None) -> ReturnTimes
         raise ValueError("horizon must be >= 1")
     if cover is None:
         cover = sys.cover(1.0)
-    walk = enumerate(sys.trajectory(start, horizon), 1)
-    times = [n for n, state in walk if cover.cell_of(state) == cell]
+    times, state = [], start
+    for n in range(1, horizon + 1):
+        state = sys.step(state)
+        if cover.cell_of(state) == cell:
+            times.append(n)
     return ReturnTimesResult(Window(tuple(times), horizon), cell, start)
 
 
@@ -110,7 +114,7 @@ def test_step_table_return_times_match_the_stepped_walk(sys, horizon):
     cover = sys.cover(1.0)
     starts = sys.starts(1.0) + ([sys.size + 2] if isinstance(sys, CyclicSystem) else [])
     for start in starts:
-        for cell in cover.cell_ids():
+        for cell in map(cover.cell_at, range(cover.cell_count())):
             want = _ref_return_times(sys, start, cell, horizon)
             assert _step_table_times(sys, start, cell, horizon, cover).tolist() == list(want.times.elements)
             got = return_times(sys, start, cell, horizon)
@@ -118,8 +122,34 @@ def test_step_table_return_times_match_the_stepped_walk(sys, horizon):
 
 
 def test_return_times_of_a_cycle_larger_than_the_horizon_are_stepped():
-    # A table of 10^12 states is never built: the walk reads 5 steps.
+    # A table of 10^12 states is never built: the closed form is read at 5 times.
     assert return_times(CyclicSystem(10 ** 12), 10 ** 12 - 3, 0, 5).times.elements == (3,)
+
+
+_OFF_TABLE_SYSTEMS = [
+    ProductSystem(CyclicSystem(2), CyclicSystem(3)),
+    ProductSystem(CyclicSystem(4), CyclicSystem(6)),
+    ProductSystem(OdometerSystem(2, 2), CyclicSystem(5)),
+    ProductSystem(CyclicSystem(3), ProductSystem(CyclicSystem(2), OdometerSystem(3, 1))),
+    CyclicSystem(400),
+    OdometerSystem(2, 9),
+]
+
+
+def _finite_states(sys) -> list:
+    if isinstance(sys, ProductSystem):
+        return [(l, r) for l in _finite_states(sys.left) for r in _finite_states(sys.right)]
+    return sys.starts(1.0)
+
+
+@given(st.sampled_from(_OFF_TABLE_SYSTEMS), st.integers(1, 120), st.data())
+@settings(max_examples=40, deadline=None)
+def test_closed_form_return_times_match_the_stepped_walk(sys, horizon, data):
+    # Products and systems with more states than the horizon read orbit_at, never a table.
+    cover = sys.cover(1.0)
+    start = data.draw(st.sampled_from(_finite_states(sys)))
+    cell = cover.cell_at(data.draw(st.integers(0, cover.cell_count() - 1)))
+    assert return_times(sys, start, cell, horizon) == _ref_return_times(sys, start, cell, horizon)
 
 
 # -- r_sequence_cyclic --------------------------------------------------------------
@@ -287,7 +317,7 @@ def test_birkhoff_ip_window_on_rotation():
     v = birkhoff_window_test(w, RotationSystem.from_angle(GOLDEN), 0.1, 1.0)
     assert v.holds
     start, n = v.witness
-    assert n in w.as_set
+    assert n in w
 
 
 @pytest.mark.parametrize("eps", [0.0, -1.0])
@@ -568,7 +598,7 @@ def test_subcover_minimal_and_replayable(elems, m):
         b = finite_subcover(a, m)
         assert len(b) == m  # one element per class is forced and minimal
         assert {e % m for e in b.elements} == set(range(m))
-        assert set(b.elements) <= a.as_set
+        assert set(b.elements) <= set(a.elements)
 
 
 # -- product transitivity --------------------------------------------------------------
@@ -687,7 +717,7 @@ def _per_state_r_sequence_metric(a, sys, eps, start_grid_resolution):
                 detail,
             )
         if best is None or len(cells) > best[0]:
-            empty = next(c for c in cover.cell_ids() if c not in cells)
+            empty = next(c for c in map(cover.cell_at, range(total)) if c not in cells)
             best = (len(cells), start, empty)
     hit, start, empty = best
     detail = {str(start): {"cells_hit": hit, "cells": total, "empty_cell": empty}}

@@ -1,6 +1,7 @@
 """System catalog: exact dynamics, closed forms vs stepping, covers, minimality."""
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from dynwindow import (
     ProductSystem,
     RotationSystem,
     SkewProductSystem,
+    Verdict,
     Window,
     eps_dense,
     is_totally_minimal,
@@ -152,6 +154,80 @@ def test_eps_dense_golden_orbit_by_three_distance_oracle():
     assert v.holds
 
 
+def _ref_cells(cover):
+    # Every cell in canonical order, listed lazily from the cover's structure.
+    if isinstance(cover, FiniteCover):
+        yield from range(cover.size)
+    elif isinstance(cover, ProductCover):
+        for left in _ref_cells(cover.left):
+            for right in _ref_cells(cover.right):
+                yield (left, right)
+    else:
+        def digits(d):
+            if d == 0:
+                yield ()
+            else:
+                for c in range(cover.k):
+                    for rest in digits(d - 1):
+                        yield (c,) + rest
+        yield from (cell[0] if cover.dimension == 1 else cell for cell in digits(cover.dimension))
+
+
+def _ref_eps_dense(sys, states, cover) -> Verdict:
+    # eps_dense by a set of visited cells, scanned against the listed cells.
+    hit = {cover.cell_of(s) for s in states}
+    for cell in _ref_cells(cover):
+        if cell not in hit:
+            return Verdict.fail(cell, note=f"cell {cell} of {cover.cell_count()} is unvisited")
+    return Verdict.hold(note=f"all {cover.cell_count()} cells visited by {len(states)} states")
+
+
+_DENSE_CASES = [
+    (CyclicSystem(7), 1.0),
+    (OdometerSystem(2, 3), 1.0),
+    (RotationSystem.from_angle(GOLDEN), 0.1),
+    (RotationSystem((GOLDEN, 0.3)), 0.25),
+    (SkewProductSystem(GOLDEN), 0.34),
+    (ProductSystem(CyclicSystem(3), OdometerSystem(2, 2)), 1.0),
+    (ProductSystem(CyclicSystem(2), RotationSystem.from_angle(GOLDEN)), 0.2),
+    (ProductSystem(OdometerSystem(3, 1), RotationSystem((GOLDEN, 0.3))), 0.5),
+]
+
+
+@given(st.sampled_from(_DENSE_CASES), st.lists(st.integers(0, 2 ** 40), max_size=60), st.integers(0, 40))
+@settings(max_examples=150, deadline=None)
+def test_eps_dense_matches_the_set_scan(case, times, prefix):
+    # Orbit points at random times, plus every time below prefix so some covers fill up.
+    sys, eps = case
+    start = _start_of(sys)
+    states = [sys.orbit_at(start, n) for n in list(range(prefix)) + times]
+    cover = sys.cover(eps)
+    assert eps_dense(sys, states, cover) == _ref_eps_dense(sys, states, cover)
+
+
+def _start_of(sys):
+    if isinstance(sys, ProductSystem):
+        return (_start_of(sys.left), _start_of(sys.right))
+    return sys.starts(1.0)[0]
+
+
+def test_eps_dense_matches_the_set_scan_on_covers_past_2_62_cells():
+    # 10^20 cells, numbered as Python ints: the torus, a product of two 10^10 circles, and a finite factor.
+    rot2 = RotationSystem((GOLDEN, 0.3))
+    circles = ProductSystem(RotationSystem.from_angle(GOLDEN), RotationSystem.from_angle(0.3))
+    with_cycle = ProductSystem(CyclicSystem(3), rot2)
+    cases = [
+        (rot2, [(0.0, 0.0), (0.0, 1.5e-10), (0.0, 2.5e-10), (0.5, 0.5)]),
+        (circles, [(0.0, 0.0), (0.0, 1.5e-10), (0.0, 3.5e-10)]),
+        (with_cycle, [(0, (0.0, 0.0)), (0, (0.0, 1.5e-10)), (2, (0.0, 0.0))]),
+        (with_cycle, []),
+    ]
+    for sys, states in cases:
+        cover = sys.cover(1e-10)
+        assert cover.cell_count() > 2 ** 62 and cover.ids_of(states).dtype == object
+        assert eps_dense(sys, states, cover) == _ref_eps_dense(sys, states, cover)
+
+
 def test_eps_dense_cover_mismatch_raises():
     with pytest.raises(CoverMismatchError):
         eps_dense(CyclicSystem(3), [0], CyclicSystem(4).cover(1.0))
@@ -203,7 +279,7 @@ def test_eps_dense_on_a_cover_too_large_to_list():
 def test_product_cover_cells_are_pairs():
     sysp = ProductSystem(CyclicSystem(2), CyclicSystem(3))
     cover = sysp.cover(1.0)
-    assert list(cover.cell_ids()) == [(a, b) for a in range(2) for b in range(3)]
+    assert list(map(cover.cell_at, range(cover.cell_count()))) == [(a, b) for a in range(2) for b in range(3)]
     assert cover.cell_of((1, 2)) == (1, 2)
 
 
@@ -287,7 +363,9 @@ def test_every_system_answers_the_protocol(sys, start, cover_type):
     stepped = sys.step(start)
     assert sys.distance(sys.orbit_at(start, 1), stepped) <= 1e-12
     assert orbit_at(sys, start, 12) == sys.orbit_at(start, 12)
-    walk = list(sys.trajectory(start, 4))
+    walk = [stepped]
+    while len(walk) < 4:
+        walk.append(sys.step(walk[-1]))
     assert len(walk) == 4 and sys.distance(walk[0], stepped) <= 1e-12
     assert sys.distance(walk[3], sys.orbit_at(start, 4)) <= 1e-12
     cover = sys.cover(0.25)
@@ -422,7 +500,7 @@ def test_finite_along_matches_per_state_distances(sys):
 
 def test_torus_cover_flat_ids_in_canonical_order():
     cover = RotationSystem((GOLDEN, 0.3)).cover(0.25)
-    cells = list(cover.cell_ids())
+    cells = list(itertools.product(range(4), repeat=2))
     assert [cover.flat_id(c) for c in cells] == list(range(16))
     assert [cover.cell_at(i) for i in range(16)] == cells
     one = RotationSystem.from_angle(GOLDEN).cover(0.25)
