@@ -109,6 +109,8 @@ CALLS = [
     "recurrence squares.txt rot:2/7,1/3",
     "recurrence evens.txt skew:1/3",
     "recurrence interval.txt rot:golden --eps 0.1 --start-grid 0.5",
+    "recurrence squares.txt skew:golden --eps 0.02 --start-grid 0.25",
+    "recurrence interval.txt skew:golden --eps 0.05 --start-grid 0.25",
     "recurrence squares.txt odo:2^3",
     "recurrence squares.txt rot:golden --eps 0",
     "recurrence squares.txt rot:golden --eps nan",

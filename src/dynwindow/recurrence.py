@@ -57,6 +57,10 @@ _CROSSCHECK_HORIZON_CAP = 1_000_000
 # times, then twice, four times as many, ...: a return at index i costs O(i).
 _FIRST_SLICE = 32
 
+# The metric tests evaluate starts in batches of at most this many states
+# per coordinate array (32 MiB of float64); a larger grid is split.
+_BATCH_ELEMENTS = 2 ** 22
+
 
 class CoverageError(ValueError):
     """Residue coverage precondition failed; carries the missing class."""
@@ -190,18 +194,29 @@ def _metric_budget_note(a: Window, sys, eps: float) -> Optional[str]:
     return None
 
 
+def _start_batches(starts: list, length: int):
+    # The first start alone: a dense orbit or a return is usually found there.
+    # Then the rest, at most _BATCH_ELEMENTS states per coordinate array at a time.
+    rows = max(1, _BATCH_ELEMENTS // max(1, length))
+    yield starts[:1]
+    for i in range(1, len(starts), rows):
+        yield starts[i : i + rows]
+
+
 def r_sequence_metric(a: Window, sys, eps: float, start_grid_resolution: float) -> RSequenceReport:
     """Numeric orbit-density test on a rotation or skew product.
 
     Searches start points on a lexicographic grid; Holds iff some start's
-    orbit along a is eps-dense.  Otherwise reports the best start (most
-    cells hit) and its first empty cell.  The report is a claim about this
-    window and eps only.  Each start's orbit is evaluated over the whole
-    window at once (``sys.along``), with the same doubles and the same
-    rounding as ``orbit_at`` and the same cells as ``cell_of``.  Exact
-    rational rotations skip the floating-point budget; finite systems and
-    products raise TypeError, and eps <= 0 or a start grid <= 0 raise
-    ValueError before the budget is checked.
+    orbit along a is eps-dense.  Otherwise reports the best start (the first
+    with the most cells hit) and its first empty cell.  The report is a
+    claim about this window and eps only.  Orbits are evaluated over the
+    whole window at once (``sys.along``), with the same doubles and the same
+    rounding as ``orbit_at`` and the same cells as ``cell_of``: the first
+    start alone, then the other starts as one array, split at
+    ``_BATCH_ELEMENTS`` states.  Exact rational rotations skip the
+    floating-point budget; finite systems and products raise TypeError, and
+    eps <= 0 or a start grid <= 0 raise ValueError before the budget is
+    checked.
     """
     if not isinstance(sys, TorusSystem):
         raise TypeError(f"not a metric catalog system: {sys!r}")
@@ -215,18 +230,20 @@ def r_sequence_metric(a: Window, sys, eps: float, start_grid_resolution: float) 
     window_desc = f"{len(a)} elements on [0, {a.horizon}], eps={eps}"
     orbits = sys.along(a)
     best = None  # (hit count, start, first empty cell)
-    for start in starts:
-        # Flat ids are clamped into the cells, so the orbit is eps-dense iff it hits `total` of them.
-        hit, empty = _coverage(orbits.cells(start, cover))
-        if hit == total:
+    for batch in _start_batches(starts, len(a)):
+        # Flat ids are clamped into the cells, so an orbit is eps-dense iff it hits `total` of them.
+        hits, empties = _coverage(orbits.cells(batch, cover))
+        i = int(np.argmax(hits))
+        if hits[i] == total:
+            start = batch[i]
             detail = {str(start): {"cells_hit": total, "cells": total}}
             return RSequenceReport(
                 family,
                 Verdict.hold(start, note=f"orbit of {start} along {window_desc} is dense"),
                 detail,
             )
-        if best is None or hit > best[0]:
-            best = (hit, start, cover.cell_at(empty))
+        if best is None or hits[i] > best[0]:
+            best = (int(hits[i]), batch[i], cover.cell_at(int(empties[i])))
     hit, start, empty = best
     detail = {str(start): {"cells_hit": hit, "cells": total, "empty_cell": empty}}
     verdict = Verdict.fail(
@@ -241,11 +258,15 @@ def birkhoff_window_test(a: Window, sys, eps: float, start_grid_resolution: floa
 
     Starts come from the system's start set (all states of a finite system,
     the grid of a torus), first witness (start, n) wins.  Element 0 of the
-    window is ignored (trivial return).  eps <= 0 raises ValueError.  Each
-    start's return distances are evaluated as arrays (``sys.along``) with
-    the same doubles and rounding as ``orbit_at`` and ``distance``, in
-    slices of the window that double in length, so an early return costs
-    only the times before it.
+    window is ignored (trivial return).  eps <= 0 raises ValueError.  Return
+    distances are evaluated as arrays (``sys.along``) with the same doubles
+    and rounding as ``orbit_at`` and ``distance``, for the first start
+    alone, then for the other starts as one batch (split at
+    ``_BATCH_ELEMENTS`` states), in slices of the window that double in
+    length, so an early return costs only the times before it.  After a
+    slice, only starts before the earliest one that returned stay in the
+    batch; with no return at all, the closest return is the least distance,
+    the earliest start, slice and time first among equals.
     """
     if not eps > 0:
         raise ValueError("eps must be > 0")
@@ -256,18 +277,31 @@ def birkhoff_window_test(a: Window, sys, eps: float, start_grid_resolution: floa
     orbits = sys.along(a)
     first = 1 if a.elements[:1] == (0,) else 0
     closest = None  # (distance, start, n)
-    for start in starts:
+    for batch in _start_batches(starts, len(a)):
+        rows, witness = len(batch), None  # rows: the starts still in play
+        least = np.full(rows, np.inf)  # per row: the closest return so far, and its index
+        where = np.zeros(rows, dtype=np.intp)
         lo, hi = first, first + _FIRST_SLICE
-        while lo < len(a):
-            d = orbits.distances(start, lo, hi)
-            near = np.flatnonzero(d < eps)
-            if near.size:
-                n, dist = a.elements[lo + near[0]], float(d[near[0]])
-                return Verdict.hold((start, n), note=f"T^{n} returns within {dist:.3g} < {eps}")
-            i = int(np.argmin(d))
-            if closest is None or d[i] < closest[0]:
-                closest = (float(d[i]), start, a.elements[lo + i])
+        while lo < len(a) and rows:
+            d = orbits.distances(batch[:rows], lo, hi)
+            near = d < eps
+            back = np.flatnonzero(near.any(axis=1))
+            if back.size:
+                rows = int(back[0])
+                j = int(np.argmax(near[rows]))
+                witness = (batch[rows], a.elements[lo + j], float(d[rows, j]))
+            elif witness is None:
+                j = np.argmin(d, axis=1)
+                dmin = d[np.arange(rows), j]
+                closer = dmin < least
+                least[closer], where[closer] = dmin[closer], lo + j[closer]
             lo, hi = hi, 3 * hi - 2 * lo
+        if witness is not None:
+            start, n, dist = witness
+            return Verdict.hold((start, n), note=f"T^{n} returns within {dist:.3g} < {eps}")
+        i = int(np.argmin(least))
+        if least[i] < np.inf and (closest is None or least[i] < closest[0]):
+            closest = (float(least[i]), batch[i], a.elements[int(where[i])])
     if closest is None:
         return Verdict.fail(min(a.horizon, 0), note="window has no positive elements")
     d, start, n = closest
@@ -297,15 +331,20 @@ def _shift_family_cyclic(a: Window, shifts: Iterable[int], max_period: int) -> V
     Shift n keeps the slice of a with -n <= e <= horizon - n and permutes Z/m,
     so the shifted copy misses (empty + n) mod m; no shifted window is built.
     m runs outermost (residues of Python ints are taken once per m), and only
-    shifts before the first failing one found so far are read.
+    shifts before the first failing one found so far are read.  Every slice
+    contains the core [max lo, min hi): when the core covers Z/m, no shift
+    fails at m, and m is passed before any residue of the window is taken.
     """
     shifts = sorted(shifts)
     if shifts and max_period < 1:
         raise ValueError("max_period must be >= 1")
     arr, e = _small_ints(a.array), a.elements
     bounds = [(bisect.bisect_left(e, -n), bisect.bisect_right(e, a.horizon - n)) for n in shifts]
+    core = arr[max((lo for lo, _ in bounds), default=0) : min((hi for _, hi in bounds), default=0)]
     failure = None  # (index, m, missing residue) of the first failing shift found so far
     for m in range(1, max_period + 1):
+        if core.size and not _empty_residues(core, m).size:
+            continue
         residues = arr if arr.dtype != object else (arr % m).astype(np.int64)
         for i in range(len(shifts) if failure is None else failure[0]):
             lo, hi = bounds[i]

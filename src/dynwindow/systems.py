@@ -16,14 +16,17 @@ and answers ``cell_of``, ``ids_of`` (many states' cell numbers, as an array),
 Cycles and odometers share ``FiniteSystem``; rotations and the skew product
 share ``TorusSystem``; ``ProductSystem`` answers componentwise.
 
-``along(a)`` evaluates orbits over a whole window at once.  On a float
-torus the start-free phases ``m * angle mod 1`` are numpy arrays computed
-once per window with the same doubles and the same single rounding as
-``orbit_at``; each start then adds its coordinates, reduces mod 1 and finds
-cells and distances in a few array operations, so every state, cell and
-distance equals the per-state one bit for bit.  Systems whose orbits repeat
-(cycles, odometers, exact rational rotations) evaluate ``orbit_at`` once per
-distinct residue of the time.  ``orbit_at`` and ``step`` stay per state:
+``along(a)`` evaluates orbits over a whole window at once, for a batch of
+starts: ``cells(starts, cover)`` and ``distances(starts, lo, hi)`` answer
+one row per start.  On a float torus the start-free phases
+``m * angle mod 1`` are numpy arrays computed once per window with the same
+doubles and the same single rounding as ``orbit_at``; the start coordinates,
+as a column, are added to them, reduced mod 1 as ``x - floor(x)`` (bit for
+bit ``np.remainder(x, 1.0)``) and turned into cells and distances in a few
+array operations, so every state, cell and distance equals the per-state
+one bit for bit.  Systems whose orbits repeat (cycles, odometers, exact
+rational rotations) evaluate ``orbit_at`` once per start and distinct
+residue of the time.  ``orbit_at`` and ``step`` stay per state:
 ``return_times`` reads one of them, and both are the reference the window
 form is tested against.
 """
@@ -92,8 +95,12 @@ def _angle(a) -> float:
 
 
 def _mod1_array(x: np.ndarray) -> np.ndarray:
-    y = np.remainder(x, 1.0)
-    return np.where(y < 1.0, y, 0.0)
+    # x - floor(x) is np.remainder(x, 1.0) bit for bit on finite doubles: both
+    # round the same exact value once (exactly, by Sterbenz, for x >= 1).
+    y = np.floor(x)
+    np.subtract(x, y, out=y)
+    y[y >= 1.0] = 0.0
+    return y
 
 
 def _mult_angle_mod1_array(
@@ -118,30 +125,40 @@ def _mult_angle_mod1_array(
 class _TorusOrbits:
     """T^n(start) for the times n of one window on a float torus, as arrays.
 
-    The start-free phases are computed once per slice of the window and
-    shared by every start.  Slices are keyed by their bounds, so a caller
+    Every answer is for a batch of starts: one row per start, one column per
+    time.  The start-free phases are computed once per slice of the window
+    and shared by every row.  Slices are keyed by their bounds, so a caller
     that walks the window in growing prefixes pays only for what it reads.
     """
 
     def __init__(self, sys: "TorusSystem", a: Window):
         self.sys, self.times, self._slices = sys, a.elements, {}
+        # The times as uint64 once per window; a time past 2^64 takes Python ints.
+        self._u64 = a.array.astype(np.uint64) if not a.elements or a.elements[-1] < 2 ** 64 else None
 
-    def coords(self, start, lo: int, hi: int) -> list:
-        """One float64 array per coordinate: the states at times[lo:hi]."""
+    def _columns(self, starts: Sequence) -> np.ndarray:
+        # The start coordinates, one row per start.
+        return np.array([self.sys._coords(s) for s in starts], dtype=np.float64)
+
+    def _along(self, columns: np.ndarray, lo: int, hi: int) -> list:
         if (lo, hi) not in self._slices:
-            times = self.times[lo:hi]
-            u64 = np.array(times, dtype=np.uint64) if not times or times[-1] < 2 ** 64 else None
+            times, u64 = self.times[lo:hi], None if self._u64 is None else self._u64[lo:hi]
             self._slices[lo, hi] = times, u64, self.sys._phases(times, u64)
-        return self.sys._coords_along(start, *self._slices[lo, hi])
+        return self.sys._coords_along(columns, *self._slices[lo, hi])
 
-    def cells(self, start, cover: "TorusCover") -> np.ndarray:
-        return cover.flat_ids(self.coords(start, 0, len(self.times)))
+    def coords(self, starts: Sequence, lo: int, hi: int) -> list:
+        """One float64 array per coordinate, of shape (len(starts), len(times[lo:hi])): the states."""
+        return self._along(self._columns(starts), lo, hi)
 
-    def distances(self, start, lo: int, hi: int) -> np.ndarray:
-        """distance(T^n(start), start) for the times n in times[lo:hi]."""
+    def cells(self, starts: Sequence, cover: "TorusCover") -> np.ndarray:
+        return cover.flat_ids(self.coords(starts, 0, len(self.times)))
+
+    def distances(self, starts: Sequence, lo: int, hi: int) -> np.ndarray:
+        """distance(T^n(start), start) for each start and each time n in times[lo:hi]."""
+        columns = self._columns(starts)
         gaps = []
-        for x, c in zip(self.coords(start, lo, hi), self.sys._coords(start)):
-            g = np.remainder(np.abs(x - float(c)), 1.0)
+        for j, x in enumerate(self._along(columns, lo, hi)):
+            g = _mod1_array(np.abs(x - columns[:, j : j + 1]))
             gaps.append(np.minimum(g, 1.0 - g))
         return reduce(np.maximum, gaps)
 
@@ -149,8 +166,9 @@ class _TorusOrbits:
 class _PeriodicOrbits:
     """T^n(start) for the times n of one window, when T^period is the identity.
 
-    T^n(start) = T^(n mod period)(start), so orbit_at runs once per distinct
-    residue of a slice of the window, and the results are spread by index.
+    T^n(start) = T^(n mod period)(start), so orbit_at runs once per start and
+    distinct residue of a slice of the window, and the results are spread by
+    index, one row per start.
     """
 
     def __init__(self, sys, a: Window, period: int):
@@ -164,13 +182,19 @@ class _PeriodicOrbits:
         residues, index = self._slices[lo, hi]
         return [self.sys.orbit_at(start, m) for m in residues], index
 
-    def cells(self, start, cover) -> np.ndarray:
-        states, index = self._states(start, 0, len(self.times))
-        return cover.ids_of(states)[index]
+    def cells(self, starts: Sequence, cover) -> np.ndarray:
+        rows = []
+        for start in starts:
+            states, index = self._states(start, 0, len(self.times))
+            rows.append(cover.ids_of(states)[index])
+        return np.stack(rows)
 
-    def distances(self, start, lo: int, hi: int) -> np.ndarray:
-        states, index = self._states(start, lo, hi)
-        return np.array([self.sys.distance(s, start) for s in states], dtype=np.float64)[index]
+    def distances(self, starts: Sequence, lo: int, hi: int) -> np.ndarray:
+        rows = []
+        for start in starts:
+            states, index = self._states(start, lo, hi)
+            rows.append(np.array([self.sys.distance(s, start) for s in states], dtype=np.float64)[index])
+        return np.stack(rows)
 
 
 class FiniteSystem:
@@ -391,8 +415,8 @@ class RotationSystem(TorusSystem):
     def _phases(self, times, u64) -> list:
         return [_mult_angle_mod1_array(times, u64, a) for a in self.angles]
 
-    def _coords_along(self, start, times, u64, phases) -> list:
-        return [_mod1_array(float(c) + p) for c, p in zip(self._coords(start), phases)]
+    def _coords_along(self, columns: np.ndarray, times, u64, phases) -> list:
+        return [_mod1_array(columns[:, j : j + 1] + p) for j, p in enumerate(phases)]
 
     def rational_structure(self) -> tuple[Optional[int], bool, bool]:
         # Float angles: no rational factor, asserted under the irrationality caveat.
@@ -437,11 +461,11 @@ class SkewProductSystem(TorusSystem):
             _mult_angle_mod1_array(times, u64, self.angle, tri=True),
         ]
 
-    def _coords_along(self, start, times, u64, phases) -> list:
-        x, y = float(start[0]), float(start[1])
-        nx = _mod1_array(x + phases[0])
-        ny = _mod1_array(y + _mult_angle_mod1_array(times, u64, x) + phases[1])
-        return [nx, ny]
+    def _coords_along(self, columns: np.ndarray, times, u64, phases) -> list:
+        # n x mod 1 depends on the start: one row per start.
+        x, y = columns[:, :1], columns[:, 1:]
+        nx = np.array([_mult_angle_mod1_array(times, u64, float(v)) for v in x[:, 0]], dtype=np.float64)
+        return [_mod1_array(x + phases[0]), _mod1_array(y + nx + phases[1])]
 
     def rational_structure(self) -> tuple[Optional[int], bool, bool]:
         # A rational angle leaves orbit closures finitely many circles: not minimal.
@@ -569,15 +593,16 @@ class TorusCover:
         return _id_array([self.flat_id(self.cell_of(s)) for s in states], self.cell_count())
 
     def flat_ids(self, coords: Sequence[np.ndarray]) -> np.ndarray:
-        """ids_of for states given as float64 coordinate arrays, clamped like cell_of."""
+        """ids_of for states given as float64 coordinate arrays of any one shape, clamped like cell_of."""
+        shape = coords[0].shape
         if self.cell_count() > _FLAT_ID_CAP:
-            return self.ids_of(zip(*(x.tolist() for x in coords)))
-        ids = np.zeros(len(coords[0]), dtype=np.int64)
+            return self.ids_of(zip(*(x.ravel().tolist() for x in coords))).reshape(shape)
+        ids = np.zeros(shape, dtype=np.int64)
         for x in coords:
             product = x * float(self.k)
             cells = product.astype(np.int64)
             for i in np.flatnonzero(np.trunc(product) == product).tolist():  # as in _coord_cell
-                cells[i] = self._exact_cell(float(x[i]))
+                cells.flat[i] = self._exact_cell(float(x.flat[i]))
             ids = ids * self.k + np.clip(cells, 0, self.k - 1)
         return ids
 
@@ -621,14 +646,24 @@ def _id_array(ids: list, cells: int) -> np.ndarray:
     return np.array(ids, dtype=np.int64 if cells <= _FLAT_ID_CAP else object)
 
 
-def _coverage(ids: np.ndarray) -> tuple[int, int]:
-    """(number of distinct cell numbers, least cell number not among them)."""
-    ids = np.sort(ids)
-    first = np.ones(ids.size, dtype=bool)
-    first[1:] = ids[1:] != ids[:-1]
-    hit = ids[first]
-    gaps = np.flatnonzero(hit != np.arange(hit.size))
-    return hit.size, int(gaps[0]) if gaps.size else hit.size
+def _coverage(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of cell numbers: (number of distinct ones, least one not among them).
+
+    Sorted, a row that starts at 0 holds every number up to its first step
+    of more than 1, and the least missing number is one past that step's
+    lower end; a row with no such step misses the number of its distinct ones.
+    """
+    rows, n = ids.shape
+    if not n:
+        return np.zeros(rows, dtype=np.int64), np.zeros(rows, dtype=np.int64)
+    ids = np.sort(ids, axis=1)
+    step = ids[:, 1:] - ids[:, :-1]
+    hits = 1 + np.count_nonzero(step, axis=1)
+    jump = np.zeros((rows, n), dtype=bool)
+    jump[:, :-1] = step > 1
+    at, r = jump.argmax(axis=1), np.arange(rows)
+    empty = np.where(jump[r, at], ids[r, at] + 1, hits)
+    return hits, np.where(ids[:, 0] == 0, empty, 0).astype(np.int64)
 
 
 def eps_dense(sys, states: Sequence, cover) -> Verdict:
@@ -638,9 +673,9 @@ def eps_dense(sys, states: Sequence, cover) -> Verdict:
     """
     if cover.system != sys:
         raise CoverMismatchError(f"cover built for {cover.system!r}, not {sys!r}")
-    hit, empty = _coverage(cover.ids_of(states))
-    if hit < cover.cell_count():
-        cell = cover.cell_at(empty)
+    hits, empties = _coverage(cover.ids_of(states)[None])
+    if int(hits[0]) < cover.cell_count():
+        cell = cover.cell_at(int(empties[0]))
         return Verdict.fail(cell, note=f"cell {cell} of {cover.cell_count()} is unvisited")
     return Verdict.hold(note=f"all {cover.cell_count()} cells visited by {len(states)} states")
 

@@ -398,6 +398,11 @@ def shift_family_cases(draw):
 @example((interval(0, 999), range(-1001, -998), 12))
 @example((interval(0, 999), range(998, 1002), 12))
 @example((Window(tuple(range(0, 3000, 2)), 2 ** 63), range(-2, 3), 12))
+@example((interval(0, 99), range(-120, 121, 8), 6))  # shifts past both ends: an empty core
+# Every slice covers Z/2 and the core does too; at m = 4 the core misses
+# class 1, which each slice still covers until shift -5 drops 999.
+@example((Window((1, *range(10, 990, 2), 999), 1000), range(-5, 6), 2))
+@example((Window((1, *range(10, 990, 2), 999), 1000), range(-5, 6), 4))
 @settings(max_examples=150, deadline=None)
 def test_cyclic_shift_family_matches_the_shifted_windows(case):
     a, shifts, max_period = case
@@ -823,6 +828,69 @@ def test_birkhoff_return_at_every_slice_edge(zero):
         expected = _per_state_birkhoff(w, sys, 0.5)
         assert expected.witness == (0, 7 * b)
         assert birkhoff_window_test(w, sys, 0.5) == expected
+
+
+# -- the start grid as batches --------------------------------------------------------
+
+LATER_START_CASES = [
+    # (system, window, eps, grid, the start whose orbit is dense)
+    (RotationSystem.from_angle(GOLDEN), Window((4, 8, 11), 40), 0.34, 0.25, 0.5),
+    (SkewProductSystem(GOLDEN), Window((1, 4, 5, 25, 30, 31, 32, 35, 36), 40), 0.34, 0.25, (0.75, 0.75)),
+]
+
+
+@pytest.mark.parametrize("sys, w, eps, grid, start", LATER_START_CASES, ids=["rot", "skew"])
+def test_metric_dense_only_from_a_later_start(sys, w, eps, grid, start):
+    # The first start fails and the batch of the others holds, at a row past its first.
+    report = r_sequence_metric(w, sys, eps, grid)
+    assert report.verdict.holds and report.verdict.witness == start != sys.starts(grid)[0]
+    assert report.to_json() == _per_state_r_sequence_metric(w, sys, eps, grid).to_json()
+
+
+def test_metric_tests_break_exact_ties_by_the_first_start():
+    # Rotation by 1/2 along odd times: every start hits one cell and returns
+    # at distance 0.5 at every time, so the first start, then the first time, wins.
+    rot, w = RotationSystem.from_angle(0.5), odds(99)
+    report = r_sequence_metric(w, rot, 0.25, 0.25)
+    assert report.per_system == {"0.0": {"cells_hit": 1, "cells": 4, "empty_cell": 0}}
+    assert report.to_json() == _per_state_r_sequence_metric(w, rot, 0.25, 0.25).to_json()
+    v = birkhoff_window_test(w, rot, 0.1, 0.25)
+    assert v == Verdict.fail((0.0, 1), note="closest return distance 0.5 >= eps = 0.1")
+    assert v == _per_state_birkhoff(w, rot, 0.1, 0.25)
+
+
+def test_birkhoff_an_earlier_start_that_returns_later_wins():
+    # In the batch of starts after (0, 0), the x = 0.75 starts return at index
+    # 24 (first slice) and the x = 0.5 starts at index 38 (second slice): the
+    # earlier start wins, so the batch shrinks to the rows before it and reads on.
+    skew = SkewProductSystem(GOLDEN)
+    w = Window((15, 48, 57, 61, 74, 76, 93, 94, 126, 142, 149, 159, 160, 171, 176, 187, 190, 197, 205, 242,
+                257, 280, 282, 295, 301, 306, 320, 329, 333, 348, 353, 369, 370, 376, 382, 384, 389, 408, 411), 600)
+    v = birkhoff_window_test(w, skew, 0.05, 0.25)
+    assert v.witness == ((0.5, 0.0), 411) and v == _per_state_birkhoff(w, skew, 0.05, 0.25)
+    assert birkhoff_window_test(w.restrict(410), skew, 0.05, 0.25).witness == ((0.75, 0.0), 301)
+
+
+@pytest.mark.parametrize("cap", [1, 70, 100])
+def test_metric_tests_split_large_batches(monkeypatch, cap):
+    # Windows of 30 times: batches of 1, 2 and 3 starts after the first one.
+    monkeypatch.setattr(recurrence, "_BATCH_ELEMENTS", cap)
+    rows = max(1, cap // 30)
+    starts = SkewProductSystem(GOLDEN).starts(0.25)
+    batches = list(recurrence._start_batches(starts, 30))
+    assert [len(b) for b in batches] == [1] + [rows] * (15 // rows) + ([15 % rows] if 15 % rows else [])
+    assert [s for b in batches for s in b] == starts
+    squares30 = Window(tuple(n * n for n in range(30)), 29 ** 2)
+    windows = [squares30, odds(59), Window(tuple(range(1, 31)), 30)]
+    for sys in METRIC_SYSTEMS + [RotationSystem.from_angle(0.5)]:
+        for w in windows:
+            for eps, grid in ((0.34, 0.25), (0.1, 0.25), (0.02, 0.5)):
+                expected = _per_state_r_sequence_metric(w, sys, eps, grid)
+                assert r_sequence_metric(w, sys, eps, grid).to_json() == expected.to_json()
+                assert birkhoff_window_test(w, sys, eps, grid) == _per_state_birkhoff(w, sys, eps, grid)
+    for sys, w, eps, grid, _ in LATER_START_CASES:
+        expected = _per_state_r_sequence_metric(w, sys, eps, grid)
+        assert r_sequence_metric(w, sys, eps, grid).to_json() == expected.to_json()
 
 
 def test_metric_huge_cover_reports_without_listing_cells():

@@ -28,6 +28,7 @@ from dynwindow import (
     is_totally_minimal,
     orbit_at,
 )
+from dynwindow.systems import _coverage, _mod1, _mod1_array
 
 
 def test_step_examples():
@@ -462,16 +463,73 @@ def test_along_matches_per_state_cells_and_distances(sys, coords, times, eps, da
     w = Window(tuple(times), times[-1] if times else 0)
     cover, orbits = sys.cover(eps), sys.along(w)
     states = [sys.orbit_at(start, n) for n in times]
-    assert orbits.cells(start, cover).tolist() == [cover.flat_id(cover.cell_of(s)) for s in states]
+    assert orbits.cells([start], cover)[0].tolist() == [cover.flat_id(cover.cell_of(s)) for s in states]
     lo = data.draw(st.integers(0, len(times)))
     hi = data.draw(st.integers(lo, len(times) + 40))
-    got = orbits.distances(start, lo, hi).tolist()
+    got = orbits.distances([start], lo, hi)[0].tolist()
     assert got == [sys.distance(s, start) for s in states[lo:hi]]
     if not sys.exact_orbits:
-        coords_along = orbits.coords(start, 0, len(times))
+        coords_along = [x[0] for x in orbits.coords([start], 0, len(times))]
         assert [tuple(float(x[i]) for x in coords_along) for i in range(len(times))] == [
             sys._coords(s) for s in states
         ]
+
+
+@given(
+    st.sampled_from(ALONG_SYSTEMS),
+    window_times,
+    st.sampled_from([1.0, 0.5, 0.3, 0.25]),
+    st.sampled_from([0.5, 0.1, 0.003, 1e-10]),
+    st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_each_batch_row_is_the_single_start_row(sys, times, grid, eps, data):
+    # Any subset of grid starts, repeats allowed; the 1e-10 cover numbers
+    # 2-d cells with Python ints.
+    w = Window(tuple(times), times[-1] if times else 0)
+    batch = data.draw(st.lists(st.sampled_from(sys.starts(grid)), min_size=1, max_size=6))
+    lo = data.draw(st.integers(0, len(times)))
+    hi = data.draw(st.integers(lo, len(times) + 40))
+    cover, orbits = sys.cover(eps), sys.along(w)
+    cells, distances = orbits.cells(batch, cover), orbits.distances(batch, lo, hi)
+    assert cells.shape == (len(batch), len(times)) and distances.shape == (len(batch), len(times[lo:hi]))
+    hits, empties = _coverage(cells)
+    for i, start in enumerate(batch):
+        alone = sys.along(w)
+        assert cells[i].tolist() == alone.cells([start], cover)[0].tolist()
+        assert distances[i].tobytes() == alone.distances([start], lo, hi)[0].tobytes()
+        seen = set(cells[i].tolist())
+        assert (hits[i], empties[i]) == (len(seen), min(set(range(len(seen) + 1)) - seen))
+        if not sys.exact_orbits:
+            rows = [x[i].tobytes() for x in orbits.coords(batch, lo, hi)]
+            assert rows == [x[0].tobytes() for x in alone.coords([start], lo, hi)]
+
+
+def test_coverage_counts_each_row():
+    rows = np.array([[3, 0, 1, 1], [2, 2, 2, 2], [0, 1, 2, 3], [1, 0, 5, 0]], dtype=np.int64)
+    hits, empties = _coverage(rows)
+    assert hits.tolist() == [3, 1, 4, 3] and empties.tolist() == [2, 0, 4, 2]
+    hits, empties = _coverage(rows.astype(object) * 2 ** 70)
+    assert hits.tolist() == [3, 1, 4, 3] and empties.tolist() == [1, 0, 1, 1]
+    hits, empties = _coverage(np.zeros((2, 0), dtype=np.int64))
+    assert hits.tolist() == [0, 0] and empties.tolist() == [0, 0]
+
+
+MOD1_EDGES = [0.0, -0.0, 5e-324, -5e-324, -1e-300, 1 - 2 ** -53, -(1 - 2 ** -53), 2.0 ** 53, -(2.0 ** 53), 1e308, -1e308]
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=50))
+@example(MOD1_EDGES)
+@settings(max_examples=300, deadline=None)
+def test_mod1_by_the_floor_is_the_remainder_bit_for_bit(xs):
+    # Bits, not values: -0.0 and 0.0 count as different.
+    x = np.array(xs, dtype=np.float64)
+    remainder = np.remainder(x, 1.0)
+    remainder = np.where(remainder < 1.0, remainder, 0.0)
+    got = _mod1_array(x).view(np.int64).tolist()
+    assert got == remainder.view(np.int64).tolist()
+    assert got == np.array([_mod1(v) for v in xs], dtype=np.float64).view(np.int64).tolist()
+    assert got == _mod1_array(x.reshape(1, -1)).view(np.int64).ravel().tolist()
 
 
 @pytest.mark.parametrize("sys", ALONG_SYSTEMS[:5], ids=lambda v: v.spec_string())
@@ -483,9 +541,9 @@ def test_along_past_two_to_the_64(sys):
         for coords in ((0.25, 0.75), (1e-30, 5e-300), (0.1, 0.3)):
             start = _start(sys, coords)
             states = [sys.orbit_at(start, n) for n in times]
-            assert orbits.distances(start, 0, len(times)).tolist() == [sys.distance(s, start) for s in states]
+            assert orbits.distances([start], 0, len(times))[0].tolist() == [sys.distance(s, start) for s in states]
             cover = sys.cover(0.01)
-            assert orbits.cells(start, cover).tolist() == [cover.flat_id(cover.cell_of(s)) for s in states]
+            assert orbits.cells([start], cover)[0].tolist() == [cover.flat_id(cover.cell_of(s)) for s in states]
 
 
 @pytest.mark.parametrize("sys", [CyclicSystem(6), OdometerSystem(3, 2)], ids=lambda v: v.spec_string())
@@ -494,8 +552,8 @@ def test_finite_along_matches_per_state_distances(sys):
     orbits = sys.along(Window(times, times[-1]))
     for start in sys.starts(1.0):
         expected = [sys.distance(sys.orbit_at(start, n), start) for n in times]
-        assert orbits.distances(start, 0, len(times)).tolist() == expected
-        assert orbits.distances(start, 2, 5).tolist() == expected[2:5]
+        assert orbits.distances([start], 0, len(times))[0].tolist() == expected
+        assert orbits.distances([start], 2, 5)[0].tolist() == expected[2:5]
 
 
 def test_torus_cover_flat_ids_in_canonical_order():
@@ -513,7 +571,7 @@ def test_torus_cover_ids_past_int64_are_python_ints():
     cover = sys.cover(1e-10)
     times = (1, 2, 10 ** 5)
     orbits = sys.along(Window(times, times[-1]))
-    ids = orbits.cells((0.5, 0.25), cover)
+    ids = orbits.cells([(0.5, 0.25)], cover)[0]
     assert ids.dtype == object
     expected = [cover.flat_id(cover.cell_of(sys.orbit_at((0.5, 0.25), n))) for n in times]
     assert ids.tolist() == expected and max(expected) > 2 ** 63
