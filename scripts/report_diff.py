@@ -50,6 +50,9 @@ FILES = {
     "zeros.txt": "!horizon 100\n# header\n007\n# body comment\n010\n\n042\n",
     # Small elements under a horizon past 2^62.
     "wide.txt": f"!horizon {2 ** 63}\n" + "".join(f"{n * n}\n" for n in range(101)),
+    # 800 evens, then one odd element: residue coverage to m <= 50 reads a
+    # prefix of 16·50 = 800 elements, which misses what 1601 covers.
+    "evens-then-odd.txt": "!horizon 2000\n" + "".join(f"{n}\n" for n in range(0, 1600, 2)) + "1601\n",
 }
 
 # Files off the common layout: each is parsed line by line, or rejected with its line.
@@ -93,6 +96,7 @@ CALLS = [
     "recurrence squares.txt cyclic:<=3 --shifts=-2..2",
     "recurrence squares.txt cyclic:<=50 --shifts=-10..10",
     "recurrence interval.txt cyclic:<=50",
+    "recurrence evens-then-odd.txt cyclic:<=50",
     "recurrence huge.txt cyclic:<=7 --shifts=-3..3",
     "recurrence wide.txt cyclic:<=12 --shifts=-2..2",
     "recurrence blocks.txt cyclic:<=20 --horizon 2000 --shifts=-1..1",
@@ -131,6 +135,7 @@ CALLS = [
     # Cold M = 12 cross-checks: every m <= 12 builds its translation-class windows.
     "crosscheck evens.txt --max-period 12 --horizon 5003",
     "crosscheck --count 3 --horizon 2000 --max-period 12 --seed 11",
+    "crosscheck squares.txt --max-period 30",
     "permpoly check x^2+3x+1 --p 7",
     "permpoly check x^3 --p 11",
     "permpoly find-prime x^2 --cap 100",

@@ -65,6 +65,29 @@ def _dtype(horizon: int):
     return np.int64 if horizon < _INT64_HORIZON_CAP else object
 
 
+def _small_ints(arr: np.ndarray) -> np.ndarray:
+    # Window.array holds Python ints from horizon 2^62 on, but a residue needs
+    # no sum: an ascending array whose last element is below 2^63 fits int64.
+    if arr.dtype == object and arr.size and arr[-1] < 2 ** 63:
+        return arr.astype(np.int64)
+    return arr
+
+
+def _int64_elements(elements, horizon: int) -> Optional[np.ndarray]:
+    # The elements as int64, when the horizon keeps arrays int64 and numpy reads
+    # them as signed ints with no loss; None leaves them to the element loop
+    # (bools, floats, elements past int64, horizons from 2^62 on).
+    if horizon >= _INT64_HORIZON_CAP:
+        return None
+    try:
+        arr = np.array(elements)
+    except ValueError:  # ragged nesting: the loop raises the comparison's own error
+        return None
+    if arr.ndim != 1 or arr.dtype.kind != "i":
+        return None
+    return arr.astype(np.int64, copy=False)
+
+
 class Status(Enum):
     """Three-valued outcome of a window-bounded check."""
 
@@ -124,6 +147,13 @@ class Window:
 
     The horizon is the declared observation bound, not max(elements); an
     empty element list is permitted.
+
+    Memory contract: a constructed window whose horizon is below 2^62 and
+    whose elements numpy reads as signed ints is validated on one int64
+    array, and keeps that array as ``array``.  Windows built with
+    ``_trusted`` and no seed compute ``array`` only when it is read, and
+    ``bitmask`` reuses a kept array but never computes one, so the windows
+    the cross-check caches (``_trusted``, mask only) hold no array.
     """
 
     elements: tuple[int, ...]
@@ -134,13 +164,22 @@ class Window:
             raise ValueError(f"horizon must be >= 0, got {self.horizon}")
         if self.elements and self.elements[0] < 0:
             raise ValueError(f"negative element {self.elements[0]}")
-        prev = -1
-        for e in self.elements:
-            if e <= prev:
-                raise ValueError(f"elements not strictly ascending at {prev}, {e}")
-            prev = e
+        arr = _int64_elements(self.elements, self.horizon)
+        if arr is None:
+            prev = -1
+            for e in self.elements:
+                if e <= prev:
+                    raise ValueError(f"elements not strictly ascending at {prev}, {e}")
+                prev = e
+        else:
+            descents = np.flatnonzero(arr[1:] <= arr[:-1])  # no np.diff: it can wrap
+            if descents.size:
+                i = int(descents[0])
+                raise ValueError(f"elements not strictly ascending at {self.elements[i]}, {self.elements[i + 1]}")
         if self.elements and self.elements[-1] > self.horizon:
             raise ValueError(f"element {self.elements[-1]} exceeds horizon {self.horizon}")
+        if arr is not None:
+            self.__dict__["array"] = arr
 
     @classmethod
     def _trusted(cls, elements: tuple, horizon: int, seed: Optional[np.ndarray] = None) -> "Window":
@@ -307,7 +346,7 @@ def difference_set(w: Window) -> Window:
     """
     n = len(w.elements)
     if n < 2:
-        return Window((), w.horizon)
+        return Window._trusted((), w.horizon)
     offsets = w.array - w.elements[0]
     stride = int(np.gcd.reduce(offsets))
     top = (w.elements[-1] - w.elements[0]) // stride
@@ -322,8 +361,9 @@ def difference_set(w: Window) -> Window:
         # No array is seeded: cached comparison windows would keep it alive.
         lags = (np.flatnonzero(counts > 0.5) + 1).astype(w.array.dtype) * stride
         return Window._trusted(tuple(lags.tolist()), w.horizon)
+    # Sorted positive differences of naturals <= horizon: ascending and inside it.
     out = {b - a for a, b in combinations(w.elements, 2)}
-    return Window(tuple(sorted(out)), w.horizon)
+    return Window._trusted(tuple(sorted(out)), w.horizon)
 
 
 def _shift_mask(mask: int, shift: int) -> int:
@@ -506,7 +546,8 @@ def _parse_lines(text: str) -> Window:
         prev = value
     if not saw_directive:
         raise SequenceFormatError("missing '!horizon N' directive", 1)
-    return Window(tuple(elements), horizon)
+    # Each line was checked above: ascending naturals, none past the horizon.
+    return Window._trusted(tuple(elements), horizon)
 
 
 def parse_sequence_file(path) -> Window:

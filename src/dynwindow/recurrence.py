@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .intsets import Verdict, Window, _ShiftFamily, difference_set
+from .intsets import Verdict, Window, _ShiftFamily, _small_ints, difference_set
 from .systems import (
     CyclicSystem,
     FiniteSystem,
@@ -132,14 +132,6 @@ def _step_table_times(sys: FiniteSystem, start, cell, horizon: int, cover) -> np
     return np.flatnonzero(inside[orbit[1 : horizon + 1]]) + 1
 
 
-def _small_ints(arr: np.ndarray) -> np.ndarray:
-    # Window.array holds Python ints from horizon 2^62 on, but a residue needs
-    # no sum: an ascending array whose last element is below 2^63 fits int64.
-    if arr.dtype == object and arr.size and arr[-1] < 2 ** 63:
-        return arr.astype(np.int64)
-    return arr
-
-
 def _empty_residues(arr: np.ndarray, m: int) -> np.ndarray:
     # The classes mod m that arr misses, ascending.  A prefix of 16·m elements
     # is counted first: if it covers Z/m, so does arr, and the rest is not read.
@@ -150,10 +142,44 @@ def _empty_residues(arr: np.ndarray, m: int) -> np.ndarray:
     return np.flatnonzero(counts == 0)
 
 
-def _missing_residue(a: Window, m: int) -> Optional[int]:
-    """Smallest residue class mod m not hit by the window, or None if covered."""
-    empty = _empty_residues(_small_ints(a.array), m)
-    return int(empty[0]) if empty.size else None
+def _missing_residues(arr: np.ndarray, max_period: int) -> list:
+    """The least class mod m that arr misses (None when it covers Z/m), for m = 1..max_period.
+
+    A prefix of n = 16·max_period elements is reduced against a block of
+    periods at once and counted in one offset bincount, a segment per
+    period; the first zero of a segment is that period's least missing
+    class.  n elements hit at most n classes, so the least class they miss
+    is at most n: a segment counts the classes below w = min(n, largest
+    period) and pools the rest in one more counter, which stays zero when
+    every class below w is hit.  Blocks keep both the prefix × block
+    matrix and the bincount within _BATCH_ELEMENTS.  A prefix that covers
+    Z/m settles m; only the m's it leaves uncovered are recounted on the
+    whole array.
+    """
+    arr = _small_ints(arr)
+    head = arr[: 16 * max_period]
+    width = max(1, _BATCH_ELEMENTS // (max(head.size, 1) + 1))  # periods per block
+    least = np.empty(max_period, dtype=np.int64)  # -1: covered
+    for m in range(1, max_period + 1, width):
+        periods = np.arange(m, min(m + width, max_period + 1), dtype=np.int64)
+        w = max(1, min(head.size, int(periods[-1])))
+        residues = np.empty((head.size, periods.size), dtype=np.int64)
+        if head.dtype == object:  # by columns: a matrix of Python ints would be ~5 times larger
+            for j, p in enumerate(periods.tolist()):
+                residues[:, j] = head % p
+        else:
+            np.remainder(head[:, None], periods, out=residues)
+        np.minimum(residues, w, out=residues)
+        residues += np.arange(periods.size) * (w + 1)
+        counts = np.bincount(residues.ravel(), minlength=periods.size * (w + 1)).reshape(periods.size, w + 1)
+        # A row hits at most n classes: with every class below w hit, the pool is empty.
+        first = counts.argmin(axis=1)  # its first zero: the least class missed, or w
+        least[m - 1 : m - 1 + periods.size] = np.where(first < periods, first, -1)
+    if head.size < arr.size:
+        for p in (np.flatnonzero(least >= 0) + 1).tolist():
+            hit = np.bincount((arr % p).astype(np.int64, copy=False), minlength=p) > 0
+            least[p - 1] = -1 if hit.all() else np.argmin(hit)
+    return [None if r < 0 else r for r in least.tolist()]
 
 
 def r_sequence_cyclic(a: Window, max_period: int) -> RSequenceReport:
@@ -167,10 +193,7 @@ def r_sequence_cyclic(a: Window, max_period: int) -> RSequenceReport:
         raise ValueError("max_period must be >= 1")
     per_system = {}
     verdict = None
-    arr = _small_ints(a.array)
-    for m in range(1, max_period + 1):
-        empty = _empty_residues(arr, m)
-        missing = int(empty[0]) if empty.size else None
+    for m, missing in enumerate(_missing_residues(a.array, max_period), start=1):
         per_system[f"cyclic:{m}"] = {"covered": missing is None, "missing": missing}
         if missing is not None and verdict is None:
             verdict = Verdict.fail((m, missing), note=f"residue {missing} mod {m} never hit")
@@ -334,6 +357,7 @@ def _shift_family_cyclic(a: Window, shifts: Iterable[int], max_period: int) -> V
     shifts before the first failing one found so far are read.  Every slice
     contains the core [max lo, min hi): when the core covers Z/m, no shift
     fails at m, and m is passed before any residue of the window is taken.
+    The core's coverage of every m comes from one ``_missing_residues`` call.
     """
     shifts = sorted(shifts)
     if shifts and max_period < 1:
@@ -341,9 +365,10 @@ def _shift_family_cyclic(a: Window, shifts: Iterable[int], max_period: int) -> V
     arr, e = _small_ints(a.array), a.elements
     bounds = [(bisect.bisect_left(e, -n), bisect.bisect_right(e, a.horizon - n)) for n in shifts]
     core = arr[max((lo for lo, _ in bounds), default=0) : min((hi for _, hi in bounds), default=0)]
+    core_missing = _missing_residues(core, max_period)  # an empty core misses 0 mod every m
     failure = None  # (index, m, missing residue) of the first failing shift found so far
     for m in range(1, max_period + 1):
-        if core.size and not _empty_residues(core, m).size:
+        if core_missing[m - 1] is None:
             continue
         residues = arr if arr.dtype != object else (arr % m).astype(np.int64)
         for i in range(len(shifts) if failure is None else failure[0]):
@@ -362,6 +387,8 @@ def _shift_family_cyclic(a: Window, shifts: Iterable[int], max_period: int) -> V
 def _comparison_windows(horizon: int) -> dict:
     # The cross-check's windows at one horizon, filled on demand.  Only the
     # latest horizon is kept: a sweep shares one, and older ones hold MiBs.
+    # Entries are built with Window._trusted and no seed, and are only met
+    # through their bitmasks, so none holds an element array.
     return {}
 
 
@@ -419,8 +446,9 @@ def crosscheck_cyclic_equivalence(a: Window, max_period: int, shifts: Iterable[i
         raise ValueError("shift range must be nonempty")
     ext = a.horizon + max(shifts[-1], 0) + max_period
     family = _ShiftFamily(a, shifts)
+    missing = _missing_residues(a.array, max_period)
     for m in range(1, max_period + 1):
-        covered = _missing_residue(a, m) is None
+        covered = missing[m - 1] is None
         nuu = _cyclic_return_window(m, ext)
         return_hit = family.meets(nuu)
         # Progressions r <= ext mod m have one element more than the rest: two translation classes.

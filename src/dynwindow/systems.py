@@ -41,7 +41,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .intsets import Verdict, Window
+from .intsets import Verdict, Window, _small_ints
 
 __all__ = [
     "FiniteSystem",
@@ -172,13 +172,15 @@ class _PeriodicOrbits:
     """
 
     def __init__(self, sys, a: Window, period: int):
-        self.sys, self.times, self.period, self._slices = sys, a.elements, period, {}
+        self.sys, self.period, self._slices = sys, period, {}
+        # int64 times where they and the period fit, Python ints otherwise.
+        times = _small_ints(a.array)
+        self.times = times if times.dtype == object or period < 2 ** 63 else times.astype(object)
 
     def _states(self, start, lo: int, hi: int) -> tuple[list, np.ndarray]:
         if (lo, hi) not in self._slices:
-            first: dict[int, int] = {}
-            index = [first.setdefault(n % self.period, len(first)) for n in self.times[lo:hi]]
-            self._slices[lo, hi] = list(first), np.array(index, dtype=np.intp)
+            residues, index = np.unique(self.times[lo:hi] % self.period, return_inverse=True)
+            self._slices[lo, hi] = residues.tolist(), index
         residues, index = self._slices[lo, hi]
         return [self.sys.orbit_at(start, m) for m in residues], index
 

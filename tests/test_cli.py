@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -96,6 +97,21 @@ def test_recurrence_interval_vs_cycles(tmp_path, capsys):
     write_sequence_file(path, Window(tuple(range(101)), 100))
     assert main(["recurrence", str(path), "cyclic:<=50"]) == 0
     assert "holds" in capsys.readouterr().out
+
+
+def test_recurrence_to_a_large_period_on_a_short_file_stays_small(tmp_path, capsys):
+    # Periods 1..5000 would take 12.5 million counters, one per class; 20
+    # elements miss a class below 21, so a period counts at most 21.
+    path = tmp_path / "short.txt"
+    write_sequence_file(path, Window(tuple(range(3, 400, 20)), 400))
+    tracemalloc.start()
+    try:
+        code = main(["recurrence", str(path), "cyclic:<=5000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and "witness=(2, 0)" in capsys.readouterr().out  # every element is odd
+    assert peak < 64 * 2 ** 20
 
 
 def test_recurrence_metric_family(squares_file, capsys):

@@ -27,6 +27,7 @@ from dynwindow import (
     shifted_hit,
 )
 from dynwindow.intsets import _BITMASK_HORIZON_CAP, _ShiftFamily, _fft_size
+from dynwindow.recurrence import _comparison_windows, crosscheck_cyclic_equivalence
 
 
 # -- Window type ---------------------------------------------------------------
@@ -50,6 +51,74 @@ def test_window_validation_names_the_fault():
         Window((-5, 3), 10)
     with pytest.raises(ValueError, match=r"^elements not strictly ascending at 2, -1$"):
         Window((2, -1), 10)
+
+
+def _loop_window_check(elements, horizon):
+    # Window validation one element at a time: the reference for the array path.
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    if elements and elements[0] < 0:
+        raise ValueError(f"negative element {elements[0]}")
+    prev = -1
+    for e in elements:
+        if e <= prev:
+            raise ValueError(f"elements not strictly ascending at {prev}, {e}")
+        prev = e
+    if elements and elements[-1] > horizon:
+        raise ValueError(f"element {elements[-1]} exceeds horizon {horizon}")
+
+
+def _outcome(check, *args):
+    try:
+        check(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return "accepted"
+
+
+WINDOW_CASES = [
+    ((), -1),
+    ((), 0),
+    ((-5, 3), 10),
+    ((2, -1), 10),
+    ((1, 5, 5), 10),
+    ((1, 5, 3, 2), 10),
+    ((1, 20), 10),
+    ((1, 2 ** 62 + 1), 10),
+    ((1, 2 ** 63), 10),  # numpy reads this pair as float64: the loop takes it
+    ((5, 2 ** 63 - 1, -5), 10),  # a difference of these wraps in int64
+    ((3, 2 ** 64, 5), 10),
+    ((0, 5, 9), 9),
+    ((2, 1), 2 ** 62),
+    ((1, 2), 2 ** 62),
+    ((True, 2), 10),
+    ((True, 1), 10),  # read as int64 [1, 1]: the message names True, as the loop does
+    ((True, False), 10),
+    ((False, True), 10),
+    ((1.0, 2.5), 10),
+    ((2.5, 1.0), 10),
+    ((0, float("nan")), 10),
+    ((np.int64(1), np.int64(7)), 10),
+    ((np.int64(7), 3), 10),
+    ((np.int32(1), 2), 10),
+    ((0, (1, 2)), 10),
+    ((0, "a"), 10),
+    ((0, None), 10),
+]
+
+
+@pytest.mark.parametrize("elements, horizon", WINDOW_CASES, ids=repr)
+def test_window_errors_are_the_same_on_the_array_and_loop_paths(monkeypatch, elements, horizon):
+    want = _outcome(_loop_window_check, elements, horizon)
+    assert _outcome(Window, elements, horizon) == want
+    kept = want == "accepted" and horizon < 2 ** 62 and bool(elements) and all(
+        isinstance(e, (int, np.integer)) and not isinstance(e, bool) for e in elements
+    )
+    if kept:  # the array path: the validated array is Window.array
+        w = Window(elements, horizon)
+        assert w.__dict__["array"].dtype == np.int64 and w.__dict__["array"].tolist() == list(elements)
+    monkeypatch.setattr(intsets, "_int64_elements", lambda elements, horizon: None)
+    assert _outcome(Window, elements, horizon) == want
 
 
 @given(
@@ -106,7 +175,17 @@ def test_window_restrict():
 def test_window_bitmask_sets_one_bit_per_element(elems, slack):
     w = Window(tuple(sorted(elems)), max(elems, default=0) + slack)
     assert w.bitmask == sum(1 << e for e in w.elements)
-    assert "array" not in w.__dict__  # the mask never computes an array
+    # A constructed window keeps the array it was validated on; a trusted one
+    # gets none from its mask, and the cross-check caches only trusted windows.
+    trusted = Window._trusted(w.elements, w.horizon)
+    assert trusted.bitmask == w.bitmask and "array" not in trusted.__dict__
+    _comparison_windows.cache_clear()
+    try:
+        crosscheck_cyclic_equivalence(w, 3, range(-2, 3))
+        cached = _comparison_windows(w.horizon + 2 + 3)
+        assert cached and not any("array" in c.__dict__ for c in cached.values())
+    finally:
+        _comparison_windows.cache_clear()
     seeded = Window._trusted(w.elements, w.horizon, np.array(w.elements, dtype=np.int64))
     assert seeded.bitmask == w.bitmask
 

@@ -43,7 +43,7 @@ from dynwindow.recurrence import (
     ReturnTimesResult,
     _comparison_windows,
     _cyclic_return_window,
-    _missing_residue,
+    _missing_residues,
     _progression_difference_window,
     _shift_family_cyclic,
     _small_ints,
@@ -203,11 +203,42 @@ def test_missing_residue_matches_brute_force(elems, base):
     w = Window(tuple(base + e for e in sorted(elems)), base + 5000)
     wide = Window(w.elements, w.horizon + 2 ** 63)
     assert w.array.dtype == (np.int64 if w.horizon < 2 ** 62 else object) and wide.array.dtype == object
+    got, got_wide = _missing_residues(w.array, 60), _missing_residues(wide.array, 60)
     for m in range(1, 61):
         missing = set(range(m)) - {e % m for e in w.elements}
         expected = min(missing, default=None)
-        assert _missing_residue(w, m) == _scan_missing_residue(w, m) == expected
-        assert _missing_residue(wide, m) == expected
+        assert got[m - 1] == _scan_missing_residue(w, m) == expected
+        assert got_wide[m - 1] == expected
+
+
+@given(
+    st.lists(st.integers(0, 3000), max_size=120, unique=True),
+    st.sampled_from([(0, np.int64), (0, object), (2 ** 63, object)]),
+    st.integers(1, 70),
+    st.sampled_from([2 ** 22, 1, 5, 64]),
+)
+@example([], (0, np.int64), 1, 2 ** 22)
+@example([], (2 ** 63, object), 1, 2 ** 22)
+@example([5], (0, np.int64), 1, 2 ** 22)
+@example(list(range(0, 3000, 150)), (0, np.int64), 3000, 2 ** 22)  # 20 elements: class 20 mod m > 20
+@example(list(range(0, 3000, 150)), (2 ** 63, object), 3000, 2 ** 22)
+@example([*range(0, 1600, 2), 1601], (0, np.int64), 50, 2 ** 22)  # the 800-element prefix is all even
+@example([*range(0, 1600, 2), 1601], (0, object), 50, 64)
+@example([*range(0, 1600, 2), 1601], (2 ** 63, object), 50, 5)
+@settings(max_examples=80, deadline=None)
+def test_missing_residues_match_a_set_scan_for_every_period(elems, kind, max_period, batch):
+    # Blocks of periods are bounded by _BATCH_ELEMENTS: a small one splits them
+    # finely, down to one period a block.  Object arrays past 2^63 stay Python
+    # ints; below it they are converted to int64 first.  Examples: an empty
+    # array, M = 1, a prefix that hits every class below its length, and
+    # 800-element prefixes that miss a class the last element covers.
+    base, dtype = kind
+    elements = tuple(base + e for e in sorted(elems))
+    w = Window._trusted(elements, base + 3000)
+    want = [_scan_missing_residue(w, m) for m in range(1, max_period + 1)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(recurrence, "_BATCH_ELEMENTS", batch)
+        assert _missing_residues(np.array(elements, dtype=dtype), max_period) == want
 
 
 @given(st.lists(st.integers(0, 2000), min_size=0, max_size=150, unique=True), st.integers(1, 20))
@@ -474,7 +505,7 @@ def test_crosscheck_reports_the_bottom_edge_disagreement():
 )
 def test_crosscheck_residue_oracle_feeds_only_the_coverage_predicate(monkeypatch, missing, window, witness):
     # A wrong residue answer must show as a disagreement, never move predicates 2 and 3.
-    monkeypatch.setattr(recurrence, "_missing_residue", lambda a, m: missing)
+    monkeypatch.setattr(recurrence, "_missing_residues", lambda arr, max_period: [missing] * max_period)
     v = crosscheck_cyclic_equivalence(window, 2, range(-2, 3))
     assert v.fails and v.witness == witness
 

@@ -556,6 +556,53 @@ def test_finite_along_matches_per_state_distances(sys):
         assert orbits.distances([start], 2, 5)[0].tolist() == expected[2:5]
 
 
+def _ref_periodic_rows(sys, times, period, start, cover):
+    # The residue index built one time at a time, classes in order of first
+    # appearance: the reference for the np.unique index.
+    first: dict[int, int] = {}
+    index = np.array([first.setdefault(n % period, len(first)) for n in times], dtype=np.intp)
+    states = [sys.orbit_at(start, m) for m in first]
+    distances = np.array([sys.distance(s, start) for s in states], dtype=np.float64)
+    return cover.ids_of(states)[index].tolist(), distances[index].tolist()
+
+
+PERIODIC_SYSTEMS = [
+    (CyclicSystem(1), 1),
+    (CyclicSystem(6), 6),
+    (OdometerSystem(3, 2), 9),
+    (CyclicSystem(2 ** 64 + 13), 2 ** 64 + 13),  # a period past int64: residues of Python ints
+    (RotationSystem.from_rationals(Fraction(2, 7)), 7),
+    (RotationSystem.from_rationals(Fraction(1, 3), Fraction(2, 5)), 15),
+]
+
+
+@given(
+    st.sampled_from(PERIODIC_SYSTEMS),
+    st.lists(st.integers(0, 10 ** 6), max_size=50, unique=True).map(sorted),
+    st.sampled_from([(0, 0), (0, 2 ** 63), (2 ** 63, 0), (2 ** 70, 0)]),
+    st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_periodic_rows_match_the_residue_comprehension(system, offsets, kind, data):
+    # int64 times, small times under a horizon past 2^62 (converted to int64),
+    # and times past 2^63 (Python ints).
+    (sys, period), (base, wide) = system, kind
+    times = tuple(base + t for t in offsets)
+    orbits = sys.along(Window(times, (times[-1] if times else base) + wide))
+    cover = sys.cover(0.2)
+    lo = data.draw(st.integers(0, len(times)))
+    hi = data.draw(st.integers(lo, len(times) + 5))
+    if isinstance(sys, RotationSystem):
+        starts = sys.starts(0.5)
+    else:
+        starts = [sys.decode(v) for v in sorted({0, 1 % sys.size, sys.size - 1})]
+    for start in starts:
+        cells, _ = _ref_periodic_rows(sys, times, period, start, cover)
+        _, distances = _ref_periodic_rows(sys, times[lo:hi], period, start, cover)
+        assert orbits.cells([start], cover)[0].tolist() == cells
+        assert orbits.distances([start], lo, hi)[0].tolist() == distances
+
+
 def test_torus_cover_flat_ids_in_canonical_order():
     cover = RotationSystem((GOLDEN, 0.3)).cover(0.25)
     cells = list(itertools.product(range(4), repeat=2))
