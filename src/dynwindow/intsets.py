@@ -8,7 +8,7 @@ and FailsWithWitness are claims about the observed window only.
 """
 from __future__ import annotations
 
-import bisect
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -73,19 +73,27 @@ def _small_ints(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _int64_elements(elements, horizon: int) -> Optional[np.ndarray]:
-    # The elements as int64, when the horizon keeps arrays int64 and numpy reads
-    # them as signed ints with no loss; None leaves them to the element loop
-    # (bools, floats, elements past int64, horizons from 2^62 on).
-    if horizon >= _INT64_HORIZON_CAP:
-        return None
+def _read_elements(elements) -> np.ndarray:
+    # The elements, each read as operator.index reads it: int64 when numpy reads
+    # them as ints or bools that fit it, else Python ints (object), one
+    # operator.index per element, which raises TypeError on anything else.
     try:
         arr = np.array(elements)
-    except ValueError:  # ragged nesting: the loop raises the comparison's own error
-        return None
-    if arr.ndim != 1 or arr.dtype.kind != "i":
-        return None
-    return arr.astype(np.int64, copy=False)
+    except ValueError:  # ragged nesting: operator.index refuses the nested element
+        arr = None
+    if arr is not None and arr.ndim == 1 and np.can_cast(arr.dtype, np.int64):
+        return arr.astype(np.int64, copy=False)
+    return np.array([operator.index(e) for e in elements], dtype=object)
+
+
+def _span(w: "Window", lo: int, hi: int) -> tuple[int, int]:
+    # (i, j) with w.array[i:j] the elements in [lo, hi].  Both bounds are first
+    # clamped into [-1, horizon + 1], which holds every element, so they fit
+    # the array's dtype: a bound past int64 would make numpy compare the whole
+    # array as Python ints (42 ms, not 5 us, on 10^6 elements).
+    top = w.horizon + 1
+    i, j = np.searchsorted(w.array, [min(max(b, -1), top) for b in (lo, hi + 1)])
+    return int(i), int(j)
 
 
 class Status(Enum):
@@ -141,100 +149,97 @@ class Verdict:
         return {"verdict": self.status.value, "witness": witness, "note": self.note}
 
 
-@dataclass(frozen=True)
 class Window:
-    """A strictly ascending tuple of naturals observed on [0, horizon].
+    """A strictly ascending set of naturals observed on [0, horizon].
 
     The horizon is the declared observation bound, not max(elements); an
     empty element list is permitted.
 
-    Memory contract: a constructed window whose horizon is below 2^62 and
-    whose elements numpy reads as signed ints is validated on one int64
-    array, and keeps that array as ``array``.  Windows built with
-    ``_trusted`` and no seed compute ``array`` only when it is read, and
-    ``bitmask`` reuses a kept array but never computes one, so the windows
-    the cross-check caches (``_trusted``, mask only) hold no array.
+    The array is the window: ``array`` holds the elements, int64 below
+    horizon 2^62 and Python ints (object) from there, and is all a window
+    stores besides its horizon and, once read, its ``bitmask``.
+    ``elements``, the same values as a tuple of Python ints, is built when
+    it is first read.  Each element is read as ``operator.index`` reads it:
+    ints, numpy ints and bools give ints, anything else (a float, a string,
+    None, a nested sequence) raises TypeError.  Windows are immutable
+    values: equal and hashed as ``(elements, horizon)``.
     """
 
-    elements: tuple[int, ...]
-    horizon: int
-
-    def __post_init__(self) -> None:
-        if self.horizon < 0:
-            raise ValueError(f"horizon must be >= 0, got {self.horizon}")
-        if self.elements and self.elements[0] < 0:
-            raise ValueError(f"negative element {self.elements[0]}")
-        arr = _int64_elements(self.elements, self.horizon)
-        if arr is None:
-            prev = -1
-            for e in self.elements:
-                if e <= prev:
-                    raise ValueError(f"elements not strictly ascending at {prev}, {e}")
-                prev = e
-        else:
-            descents = np.flatnonzero(arr[1:] <= arr[:-1])  # no np.diff: it can wrap
-            if descents.size:
-                i = int(descents[0])
-                raise ValueError(f"elements not strictly ascending at {self.elements[i]}, {self.elements[i + 1]}")
-        if self.elements and self.elements[-1] > self.horizon:
-            raise ValueError(f"element {self.elements[-1]} exceeds horizon {self.horizon}")
-        if arr is not None:
-            self.__dict__["array"] = arr
+    def __init__(self, elements: Iterable[int], horizon: int) -> None:
+        if horizon < 0:
+            raise ValueError(f"horizon must be >= 0, got {horizon}")
+        arr = _read_elements(elements)
+        if arr.size and arr[0] < 0:
+            raise ValueError(f"negative element {arr[0]}")
+        descents = np.flatnonzero(arr[1:] <= arr[:-1])  # no np.diff: it can wrap
+        if descents.size:
+            i = int(descents[0])
+            raise ValueError(f"elements not strictly ascending at {arr[i]}, {arr[i + 1]}")
+        if arr.size and int(arr[-1]) > horizon:
+            raise ValueError(f"element {arr[-1]} exceeds horizon {horizon}")
+        self.__dict__.update(array=arr.astype(_dtype(horizon), copy=False), horizon=horizon)
 
     @classmethod
-    def _trusted(cls, elements: tuple, horizon: int, seed: Optional[np.ndarray] = None) -> "Window":
-        # For elements already known to be strictly ascending naturals <= horizon:
-        # skips the ascent check.  ``seed``, the same elements as an array,
-        # becomes Window.array in the dtype of this horizon.
+    def _trusted(cls, values: np.ndarray, horizon: int) -> "Window":
+        # For values already known to be strictly ascending naturals <= horizon:
+        # skips their checks.  They become Window.array in the dtype of this horizon.
         if horizon < 0:
             raise ValueError(f"horizon must be >= 0, got {horizon}")
         w = object.__new__(cls)
-        w.__dict__.update(elements=elements, horizon=horizon)
-        if seed is not None:
-            w.__dict__["array"] = seed.astype(_dtype(horizon), copy=False)
+        w.__dict__.update(array=values.astype(_dtype(horizon), copy=False), horizon=horizon)
         return w
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, Window):
+            return NotImplemented
+        return self.horizon == other.horizon and np.array_equal(self.array, other.array)
+
+    def __hash__(self) -> int:
+        return hash((self.elements, self.horizon))
+
+    def __repr__(self) -> str:
+        return f"Window(elements={self.elements!r}, horizon={self.horizon!r})"
+
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.array)
 
     def __contains__(self, n: int) -> bool:
-        i = bisect.bisect_left(self.elements, n)
-        return i < len(self.elements) and self.elements[i] == n
+        i = _span(self, n, n)[0]
+        return i < len(self.array) and self.array[i] == n
 
     @cached_property
-    def array(self) -> np.ndarray:
-        """The elements as a numpy array: int64 below horizon 2^62, Python ints (object) from there."""
-        return np.array(self.elements, dtype=_dtype(self.horizon))
+    def elements(self) -> tuple[int, ...]:
+        """The elements as a tuple of Python ints."""
+        return tuple(self.array.tolist())
 
     @cached_property
     def bitmask(self) -> Optional[int]:
         """Bitmask with bit e set per element, or None if the horizon is too large."""
         if self.horizon > _BITMASK_HORIZON_CAP:
             return None
-        if not self.elements:
+        if not self.array.size:
             return 0
         # Pack an indicator array little-endian: O(n + max element) for the whole mask.
-        # Reuse a cached array, never compute one: cached comparison windows would keep it.
-        index = self.__dict__.get("array")
-        bits = np.zeros(self.elements[-1] + 1, dtype=np.uint8)
-        bits[index if index is not None else np.asarray(self.elements, dtype=np.int64)] = 1
+        bits = np.zeros(int(self.array[-1]) + 1, dtype=np.uint8)
+        bits[self.array] = 1
         return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
     def shift(self, n: int) -> "Window":
         """(self + n) truncated back to [0, horizon]; the horizon is kept."""
-        # The survivors are the one contiguous run with -n <= e <= horizon - n.
-        lo = bisect.bisect_left(self.elements, -n)
-        hi = bisect.bisect_right(self.elements, self.horizon - n)
-        if lo == hi:
-            return Window._trusted((), self.horizon, self.array[:0])
-        # A survivor e + n lies in [0, horizon], so n fits the array's dtype.
-        shifted = self.array[lo:hi] + n
-        return Window._trusted(tuple(shifted.tolist()), self.horizon, shifted)
+        # The survivors are the one contiguous run with -n <= e <= horizon - n,
+        # and a survivor e + n lies in [0, horizon], so n fits the array's dtype.
+        lo, hi = _span(self, -n, self.horizon - n)
+        return Window._trusted(self.array[lo:hi] + n if lo < hi else self.array[:0], self.horizon)
 
     def restrict(self, horizon: int) -> "Window":
         """Re-windowed copy: elements above the new horizon are dropped, a larger one keeps all."""
-        cut = bisect.bisect_right(self.elements, horizon)
-        return Window._trusted(self.elements[:cut], horizon, self.array[:cut])
+        return Window._trusted(self.array[: _span(self, 0, horizon)[1]], horizon)
 
 
 class SequenceFormatError(ValueError):
@@ -344,12 +349,12 @@ def difference_set(w: Window) -> Window:
     double-precision FFT roundoff of ~1e-9 cannot cross the 0.5 decision
     threshold); sparse or extremely wide-spanned windows use the scan.
     """
-    n = len(w.elements)
+    n = len(w)
     if n < 2:
-        return Window._trusted((), w.horizon)
-    offsets = w.array - w.elements[0]
+        return Window._trusted(w.array[:0], w.horizon)
+    offsets = w.array - w.array[0]
     stride = int(np.gcd.reduce(offsets))
-    top = (w.elements[-1] - w.elements[0]) // stride
+    top = int(offsets[-1]) // stride
     if top <= _FFT_SPAN_CAP and 2 * top + _FFT_SETUP_POINTS < _FFT_POINTS_PER_PAIR * (n * (n - 1) // 2):
         offsets = (offsets // stride).astype(np.int64, copy=False)
         ind = np.zeros(top + 1)
@@ -358,12 +363,11 @@ def difference_set(w: Window) -> Window:
         size = _fft_size(2 * top + 1)
         spectrum = np.fft.rfft(ind, size)
         counts = np.fft.irfft(spectrum * np.conj(spectrum), size)[1 : top + 1]
-        # No array is seeded: cached comparison windows would keep it alive.
         lags = (np.flatnonzero(counts > 0.5) + 1).astype(w.array.dtype) * stride
-        return Window._trusted(tuple(lags.tolist()), w.horizon)
+        return Window._trusted(lags, w.horizon)
     # Sorted positive differences of naturals <= horizon: ascending and inside it.
-    out = {b - a for a, b in combinations(w.elements, 2)}
-    return Window._trusted(tuple(sorted(out)), w.horizon)
+    out = {b - a for a, b in combinations(w.array.tolist(), 2)}
+    return Window._trusted(np.array(sorted(out), dtype=w.array.dtype), w.horizon)
 
 
 def _shift_mask(mask: int, shift: int) -> int:
@@ -373,9 +377,8 @@ def _shift_mask(mask: int, shift: int) -> int:
 def _least_common(a: Window, d: Window, shift: int) -> Optional[int]:
     # The least element of a ∩ (shift + d), or None when they do not meet.
     # Only the y in d with 0 <= y + shift <= a.horizon can meet a.
-    lo = bisect.bisect_left(d.elements, -shift)
-    hi = bisect.bisect_right(d.elements, a.horizon - shift)
-    if not a.elements or lo == hi:
+    lo, hi = _span(d, -shift, a.horizon - shift)
+    if not len(a) or lo == hi:
         return None
     moved = d.array[lo:hi]
     if object in (a.array.dtype, moved.dtype):
@@ -447,7 +450,7 @@ def banach_density_estimate(w: Window, interval_length: int) -> Fraction:
     """
     if not 1 <= interval_length <= w.horizon + 1:
         raise ValueError("need 1 <= interval_length <= horizon + 1")
-    if not w.elements:
+    if not len(w):
         return Fraction(0)
     a, last_start = w.array, w.horizon - interval_length + 1
     # The max is attained by an interval starting at an element, or at the
@@ -489,7 +492,7 @@ def _parse_well_formed(text: str) -> Optional[Window]:
         return None
     body = text[pos:]
     if not body:
-        return Window._trusted((), horizon)
+        return Window._trusted(np.zeros(0, dtype=np.int64), horizon)
     if not body.isascii() or body[-1] != "\n":
         return None
     buf = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
@@ -509,7 +512,7 @@ def _parse_well_formed(text: str) -> Optional[Window]:
         power *= 10
     if (np.diff(values) <= 0).any() or int(values[-1]) > horizon:
         return None
-    return Window._trusted(tuple(values.tolist()), horizon, values)
+    return Window._trusted(values, horizon)
 
 
 def _parse_lines(text: str) -> Window:
@@ -547,7 +550,7 @@ def _parse_lines(text: str) -> Window:
     if not saw_directive:
         raise SequenceFormatError("missing '!horizon N' directive", 1)
     # Each line was checked above: ascending naturals, none past the horizon.
-    return Window._trusted(tuple(elements), horizon)
+    return Window._trusted(np.array(elements, dtype=object), horizon)
 
 
 def parse_sequence_file(path) -> Window:
@@ -559,7 +562,7 @@ def format_sequence(w: Window, comment: str = "") -> str:
     lines = [f"!horizon {w.horizon}"]
     if comment:
         lines.extend(f"# {c}" for c in comment.splitlines())
-    lines.extend(str(e) for e in w.elements)
+    lines.extend(map(str, w.array.tolist()))
     return "\n".join(lines) + "\n"
 
 

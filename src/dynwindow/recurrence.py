@@ -9,7 +9,6 @@ membership in any recurrence family.
 """
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -17,7 +16,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .intsets import Verdict, Window, _ShiftFamily, _small_ints, difference_set
+from .intsets import Verdict, Window, _ShiftFamily, _small_ints, _span, difference_set
 from .systems import (
     CyclicSystem,
     FiniteSystem,
@@ -110,10 +109,10 @@ def return_times(sys, start, cell, horizon: int, cover=None) -> ReturnTimesResul
     if cover is None:
         cover = sys.cover(1.0)
     if isinstance(sys, FiniteSystem) and sys.size <= horizon:
-        times = tuple(_step_table_times(sys, start, cell, horizon, cover).tolist())
+        times = _step_table_times(sys, start, cell, horizon, cover)
     else:
-        times = tuple(n for n in range(1, horizon + 1) if cover.cell_of(sys.orbit_at(start, n)) == cell)
-    # No array is seeded: cached comparison windows would keep it alive.
+        hits = [n for n in range(1, horizon + 1) if cover.cell_of(sys.orbit_at(start, n)) == cell]
+        times = np.array(hits, dtype=object)
     return ReturnTimesResult(Window._trusted(times, horizon), cell, start)
 
 
@@ -208,7 +207,7 @@ def _metric_budget_note(a: Window, sys, eps: float) -> Optional[str]:
     # carry no such error.
     if sys.exact_orbits:
         return None
-    drift = (a.elements[-1] if a.elements else a.horizon) * 2.0 ** -53
+    drift = (int(a.array[-1]) if len(a) else a.horizon) * 2.0 ** -53
     if drift > eps / 10.0:
         return (
             f"floating-point budget exceeded: time-amplified angle error {drift:.3g} "
@@ -298,7 +297,7 @@ def birkhoff_window_test(a: Window, sys, eps: float, start_grid_resolution: floa
         return Verdict.undecided(note=note)
     starts = sys.starts(start_grid_resolution)
     orbits = sys.along(a)
-    first = 1 if a.elements[:1] == (0,) else 0
+    first = int(len(a) > 0 and a.array[0] == 0)
     closest = None  # (distance, start, n)
     for batch in _start_batches(starts, len(a)):
         rows, witness = len(batch), None  # rows: the starts still in play
@@ -312,7 +311,7 @@ def birkhoff_window_test(a: Window, sys, eps: float, start_grid_resolution: floa
             if back.size:
                 rows = int(back[0])
                 j = int(np.argmax(near[rows]))
-                witness = (batch[rows], a.elements[lo + j], float(d[rows, j]))
+                witness = (batch[rows], int(a.array[lo + j]), float(d[rows, j]))
             elif witness is None:
                 j = np.argmin(d, axis=1)
                 dmin = d[np.arange(rows), j]
@@ -324,7 +323,7 @@ def birkhoff_window_test(a: Window, sys, eps: float, start_grid_resolution: floa
             return Verdict.hold((start, n), note=f"T^{n} returns within {dist:.3g} < {eps}")
         i = int(np.argmin(least))
         if least[i] < np.inf and (closest is None or least[i] < closest[0]):
-            closest = (float(least[i]), batch[i], a.elements[int(where[i])])
+            closest = (float(least[i]), batch[i], int(a.array[where[i]]))
     if closest is None:
         return Verdict.fail(min(a.horizon, 0), note="window has no positive elements")
     d, start, n = closest
@@ -362,8 +361,8 @@ def _shift_family_cyclic(a: Window, shifts: Iterable[int], max_period: int) -> V
     shifts = sorted(shifts)
     if shifts and max_period < 1:
         raise ValueError("max_period must be >= 1")
-    arr, e = _small_ints(a.array), a.elements
-    bounds = [(bisect.bisect_left(e, -n), bisect.bisect_right(e, a.horizon - n)) for n in shifts]
+    arr = _small_ints(a.array)
+    bounds = [_span(a, -n, a.horizon - n) for n in shifts]
     core = arr[max((lo for lo, _ in bounds), default=0) : min((hi for _, hi in bounds), default=0)]
     core_missing = _missing_residues(core, max_period)  # an empty core misses 0 mod every m
     failure = None  # (index, m, missing residue) of the first failing shift found so far
@@ -387,8 +386,8 @@ def _shift_family_cyclic(a: Window, shifts: Iterable[int], max_period: int) -> V
 def _comparison_windows(horizon: int) -> dict:
     # The cross-check's windows at one horizon, filled on demand.  Only the
     # latest horizon is kept: a sweep shares one, and older ones hold MiBs.
-    # Entries are built with Window._trusted and no seed, and are only met
-    # through their bitmasks, so none holds an element array.
+    # Entries are met through their bitmasks, so each holds its array and its
+    # mask, and never an elements tuple.
     return {}
 
 
@@ -407,8 +406,7 @@ def _progression_difference_window(m: int, r: int, horizon: int) -> Window:
     store = _comparison_windows(horizon)
     key = ("difference", m, (horizon - r) // m + 1)
     if key not in store:
-        seed = np.arange(r, horizon + 1, m)
-        store[key] = difference_set(Window._trusted(tuple(range(r, horizon + 1, m)), horizon, seed))
+        store[key] = difference_set(Window._trusted(np.arange(r, horizon + 1, m), horizon))
     return store[key]
 
 
@@ -474,17 +472,13 @@ def finite_subcover(a: Window, m: int) -> Window:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    first: dict[int, int] = {}
-    for e in a.elements:
-        r = e % m
-        if r not in first:
-            first[r] = e
-            if len(first) == m:
-                break
-    if len(first) < m:
-        missing = min(r for r in range(m) if r not in first)
-        raise CoverageError(m, missing)
-    return Window(tuple(sorted(first.values())), a.horizon)
+    arr = _small_ints(a.array)
+    empty = _empty_residues(arr, m)
+    if empty.size:
+        raise CoverageError(m, int(empty[0]))
+    # a ascends, so the first index of each class holds its least element.
+    first = np.unique(arr % m, return_index=True)[1]
+    return Window._trusted(a.array[np.sort(first)], a.horizon)
 
 
 @dataclass(frozen=True)
@@ -537,11 +531,11 @@ def cesaro_average_along(a: Window, sys: RotationSystem, k: int, start: float = 
         raise ValueError("k must be nonzero: the constant character is trivial")
     if not isinstance(sys, RotationSystem) or sys.dimension != 1:
         raise TypeError("cesaro_average_along expects a 1-dimensional RotationSystem")
-    if not a.elements:
+    if not len(a):
         return []
     alpha = sys.angles[0]
     base = mult_angle_mod1(k, float(start)) if start else 0.0
-    phases = np.array([(base + mult_angle_mod1(k * n, alpha)) % 1.0 for n in a.elements])
+    phases = np.array([(base + mult_angle_mod1(k * n, alpha)) % 1.0 for n in a.array.tolist()])
     terms = np.exp(2j * np.pi * phases).astype(np.clongdouble)
     sums = np.cumsum(terms)
     mags = np.abs(sums) / np.arange(1, len(terms) + 1, dtype=np.longdouble)
@@ -588,6 +582,5 @@ def random_windows(
     for _ in range(count):
         density = 10.0 ** rng.uniform(math.log10(lo), math.log10(hi))
         mask = rng.random(span) < density
-        elements = tuple((np.flatnonzero(mask) + min_element).tolist())
-        out.append(Window(elements, horizon))
+        out.append(Window(np.flatnonzero(mask) + min_element, horizon))
     return out

@@ -104,7 +104,7 @@ def _mod1_array(x: np.ndarray) -> np.ndarray:
 
 
 def _mult_angle_mod1_array(
-    times: Sequence[int], u64: Optional[np.ndarray], x: float, tri: bool = False
+    times: np.ndarray, u64: Optional[np.ndarray], x: float, tri: bool = False
 ) -> np.ndarray:
     """mult_angle_mod1(m, x) for m = n in times, or m = n(n-1)/2 with ``tri``.
 
@@ -115,7 +115,8 @@ def _mult_angle_mod1_array(
     """
     num, den = float(x).as_integer_ratio()
     if u64 is None or den > 2 ** 64:
-        return np.array([mult_angle_mod1(n * (n - 1) // 2 if tri else n, x) for n in times], dtype=np.float64)
+        ms = [n * (n - 1) // 2 if tri else n for n in times.tolist()]  # Python ints: no wrap
+        return np.array([mult_angle_mod1(m, x) for m in ms], dtype=np.float64)
     if tri:
         u64 = np.where(u64 & 1, u64 * (u64 >> 1), (u64 >> 1) * (u64 - 1))
     r = (u64 * np.uint64(num % 2 ** 64)) & np.uint64(den - 1)
@@ -132,9 +133,9 @@ class _TorusOrbits:
     """
 
     def __init__(self, sys: "TorusSystem", a: Window):
-        self.sys, self.times, self._slices = sys, a.elements, {}
+        self.sys, self.times, self._slices = sys, a.array, {}
         # The times as uint64 once per window; a time past 2^64 takes Python ints.
-        self._u64 = a.array.astype(np.uint64) if not a.elements or a.elements[-1] < 2 ** 64 else None
+        self._u64 = a.array.astype(np.uint64) if not len(a) or int(a.array[-1]) < 2 ** 64 else None
 
     def _columns(self, starts: Sequence) -> np.ndarray:
         # The start coordinates, one row per start.

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import bisect
+import operator
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -53,10 +55,23 @@ def test_window_validation_names_the_fault():
         Window((2, -1), 10)
 
 
+def test_window_is_an_immutable_value():
+    w = Window((1, 5), 10)
+    for name in ("array", "horizon", "elements", "bitmask"):
+        with pytest.raises(AttributeError):
+            setattr(w, name, None)
+        with pytest.raises(AttributeError):
+            delattr(w, name)
+    assert w.__eq__((1, 5)) is NotImplemented and w != (1, 5)
+    assert repr(w) == "Window(elements=(1, 5), horizon=10)" and hash(w) == hash(((1, 5), 10))
+
+
 def _loop_window_check(elements, horizon):
-    # Window validation one element at a time: the reference for the array path.
+    # Window validation one element at a time, each read by operator.index:
+    # the reference for the array checks.
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
+    elements = [operator.index(e) for e in elements]
     if elements and elements[0] < 0:
         raise ValueError(f"negative element {elements[0]}")
     prev = -1
@@ -85,14 +100,15 @@ WINDOW_CASES = [
     ((1, 5, 3, 2), 10),
     ((1, 20), 10),
     ((1, 2 ** 62 + 1), 10),
-    ((1, 2 ** 63), 10),  # numpy reads this pair as float64: the loop takes it
+    ((1, 2 ** 63), 10),  # numpy reads this pair as float64: operator.index reads each
+    ((1, 2 ** 63), 2 ** 64),
     ((5, 2 ** 63 - 1, -5), 10),  # a difference of these wraps in int64
     ((3, 2 ** 64, 5), 10),
     ((0, 5, 9), 9),
     ((2, 1), 2 ** 62),
     ((1, 2), 2 ** 62),
     ((True, 2), 10),
-    ((True, 1), 10),  # read as int64 [1, 1]: the message names True, as the loop does
+    ((True, 1), 10),  # bools are ints: the message names 1, 1
     ((True, False), 10),
     ((False, True), 10),
     ((1.0, 2.5), 10),
@@ -104,28 +120,36 @@ WINDOW_CASES = [
     ((0, (1, 2)), 10),
     ((0, "a"), 10),
     ((0, None), 10),
+    ([1, 2], 5),
+    ([2, 1], 5),
+    (range(3), 5),
+    (range(5, 0, -1), 5),
+    ((np.uint64(3), np.uint64(5)), 10),
+    ((np.uint64(3), np.uint64(2 ** 63)), 2 ** 64),
+    ((np.uint64(5), np.uint64(3)), 10),
+    (np.array([4, 9], dtype=np.uint64), 10),
 ]
 
 
 @pytest.mark.parametrize("elements, horizon", WINDOW_CASES, ids=repr)
-def test_window_errors_are_the_same_on_the_array_and_loop_paths(monkeypatch, elements, horizon):
+def test_window_errors_are_the_same_on_the_array_and_loop_paths(elements, horizon):
     want = _outcome(_loop_window_check, elements, horizon)
     assert _outcome(Window, elements, horizon) == want
-    kept = want == "accepted" and horizon < 2 ** 62 and bool(elements) and all(
-        isinstance(e, (int, np.integer)) and not isinstance(e, bool) for e in elements
-    )
-    if kept:  # the array path: the validated array is Window.array
-        w = Window(elements, horizon)
-        assert w.__dict__["array"].dtype == np.int64 and w.__dict__["array"].tolist() == list(elements)
-    monkeypatch.setattr(intsets, "_int64_elements", lambda elements, horizon: None)
-    assert _outcome(Window, elements, horizon) == want
+    if want == "accepted":  # the window is its array, of the horizon's dtype
+        w, ints = Window(elements, horizon), [operator.index(e) for e in elements]
+        assert w.array.dtype == (np.int64 if horizon < 2 ** 62 else object) and w.array.tolist() == ints
+        assert w == Window(tuple(ints), horizon) and hash(w) == hash((tuple(ints), horizon))
+        assert all(type(e) is int for e in w.elements)
 
 
 @given(
     st.lists(st.integers(0, 60), max_size=20, unique=True),
     st.sampled_from([0, 2 ** 62 - 30, 2 ** 63 - 30, 2 ** 70]),
-    st.integers(-5, 90),
+    st.one_of(st.integers(-5, 90), st.sampled_from([2 ** 70, -(2 ** 70)])),
 )
+@example([0, 5], 0, 2 ** 70)
+@example([0, 5], 0, -(2 ** 70))
+@example([0, 5], 2 ** 70, -(2 ** 70))
 @settings(max_examples=80, deadline=None)
 def test_window_membership_matches_a_set(elems, base, n):
     w = Window(tuple(base + e for e in sorted(elems)), base + 64)
@@ -175,19 +199,17 @@ def test_window_restrict():
 def test_window_bitmask_sets_one_bit_per_element(elems, slack):
     w = Window(tuple(sorted(elems)), max(elems, default=0) + slack)
     assert w.bitmask == sum(1 << e for e in w.elements)
-    # A constructed window keeps the array it was validated on; a trusted one
-    # gets none from its mask, and the cross-check caches only trusted windows.
-    trusted = Window._trusted(w.elements, w.horizon)
-    assert trusted.bitmask == w.bitmask and "array" not in trusted.__dict__
+    # A window holds its array, plus its mask once that is read; the
+    # cross-check's cached windows are met through their masks alone.
+    trusted = Window._trusted(w.array, w.horizon)
+    assert trusted.bitmask == w.bitmask and set(trusted.__dict__) == {"array", "horizon", "bitmask"}
     _comparison_windows.cache_clear()
     try:
         crosscheck_cyclic_equivalence(w, 3, range(-2, 3))
         cached = _comparison_windows(w.horizon + 2 + 3)
-        assert cached and not any("array" in c.__dict__ for c in cached.values())
+        assert cached and all(set(c.__dict__) == {"array", "horizon", "bitmask"} for c in cached.values())
     finally:
         _comparison_windows.cache_clear()
-    seeded = Window._trusted(w.elements, w.horizon, np.array(w.elements, dtype=np.int64))
-    assert seeded.bitmask == w.bitmask
 
 
 # -- is_syndetic ---------------------------------------------------------------
@@ -754,6 +776,21 @@ def test_parse_falls_back_to_the_line_loop(text, expected):
         assert w.array.tolist() == list(w.elements)
 
 
+def test_a_parsed_window_retains_its_array_alone():
+    # Eight bytes an element for the int64 array; an elements tuple of Python
+    # ints would add about 40 more.
+    count = 200_000
+    text = f"!horizon {3 * count}\n" + "".join(f"{3 * i}\n" for i in range(count))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        w = parse_sequence_text(text)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(w) == count and retained <= 12 * count
+
+
 # -- classifiers and difference_set vs element-by-element scans --------------------
 #
 # The scans read the definitions one element at a time: the reference for the
@@ -910,8 +947,8 @@ def test_difference_set_matches_the_quadratic_scan(seed, count, density, stride,
     w = Window(tuple(base + e for e in elems), base + stride * span + 3)
     scan = Window(tuple(sorted({b - a for a, b in combinations(elems, 2)})), w.horizon)
     got = difference_set(w)
+    assert "elements" not in got.__dict__  # built on the array alone
     assert got == scan and hash(got) == hash(scan)
-    assert "array" not in got.__dict__  # not seeded: cached comparison windows would keep it
 
 
 def _is_5_smooth(n):
@@ -956,7 +993,7 @@ def test_trusted_window_equals_and_hashes_like_a_checked_one(elems, slack):
     elements = tuple(sorted(elems))
     horizon = max(elements, default=0) + slack
     checked = Window(elements, horizon)
-    trusted = Window._trusted(elements, horizon, np.array(elements, dtype=np.int64))
+    trusted = Window._trusted(np.array(elements, dtype=np.int64), horizon)
     assert trusted == checked and hash(trusted) == hash(checked) and repr(trusted) == repr(checked)
     assert trusted.array.tolist() == checked.array.tolist() and trusted.array.dtype == checked.array.dtype
     assert trusted.restrict(horizon // 2) == checked.restrict(horizon // 2)
@@ -964,10 +1001,10 @@ def test_trusted_window_equals_and_hashes_like_a_checked_one(elems, slack):
 
 
 def test_trusted_window_keeps_the_array_cap_and_the_horizon_check():
-    # A seeded array takes the dtype of the window's horizon.
+    # The values take the dtype of the window's horizon.
     big = (5, 2 ** 62 + 1)
-    seeded = Window._trusted(big, 2 ** 63, np.array(big, dtype=np.int64))
-    assert seeded.array.dtype == object and seeded.array.tolist() == list(big)
+    widened = Window._trusted(np.array(big, dtype=np.int64), 2 ** 63)
+    assert widened.array.dtype == object and widened.array.tolist() == list(big)
     assert Window((0, 2 ** 62), 2 ** 64).shift(2 ** 62 - 1).array.dtype == object
     narrowed, widened = Window((5,), 2 ** 63).restrict(10), Window((5,), 10).restrict(2 ** 63)
     assert narrowed.array.dtype == np.int64 and widened.array.dtype == object
@@ -975,3 +1012,5 @@ def test_trusted_window_keeps_the_array_cap_and_the_horizon_check():
     with pytest.raises(ValueError, match="horizon must be >= 0"):
         Window((0, 3), 10).restrict(-1)
     assert Window((0, 3), 10).restrict(20) == Window((0, 3), 20)
+    far = Window((0, 3), 10).restrict(2 ** 70)
+    assert far == Window((0, 3), 2 ** 70) and far.array.dtype == object

@@ -23,6 +23,7 @@ from dynwindow import (
     SkewProductSystem,
     Verdict,
     Window,
+    banach_density_estimate,
     birkhoff_window_test,
     cesaro_average_along,
     cesaro_interval_closed_form,
@@ -31,6 +32,9 @@ from dynwindow import (
     eps_dense,
     finite_ip,
     finite_subcover,
+    is_syndetic,
+    is_thick,
+    piecewise_syndetic_certificate,
     product_transitive_finite,
     r_sequence_cyclic,
     r_sequence_metric,
@@ -118,7 +122,7 @@ def test_step_table_return_times_match_the_stepped_walk(sys, horizon):
             want = _ref_return_times(sys, start, cell, horizon)
             assert _step_table_times(sys, start, cell, horizon, cover).tolist() == list(want.times.elements)
             got = return_times(sys, start, cell, horizon)
-            assert got == want and "array" not in got.times.__dict__
+            assert got == want and "elements" not in got.times.__dict__
 
 
 def test_return_times_of_a_cycle_larger_than_the_horizon_are_stepped():
@@ -234,7 +238,7 @@ def test_missing_residues_match_a_set_scan_for_every_period(elems, kind, max_per
     # 800-element prefixes that miss a class the last element covers.
     base, dtype = kind
     elements = tuple(base + e for e in sorted(elems))
-    w = Window._trusted(elements, base + 3000)
+    w = Window(elements, base + 3000)
     want = [_scan_missing_residue(w, m) for m in range(1, max_period + 1)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(recurrence, "_BATCH_ELEMENTS", batch)
@@ -479,6 +483,45 @@ def test_crosscheck_keeps_windows_of_the_latest_horizon_only():
     _cyclic_return_window(3, 501)
     gc.collect()
     assert ref() is None
+
+
+@pytest.mark.parametrize("base", [0, 2 ** 63])
+def test_engine_entry_points_build_no_elements_tuple(base):
+    # The engine reads windows as arrays: no entry point leaves the elements
+    # tuple on a fresh input window, on a window it returns, or on the
+    # cross-check's cached comparison windows.
+    rot, skew, exact = RotationSystem.from_angle(GOLDEN), SkewProductSystem(GOLDEN), RotationSystem.from_rationals(Fraction(2, 7))
+    calls = [
+        lambda w: is_syndetic(w, 5),
+        lambda w: is_thick(w, 3),
+        lambda w: piecewise_syndetic_certificate(w, 4, 20),
+        lambda w: banach_density_estimate(w, 30),
+        difference_set,
+        lambda w: difference_set(w.restrict(base + 60)),  # the scan
+        lambda w: r_sequence_cyclic(w, 12),
+        lambda w: _shift_family_cyclic(w, range(-6, 7), 12),
+        lambda w: r_sequence_metric(w, exact, 0.1, 0.5),
+        lambda w: birkhoff_window_test(w, CyclicSystem(6), 0.5),
+    ]
+    if base == 0:
+        calls += [
+            lambda w: r_sequence_metric(w, rot, 0.05, 0.5),
+            lambda w: r_sequence_metric(w, skew, 0.1, 0.5),
+            lambda w: birkhoff_window_test(w, rot, 0.001, 0.5),
+            lambda w: crosscheck_cyclic_equivalence(w, 12, range(-6, 7)),
+        ]
+    _comparison_windows.cache_clear()
+    try:
+        for call in calls:
+            w = Window([base + e for e in range(50, 2000, 3)] + [base + 2001], base + 2100)
+            out = call(w)
+            assert "elements" not in w.__dict__
+            assert not isinstance(out, Window) or "elements" not in out.__dict__
+        if base == 0:
+            cached = _comparison_windows(2100 + 6 + 12).values()
+            assert cached and all("elements" not in c.__dict__ for c in cached)
+    finally:
+        _comparison_windows.cache_clear()
 
 
 def test_crosscheck_odds_agree_on_failure():

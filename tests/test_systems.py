@@ -535,8 +535,14 @@ def test_mod1_by_the_floor_is_the_remainder_bit_for_bit(xs):
 @pytest.mark.parametrize("sys", ALONG_SYSTEMS[:5], ids=lambda v: v.spec_string())
 def test_along_past_two_to_the_64(sys):
     # Times at and past 2^64 leave the uint64 path; tiny starts have
-    # denominators past 2^64 and leave it too.
-    for times in ((2 ** 63 + 5, 2 ** 64 - 3), (2 ** 64 - 3, 2 ** 64), (7, 2 ** 64 + 7, 3 ** 45, 10 ** 30)):
+    # denominators past 2^64 and leave it too, on int64 windows as well, where
+    # n(n-1)/2 must not wrap.
+    for times in (
+        (2 ** 63 + 5, 2 ** 64 - 3),
+        (2 ** 64 - 3, 2 ** 64),
+        (7, 2 ** 64 + 7, 3 ** 45, 10 ** 30),
+        (3 * 10 ** 9, 4 * 10 ** 9 + 1, 2 ** 61 - 1),
+    ):
         orbits = sys.along(Window(times, times[-1]))
         for coords in ((0.25, 0.75), (1e-30, 5e-300), (0.1, 0.3)):
             start = _start(sys, coords)
