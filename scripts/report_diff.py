@@ -1,11 +1,14 @@
-"""Fingerprint a fixed list of CLI calls, to pin and to diff their output.
+"""Fingerprint a fixed list of CLI and library calls, to pin and to diff their output.
 
 Runs in-process ``dynwindow.cli.main`` calls against the ``dynwindow`` found
 on ``PYTHONPATH``, from an empty temporary directory, and prints one line per
 call: the exit code, the sha256 of stdout and stderr, and the sha256 of each
 file the call writes (the values of ``--out`` and ``--report``).  The calls
 cover every subcommand, the cli-files benchmark inputs of seed 1 (generated
-by ``perfbench/workloads.py``) and a set of malformed sequence files.
+by ``perfbench/workloads.py``) and a set of malformed sequence files.  Then
+one line per library call of the metric-density benchmark, seed 1
+(``r_sequence_metric`` and ``birkhoff_window_test``): the sha256 of the
+``repr`` of its result, named ``library <op name>``.
 
 ``tests/golden/cli.txt`` holds these lines, and ``tests/test_cli_golden.py``
 regenerates them and names every call whose line moved.  A change that moves
@@ -196,6 +199,10 @@ def fingerprint(main, argv: list[str]) -> str:
     return " ".join(fields) + " :: " + " ".join(argv)
 
 
+def library_fingerprint(op) -> str:
+    return f"repr={_sha(repr(op.call(0)).encode())} :: library {op.name}"
+
+
 def fingerprints() -> list[str]:
     """The line of every call, in list order, all run in one temporary directory of input files."""
     if str(PERFBENCH) not in sys.path:
@@ -212,13 +219,16 @@ def fingerprints() -> list[str]:
                 Path(name).write_bytes(text.encode("utf-8"))
             calls = [call.split() + ["--json"] for call in CALLS]
             calls += [op.params["argv"] for op in workloads.build_cli_files(1, Path("cli-files"))]
-            return [fingerprint(cli_main, argv) for argv in calls]
+            lines = [fingerprint(cli_main, argv) for argv in calls]
+            return lines + [library_fingerprint(op) for op in workloads.build_metric_density(1, Path("metric-density"))]
         finally:
             os.chdir(cwd)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description="Fingerprint the output of a fixed list of dynwindow CLI calls.")
+    parser = argparse.ArgumentParser(
+        description="Fingerprint the output of a fixed list of dynwindow CLI and library calls."
+    )
     parser.add_argument("--write", action="store_true", help=f"write the lines to {GOLDEN.relative_to(ROOT)}")
     args = parser.parse_args(argv)
     import dynwindow

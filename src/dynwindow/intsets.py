@@ -8,6 +8,7 @@ and FailsWithWitness are claims about the observed window only.
 """
 from __future__ import annotations
 
+import array
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -74,9 +75,17 @@ def _small_ints(arr: np.ndarray) -> np.ndarray:
 
 
 def _read_elements(elements) -> np.ndarray:
-    # The elements, each read as operator.index reads it: int64 when numpy reads
-    # them as ints or bools that fit it, else Python ints (object), one
-    # operator.index per element, which raises TypeError on anything else.
+    # The elements, each read as operator.index reads it.  A tuple or list is
+    # read by array('q'), which takes each element's __index__ at C speed; one
+    # it refuses (a float, a str, np.bool_, a value past int64, ...) falls
+    # through.  Then: int64 when numpy reads them as ints or bools that fit it,
+    # else Python ints (object), one operator.index per element, which raises
+    # TypeError on anything else.
+    if isinstance(elements, (tuple, list)):
+        try:
+            return np.frombuffer(array.array("q", elements), dtype=np.int64)
+        except (TypeError, OverflowError):
+            pass
     try:
         arr = np.array(elements)
     except ValueError:  # ragged nesting: operator.index refuses the nested element
@@ -161,8 +170,10 @@ class Window:
     ``elements``, the same values as a tuple of Python ints, is built when
     it is first read.  Each element is read as ``operator.index`` reads it:
     ints, numpy ints and bools give ints, anything else (a float, a string,
-    None, a nested sequence) raises TypeError.  Windows are immutable
-    values: equal and hashed as ``(elements, horizon)``.
+    None, a nested sequence) raises TypeError.  A tuple or list of ints that
+    fit int64 is read in one ``array('q')`` pass; other input goes through
+    numpy, element by element where numpy cannot type it.  Windows are
+    immutable values: equal and hashed as ``(elements, horizon)``.
     """
 
     def __init__(self, elements: Iterable[int], horizon: int) -> None:
@@ -234,12 +245,15 @@ class Window:
         """(self + n) truncated back to [0, horizon]; the horizon is kept."""
         # The survivors are the one contiguous run with -n <= e <= horizon - n,
         # and a survivor e + n lies in [0, horizon], so n fits the array's dtype.
+        # No survivor gives a fresh empty array: array[:0] would keep the buffer.
         lo, hi = _span(self, -n, self.horizon - n)
-        return Window._trusted(self.array[lo:hi] + n if lo < hi else self.array[:0], self.horizon)
+        return Window._trusted(self.array[lo:hi] + n if lo < hi else np.empty(0, self.array.dtype), self.horizon)
 
     def restrict(self, horizon: int) -> "Window":
         """Re-windowed copy: elements above the new horizon are dropped, a larger one keeps all."""
-        return Window._trusted(self.array[: _span(self, 0, horizon)[1]], horizon)
+        # Dropped elements are copied away, so a small window does not keep its source's buffer.
+        j = _span(self, 0, horizon)[1]
+        return Window._trusted(self.array if j == len(self.array) else self.array[:j].copy(), horizon)
 
 
 class SequenceFormatError(ValueError):
@@ -351,7 +365,7 @@ def difference_set(w: Window) -> Window:
     """
     n = len(w)
     if n < 2:
-        return Window._trusted(w.array[:0], w.horizon)
+        return Window._trusted(np.empty(0, w.array.dtype), w.horizon)
     offsets = w.array - w.array[0]
     stride = int(np.gcd.reduce(offsets))
     top = int(offsets[-1]) // stride
@@ -454,9 +468,12 @@ def banach_density_estimate(w: Window, interval_length: int) -> Fraction:
         return Fraction(0)
     a, last_start = w.array, w.horizon - interval_length + 1
     # The max is attained by an interval starting at an element, or at the
-    # rightmost admissible start.
+    # rightmost admissible start.  An interval from element i holds the
+    # elements from index i on.  The last start is counted from the index past
+    # the elements up to it, one too few only when it is itself an element,
+    # whose own interval, the same one, is counted exactly.
     starts = np.append(a[: np.searchsorted(a, last_start, side="right")], last_start)
-    counts = np.searchsorted(a, starts + (interval_length - 1), side="right") - np.searchsorted(a, starts)
+    counts = np.searchsorted(a, starts + (interval_length - 1), side="right") - np.arange(starts.size)
     return Fraction(int(counts.max()), interval_length)
 
 

@@ -53,7 +53,7 @@ DEFAULT_SWEEP_SEED = 1729
 _CROSSCHECK_HORIZON_CAP = 1_000_000
 
 # birkhoff_window_test reads each start's orbit in slices of this many
-# times, then twice, four times as many, ...: a return at index i costs O(i).
+# times, then 4, 16, ... times as many: a return at index i costs O(i).
 _FIRST_SLICE = 32
 
 # The metric tests evaluate starts in batches of at most this many states
@@ -235,7 +235,9 @@ def r_sequence_metric(a: Window, sys, eps: float, start_grid_resolution: float) 
     whole window at once (``sys.along``), with the same doubles and the same
     rounding as ``orbit_at`` and the same cells as ``cell_of``: the first
     start alone, then the other starts as one array, split at
-    ``_BATCH_ELEMENTS`` states.  Exact rational rotations skip the
+    ``_BATCH_ELEMENTS`` states.  A batch's cells are counted in one
+    bincount when they are few against the window, and sorted per start
+    otherwise (``_coverage``).  Exact rational rotations skip the
     floating-point budget; finite systems and products raise TypeError, and
     eps <= 0 or a start grid <= 0 raise ValueError before the budget is
     checked.
@@ -254,7 +256,7 @@ def r_sequence_metric(a: Window, sys, eps: float, start_grid_resolution: float) 
     best = None  # (hit count, start, first empty cell)
     for batch in _start_batches(starts, len(a)):
         # Flat ids are clamped into the cells, so an orbit is eps-dense iff it hits `total` of them.
-        hits, empties = _coverage(orbits.cells(batch, cover))
+        hits, empties = _coverage(orbits.cells(batch, cover), total)
         i = int(np.argmax(hits))
         if hits[i] == total:
             start = batch[i]
@@ -284,11 +286,13 @@ def birkhoff_window_test(a: Window, sys, eps: float, start_grid_resolution: floa
     distances are evaluated as arrays (``sys.along``) with the same doubles
     and rounding as ``orbit_at`` and ``distance``, for the first start
     alone, then for the other starts as one batch (split at
-    ``_BATCH_ELEMENTS`` states), in slices of the window that double in
-    length, so an early return costs only the times before it.  After a
+    ``_BATCH_ELEMENTS`` states), in slices of the window that grow four
+    times in length, so an early return at index i costs O(i).  After a
     slice, only starts before the earliest one that returned stay in the
-    batch; with no return at all, the closest return is the least distance,
-    the earliest start, slice and time first among equals.
+    batch.  The witness does not depend on the slicing: it is the least
+    start that returns, at its first return; with no return at all, the
+    closest return is the least distance, the earliest start and time first
+    among equals.
     """
     if not eps > 0:
         raise ValueError("eps must be > 0")
@@ -317,7 +321,7 @@ def birkhoff_window_test(a: Window, sys, eps: float, start_grid_resolution: floa
                 dmin = d[np.arange(rows), j]
                 closer = dmin < least
                 least[closer], where[closer] = dmin[closer], lo + j[closer]
-            lo, hi = hi, 3 * hi - 2 * lo
+            lo, hi = hi, 5 * hi - 4 * lo
         if witness is not None:
             start, n, dist = witness
             return Verdict.hold((start, n), note=f"T^{n} returns within {dist:.3g} < {eps}")

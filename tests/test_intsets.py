@@ -142,6 +142,128 @@ def test_window_errors_are_the_same_on_the_array_and_loop_paths(elements, horizo
         assert all(type(e) is int for e in w.elements)
 
 
+def _numpy_read_elements(elements):
+    # The element reader before tuples and lists were read through array('q'):
+    # numpy's type discovery, else one operator.index per element.
+    try:
+        arr = np.array(elements)
+    except ValueError:
+        arr = None
+    if arr is not None and arr.ndim == 1 and np.can_cast(arr.dtype, np.int64):
+        return arr.astype(np.int64, copy=False)
+    return np.array([operator.index(e) for e in elements], dtype=object)
+
+
+class _Index:
+    # An int-like that is no int: read through __index__.  __radd__ lets it
+    # pass a sum() type check, which must not be mistaken for an int check.
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+    def __radd__(self, other):
+        return other
+
+    def __repr__(self):
+        return f"_Index({self.value})"
+
+
+_NUMPY_INTS = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+_ANY_ELEMENT = st.one_of(
+    st.integers(-3, 300),
+    st.integers(2 ** 63 - 3, 2 ** 63 + 3),
+    st.integers(-(2 ** 63) - 3, -(2 ** 63) + 3),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.builds(lambda t, v: t(v), st.sampled_from(_NUMPY_INTS), st.integers(0, 100)),
+    st.integers(2 ** 63 - 2, 2 ** 64 - 1).map(np.uint64),
+    st.sampled_from([np.int64(2 ** 63 - 1), np.int64(-(2 ** 63))]),
+    st.floats(-5, 300) | st.sampled_from([float("nan"), float("inf"), 2.0 ** 63]),
+    st.text(max_size=2),
+    st.none(),
+    st.lists(st.integers(0, 5), max_size=3).map(tuple),
+    st.integers(-3, 2 ** 64).map(_Index),
+)
+
+
+@st.composite
+def _int_like(draw, value):
+    # value as one of the int-likes that read as it.
+    kinds = [int, _Index] + [t for t in _NUMPY_INTS if np.iinfo(t).min <= value <= np.iinfo(t).max]
+    if value < 2:
+        kinds.append(bool)
+    return draw(st.sampled_from(kinds))(value)
+
+
+@st.composite
+def _element_lists(draw):
+    # Mostly ascending naturals of mixed int-like types (accepted windows),
+    # else anything at all.
+    if draw(st.booleans()):
+        values = sorted(draw(st.lists(st.integers(0, 2 ** 63 + 5), max_size=12, unique=True)))
+        return [draw(_int_like(v)) for v in values]
+    return draw(st.lists(_ANY_ELEMENT, max_size=8))
+
+
+def _containers(elements) -> dict:
+    # Each container kind of these elements, as a factory: a generator is read once.
+    def object_array():
+        arr = np.empty(len(elements), dtype=object)
+        for i, e in enumerate(elements):
+            arr[i] = e
+        return arr
+
+    makers = {
+        "tuple": lambda: tuple(elements),
+        "list": lambda: list(elements),
+        "generator": lambda: (e for e in elements),
+        "object ndarray": object_array,
+    }
+    try:
+        ints = [operator.index(e) for e in elements]
+        np.array(ints)
+    except (TypeError, OverflowError):
+        return makers
+    makers["ndarray"] = lambda: np.array(ints)
+    if ints:
+        makers["range"] = lambda: range(ints[0], ints[0] + 3 * len(ints), 3)
+    return makers
+
+
+def _read_outcome(elements, horizon):
+    try:
+        w = Window(elements, horizon)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return w.array.dtype, w.array.tolist()
+
+
+@given(_element_lists(), st.sampled_from([10, 2 ** 62 - 1, 2 ** 62, 2 ** 64]))
+@example([1, _Index(2)], 10)
+@example([np.bool_(False), 1], 10)
+@example([np.uint64(2 ** 63), 2 ** 64 - 1], 2 ** 64)
+@example([], 10)
+@example([1, 2.0], 10)
+@example([0, [1, 2]], 10)
+@settings(max_examples=300, deadline=None)
+def test_window_reads_elements_as_the_numpy_reader(elements, horizon):
+    # Every container of every element mix gives the numpy reader's array and
+    # dtype, or its exception type and message: the array('q') read of a
+    # tuple or list changes no outcome.
+    for kind, make in _containers(elements).items():
+        fast = _read_outcome(make(), horizon)
+        original = intsets._read_elements
+        intsets._read_elements = _numpy_read_elements
+        try:
+            reference = _read_outcome(make(), horizon)
+        finally:
+            intsets._read_elements = original
+        assert fast == reference, kind
+
+
 @given(
     st.lists(st.integers(0, 60), max_size=20, unique=True),
     st.sampled_from([0, 2 ** 62 - 30, 2 ** 63 - 30, 2 ** 70]),
@@ -789,6 +911,30 @@ def test_a_parsed_window_retains_its_array_alone():
     finally:
         tracemalloc.stop()
     assert len(w) == count and retained <= 12 * count
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Window(np.arange(10 ** 6), 10 ** 6).restrict(10),
+        lambda: Window(np.arange(10 ** 6), 10 ** 6).shift(2 * 10 ** 6),
+        lambda: Window(np.arange(10 ** 6), 10 ** 6).shift(-2 * 10 ** 6),
+        lambda: difference_set(Window._trusted(np.arange(10 ** 6)[:1], 10 ** 6)),
+        lambda: difference_set(Window(np.arange(10 ** 6), 10 ** 6).restrict(0)),
+    ],
+    ids=["restrict", "empty shift up", "empty shift down", "empty difference set", "restricted difference set"],
+)
+def test_a_small_window_does_not_keep_its_source(make):
+    # The 10^6-element source (7.6 MiB) is gone once make returns; what the
+    # result keeps alive is its own few elements.
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        w = make()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(w) <= 11 and retained < 64 * 1024
 
 
 # -- classifiers and difference_set vs element-by-element scans --------------------

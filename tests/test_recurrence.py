@@ -893,15 +893,62 @@ def test_birkhoff_late_return_crosses_slices():
 @pytest.mark.parametrize("zero", [False, True])
 def test_birkhoff_return_at_every_slice_edge(zero):
     # Only the time at index b returns on Z/7; b runs across the first
-    # three slice boundaries, with and without a leading 0.
+    # three slice boundaries (32, 160 and 672 times), and to the last time,
+    # with and without a leading 0.
     sys = CyclicSystem(7)
-    for b in [*range(29, 36), *range(93, 100), *range(221, 228)]:
-        times = [7 * i + 1 + i % 6 for i in range(240)]
+    for b in [*range(29, 36), *range(157, 164), *range(669, 676), 699]:
+        times = [7 * i + 1 + i % 6 for i in range(700)]
         times[b] = 7 * b
-        w = Window(((0,) if zero else ()) + tuple(times), 7 * 240)
+        w = Window(((0,) if zero else ()) + tuple(times), 7 * 700)
         expected = _per_state_birkhoff(w, sys, 0.5)
         assert expected.witness == (0, 7 * b)
         assert birkhoff_window_test(w, sys, 0.5) == expected
+
+
+@given(
+    st.sampled_from([(1, 7), (2, 7), (3, 10), (1, 2)]),
+    st.integers(1, 900),
+    st.integers(0, 2 ** 32),
+    st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.5, 0.9, 1.0]), max_size=2),
+    st.sampled_from([0.25, 0.5]),
+    st.booleans(),
+)
+@example((2, 7), 700, 1, [1.0], 0.25, False)  # a return at the last time, in the third slice
+@example((3, 10), 900, 2, [], 0.5, True)  # no return: the first start and time of the least distance
+@settings(max_examples=40, deadline=None)
+def test_birkhoff_ties_and_late_returns_match_every_start_at_every_time(angle, count, seed, planted, grid, wide):
+    # Rotation by p/q along times off the multiples of q: no return below
+    # 1/q, and the least distance is tied at many times in many slices.
+    # Multiples of q planted at fractions of the window, up to its last time,
+    # return exactly.
+    p, q = angle
+    rot = RotationSystem.from_rationals(Fraction(p, q))
+    offsets = np.random.default_rng(seed).choice(10 ** 6, size=count, replace=False)
+    times = sorted(int(t) * q + 1 + int(t) % (q - 1) for t in offsets)
+    for at in planted:
+        i = round(at * (count - 1))
+        times[i] -= times[i] % q
+    w = Window(tuple(times), times[-1])
+    eps = 1.5 / q if wide else 0.5 / q
+    expected = _per_state_birkhoff(w, rot, eps, grid)
+    assert expected.holds == bool(planted) or wide
+    assert birkhoff_window_test(w, rot, eps, grid) == expected
+
+
+@given(
+    st.sampled_from([RotationSystem.from_angle(GOLDEN), RotationSystem((GOLDEN, math.sqrt(2.0) - 1.0)),
+                     SkewProductSystem(GOLDEN), SkewProductSystem(0.3)]),
+    st.integers(150, 800),
+    st.integers(0, 2 ** 32),
+    st.sampled_from([0.002, 0.01, 0.03]),
+)
+@settings(max_examples=20, deadline=None)
+def test_birkhoff_long_windows_match_every_start_at_every_time(sys, count, seed, eps):
+    # Windows that reach the second and third slices, on irrational rotations
+    # and the skew product: a late return or the closest one.
+    times = np.sort(np.random.default_rng(seed).choice(10 ** 7, size=count, replace=False) + 1)
+    w = Window(times.tolist(), int(times[-1]))
+    assert birkhoff_window_test(w, sys, eps, 0.5) == _per_state_birkhoff(w, sys, eps, 0.5)
 
 
 # -- the start grid as batches --------------------------------------------------------

@@ -28,6 +28,7 @@ from dynwindow import (
     is_totally_minimal,
     orbit_at,
 )
+from dynwindow import systems
 from dynwindow.systems import _coverage, _mod1, _mod1_array
 
 
@@ -493,7 +494,7 @@ def test_each_batch_row_is_the_single_start_row(sys, times, grid, eps, data):
     cover, orbits = sys.cover(eps), sys.along(w)
     cells, distances = orbits.cells(batch, cover), orbits.distances(batch, lo, hi)
     assert cells.shape == (len(batch), len(times)) and distances.shape == (len(batch), len(times[lo:hi]))
-    hits, empties = _coverage(cells)
+    hits, empties = _coverage(cells, cover.cell_count())
     for i, start in enumerate(batch):
         alone = sys.along(w)
         assert cells[i].tolist() == alone.cells([start], cover)[0].tolist()
@@ -507,12 +508,55 @@ def test_each_batch_row_is_the_single_start_row(sys, times, grid, eps, data):
 
 def test_coverage_counts_each_row():
     rows = np.array([[3, 0, 1, 1], [2, 2, 2, 2], [0, 1, 2, 3], [1, 0, 5, 0]], dtype=np.int64)
-    hits, empties = _coverage(rows)
-    assert hits.tolist() == [3, 1, 4, 3] and empties.tolist() == [2, 0, 4, 2]
-    hits, empties = _coverage(rows.astype(object) * 2 ** 70)
+    for cells in (6, 100):  # counted, then sorted
+        hits, empties = _coverage(rows, cells)
+        assert hits.tolist() == [3, 1, 4, 3] and empties.tolist() == [2, 0, 4, 2]
+    hits, empties = _coverage(rows.astype(object) * 2 ** 70, 2 ** 73)
     assert hits.tolist() == [3, 1, 4, 3] and empties.tolist() == [1, 0, 1, 1]
-    hits, empties = _coverage(np.zeros((2, 0), dtype=np.int64))
+    hits, empties = _coverage(np.zeros((2, 0), dtype=np.int64), 5)
     assert hits.tolist() == [0, 0] and empties.tolist() == [0, 0]
+
+
+def _sorted_coverage(ids):
+    # _coverage by sorting every row, as it ran before rows were counted: the reference.
+    rows, n = ids.shape
+    if not n:
+        return np.zeros(rows, dtype=np.int64), np.zeros(rows, dtype=np.int64)
+    ids = np.sort(ids, axis=1)
+    step = ids[:, 1:] - ids[:, :-1]
+    hits = 1 + np.count_nonzero(step, axis=1)
+    jump = np.zeros((rows, n), dtype=bool)
+    jump[:, :-1] = step > 1
+    at, r = jump.argmax(axis=1), np.arange(rows)
+    empty = np.where(jump[r, at], ids[r, at] + 1, hits)
+    return hits, np.where(ids[:, 0] == 0, empty, 0).astype(np.int64)
+
+
+@given(
+    st.integers(1, 5),
+    st.integers(0, 80),
+    st.sampled_from(["one", "crossover", "past crossover", "few", "many"]),
+    st.integers(0, 2 ** 32),
+    st.booleans(),
+)
+@example(3, 0, "one", 0, False)  # empty rows
+@settings(max_examples=300, deadline=None)
+def test_coverage_counted_matches_sorted(rows, n, size, seed, as_object):
+    # Counted (few cells a number) or sorted, every row gives the same hit
+    # count and least missing cell; Python-int ids are always sorted.
+    rng = np.random.default_rng(seed)
+    per_id = systems._CELLS_PER_ID_COUNTED
+    cells = {"one": 1, "crossover": max(1, per_id * n), "past crossover": per_id * n + 1,
+             "few": int(rng.integers(1, n // 3 + 2)), "many": int(rng.integers(1, 10 * n + 2))}[size]
+    ids = rng.integers(0, cells, size=(rows, n))
+    if as_object:
+        ids = ids.astype(object)
+    hits, empties = _coverage(ids, cells)
+    want_hits, want_empties = _sorted_coverage(ids)
+    assert hits.tolist() == want_hits.tolist() and empties.tolist() == want_empties.tolist()
+    for row, h, e in zip(ids.tolist(), hits.tolist(), empties.tolist()):
+        seen = set(row)
+        assert h == len(seen) and e == min(set(range(cells + 1)) - seen)
 
 
 MOD1_EDGES = [0.0, -0.0, 5e-324, -5e-324, -1e-300, 1 - 2 ** -53, -(1 - 2 ** -53), 2.0 ** 53, -(2.0 ** 53), 1e308, -1e308]
