@@ -8,7 +8,11 @@ cover every subcommand, the cli-files benchmark inputs of seed 1 (generated
 by ``perfbench/workloads.py``) and a set of malformed sequence files.  Then
 one line per library call of the metric-density benchmark, seed 1
 (``r_sequence_metric`` and ``birkhoff_window_test``): the sha256 of the
-``repr`` of its result, named ``library <op name>``.
+``repr`` of its result, named ``library <op name>``.  Last, one line for
+all the calls of the crosscheck-sweep benchmark, seed 1
+(``crosscheck_cyclic_equivalence``): the sha256 of their ``repr`` lines in
+op order, named ``library crosscheck-sweep``.  Each of them holds, with
+the same note, so a line per call would repeat one digest.
 
 ``tests/golden/cli.txt`` holds these lines, and ``tests/test_cli_golden.py``
 regenerates them and names every call whose line moved.  A change that moves
@@ -203,6 +207,11 @@ def library_fingerprint(op) -> str:
     return f"repr={_sha(repr(op.call(0)).encode())} :: library {op.name}"
 
 
+def library_digest(name: str, ops) -> str:
+    reprs = "".join(repr(op.call(0)) + "\n" for op in ops)
+    return f"repr={_sha(reprs.encode())} :: library {name}"
+
+
 def fingerprints() -> list[str]:
     """The line of every call, in list order, all run in one temporary directory of input files."""
     if str(PERFBENCH) not in sys.path:
@@ -220,7 +229,9 @@ def fingerprints() -> list[str]:
             calls = [call.split() + ["--json"] for call in CALLS]
             calls += [op.params["argv"] for op in workloads.build_cli_files(1, Path("cli-files"))]
             lines = [fingerprint(cli_main, argv) for argv in calls]
-            return lines + [library_fingerprint(op) for op in workloads.build_metric_density(1, Path("metric-density"))]
+            lines += [library_fingerprint(op) for op in workloads.build_metric_density(1, Path("metric-density"))]
+            sweep = workloads.build_crosscheck_sweep(1, Path("crosscheck-sweep"))
+            return lines + [library_digest("crosscheck-sweep", sweep)]
         finally:
             os.chdir(cwd)
 

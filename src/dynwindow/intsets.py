@@ -8,8 +8,8 @@ and FailsWithWitness are claims about the observed window only.
 """
 from __future__ import annotations
 
-import array
 import operator
+import struct
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -59,6 +59,13 @@ _INT64_HORIZON_CAP = 2 ** 62
 # 601 shifts at horizon 10^6 would otherwise keep 75 MB alive.
 _SHIFT_FAMILY_BITS_CAP = 2 ** 28
 
+# Elements packed by one struct call: the call's argument tuple holds this
+# many references (128 KiB), where one call for a 10^6-element window would
+# hold 8 MB of them.  "l" is the native long, the faster code where it is
+# eight bytes wide.
+_PACK_CHUNK = 2 ** 14
+_PACK_CODE = "l" if struct.calcsize("l") == 8 else "q"
+
 Witness = Union[int, tuple, None]
 
 
@@ -74,17 +81,27 @@ def _small_ints(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _packed(elements: Sequence) -> np.ndarray:
+    # A tuple or list of ints packed into int64 by struct, _PACK_CHUNK at a
+    # time: one argument tuple per chunk, not one for the whole sequence.
+    out = np.empty(len(elements), dtype=np.int64)
+    for i in range(0, len(elements), _PACK_CHUNK):
+        chunk = elements[i : i + _PACK_CHUNK]
+        struct.pack_into(f"{len(chunk)}{_PACK_CODE}", out, 8 * i, *chunk)
+    return out
+
+
 def _read_elements(elements) -> np.ndarray:
     # The elements, each read as operator.index reads it.  A tuple or list is
-    # read by array('q'), which takes each element's __index__ at C speed; one
-    # it refuses (a float, a str, np.bool_, a value past int64, ...) falls
-    # through.  Then: int64 when numpy reads them as ints or bools that fit it,
-    # else Python ints (object), one operator.index per element, which raises
-    # TypeError on anything else.
+    # packed into int64 by struct, which takes each element's __index__ at C
+    # speed; one it refuses (a float, a str, np.bool_, a value past int64, ...)
+    # falls through.  Then: int64 when numpy reads them as ints or bools that
+    # fit it, else Python ints (object), one operator.index per element, which
+    # raises TypeError on anything else.
     if isinstance(elements, (tuple, list)):
         try:
-            return np.frombuffer(array.array("q", elements), dtype=np.int64)
-        except (TypeError, OverflowError):
+            return _packed(elements)
+        except (struct.error, TypeError, OverflowError):
             pass
     try:
         arr = np.array(elements)
@@ -171,9 +188,10 @@ class Window:
     it is first read.  Each element is read as ``operator.index`` reads it:
     ints, numpy ints and bools give ints, anything else (a float, a string,
     None, a nested sequence) raises TypeError.  A tuple or list of ints that
-    fit int64 is read in one ``array('q')`` pass; other input goes through
-    numpy, element by element where numpy cannot type it.  Windows are
-    immutable values: equal and hashed as ``(elements, horizon)``.
+    fit int64 is packed into the array by ``struct``; other input, and a
+    tuple or list with an element ``struct`` refuses, goes through numpy,
+    element by element where numpy cannot type it.  Windows are immutable
+    values: equal and hashed as ``(elements, horizon)``.
     """
 
     def __init__(self, elements: Iterable[int], horizon: int) -> None:

@@ -163,11 +163,16 @@ class _TorusOrbits:
         return cover.flat_ids(self.coords(starts, 0, len(self.times)))
 
     def distances(self, starts: Sequence, lo: int, hi: int) -> np.ndarray:
-        """distance(T^n(start), start) for each start and each time n in times[lo:hi]."""
+        """distance(T^n(start), start) for each start and each time n in times[lo:hi].
+
+        Every start coordinate lies in [0, 1), as in ``TorusSystem.starts``,
+        and so does every orbit coordinate: each gap |x - c| is below 1, and
+        its reduction mod 1 in ``distance`` leaves it as it is.
+        """
         columns = self._columns(starts)
         gaps = []
         for j, x in enumerate(self._along(columns, lo, hi)):
-            g = _mod1_array(np.abs(x - columns[:, j : j + 1]))
+            g = np.abs(x - columns[:, j : j + 1])
             gaps.append(np.minimum(g, 1.0 - g))
         return reduce(np.maximum, gaps)
 

@@ -5,7 +5,9 @@ stderr and each file it writes.  Every call prints its summary and its JSON
 report (``--json``), so a change to either shows here.  The last lines pin
 the library metric path: the sha256 of the ``repr`` of each
 ``r_sequence_metric`` and ``birkhoff_window_test`` result of the
-metric-density benchmark, seed 1.  A change that moves
+metric-density benchmark, seed 1, and one sha256 of the ``repr`` lines of
+all ``crosscheck_cyclic_equivalence`` results of the crosscheck-sweep
+benchmark, seed 1.  A change that moves
 a line on purpose rewrites the file with
 ``PYTHONPATH=src python3 scripts/report_diff.py --write`` and explains the
 moved line.

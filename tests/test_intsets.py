@@ -143,7 +143,7 @@ def test_window_errors_are_the_same_on_the_array_and_loop_paths(elements, horizo
 
 
 def _numpy_read_elements(elements):
-    # The element reader before tuples and lists were read through array('q'):
+    # The element reader before tuples and lists were packed by struct:
     # numpy's type discovery, else one operator.index per element.
     try:
         arr = np.array(elements)
@@ -248,11 +248,17 @@ def _read_outcome(elements, horizon):
 @example([], 10)
 @example([1, 2.0], 10)
 @example([0, [1, 2]], 10)
+# Chunk edges of the struct read (2^14 elements a call), and a float it
+# refuses in the second chunk.
+@example(list(range(2 ** 14 - 1)), 2 ** 62 - 1)
+@example(list(range(2 ** 14)), 2 ** 62 - 1)
+@example(list(range(2 ** 14 + 1)), 2 ** 62)
+@example([float(i) if i == 2 ** 14 + 3 else i for i in range(2 ** 14 + 10)], 2 ** 62 - 1)
 @settings(max_examples=300, deadline=None)
 def test_window_reads_elements_as_the_numpy_reader(elements, horizon):
     # Every container of every element mix gives the numpy reader's array and
-    # dtype, or its exception type and message: the array('q') read of a
-    # tuple or list changes no outcome.
+    # dtype, or its exception type and message: the struct read of a tuple
+    # or list, in chunks or falling through, changes no outcome.
     for kind, make in _containers(elements).items():
         fast = _read_outcome(make(), horizon)
         original = intsets._read_elements
@@ -911,6 +917,19 @@ def test_a_parsed_window_retains_its_array_alone():
     finally:
         tracemalloc.stop()
     assert len(w) == count and retained <= 12 * count
+
+
+def test_a_tuple_is_read_without_an_argument_tuple_of_its_size():
+    # The int64 array (7.6 MiB) and the ascent check's bools are the peak; a
+    # struct.pack of the whole tuple at once would add an 8 MB argument tuple.
+    elements = tuple(range(10 ** 6))
+    tracemalloc.start()
+    try:
+        w = Window(elements, 10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(w) == 10 ** 6 and peak < 10 * 2 ** 20
 
 
 @pytest.mark.parametrize(

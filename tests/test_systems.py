@@ -268,6 +268,24 @@ def test_torus_cover_cell_is_the_exact_floor_at_float_cell_edges():
         assert cover.flat_ids([np.array(xs)]).tolist() == expected
 
 
+def test_torus_cover_flat_ids_in_two_dimensions_at_float_cell_edges():
+    # Both coordinates on, or rounding onto, a cell edge (x * 33 rounds up to
+    # 11.0, 22.0 and 30.0 for the first three): the array ids, built digit by
+    # digit, are ids_of's and the exact floors' for every pair.
+    cover = TorusCover(RotationSystem((GOLDEN, 0.3)), 2, 33, 1 / 33)
+    xs = [0.3333333333333333, 0.6666666666666666, 0.9090909090909091, 0.9999999999999999, 0.0, 0.5, 1 / 33, 32 / 33]
+    pairs = list(itertools.product(xs, repeat=2))
+    x, y = (np.array([p[i] for p in pairs]).reshape(len(xs), len(xs)) for i in (0, 1))
+    ids = cover.flat_ids([x, y])
+    assert ids.shape == (len(xs), len(xs)) and ids.dtype == np.int64
+    assert ids.ravel().tolist() == cover.ids_of(pairs).tolist()
+    assert ids.ravel().tolist() == [math.floor(Fraction(a) * 33) * 33 + math.floor(Fraction(b) * 33) for a, b in pairs]
+    # Off the torus, each coordinate is clamped into [0, 32] as cell_of clamps it.
+    off = list(itertools.product([-1.5, -1.0, -0.25, 1.0, 1.25, 0.5], repeat=2))
+    x, y = (np.array([p[i] for p in off]) for i in (0, 1))
+    assert cover.flat_ids([x, y]).tolist() == cover.ids_of(off).tolist()
+
+
 def test_eps_dense_on_a_cover_too_large_to_list():
     # 10^10 x 10^10 cells: the cells are visited in order, never listed.
     sys = RotationSystem((GOLDEN, 0.3))
@@ -467,8 +485,8 @@ def test_along_matches_per_state_cells_and_distances(sys, coords, times, eps, da
     assert orbits.cells([start], cover)[0].tolist() == [cover.flat_id(cover.cell_of(s)) for s in states]
     lo = data.draw(st.integers(0, len(times)))
     hi = data.draw(st.integers(lo, len(times) + 40))
-    got = orbits.distances([start], lo, hi)[0].tolist()
-    assert got == [sys.distance(s, start) for s in states[lo:hi]]
+    got = orbits.distances([start], lo, hi)[0].tobytes()
+    assert got == np.array([sys.distance(s, start) for s in states[lo:hi]], dtype=np.float64).tobytes()
     if not sys.exact_orbits:
         coords_along = [x[0] for x in orbits.coords([start], 0, len(times))]
         assert [tuple(float(x[i]) for x in coords_along) for i in range(len(times))] == [
