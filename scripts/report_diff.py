@@ -60,6 +60,8 @@ FILES = {
     # 800 evens, then one odd element: residue coverage to m <= 50 reads a
     # prefix of 16·50 = 800 elements, which misses what 1601 covers.
     "evens-then-odd.txt": "!horizon 2000\n" + "".join(f"{n}\n" for n in range(0, 1600, 2)) + "1601\n",
+    # 17,101 elements, none 0 mod 7: longer than the cross-check's prefix scan reads.
+    "no-sevens.txt": "!horizon 20000\n" + "".join(f"{n}\n" for n in range(50, 20001) if n % 7),
 }
 
 # Files off the common layout: each is parsed line by line, or rejected with its line.
@@ -143,6 +145,10 @@ CALLS = [
     "crosscheck evens.txt --max-period 12 --horizon 5003",
     "crosscheck --count 3 --horizon 2000 --max-period 12 --seed 11",
     "crosscheck squares.txt --max-period 30",
+    # More than 64 comparison windows; a window that misses 0 mod 7; shifts all below -horizon.
+    "crosscheck squares.txt --max-period 25 --shifts=-40..40",
+    "crosscheck no-sevens.txt --max-period 12",
+    "crosscheck evens.txt --max-period 5 --shifts=-2000..-1990",
     "permpoly check x^2+3x+1 --p 7",
     "permpoly check x^3 --p 11",
     "permpoly find-prime x^2 --cap 100",

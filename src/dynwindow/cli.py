@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from fractions import Fraction
 from typing import Optional
 
@@ -159,20 +160,28 @@ def _sequence_info(source: str, w: Window) -> dict:
 def _render(value, pad: str = "") -> str:
     # json.dumps(value, sort_keys=True, indent=2), byte for byte, reading a Verdict as to_json()
     # and a Fraction as {"exact", "float"}: with indent set the stdlib encodes in pure Python.
+    # str and int leaves go straight to the encoders json.dumps ends in.
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if type(value) is int:
+        return int.__repr__(value)
     if isinstance(value, Verdict):
         value = value.to_json()
     elif isinstance(value, Fraction):
         value = {"exact": f"{value.numerator}/{value.denominator}", "float": float(value)}
     inner = pad + "  "
+    sep = f",\n{inner}"
     if isinstance(value, dict) and value:
-        items = (f"{json.dumps(k)}: {_render(v, inner)}" for k, v in sorted(value.items()))
+        body = sep.join(f"{_render(k)}: {_render(v, inner)}" for k, v in sorted(value.items()))
     elif isinstance(value, (list, tuple)) and value:
-        ints = all(type(v) is int for v in value)  # bool is not int here
-        items = map(str, value) if ints else (_render(v, inner) for v in value)
+        if set(map(type, value)) == {int}:  # bool is not int here
+            body = repr(list(value))[1:-1].replace(", ", sep)
+        else:
+            body = sep.join(_render(v, inner) for v in value)
     else:
         return json.dumps(value)
     opening, closing = "{}" if isinstance(value, dict) else "[]"
-    return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{closing}"
+    return f"{opening}\n{inner}{body}\n{pad}{closing}"
 
 
 def _emit(report: dict, path: Optional[str], to_stdout: bool) -> None:

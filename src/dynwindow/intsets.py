@@ -55,10 +55,6 @@ _FFT_SETUP_POINTS = 1600
 # Python ints (dtype object).
 _INT64_HORIZON_CAP = 2 ** 62
 
-# Bits a cross-check may keep in the shifted copies of one window (32 MiB);
-# 601 shifts at horizon 10^6 would otherwise keep 75 MB alive.
-_SHIFT_FAMILY_BITS_CAP = 2 ** 28
-
 # Elements packed by one struct call: the call's argument tuple holds this
 # many references (128 KiB), where one call for a 10^6-element window would
 # hold 8 MB of them.  "l" is the native long, the faster code where it is
@@ -183,7 +179,9 @@ class Window:
 
     The array is the window: ``array`` holds the elements, int64 below
     horizon 2^62 and Python ints (object) from there, and is all a window
-    stores besides its horizon and, once read, its ``bitmask``.
+    stores besides its horizon and, once read, its ``bitmask``: the
+    cross-check reads that only for the (window, shift) pairs a prefix of
+    the window leaves open, and meets the rest through a position table.
     ``elements``, the same values as a tuple of Python ints, is built when
     it is first read.  Each element is read as ``operator.index`` reads it:
     ints, numpy ints and bools give ints, anything else (a float, a string,
@@ -402,10 +400,6 @@ def difference_set(w: Window) -> Window:
     return Window._trusted(np.array(sorted(out), dtype=w.array.dtype), w.horizon)
 
 
-def _shift_mask(mask: int, shift: int) -> int:
-    return mask << shift if shift >= 0 else mask >> -shift
-
-
 def _least_common(a: Window, d: Window, shift: int) -> Optional[int]:
     # The least element of a ∩ (shift + d), or None when they do not meet.
     # Only the y in d with 0 <= y + shift <= a.horizon can meet a.
@@ -419,27 +413,6 @@ def _least_common(a: Window, d: Window, shift: int) -> Optional[int]:
     at = np.searchsorted(a.array, moved)
     found = np.flatnonzero(a.array[np.minimum(at, len(a) - 1)] == moved)
     return int(moved[found[0]]) if found.size else None
-
-
-class _ShiftFamily:
-    # The shifted copies a + n, n in shifts, met against one window at a time.
-    # Each copy's bitmask is kept, so a window costs one AND per shift, unless
-    # the copies would pass _SHIFT_FAMILY_BITS_CAP: then each call shifts anew.
-
-    def __init__(self, a: Window, shifts: Iterable[int]):
-        self.a, self.shifts, self.mask = a, tuple(shifts), a.bitmask
-        self.masks = None
-        if self.mask is not None and len(self.shifts) * self.mask.bit_length() <= _SHIFT_FAMILY_BITS_CAP:
-            self.masks = [_shift_mask(self.mask, n) for n in self.shifts]
-
-    def meets(self, d: Window) -> bool:
-        # Does a + n meet d (a meet d - n) for every n?  Stops at the first miss.
-        # Bits pushed below 0 drop out: x + n < 0 lies in no window.
-        mask_d = d.bitmask
-        if self.mask is None or mask_d is None:
-            return all(_least_common(self.a, d, -n) is not None for n in self.shifts)
-        masks = self.masks if self.masks is not None else (_shift_mask(self.mask, n) for n in self.shifts)
-        return all(mask & mask_d for mask in masks)
 
 
 def shifted_hit(a: Window, d: Window, shift: int) -> Verdict:

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .intsets import Verdict, Window, _ShiftFamily, _small_ints, _span, difference_set
+from .intsets import Verdict, Window, _least_common, _small_ints, _span, difference_set
 from .systems import (
     CyclicSystem,
     FiniteSystem,
@@ -53,12 +53,22 @@ DEFAULT_SWEEP_SEED = 1729
 _CROSSCHECK_HORIZON_CAP = 1_000_000
 
 # birkhoff_window_test reads each start's orbit in slices of this many
-# times, then 4, 16, ... times as many: a return at index i costs O(i).
+# times, then 4, 16, ... times as many: a return at index i costs O(i).  The
+# cross-check's shifted hits read a window's elements the same way.
 _FIRST_SLICE = 32
 
 # The metric tests evaluate starts in batches of at most this many states
 # per coordinate array (32 MiB of float64); a larger grid is split.
 _BATCH_ELEMENTS = 2 ** 22
+
+# The cross-check's shifted hits read at most this many elements of the window
+# against the position table; the (window, shift) pairs they leave open are
+# settled on bitmasks, whose cost grows with the horizon.  With 7 of 13 shifts
+# open, reading a whole window cost as much as settling it at about 3,000
+# elements for horizon 10^4, 8,000-16,000 for 10^5 and 50,000 for 10^6
+# (2-vCPU x86-64 host); past the cap, a read wasted on a window the settle
+# decides costs about 0.2 ms.
+_PREFIX_SCAN_CAP = 2 ** 12
 
 
 class CoverageError(ValueError):
@@ -388,10 +398,11 @@ def _shift_family_cyclic(a: Window, shifts: Iterable[int], max_period: int) -> V
 
 @lru_cache(maxsize=1)
 def _comparison_windows(horizon: int) -> dict:
-    # The cross-check's windows at one horizon, filled on demand.  Only the
-    # latest horizon is kept: a sweep shares one, and older ones hold MiBs.
-    # Entries are met through their bitmasks, so each holds its array and its
-    # mask, and never an elements tuple.
+    # The cross-check's windows at one horizon, filled on demand, and one
+    # position table per max_period built from them.  Only the latest horizon
+    # is kept: a sweep shares one, and older ones hold MiBs.  A window holds
+    # its array, and its mask once a bitmask settle reads it, never an
+    # elements tuple.
     return {}
 
 
@@ -414,6 +425,93 @@ def _progression_difference_window(m: int, r: int, horizon: int) -> Window:
     return store[key]
 
 
+def _position_table(windows: list) -> np.ndarray:
+    # Row p + 1 for each position p from 0 to the largest element of any
+    # window, between two all-zero rows; bit j of a row (bit j % 64 of its
+    # word j // 64) is set when the position lies in windows[j], and is filled
+    # from that window alone.
+    top = max((int(w.array[-1]) for w in windows if len(w)), default=-1)
+    table = np.zeros((top + 3, -(-len(windows) // 64)), dtype=np.uint64)
+    for j, w in enumerate(windows):
+        table[w.array + 1, j // 64] |= np.uint64(1 << (j % 64))
+    return table
+
+
+def _comparison_table(ext: int, max_period: int) -> tuple:
+    # The cross-check's windows on [0, ext] for every m <= max_period, as
+    # (position table, windows in column order, per m the bit of its return
+    # window's column and the bits of its difference windows' columns), kept
+    # beside the windows.
+    store = _comparison_windows(ext)
+    if ("table", max_period) not in store:
+        windows, columns = [], []
+        for m in range(1, max_period + 1):
+            # Progressions r <= ext mod m have one element more than the rest: two translation classes.
+            leaders = (0,) if ext % m == m - 1 else (0, ext % m + 1)
+            j = len(windows)
+            windows.append(_cyclic_return_window(m, ext))
+            windows += [_progression_difference_window(m, r, ext) for r in leaders]
+            columns.append((1 << j, (1 << len(windows)) - (2 << j)))
+        store["table", max_period] = (_position_table(windows), windows, columns)
+    return store["table", max_period]
+
+
+def _shifted_hits(a: Window, shifts: Iterable[int], table: np.ndarray, windows: list) -> int:
+    """The columns j, as bits, for which a + n meets windows[j] for every shift n.
+
+    Stage 1 reads a prefix of a: the pair (n, j) is met when bit j of the
+    row of x + n is set for some x in it, a position off the table reading
+    an all-zero row.  The prefix grows in slices of _FIRST_SLICE elements,
+    then 4, 16, ... times as many, and stops once every pair is met, or at
+    _PREFIX_SCAN_CAP elements; each gather stays within _BATCH_ELEMENTS
+    words, taking the shifts in blocks.  A prefix that is the whole window
+    decides every pair.  Otherwise stage 2 settles each window's open pairs
+    on whole-window bitmasks (by _least_common where a mask is None) and
+    stops at the window's first miss.  A shift below -horizon - 1 or past
+    the table meets nothing, as that bound does, so shifts are clamped to
+    those bounds and taken once each.
+    """
+    steps, top = sorted(set(shifts)), len(table) - 2  # top: past the largest position
+    if steps and (steps[0] < -a.horizon - 1 or steps[-1] > top):
+        steps = sorted({min(max(n, -a.horizon - 1), top) for n in steps})
+    # The row offset n + 1 of each shift n still open: the row of x + n is x + n + 1.
+    rows = np.array(steps, dtype=np.int64) + 1
+    words = table.shape[1]
+    every = (1 << len(windows)) - 1
+    full = np.frombuffer(every.to_bytes(8 * words, "little"), dtype="<u8")
+    met = np.zeros((rows.size, words), dtype=np.uint64)
+    end = min(len(a), _PREFIX_SCAN_CAP)
+    lo, hi = 0, _FIRST_SLICE
+    while lo < end and rows.size:
+        hi = min(hi, end)
+        x = a.array[lo:hi]
+        block = max(1, _BATCH_ELEMENTS // (x.size * words))
+        for i in range(0, rows.size, block):
+            # mode="clip" sends a row index off the table to the zero row at that end.
+            gathered = table.take(rows[i : i + block, None] + x, axis=0, mode="clip")
+            met[i : i + block] |= np.bitwise_or.reduce(gathered, axis=1)
+        still = (met != full).any(axis=1)
+        if not still.all():
+            rows, met = rows[still], met[still]
+        lo, hi = hi, 5 * hi - 4 * lo
+    if not rows.size:
+        return every
+    hits = every & int.from_bytes(np.bitwise_and.reduce(met, axis=0).tobytes(), "little")
+    if lo >= len(a):
+        return hits
+    for j, d in enumerate(windows):
+        if hits >> j & 1:
+            continue
+        open_ = [r - 1 for r, bits in zip(rows.tolist(), met[:, j // 64].tolist()) if not bits >> j % 64 & 1]
+        mask_a, mask_d = a.bitmask, d.bitmask
+        if mask_a is None or mask_d is None:
+            hit = all(_least_common(a, d, -n) is not None for n in open_)
+        else:
+            hit = all((mask_a << n if n >= 0 else mask_a >> -n) & mask_d for n in open_)
+        hits |= hit << j
+    return hits
+
+
 def crosscheck_cyclic_equivalence(a: Window, max_period: int, shifts: Iterable[int]) -> Verdict:
     """Cross-check three window forms of the shift-invariant recurrence test.
 
@@ -429,12 +527,14 @@ def crosscheck_cyclic_equivalence(a: Window, max_period: int, shifts: Iterable[i
           or one fewer), and S - S is the same across a class, so one
           difference set is built and met per class.
 
-    Any disagreement is an implementation bug, reported as Fails with the
-    offending (m, coverage, return-hit, difference-hit) tuple.  Exact
-    agreement is guaranteed when the shift range spans at least max_period
-    consecutive integers and every inhabited residue class has an element
-    >= max_period + |most negative shift|; windows hugging 0 can disagree
-    honestly at the bottom edge.  max_period < 1 raises ValueError.
+    (2) and (3) read their windows through one position table, each window
+    its own column (``_shifted_hits``).  Any disagreement is an
+    implementation bug, reported as Fails with the offending (m, coverage,
+    return-hit, difference-hit) tuple.  Exact agreement is guaranteed when
+    the shift range spans at least max_period consecutive integers and every
+    inhabited residue class has an element >= max_period + |most negative
+    shift|; windows hugging 0 can disagree honestly at the bottom edge.
+    max_period < 1 raises ValueError.
     """
     if max_period < 1:
         raise ValueError("max_period must be >= 1")
@@ -447,15 +547,12 @@ def crosscheck_cyclic_equivalence(a: Window, max_period: int, shifts: Iterable[i
     if not shifts:
         raise ValueError("shift range must be nonempty")
     ext = a.horizon + max(shifts[-1], 0) + max_period
-    family = _ShiftFamily(a, shifts)
+    table, windows, columns = _comparison_table(ext, max_period)
+    hits = _shifted_hits(a, shifts, table, windows)
     missing = _missing_residues(a.array, max_period)
-    for m in range(1, max_period + 1):
+    for m, (nuu, diffs) in enumerate(columns, start=1):
         covered = missing[m - 1] is None
-        nuu = _cyclic_return_window(m, ext)
-        return_hit = family.meets(nuu)
-        # Progressions r <= ext mod m have one element more than the rest: two translation classes.
-        leaders = (0,) if ext % m == m - 1 else (0, ext % m + 1)
-        diff_hit = all(family.meets(_progression_difference_window(m, r, ext)) for r in leaders)
+        return_hit, diff_hit = hits & nuu == nuu, hits & diffs == diffs
         if not (covered == return_hit == diff_hit):
             return Verdict.fail(
                 (m, covered, return_hit, diff_hit),

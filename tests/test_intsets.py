@@ -28,7 +28,7 @@ from dynwindow import (
     piecewise_syndetic_certificate,
     shifted_hit,
 )
-from dynwindow.intsets import _BITMASK_HORIZON_CAP, _ShiftFamily, _fft_size
+from dynwindow.intsets import _BITMASK_HORIZON_CAP, _fft_size
 from dynwindow.recurrence import _comparison_windows, crosscheck_cyclic_equivalence
 
 
@@ -328,14 +328,15 @@ def test_window_bitmask_sets_one_bit_per_element(elems, slack):
     w = Window(tuple(sorted(elems)), max(elems, default=0) + slack)
     assert w.bitmask == sum(1 << e for e in w.elements)
     # A window holds its array, plus its mask once that is read; the
-    # cross-check's cached windows are met through their masks alone.
+    # cross-check's cached windows, beside their position table, hold no more.
     trusted = Window._trusted(w.array, w.horizon)
     assert trusted.bitmask == w.bitmask and set(trusted.__dict__) == {"array", "horizon", "bitmask"}
     _comparison_windows.cache_clear()
     try:
         crosscheck_cyclic_equivalence(w, 3, range(-2, 3))
         cached = _comparison_windows(w.horizon + 2 + 3)
-        assert cached and all(set(c.__dict__) == {"array", "horizon", "bitmask"} for c in cached.values())
+        windows = [c for key, c in cached.items() if key != ("table", 3)]
+        assert ("table", 3) in cached and windows and all(set(c.__dict__) <= {"array", "horizon", "bitmask"} for c in windows)
     finally:
         _comparison_windows.cache_clear()
 
@@ -602,29 +603,6 @@ def test_shifted_hit_matches_a_set_scan_on_int64_and_object_windows(a_elems, a_b
     d = Window(tuple(d_base + e for e in sorted(d_elems)), d_base + 300 + d_slack)
     for shift in (a_base - d_base + offset, offset, a.horizon + 1, -d.horizon - 1, -d.horizon):
         assert shifted_hit(a, d, shift) == _ref_shifted_hit(a, d, shift), shift
-
-
-@given(
-    _SMALL_ELEMENTS,
-    _SMALL_ELEMENTS,
-    st.lists(st.integers(-320, 320), max_size=12),
-    st.booleans(),
-    st.booleans(),
-    st.booleans(),
-)
-@example([5], [3], [-2], False, False, False)
-@example([5], [3], [-2], True, True, False)
-@example([5], [3], [-2], False, False, True)
-@settings(max_examples=200, deadline=None)
-def test_shift_family_meets_iff_every_shifted_hit_holds(a_elems, d_elems, shifts, a_set, d_set, over_cap):
-    a, d = _small_window(a_elems, a_set), _small_window(d_elems, d_set)
-    assert (a.bitmask is None, d.bitmask is None) == (a_set, d_set)
-    with pytest.MonkeyPatch.context() as mp:
-        if over_cap:  # the shifted copies are not kept, but shifted per call
-            mp.setattr(intsets, "_SHIFT_FAMILY_BITS_CAP", -1)
-        family = _ShiftFamily(a, shifts)
-    assert (family.masks is None) == (a_set or over_cap)
-    assert family.meets(d) == all(shifted_hit(a, d, -n).holds for n in shifts)
 
 
 # -- finite_ip --------------------------------------------------------------------

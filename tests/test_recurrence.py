@@ -4,6 +4,7 @@ from __future__ import annotations
 import cmath
 import gc
 import math
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -41,15 +42,20 @@ from dynwindow import (
     random_windows,
     return_times,
     shift_family_test,
+    shifted_hit,
 )
 from dynwindow import recurrence
+from dynwindow.intsets import _BITMASK_HORIZON_CAP
 from dynwindow.recurrence import (
     ReturnTimesResult,
+    _comparison_table,
     _comparison_windows,
     _cyclic_return_window,
     _missing_residues,
+    _position_table,
     _progression_difference_window,
     _shift_family_cyclic,
+    _shifted_hits,
     _small_ints,
     _step_table_times,
 )
@@ -518,8 +524,10 @@ def test_engine_entry_points_build_no_elements_tuple(base):
             assert "elements" not in w.__dict__
             assert not isinstance(out, Window) or "elements" not in out.__dict__
         if base == 0:
-            cached = _comparison_windows(2100 + 6 + 12).values()
-            assert cached and all("elements" not in c.__dict__ for c in cached)
+            cached = _comparison_windows(2100 + 6 + 12)
+            windows = [c for key, c in cached.items() if key != ("table", 12)]
+            assert ("table", 12) in cached and windows
+            assert all("elements" not in c.__dict__ for c in windows)
     finally:
         _comparison_windows.cache_clear()
 
@@ -594,29 +602,126 @@ def test_crosscheck_sees_a_corrupted_difference_set(monkeypatch):
 def test_crosscheck_builds_one_difference_set_per_translation_class(monkeypatch):
     # The m progressions on [0, ext] have at most two lengths, so a cold
     # M = 12 cross-check builds at most 1 + 2·11 = 2M - 1 difference sets,
-    # and meets each once, besides one return-time window per m.
-    calls, meets = [], []
-    honest_meets = recurrence._ShiftFamily.meets
+    # and gives each one column of the position table, besides one column
+    # for each m's return-time window.
+    calls = []
 
     def counted(w):
         calls.append(len(w))
         return difference_set(w)
 
-    def counted_meets(family, d):
-        meets.append(d)
-        return honest_meets(family, d)
-
     monkeypatch.setattr(recurrence, "difference_set", counted)
-    monkeypatch.setattr(recurrence._ShiftFamily, "meets", counted_meets)
     _comparison_windows.cache_clear()
     try:
         v = crosscheck_cyclic_equivalence(interval(20, 2000), 12, range(-6, 7))
+        ext = 2000 + 6 + 12
+        table, windows, columns = _comparison_windows(ext)["table", 12]
     finally:
         _comparison_windows.cache_clear()
     assert v.holds
-    ext = 2000 + 6 + 12
     assert len(calls) == len({(m, (ext - r) // m + 1) for m in range(1, 13) for r in range(m)}) <= 23
-    assert len(meets) == 12 + len(calls)
+    assert len(windows) == len(columns) + len(calls) == 12 + len(calls)
+    assert sum(bin(nuu | diffs).count("1") for nuu, diffs in columns) == len(windows)
+    assert table.shape == (ext + 3, 1)
+    assert all(np.array_equal(_column(table, j), w.array + 1) for j, w in enumerate(windows))
+
+
+def _column(table, j):
+    # The rows with bit j set.
+    return np.flatnonzero(table[:, j // 64] >> np.uint64(j % 64) & np.uint64(1))
+
+
+def _kernel_windows(seed: int, count: int, past_cap: bool) -> list:
+    # Progressions {m, 2m, ...} like the cross-check's, random subsets and
+    # empty windows on [0, 500]; with past_cap, one more window whose horizon
+    # leaves it without a bitmask.
+    rng = np.random.default_rng(seed)
+    windows = []
+    for _ in range(count):
+        kind, top = rng.integers(3), int(rng.integers(0, 501))
+        if kind == 0:
+            m = int(rng.integers(1, 30))
+            windows.append(Window(np.arange(m, top + 1, m), top))
+        elif kind == 1:
+            windows.append(Window(np.flatnonzero(rng.random(top + 1) < rng.random() / 4), top))
+        else:
+            windows.append(Window((), top))
+    if past_cap:
+        windows.append(Window(np.flatnonzero(rng.random(500) < 0.05), _BITMASK_HORIZON_CAP + 1))
+    return windows
+
+
+@given(
+    st.lists(st.integers(0, 400), max_size=80, unique=True),
+    st.booleans(),
+    st.integers(1, 90),
+    st.integers(0, 2 ** 32 - 1),
+    st.booleans(),
+    st.lists(st.integers(-600, 600), max_size=12),
+    st.sampled_from([0, -1, 1]),
+    st.integers(0, 70),
+)
+@example([], False, 3, 0, False, [0], 0, 32)  # an empty window
+@example(list(range(0, 400, 3)), False, 70, 1, True, [2, -5, 2, 0, -5, 9], 0, 20)
+@example(list(range(1, 400, 2)), True, 66, 2, True, [4, -3, 1, 0], -1, 8)
+@example(list(range(1, 400, 2)), False, 66, 3, True, [4, -3, 1, 0], 1, 8)
+@settings(max_examples=120, deadline=None)
+def test_shifted_hits_hold_iff_every_shifted_hit_holds(a_elems, a_past_cap, count, seed, past_cap, shifts, far, cap):
+    # Shifts come duplicated and unsorted, or (far) all past int64 below
+    # -horizon or above every window; J reaches past one 64-bit word; a prefix
+    # cap under the window's length sends the open pairs to the bitmask
+    # settle, through _least_common for a window past the bitmask cap.
+    a = Window(tuple(sorted(a_elems)), _BITMASK_HORIZON_CAP + 1 if a_past_cap else 450)
+    if far:
+        shifts = [far * (a.horizon + 10 ** 20) + n for n in shifts]
+    windows = _kernel_windows(seed, count, past_cap)
+    table = _position_table(windows)
+    assert all(np.array_equal(_column(table, j), w.array + 1) for j, w in enumerate(windows))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(recurrence, "_PREFIX_SCAN_CAP", cap)
+        hits = _shifted_hits(a, shifts, table, windows)
+    assert hits >> len(windows) == 0
+    for j, d in enumerate(windows):
+        assert bool(hits >> j & 1) == all(shifted_hit(a, d, -n).holds for n in shifts), j
+
+
+@pytest.mark.parametrize("missed", [0, 3])
+def test_shifted_hits_settle_a_window_longer_than_the_prefix_cap(missed):
+    # Past the prefix cap the pairs left open (the shifts n = -missed mod 7,
+    # at m = 7) go to the bitmask settle, which must answer as a whole-window
+    # read does.
+    a = Window(tuple(n for n in range(50, 10_001) if n % 7 != missed), 10_000)
+    assert len(a) > recurrence._PREFIX_SCAN_CAP
+    _comparison_windows.cache_clear()
+    try:
+        table, windows, _ = _comparison_table(10_000 + 6 + 12, 12)
+        hits = _shifted_hits(a, range(-6, 7), table, windows)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(recurrence, "_PREFIX_SCAN_CAP", len(a))
+            assert _shifted_hits(a, range(-6, 7), table, windows) == hits
+        for j, d in enumerate(windows):
+            assert bool(hits >> j & 1) == all(shifted_hit(a, d, -n).holds for n in range(-6, 7)), j
+        assert hits != (1 << len(windows)) - 1
+        assert crosscheck_cyclic_equivalence(a, 12, range(-6, 7)).holds
+    finally:
+        _comparison_windows.cache_clear()
+
+
+def test_crosscheck_shifts_far_below_the_window_allocate_nothing_for_them():
+    # A shift below -horizon meets nothing and is read as -horizon - 1: the
+    # table is never padded by the shift range.
+    w = interval(50, 10_000)
+    _comparison_windows.cache_clear()
+    tracemalloc.start()
+    try:
+        v = crosscheck_cyclic_equivalence(w, 12, range(-10 ** 9, -10 ** 9 + 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        _comparison_windows.cache_clear()
+    assert peak < 2 * 2 ** 20
+    note = "m=1: residue coverage=True, return-time hitting=False, difference-set hitting=False"
+    assert v == Verdict.fail((1, True, False, False), note=note)
 
 
 def test_crosscheck_rejects_huge_elements():
