@@ -62,6 +62,11 @@ FILES = {
     "evens-then-odd.txt": "!horizon 2000\n" + "".join(f"{n}\n" for n in range(0, 1600, 2)) + "1601\n",
     # 17,101 elements, none 0 mod 7: longer than the cross-check's prefix scan reads.
     "no-sevens.txt": "!horizon 20000\n" + "".join(f"{n}\n" for n in range(50, 20001) if n % 7),
+    # Lines of 1 to 18 digits (one, two and three eight-digit words), 10^k
+    # written with leading zeros to 18 digits for odd k.
+    "words.txt": f"!horizon {10 ** 18}\n"
+    + "".join(f"{10 ** k - 1}\n{10 ** k:0{18 if k % 2 else 1}d}\n{10 ** k + 7}\n" for k in range(1, 18))
+    + f"{10 ** 18 - 1}\n",
 }
 
 # Files off the common layout: each is parsed line by line, or rejected with its line.
@@ -179,6 +184,9 @@ CALLS = [
     "recurrence crlf.txt cyclic:<=3",
     "classify zeros.txt",
     "recurrence zeros.txt cyclic:<=3 --shifts=-1..1",
+    # Multi-word lines, read eight digits at a time.
+    "classify words.txt",
+    "recurrence words.txt cyclic:<=12",
 ] + [f"classify {name}" for name in MALFORMED] + [f"recurrence {name} cyclic:<=5" for name in MALFORMED]
 
 

@@ -160,11 +160,13 @@ def _sequence_info(source: str, w: Window) -> dict:
 def _render(value, pad: str = "") -> str:
     # json.dumps(value, sort_keys=True, indent=2), byte for byte, reading a Verdict as to_json()
     # and a Fraction as {"exact", "float"}: with indent set the stdlib encodes in pure Python.
-    # str and int leaves go straight to the encoders json.dumps ends in.
+    # str, int, None and bool leaves go straight to the text json.dumps gives them.
     if type(value) is str:
         return encode_basestring_ascii(value)
     if type(value) is int:
         return int.__repr__(value)
+    if value is None or type(value) is bool:
+        return {None: "null", True: "true", False: "false"}[value]
     if isinstance(value, Verdict):
         value = value.to_json()
     elif isinstance(value, Fraction):

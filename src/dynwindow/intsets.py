@@ -62,6 +62,15 @@ _INT64_HORIZON_CAP = 2 ** 62
 _PACK_CHUNK = 2 ** 14
 _PACK_CODE = "l" if struct.calcsize("l") == 8 else "q"
 
+# _DIGIT_MASKS[c, L] keeps the low nibbles of word c's bytes inside a line of
+# L <= 18 digits; _FOLDS (factor, shift, mask) turn a word's digits, first byte
+# most significant, into byte pairs 10a + b, then 100p + q, then 10^4·p + q.
+_DIGIT_MASKS = np.array(
+    [[0x0F0F0F0F0F0F0F0F & -(1 << 64 - 8 * min(max(L - 8 * c, 0), 8)) for L in range(19)] for c in range(3)], np.uint64
+)
+_FOLDS = [tuple(map(np.uint64, fold)) for fold in (
+    (10 << 8 | 1, 8, 0x00FF00FF00FF00FF), (100 << 16 | 1, 16, 0x0000FFFF0000FFFF), (10_000 << 32 | 1, 32, 2 ** 32 - 1))]
+
 Witness = Union[int, tuple, None]
 
 
@@ -459,13 +468,17 @@ def banach_density_estimate(w: Window, interval_length: int) -> Fraction:
         return Fraction(0)
     a, last_start = w.array, w.horizon - interval_length + 1
     # The max is attained by an interval starting at an element, or at the
-    # rightmost admissible start.  An interval from element i holds the
-    # elements from index i on.  The last start is counted from the index past
-    # the elements up to it, one too few only when it is itself an element,
-    # whose own interval, the same one, is counted exactly.
-    starts = np.append(a[: np.searchsorted(a, last_start, side="right")], last_start)
-    counts = np.searchsorted(a, starts + (interval_length - 1), side="right") - np.arange(starts.size)
-    return Fraction(int(counts.max()), interval_length)
+    # rightmost admissible start, whose interval holds every element from it
+    # on.  One from element i holds c elements iff a[i + c - 1] - a[i] <
+    # interval_length: c is bisected from the last start's count up to
+    # min(interval_length, n), one pass over the element starts a step.
+    n, starts = len(a), int(np.searchsorted(a, last_start, side="right"))
+    lo, hi = n - int(np.searchsorted(a, last_start)), min(interval_length, n)
+    while lo < hi:
+        c = (lo + hi + 1) // 2
+        k = min(starts, n - c + 1)  # element starts i with a[i + c - 1] inside the window
+        lo, hi = (c, hi) if k > 0 and (a[c - 1 : c - 1 + k] - a[:k] < interval_length).any() else (lo, c - 1)
+    return Fraction(lo, interval_length)
 
 
 # -- sequence file format -----------------------------------------------------
@@ -511,14 +524,22 @@ def _parse_well_formed(text: str) -> Optional[Window]:
     lengths = np.diff(ends, prepend=-1) - 1
     if lengths.min() < 1 or lengths.max() > 18:  # 18 digits stay below 2^62
         return None
-    values = np.zeros(ends.size, dtype=np.int64)
-    power = 1
-    for place in range(int(lengths.max())):
-        digit = buf[ends - 1 - place] - np.uint8(ord("0"))
-        digit[lengths <= place] = 0
-        values += digit * np.int64(power)
-        power *= 10
-    if (np.diff(values) <= 0).any() or int(values[-1]) > horizon:
+    # Word c of a line: the 8 bytes ending 8c bytes before its newline, read as
+    # a little-endian uint64 of a stride-1 view of the body behind 8·width zeros.
+    width = -(-int(lengths.max()) // 8)
+    padded = np.concatenate((np.zeros(8 * width, dtype=np.uint8), buf))
+    words = np.ndarray(padded.size - 7, dtype="<u8", buffer=padded, strides=(1,))
+    values = np.zeros(ends.size, dtype=np.uint64)
+    for c in reversed(range(width)):
+        v = words[ends + 8 * (width - 1 - c)] & _DIGIT_MASKS[c].take(lengths)
+        for factor, shift, mask in _FOLDS:  # in place: a temporary costs more than the op
+            v *= factor
+            v >>= shift
+            v &= mask
+        values *= np.uint64(10 ** 8)
+        values += v
+    values = values.view(np.int64)
+    if (values[1:] <= values[:-1]).any() or int(values[-1]) > horizon:
         return None
     return Window._trusted(values, horizon)
 

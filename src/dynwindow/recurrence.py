@@ -52,6 +52,10 @@ DEFAULT_SWEEP_SEED = 1729
 # impractically large return-time / difference windows.
 _CROSSCHECK_HORIZON_CAP = 1_000_000
 
+# _missing_residues recounts the periods its prefix leaves open in blocks of
+# lcm at most this: one bincount of that many counters per block.
+_RECOUNT_MODULUS_CAP = 2 ** 16
+
 # birkhoff_window_test reads each start's orbit in slices of this many
 # times, then 4, 16, ... times as many: a return at index i costs O(i).  The
 # cross-check's shifted hits read a window's elements the same way.
@@ -162,8 +166,8 @@ def _missing_residues(arr: np.ndarray, max_period: int) -> list:
     period) and pools the rest in one more counter, which stays zero when
     every class below w is hit.  Blocks keep both the prefix × block
     matrix and the bincount within _BATCH_ELEMENTS.  A prefix that covers
-    Z/m settles m; only the m's it leaves uncovered are recounted on the
-    whole array.
+    Z/m settles m; the m's it leaves uncovered are recounted on the whole
+    array mod the lcm of a block of them, and reduce its hit classes mod m.
     """
     arr = _small_ints(arr)
     head = arr[: 16 * max_period]
@@ -185,9 +189,16 @@ def _missing_residues(arr: np.ndarray, max_period: int) -> list:
         first = counts.argmin(axis=1)  # its first zero: the least class missed, or w
         least[m - 1 : m - 1 + periods.size] = np.where(first < periods, first, -1)
     if head.size < arr.size:
-        for p in (np.flatnonzero(least >= 0) + 1).tolist():
-            hit = np.bincount((arr % p).astype(np.int64, copy=False), minlength=p) > 0
-            least[p - 1] = -1 if hit.all() else np.argmin(hit)
+        periods = (np.flatnonzero(least >= 0) + 1).tolist()
+        while periods:
+            k = 1  # the next block: the longest run of periods with lcm within the cap, or one period
+            while k < len(periods) and math.lcm(*periods[: k + 1]) <= _RECOUNT_MODULUS_CAP:
+                k += 1
+            block, periods, modulus = periods[:k], periods[k:], math.lcm(*periods[:k])
+            classes = np.flatnonzero(np.bincount((arr % modulus).astype(np.int64, copy=False), minlength=modulus))
+            for p in block:
+                hit = np.bincount(classes % p, minlength=p)
+                least[p - 1] = -1 if hit.all() else np.argmin(hit)
     return [None if r < 0 else r for r in least.tolist()]
 
 
@@ -547,6 +558,9 @@ def crosscheck_cyclic_equivalence(a: Window, max_period: int, shifts: Iterable[i
     if not shifts:
         raise ValueError("shift range must be nonempty")
     ext = a.horizon + max(shifts[-1], 0) + max_period
+    if ext > _CROSSCHECK_HORIZON_CAP:
+        raise ValueError(f"cross-check windows reach ext = horizon + max(largest shift, 0) + max_period = {a.horizon} + "
+                         f"{max(shifts[-1], 0)} + {max_period} = {ext}, past the {_CROSSCHECK_HORIZON_CAP} cap")
     table, windows, columns = _comparison_table(ext, max_period)
     hits = _shifted_hits(a, shifts, table, windows)
     missing = _missing_residues(a.array, max_period)

@@ -819,7 +819,9 @@ _ODD_LINES = [
 
 @st.composite
 def _sequence_texts(draw):
-    values = sorted(draw(st.lists(st.integers(0, 10 ** 6), max_size=25, unique=True)))
+    # 1 to 18 digits: lines of one, two and three eight-digit words, each digit count drawn.
+    digits = st.integers(1, 18).flatmap(lambda k: st.integers(0, 10 ** k - 1))
+    values = sorted(draw(st.lists(digits, max_size=25, unique=True)))
     lines = ["0" * draw(st.integers(0, 2)) + str(v) for v in values]
     if len(lines) >= 2 and draw(st.booleans()):
         i = draw(st.integers(0, len(lines) - 2))
@@ -845,6 +847,13 @@ def _sequence_texts(draw):
 @example("!horizon 10")
 @example("")
 @example("!horizon 10\n5\n5\n")
+@example(f"!horizon {10 ** 19}\n" + "".join(f"{10 ** (k - 1) + k}\n" for k in (8, 9, 16, 17, 18)))
+@example(f"!horizon {10 ** 19}\n1\n{10 ** 18}\n")  # 19 digits
+@example(f"!horizon {10 ** 18}\n5\n{10 ** 17 + 3}\n")  # a first line shorter than the 24 bytes of padding
+@example("!horizon 100000000000\n1\n1x123456789\n")  # a bad byte in the second word from the right
+@example("!horizon 10000000000000000000\n1\n1x3456789012345678\n")  # and in the third
+@example("!horizon 10000000000000000000\n1\n1 3456789012345678\n")
+@example("!horizon 99999999\n99999998\n99999999\n")
 @settings(max_examples=400, deadline=None)
 def test_parse_matches_the_line_loop_on_every_text(text):
     assert _parse_outcome(parse_sequence_text, text) == _parse_outcome(_reference_parse, text)
@@ -856,6 +865,16 @@ def test_parse_well_formed_text_takes_the_array_path():
     assert w == _reference_parse(text) and w.elements == (0, 7, 19, 10 ** 18 - 1)
     assert w.array.dtype == np.int64 and w.array.tolist() == list(w.elements)
     assert intsets._parse_well_formed("!horizon 4\n") == Window((), 4)
+
+
+@pytest.mark.parametrize("zeros", [False, True])
+def test_parse_reads_every_line_length_in_words(zeros):
+    # 1 to 18 digits, so 1, 2 and 3 words and every mask, each line also
+    # zero-padded to 18 digits, which puts the leading zeros in other words.
+    values = [int(("918273645" * 2)[:k]) for k in range(1, 19)]
+    text = f"!horizon {10 ** 18}\n" + "".join(f"{v:018d}\n" if zeros else f"{v}\n" for v in values)
+    w = intsets._parse_well_formed(text)
+    assert w is not None and w.elements == tuple(values) == _reference_parse(text).elements
 
 
 @pytest.mark.parametrize(
@@ -1033,6 +1052,15 @@ def _fork_window(elems, base, slack):
 @example(list(range(0, 40)) + list(range(100, 200)), 0, 7, 12, 150, 100)
 @example([0, 2, 4], 2 ** 62 - 3000, 0, 3, 2, 1)
 @example([0, 1, 2, 5, 9, 10, 11], 0, 2 ** 63, 2, 1, 3)  # small elements, object arrays
+# Banach density: no element is an admissible start (the last start, 1198, is below them all) ...
+@example([1199, 1200], 0, 0, 1, 0, 3)
+@example([1199, 1200], 2 ** 63, 0, 1, 0, 3)
+# ... the last admissible start, 96, beats every element start ...
+@example([0, 97, 98, 99, 100], 0, 0, 1, 0, 5)
+@example([0, 97, 98, 99, 100], 2 ** 62 - 3000, 0, 1, 0, 5)
+# ... and n >> L.
+@example([x for x in range(3000) if x % 3], 0, 7, 1, 0, 4)
+@example([x for x in range(3000) if x % 3], 2 ** 63, 7, 1, 0, 4)
 @settings(max_examples=300, deadline=None)
 def test_classifiers_match_the_python_scans(elems, base, slack, gap, extra, length):
     w = _fork_window(elems, base, slack)

@@ -4,6 +4,7 @@ from __future__ import annotations
 import cmath
 import gc
 import math
+import random
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -249,6 +250,42 @@ def test_missing_residues_match_a_set_scan_for_every_period(elems, kind, max_per
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(recurrence, "_BATCH_ELEMENTS", batch)
         assert _missing_residues(np.array(elements, dtype=dtype), max_period) == want
+
+
+def _per_period_missing(elements: list, max_period: int) -> list:
+    # One bincount of the whole array per period: the least class it misses, or None.
+    out = []
+    for p in range(1, max_period + 1):
+        hit = np.bincount(np.array([e % p for e in elements], dtype=np.int64), minlength=p) > 0
+        out.append(None if hit.all() else int(np.argmin(hit)))
+    return out
+
+
+@given(
+    st.integers(1, 30),
+    st.tuples(st.integers(1, 60), st.integers(0, 59)),
+    st.integers(0, 3000),
+    st.sampled_from([(0, np.int64), (0, object), (2 ** 62 - 10 ** 5, np.int64), (2 ** 64 + 3, object)]),
+    st.sampled_from([2 ** 16, 1, 12, 60]),
+    st.randoms(use_true_random=False),
+)
+@example(12, (2, 0), 3000, (0, np.int64), 2 ** 16, random.Random(0))  # odds: every even m is open
+@example(12, (7, 0), 3000, (0, np.int64), 2 ** 16, random.Random(0))
+@example(30, (29, 5), 3000, (2 ** 64 + 3, object), 2 ** 16, random.Random(1))
+@example(30, (1, 0), 3000, (0, object), 1, random.Random(2))  # a block per period
+@settings(max_examples=60, deadline=None)
+def test_uncovered_periods_recount_as_per_period_bincounts(max_period, skipped, size, kind, cap, rnd):
+    # Arrays longer than the 16·max_period prefix, most of them missing one
+    # class r mod m (none for m = 1): the periods the prefix leaves open are
+    # recounted in blocks of lcm at most the cap (2^16, or small ones that
+    # split them).
+    (m, r), (base, dtype) = skipped, kind
+    span = range(base, base + 2 * size + 10)
+    elements = sorted(x for x in rnd.sample(span, min(size, len(span))) if m == 1 or x % m != r % m)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(recurrence, "_RECOUNT_MODULUS_CAP", cap)
+        got = _missing_residues(np.array(elements, dtype=dtype), max_period)
+    assert got == _per_period_missing(elements, max_period)
 
 
 @given(st.lists(st.integers(0, 2000), min_size=0, max_size=150, unique=True), st.integers(1, 20))
@@ -734,9 +771,38 @@ def test_crosscheck_cap_bounds_the_horizon(monkeypatch):
     with pytest.raises(ValueError, match="30000000 exceeds the 1000000 cap"):
         crosscheck_cyclic_equivalence(Window((50, 77), 30_000_000), 2, range(-1, 2))
     monkeypatch.setattr(recurrence, "_CROSSCHECK_HORIZON_CAP", 400)
-    assert crosscheck_cyclic_equivalence(Window((50, 77), 400), 2, range(-1, 2)).holds
+    # Horizon 397 builds windows up to 397 + 1 + 2 = 400, the cap itself.
+    assert crosscheck_cyclic_equivalence(Window((50, 77), 397), 2, range(-1, 2)).holds
     with pytest.raises(ValueError, match="401 exceeds the 400 cap"):
         crosscheck_cyclic_equivalence(Window((50, 77), 401), 2, range(-1, 2))
+
+
+@pytest.mark.parametrize("shift, refused", [(13, False), (14, True), (-5 - 10 ** 9, False)])
+def test_crosscheck_cap_bounds_the_comparison_windows(monkeypatch, shift, refused):
+    # The windows reach ext = horizon + max(largest shift, 0) + max_period:
+    # 980 + 13 + 7 = 1000 is the cap and passes, one more is refused, and
+    # shifts below 0 add nothing.
+    monkeypatch.setattr(recurrence, "_CROSSCHECK_HORIZON_CAP", 1000)
+    _comparison_windows.cache_clear()
+    w = Window(tuple(range(100, 981, 3)), 980)
+    if refused:
+        with pytest.raises(ValueError, match=r"= 980 \+ 14 \+ 7 = 1001, past the 1000 cap"):
+            crosscheck_cyclic_equivalence(w, 7, [-2, shift])
+        assert _comparison_windows.cache_info().currsize == 0  # refused before any window is built
+    else:
+        crosscheck_cyclic_equivalence(w, 7, [-2, shift])
+
+
+def test_crosscheck_refuses_a_far_shift_before_building_windows():
+    # A horizon far below the cap, but a shift that takes the windows past it.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"= 10 \+ 2000000 \+ 3 = 2000013, past the 1000000 cap"):
+            crosscheck_cyclic_equivalence(Window((5,), 10), 3, [2_000_000])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_crosscheck_rejects_max_period_below_one():
