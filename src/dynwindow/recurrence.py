@@ -253,9 +253,11 @@ def r_sequence_metric(a: Window, sys, eps: float, start_grid_resolution: float) 
     orbit along a is eps-dense.  Otherwise reports the best start (the first
     with the most cells hit) and its first empty cell.  The report is a
     claim about this window and eps only.  Orbits are evaluated over the
-    whole window at once (``sys.along``), with the same doubles and the same
-    rounding as ``orbit_at`` and the same cells as ``cell_of``: the first
-    start alone, then the other starts as one array, split at
+    whole window at once (``sys.along``): on a float torus they are the
+    exact orbits of the doubles the system holds, as integer numerators, and
+    each state's cell is its exact floor (``cell_of`` on a rounded
+    ``orbit_at`` state may differ at a cell edge).  The first start is
+    evaluated alone, then the other starts as one array, split at
     ``_BATCH_ELEMENTS`` states.  A batch's cells are counted in one
     bincount when they are few against the window, and sorted per start
     otherwise (``_coverage``).  Exact rational rotations skip the
@@ -304,9 +306,10 @@ def birkhoff_window_test(a: Window, sys, eps: float, start_grid_resolution: floa
     Starts come from the system's start set (all states of a finite system,
     the grid of a torus), first witness (start, n) wins.  Element 0 of the
     window is ignored (trivial return).  eps <= 0 raises ValueError.  Return
-    distances are evaluated as arrays (``sys.along``) with the same doubles
-    and rounding as ``orbit_at`` and ``distance``, for the first start
-    alone, then for the other starts as one batch (split at
+    distances are evaluated as arrays (``sys.along``); on a float torus they
+    are exact integer numerators, compared with eps exactly
+    (``orbits.limit``) and reported rounded once.  The first start is read
+    alone, then the other starts as one batch (split at
     ``_BATCH_ELEMENTS`` states), in slices of the window that grow four
     times in length, so an early return at index i costs O(i).  After a
     slice, only starts before the earliest one that returned stay in the
@@ -326,33 +329,31 @@ def birkhoff_window_test(a: Window, sys, eps: float, start_grid_resolution: floa
     closest = None  # (distance, start, n)
     for batch in _start_batches(starts, len(a)):
         rows, witness = len(batch), None  # rows: the starts still in play
-        least = np.full(rows, np.inf)  # per row: the closest return so far, and its index
-        where = np.zeros(rows, dtype=np.intp)
+        least = None  # (distance, row, time) of the closest return so far
         lo, hi = first, first + _FIRST_SLICE
         while lo < len(a) and rows:
             d = orbits.distances(batch[:rows], lo, hi)
-            near = d < eps
+            near = d < orbits.limit(eps)
             back = np.flatnonzero(near.any(axis=1))
             if back.size:
                 rows = int(back[0])
                 j = int(np.argmax(near[rows]))
-                witness = (batch[rows], int(a.array[lo + j]), float(d[rows, j]))
+                witness = (batch[rows], int(a.array[lo + j]), orbits.value(d[rows, j]))
             elif witness is None:
                 j = np.argmin(d, axis=1)
-                dmin = d[np.arange(rows), j]
-                closer = dmin < least
-                least[closer], where[closer] = dmin[closer], lo + j[closer]
+                i = int(np.argmin(d[np.arange(rows), j]))
+                if least is None or (orbits.value(d[i, j[i]]), i) < least[:2]:
+                    least = (orbits.value(d[i, j[i]]), i, int(a.array[lo + j[i]]))
             lo, hi = hi, 5 * hi - 4 * lo
         if witness is not None:
             start, n, dist = witness
-            return Verdict.hold((start, n), note=f"T^{n} returns within {dist:.3g} < {eps}")
-        i = int(np.argmin(least))
-        if least[i] < np.inf and (closest is None or least[i] < closest[0]):
-            closest = (float(least[i]), batch[i], int(a.array[where[i]]))
+            return Verdict.hold((start, n), note=f"T^{n} returns within {float(dist):.3g} < {eps}")
+        if least is not None and (closest is None or least[0] < closest[0]):
+            closest = (least[0], batch[least[1]], least[2])
     if closest is None:
         return Verdict.fail(min(a.horizon, 0), note="window has no positive elements")
     d, start, n = closest
-    return Verdict.fail((start, n), note=f"closest return distance {d:.3g} >= eps = {eps}")
+    return Verdict.fail((start, n), note=f"closest return distance {float(d):.3g} >= eps = {eps}")
 
 
 def shift_family_test(a: Window, shifts: Iterable[int], tester: Callable) -> Verdict:

@@ -1,11 +1,11 @@
 """Catalog of concrete dynamical systems with exact or high-precision dynamics.
 
 Finite systems (cycles, truncated odometers) are exact.  Metric systems
-(torus rotations, the skew product (x, y) -> (x + a, y + x)) run in double
-precision, with integer-times-angle products reduced mod 1 exactly so closed
-forms do not lose accuracy at large times; rotations with exact rational
-angles run in Fraction arithmetic.  Every system is an immutable value
-object; all operations are pure.
+(torus rotations, the skew product (x, y) -> (x + a, y + x)) hold doubles,
+which are dyadic rationals: ``along`` computes their orbits exactly, while
+``orbit_at``, ``step`` and ``cell_of`` round each state to a double and may
+differ from it at a cell edge.  Exact rational rotations run in Fraction
+arithmetic.  Every system is an immutable value object; all operations are pure.
 
 Every system answers one protocol: ``step``, ``orbit_at``, ``along``,
 ``cover``, ``distance``, ``starts``, ``rational_structure`` and
@@ -18,17 +18,13 @@ share ``TorusSystem``; ``ProductSystem`` answers componentwise.
 
 ``along(a)`` evaluates orbits over a whole window at once, for a batch of
 starts: ``cells(starts, cover)`` and ``distances(starts, lo, hi)`` answer
-one row per start.  On a float torus the start-free phases
-``m * angle mod 1`` are numpy arrays computed once per window with the same
-doubles and the same single rounding as ``orbit_at``; the start coordinates,
-as a column, are added to them, reduced mod 1 as ``x - floor(x)`` (bit for
-bit ``np.remainder(x, 1.0)``) and turned into cells and distances in a few
-array operations, so every state, cell and distance equals the per-state
-one bit for bit.  Systems whose orbits repeat (cycles, odometers, exact
-rational rotations) evaluate ``orbit_at`` once per start and distinct
-residue of the time.  ``orbit_at`` and ``step`` stay per state:
-``return_times`` reads one of them, and both are the reference the window
-form is tested against.
+one row per start; ``limit(eps)`` and ``value(d)`` read a distance against
+eps and as a number.  On a float torus a state is an exact numerator over
+2^64 in wrapping uint64: a start column plus the start-free phase
+``n * angle``, computed once per window; its cell is floor(s·k / 2^64).
+Systems whose orbits repeat (cycles, odometers, exact rational rotations)
+evaluate ``orbit_at`` once per start and distinct residue of the time.
+``orbit_at`` and ``step`` stay per state: ``return_times`` reads one of them.
 """
 from __future__ import annotations
 
@@ -102,79 +98,96 @@ def _angle(a) -> float:
     return _mod1(a)
 
 
-def _mod1_array(x: np.ndarray) -> np.ndarray:
-    # x - floor(x) is np.remainder(x, 1.0) bit for bit on finite doubles: both
-    # round the same exact value once (exactly, by Sterbenz, for x >= 1).
-    y = np.floor(x)
-    np.subtract(x, y, out=y)
-    y[y >= 1.0] = 0.0
-    return y
+def _numerator(x: float, den: int) -> int:
+    # x mod 1 over den, which x's denominator divides.
+    num, d = float(x).as_integer_ratio()
+    return num * (den // d) % den
 
 
-def _mult_angle_mod1_array(
-    times: np.ndarray, u64: Optional[np.ndarray], x: float, tri: bool = False
-) -> np.ndarray:
-    """mult_angle_mod1(m, x) for m = n in times, or m = n(n-1)/2 with ``tri``.
+def _wrap(x: np.ndarray, den: int) -> np.ndarray:
+    # uint64 numerators wrap mod 2^64 = den by themselves; Python ints are reduced.
+    return x % den if x.dtype == object else x
 
-    ``u64`` holds the times as uint64, or is None when one reaches 2^64.  A
-    double x is num / 2^e; for e <= 64, (m * num) mod 2^e depends only on
-    m mod 2^64, so wrapping uint64 products are exact, and the conversion to
-    float64 is the one correctly rounded step, as in the scalar form.
+
+def _phase_numerators(times: np.ndarray, x: float, den: int, tri: bool = False) -> np.ndarray:
+    """m * x mod 1 over den, for m = n in times, or m = n(n-1)/2 with ``tri``.
+
+    uint64 times (den = 2^64) wrap mod 2^64, that is mod 1, and n(n-1)/2
+    halves its even factor first; ``object`` times reduce mod den.
     """
-    num, den = float(x).as_integer_ratio()
-    if u64 is None or den > 2 ** 64:
-        ms = [n * (n - 1) // 2 if tri else n for n in times.tolist()]  # Python ints: no wrap
-        return np.array([mult_angle_mod1(m, x) for m in ms], dtype=np.float64)
+    num = _numerator(x, den)
+    if times.dtype == object:
+        return (times * (times - 1) // 2 if tri else times) * num % den
     if tri:
-        u64 = np.where(u64 & 1, u64 * (u64 >> 1), (u64 >> 1) * (u64 - 1))
-    r = (u64 * np.uint64(num % 2 ** 64)) & np.uint64(den - 1)
-    return r.astype(np.float64) / float(den)
+        times = np.where(times & 1, times * (times >> 1), (times >> 1) * (times - 1))
+    return times * np.uint64(num)
 
 
 class _TorusOrbits:
-    """T^n(start) for the times n of one window on a float torus, as arrays.
+    """T^n(start) for the times n of one window on a float torus, as exact numerators over ``den``.
 
-    Every answer is for a batch of starts: one row per start, one column per
-    time.  The start-free phases are computed once per slice of the window
-    and shared by every row.  Slices are keyed by their bounds, so a caller
-    that walks the window in growing prefixes pays only for what it reads.
+    ``den`` is 2^64 (wrapping uint64) unless an angle or start needs a wider
+    one or a time reaches 2^64 (``object`` arrays of Python ints); a start
+    that needs one widens it for the whole window.  Every answer is for a
+    batch of starts: one row per start, one column per time.  The start-free
+    phases are computed once per slice of the window and shared by every
+    row.  Slices are keyed by their bounds, so a caller that walks the
+    window in growing prefixes pays only for what it reads.
     """
 
     def __init__(self, sys: "TorusSystem", a: Window):
-        self.sys, self.times, self._slices = sys, a.array, {}
-        # The times as uint64 once per window; a time past 2^64 takes Python ints.
-        self._u64 = a.array.astype(np.uint64) if not len(a) or int(a.array[-1]) < 2 ** 64 else None
+        self.sys, self.times, self._slices, self._last = sys, a.array, {}, (None, None)
+        # Doubles are dyadic: the lcm of 2^64 and their denominators is 2^64 or a wider power of 2.
+        self.den = math.lcm(2 ** 64, *(v.as_integer_ratio()[1] for v in sys._angles))
+        fits = self.den == 2 ** 64 and (not len(a) or int(a.array[-1]) < 2 ** 64)
+        self._times = a.array.astype(np.uint64 if fits else object)
 
     def _columns(self, starts: Sequence) -> np.ndarray:
-        # The start coordinates, one row per start.
-        return np.array([self.sys._coords(s) for s in starts], dtype=np.float64)
+        # The start coordinates as numerators, one row per start; the last batch's are kept.
+        if self._last[0] != tuple(starts):
+            coords = [self.sys._coords(s) for s in starts]
+            x = np.array(coords, dtype=np.float64)
+            scaled = x * 2.0 ** 64  # exact: a power of 2
+            if self._times.dtype == np.uint64 and ((x >= 0) & (x < 1) & (scaled == np.floor(scaled))).all():
+                columns = scaled.astype(np.uint64)  # every coordinate a multiple of 2^-64 in [0, 1)
+            else:
+                den = math.lcm(self.den, *(float(c).as_integer_ratio()[1] for row in coords for c in row))
+                if den != self.den:
+                    self.den, self._times, self._slices = den, self._times.astype(object), {}
+                columns = np.array([[_numerator(c, den) for c in row] for row in coords], dtype=self._times.dtype)
+            self._last = tuple(starts), columns
+        return self._last[1]
 
-    def _along(self, columns: np.ndarray, lo: int, hi: int) -> list:
+    def _moves(self, columns: np.ndarray, lo: int, hi: int) -> list:
+        # T^n(start) - start per coordinate, as numerators.
         if (lo, hi) not in self._slices:
-            times, u64 = self.times[lo:hi], None if self._u64 is None else self._u64[lo:hi]
-            self._slices[lo, hi] = times, u64, self.sys._phases(times, u64)
-        return self.sys._coords_along(columns, *self._slices[lo, hi])
+            times = self._times[lo:hi]
+            self._slices[lo, hi] = times, self.sys._phases(times, self.den)
+        return self.sys._moves(columns, *self._slices[lo, hi], self.den)
 
-    def coords(self, starts: Sequence, lo: int, hi: int) -> list:
-        """One float64 array per coordinate, of shape (len(starts), len(times[lo:hi])): the states."""
-        return self._along(self._columns(starts), lo, hi)
+    def states(self, starts: Sequence, lo: int, hi: int) -> list:
+        """One numerator array over ``den`` per coordinate, of shape (len(starts), len(times[lo:hi])): the states."""
+        columns = self._columns(starts)
+        return [_wrap(columns[:, j : j + 1] + m, self.den) for j, m in enumerate(self._moves(columns, lo, hi))]
 
     def cells(self, starts: Sequence, cover: "TorusCover") -> np.ndarray:
-        return cover.flat_ids(self.coords(starts, 0, len(self.times)))
+        return cover.flat_ids(self.states(starts, 0, len(self.times)), self.den)
 
     def distances(self, starts: Sequence, lo: int, hi: int) -> np.ndarray:
-        """distance(T^n(start), start) for each start and each time n in times[lo:hi].
+        """distance(T^n(start), start) over ``den`` for each start and time n in times[lo:hi]: min(d, -d) of each move d."""
+        gaps = [np.minimum(m, _wrap(-m, self.den)) for m in self._moves(self._columns(starts), lo, hi)]
+        d = reduce(np.maximum, gaps)
+        return d if d.ndim == 2 else np.repeat(d[None], len(starts), axis=0)
 
-        Every start coordinate lies in [0, 1), as in ``TorusSystem.starts``,
-        and so does every orbit coordinate: each gap |x - c| is below 1, and
-        its reduction mod 1 in ``distance`` leaves it as it is.
-        """
-        columns = self._columns(starts)
-        gaps = []
-        for j, x in enumerate(self._along(columns, lo, hi)):
-            g = np.abs(x - columns[:, j : j + 1])
-            gaps.append(np.minimum(g, 1.0 - g))
-        return reduce(np.maximum, gaps)
+    def limit(self, eps: float) -> int:
+        """The least numerator of a distance that is not below eps: d < limit iff d / den < eps."""
+        if eps > 0.5:  # every distance is at most 1/2; eps may be inf
+            return self.den // 2 + 1
+        num, den = float(eps).as_integer_ratio()
+        return -(-num * self.den // den)
+
+    def value(self, d) -> Fraction:
+        return Fraction(int(d), self.den)
 
 
 class _PeriodicOrbits:
@@ -211,6 +224,12 @@ class _PeriodicOrbits:
             states, index = self._states(start, lo, hi)
             rows.append(np.array([self.sys.distance(s, start) for s in states], dtype=np.float64)[index])
         return np.stack(rows)
+
+    def limit(self, eps: float) -> float:
+        return eps  # distances are floats
+
+    def value(self, d) -> Fraction:
+        return Fraction(float(d))
 
 
 class FiniteSystem:
@@ -343,9 +362,9 @@ class TorusSystem:
         return TorusCover(self, self.dimension, max(1, math.ceil(1.0 / eps)), eps)
 
     def distance(self, s1, s2) -> float:
-        """Max circular distance over the coordinates."""
-        gaps = [abs(float(a) - float(b)) % 1.0 for a, b in zip(self._coords(s1), self._coords(s2))]
-        return max(min(d, 1.0 - d) for d in gaps)
+        """Max circular distance over the coordinates, exact, then rounded once."""
+        gaps = [(Fraction(a) - Fraction(b)) % 1 for a, b in zip(self._coords(s1), self._coords(s2))]
+        return float(max(min(d, 1 - d) for d in gaps))
 
     def starts(self, resolution: float) -> list:
         if not resolution > 0:
@@ -428,11 +447,13 @@ class RotationSystem(TorusSystem):
             return _PeriodicOrbits(self, a, self.rational_period)
         return _TorusOrbits(self, a)
 
-    def _phases(self, times, u64) -> list:
-        return [_mult_angle_mod1_array(times, u64, a) for a in self.angles]
+    _angles = property(lambda self: self.angles)
 
-    def _coords_along(self, columns: np.ndarray, times, u64, phases) -> list:
-        return [_mod1_array(columns[:, j : j + 1] + p) for j, p in enumerate(phases)]
+    def _phases(self, times, den: int) -> list:
+        return [_phase_numerators(times, a, den) for a in self.angles]
+
+    def _moves(self, columns: np.ndarray, times, phases, den: int) -> list:
+        return phases
 
     def rational_structure(self) -> tuple[Optional[int], bool, bool]:
         # Float angles: no rational factor, asserted under the irrationality caveat.
@@ -471,17 +492,14 @@ class SkewProductSystem(TorusSystem):
         ny = _mod1(y + mult_angle_mod1(n, x) + mult_angle_mod1(n * (n - 1) // 2, self.angle))
         return (nx, ny)
 
-    def _phases(self, times, u64) -> list:
-        return [
-            _mult_angle_mod1_array(times, u64, self.angle),
-            _mult_angle_mod1_array(times, u64, self.angle, tri=True),
-        ]
+    _angles = property(lambda self: (self.angle,))
 
-    def _coords_along(self, columns: np.ndarray, times, u64, phases) -> list:
-        # n x mod 1 depends on the start: one row per start.
-        x, y = columns[:, :1], columns[:, 1:]
-        nx = np.array([_mult_angle_mod1_array(times, u64, float(v)) for v in x[:, 0]], dtype=np.float64)
-        return [_mod1_array(x + phases[0]), _mod1_array(y + nx + phases[1])]
+    def _phases(self, times, den: int) -> list:
+        return [_phase_numerators(times, self.angle, den), _phase_numerators(times, self.angle, den, tri=True)]
+
+    def _moves(self, columns: np.ndarray, times, phases, den: int) -> list:
+        # n x depends on the start's x only: one row per start.
+        return [phases[0], _wrap(columns[:, :1] * times + phases[1], den)]
 
     def rational_structure(self) -> tuple[Optional[int], bool, bool]:
         # A rational angle leaves orbit closures finitely many circles: not minimal.
@@ -608,18 +626,19 @@ class TorusCover:
         """flat_id(cell_of(s)) for each state; int64, or Python ints past 2^62 cells."""
         return _id_array([self.flat_id(self.cell_of(s)) for s in states], self.cell_count())
 
-    def flat_ids(self, coords: Sequence[np.ndarray]) -> np.ndarray:
-        """ids_of for states given as float64 coordinate arrays of any one shape, clamped like cell_of."""
-        shape = coords[0].shape
-        if self.cell_count() > _FLAT_ID_CAP:
-            return self.ids_of(zip(*(x.ravel().tolist() for x in coords))).reshape(shape)
-        ids = np.zeros(shape, dtype=np.int64)
-        for x in coords:
-            product = x * float(self.k)
-            cells = product.astype(np.int64)
-            for i in np.flatnonzero(np.trunc(product) == product).tolist():  # as in _coord_cell
-                cells.flat[i] = self._exact_cell(float(x.flat[i]))
-            ids = ids * self.k + np.clip(cells, 0, self.k - 1)
+    def flat_ids(self, coords: Sequence[np.ndarray], den: int) -> np.ndarray:
+        """ids_of for states given as numerator arrays over den (uint64 for 2^64, else Python ints) of any one shape.
+
+        A coordinate s is in cell floor(s·k / den): for uint64 and k < 2^32,
+        (hi·k + (lo·k >> 32)) >> 32 on the 32-bit halves of s, where no product wraps.
+        """
+        ids, dtype, k = None, np.int64 if self.cell_count() <= _FLAT_ID_CAP else object, np.uint64(self.k)
+        for s in coords:
+            if s.dtype == object or self.k >= 2 ** 32 or dtype is object:
+                cells = (s.astype(object) * self.k // den).astype(dtype)
+            else:
+                cells = (((s >> 32) * k + ((s & 0xFFFFFFFF) * k >> 32)) >> 32).view(np.int64)
+            ids = cells if ids is None else ids * self.k + cells
         return ids
 
     def cell_count(self) -> int:

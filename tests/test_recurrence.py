@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import exact_reference
 from conftest import evens, interval, multiples, odds, squares
 from dynwindow import (
     GOLDEN,
@@ -23,6 +24,7 @@ from dynwindow import (
     ProductSystem,
     RotationSystem,
     SkewProductSystem,
+    Status,
     Verdict,
     Window,
     banach_density_estimate,
@@ -365,6 +367,18 @@ def test_metric_squares_golden_dense():
     assert report.verdict.holds
 
 
+@pytest.mark.parametrize("angle, start, hit, empty", [(0.3, (0.0, 0.0), 11, (0, 1)), (1 / 3, (0.25, 0.0), 7, (0, 0))])
+def test_metric_skew_counts_the_cells_of_the_exact_orbit(angle, start, hit, empty):
+    # Float state sums put some states across a cell edge (from (0.5, 0.0)
+    # under 0.3, x at time 2 is 0.09999999999999998, cell 1, but 0.5 + 0.6
+    # rounds to 0.10000000000000009, cell 2), which made the best starts
+    # (0.5, 0.0) with 13/400 and (0.25, 0.25) with 9/400 cells.
+    sys = SkewProductSystem(angle)
+    report = r_sequence_metric(evens(1000), sys, 0.05, 0.25)
+    assert report.per_system == {str(start): {"cells_hit": hit, "cells": 400, "empty_cell": empty}}
+    assert report.to_json() == _exact_metric(evens(1000), sys, 0.05, 0.25)
+
+
 def test_metric_budget_inconclusive():
     w = Window((10 ** 16,), 10 ** 16)
     report = r_sequence_metric(w, RotationSystem.from_angle(GOLDEN), 0.05, 1.0)
@@ -396,6 +410,22 @@ def test_birkhoff_ip_window_on_rotation():
     assert v.holds
     start, n = v.witness
     assert n in w
+
+
+def test_birkhoff_compares_the_exact_distance_with_eps():
+    # rot:0.25 returns at distance exactly 1/4 at time 1: not below eps = 0.25,
+    # below the next double up.
+    rot, w = RotationSystem.from_angle(0.25), Window((1,), 1)
+    assert birkhoff_window_test(w, rot, 0.25) == Verdict.fail((0.0, 1), note="closest return distance 0.25 >= eps = 0.25")
+    eps = math.nextafter(0.25, 1)
+    assert birkhoff_window_test(w, rot, eps) == Verdict.hold((0.0, 1), note=f"T^1 returns within 0.25 < {eps}")
+    # 3 * 0.1 is exactly halfway between the doubles 0.3 and 0.30000000000000004,
+    # so it is below the upper one, although it rounds to it.
+    rot, w = RotationSystem.from_angle(0.1), Window((3,), 3)
+    assert 3 * Fraction(0.1) < Fraction(0.30000000000000004) and float(3 * Fraction(0.1)) == 0.30000000000000004
+    assert birkhoff_window_test(w, rot, 0.30000000000000004).holds
+    assert birkhoff_window_test(w, rot, 0.3).fails
+    assert birkhoff_window_test(w, rot, math.inf).holds  # past 1/2, every distance is below eps
 
 
 @pytest.mark.parametrize("eps", [0.0, -1.0])
@@ -940,62 +970,20 @@ def test_birkhoff_exact_rotation_returns_exactly(base):
     assert "within 0 <" in v.note
 
 
-# -- window-at-once engine vs the per-state loops ------------------------------------
+# -- window-at-once engine vs the exact reference ------------------------------------
 #
-# Copies of the per-state loops that r_sequence_metric and birkhoff_window_test
-# ran before orbits were evaluated a window at a time.  The reports must
-# stay equal, byte for byte.
+# tests/exact_reference.py restates both window tests from the definitions,
+# in Fraction arithmetic on the exact orbits of the doubles a system holds.
+# The engine's reports must equal them, byte for byte.
 
 
-def _per_state_r_sequence_metric(a, sys, eps, start_grid_resolution):
-    family = f"{sys.spec_string()} eps={eps}"
-    cover = sys.cover(eps)
-    starts = sys.starts(start_grid_resolution)
-    note = recurrence._metric_budget_note(a, sys, eps)
-    if note is not None:
-        return recurrence.RSequenceReport(family, recurrence.Verdict.undecided(note=note), {})
-    total = cover.cell_count()
-    window_desc = f"{len(a)} elements on [0, {a.horizon}], eps={eps}"
-    best = None
-    for start in starts:
-        cells = {cover.cell_of(sys.orbit_at(start, n)) for n in a.elements}
-        if len(cells) == total:
-            detail = {str(start): {"cells_hit": total, "cells": total}}
-            return recurrence.RSequenceReport(
-                family,
-                recurrence.Verdict.hold(start, note=f"orbit of {start} along {window_desc} is dense"),
-                detail,
-            )
-        if best is None or len(cells) > best[0]:
-            empty = next(c for c in map(cover.cell_at, range(total)) if c not in cells)
-            best = (len(cells), start, empty)
-    hit, start, empty = best
-    detail = {str(start): {"cells_hit": hit, "cells": total, "empty_cell": empty}}
-    verdict = recurrence.Verdict.fail(
-        empty,
-        note=f"best start {start} hits {hit}/{total} cells along {window_desc}; cell {empty} stays empty",
-    )
-    return recurrence.RSequenceReport(family, verdict, detail)
+def _exact_metric(a, sys, eps, start_grid_resolution):
+    return exact_reference.r_sequence_metric(a.array.tolist(), a.horizon, sys, eps, start_grid_resolution)
 
 
-def _per_state_birkhoff(a, sys, eps, start_grid_resolution=1.0):
-    note = recurrence._metric_budget_note(a, sys, eps)
-    if note is not None:
-        return recurrence.Verdict.undecided(note=note)
-    closest = None
-    for start in sys.starts(start_grid_resolution):
-        for n in a.elements:
-            if n == 0:
-                continue
-            d = sys.distance(sys.orbit_at(start, n), start)
-            if d < eps:
-                return recurrence.Verdict.hold((start, n), note=f"T^{n} returns within {d:.3g} < {eps}")
-            if closest is None or d < closest[0]:
-                closest = (d, start, n)
-    if closest is None:
-        return recurrence.Verdict.fail(min(a.horizon, 0), note="window has no positive elements")
-    d, start, n = closest
-    return recurrence.Verdict.fail((start, n), note=f"closest return distance {d:.3g} >= eps = {eps}")
+def _exact_birkhoff(a, sys, eps, start_grid_resolution=1.0):
+    status, witness, note = exact_reference.birkhoff(a.array.tolist(), a.horizon, sys, eps, start_grid_resolution)
+    return Verdict(Status(status), witness, note)
 
 
 METRIC_SYSTEMS = [
@@ -1006,6 +994,10 @@ METRIC_SYSTEMS = [
     SkewProductSystem(0.3),
     RotationSystem.from_rationals(Fraction(2, 7)),
     RotationSystem.from_rationals(Fraction(1, 3), Fraction(2, 5)),
+    # Angles whose exact states land on cell edges.
+    RotationSystem.from_angle(0.25),
+    RotationSystem((0.5, 0.3)),
+    SkewProductSystem(0.25),
 ]
 
 
@@ -1029,25 +1021,25 @@ def metric_windows(draw):
 )
 @settings(max_examples=200, deadline=None)
 def test_metric_engine_matches_per_state_loops(sys, w, eps, grid):
-    expected = _per_state_r_sequence_metric(w, sys, eps, grid)
-    assert r_sequence_metric(w, sys, eps, grid).to_json() == expected.to_json()
-    assert birkhoff_window_test(w, sys, eps, grid) == _per_state_birkhoff(w, sys, eps, grid)
+    expected = _exact_metric(w, sys, eps, grid)
+    assert r_sequence_metric(w, sys, eps, grid).to_json() == expected
+    assert birkhoff_window_test(w, sys, eps, grid) == _exact_birkhoff(w, sys, eps, grid)
 
 
 @pytest.mark.parametrize("sys", METRIC_SYSTEMS, ids=lambda v: v.spec_string())
 def test_metric_engine_on_empty_and_zero_windows(sys):
     for w in (Window((), 0), Window((), 9), Window((0,), 0), Window((0, 5), 6)):
         for eps in (0.6, 0.05):
-            expected = _per_state_r_sequence_metric(w, sys, eps, 0.5)
-            assert r_sequence_metric(w, sys, eps, 0.5).to_json() == expected.to_json()
-            assert birkhoff_window_test(w, sys, eps, 0.5) == _per_state_birkhoff(w, sys, eps, 0.5)
+            expected = _exact_metric(w, sys, eps, 0.5)
+            assert r_sequence_metric(w, sys, eps, 0.5).to_json() == expected
+            assert birkhoff_window_test(w, sys, eps, 0.5) == _exact_birkhoff(w, sys, eps, 0.5)
 
 
 @pytest.mark.parametrize("sys", [CyclicSystem(5), OdometerSystem(2, 3)], ids=lambda v: v.spec_string())
 @pytest.mark.parametrize("eps", [0.5, 1.5])
 def test_finite_birkhoff_matches_per_state_loop(sys, eps):
     for w in (odds(101), multiples(8, 200), Window((), 0), Window((0,), 3), Window((0, 3, 2 ** 70), 2 ** 70)):
-        assert birkhoff_window_test(w, sys, eps) == _per_state_birkhoff(w, sys, eps)
+        assert birkhoff_window_test(w, sys, eps) == _exact_birkhoff(w, sys, eps)
 
 
 def test_birkhoff_late_return_crosses_slices():
@@ -1057,7 +1049,7 @@ def test_birkhoff_late_return_crosses_slices():
     w = Window(tuple(range(1, 400)), 400)
     for eps in (0.001, 0.0005, 1e-4):
         v = birkhoff_window_test(w, rot, eps, 0.5)
-        assert v == _per_state_birkhoff(w, rot, eps, 0.5)
+        assert v == _exact_birkhoff(w, rot, eps, 0.5)
     assert birkhoff_window_test(w, rot, 0.001, 0.5).witness == (0.0, 377)
 
 
@@ -1071,7 +1063,7 @@ def test_birkhoff_return_at_every_slice_edge(zero):
         times = [7 * i + 1 + i % 6 for i in range(700)]
         times[b] = 7 * b
         w = Window(((0,) if zero else ()) + tuple(times), 7 * 700)
-        expected = _per_state_birkhoff(w, sys, 0.5)
+        expected = _exact_birkhoff(w, sys, 0.5)
         assert expected.witness == (0, 7 * b)
         assert birkhoff_window_test(w, sys, 0.5) == expected
 
@@ -1101,7 +1093,7 @@ def test_birkhoff_ties_and_late_returns_match_every_start_at_every_time(angle, c
         times[i] -= times[i] % q
     w = Window(tuple(times), times[-1])
     eps = 1.5 / q if wide else 0.5 / q
-    expected = _per_state_birkhoff(w, rot, eps, grid)
+    expected = _exact_birkhoff(w, rot, eps, grid)
     assert expected.holds == bool(planted) or wide
     assert birkhoff_window_test(w, rot, eps, grid) == expected
 
@@ -1119,7 +1111,7 @@ def test_birkhoff_long_windows_match_every_start_at_every_time(sys, count, seed,
     # and the skew product: a late return or the closest one.
     times = np.sort(np.random.default_rng(seed).choice(10 ** 7, size=count, replace=False) + 1)
     w = Window(times.tolist(), int(times[-1]))
-    assert birkhoff_window_test(w, sys, eps, 0.5) == _per_state_birkhoff(w, sys, eps, 0.5)
+    assert birkhoff_window_test(w, sys, eps, 0.5) == _exact_birkhoff(w, sys, eps, 0.5)
 
 
 # -- the start grid as batches --------------------------------------------------------
@@ -1136,7 +1128,7 @@ def test_metric_dense_only_from_a_later_start(sys, w, eps, grid, start):
     # The first start fails and the batch of the others holds, at a row past its first.
     report = r_sequence_metric(w, sys, eps, grid)
     assert report.verdict.holds and report.verdict.witness == start != sys.starts(grid)[0]
-    assert report.to_json() == _per_state_r_sequence_metric(w, sys, eps, grid).to_json()
+    assert report.to_json() == _exact_metric(w, sys, eps, grid)
 
 
 def test_metric_tests_break_exact_ties_by_the_first_start():
@@ -1145,10 +1137,10 @@ def test_metric_tests_break_exact_ties_by_the_first_start():
     rot, w = RotationSystem.from_angle(0.5), odds(99)
     report = r_sequence_metric(w, rot, 0.25, 0.25)
     assert report.per_system == {"0.0": {"cells_hit": 1, "cells": 4, "empty_cell": 0}}
-    assert report.to_json() == _per_state_r_sequence_metric(w, rot, 0.25, 0.25).to_json()
+    assert report.to_json() == _exact_metric(w, rot, 0.25, 0.25)
     v = birkhoff_window_test(w, rot, 0.1, 0.25)
     assert v == Verdict.fail((0.0, 1), note="closest return distance 0.5 >= eps = 0.1")
-    assert v == _per_state_birkhoff(w, rot, 0.1, 0.25)
+    assert v == _exact_birkhoff(w, rot, 0.1, 0.25)
 
 
 def test_birkhoff_an_earlier_start_that_returns_later_wins():
@@ -1159,7 +1151,7 @@ def test_birkhoff_an_earlier_start_that_returns_later_wins():
     w = Window((15, 48, 57, 61, 74, 76, 93, 94, 126, 142, 149, 159, 160, 171, 176, 187, 190, 197, 205, 242,
                 257, 280, 282, 295, 301, 306, 320, 329, 333, 348, 353, 369, 370, 376, 382, 384, 389, 408, 411), 600)
     v = birkhoff_window_test(w, skew, 0.05, 0.25)
-    assert v.witness == ((0.5, 0.0), 411) and v == _per_state_birkhoff(w, skew, 0.05, 0.25)
+    assert v.witness == ((0.5, 0.0), 411) and v == _exact_birkhoff(w, skew, 0.05, 0.25)
     assert birkhoff_window_test(w.restrict(410), skew, 0.05, 0.25).witness == ((0.75, 0.0), 301)
 
 
@@ -1177,12 +1169,12 @@ def test_metric_tests_split_large_batches(monkeypatch, cap):
     for sys in METRIC_SYSTEMS + [RotationSystem.from_angle(0.5)]:
         for w in windows:
             for eps, grid in ((0.34, 0.25), (0.1, 0.25), (0.02, 0.5)):
-                expected = _per_state_r_sequence_metric(w, sys, eps, grid)
-                assert r_sequence_metric(w, sys, eps, grid).to_json() == expected.to_json()
-                assert birkhoff_window_test(w, sys, eps, grid) == _per_state_birkhoff(w, sys, eps, grid)
+                expected = _exact_metric(w, sys, eps, grid)
+                assert r_sequence_metric(w, sys, eps, grid).to_json() == expected
+                assert birkhoff_window_test(w, sys, eps, grid) == _exact_birkhoff(w, sys, eps, grid)
     for sys, w, eps, grid, _ in LATER_START_CASES:
-        expected = _per_state_r_sequence_metric(w, sys, eps, grid)
-        assert r_sequence_metric(w, sys, eps, grid).to_json() == expected.to_json()
+        expected = _exact_metric(w, sys, eps, grid)
+        assert r_sequence_metric(w, sys, eps, grid).to_json() == expected
 
 
 def test_metric_huge_cover_reports_without_listing_cells():

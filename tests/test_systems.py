@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import exact_reference as ref
 from conftest import squares
 from dynwindow import (
     GOLDEN,
@@ -29,7 +30,7 @@ from dynwindow import (
     orbit_at,
 )
 from dynwindow import systems
-from dynwindow.systems import _coverage, _mod1, _mod1_array
+from dynwindow.systems import _coverage
 
 
 def test_step_examples():
@@ -257,15 +258,23 @@ def test_torus_cover_every_point_in_exactly_one_cell(x, k):
     assert cell * width <= x < (cell + 1) * width or math.isclose(x, (cell + 1) * width)
 
 
+def _numerators(xs, den=2 ** 64):
+    # Doubles in [0, 1) as numerators over den: uint64 over 2^64, Python ints over a wider den.
+    nums = [int(Fraction(x) * den) for x in xs]
+    return np.array(nums, dtype=np.uint64 if den == 2 ** 64 else object)
+
+
 def test_torus_cover_cell_is_the_exact_floor_at_float_cell_edges():
     # x * k can round up onto a cell edge (0.3333333333333333 * 33 == 11.0);
-    # cell_of and the array path flat_ids both take floor(Fraction(x) * k).
+    # cell_of and the array path flat_ids (on numerators, over 2^64 or wider)
+    # both take floor(Fraction(x) * k).
     xs = [0.3333333333333333, 0.6, 0.3, 0.7, 0.1, 0.9, 0.0, 0.5, 1 / 3, 2 / 3, 0.9999999999999999]
     for k in range(1, 41):
         cover = RotationSystem.from_angle(GOLDEN).cover(1.0 / k)
         expected = [min(math.floor(Fraction(x) * cover.k), cover.k - 1) for x in xs]
         assert [cover.cell_of(x) for x in xs] == expected
-        assert cover.flat_ids([np.array(xs)]).tolist() == expected
+        assert cover.flat_ids([_numerators(xs)], 2 ** 64).tolist() == expected
+        assert cover.flat_ids([_numerators(xs, 2 ** 70)], 2 ** 70).tolist() == expected
 
 
 def test_torus_cover_flat_ids_in_two_dimensions_at_float_cell_edges():
@@ -275,15 +284,40 @@ def test_torus_cover_flat_ids_in_two_dimensions_at_float_cell_edges():
     cover = TorusCover(RotationSystem((GOLDEN, 0.3)), 2, 33, 1 / 33)
     xs = [0.3333333333333333, 0.6666666666666666, 0.9090909090909091, 0.9999999999999999, 0.0, 0.5, 1 / 33, 32 / 33]
     pairs = list(itertools.product(xs, repeat=2))
-    x, y = (np.array([p[i] for p in pairs]).reshape(len(xs), len(xs)) for i in (0, 1))
-    ids = cover.flat_ids([x, y])
+    x, y = (_numerators([p[i] for p in pairs]).reshape(len(xs), len(xs)) for i in (0, 1))
+    ids = cover.flat_ids([x, y], 2 ** 64)
     assert ids.shape == (len(xs), len(xs)) and ids.dtype == np.int64
     assert ids.ravel().tolist() == cover.ids_of(pairs).tolist()
     assert ids.ravel().tolist() == [math.floor(Fraction(a) * 33) * 33 + math.floor(Fraction(b) * 33) for a, b in pairs]
-    # Off the torus, each coordinate is clamped into [0, 32] as cell_of clamps it.
+    # Numerators are on the torus by construction; per state, a coordinate
+    # off the torus is clamped into [0, 32].
     off = list(itertools.product([-1.5, -1.0, -0.25, 1.0, 1.25, 0.5], repeat=2))
-    x, y = (np.array([p[i] for p in off]) for i in (0, 1))
-    assert cover.flat_ids([x, y]).tolist() == cover.ids_of(off).tolist()
+    clamp = [min(max(math.floor(Fraction(v) * 33), 0), 32) for v in (-1.5, -1.0, -0.25, 1.0, 1.25, 0.5)]
+    assert cover.ids_of(off).tolist() == [a * 33 + b for a, b in itertools.product(clamp, repeat=2)]
+
+
+@given(st.integers(1, 2 ** 32 - 1), st.data())
+@example(1, None)
+@example(2 ** 32 - 1, None)
+@example(2 ** 31 + 1, None)
+@example(3, None)
+@settings(max_examples=200, deadline=None)
+def test_cell_kernel_is_the_exact_floor_for_every_k_below_two_to_the_32(k, data):
+    # floor(s·k / 2^64) from the 32-bit halves of s equals Python's s*k >> 64
+    # at both ends and on either side of cell edges j/k.
+    cover = TorusCover(RotationSystem.from_angle(GOLDEN), 1, k, 1.0 / k)
+    js = [1, k - 1, k // 2] + ([] if data is None else data.draw(st.lists(st.integers(0, k - 1), max_size=8)))
+    s = {0, 2 ** 64 - 1}
+    for j in js:
+        edge = -(-j * 2 ** 64 // k)
+        s.update(v for v in (edge - 1, edge, edge + 1) if 0 <= v < 2 ** 64)
+    s = sorted(s)
+    assert cover.flat_ids([np.array(s, dtype=np.uint64)], 2 ** 64).tolist() == [v * k >> 64 for v in s]
+    # In two dimensions, past 2^31 cells a side the ids are Python ints.
+    square = TorusCover(RotationSystem((GOLDEN, 0.3)), 2, k, 1.0 / k)
+    ids = square.flat_ids([np.array(s, dtype=np.uint64), np.array(s[::-1], dtype=np.uint64)], 2 ** 64)
+    assert ids.dtype == (object if k * k > 2 ** 62 else np.int64)
+    assert ids.tolist() == [(a * k >> 64) * k + (b * k >> 64) for a, b in zip(s, s[::-1])]
 
 
 def test_eps_dense_on_a_cover_too_large_to_list():
@@ -459,6 +493,12 @@ ALONG_SYSTEMS = [
     SkewProductSystem(0.3),
     RotationSystem.from_rationals(Fraction(2, 7)),
     RotationSystem.from_rationals(Fraction(1, 3), Fraction(2, 5)),
+    # Angles whose exact states land on cell edges.
+    RotationSystem.from_angle(0.5),
+    RotationSystem((0.25, 0.3)),
+    SkewProductSystem(0.25),
+    # An odd numerator over 2^64: n(n-1)/2 must not wrap before it is halved.
+    SkewProductSystem(2.0 ** -12 + 2.0 ** -64),
 ]
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
@@ -478,20 +518,23 @@ def _start(sys, coords):
 )
 @settings(max_examples=150, deadline=None)
 def test_along_matches_per_state_cells_and_distances(sys, coords, times, eps, data):
+    # States, cells and distances are the exact reference's; an exact
+    # rotation's distances are floats, the exact value rounded once.
     start = _start(sys, coords)
     w = Window(tuple(times), times[-1] if times else 0)
     cover, orbits = sys.cover(eps), sys.along(w)
-    states = [sys.orbit_at(start, n) for n in times]
-    assert orbits.cells([start], cover)[0].tolist() == [cover.flat_id(cover.cell_of(s)) for s in states]
+    states = [ref.state(sys, start, n) for n in times]
+    assert orbits.cells([start], cover)[0].tolist() == [ref.flat_id(s, ref.sides(eps)) for s in states]
     lo = data.draw(st.integers(0, len(times)))
     hi = data.draw(st.integers(lo, len(times) + 40))
-    got = orbits.distances([start], lo, hi)[0].tobytes()
-    assert got == np.array([sys.distance(s, start) for s in states[lo:hi]], dtype=np.float64).tobytes()
+    got = [orbits.value(d) for d in orbits.distances([start], lo, hi)[0]]
+    expected = [ref.distance(s, start) for s in states[lo:hi]]
+    if sys.exact_orbits:
+        got, expected = [float(d) for d in got], [float(d) for d in expected]
+    assert got == expected
     if not sys.exact_orbits:
-        coords_along = [x[0] for x in orbits.coords([start], 0, len(times))]
-        assert [tuple(float(x[i]) for x in coords_along) for i in range(len(times))] == [
-            sys._coords(s) for s in states
-        ]
+        nums = orbits.states([start], 0, len(times))
+        assert [tuple(Fraction(int(x[0, i]), orbits.den) for x in nums) for i in range(len(times))] == states
 
 
 @given(
@@ -516,12 +559,16 @@ def test_each_batch_row_is_the_single_start_row(sys, times, grid, eps, data):
     for i, start in enumerate(batch):
         alone = sys.along(w)
         assert cells[i].tolist() == alone.cells([start], cover)[0].tolist()
-        assert distances[i].tobytes() == alone.distances([start], lo, hi)[0].tobytes()
+        assert distances[i].tolist() == alone.distances([start], lo, hi)[0].tolist()
+        states = [ref.state(sys, start, n) for n in times]
+        assert cells[i].tolist() == [ref.flat_id(s, ref.sides(eps)) for s in states]
+        if not sys.exact_orbits:
+            assert [orbits.value(d) for d in distances[i]] == [ref.distance(s, start) for s in states[lo:hi]]
         seen = set(cells[i].tolist())
         assert (hits[i], empties[i]) == (len(seen), min(set(range(len(seen) + 1)) - seen))
         if not sys.exact_orbits:
-            rows = [x[i].tobytes() for x in orbits.coords(batch, lo, hi)]
-            assert rows == [x[0].tobytes() for x in alone.coords([start], lo, hi)]
+            rows = [x[i].tolist() for x in orbits.states(batch, lo, hi)]
+            assert rows == [x[0].tolist() for x in alone.states([start], lo, hi)]
 
 
 def test_coverage_counts_each_row():
@@ -577,23 +624,6 @@ def test_coverage_counted_matches_sorted(rows, n, size, seed, as_object):
         assert h == len(seen) and e == min(set(range(cells + 1)) - seen)
 
 
-MOD1_EDGES = [0.0, -0.0, 5e-324, -5e-324, -1e-300, 1 - 2 ** -53, -(1 - 2 ** -53), 2.0 ** 53, -(2.0 ** 53), 1e308, -1e308]
-
-
-@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=50))
-@example(MOD1_EDGES)
-@settings(max_examples=300, deadline=None)
-def test_mod1_by_the_floor_is_the_remainder_bit_for_bit(xs):
-    # Bits, not values: -0.0 and 0.0 count as different.
-    x = np.array(xs, dtype=np.float64)
-    remainder = np.remainder(x, 1.0)
-    remainder = np.where(remainder < 1.0, remainder, 0.0)
-    got = _mod1_array(x).view(np.int64).tolist()
-    assert got == remainder.view(np.int64).tolist()
-    assert got == np.array([_mod1(v) for v in xs], dtype=np.float64).view(np.int64).tolist()
-    assert got == _mod1_array(x.reshape(1, -1)).view(np.int64).ravel().tolist()
-
-
 @pytest.mark.parametrize("sys", ALONG_SYSTEMS[:5], ids=lambda v: v.spec_string())
 def test_along_past_two_to_the_64(sys):
     # Times at and past 2^64 leave the uint64 path; tiny starts have
@@ -608,10 +638,13 @@ def test_along_past_two_to_the_64(sys):
         orbits = sys.along(Window(times, times[-1]))
         for coords in ((0.25, 0.75), (1e-30, 5e-300), (0.1, 0.3)):
             start = _start(sys, coords)
-            states = [sys.orbit_at(start, n) for n in times]
-            assert orbits.distances([start], 0, len(times))[0].tolist() == [sys.distance(s, start) for s in states]
-            cover = sys.cover(0.01)
-            assert orbits.cells([start], cover)[0].tolist() == [cover.flat_id(cover.cell_of(s)) for s in states]
+            states = [ref.state(sys, start, n) for n in times]
+            got = orbits.distances([start], 0, len(times))[0]
+            assert [orbits.value(d) for d in got] == [ref.distance(s, start) for s in states]
+            assert orbits.cells([start], sys.cover(0.01))[0].tolist() == [ref.flat_id(s, 100) for s in states]
+            # uint64 until a time reaches 2^64 or the tiny start widens the denominator.
+            wide = times[-1] >= 2 ** 64 or orbits.den > 2 ** 64
+            assert orbits.states([start], 0, len(times))[0].dtype == (object if wide else np.uint64)
 
 
 @pytest.mark.parametrize("sys", [CyclicSystem(6), OdometerSystem(3, 2)], ids=lambda v: v.spec_string())
@@ -688,5 +721,5 @@ def test_torus_cover_ids_past_int64_are_python_ints():
     orbits = sys.along(Window(times, times[-1]))
     ids = orbits.cells([(0.5, 0.25)], cover)[0]
     assert ids.dtype == object
-    expected = [cover.flat_id(cover.cell_of(sys.orbit_at((0.5, 0.25), n))) for n in times]
+    expected = [ref.flat_id(ref.state(sys, (0.5, 0.25), n), cover.k) for n in times]
     assert ids.tolist() == expected and max(expected) > 2 ** 63
