@@ -12,7 +12,9 @@ one line per library call of the metric-density benchmark, seed 1
 all the calls of the crosscheck-sweep benchmark, seed 1
 (``crosscheck_cyclic_equivalence``): the sha256 of their ``repr`` lines in
 op order, named ``library crosscheck-sweep``.  Each of them holds, with
-the same note, so a line per call would repeat one digest.
+the same note, so a line per call would repeat one digest.  Then one line
+for the ``return_times`` windows of ``RETURN_TIMES`` at horizon 20,000:
+the sha256 of their ``repr`` lines, named ``library return-times``.
 
 ``tests/golden/cli.txt`` holds these lines, and ``tests/test_cli_golden.py``
 regenerates them and names every call whose line moved.  A change that moves
@@ -190,6 +192,17 @@ CALLS = [
 ] + [f"classify {name}" for name in MALFORMED] + [f"recurrence {name} cyclic:<=5" for name in MALFORMED]
 
 
+# return_times rows (spec, start, cell, cover eps), read at horizon 20,000:
+# the return-time sets N(x, U) of a rotation, the skew product and a cycle,
+# and of a product of a rotation and a cycle.
+RETURN_TIMES = [
+    ("rot:golden", 0.0, 0, 0.1),
+    ("skew:golden", (0.0, 0.0), (0, 0), 0.1),
+    ("cyclic:6", 0, 0, 1.0),
+    ("prod(rot:golden,cyclic:3)", (0.0, 0), (0, 0), 0.1),
+]
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -226,6 +239,17 @@ def library_digest(name: str, ops) -> str:
     return f"repr={_sha(reprs.encode())} :: library {name}"
 
 
+def return_times_digest() -> str:
+    from dynwindow import return_times
+    from dynwindow.cli import parse_system_spec
+
+    reprs = ""
+    for spec, start, cell, eps in RETURN_TIMES:
+        system = parse_system_spec(spec)
+        reprs += repr(return_times(system, start, cell, 20_000, cover=system.cover(eps))) + "\n"
+    return f"repr={_sha(reprs.encode())} :: library return-times"
+
+
 def fingerprints() -> list[str]:
     """The line of every call, in list order, all run in one temporary directory of input files."""
     if str(PERFBENCH) not in sys.path:
@@ -245,7 +269,7 @@ def fingerprints() -> list[str]:
             lines = [fingerprint(cli_main, argv) for argv in calls]
             lines += [library_fingerprint(op) for op in workloads.build_metric_density(1, Path("metric-density"))]
             sweep = workloads.build_crosscheck_sweep(1, Path("crosscheck-sweep"))
-            return lines + [library_digest("crosscheck-sweep", sweep)]
+            return lines + [library_digest("crosscheck-sweep", sweep), return_times_digest()]
         finally:
             os.chdir(cwd)
 

@@ -24,7 +24,6 @@ from .systems import (
     RotationSystem,
     TorusSystem,
     _coverage,
-    mult_angle_mod1,
 )
 
 __all__ = [
@@ -60,6 +59,9 @@ _RECOUNT_MODULUS_CAP = 2 ** 16
 # times, then 4, 16, ... times as many: a return at index i costs O(i).  The
 # cross-check's shifted hits read a window's elements the same way.
 _FIRST_SLICE = 32
+
+# return_times reads orbits in blocks of this many times: 5.6 MiB at the peak for 10^6 on skew:golden, not 76.
+_RETURN_BLOCK = 2 ** 16
 
 # The metric tests evaluate starts in batches of at most this many states
 # per coordinate array (32 MiB of float64); a larger grid is split.
@@ -116,7 +118,8 @@ def return_times(sys, start, cell, horizon: int, cover=None) -> ReturnTimesResul
     Time 0 is deliberately excluded: these windows feed recurrence tests,
     where the trivial visit at n = 0 would make everything pass.  Finite
     systems of at most horizon states read a table of ``step``; the rest
-    read ``orbit_at(start, n)`` at each n.
+    read ``sys.along`` in blocks of _RETURN_BLOCK times.  A cell that is
+    not one of the cover's is never visited.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -125,8 +128,17 @@ def return_times(sys, start, cell, horizon: int, cover=None) -> ReturnTimesResul
     if isinstance(sys, FiniteSystem) and sys.size <= horizon:
         times = _step_table_times(sys, start, cell, horizon, cover)
     else:
-        hits = [n for n in range(1, horizon + 1) if cover.cell_of(sys.orbit_at(start, n)) == cell]
-        times = np.array(hits, dtype=object)
+        try:  # (0, 12) has the number of (1, 2) when k = 10: a number is the cell's if cell_at gives it back
+            flat = cover.flat_id(cell)
+            blocks = range(1, horizon + 1, _RETURN_BLOCK) if cover.cell_at(flat) == cell else ()
+        except (TypeError, IndexError):  # not even shaped like a cell
+            blocks = ()
+        hits = [np.zeros(0, dtype=np.int64)]
+        for lo in blocks:
+            block = np.arange(lo, min(lo + _RETURN_BLOCK, horizon + 1))
+            ids = sys.along(Window._trusted(block, horizon)).cells([start], cover)[0]
+            hits.append(block[ids == flat])
+        times = np.concatenate(hits)
     return ReturnTimesResult(Window._trusted(times, horizon), cell, start)
 
 
@@ -255,8 +267,7 @@ def r_sequence_metric(a: Window, sys, eps: float, start_grid_resolution: float) 
     claim about this window and eps only.  Orbits are evaluated over the
     whole window at once (``sys.along``): on a float torus they are the
     exact orbits of the doubles the system holds, as integer numerators, and
-    each state's cell is its exact floor (``cell_of`` on a rounded
-    ``orbit_at`` state may differ at a cell edge).  The first start is
+    each state's cell is its exact floor.  The first start is
     evaluated alone, then the other starts as one array, split at
     ``_BATCH_ELEMENTS`` states.  A batch's cells are counted in one
     bincount when they are few against the window, and sorted per start
@@ -636,6 +647,12 @@ def product_transitive_finite(m: int, n: int) -> ProductTransitivityResult:
     return ProductTransitivityResult(m, n, math.gcd(m, n) == 1, size, size == m * n)
 
 
+def _mult_angle_mod1(n: int, x: float) -> float:
+    # n·x mod 1, exact for the dyadic x, rounded once: the Cesàro pair's own, apart from the orbit engine.
+    num, den = float(x).as_integer_ratio()
+    return ((n * num) % den) / den
+
+
 def cesaro_average_along(a: Window, sys: RotationSystem, k: int, start: float = 0.0) -> list[float]:
     """Magnitudes |1/N * sum_{i<=N} e^{2 pi i k (start + a_i alpha)}| per prefix N.
 
@@ -650,8 +667,8 @@ def cesaro_average_along(a: Window, sys: RotationSystem, k: int, start: float = 
     if not len(a):
         return []
     alpha = sys.angles[0]
-    base = mult_angle_mod1(k, float(start)) if start else 0.0
-    phases = np.array([(base + mult_angle_mod1(k * n, alpha)) % 1.0 for n in a.array.tolist()])
+    base = _mult_angle_mod1(k, float(start)) if start else 0.0
+    phases = np.array([(base + _mult_angle_mod1(k * n, alpha)) % 1.0 for n in a.array.tolist()])
     terms = np.exp(2j * np.pi * phases).astype(np.clongdouble)
     sums = np.cumsum(terms)
     mags = np.abs(sums) / np.arange(1, len(terms) + 1, dtype=np.longdouble)
@@ -667,10 +684,10 @@ def cesaro_interval_closed_form(n_terms: int, alpha: float, k: int) -> float:
         raise ValueError("k must be nonzero")
     if n_terms < 1:
         raise ValueError("need at least one term")
-    y1 = mult_angle_mod1(k, alpha)
+    y1 = _mult_angle_mod1(k, alpha)
     if y1 == 0.0:
         return 1.0
-    y_top = mult_angle_mod1(k * n_terms, alpha)
+    y_top = _mult_angle_mod1(k * n_terms, alpha)
     return abs(math.sin(math.pi * y_top)) / (n_terms * abs(math.sin(math.pi * y1)))
 
 

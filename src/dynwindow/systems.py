@@ -2,19 +2,22 @@
 
 Finite systems (cycles, truncated odometers) are exact.  Metric systems
 (torus rotations, the skew product (x, y) -> (x + a, y + x)) hold doubles,
-which are dyadic rationals: ``along`` computes their orbits exactly, while
-``orbit_at``, ``step`` and ``cell_of`` round each state to a double and may
-differ from it at a cell edge.  Exact rational rotations run in Fraction
-arithmetic.  Every system is an immutable value object; all operations are pure.
+which are dyadic rationals, or exact rational angles.  A torus point is the
+rational number it stores (a float, an int or a Fraction): ``orbit_at``,
+``step``, ``cell_of`` and ``along`` all compute its exact orbit and cells,
+so they agree at every cell edge.  Every system is an immutable value
+object; all operations are pure.
 
 Every system answers one protocol: ``step``, ``orbit_at``, ``along``,
 ``cover``, ``distance``, ``starts``, ``rational_structure`` and
 ``exact_orbits``.  ``cover(eps)`` raises ValueError unless eps > 0; its cover
 partitions the space into cells of mesh <= eps, numbered 0..cell_count()-1,
 and answers ``cell_of``, ``ids_of`` (many states' cell numbers, as an array),
-``cell_at`` (the cell with a number) and ``cell_count`` for its ``system``.
+``flat_id`` (a cell's number), ``cell_at`` (the cell with a number) and
+``cell_count`` for its ``system``.
 Cycles and odometers share ``FiniteSystem``; rotations and the skew product
-share ``TorusSystem``; ``ProductSystem`` answers componentwise.
+share ``TorusSystem``; ``ProductSystem`` answers componentwise, and its
+``along`` answers ``cells`` only, joined from its factors' cells.
 
 ``along(a)`` evaluates orbits over a whole window at once, for a batch of
 starts: ``cells(starts, cover)`` and ``distances(starts, lo, hi)`` answer
@@ -24,7 +27,7 @@ eps and as a number.  On a float torus a state is an exact numerator over
 ``n * angle``, computed once per window; its cell is floor(s·k / 2^64).
 Systems whose orbits repeat (cycles, odometers, exact rational rotations)
 evaluate ``orbit_at`` once per start and distinct residue of the time.
-``orbit_at`` and ``step`` stay per state: ``return_times`` reads one of them.
+A torus ``step(s)`` is ``orbit_at(s, 1)``; finite systems keep their own.
 """
 from __future__ import annotations
 
@@ -33,7 +36,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -55,7 +58,6 @@ __all__ = [
     "orbit_at",
     "eps_dense",
     "is_totally_minimal",
-    "mult_angle_mod1",
 ]
 
 # (sqrt(5) - 1) / 2, the classical well-distributed rotation angle.
@@ -73,34 +75,17 @@ _FLAT_ID_CAP = 2 ** 62
 _CELLS_PER_ID_COUNTED = 3
 
 
-def mult_angle_mod1(n: int, x: float) -> float:
-    """n * x mod 1 computed exactly for the binary rational that x is.
-
-    Doubles are dyadic rationals, so (n * num) % den is exact in integer
-    arithmetic; the final division rounds once.  This keeps closed-form
-    orbits accurate for astronomically large n.
-    """
-    if x == 0.0:
-        return 0.0
-    num, den = float(x).as_integer_ratio()
-    return ((n * num) % den) / den
-
-
-def _mod1(x: float) -> float:
-    y = x % 1.0
-    return y if y < 1.0 else 0.0
-
-
 def _angle(a) -> float:
     a = float(a)
     if not math.isfinite(a):
         raise ValueError(f"angle must be finite, got {a!r}")
-    return _mod1(a)
+    a %= 1.0
+    return a if a < 1.0 else 0.0
 
 
-def _numerator(x: float, den: int) -> int:
-    # x mod 1 over den, which x's denominator divides.
-    num, d = float(x).as_integer_ratio()
+def _numerator(x, den: int) -> int:
+    # x mod 1 over den, which x's denominator divides; x is read exactly.
+    num, d = x.as_integer_ratio()
     return num * (den // d) % den
 
 
@@ -143,15 +128,16 @@ class _TorusOrbits:
         self._times = a.array.astype(np.uint64 if fits else object)
 
     def _columns(self, starts: Sequence) -> np.ndarray:
-        # The start coordinates as numerators, one row per start; the last batch's are kept.
+        # The start coordinates as exact numerators, one row per start; the last batch's are kept.
         if self._last[0] != tuple(starts):
             coords = [self.sys._coords(s) for s in starts]
-            x = np.array(coords, dtype=np.float64)
-            scaled = x * 2.0 ** 64  # exact: a power of 2
-            if self._times.dtype == np.uint64 and ((x >= 0) & (x < 1) & (scaled == np.floor(scaled))).all():
+            x = np.array(coords)  # dtype object if a coordinate is a Fraction, say: never read as a double
+            fast = self._times.dtype == np.uint64 and x.dtype != object
+            scaled = x * 2.0 ** 64 if fast else None  # exact: a power of 2
+            if fast and ((x >= 0) & (x < 1) & (scaled == np.floor(scaled))).all():
                 columns = scaled.astype(np.uint64)  # every coordinate a multiple of 2^-64 in [0, 1)
             else:
-                den = math.lcm(self.den, *(float(c).as_integer_ratio()[1] for row in coords for c in row))
+                den = math.lcm(self.den, *(c.as_integer_ratio()[1] for row in coords for c in row))
                 if den != self.den:
                     self.den, self._times, self._slices = den, self._times.astype(object), {}
                 columns = np.array([[_numerator(c, den) for c in row] for row in coords], dtype=self._times.dtype)
@@ -352,6 +338,9 @@ class TorusSystem:
     def _state(self, coords):
         return coords[0] if self.dimension == 1 else tuple(coords)
 
+    def step(self, state):
+        return self.orbit_at(state, 1)
+
     def along(self, a: Window):
         """Orbits over the window a, start by start, as arrays (see the module docstring)."""
         return _TorusOrbits(self, a)
@@ -378,10 +367,10 @@ class TorusSystem:
 class RotationSystem(TorusSystem):
     """Rotation by a fixed angle vector on the d-torus.
 
-    Angles live in [0,1); an optional exact rational form switches orbit
-    computations to exact Fraction arithmetic (a float start counts as the
-    dyadic rational it stores) and makes the system equivalent to a cycle of
-    period lcm of the denominators.
+    Angles live in [0,1); an optional exact rational form replaces them in
+    the orbits and makes the system equivalent to a cycle of period lcm of
+    the denominators.  Orbits are exact Fractions either way: a float angle
+    or start counts as the dyadic rational it stores.
     """
 
     angles: tuple[float, ...]
@@ -421,25 +410,14 @@ class RotationSystem(TorusSystem):
             return None
         return math.lcm(*(f.denominator for f in self.exact))
 
-    def step(self, state):
-        coords = self._coords(state)
-        if self.exact is not None:
-            out = tuple((Fraction(c) + f) % 1 for c, f in zip(coords, self.exact))
-        else:
-            out = tuple(_mod1(float(c) + a) for c, a in zip(coords, self.angles))
-        return self._state(out)
-
     def orbit_at(self, start, n: int):
-        coords = self._coords(start)
-        if self.exact is None:
-            out = tuple(_mod1(float(c) + mult_angle_mod1(n, a)) for c, a in zip(coords, self.angles))
-        else:
-            # (c + n p/q) mod 1 over the common denominator: one gcd, not three.
-            out = []
-            for c, f in zip(coords, self.exact):
-                num, den = c.as_integer_ratio()
-                d = den * f.denominator
-                out.append(Fraction((num * f.denominator + n * f.numerator * den) % d, d))
+        # (c + n p/q) mod 1 over the common denominator: one gcd, not three.
+        out = []
+        for c, a in zip(self._coords(start), self.exact or self.angles):
+            num, den = c.as_integer_ratio()
+            p, q = a.as_integer_ratio()
+            d = den * q
+            out.append(Fraction((num * q + n * p * den) % d, d))
         return self._state(out)
 
     def along(self, a: Window):
@@ -482,15 +460,10 @@ class SkewProductSystem(TorusSystem):
         if self.exact is not None:
             object.__setattr__(self, "exact", Fraction(self.exact) % 1)
 
-    def step(self, state):
-        x, y = state
-        return (_mod1(float(x) + self.angle), _mod1(float(y) + float(x)))
-
     def orbit_at(self, start, n: int):
-        x, y = float(start[0]), float(start[1])
-        nx = _mod1(x + mult_angle_mod1(n, self.angle))
-        ny = _mod1(y + mult_angle_mod1(n, x) + mult_angle_mod1(n * (n - 1) // 2, self.angle))
-        return (nx, ny)
+        x, y = (Fraction(*c.as_integer_ratio()) for c in start)
+        a = Fraction(self.angle)
+        return (x + n * a) % 1, (y + n * x + n * (n - 1) // 2 * a) % 1
 
     _angles = property(lambda self: (self.angle,))
 
@@ -527,6 +500,9 @@ class ProductSystem:
     def orbit_at(self, start, n: int):
         return (self.left.orbit_at(start[0], n), self.right.orbit_at(start[1], n))
 
+    def along(self, a: Window) -> "_ProductOrbits":
+        return _ProductOrbits(self, a)
+
     def cover(self, eps: float) -> "ProductCover":
         return ProductCover(self, self.left.cover(eps), self.right.cover(eps))
 
@@ -545,6 +521,17 @@ class ProductSystem:
 
     def spec_string(self) -> str:
         return f"prod({self.left.spec_string()},{self.right.spec_string()})"
+
+
+class _ProductOrbits:
+    """T^n(start) for the times n of one window on a product: its factors' orbits, cells only."""
+
+    def __init__(self, sys: ProductSystem, a: Window):
+        self.left, self.right = sys.left.along(a), sys.right.along(a)
+
+    def cells(self, starts: Sequence, cover: "ProductCover") -> np.ndarray:
+        left = self.left.cells([s[0] for s in starts], cover.left)
+        return cover._join(left, self.right.cells([s[1] for s in starts], cover.right))
 
 
 def orbit_at(sys, start, n: int):
@@ -573,6 +560,8 @@ class FiniteCover:
     def cell_at(self, flat: int):
         return flat
 
+    flat_id = cell_at  # a cell is its number
+
     def cell_count(self) -> int:
         return self.size
 
@@ -587,25 +576,12 @@ class TorusCover:
     resolution: float
 
     def _coord_cell(self, x) -> int:
-        if isinstance(x, Fraction):
-            idx = self._exact_cell(x)
-        else:
-            product = float(x) * self.k
-            idx = int(product)
-            if idx == product:
-                # x * k may have rounded up onto a cell edge: take the exact floor.
-                idx = self._exact_cell(float(x))
-        return min(max(idx, 0), self.k - 1)
-
-    def _exact_cell(self, x: Union[float, Fraction]) -> int:
+        # The exact floor of x·k, clamped into the cells.
         num, den = x.as_integer_ratio()
-        return num * self.k // den
+        return min(max(num * self.k // den, 0), self.k - 1)
 
     def cell_of(self, state):
-        if self.dimension == 1 and not isinstance(state, tuple):
-            return self._coord_cell(state)
-        cells = tuple(self._coord_cell(c) for c in state)
-        return cells[0] if self.dimension == 1 else cells
+        return self.system._state([self._coord_cell(c) for c in self.system._coords(state)])
 
     def flat_id(self, cell) -> int:
         """The number of a cell: base-k digits, first coordinate first."""
@@ -662,11 +638,16 @@ class ProductCover:
         return (self.left.cell_of(sl), self.right.cell_of(sr))
 
     def ids_of(self, states) -> np.ndarray:
-        left = self.left.ids_of([s[0] for s in states])
-        right = self.right.ids_of([s[1] for s in states])
+        return self._join(self.left.ids_of([s[0] for s in states]), self.right.ids_of([s[1] for s in states]))
+
+    def _join(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        # Python ints past 2^62 cells, as _id_array numbers them.
         if self.cell_count() > _FLAT_ID_CAP:
             left = left.astype(object)
         return left * self.right.cell_count() + right
+
+    def flat_id(self, cell) -> int:
+        return self.left.flat_id(cell[0]) * self.right.cell_count() + self.right.flat_id(cell[1])
 
     def cell_at(self, flat: int):
         left, right = divmod(flat, self.right.cell_count())

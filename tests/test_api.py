@@ -1,7 +1,11 @@
 """The public names of the dynwindow package; any change here is an API change."""
 from __future__ import annotations
 
+import importlib
 import inspect
+import pkgutil
+
+import pytest
 
 import dynwindow
 
@@ -38,3 +42,12 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert exported == PUBLIC_NAMES
+
+
+@pytest.mark.parametrize(
+    "module", [m.name for m in pkgutil.iter_modules(dynwindow.__path__) if not m.name.startswith("_")]
+)
+def test_every_listed_name_is_bound(module):
+    # A stale __all__ entry would break ``from dynwindow.<module> import *``.
+    mod = importlib.import_module(f"dynwindow.{module}")
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []

@@ -158,11 +158,76 @@ def _finite_states(sys) -> list:
 @given(st.sampled_from(_OFF_TABLE_SYSTEMS), st.integers(1, 120), st.data())
 @settings(max_examples=40, deadline=None)
 def test_closed_form_return_times_match_the_stepped_walk(sys, horizon, data):
-    # Products and systems with more states than the horizon read orbit_at, never a table.
+    # Products and systems with more states than the horizon read along, never a table.
     cover = sys.cover(1.0)
     start = data.draw(st.sampled_from(_finite_states(sys)))
     cell = cover.cell_at(data.draw(st.integers(0, cover.cell_count() - 1)))
     assert return_times(sys, start, cell, horizon) == _ref_return_times(sys, start, cell, horizon)
+
+
+_TORUS_RETURN_SYSTEMS = [
+    RotationSystem.from_angle(GOLDEN),
+    RotationSystem.from_angle(0.25),
+    SkewProductSystem(0.3),
+    ProductSystem(RotationSystem.from_angle(GOLDEN), CyclicSystem(3)),
+    ProductSystem(CyclicSystem(2), SkewProductSystem(0.3)),
+]
+
+
+def _torus_start(sys, data):
+    # A grid point or any float per torus coordinate; a cycle's start is any of its states.
+    if isinstance(sys, ProductSystem):
+        return (_torus_start(sys.left, data), _torus_start(sys.right, data))
+    if isinstance(sys, CyclicSystem):
+        return data.draw(st.sampled_from(sys.starts(1.0)))
+    coord = st.one_of(st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.75]), st.floats(0.0, 1.0, exclude_max=True))
+    coords = [data.draw(coord) for _ in range(sys.dimension)]
+    return coords[0] if sys.dimension == 1 else tuple(coords)
+
+
+@given(
+    st.sampled_from(_TORUS_RETURN_SYSTEMS),
+    st.integers(1, 200),
+    st.sampled_from([0.5, 0.1, 0.05]),
+    st.integers(1, 70),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_along_return_times_match_the_stepped_walk(sys, horizon, eps, block, data):
+    # Tori and products read along in blocks; any block length gives the exact stepped walk's times.
+    cover = sys.cover(eps)
+    start = _torus_start(sys, data)
+    cell = cover.cell_at(data.draw(st.integers(0, cover.cell_count() - 1)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(recurrence, "_RETURN_BLOCK", block)
+        got = return_times(sys, start, cell, horizon, cover)
+    assert got == _ref_return_times(sys, start, cell, horizon, cover)
+
+
+def test_return_times_of_a_cell_outside_the_cover_are_empty():
+    # (0, 12) is numbered 12 with k = 10, as (1, 2) is; it is not a cell, so it is never visited.
+    skew = SkewProductSystem(GOLDEN)
+    cover = skew.cover(0.1)
+    assert len(return_times(skew, (0.0, 0.0), (1, 2), 20_000, cover).times) > 0
+    for cell in ((0, 12), (0, -1), (10, 0), (0, 0, 0), 12, [1, 2]):
+        assert return_times(skew, (0.0, 0.0), cell, 20_000, cover).times.elements == ()
+    prod = ProductSystem(RotationSystem.from_angle(GOLDEN), CyclicSystem(3))
+    for cell in ((0, 5), (-1, 2), 5, (0,), ([0], 1)):
+        assert return_times(prod, (0.0, 0), cell, 100, prod.cover(0.1)).times.elements == ()
+    assert return_times(CyclicSystem(10 ** 12), 0, 10 ** 12, 5).times.elements == ()
+
+
+def test_return_times_on_a_torus_stay_small_at_horizon_one_million():
+    skew = SkewProductSystem(GOLDEN)
+    cover = skew.cover(0.1)
+    tracemalloc.start()
+    try:
+        rt = return_times(skew, (0.0, 0.0), (0, 0), 10 ** 6, cover)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    assert len(rt.times) == 9825  # as a per-time loop of orbit_at and cell_of counts them
 
 
 # -- r_sequence_cyclic --------------------------------------------------------------

@@ -537,6 +537,35 @@ def test_along_matches_per_state_cells_and_distances(sys, coords, times, eps, da
         assert [tuple(Fraction(int(x[0, i]), orbits.den) for x in nums) for i in range(len(times))] == states
 
 
+PER_STATE_SYSTEMS = ALONG_SYSTEMS + [RotationSystem.from_angle(0.25), RotationSystem((0.5, 0.3))]
+
+# Floats, grid points and Fractions: a start is read as the rational number it is.
+start_coords = st.one_of(
+    unit_floats,
+    st.sampled_from([0.0, 0.1, 0.25, 0.3, 0.5, 0.75]),
+    st.fractions(0, 1, max_denominator=10 ** 6).filter(lambda f: f < 1),
+)
+
+
+@given(
+    st.sampled_from(PER_STATE_SYSTEMS),
+    st.tuples(start_coords, start_coords),
+    window_times,
+    st.sampled_from([0.5, 0.1, 0.05, 0.02, 0.003]),
+)
+@example(SkewProductSystem(0.3), (0.5, 0.0), [2], 0.05)  # x = 0.5 + 2·0.3 − 1 lies just below the edge 0.1
+@example(SkewProductSystem(0.3), (Fraction(1, 3), 0.25), [1, 2, 5, 10 ** 12], 0.05)
+@settings(max_examples=200, deadline=None)
+def test_per_state_orbits_and_cells_agree_with_along(sys, coords, times, eps):
+    # orbit_at, step and cell_of give the exact orbit's cells, as along and the reference do.
+    start = _start(sys, coords)
+    cover = sys.cover(eps)
+    per_state = cover.ids_of([sys.orbit_at(start, n) for n in times]).tolist()
+    along = sys.along(Window(tuple(times), times[-1] if times else 0)).cells([start], cover)[0].tolist()
+    assert per_state == along == [ref.flat_id(ref.state(sys, start, n), cover.k) for n in times]
+    assert sys.step(sys.step(start)) == sys.orbit_at(start, 2)
+
+
 @given(
     st.sampled_from(ALONG_SYSTEMS),
     window_times,
