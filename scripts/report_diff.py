@@ -14,7 +14,12 @@ all the calls of the crosscheck-sweep benchmark, seed 1
 op order, named ``library crosscheck-sweep``.  Each of them holds, with
 the same note, so a line per call would repeat one digest.  Then one line
 for the ``return_times`` windows of ``RETURN_TIMES`` at horizon 20,000:
-the sha256 of their ``repr`` lines, named ``library return-times``.
+the sha256 of their ``repr`` lines, named ``library return-times``.  Last,
+one line for the orbits that repeat (cycles, odometers and exact rotations,
+alone and in products): the sha256 of the ``repr`` lines of the
+``return_times`` windows of ``PERIODIC_RETURN_TIMES`` at horizon 20,000 and
+of ``birkhoff_window_test`` on every third time of [1, 3000) for each spec
+of ``PERIODIC_BIRKHOFF``, named ``library periodic-orbits``.
 
 ``tests/golden/cli.txt`` holds these lines, and ``tests/test_cli_golden.py``
 regenerates them and names every call whose line moved.  A change that moves
@@ -202,6 +207,17 @@ RETURN_TIMES = [
     ("prod(rot:golden,cyclic:3)", (0.0, 0), (0, 0), 0.1),
 ]
 
+# Rows of the same shape for orbits that repeat, and the specs that
+# birkhoff_window_test reads at eps 0.05 on a start grid of 0.25.
+PERIODIC_RETURN_TIMES = [
+    ("rot:2/7", 0.0, 0, 0.1),
+    ("rot:1/3,2/5", (0.0, 0.0), (0, 0), 0.1),
+    ("prod(rot:1/3,cyclic:7)", (0.0, 0), (0, 0), 0.1),
+    ("prod(odo:2^3,rot:2/7)", ((0, 0, 0), 0.25), (0, 2), 0.1),
+    ("cyclic:1000003", 0, 777, 0.1),
+]
+PERIODIC_BIRKHOFF = ["rot:2/7", "cyclic:7", "odo:2^3", "rot:1/3,2/5"]
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -239,15 +255,30 @@ def library_digest(name: str, ops) -> str:
     return f"repr={_sha(reprs.encode())} :: library {name}"
 
 
-def return_times_digest() -> str:
+def _return_times_reprs(rows) -> str:
     from dynwindow import return_times
     from dynwindow.cli import parse_system_spec
 
     reprs = ""
-    for spec, start, cell, eps in RETURN_TIMES:
+    for spec, start, cell, eps in rows:
         system = parse_system_spec(spec)
         reprs += repr(return_times(system, start, cell, 20_000, cover=system.cover(eps))) + "\n"
-    return f"repr={_sha(reprs.encode())} :: library return-times"
+    return reprs
+
+
+def return_times_digest() -> str:
+    return f"repr={_sha(_return_times_reprs(RETURN_TIMES).encode())} :: library return-times"
+
+
+def periodic_orbits_digest() -> str:
+    from dynwindow import Window, birkhoff_window_test
+    from dynwindow.cli import parse_system_spec
+
+    reprs = _return_times_reprs(PERIODIC_RETURN_TIMES)
+    window = Window(range(1, 3000, 3), 3000)
+    for spec in PERIODIC_BIRKHOFF:
+        reprs += repr(birkhoff_window_test(window, parse_system_spec(spec), 0.05, 0.25)) + "\n"
+    return f"repr={_sha(reprs.encode())} :: library periodic-orbits"
 
 
 def fingerprints() -> list[str]:
@@ -269,7 +300,7 @@ def fingerprints() -> list[str]:
             lines = [fingerprint(cli_main, argv) for argv in calls]
             lines += [library_fingerprint(op) for op in workloads.build_metric_density(1, Path("metric-density"))]
             sweep = workloads.build_crosscheck_sweep(1, Path("crosscheck-sweep"))
-            return lines + [library_digest("crosscheck-sweep", sweep), return_times_digest()]
+            return lines + [library_digest("crosscheck-sweep", sweep), return_times_digest(), periodic_orbits_digest()]
         finally:
             os.chdir(cwd)
 

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .intsets import Verdict, Window, _least_common, _small_ints, _span, difference_set
+from .intsets import Verdict, Window, _small_ints, _span, difference_set
 from .systems import (
     CyclicSystem,
     FiniteSystem,
@@ -265,10 +265,10 @@ def r_sequence_metric(a: Window, sys, eps: float, start_grid_resolution: float) 
     orbit along a is eps-dense.  Otherwise reports the best start (the first
     with the most cells hit) and its first empty cell.  The report is a
     claim about this window and eps only.  Orbits are evaluated over the
-    whole window at once (``sys.along``): on a float torus they are the
-    exact orbits of the doubles the system holds, as integer numerators, and
-    each state's cell is its exact floor.  The first start is
-    evaluated alone, then the other starts as one array, split at
+    whole window at once (``sys.along``): on every torus they are the exact
+    orbits of the doubles or exact rationals the system holds, as integer
+    numerators, and each state's cell is its exact floor.  The first start
+    is evaluated alone, then the other starts as one array, split at
     ``_BATCH_ELEMENTS`` states.  A batch's cells are counted in one
     bincount when they are few against the window, and sorted per start
     otherwise (``_coverage``).  Exact rational rotations skip the
@@ -317,10 +317,11 @@ def birkhoff_window_test(a: Window, sys, eps: float, start_grid_resolution: floa
     Starts come from the system's start set (all states of a finite system,
     the grid of a torus), first witness (start, n) wins.  Element 0 of the
     window is ignored (trivial return).  eps <= 0 raises ValueError.  Return
-    distances are evaluated as arrays (``sys.along``); on a float torus they
-    are exact integer numerators, compared with eps exactly
-    (``orbits.limit``) and reported rounded once.  The first start is read
-    alone, then the other starts as one batch (split at
+    distances are evaluated as arrays (``sys.along``); on every torus, exact
+    rational rotations included, they are exact integer numerators, compared
+    with eps exactly (``orbits.limit``) and reported rounded once, and on a
+    finite system they are 0 at the multiples of its size and 1 elsewhere.
+    The first start is read alone, then the other starts as one batch (split at
     ``_BATCH_ELEMENTS`` states), in slices of the window that grow four
     times in length, so an early return at index i costs O(i).  After a
     slice, only starts before the earliest one that returned stay in the
@@ -489,10 +490,11 @@ def _shifted_hits(a: Window, shifts: Iterable[int], table: np.ndarray, windows: 
     _PREFIX_SCAN_CAP elements; each gather stays within _BATCH_ELEMENTS
     words, taking the shifts in blocks.  A prefix that is the whole window
     decides every pair.  Otherwise stage 2 settles each window's open pairs
-    on whole-window bitmasks (by _least_common where a mask is None) and
-    stops at the window's first miss.  A shift below -horizon - 1 or past
-    the table meets nothing, as that bound does, so shifts are clamped to
-    those bounds and taken once each.
+    on whole-window bitmasks and stops at the window's first miss: every
+    window of a cross-check lies within _CROSSCHECK_HORIZON_CAP, where each
+    has its bitmask.  A shift below -horizon - 1 or past the table meets
+    nothing, as that bound does, so shifts are clamped to those bounds and
+    taken once each.
     """
     steps, top = sorted(set(shifts)), len(table) - 2  # top: past the largest position
     if steps and (steps[0] < -a.horizon - 1 or steps[-1] > top):
@@ -527,10 +529,7 @@ def _shifted_hits(a: Window, shifts: Iterable[int], table: np.ndarray, windows: 
             continue
         open_ = [r - 1 for r, bits in zip(rows.tolist(), met[:, j // 64].tolist()) if not bits >> j % 64 & 1]
         mask_a, mask_d = a.bitmask, d.bitmask
-        if mask_a is None or mask_d is None:
-            hit = all(_least_common(a, d, -n) is not None for n in open_)
-        else:
-            hit = all((mask_a << n if n >= 0 else mask_a >> -n) & mask_d for n in open_)
+        hit = all((mask_a << n if n >= 0 else mask_a >> -n) & mask_d for n in open_)
         hits |= hit << j
     return hits
 

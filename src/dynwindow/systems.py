@@ -22,11 +22,12 @@ share ``TorusSystem``; ``ProductSystem`` answers componentwise, and its
 ``along(a)`` evaluates orbits over a whole window at once, for a batch of
 starts: ``cells(starts, cover)`` and ``distances(starts, lo, hi)`` answer
 one row per start; ``limit(eps)`` and ``value(d)`` read a distance against
-eps and as a number.  On a float torus a state is an exact numerator over
-2^64 in wrapping uint64: a start column plus the start-free phase
-``n * angle``, computed once per window; its cell is floor(s·k / 2^64).
-Systems whose orbits repeat (cycles, odometers, exact rational rotations)
-evaluate ``orbit_at`` once per start and distinct residue of the time.
+eps and as a number.  On every torus, exact rational rotations included, a
+state is an exact integer numerator over the lcm of the angles' and starts'
+denominators (2^64 in wrapping uint64 for doubles): a start column plus the
+start-free phase ``n * angle``, computed once per window; its cell is
+floor(s·k / den).  A finite system's code at time n is (code + n) mod size,
+which is its cell's number, in one array operation for all starts.
 A torus ``step(s)`` is ``orbit_at(s, 1)``; finite systems keep their own.
 """
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .intsets import Verdict, Window, _small_ints
+from .intsets import Verdict, Window
 
 __all__ = [
     "FiniteSystem",
@@ -90,57 +91,68 @@ def _numerator(x, den: int) -> int:
 
 
 def _wrap(x: np.ndarray, den: int) -> np.ndarray:
-    # uint64 numerators wrap mod 2^64 = den by themselves; Python ints are reduced.
-    return x % den if x.dtype == object else x
+    # uint64 numerators over 2^64 wrap by themselves; the rest are reduced mod den, uint64 ones
+    # as x - x // den·den: numpy's // by a scalar ran 6x faster than its % (2-vCPU x86-64).
+    if x.dtype == object or den == 2 ** 64:
+        return x % den if x.dtype == object else x
+    d = np.uint64(den)
+    return x - x // d * d
 
 
-def _phase_numerators(times: np.ndarray, x: float, den: int, tri: bool = False) -> np.ndarray:
+def _phase_numerators(times: np.ndarray, x, den: int, tri: bool = False) -> np.ndarray:
     """m * x mod 1 over den, for m = n in times, or m = n(n-1)/2 with ``tri``.
 
-    uint64 times (den = 2^64) wrap mod 2^64, that is mod 1, and n(n-1)/2
-    halves its even factor first; ``object`` times reduce mod den.
+    uint64 times over den = 2^64 wrap mod 2^64, that is mod 1, and n(n-1)/2
+    halves its even factor first; over a den below 2^31 they are n mod 2·den,
+    which fixes n(n-1)/2 mod den, and each product is reduced mod den.
+    ``object`` times reduce mod den.
     """
     num = _numerator(x, den)
     if times.dtype == object:
         return (times * (times - 1) // 2 if tri else times) * num % den
     if tri:
-        times = np.where(times & 1, times * (times >> 1), (times >> 1) * (times - 1))
-    return times * np.uint64(num)
+        times = _wrap(np.where(times & 1, times * (times >> 1), (times >> 1) * (times - 1)), den)
+    return _wrap(times * np.uint64(num), den)
 
 
 class _TorusOrbits:
-    """T^n(start) for the times n of one window on a float torus, as exact numerators over ``den``.
+    """T^n(start) for the times n of one window on a torus, as exact numerators over ``den``.
 
-    ``den`` is 2^64 (wrapping uint64) unless an angle or start needs a wider
-    one or a time reaches 2^64 (``object`` arrays of Python ints); a start
-    that needs one widens it for the whole window.  Every answer is for a
-    batch of starts: one row per start, one column per time.  The start-free
-    phases are computed once per slice of the window and shared by every
-    row.  Slices are keyed by their bounds, so a caller that walks the
-    window in growing prefixes pays only for what it reads.
+    ``den`` is the lcm of the angles' and the starts' denominators so far,
+    rebuilt for the whole window when a start widens it: a power of 2 up to
+    2^64 is 2^64 (wrapping uint64 for times below 2^64), a den below 2^31
+    takes times mod 2·den in uint64, any other den Python ints (``object``).
+    Every answer is for a batch of starts: one row per start, one column per
+    time.  The start-free phases are computed once per slice of the window
+    and shared by every row.  Slices are keyed by their bounds, so a caller
+    that walks the window in growing prefixes pays only for what it reads.
     """
 
     def __init__(self, sys: "TorusSystem", a: Window):
-        self.sys, self.times, self._slices, self._last = sys, a.array, {}, (None, None)
-        # Doubles are dyadic: the lcm of 2^64 and their denominators is 2^64 or a wider power of 2.
-        self.den = math.lcm(2 ** 64, *(v.as_integer_ratio()[1] for v in sys._angles))
-        fits = self.den == 2 ** 64 and (not len(a) or int(a.array[-1]) < 2 ** 64)
-        self._times = a.array.astype(np.uint64 if fits else object)
+        self.sys, self.times, self.den, self._lcm, self._last = sys, a.array, None, 1, (None, None)
+        self._widen(v.as_integer_ratio()[1] for v in sys._angles)
+
+    def _widen(self, dens) -> None:
+        self._lcm = math.lcm(self._lcm, *dens)
+        den = 2 ** 64 if self._lcm <= 2 ** 64 and not self._lcm & (self._lcm - 1) else self._lcm
+        if den != self.den:
+            small = den < 2 ** 31
+            fits = small or den == 2 ** 64 and (not len(self.times) or int(self.times[-1]) < 2 ** 64)
+            times = self.times % (2 * den) if small else self.times
+            self.den, self._slices, self._times = den, {}, times.astype(np.uint64 if fits else object)
 
     def _columns(self, starts: Sequence) -> np.ndarray:
         # The start coordinates as exact numerators, one row per start; the last batch's are kept.
         if self._last[0] != tuple(starts):
             coords = [self.sys._coords(s) for s in starts]
             x = np.array(coords)  # dtype object if a coordinate is a Fraction, say: never read as a double
-            fast = self._times.dtype == np.uint64 and x.dtype != object
+            fast = self.den == 2 ** 64 and self._times.dtype == np.uint64 and x.dtype != object
             scaled = x * 2.0 ** 64 if fast else None  # exact: a power of 2
             if fast and ((x >= 0) & (x < 1) & (scaled == np.floor(scaled))).all():
                 columns = scaled.astype(np.uint64)  # every coordinate a multiple of 2^-64 in [0, 1)
             else:
-                den = math.lcm(self.den, *(c.as_integer_ratio()[1] for row in coords for c in row))
-                if den != self.den:
-                    self.den, self._times, self._slices = den, self._times.astype(object), {}
-                columns = np.array([[_numerator(c, den) for c in row] for row in coords], dtype=self._times.dtype)
+                self._widen(c.as_integer_ratio()[1] for row in coords for c in row)
+                columns = np.array([[_numerator(c, self.den) for c in row] for row in coords], dtype=self._times.dtype)
             self._last = tuple(starts), columns
         return self._last[1]
 
@@ -160,8 +172,10 @@ class _TorusOrbits:
         return cover.flat_ids(self.states(starts, 0, len(self.times)), self.den)
 
     def distances(self, starts: Sequence, lo: int, hi: int) -> np.ndarray:
-        """distance(T^n(start), start) over ``den`` for each start and time n in times[lo:hi]: min(d, -d) of each move d."""
-        gaps = [np.minimum(m, _wrap(-m, self.den)) for m in self._moves(self._columns(starts), lo, hi)]
+        """distance(T^n(start), start) over ``den`` for each start and time n in times[lo:hi]: min(d, den - d) of each move d."""
+        moves = self._moves(self._columns(starts), lo, hi)
+        wraps = self.den == 2 ** 64 and moves[0].dtype == np.uint64  # then den - d is -d
+        gaps = [np.minimum(m, -m if wraps else self.den - m) for m in moves]
         d = reduce(np.maximum, gaps)
         return d if d.ndim == 2 else np.repeat(d[None], len(starts), axis=0)
 
@@ -176,46 +190,32 @@ class _TorusOrbits:
         return Fraction(int(d), self.den)
 
 
-class _PeriodicOrbits:
-    """T^n(start) for the times n of one window, when T^period is the identity.
+class _FiniteOrbits:
+    """T^n(start) for the times n of one window on a finite system, in closed form.
 
-    T^n(start) = T^(n mod period)(start), so orbit_at runs once per start and
-    distinct residue of a slice of the window, and the results are spread by
-    index, one row per start.
+    The code of T^n(s), which ``FiniteCover`` takes as its cell's number, is
+    (encode(s) + n) mod size; a return distance is 0 at the multiples of size
+    and 1 elsewhere.  Arrays are int64 while size <= 2^62, Python ints past it.
     """
 
-    def __init__(self, sys, a: Window, period: int):
-        self.sys, self.period, self._slices = sys, period, {}
-        # int64 times where they and the period fit, Python ints otherwise.
-        times = _small_ints(a.array)
-        self.times = times if times.dtype == object or period < 2 ** 63 else times.astype(object)
+    def __init__(self, sys: "FiniteSystem", a: Window):
+        self.sys, self.dtype = sys, np.int64 if sys.size <= _FLAT_ID_CAP else object
+        times = a.array.astype(object) if self.dtype is object else a.array
+        self.residues = (times % sys.size).astype(self.dtype, copy=False)
 
-    def _states(self, start, lo: int, hi: int) -> tuple[list, np.ndarray]:
-        if (lo, hi) not in self._slices:
-            residues, index = np.unique(self.times[lo:hi] % self.period, return_inverse=True)
-            self._slices[lo, hi] = residues.tolist(), index
-        residues, index = self._slices[lo, hi]
-        return [self.sys.orbit_at(start, m) for m in residues], index
-
-    def cells(self, starts: Sequence, cover) -> np.ndarray:
-        rows = []
-        for start in starts:
-            states, index = self._states(start, 0, len(self.times))
-            rows.append(cover.ids_of(states)[index])
-        return np.stack(rows)
+    def cells(self, starts: Sequence, cover: "FiniteCover") -> np.ndarray:
+        codes = np.array([self.sys.encode(s) for s in starts], dtype=self.dtype)
+        return (codes[:, None] + self.residues) % self.sys.size
 
     def distances(self, starts: Sequence, lo: int, hi: int) -> np.ndarray:
-        rows = []
-        for start in starts:
-            states, index = self._states(start, lo, hi)
-            rows.append(np.array([self.sys.distance(s, start) for s in states], dtype=np.float64)[index])
-        return np.stack(rows)
+        return np.repeat((self.residues[lo:hi] != 0)[None], len(starts), axis=0)
 
-    def limit(self, eps: float) -> float:
-        return eps  # distances are floats
+    def limit(self, eps: float) -> int:
+        """The least distance that is not below eps: d < limit iff d < eps, for d in {0, 1}."""
+        return 2 if eps > 1 else 1
 
     def value(self, d) -> Fraction:
-        return Fraction(float(d))
+        return Fraction(int(d))
 
 
 class FiniteSystem:
@@ -226,8 +226,8 @@ class FiniteSystem:
     def orbit_at(self, start, n: int):
         return self.decode((self.encode(start) + n) % self.size)
 
-    def along(self, a: Window) -> _PeriodicOrbits:
-        return _PeriodicOrbits(self, a, self.size)
+    def along(self, a: Window) -> _FiniteOrbits:
+        return _FiniteOrbits(self, a)
 
     def cover(self, eps: float) -> "FiniteCover":
         if not eps > 0:
@@ -368,9 +368,10 @@ class RotationSystem(TorusSystem):
     """Rotation by a fixed angle vector on the d-torus.
 
     Angles live in [0,1); an optional exact rational form replaces them in
-    the orbits and makes the system equivalent to a cycle of period lcm of
-    the denominators.  Orbits are exact Fractions either way: a float angle
-    or start counts as the dyadic rational it stores.
+    the orbits (``_angles``) and makes the system equivalent to a cycle of
+    period lcm of the denominators.  Orbits are exact either way, per state
+    in Fractions and along a window as numerators (``_TorusOrbits``): a
+    float angle or start counts as the dyadic rational it stores.
     """
 
     angles: tuple[float, ...]
@@ -413,22 +414,17 @@ class RotationSystem(TorusSystem):
     def orbit_at(self, start, n: int):
         # (c + n p/q) mod 1 over the common denominator: one gcd, not three.
         out = []
-        for c, a in zip(self._coords(start), self.exact or self.angles):
+        for c, a in zip(self._coords(start), self._angles):
             num, den = c.as_integer_ratio()
             p, q = a.as_integer_ratio()
             d = den * q
             out.append(Fraction((num * q + n * p * den) % d, d))
         return self._state(out)
 
-    def along(self, a: Window):
-        if self.exact is not None:
-            return _PeriodicOrbits(self, a, self.rational_period)
-        return _TorusOrbits(self, a)
-
-    _angles = property(lambda self: self.angles)
+    _angles = property(lambda self: self.exact or self.angles)
 
     def _phases(self, times, den: int) -> list:
-        return [_phase_numerators(times, a, den) for a in self.angles]
+        return [_phase_numerators(times, a, den) for a in self._angles]
 
     def _moves(self, columns: np.ndarray, times, phases, den: int) -> list:
         return phases
@@ -603,15 +599,17 @@ class TorusCover:
         return _id_array([self.flat_id(self.cell_of(s)) for s in states], self.cell_count())
 
     def flat_ids(self, coords: Sequence[np.ndarray], den: int) -> np.ndarray:
-        """ids_of for states given as numerator arrays over den (uint64 for 2^64, else Python ints) of any one shape.
+        """ids_of for states given as numerator arrays over den (uint64, or Python ints) of any one shape.
 
-        A coordinate s is in cell floor(s·k / den): for uint64 and k < 2^32,
-        (hi·k + (lo·k >> 32)) >> 32 on the 32-bit halves of s, where no product wraps.
+        A coordinate s is in cell floor(s·k / den): for uint64 and k < 2^32, s·k // den
+        for den < 2^31, else (hi·k + (lo·k >> 32)) >> 32 on the 32-bit halves of s.
         """
         ids, dtype, k = None, np.int64 if self.cell_count() <= _FLAT_ID_CAP else object, np.uint64(self.k)
         for s in coords:
             if s.dtype == object or self.k >= 2 ** 32 or dtype is object:
                 cells = (s.astype(object) * self.k // den).astype(dtype)
+            elif den < 2 ** 64:
+                cells = (s * k // np.uint64(den)).view(np.int64)
             else:
                 cells = (((s >> 32) * k + ((s & 0xFFFFFFFF) * k >> 32)) >> 32).view(np.int64)
             ids = cells if ids is None else ids * self.k + cells

@@ -7,8 +7,10 @@ the library metric path: the sha256 of the ``repr`` of each
 ``r_sequence_metric`` and ``birkhoff_window_test`` result of the
 metric-density benchmark, seed 1, and one sha256 of the ``repr`` lines of
 all ``crosscheck_cyclic_equivalence`` results of the crosscheck-sweep
-benchmark, seed 1, and one of the ``return_times`` windows of
-``report_diff.RETURN_TIMES``.  A change that moves
+benchmark, seed 1, one of the ``return_times`` windows of
+``report_diff.RETURN_TIMES``, and one of the orbits that repeat
+(``report_diff.PERIODIC_RETURN_TIMES`` and ``PERIODIC_BIRKHOFF``).  A
+change that moves
 a line on purpose rewrites the file with
 ``PYTHONPATH=src python3 scripts/report_diff.py --write`` and explains the
 moved line.

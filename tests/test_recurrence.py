@@ -763,10 +763,9 @@ def _column(table, j):
     return np.flatnonzero(table[:, j // 64] >> np.uint64(j % 64) & np.uint64(1))
 
 
-def _kernel_windows(seed: int, count: int, past_cap: bool) -> list:
+def _kernel_windows(seed: int, count: int) -> list:
     # Progressions {m, 2m, ...} like the cross-check's, random subsets and
-    # empty windows on [0, 500]; with past_cap, one more window whose horizon
-    # leaves it without a bitmask.
+    # empty windows on [0, 500].
     rng = np.random.default_rng(seed)
     windows = []
     for _ in range(count):
@@ -778,35 +777,30 @@ def _kernel_windows(seed: int, count: int, past_cap: bool) -> list:
             windows.append(Window(np.flatnonzero(rng.random(top + 1) < rng.random() / 4), top))
         else:
             windows.append(Window((), top))
-    if past_cap:
-        windows.append(Window(np.flatnonzero(rng.random(500) < 0.05), _BITMASK_HORIZON_CAP + 1))
     return windows
 
 
 @given(
     st.lists(st.integers(0, 400), max_size=80, unique=True),
-    st.booleans(),
     st.integers(1, 90),
     st.integers(0, 2 ** 32 - 1),
-    st.booleans(),
     st.lists(st.integers(-600, 600), max_size=12),
     st.sampled_from([0, -1, 1]),
     st.integers(0, 70),
 )
-@example([], False, 3, 0, False, [0], 0, 32)  # an empty window
-@example(list(range(0, 400, 3)), False, 70, 1, True, [2, -5, 2, 0, -5, 9], 0, 20)
-@example(list(range(1, 400, 2)), True, 66, 2, True, [4, -3, 1, 0], -1, 8)
-@example(list(range(1, 400, 2)), False, 66, 3, True, [4, -3, 1, 0], 1, 8)
+@example([], 3, 0, [0], 0, 32)  # an empty window
+@example(list(range(0, 400, 3)), 70, 1, [2, -5, 2, 0, -5, 9], 0, 20)
+@example(list(range(1, 400, 2)), 66, 2, [4, -3, 1, 0], -1, 8)
+@example(list(range(1, 400, 2)), 66, 3, [4, -3, 1, 0], 1, 8)
 @settings(max_examples=120, deadline=None)
-def test_shifted_hits_hold_iff_every_shifted_hit_holds(a_elems, a_past_cap, count, seed, past_cap, shifts, far, cap):
+def test_shifted_hits_hold_iff_every_shifted_hit_holds(a_elems, count, seed, shifts, far, cap):
     # Shifts come duplicated and unsorted, or (far) all past int64 below
     # -horizon or above every window; J reaches past one 64-bit word; a prefix
-    # cap under the window's length sends the open pairs to the bitmask
-    # settle, through _least_common for a window past the bitmask cap.
-    a = Window(tuple(sorted(a_elems)), _BITMASK_HORIZON_CAP + 1 if a_past_cap else 450)
+    # cap under the window's length sends the open pairs to the bitmask settle.
+    a = Window(tuple(sorted(a_elems)), 450)
     if far:
         shifts = [far * (a.horizon + 10 ** 20) + n for n in shifts]
-    windows = _kernel_windows(seed, count, past_cap)
+    windows = _kernel_windows(seed, count)
     table = _position_table(windows)
     assert all(np.array_equal(_column(table, j), w.array + 1) for j, w in enumerate(windows))
     with pytest.MonkeyPatch.context() as mp:
@@ -854,6 +848,12 @@ def test_crosscheck_shifts_far_below_the_window_allocate_nothing_for_them():
     assert peak < 2 * 2 ** 20
     note = "m=1: residue coverage=True, return-time hitting=False, difference-set hitting=False"
     assert v == Verdict.fail((1, True, False, False), note=note)
+
+
+def test_crosscheck_windows_all_have_bitmasks():
+    # _shifted_hits settles open pairs on bitmasks only: every window the
+    # cross-check accepts or builds lies within the bitmask cap.
+    assert recurrence._CROSSCHECK_HORIZON_CAP <= _BITMASK_HORIZON_CAP
 
 
 def test_crosscheck_rejects_huge_elements():
@@ -1194,6 +1194,29 @@ def test_metric_dense_only_from_a_later_start(sys, w, eps, grid, start):
     report = r_sequence_metric(w, sys, eps, grid)
     assert report.verdict.holds and report.verdict.witness == start != sys.starts(grid)[0]
     assert report.to_json() == _exact_metric(w, sys, eps, grid)
+
+
+def test_exact_rotation_returns_at_the_distance_below_the_double_eps():
+    # The exact distance 1/10 lies below the double 0.1, and 1/5 below 0.2:
+    # the return is within eps, as it is exactly.
+    for q, eps in ((10, 0.1), (5, 0.2)):
+        w, rot = Window([1], 1), RotationSystem.from_rationals(Fraction(1, q))
+        v = birkhoff_window_test(w, rot, eps)
+        assert v.holds and v.witness == (0.0, 1)
+        assert v == _exact_birkhoff(w, rot, eps)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 10, 12, 49])
+def test_exact_rotation_birkhoff_at_eps_the_double_nearest_the_distance(q):
+    # Rotation by 1/q returns to within j/q at time j; eps is the double
+    # nearest j/q, so the return holds exactly when that double rounds up.
+    rot = RotationSystem.from_rationals(Fraction(1, q))
+    for j in range(1, q // 2 + 1):
+        w, eps = Window([j], j), j / q
+        expected = _exact_birkhoff(w, rot, eps)
+        assert expected.holds == (Fraction(eps) > Fraction(j, q))
+        assert birkhoff_window_test(w, rot, eps) == expected
+        assert birkhoff_window_test(w, rot, eps, 0.25) == _exact_birkhoff(w, rot, eps, 0.25)
 
 
 def test_metric_tests_break_exact_ties_by_the_first_start():
