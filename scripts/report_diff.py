@@ -132,6 +132,8 @@ CALLS = [
     "recurrence squares.txt rot:1/3",
     "recurrence squares.txt rot:1/3 --shifts=-2..2",
     "recurrence squares.txt rot:2/7,1/3",
+    # A spec that mixes p/q with a decimal holds doubles.
+    "recurrence squares.txt rot:1/3,0.5",
     "recurrence evens.txt skew:1/3",
     "recurrence interval.txt rot:golden --eps 0.1 --start-grid 0.5",
     "recurrence squares.txt skew:golden --eps 0.02 --start-grid 0.25",

@@ -66,19 +66,18 @@ class SystemSpecError(ValueError):
 
 
 def _parse_angle_token(token: str):
-    """'golden' | 'p/q' | decimal float -> (float angle, Fraction or None)."""
+    """'golden' | 'p/q' | decimal float -> GOLDEN, the Fraction p/q or the float."""
     token = token.strip()
     if token == "golden":
-        return GOLDEN, None
+        return GOLDEN
     if "/" in token:
         num, _, den = token.partition("/")
         try:
-            frac = Fraction(int(num), int(den))
+            return Fraction(int(num), int(den))
         except (ValueError, ZeroDivisionError) as exc:
             raise SystemSpecError(f"bad rational angle {token!r}") from exc
-        return float(frac % 1), frac % 1
     try:
-        return float(token), None
+        return float(token)
     except ValueError as exc:
         raise SystemSpecError(f"bad angle {token!r}") from exc
 
@@ -100,7 +99,7 @@ def _split_top_level(text: str) -> list[str]:
 
 
 def parse_system_spec(spec: str):
-    """cyclic:m | rot:angle[,angle...] | rot:p/q | odo:p^d | skew:angle | prod(a,b)."""
+    """cyclic:m | rot:angle[,angle...] | odo:p^d | skew:angle | prod(a,b); an angle is golden, p/q or a decimal."""
     spec = spec.strip()
     if spec.startswith("prod(") and spec.endswith(")"):
         inner = _split_top_level(spec[5:-1])
@@ -116,12 +115,7 @@ def parse_system_spec(spec: str):
         except ValueError as exc:
             raise SystemSpecError(f"bad cyclic period {arg!r}") from exc
     if kind == "rot":
-        tokens = arg.split(",")
-        parsed = [_parse_angle_token(t) for t in tokens]
-        fracs = [f for _, f in parsed]
-        if all(f is not None for f in fracs):
-            return RotationSystem.from_rationals(*fracs)
-        return RotationSystem(tuple(a for a, _ in parsed))
+        return RotationSystem(tuple(_parse_angle_token(t) for t in arg.split(",")))
     if kind == "odo":
         base, sep2, depth = arg.partition("^")
         if not sep2:
@@ -131,7 +125,7 @@ def parse_system_spec(spec: str):
         except ValueError as exc:
             raise SystemSpecError(f"bad odometer spec {arg!r}") from exc
     if kind == "skew":
-        return SkewProductSystem(*_parse_angle_token(arg))
+        return SkewProductSystem(_parse_angle_token(arg))
     raise SystemSpecError(f"unknown system kind {kind!r}")
 
 

@@ -271,10 +271,10 @@ def r_sequence_metric(a: Window, sys, eps: float, start_grid_resolution: float) 
     is evaluated alone, then the other starts as one array, split at
     ``_BATCH_ELEMENTS`` states.  A batch's cells are counted in one
     bincount when they are few against the window, and sorted per start
-    otherwise (``_coverage``).  Exact rational rotations skip the
-    floating-point budget; finite systems and products raise TypeError, and
-    eps <= 0 or a start grid <= 0 raise ValueError before the budget is
-    checked.
+    otherwise (``_coverage``).  Exact rational angles (``rot:p/q``,
+    ``skew:p/q``) skip the floating-point budget; finite systems and
+    products raise TypeError, and eps <= 0 or a start grid <= 0 raise
+    ValueError before the budget is checked.
     """
     if not isinstance(sys, TorusSystem):
         raise TypeError(f"not a metric catalog system: {sys!r}")
@@ -318,7 +318,7 @@ def birkhoff_window_test(a: Window, sys, eps: float, start_grid_resolution: floa
     the grid of a torus), first witness (start, n) wins.  Element 0 of the
     window is ignored (trivial return).  eps <= 0 raises ValueError.  Return
     distances are evaluated as arrays (``sys.along``); on every torus, exact
-    rational rotations included, they are exact integer numerators, compared
+    rational angles included, they are exact integer numerators, compared
     with eps exactly (``orbits.limit``) and reported rounded once, and on a
     finite system they are 0 at the multiples of its size and 1 elsewhere.
     The first start is read alone, then the other starts as one batch (split at

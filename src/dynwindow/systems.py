@@ -1,12 +1,13 @@
 """Catalog of concrete dynamical systems with exact or high-precision dynamics.
 
 Finite systems (cycles, truncated odometers) are exact.  Metric systems
-(torus rotations, the skew product (x, y) -> (x + a, y + x)) hold doubles,
-which are dyadic rationals, or exact rational angles.  A torus point is the
-rational number it stores (a float, an int or a Fraction): ``orbit_at``,
-``step``, ``cell_of`` and ``along`` all compute its exact orbit and cells,
-so they agree at every cell edge.  Every system is an immutable value
-object; all operations are pure.
+(torus rotations, the skew product (x, y) -> (x + a, y + x)) hold what
+their spec denotes: Fractions when every angle is p/q, else doubles, which
+are dyadic rationals.  A torus point is the rational number it stores (a
+float, an int or a Fraction): ``orbit_at``, ``step``, ``cell_of`` and
+``along`` all compute its exact orbit and cells, so they agree at every
+cell edge.  Every system is an immutable value object; all operations are
+pure.
 
 Every system answers one protocol: ``step``, ``orbit_at``, ``along``,
 ``cover``, ``distance``, ``starts``, ``rational_structure`` and
@@ -22,7 +23,7 @@ share ``TorusSystem``; ``ProductSystem`` answers componentwise, and its
 ``along(a)`` evaluates orbits over a whole window at once, for a batch of
 starts: ``cells(starts, cover)`` and ``distances(starts, lo, hi)`` answer
 one row per start; ``limit(eps)`` and ``value(d)`` read a distance against
-eps and as a number.  On every torus, exact rational rotations included, a
+eps and as a number.  On every torus, exact rational angles included, a
 state is an exact integer numerator over the lcm of the angles' and starts'
 denominators (2^64 in wrapping uint64 for doubles): a start column plus the
 start-free phase ``n * angle``, computed once per window; its cell is
@@ -76,12 +77,22 @@ _FLAT_ID_CAP = 2 ** 62
 _CELLS_PER_ID_COUNTED = 3
 
 
-def _angle(a) -> float:
+def _angle(a, exact: bool):
+    # a mod 1: the Fraction when exact, else a double (a Fraction is reduced mod 1 before it is rounded).
+    if isinstance(a, Fraction):
+        a %= 1
+        if exact:
+            return a
     a = float(a)
     if not math.isfinite(a):
         raise ValueError(f"angle must be finite, got {a!r}")
     a %= 1.0
     return a if a < 1.0 else 0.0
+
+
+def _token(a) -> str:
+    # The spec token of an angle: p/q for a Fraction, the repr of a double.
+    return f"{a.numerator}/{a.denominator}" if isinstance(a, Fraction) else repr(a)
 
 
 def _numerator(x, den: int) -> int:
@@ -326,9 +337,19 @@ class OdometerSystem(FiniteSystem):
 
 
 class TorusSystem:
-    """A map on the d-torus; states are coordinate tuples (bare coordinates when d = 1)."""
+    """A map on the d-torus; states are coordinate tuples (bare coordinates when d = 1).
 
-    exact_orbits = False
+    Equality and hash are keyed on (type, ``spec_string()``): the angle 1/2
+    and the double 0.5 make different systems, as ``exact_orbits`` tells.
+    """
+
+    exact_orbits = property(lambda self: all(isinstance(a, Fraction) for a in self._angles))
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.spec_string() == other.spec_string()
+
+    def __hash__(self) -> int:
+        return hash((type(self), self.spec_string()))
 
     def _coords(self, state) -> tuple:
         if self.dimension == 1 and not isinstance(state, tuple):
@@ -363,29 +384,25 @@ class TorusSystem:
         return [self._state(p) for p in itertools.product(axis, repeat=self.dimension)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RotationSystem(TorusSystem):
     """Rotation by a fixed angle vector on the d-torus.
 
-    Angles live in [0,1); an optional exact rational form replaces them in
-    the orbits (``_angles``) and makes the system equivalent to a cycle of
-    period lcm of the denominators.  Orbits are exact either way, per state
-    in Fractions and along a window as numerators (``_TorusOrbits``): a
-    float angle or start counts as the dyadic rational it stores.
+    Angles live in [0,1): Fractions when every angle given is one, which
+    makes the system equivalent to a cycle of period lcm of the
+    denominators, and doubles otherwise (a mixed tuple holds doubles, as
+    ``rot:1/3,0.5`` does).  Orbits are exact either way, per state in
+    Fractions and along a window as numerators (``_TorusOrbits``): a float
+    angle or start counts as the dyadic rational it stores.
     """
 
-    angles: tuple[float, ...]
-    exact: Optional[tuple[Fraction, ...]] = None
+    angles: tuple[float | Fraction, ...]
 
     def __post_init__(self) -> None:
         if not self.angles:
             raise ValueError("need at least one angle")
-        object.__setattr__(self, "angles", tuple(_angle(a) for a in self.angles))
-        if self.exact is not None:
-            ex = tuple(Fraction(e) % 1 for e in self.exact)
-            if len(ex) != len(self.angles):
-                raise ValueError("exact form must match dimension")
-            object.__setattr__(self, "exact", ex)
+        exact = all(isinstance(a, Fraction) for a in self.angles)
+        object.__setattr__(self, "angles", tuple(_angle(a, exact) for a in self.angles))
 
     @classmethod
     def from_angle(cls, angle: float) -> "RotationSystem":
@@ -393,68 +410,54 @@ class RotationSystem(TorusSystem):
 
     @classmethod
     def from_rationals(cls, *fracs: Fraction) -> "RotationSystem":
-        fracs = tuple(Fraction(f) % 1 for f in fracs)
-        return cls(tuple(float(f) for f in fracs), fracs)
+        return cls(tuple(Fraction(f) for f in fracs))
 
     @property
     def dimension(self) -> int:
         return len(self.angles)
 
-    @property
-    def exact_orbits(self) -> bool:
-        return self.exact is not None
-
-    @property
-    def rational_period(self) -> Optional[int]:
-        """lcm of denominators when an exact rational form is present."""
-        if self.exact is None:
-            return None
-        return math.lcm(*(f.denominator for f in self.exact))
-
     def orbit_at(self, start, n: int):
         # (c + n p/q) mod 1 over the common denominator: one gcd, not three.
         out = []
-        for c, a in zip(self._coords(start), self._angles):
+        for c, a in zip(self._coords(start), self.angles):
             num, den = c.as_integer_ratio()
             p, q = a.as_integer_ratio()
             d = den * q
             out.append(Fraction((num * q + n * p * den) % d, d))
         return self._state(out)
 
-    _angles = property(lambda self: self.exact or self.angles)
+    _angles = property(lambda self: self.angles)
 
     def _phases(self, times, den: int) -> list:
-        return [_phase_numerators(times, a, den) for a in self._angles]
+        return [_phase_numerators(times, a, den) for a in self.angles]
 
     def _moves(self, columns: np.ndarray, times, phases, den: int) -> list:
         return phases
 
     def rational_structure(self) -> tuple[Optional[int], bool, bool]:
         # Float angles: no rational factor, asserted under the irrationality caveat.
-        return self.rational_period or 1, self.exact is None, True
+        if not self.exact_orbits:
+            return 1, True, True
+        return math.lcm(*(a.denominator for a in self.angles)), False, True
 
     def spec_string(self) -> str:
-        if self.exact is not None:
-            return "rot:" + ",".join(f"{f.numerator}/{f.denominator}" for f in self.exact)
-        return "rot:" + ",".join(repr(a) for a in self.angles)
+        return "rot:" + ",".join(map(_token, self.angles))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SkewProductSystem(TorusSystem):
     """(x, y) -> (x + a, y + x) on the 2-torus over a circle rotation.
 
-    Closed form: T^n(x, y) = (x + n a, y + n x + n(n-1)/2 a) mod 1.
+    Closed form: T^n(x, y) = (x + n a, y + n x + n(n-1)/2 a) mod 1.  The
+    angle is a Fraction when given as one (not minimal), else a double.
     """
 
-    angle: float
-    exact: Optional[Fraction] = None
+    angle: float | Fraction
 
     dimension = 2
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "angle", _angle(self.angle))
-        if self.exact is not None:
-            object.__setattr__(self, "exact", Fraction(self.exact) % 1)
+        object.__setattr__(self, "angle", _angle(self.angle, isinstance(self.angle, Fraction)))
 
     def orbit_at(self, start, n: int):
         x, y = (Fraction(*c.as_integer_ratio()) for c in start)
@@ -472,10 +475,10 @@ class SkewProductSystem(TorusSystem):
 
     def rational_structure(self) -> tuple[Optional[int], bool, bool]:
         # A rational angle leaves orbit closures finitely many circles: not minimal.
-        return (1, True, True) if self.exact is None else (None, False, False)
+        return (None, False, False) if self.exact_orbits else (1, True, True)
 
     def spec_string(self) -> str:
-        return f"skew:{self.angle!r}"
+        return f"skew:{_token(self.angle)}"
 
 
 @dataclass(frozen=True)
@@ -717,9 +720,10 @@ def _smallest_prime_factor(n: int) -> int:
 def is_totally_minimal(sys) -> Verdict:
     """Is (X, T^n) minimal for every n?
 
-    Exact on finite systems and rational rotations (any rational period q > 1
-    fails at n = smallest prime factor of q).  For irrational angles the
-    verdict is asserted on the window with the caveat recorded in the note.
+    Exact on finite systems, rational rotations (any rational period q > 1
+    fails at n = smallest prime factor of q) and rational skews.  For
+    irrational angles the verdict is asserted on the window with the caveat
+    recorded in the note.
     ``rational_structure()`` is (order of the finite cyclic factor, or None
     when the system is not minimal; irrationality caveat; minimal).
     """

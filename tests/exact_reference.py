@@ -1,9 +1,9 @@
 """Exact orbits of the metric catalog systems in stdlib arithmetic: the reference for the metric engine.
 
 Imports nothing from dynwindow.  A system is read through its fields only:
-a rotation's ``angles`` (or its exact rational ``exact``), the skew
-product's ``angle``, a cycle's ``period`` or an odometer's ``base`` and
-``depth``.  A double is the dyadic rational it stores, so every state,
+a rotation's ``angles``, the skew product's ``angle``, a cycle's ``period``
+or an odometer's ``base`` and ``depth``.  An angle is a Fraction or a
+double, and a double is the dyadic rational it stores, so every state,
 cell and distance here is exact, computed in ``Fraction`` straight from the
 definitions:
 
@@ -16,8 +16,8 @@ definitions:
 
 ``r_sequence_metric`` and ``birkhoff`` restate the two window tests on
 these: the first start (then time) wins, and the floating-point budget is
-charged as the engine charges it, n·2^-53 against eps/10, except for exact
-rotations.
+charged as the engine charges it, n·2^-53 against eps/10, except when
+every angle is a Fraction.
 """
 from __future__ import annotations
 
@@ -28,6 +28,10 @@ from fractions import Fraction
 
 def _is_rotation(sys) -> bool:
     return hasattr(sys, "angles")
+
+
+def _angles(sys) -> list:
+    return list(sys.angles) if _is_rotation(sys) else [sys.angle]
 
 
 def dimension(sys) -> int:
@@ -41,10 +45,10 @@ def _coords(start) -> tuple:
 def state(sys, start, n: int) -> tuple:
     """T^n(start) as a tuple of Fractions in [0, 1)."""
     c = [Fraction(v) for v in _coords(start)]
+    angles = [Fraction(a) for a in _angles(sys)]
     if _is_rotation(sys):
-        angles = sys.exact if sys.exact is not None else [Fraction(a) for a in sys.angles]
         return tuple((v + n * a) % 1 for v, a in zip(c, angles))
-    (x, y), a = c, Fraction(sys.angle)
+    (x, y), (a,) = c, angles
     return (x + n * a) % 1, (y + n * x + n * (n - 1) // 2 * a) % 1
 
 
@@ -86,7 +90,7 @@ def grid(sys, resolution: float) -> list:
 
 
 def _budget_note(times, horizon: int, sys, eps: float):
-    if _is_rotation(sys) and sys.exact is not None:
+    if all(isinstance(a, Fraction) for a in _angles(sys)):
         return None
     drift = (times[-1] if times else horizon) * 2.0 ** -53
     if drift > eps / 10.0:

@@ -40,7 +40,7 @@ def test_parse_system_specs():
     assert parse_system_spec("cyclic:5") == CyclicSystem(5)
     assert parse_system_spec("odo:2^3") == OdometerSystem(2, 3)
     rot = parse_system_spec("rot:1/3")
-    assert isinstance(rot, RotationSystem) and rot.rational_period == 3
+    assert isinstance(rot, RotationSystem) and rot.angles == (Fraction(1, 3),)
     golden = parse_system_spec("rot:golden")
     assert golden.angles[0] == pytest.approx(GOLDEN)
     skew = parse_system_spec("skew:golden")

@@ -13,7 +13,8 @@ benchmark, seed 1, one of the ``return_times`` windows of
 change that moves
 a line on purpose rewrites the file with
 ``PYTHONPATH=src python3 scripts/report_diff.py --write`` and explains the
-moved line.
+moved line.  Every system spec the corpus reads parses back, from its
+``spec_string()``, to an equal system.
 """
 from __future__ import annotations
 
@@ -51,3 +52,31 @@ def test_cli_output_matches_golden_digest(lines, call):
     now, golden = lines
     key = call + " --json"
     assert now[key] == golden[key], call
+
+
+def _corpus_specs() -> list[str]:
+    # Every system spec the corpus reads: recurrence and product calls, and the library rows.
+    specs = []
+    for call in report_diff.CALLS:
+        argv = call.split()
+        if argv[0] == "recurrence" and not argv[2].startswith("cyclic:<="):
+            specs.append(argv[2])
+        elif argv[0] == "product":
+            specs += argv[1:3]
+    rows = report_diff.RETURN_TIMES + report_diff.PERIODIC_RETURN_TIMES
+    return list(dict.fromkeys(specs + [row[0] for row in rows] + report_diff.PERIODIC_BIRKHOFF))
+
+
+# Specs of the corpus that no system holds: their golden lines pin the error.
+_REJECTED = {"rot:nan", "rot:inf", "skew:1e400"}
+
+
+@pytest.mark.parametrize("spec", [s for s in _corpus_specs() if s not in _REJECTED])
+def test_corpus_spec_round_trips(spec):
+    # A spec_string denotes the system it came from, and is a fixed point.
+    from dynwindow.cli import parse_system_spec
+
+    system = parse_system_spec(spec)
+    again = parse_system_spec(system.spec_string())
+    assert again == system and type(again) is type(system)
+    assert again.spec_string() == system.spec_string()

@@ -450,6 +450,21 @@ def test_metric_budget_inconclusive():
     assert report.verdict.inconclusive and "budget" in report.verdict.note
 
 
+def test_exact_skew_has_no_budget():
+    # skew:1/3 holds the Fraction 1/3, so times near 10^15 (n·2^-53 = 0.11 >
+    # eps/10) get a verdict from the exact orbit, not the floating-point budget.
+    from dynwindow.cli import parse_system_spec
+
+    sys = parse_system_spec("skew:1/3")
+    w = Window(tuple(10 ** 15 + 7 * n for n in range(600)), 10 ** 15 + 4200)
+    report = r_sequence_metric(w, sys, 0.05, 0.5)
+    assert not report.verdict.inconclusive and "budget" not in report.verdict.note
+    assert report.family == "skew:1/3 eps=0.05"
+    assert report.to_json() == _exact_metric(w, sys, 0.05, 0.5)
+    v = birkhoff_window_test(w, sys, 0.05, 0.5)
+    assert not v.inconclusive and v == _exact_birkhoff(w, sys, 0.05, 0.5)
+
+
 def test_metric_rejects_finite_systems():
     with pytest.raises(TypeError):
         r_sequence_metric(interval(0, 10), CyclicSystem(3), 0.5, 1.0)
@@ -990,6 +1005,14 @@ def test_cesaro_evens_under_half_rotation_stay_at_one():
     assert all(abs(t - 1.0) < 1e-12 for t in trace)
 
 
+def test_cesaro_reads_the_double_of_an_exact_angle():
+    # The Cesàro pair reads float(angle): an exact 1/3 gives what the double 1/3 gives.
+    w = squares(300)
+    exact, double = RotationSystem.from_rationals(Fraction(1, 3)), RotationSystem.from_angle(1 / 3)
+    for k in (1, 5):
+        assert cesaro_average_along(w, exact, k, 0.25) == cesaro_average_along(w, double, k, 0.25)
+
+
 def test_cesaro_k_zero_rejected():
     with pytest.raises(ValueError):
         cesaro_average_along(interval(1, 10), RotationSystem.from_angle(GOLDEN), 0)
@@ -1063,6 +1086,9 @@ METRIC_SYSTEMS = [
     RotationSystem.from_angle(0.25),
     RotationSystem((0.5, 0.3)),
     SkewProductSystem(0.25),
+    # Exact skews: no floating-point budget.
+    SkewProductSystem(Fraction(1, 3)),
+    SkewProductSystem(Fraction(2, 7)),
 ]
 
 

@@ -378,7 +378,7 @@ def test_totally_minimal_products():
 
 
 def test_rational_skew_not_minimal():
-    v = is_totally_minimal(SkewProductSystem(0.5, Fraction(1, 2)))
+    v = is_totally_minimal(SkewProductSystem(Fraction(1, 2)))
     assert v.fails and v.witness == 1
 
 
@@ -393,10 +393,44 @@ def test_system_distance():
     assert skew.distance((0.0, 0.9), (0.0, 0.1)) == pytest.approx(0.2)
 
 
+def test_torus_systems_are_keyed_on_type_and_spec():
+    # 0.5 == Fraction(1, 2), yet the double and the exact angle make
+    # different systems: they differ in exact_orbits and in spec_string.
+    for double, exact in (
+        (RotationSystem((0.5,)), RotationSystem.from_rationals(Fraction(1, 2))),
+        (SkewProductSystem(0.5), SkewProductSystem(Fraction(1, 2))),
+    ):
+        assert double != exact and not double == exact
+        assert (double.exact_orbits, exact.exact_orbits) == (False, True)
+        assert double.spec_string() != exact.spec_string()
+    assert RotationSystem((0.5,)) != SkewProductSystem(0.5)
+    # Equal specs: equal systems with equal hashes.
+    for one, other in (
+        (RotationSystem.from_angle(0.5), RotationSystem((0.5,))),
+        (RotationSystem.from_rationals(Fraction(2, 6)), RotationSystem((Fraction(4, 3),))),
+        (RotationSystem((Fraction(1, 3), 0.5)), RotationSystem((1 / 3, 0.5))),
+        (SkewProductSystem(Fraction(1, 3)), SkewProductSystem(Fraction(-2, 3))),
+        (SkewProductSystem(GOLDEN), SkewProductSystem(1 + GOLDEN)),
+    ):
+        assert one == other and hash(one) == hash(other) and one.spec_string() == other.spec_string()
+    assert len({RotationSystem((0.5,)), RotationSystem.from_angle(0.5), RotationSystem.from_rationals(Fraction(1, 2))}) == 2
+
+
+def test_a_mixed_angle_tuple_holds_doubles():
+    # A Fraction among doubles is reduced mod 1, then rounded: 4/3 gives the double of 1/3.
+    rot = RotationSystem((Fraction(4, 3), 0.5))
+    assert rot.angles == (1 / 3, 0.5) and all(type(a) is float for a in rot.angles)
+    assert not rot.exact_orbits and rot.rational_structure() == (1, True, True)
+    exact = RotationSystem((Fraction(4, 3), Fraction(1, 2)))
+    assert exact.angles == (Fraction(1, 3), Fraction(1, 2)) and exact.rational_structure() == (6, False, True)
+
+
 def test_spec_strings():
     assert CyclicSystem(5).spec_string() == "cyclic:5"
     assert OdometerSystem(2, 3).spec_string() == "odo:2^3"
     assert RotationSystem.from_rationals(Fraction(1, 3)).spec_string() == "rot:1/3"
+    assert SkewProductSystem(Fraction(1, 3)).spec_string() == "skew:1/3"
+    assert RotationSystem((Fraction(1, 3), 0.5)).spec_string() == "rot:0.3333333333333333,0.5"
     assert ProductSystem(CyclicSystem(2), CyclicSystem(3)).spec_string() == "prod(cyclic:2,cyclic:3)"
 
 
@@ -499,6 +533,9 @@ ALONG_SYSTEMS = [
     SkewProductSystem(0.25),
     # An odd numerator over 2^64: n(n-1)/2 must not wrap before it is halved.
     SkewProductSystem(2.0 ** -12 + 2.0 ** -64),
+    # Exact skews: times mod 2·den, n(n-1)/2 reduced mod den.
+    SkewProductSystem(Fraction(1, 3)),
+    SkewProductSystem(Fraction(2, 7)),
 ]
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
