@@ -14,12 +14,15 @@ all the calls of the crosscheck-sweep benchmark, seed 1
 op order, named ``library crosscheck-sweep``.  Each of them holds, with
 the same note, so a line per call would repeat one digest.  Then one line
 for the ``return_times`` windows of ``RETURN_TIMES`` at horizon 20,000:
-the sha256 of their ``repr`` lines, named ``library return-times``.  Last,
+the sha256 of their ``repr`` lines, named ``library return-times``.  Then
 one line for the orbits that repeat (cycles, odometers and exact rotations,
 alone and in products): the sha256 of the ``repr`` lines of the
 ``return_times`` windows of ``PERIODIC_RETURN_TIMES`` at horizon 20,000 and
 of ``birkhoff_window_test`` on every third time of [1, 3000) for each spec
-of ``PERIODIC_BIRKHOFF``, named ``library periodic-orbits``.
+of ``PERIODIC_BIRKHOFF``, named ``library periodic-orbits``.  Last, one line
+for the skew products, whose return distance reads a start's x only: the
+sha256 of the ``repr`` lines of ``birkhoff_window_test`` on each spec of
+``BIRKHOFF_CLASSES`` over seeded windows, named ``library birkhoff-classes``.
 
 ``tests/golden/cli.txt`` holds these lines, and ``tests/test_cli_golden.py``
 regenerates them and names every call whose line moved.  A change that moves
@@ -220,6 +223,13 @@ PERIODIC_RETURN_TIMES = [
 ]
 PERIODIC_BIRKHOFF = ["rot:2/7", "cyclic:7", "odo:2^3", "rot:1/3,2/5"]
 
+# The skews that birkhoff_window_test reads at eps 0.02 and 0.002 on start
+# grids of 0.25 and 0.1, one return class per x: over the 40 times t drawn
+# from [1, 10^6] with each seed, and over the times 3t + 1.  Seed 4 makes
+# skew:0.3 first return from x = 0.25, a later class than x = 0.
+BIRKHOFF_CLASSES = ["skew:golden", "skew:0.3", "skew:1/3"]
+BIRKHOFF_CLASS_SEEDS = [4, 5, 6]
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -283,6 +293,24 @@ def periodic_orbits_digest() -> str:
     return f"repr={_sha(reprs.encode())} :: library periodic-orbits"
 
 
+def birkhoff_classes_digest() -> str:
+    import numpy as np
+
+    from dynwindow import Window, birkhoff_window_test
+    from dynwindow.cli import parse_system_spec
+
+    reprs = ""
+    for seed in BIRKHOFF_CLASS_SEEDS:
+        drawn = np.sort(np.random.default_rng(seed).choice(10 ** 6, 40, replace=False) + 1)
+        for times in (drawn, 3 * drawn + 1):
+            window = Window(times.tolist(), int(times[-1]))
+            for spec in BIRKHOFF_CLASSES:
+                for grid in (0.25, 0.1):
+                    for eps in (0.02, 0.002):
+                        reprs += repr(birkhoff_window_test(window, parse_system_spec(spec), eps, grid)) + "\n"
+    return f"repr={_sha(reprs.encode())} :: library birkhoff-classes"
+
+
 def fingerprints() -> list[str]:
     """The line of every call, in list order, all run in one temporary directory of input files."""
     if str(PERFBENCH) not in sys.path:
@@ -302,7 +330,12 @@ def fingerprints() -> list[str]:
             lines = [fingerprint(cli_main, argv) for argv in calls]
             lines += [library_fingerprint(op) for op in workloads.build_metric_density(1, Path("metric-density"))]
             sweep = workloads.build_crosscheck_sweep(1, Path("crosscheck-sweep"))
-            return lines + [library_digest("crosscheck-sweep", sweep), return_times_digest(), periodic_orbits_digest()]
+            return lines + [
+                library_digest("crosscheck-sweep", sweep),
+                return_times_digest(),
+                periodic_orbits_digest(),
+                birkhoff_classes_digest(),
+            ]
         finally:
             os.chdir(cwd)
 

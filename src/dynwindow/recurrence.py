@@ -250,7 +250,7 @@ def _metric_budget_note(a: Window, sys, eps: float) -> Optional[str]:
 
 
 def _start_batches(starts: list, length: int):
-    # The first start alone: a dense orbit or a return is usually found there.
+    # The first start alone: a dense orbit is usually found there.
     # Then the rest, at most _BATCH_ELEMENTS states per coordinate array at a time.
     rows = max(1, _BATCH_ELEMENTS // max(1, length))
     yield starts[:1]
@@ -321,8 +321,17 @@ def birkhoff_window_test(a: Window, sys, eps: float, start_grid_resolution: floa
     rational angles included, they are exact integer numerators, compared
     with eps exactly (``orbits.limit``) and reported rounded once, and on a
     finite system they are 0 at the multiples of its size and 1 elsewhere.
-    The first start is read alone, then the other starts as one batch (split at
-    ``_BATCH_ELEMENTS`` states), in slices of the window that grow four
+
+    A return distance d(T^n s, s) reads only some coordinates of the start
+    s (``sys._return_class``): none on a rotation, cycle or odometer, which
+    is a group rotation, and x on the skew product, whose y cancels.  So
+    only the first start of each return class in grid order is read: the
+    grid's first start, or (x, 0.0) for each x of the skew's grid.  The
+    witness rule is unchanged by this: a later start of a class returns iff
+    the first one does, at the same times and distances, so the least start
+    that returns, and the earliest start of a closest return, are the first
+    of their class.  These starts go as one batch (split at
+    ``_BATCH_ELEMENTS`` states), read in slices of the window that grow four
     times in length, so an early return at index i costs O(i).  After a
     slice, only starts before the earliest one that returned stay in the
     batch.  The witness does not depend on the slicing: it is the least
@@ -335,33 +344,38 @@ def birkhoff_window_test(a: Window, sys, eps: float, start_grid_resolution: floa
     note = _metric_budget_note(a, sys, eps)
     if note is not None:
         return Verdict.undecided(note=note)
-    starts = sys.starts(start_grid_resolution)
+    classes = {}  # return class -> its first start
+    for s in sys.starts(start_grid_resolution):
+        classes.setdefault(sys._return_class(s), s)
+    starts = list(classes.values())
     orbits = sys.along(a)
     first = int(len(a) > 0 and a.array[0] == 0)
+    per_batch = max(1, _BATCH_ELEMENTS // max(1, len(a)))
     closest = None  # (distance, start, n)
-    for batch in _start_batches(starts, len(a)):
+    for b in range(0, len(starts), per_batch):
+        # den is fixed within a batch: distances stay numerators until batches are compared.
+        batch, limit = starts[b : b + per_batch], None
         rows, witness = len(batch), None  # rows: the starts still in play
-        least = None  # (distance, row, time) of the closest return so far
+        least = None  # (numerator, row, time) of the closest return so far
         lo, hi = first, first + _FIRST_SLICE
         while lo < len(a) and rows:
             d = orbits.distances(batch[:rows], lo, hi)
-            near = d < orbits.limit(eps)
-            back = np.flatnonzero(near.any(axis=1))
-            if back.size:
-                rows = int(back[0])
+            if limit is None:
+                limit = orbits.limit(eps)
+            i, j = divmod(int(np.argmin(d)), d.shape[1])  # row-major: the earliest row, then time
+            if d[i, j] < limit:  # a start returns: the earliest one that does, at its first return
+                near = d < limit
+                rows = int(np.argmax(near.any(axis=1)))
                 j = int(np.argmax(near[rows]))
-                witness = (batch[rows], int(a.array[lo + j]), orbits.value(d[rows, j]))
-            elif witness is None:
-                j = np.argmin(d, axis=1)
-                i = int(np.argmin(d[np.arange(rows), j]))
-                if least is None or (orbits.value(d[i, j[i]]), i) < least[:2]:
-                    least = (orbits.value(d[i, j[i]]), i, int(a.array[lo + j[i]]))
+                witness = (batch[rows], int(a.array[lo + j]), int(d[rows, j]))
+            elif witness is None and (least is None or (int(d[i, j]), i) < least[:2]):
+                least = (int(d[i, j]), i, int(a.array[lo + j]))
             lo, hi = hi, 5 * hi - 4 * lo
         if witness is not None:
             start, n, dist = witness
-            return Verdict.hold((start, n), note=f"T^{n} returns within {float(dist):.3g} < {eps}")
-        if least is not None and (closest is None or least[0] < closest[0]):
-            closest = (least[0], batch[least[1]], least[2])
+            return Verdict.hold((start, n), note=f"T^{n} returns within {float(orbits.value(dist)):.3g} < {eps}")
+        if least is not None and (closest is None or orbits.value(least[0]) < closest[0]):
+            closest = (orbits.value(least[0]), batch[least[1]], least[2])
     if closest is None:
         return Verdict.fail(min(a.horizon, 0), note="window has no positive elements")
     d, start, n = closest

@@ -11,11 +11,17 @@ pure.
 
 Every system answers one protocol: ``step``, ``orbit_at``, ``along``,
 ``cover``, ``distance``, ``starts``, ``rational_structure`` and
-``exact_orbits``.  ``cover(eps)`` raises ValueError unless eps > 0; its cover
-partitions the space into cells of mesh <= eps, numbered 0..cell_count()-1,
-and answers ``cell_of``, ``ids_of`` (many states' cell numbers, as an array),
-``flat_id`` (a cell's number), ``cell_at`` (the cell with a number) and
-``cell_count`` for its ``system``.
+``exact_orbits``.  A system with a start set (all but ``ProductSystem``,
+whose ``starts`` raises TypeError) also answers ``_return_class(start)``:
+two starts of one class have equal return distances d(T^n s, s) at every
+time n.  A rotation, cycle or odometer is a group rotation, so its return
+distance reads no start coordinate and it has one class; the skew
+product's reads x only, one class per x.  ``cover(eps)`` raises
+ValueError unless eps > 0; its cover partitions the space into cells of
+mesh <= eps, numbered 0..cell_count()-1, and answers ``cell_of``,
+``ids_of`` (many states' cell numbers, as an array), ``flat_id`` (a
+cell's number), ``cell_at`` (the cell with a number) and ``cell_count``
+for its ``system``.
 Cycles and odometers share ``FiniteSystem``; rotations and the skew product
 share ``TorusSystem``; ``ProductSystem`` answers componentwise, and its
 ``along`` answers ``cells`` only, joined from its factors' cells.
@@ -188,7 +194,7 @@ class _TorusOrbits:
         wraps = self.den == 2 ** 64 and moves[0].dtype == np.uint64  # then den - d is -d
         gaps = [np.minimum(m, -m if wraps else self.den - m) for m in moves]
         d = reduce(np.maximum, gaps)
-        return d if d.ndim == 2 else np.repeat(d[None], len(starts), axis=0)
+        return d if d.ndim == 2 else np.broadcast_to(d, (len(starts), d.size))
 
     def limit(self, eps: float) -> int:
         """The least numerator of a distance that is not below eps: d < limit iff d / den < eps."""
@@ -250,6 +256,10 @@ class FiniteSystem:
 
     def starts(self, resolution: float) -> list:
         return [self.decode(v) for v in range(self.size)]
+
+    def _return_class(self, start) -> tuple:
+        # d(T^n s, s) is 0 at the multiples of size and 1 elsewhere, whatever s is: one class.
+        return ()
 
     def rational_structure(self) -> tuple[Optional[int], bool, bool]:
         return self.size, False, True
@@ -434,6 +444,10 @@ class RotationSystem(TorusSystem):
     def _moves(self, columns: np.ndarray, times, phases, den: int) -> list:
         return phases
 
+    def _return_class(self, start) -> tuple:
+        # d(T^n s, s) = d(T^n 0, 0): a return distance reads no coordinate of the start.
+        return ()
+
     def rational_structure(self) -> tuple[Optional[int], bool, bool]:
         # Float angles: no rational factor, asserted under the irrationality caveat.
         if not self.exact_orbits:
@@ -472,6 +486,10 @@ class SkewProductSystem(TorusSystem):
     def _moves(self, columns: np.ndarray, times, phases, den: int) -> list:
         # n x depends on the start's x only: one row per start.
         return [phases[0], _wrap(columns[:, :1] * times + phases[1], den)]
+
+    def _return_class(self, start) -> tuple:
+        # d(T^n s, s) = max(‖n a‖, ‖n x + n(n-1)/2 a‖) reads the start's x only.
+        return (start[0],)
 
     def rational_structure(self) -> tuple[Optional[int], bool, bool]:
         # A rational angle leaves orbit closures finitely many circles: not minimal.

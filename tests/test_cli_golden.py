@@ -8,10 +8,10 @@ the library metric path: the sha256 of the ``repr`` of each
 metric-density benchmark, seed 1, and one sha256 of the ``repr`` lines of
 all ``crosscheck_cyclic_equivalence`` results of the crosscheck-sweep
 benchmark, seed 1, one of the ``return_times`` windows of
-``report_diff.RETURN_TIMES``, and one of the orbits that repeat
-(``report_diff.PERIODIC_RETURN_TIMES`` and ``PERIODIC_BIRKHOFF``).  A
-change that moves
-a line on purpose rewrites the file with
+``report_diff.RETURN_TIMES``, one of the orbits that repeat
+(``report_diff.PERIODIC_RETURN_TIMES`` and ``PERIODIC_BIRKHOFF``) and one
+of the skews' return classes (``report_diff.BIRKHOFF_CLASSES``).  A change
+that moves a line on purpose rewrites the file with
 ``PYTHONPATH=src python3 scripts/report_diff.py --write`` and explains the
 moved line.  Every system spec the corpus reads parses back, from its
 ``spec_string()``, to an equal system.
@@ -64,7 +64,8 @@ def _corpus_specs() -> list[str]:
         elif argv[0] == "product":
             specs += argv[1:3]
     rows = report_diff.RETURN_TIMES + report_diff.PERIODIC_RETURN_TIMES
-    return list(dict.fromkeys(specs + [row[0] for row in rows] + report_diff.PERIODIC_BIRKHOFF))
+    library = [row[0] for row in rows] + report_diff.PERIODIC_BIRKHOFF + report_diff.BIRKHOFF_CLASSES
+    return list(dict.fromkeys(specs + library))
 
 
 # Specs of the corpus that no system holds: their golden lines pin the error.

@@ -48,6 +48,7 @@ from dynwindow import (
     shifted_hit,
 )
 from dynwindow import recurrence
+from dynwindow.cli import parse_system_spec
 from dynwindow.intsets import _BITMASK_HORIZON_CAP
 from dynwindow.recurrence import (
     ReturnTimesResult,
@@ -62,6 +63,7 @@ from dynwindow.recurrence import (
     _small_ints,
     _step_table_times,
 )
+from dynwindow.systems import TorusSystem, _FiniteOrbits, _TorusOrbits
 
 
 # -- return_times ----------------------------------------------------------------
@@ -453,8 +455,6 @@ def test_metric_budget_inconclusive():
 def test_exact_skew_has_no_budget():
     # skew:1/3 holds the Fraction 1/3, so times near 10^15 (n·2^-53 = 0.11 >
     # eps/10) get a verdict from the exact orbit, not the floating-point budget.
-    from dynwindow.cli import parse_system_spec
-
     sys = parse_system_spec("skew:1/3")
     w = Window(tuple(10 ** 15 + 7 * n for n in range(600)), 10 ** 15 + 4200)
     report = r_sequence_metric(w, sys, 0.05, 0.5)
@@ -1258,15 +1258,76 @@ def test_metric_tests_break_exact_ties_by_the_first_start():
 
 
 def test_birkhoff_an_earlier_start_that_returns_later_wins():
-    # In the batch of starts after (0, 0), the x = 0.75 starts return at index
-    # 24 (first slice) and the x = 0.5 starts at index 38 (second slice): the
-    # earlier start wins, so the batch shrinks to the rows before it and reads on.
+    # In the batch of x classes, x = 0.75 returns at index 24 (first slice)
+    # and x = 0.5 at index 38 (second slice): the earlier start wins, so the
+    # batch shrinks to the rows before it and reads on.
     skew = SkewProductSystem(GOLDEN)
     w = Window((15, 48, 57, 61, 74, 76, 93, 94, 126, 142, 149, 159, 160, 171, 176, 187, 190, 197, 205, 242,
                 257, 280, 282, 295, 301, 306, 320, 329, 333, 348, 353, 369, 370, 376, 382, 384, 389, 408, 411), 600)
     v = birkhoff_window_test(w, skew, 0.05, 0.25)
     assert v.witness == ((0.5, 0.0), 411) and v == _exact_birkhoff(w, skew, 0.05, 0.25)
     assert birkhoff_window_test(w.restrict(410), skew, 0.05, 0.25).witness == ((0.75, 0.0), 301)
+
+
+def test_birkhoff_a_later_x_class_returns_first():
+    # No start with x = 0 returns on skew:0.3; the first that does has x = 0.25.
+    skew = SkewProductSystem(0.3)
+    times = np.sort(np.random.default_rng(4).choice(10 ** 6, 40, replace=False) + 1)
+    w = Window(times.tolist(), int(times[-1]))
+    v = birkhoff_window_test(w, skew, 0.02, 0.25)
+    assert v.witness == ((0.25, 0.0), 219650) and v == _exact_birkhoff(w, skew, 0.02, 0.25)
+
+
+def test_birkhoff_closest_return_tied_across_x_classes():
+    # Odd times on skew:3/8 stay 1/8 away in x: every x class comes as close
+    # as 1/8, x = 0 only at index 48 (second slice) and the others in the
+    # first slice.  The earliest start wins over the earliest time.
+    skew = SkewProductSystem(Fraction(3, 8))
+    times = 2 * np.sort(np.random.default_rng(18).choice(10 ** 6, 60, replace=False)) + 1
+    w = Window(times.tolist(), int(times[-1]))
+    v = birkhoff_window_test(w, skew, 0.02, 0.25)
+    assert v == Verdict.fail(((0.0, 0.0), 1654131), note="closest return distance 0.125 >= eps = 0.02")
+    assert v == _exact_birkhoff(w, skew, 0.02, 0.25)
+
+
+@pytest.mark.parametrize("spec, grid, rows", [
+    ("rot:golden", 0.1, 1), ("rot:1/3,2/5", 0.25, 1), ("cyclic:7", 1.0, 1), ("odo:2^3", 1.0, 1),
+    ("skew:golden", 0.25, 4), ("skew:0.3", 0.1, 10), ("skew:1/3", 0.5, 2),
+])
+def test_birkhoff_reads_one_start_per_return_class(monkeypatch, spec, grid, rows):
+    # A rotation, cycle or odometer has one return class; the skew product one per x of its grid.
+    read = set()
+    for engine in (_FiniteOrbits, _TorusOrbits):
+        def distances(self, starts, lo, hi, distances=engine.distances):
+            read.update(starts)
+            return distances(self, starts, lo, hi)
+
+        monkeypatch.setattr(engine, "distances", distances)
+    sys = parse_system_spec(spec)
+    w = odds(999)
+    v = birkhoff_window_test(w, sys, 0.01, grid)
+    assert len(read) == rows and read <= set(sys.starts(grid))
+    monkeypatch.undo()
+    assert v == _exact_birkhoff(w, sys, 0.01, grid)
+
+
+@pytest.mark.parametrize("sys, w, eps, grid, den", [
+    # A start 1/5000 needs a denominator past 2^64, and 0.1 one of 3·2^55: neither is read.
+    (RotationSystem.from_angle(GOLDEN), interval(1, 2000), 1e-7, 1 / 5000, 2 ** 64),
+    (RotationSystem.from_rationals(Fraction(1, 3)),
+     Window(tuple(3 * 10 ** 17 + 3 * i + 1 for i in range(2000)), 3 * 10 ** 17 + 6000), 0.001, 0.1, 3),
+])
+def test_birkhoff_keeps_the_angles_denominator_on_a_fine_grid(monkeypatch, sys, w, eps, grid, den):
+    engines = []
+
+    def along(self, a, along=TorusSystem.along):
+        engines.append(along(self, a))
+        return engines[-1]
+
+    monkeypatch.setattr(TorusSystem, "along", along)
+    v = birkhoff_window_test(w, sys, eps, grid)
+    assert [(e.den, e._times.dtype) for e in engines] == [(den, np.uint64)]
+    assert v.witness[0] == 0.0
 
 
 @pytest.mark.parametrize("cap", [1, 70, 100])
