@@ -70,6 +70,12 @@ FILES = {
     # 800 evens, then one odd element: residue coverage to m <= 50 reads a
     # prefix of 16·50 = 800 elements, which misses what 1601 covers.
     "evens-then-odd.txt": "!horizon 2000\n" + "".join(f"{n}\n" for n in range(0, 1600, 2)) + "1601\n",
+    # 800 evens below 2^31, then 389 elements past it; none is 5 mod 37.  Residue
+    # coverage to m <= 50 reduces the 800-element prefix in int32, and recounts
+    # the periods it leaves open (every even one) on the whole array in int64.
+    "straddle.txt": f"!horizon {2 ** 31 + 1000}\n"
+    + "".join(f"{n}\n" for n in [n for n in range(2 ** 31 - 1700, 2 ** 31, 2) if n % 37 != 5][-800:])
+    + "".join(f"{n}\n" for n in range(2 ** 31, 2 ** 31 + 400) if n % 37 != 5),
     # 17,101 elements, none 0 mod 7: longer than the cross-check's prefix scan reads.
     "no-sevens.txt": "!horizon 20000\n" + "".join(f"{n}\n" for n in range(50, 20001) if n % 7),
     # Lines of 1 to 18 digits (one, two and three eight-digit words), 10^k
@@ -199,6 +205,9 @@ CALLS = [
     # Multi-word lines, read eight digits at a time.
     "classify words.txt",
     "recurrence words.txt cyclic:<=12",
+    # A prefix below 2^31 and a tail past it.
+    "recurrence straddle.txt cyclic:<=50",
+    "recurrence straddle.txt cyclic:<=20 --shifts=-3..3",
 ] + [f"classify {name}" for name in MALFORMED] + [f"recurrence {name} cyclic:<=5" for name in MALFORMED]
 
 

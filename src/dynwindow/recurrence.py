@@ -56,9 +56,14 @@ _CROSSCHECK_HORIZON_CAP = 1_000_000
 _RECOUNT_MODULUS_CAP = 2 ** 16
 
 # birkhoff_window_test reads each start's orbit in slices of this many
-# times, then 4, 16, ... times as many: a return at index i costs O(i).  The
-# cross-check's shifted hits read a window's elements the same way.
+# times, then 4, 16, ... times as many: a return at index i costs O(i).
 _FIRST_SLICE = 32
+
+# The cross-check's shifted hits read a window's elements in slices of this
+# many per comparison window, then 4, 16, ... times as many.  One gather
+# then settles every (window, shift) pair of all 250 crosscheck-sweep
+# windows (seed 1), where a slice of 32 elements leaves 144 to a second.
+_SLICE_PER_WINDOW = 8
 
 # return_times reads orbits in blocks of this many times: 5.6 MiB at the peak for 10^6 on skew:golden, not 76.
 _RETURN_BLOCK = 2 ** 16
@@ -170,38 +175,48 @@ def _empty_residues(arr: np.ndarray, m: int) -> np.ndarray:
 def _missing_residues(arr: np.ndarray, max_period: int) -> list:
     """The least class mod m that arr misses (None when it covers Z/m), for m = 1..max_period.
 
-    A prefix of n = 16·max_period elements is reduced against a block of
-    periods at once and counted in one offset bincount, a segment per
-    period; the first zero of a segment is that period's least missing
-    class.  n elements hit at most n classes, so the least class they miss
-    is at most n: a segment counts the classes below w = min(n, largest
-    period) and pools the rest in one more counter, which stays zero when
-    every class below w is hit.  Blocks keep both the prefix × block
-    matrix and the bincount within _BATCH_ELEMENTS.  A prefix that covers
-    Z/m settles m; the m's it leaves uncovered are recounted on the whole
-    array mod the lcm of a block of them, and reduce its hit classes mod m.
+    arr holds the ascending, non-negative elements of a window, so its last
+    element bounds the rest.  A prefix of n = 16·max_period elements is
+    reduced against a block of periods at once and counted in one offset
+    bincount, a segment per period; the first zero of a segment is that
+    period's least missing class.  The prefix is reduced in int32 when its
+    last element is below 2^31, else in int64 (Python ints past 2^63, a
+    column at a time).  n elements hit at most n classes, so the least
+    class they miss is at most n: a segment counts the classes below
+    w = min(n, largest period) and pools the rest in one more counter,
+    which stays zero when every class below w is hit.  Residues are clamped
+    into the pool only when n is below the largest period; otherwise each
+    is already below w.  Blocks keep both the prefix × block matrix and the
+    bincount within _BATCH_ELEMENTS.  A prefix that covers Z/m settles m;
+    the m's it leaves uncovered are recounted on the whole array, in int64
+    or Python ints, mod the lcm of a block of them, and reduce its hit
+    classes mod m.
     """
     arr = _small_ints(arr)
     head = arr[: 16 * max_period]
+    if head.dtype != object and head.size and head[-1] < 2 ** 31:
+        head = head.astype(np.int32)
+    dtype = np.int64 if head.dtype == object else head.dtype
     width = max(1, _BATCH_ELEMENTS // (max(head.size, 1) + 1))  # periods per block
-    least = np.empty(max_period, dtype=np.int64)  # -1: covered
+    least = []  # per period: the least class missed, or None
     for m in range(1, max_period + 1, width):
-        periods = np.arange(m, min(m + width, max_period + 1), dtype=np.int64)
-        w = max(1, min(head.size, int(periods[-1])))
-        residues = np.empty((head.size, periods.size), dtype=np.int64)
+        top = min(m + width, max_period + 1)  # one past the block's largest period
+        w = max(1, min(head.size, top - 1))
         if head.dtype == object:  # by columns: a matrix of Python ints would be ~5 times larger
-            for j, p in enumerate(periods.tolist()):
+            residues = np.empty((head.size, top - m), dtype=np.int64)
+            for j, p in enumerate(range(m, top)):
                 residues[:, j] = head % p
         else:
-            np.remainder(head[:, None], periods, out=residues)
-        np.minimum(residues, w, out=residues)
-        residues += np.arange(periods.size) * (w + 1)
-        counts = np.bincount(residues.ravel(), minlength=periods.size * (w + 1)).reshape(periods.size, w + 1)
+            residues = np.remainder(head[:, None], np.arange(m, top, dtype=dtype))
+        if head.size < top - 1:
+            np.minimum(residues, w, out=residues)
+        residues += np.arange(0, (top - m) * (w + 1), w + 1, dtype=dtype)
+        counts = np.bincount(residues.ravel(), minlength=(top - m) * (w + 1)).reshape(top - m, w + 1)
         # A row hits at most n classes: with every class below w hit, the pool is empty.
-        first = counts.argmin(axis=1)  # its first zero: the least class missed, or w
-        least[m - 1 : m - 1 + periods.size] = np.where(first < periods, first, -1)
+        first = counts.argmin(axis=1).tolist()  # its first zero: the least class missed, or w
+        least += [r if r < p else None for p, r in zip(range(m, top), first)]
     if head.size < arr.size:
-        periods = (np.flatnonzero(least >= 0) + 1).tolist()
+        periods = [p for p, r in enumerate(least, start=1) if r is not None]
         while periods:
             k = 1  # the next block: the longest run of periods with lcm within the cap, or one period
             while k < len(periods) and math.lcm(*periods[: k + 1]) <= _RECOUNT_MODULUS_CAP:
@@ -210,8 +225,8 @@ def _missing_residues(arr: np.ndarray, max_period: int) -> list:
             classes = np.flatnonzero(np.bincount((arr % modulus).astype(np.int64, copy=False), minlength=modulus))
             for p in block:
                 hit = np.bincount(classes % p, minlength=p)
-                least[p - 1] = -1 if hit.all() else np.argmin(hit)
-    return [None if r < 0 else r for r in least.tolist()]
+                least[p - 1] = None if hit.all() else int(np.argmin(hit))
+    return least
 
 
 def r_sequence_cyclic(a: Window, max_period: int) -> RSequenceReport:
@@ -323,10 +338,11 @@ def birkhoff_window_test(a: Window, sys, eps: float, start_grid_resolution: floa
     finite system they are 0 at the multiples of its size and 1 elsewhere.
 
     A return distance d(T^n s, s) reads only some coordinates of the start
-    s (``sys._return_class``): none on a rotation, cycle or odometer, which
-    is a group rotation, and x on the skew product, whose y cancels.  So
-    only the first start of each return class in grid order is read: the
-    grid's first start, or (x, 0.0) for each x of the skew's grid.  The
+    s: none on a rotation, cycle or odometer, which is a group rotation,
+    and x on the skew product, whose y cancels.  So only the first start of
+    each return class in grid order is read (``sys._class_starts``, taken
+    from the grid's resolution without building the grid): the grid's
+    first start, or (x, 0.0) for each x of the skew's grid.  The
     witness rule is unchanged by this: a later start of a class returns iff
     the first one does, at the same times and distances, so the least start
     that returns, and the earliest start of a closest return, are the first
@@ -344,10 +360,7 @@ def birkhoff_window_test(a: Window, sys, eps: float, start_grid_resolution: floa
     note = _metric_budget_note(a, sys, eps)
     if note is not None:
         return Verdict.undecided(note=note)
-    classes = {}  # return class -> its first start
-    for s in sys.starts(start_grid_resolution):
-        classes.setdefault(sys._return_class(s), s)
-    starts = list(classes.values())
+    starts = sys._class_starts(start_grid_resolution)
     orbits = sys.along(a)
     first = int(len(a) > 0 and a.array[0] == 0)
     per_batch = max(1, _BATCH_ELEMENTS // max(1, len(a)))
@@ -499,10 +512,13 @@ def _shifted_hits(a: Window, shifts: Iterable[int], table: np.ndarray, windows: 
 
     Stage 1 reads a prefix of a: the pair (n, j) is met when bit j of the
     row of x + n is set for some x in it, a position off the table reading
-    an all-zero row.  The prefix grows in slices of _FIRST_SLICE elements,
-    then 4, 16, ... times as many, and stops once every pair is met, or at
-    _PREFIX_SCAN_CAP elements; each gather stays within _BATCH_ELEMENTS
-    words, taking the shifts in blocks.  A prefix that is the whole window
+    an all-zero row.  The prefix grows in slices sized to the table,
+    _SLICE_PER_WINDOW elements per window (280 for the 35 windows of
+    M = 12), then 4, 16, ... times as many, and stops once every pair is
+    met, or at _PREFIX_SCAN_CAP elements; each gather stays within
+    _BATCH_ELEMENTS words, taking the shifts in blocks.  The first slice's
+    gather is the met pairs; the slice that reaches the prefix's end drops
+    no rows, as none is read again.  A prefix that is the whole window
     decides every pair.  Otherwise stage 2 settles each window's open pairs
     on whole-window bitmasks and stops at the window's first miss: every
     window of a cross-check lies within _CROSSCHECK_HORIZON_CAP, where each
@@ -518,20 +534,22 @@ def _shifted_hits(a: Window, shifts: Iterable[int], table: np.ndarray, windows: 
     words = table.shape[1]
     every = (1 << len(windows)) - 1
     full = np.frombuffer(every.to_bytes(8 * words, "little"), dtype="<u8")
-    met = np.zeros((rows.size, words), dtype=np.uint64)
     end = min(len(a), _PREFIX_SCAN_CAP)
-    lo, hi = 0, _FIRST_SLICE
+    met = np.zeros((rows.size, words), dtype=np.uint64) if end == 0 else None  # filled by the first slice
+    lo, hi = 0, _SLICE_PER_WINDOW * len(windows)
     while lo < end and rows.size:
         hi = min(hi, end)
         x = a.array[lo:hi]
         block = max(1, _BATCH_ELEMENTS // (x.size * words))
-        for i in range(0, rows.size, block):
-            # mode="clip" sends a row index off the table to the zero row at that end.
-            gathered = table.take(rows[i : i + block, None] + x, axis=0, mode="clip")
-            met[i : i + block] |= np.bitwise_or.reduce(gathered, axis=1)
-        still = (met != full).any(axis=1)
-        if not still.all():
-            rows, met = rows[still], met[still]
+        # mode="clip" sends a row index off the table to the zero row at that end.
+        parts = [np.bitwise_or.reduce(table.take(rows[i : i + block, None] + x, axis=0, mode="clip"), axis=1)
+                 for i in range(0, rows.size, block)]
+        seen = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        met = seen if met is None else met | seen
+        if hi < end:  # the rows still open read on
+            still = (met != full).any(axis=1)
+            if not still.all():
+                rows, met = rows[still], met[still]
         lo, hi = hi, 5 * hi - 4 * lo
     if not rows.size:
         return every

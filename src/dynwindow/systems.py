@@ -12,16 +12,18 @@ pure.
 Every system answers one protocol: ``step``, ``orbit_at``, ``along``,
 ``cover``, ``distance``, ``starts``, ``rational_structure`` and
 ``exact_orbits``.  A system with a start set (all but ``ProductSystem``,
-whose ``starts`` raises TypeError) also answers ``_return_class(start)``:
-two starts of one class have equal return distances d(T^n s, s) at every
+whose ``starts`` raises TypeError) also answers
+``_class_starts(resolution)``: the first start of each return class, in
+the order of ``starts(resolution)``, without building that grid.  Two
+starts of one class have equal return distances d(T^n s, s) at every
 time n.  A rotation, cycle or odometer is a group rotation, so its return
-distance reads no start coordinate and it has one class; the skew
-product's reads x only, one class per x.  ``cover(eps)`` raises
-ValueError unless eps > 0; its cover partitions the space into cells of
-mesh <= eps, numbered 0..cell_count()-1, and answers ``cell_of``,
-``ids_of`` (many states' cell numbers, as an array), ``flat_id`` (a
-cell's number), ``cell_at`` (the cell with a number) and ``cell_count``
-for its ``system``.
+distance reads no start coordinate: one class, whose first start is the
+grid's first.  The skew product's reads x only: one class per x of the
+grid, first (x, 0.0).  ``cover(eps)`` raises ValueError unless eps > 0;
+its cover partitions the space into cells of mesh <= eps, numbered
+0..cell_count()-1, and answers ``cell_of``, ``ids_of`` (many states' cell
+numbers, as an array), ``flat_id`` (a cell's number), ``cell_at`` (the
+cell with a number) and ``cell_count`` for its ``system``.
 Cycles and odometers share ``FiniteSystem``; rotations and the skew product
 share ``TorusSystem``; ``ProductSystem`` answers componentwise, and its
 ``along`` answers ``cells`` only, joined from its factors' cells.
@@ -257,9 +259,9 @@ class FiniteSystem:
     def starts(self, resolution: float) -> list:
         return [self.decode(v) for v in range(self.size)]
 
-    def _return_class(self, start) -> tuple:
+    def _class_starts(self, resolution: float) -> list:
         # d(T^n s, s) is 0 at the multiples of size and 1 elsewhere, whatever s is: one class.
-        return ()
+        return [self.decode(0)]
 
     def rational_structure(self) -> tuple[Optional[int], bool, bool]:
         return self.size, False, True
@@ -386,12 +388,15 @@ class TorusSystem:
         gaps = [(Fraction(a) - Fraction(b)) % 1 for a, b in zip(self._coords(s1), self._coords(s2))]
         return float(max(min(d, 1 - d) for d in gaps))
 
-    def starts(self, resolution: float) -> list:
+    def _grid(self, resolution: float) -> int:
+        # k = ceil(1/resolution): the start grid's coordinates are i/k for i < k on each axis.
         if not resolution > 0:
             raise ValueError(f"start grid resolution must be > 0, got {resolution}")
-        k = max(1, math.ceil(1.0 / resolution))
-        axis = [i / k for i in range(k)]
-        return [self._state(p) for p in itertools.product(axis, repeat=self.dimension)]
+        return max(1, math.ceil(1.0 / resolution))
+
+    def starts(self, resolution: float) -> list:
+        k = self._grid(resolution)
+        return [self._state(p) for p in itertools.product([i / k for i in range(k)], repeat=self.dimension)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -444,9 +449,10 @@ class RotationSystem(TorusSystem):
     def _moves(self, columns: np.ndarray, times, phases, den: int) -> list:
         return phases
 
-    def _return_class(self, start) -> tuple:
-        # d(T^n s, s) = d(T^n 0, 0): a return distance reads no coordinate of the start.
-        return ()
+    def _class_starts(self, resolution: float) -> list:
+        # d(T^n s, s) = d(T^n 0, 0): a return distance reads no coordinate of the start,
+        # so the one class starts at the grid's first point, 0/k on every axis.
+        return [self._state((0 / self._grid(resolution),) * self.dimension)]
 
     def rational_structure(self) -> tuple[Optional[int], bool, bool]:
         # Float angles: no rational factor, asserted under the irrationality caveat.
@@ -487,9 +493,10 @@ class SkewProductSystem(TorusSystem):
         # n x depends on the start's x only: one row per start.
         return [phases[0], _wrap(columns[:, :1] * times + phases[1], den)]
 
-    def _return_class(self, start) -> tuple:
+    def _class_starts(self, resolution: float) -> list:
         # d(T^n s, s) = max(‖n a‖, ‖n x + n(n-1)/2 a‖) reads the start's x only.
-        return (start[0],)
+        k = self._grid(resolution)
+        return [(i / k, 0.0) for i in range(k)]
 
     def rational_structure(self) -> tuple[Optional[int], bool, bool]:
         # A rational angle leaves orbit closures finitely many circles: not minimal.
@@ -528,6 +535,8 @@ class ProductSystem:
 
     def starts(self, resolution: float) -> list:
         raise TypeError(f"not a metric catalog system: {self!r}")
+
+    _class_starts = starts  # no start set, so no first start of a class either
 
     def rational_structure(self) -> tuple[Optional[int], bool, bool]:
         ql, cl, ml = self.left.rational_structure()

@@ -305,13 +305,26 @@ def test_missing_residue_matches_brute_force(elems, base):
 @example([*range(0, 1600, 2), 1601], (0, np.int64), 50, 2 ** 22)  # the 800-element prefix is all even
 @example([*range(0, 1600, 2), 1601], (0, object), 50, 64)
 @example([*range(0, 1600, 2), 1601], (2 ** 63, object), 50, 5)
+# 192-element prefixes (M = 12) of multiples of 3 that end at 2^31 - 1, the
+# last int32, and at 2^31, which int32 would wrap to -2^31 (-2^31 mod 3 = 1,
+# not 2): each is the one element of its class mod 3.
+@example([*range(0, 573, 3), 571], (2 ** 31 - 572, np.int64), 12, 2 ** 22)
+@example([*range(0, 573, 3), 572], (2 ** 31 - 572, np.int64), 12, 2 ** 22)
+# A prefix of evens below 2^31, reduced in int32, and a tail past it that
+# covers the odd classes, recounted in int64.
+@example([*range(0, 384, 2), *range(1000, 1100)], (2 ** 31 - 1000, np.int64), 12, 2 ** 22)
+# Prefixes shorter than M, whose residues past the pool are clamped into it.
+@example([5, 17, 100], (0, np.int64), 12, 2 ** 22)
+@example(list(range(7, 3000, 157)), (0, np.int64), 50, 2 ** 22)
+@example(list(range(1, 3000, 47)), (0, np.int64), 70, 2 ** 22)
 @settings(max_examples=80, deadline=None)
 def test_missing_residues_match_a_set_scan_for_every_period(elems, kind, max_period, batch):
     # Blocks of periods are bounded by _BATCH_ELEMENTS: a small one splits them
     # finely, down to one period a block.  Object arrays past 2^63 stay Python
-    # ints; below it they are converted to int64 first.  Examples: an empty
-    # array, M = 1, a prefix that hits every class below its length, and
-    # 800-element prefixes that miss a class the last element covers.
+    # ints; below it they are converted to int64 first, and to int32 when
+    # the prefix ends below 2^31.  Examples: an empty array, M = 1, a prefix
+    # that hits every class below its length, 800-element prefixes that miss
+    # a class the last element covers, and the boundaries above.
     base, dtype = kind
     elements = tuple(base + e for e in sorted(elems))
     w = Window(elements, base + 3000)
@@ -342,6 +355,9 @@ def _per_period_missing(elements: list, max_period: int) -> list:
 @example(12, (7, 0), 3000, (0, np.int64), 2 ** 16, random.Random(0))
 @example(30, (29, 5), 3000, (2 ** 64 + 3, object), 2 ** 16, random.Random(1))
 @example(30, (1, 0), 3000, (0, object), 1, random.Random(2))  # a block per period
+# The 192-element prefix lies below 2^31 and is reduced in int32; the tail
+# passes 2^31, and the periods left open (7 at least) are recounted in int64.
+@example(12, (7, 3), 3000, (2 ** 31 - 3000, np.int64), 2 ** 16, random.Random(3))
 @settings(max_examples=60, deadline=None)
 def test_uncovered_periods_recount_as_per_period_bincounts(max_period, skipped, size, kind, cap, rnd):
     # Arrays longer than the 16·max_period prefix, most of them missing one
@@ -807,6 +823,11 @@ def _kernel_windows(seed: int, count: int) -> list:
 @example(list(range(0, 400, 3)), 70, 1, [2, -5, 2, 0, -5, 9], 0, 20)
 @example(list(range(1, 400, 2)), 66, 2, [4, -3, 1, 0], -1, 8)
 @example(list(range(1, 400, 2)), 66, 3, [4, -3, 1, 0], 1, 8)
+# Two windows: the first slice reads 16 elements, and window 1 meets
+# a + 0, a + 3 and a - 2 first at elements 24, 17 and 18, in the second and
+# last slice.  A cap of 20 ends that slice with a + 0 still open.
+@example(list(range(3, 400, 5)), 2, 16, [0, 3, -2], 0, 80)
+@example(list(range(3, 400, 5)), 2, 16, [0, 3, -2], 0, 20)
 @settings(max_examples=120, deadline=None)
 def test_shifted_hits_hold_iff_every_shifted_hit_holds(a_elems, count, seed, shifts, far, cap):
     # Shifts come duplicated and unsorted, or (far) all past int64 below
@@ -824,6 +845,25 @@ def test_shifted_hits_hold_iff_every_shifted_hit_holds(a_elems, count, seed, shi
     assert hits >> len(windows) == 0
     for j, d in enumerate(windows):
         assert bool(hits >> j & 1) == all(shifted_hit(a, d, -n).holds for n in shifts), j
+
+
+@pytest.mark.parametrize("batch", [1, 600, 2 ** 22])
+def test_shifted_hits_gather_the_shifts_in_blocks(batch):
+    # A gather of rows x slice x words past _BATCH_ELEMENTS takes the shifts
+    # in blocks (one shift a block at 1, two at 600 for the 8·35-element
+    # first slice), and their met pairs join in shift order.
+    a = Window(tuple(n for n in range(50, 2_001) if n % 7 != 3), 2_000)
+    _comparison_windows.cache_clear()
+    try:
+        table, windows, _ = _comparison_table(2_000 + 6 + 12, 12)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(recurrence, "_BATCH_ELEMENTS", batch)
+            hits = _shifted_hits(a, range(-6, 7), table, windows)
+        for j, d in enumerate(windows):
+            assert bool(hits >> j & 1) == all(shifted_hit(a, d, -n).holds for n in range(-6, 7)), j
+        assert hits != (1 << len(windows)) - 1
+    finally:
+        _comparison_windows.cache_clear()
 
 
 @pytest.mark.parametrize("missed", [0, 3])
@@ -1288,6 +1328,35 @@ def test_birkhoff_closest_return_tied_across_x_classes():
     v = birkhoff_window_test(w, skew, 0.02, 0.25)
     assert v == Verdict.fail(((0.0, 0.0), 1654131), note="closest return distance 0.125 >= eps = 0.02")
     assert v == _exact_birkhoff(w, skew, 0.02, 0.25)
+
+
+def _first_start_per_class(sys, grid: float) -> list:
+    # Every start of the grid, keyed by the coordinates its return distance
+    # d(T^n s, s) reads: x on the skew product, none on a group rotation.
+    classes = {}
+    for s in sys.starts(grid):
+        classes.setdefault((s[0],) if isinstance(sys, SkewProductSystem) else (), s)
+    return list(classes.values())
+
+
+@pytest.mark.parametrize("spec", [
+    "rot:golden", "rot:golden,0.41421356", "rot:1/3", "rot:1/3,2/5", "cyclic:7", "odo:2^3",
+    "skew:golden", "skew:0.3", "skew:1/3",
+])
+@pytest.mark.parametrize("grid", [1.0, 0.5, 0.25, 0.1, 1 / 7])
+def test_class_starts_are_the_first_start_of_each_class_of_the_grid(spec, grid):
+    sys = parse_system_spec(spec)
+    starts = sys._class_starts(grid)
+    assert repr(starts) == repr(_first_start_per_class(sys, grid))
+
+
+def test_class_starts_reject_what_starts_rejects():
+    with pytest.raises(ValueError):
+        RotationSystem.from_angle(GOLDEN)._class_starts(0.0)
+    with pytest.raises(ValueError):
+        SkewProductSystem(GOLDEN)._class_starts(-1.0)
+    with pytest.raises(TypeError):
+        ProductSystem(CyclicSystem(2), CyclicSystem(3))._class_starts(1.0)
 
 
 @pytest.mark.parametrize("spec, grid, rows", [
