@@ -23,6 +23,10 @@ of ``PERIODIC_BIRKHOFF``, named ``library periodic-orbits``.  Last, one line
 for the skew products, whose return distance reads a start's x only: the
 sha256 of the ``repr`` lines of ``birkhoff_window_test`` on each spec of
 ``BIRKHOFF_CLASSES`` over seeded windows, named ``library birkhoff-classes``.
+Last, one line for ``difference_set`` on seeded windows, sparse, near
+density 1/2 and dense (``DIFFERENCE_SET_SPANS`` × ``DIFFERENCE_SET_DENSITIES``),
+each scaled by every stride of ``DIFFERENCE_SET_STRIDES``: the sha256 of the
+``repr`` lines of the results, named ``library difference-sets``.
 
 ``tests/golden/cli.txt`` holds these lines, and ``tests/test_cli_golden.py``
 regenerates them and names every call whose line moved.  A change that moves
@@ -239,6 +243,13 @@ PERIODIC_BIRKHOFF = ["rot:2/7", "cyclic:7", "odo:2^3", "rot:1/3,2/5"]
 BIRKHOFF_CLASSES = ["skew:golden", "skew:0.3", "skew:1/3"]
 BIRKHOFF_CLASS_SEEDS = [4, 5, 6]
 
+# difference_set windows 7 + stride·T, T a seeded draw of a share of the
+# points of [0, span]: sparse ones for the scan and the transform, ones near
+# density 1/2 and dense ones, and the interval.
+DIFFERENCE_SET_SPANS = [300, 3000, 30_000]
+DIFFERENCE_SET_DENSITIES = [0.02, 0.2, 0.5, 0.51, 0.53, 0.6, 0.95, 1.0]
+DIFFERENCE_SET_STRIDES = [1, 3, 2 ** 40, 2 ** 70]
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -320,6 +331,20 @@ def birkhoff_classes_digest() -> str:
     return f"repr={_sha(reprs.encode())} :: library birkhoff-classes"
 
 
+def difference_sets_digest() -> str:
+    import numpy as np
+
+    from dynwindow import Window, difference_set
+
+    reprs = ""
+    for seed, (span, density) in enumerate((s, d) for s in DIFFERENCE_SET_SPANS for d in DIFFERENCE_SET_DENSITIES):
+        offsets = np.sort(np.random.default_rng(seed).choice(span + 1, round(density * (span + 1)), replace=False))
+        for stride in DIFFERENCE_SET_STRIDES:
+            window = Window([7 + stride * t for t in offsets.tolist()], 7 + stride * span)
+            reprs += repr(difference_set(window)) + "\n"
+    return f"repr={_sha(reprs.encode())} :: library difference-sets"
+
+
 def fingerprints() -> list[str]:
     """The line of every call, in list order, all run in one temporary directory of input files."""
     if str(PERFBENCH) not in sys.path:
@@ -344,6 +369,7 @@ def fingerprints() -> list[str]:
                 return_times_digest(),
                 periodic_orbits_digest(),
                 birkhoff_classes_digest(),
+                difference_sets_digest(),
             ]
         finally:
             os.chdir(cwd)

@@ -154,7 +154,8 @@ def _sequence_info(source: str, w: Window) -> dict:
 def _render(value, pad: str = "") -> str:
     # json.dumps(value, sort_keys=True, indent=2), byte for byte, reading a Verdict as to_json()
     # and a Fraction as {"exact", "float"}: with indent set the stdlib encodes in pure Python.
-    # str, int, None and bool leaves go straight to the text json.dumps gives them.
+    # str, int, None and bool leaves go straight to the text json.dumps gives them, and a list of
+    # exact ints takes one "%d" per element in a single % call ("%d" of an int is its repr).
     if type(value) is str:
         return encode_basestring_ascii(value)
     if type(value) is int:
@@ -171,7 +172,7 @@ def _render(value, pad: str = "") -> str:
         body = sep.join(f"{_render(k)}: {_render(v, inner)}" for k, v in sorted(value.items()))
     elif isinstance(value, (list, tuple)) and value:
         if set(map(type, value)) == {int}:  # bool is not int here
-            body = repr(list(value))[1:-1].replace(", ", sep)
+            body = sep.join(("%d",) * len(value)) % tuple(value)
         else:
             body = sep.join(_render(v, inner) for v in value)
     else:

@@ -185,13 +185,21 @@ def hermite_check(f: PolyModP) -> tuple[bool, dict]:
     (2) for every k in [1, p-2] with k not divisible by p, reduce(f^k) has
     degree <= p-2.  Evidence names the failing k or the bad leading data.
     (The k-divisibility guard only bites over proper prime powers.)  As
-    reduce(g·f) = reduce(g·reduce(f)), each power is one product with reduce(f).
+    reduce(g·f) = reduce(g·reduce(f)), each power is one product with
+    reduce(f): both factors have degree <= p-1, so the product's exponents
+    p..2p-2 fold onto 1..p-1 by one shifted add before the single `% p`.
     """
     p = f.p
     base = _fold(_array(f), p)
+    # A folded coefficient adds two sums of at most base.size residue products.
+    base = base.astype(_dtype(p, 2 * base.size), copy=False)
     g = np.ones(1, dtype=base.dtype)
     for k in range(1, p):
-        g = _fold(_convolve(g, base, p), p)
+        c = np.convolve(g, base)
+        if c.size > p:
+            c[1 : c.size - p + 1] += c[p:]
+            c = c[:p]
+        g = c % p
         if k <= p - 2 and g.size == p and g[-1]:
             return False, {"reason": "power_degree_full", "k": k, "degree": p - 1}
     nonzero = np.flatnonzero(g)  # g = reduce(f^(p-1))

@@ -337,6 +337,20 @@ def test_report_writer_matches_json_dumps(value):
     assert cli._render(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
+@pytest.mark.parametrize("ints", [
+    [0],
+    [-7],
+    [2 ** 63 + 5],
+    [-(2 ** 70), -1, 0, 1, 2 ** 63 - 1, 2 ** 63, 2 ** 64 + 3],
+    list(range(-5, 19_869)),
+    (3, -4, 0),
+])
+def test_report_writer_formats_int_lists_like_json_dumps(ints):
+    # One "%d" per element, alone, nested and beside other values.
+    for value in (ints, [ints, [ints]], {"image": ints, "rest": [ints, "x", None]}):
+        assert cli._render(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
 def _ref_jsonify(value):
     # The conversion the writer once ran over the whole report before rendering it.
     if value is None or isinstance(value, (str, int, float)):

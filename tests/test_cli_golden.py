@@ -9,8 +9,9 @@ metric-density benchmark, seed 1, and one sha256 of the ``repr`` lines of
 all ``crosscheck_cyclic_equivalence`` results of the crosscheck-sweep
 benchmark, seed 1, one of the ``return_times`` windows of
 ``report_diff.RETURN_TIMES``, one of the orbits that repeat
-(``report_diff.PERIODIC_RETURN_TIMES`` and ``PERIODIC_BIRKHOFF``) and one
-of the skews' return classes (``report_diff.BIRKHOFF_CLASSES``).  A change
+(``report_diff.PERIODIC_RETURN_TIMES`` and ``PERIODIC_BIRKHOFF``), one
+of the skews' return classes (``report_diff.BIRKHOFF_CLASSES``) and one of
+``difference_set`` on seeded windows (``report_diff.DIFFERENCE_SET_SPANS``).  A change
 that moves a line on purpose rewrites the file with
 ``PYTHONPATH=src python3 scripts/report_diff.py --write`` and explains the
 moved line.  Every system spec the corpus reads parses back, from its

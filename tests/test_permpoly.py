@@ -23,9 +23,12 @@ from dynwindow import (
     pow_reduced,
     reduce_mod_field_poly,
 )
+from dynwindow import permpoly
 from dynwindow.permpoly import (
     NonSurjectiveResult,
     OracleDisagreementError,
+    _array,
+    _convolve,
     _dtype,
     _fold,
     _int_poly_image_mod_p,
@@ -459,3 +462,69 @@ def test_kernel_on_both_sides_of_the_int64_bound(terms):
         assert pow_reduced(f, 5) == _ref_pow_reduced(f, 5)
     # Past the bound the largest sum really leaves int64: int64 there would wrap.
     assert terms * (above - 1) ** 2 > 2 ** 63 - 1
+
+
+# -- the criterion's loop against the loop it replaced ---------------------------------
+
+
+def _convolve_fold_hermite_check(f: PolyModP) -> tuple[bool, dict]:
+    # The criterion as it ran before each power became one product and one
+    # shifted add: _convolve (with its own % p), then _fold, per power.
+    p = f.p
+    base = _fold(_array(f), p)
+    g = np.ones(1, dtype=base.dtype)
+    for k in range(1, p):
+        g = _fold(_convolve(g, base, p), p)
+        if k <= p - 2 and g.size == p and g[-1]:
+            return False, {"reason": "power_degree_full", "k": k, "degree": p - 1}
+    nonzero = np.flatnonzero(g)  # g = reduce(f^(p-1))
+    degree = int(nonzero[-1]) if nonzero.size else -1
+    leading = int(g[degree]) if degree >= 0 else 0
+    if degree != p - 1 or leading != 1:
+        return False, {"reason": "top_power_not_monic", "degree": degree, "leading": leading}
+    return True, {"reason": "ok"}
+
+
+PRIMES_TO_401 = [q for q in PRIMES_TO_409 if q <= 401]
+
+
+@given(field_polys(max_degree=lambda p: p + 3).filter(lambda f: f.p <= 401))
+@example(PolyModP.make(2, ()))
+@example(PolyModP.make(401, ()))
+@example(PolyModP.make(401, (0, 1)))  # x permutes: the whole loop
+@example(PolyModP.make(401, (5, 0, 0, 1)))  # x^3 + 5, gcd(3, 400) > 1
+@example(PolyModP.make(7, (0,) * 10 + (1,)))  # x^10: degree p + 3
+@example(PolyModP.make(199, [1, 170, 11560, 393040, 6681680, 45435426]))
+@settings(max_examples=80, deadline=None)
+def test_hermite_loop_matches_the_convolve_and_fold_loop(f):
+    assert hermite_check(f) == _convolve_fold_hermite_check(f)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 101])
+def test_hermite_loop_on_python_ints(monkeypatch, p):
+    # The loop on dtype object, as it runs past the int64 bound, gives the int64 loop's answers.
+    polys = [PolyModP.make(p, ()), PolyModP.make(p, (0, 1)), mono(p, 3, p - 1), PolyModP.make(p, range(1, p + 4))]
+    want = [hermite_check(f) for f in polys]
+    monkeypatch.setattr(permpoly, "_dtype", lambda p, terms=1: object)
+    assert [hermite_check(f) for f in polys] == want
+
+
+@pytest.mark.parametrize("degree", [0, 1, 5, 400])
+def test_hermite_loop_picks_its_dtype_at_the_int64_bound(monkeypatch, degree):
+    # A folded coefficient adds two convolution sums of at most d + 1 residue
+    # products each: the loop asks for 2·(d + 1) terms, which fit int64 up to
+    # the largest p with 2·(d + 1)·p^2 < 2^63, and hold Python ints past it.
+    asked = []
+
+    def spy(p, terms=1):
+        asked.append(terms)
+        return _dtype(p, terms)
+
+    monkeypatch.setattr(permpoly, "_dtype", spy)
+    hermite_check(PolyModP.make(401, [1] * (degree + 1)))
+    assert asked[-1] == 2 * (degree + 1)
+    terms = 2 * (degree + 1)
+    bound = math.isqrt((2 ** 63 - 1) // terms)
+    below, above = _prime_from(bound, -1), _prime_from(bound + 1, 1)
+    assert _dtype(below, terms) is np.int64 and terms * (below - 1) ** 2 < 2 ** 63
+    assert _dtype(above, terms) is object and terms * (above - 1) ** 2 > 2 ** 63 - 1

@@ -47,7 +47,7 @@ from dynwindow import (
     shift_family_test,
     shifted_hit,
 )
-from dynwindow import recurrence
+from dynwindow import intsets, recurrence
 from dynwindow.cli import parse_system_spec
 from dynwindow.intsets import _BITMASK_HORIZON_CAP
 from dynwindow.recurrence import (
@@ -641,6 +641,23 @@ def test_crosscheck_internal_windows_coincide():
                 assert d.elements == tuple(range(m, horizon + 1 - r, m))
                 assert d is _progression_difference_window(m, 0 if r <= horizon % m else horizon % m + 1, horizon)
                 assert d == difference_set(Window(tuple(range(r, horizon + 1, m)), horizon))
+
+
+@pytest.mark.parametrize("ext", [5003, 12018])
+def test_crosscheck_windows_are_the_same_through_the_transform(monkeypatch, ext):
+    # The difference windows of an M = 12 cross-check are counted (each
+    # progression is an interval once strided); forcing the transform on
+    # every one of them builds the same windows.
+    _comparison_windows.cache_clear()
+    try:
+        counted = _comparison_table(ext, 12)[1]
+        _comparison_windows.cache_clear()
+        monkeypatch.setattr(intsets, "_DENSE_EXCESS_PER_ROOT", 10 ** 9)
+        transformed = _comparison_table(ext, 12)[1]
+    finally:
+        _comparison_windows.cache_clear()
+    assert len(counted) == len(transformed) > 12
+    assert all(c == t and c.array.dtype == t.array.dtype for c, t in zip(counted, transformed))
 
 
 def test_crosscheck_keeps_windows_of_the_latest_horizon_only():
