@@ -56,7 +56,6 @@ def describe(checkout: Path) -> dict:
     for path in sorted((checkout / "src").rglob("*.py")):
         digest.update(str(path.relative_to(checkout)).encode() + b"\0" + path.read_bytes())
     return {
-        "path": str(checkout),
         "commit": git("rev-parse", "HEAD"),
         "dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
         "src_sha256": digest.hexdigest(),

@@ -19,7 +19,7 @@ one line for the orbits that repeat (cycles, odometers and exact rotations,
 alone and in products): the sha256 of the ``repr`` lines of the
 ``return_times`` windows of ``PERIODIC_RETURN_TIMES`` at horizon 20,000 and
 of ``birkhoff_window_test`` on every third time of [1, 3000) for each spec
-of ``PERIODIC_BIRKHOFF``, named ``library periodic-orbits``.  Last, one line
+of ``PERIODIC_BIRKHOFF``, named ``library periodic-orbits``.  Then one line
 for the skew products, whose return distance reads a start's x only: the
 sha256 of the ``repr`` lines of ``birkhoff_window_test`` on each spec of
 ``BIRKHOFF_CLASSES`` over seeded windows, named ``library birkhoff-classes``.
