@@ -8,7 +8,6 @@ and FailsWithWitness are claims about the observed window only.
 """
 from __future__ import annotations
 
-import math
 import operator
 import struct
 from dataclasses import dataclass
@@ -50,17 +49,6 @@ _FFT_SPAN_CAP = 8_000_000
 # crossover lay at 2.5-5 points a pair for 40-1280 elements.
 _FFT_POINTS_PER_PAIR = 4
 _FFT_SETUP_POINTS = 1600
-
-# difference_set counts lags on windows denser than 1/2 by at least
-# _DENSE_EXCESS_PER_ROOT·sqrt(span) elements, and meets the lags the count
-# leaves open one by one unless that costs more transform points than the
-# transform: _POINTS_PER_OPEN_LAG a lag, plus one per _BITS_PER_POINT bits it
-# shifts.  On the host above an open lag took 0.1-0.2 us plus 0.03-0.1 ns a
-# bit, and a transform point 20-90 ns; the gate keeps each density and span
-# timed (0.3-0.95 on spans 300 to 10^5) within noise of the transform alone.
-_DENSE_EXCESS_PER_ROOT = 3
-_POINTS_PER_OPEN_LAG = 32
-_BITS_PER_POINT = 512
 
 # Element arrays are int64 for horizons below this, so the sum of two values up
 # to the horizon (an element plus a shift, say) still fits; past it they hold
@@ -109,18 +97,12 @@ def _packed(elements: Sequence) -> np.ndarray:
 
 
 def _read_elements(elements) -> np.ndarray:
-    # The elements, each read as operator.index reads it.  An ascending range
-    # whose elements fit int64 is an np.arange stopped at the range's exact
-    # end (arange sizes itself by a float quotient, which gives
-    # range(0, 2**62 + 1, 2**62) one element).  A tuple or list is packed
-    # into int64 by struct, which takes each element's __index__ at C speed;
-    # one it refuses (a float, a str, np.bool_, a value past int64, ...)
+    # The elements, each read as operator.index reads it.  A tuple or list is
+    # packed into int64 by struct, which takes each element's __index__ at C
+    # speed; one it refuses (a float, a str, np.bool_, a value past int64, ...)
     # falls through.  Then: int64 when numpy reads them as ints or bools that
     # fit it, else Python ints (object), one operator.index per element, which
     # raises TypeError on anything else.
-    r = elements
-    if isinstance(r, range) and r.step > 0 and r and -(2 ** 63) <= r[0] and r[-1] < 2 ** 63:
-        return np.arange(r.start, r.start + len(r) * r.step, r.step, dtype=np.int64)
     if isinstance(elements, (tuple, list)):
         try:
             return _packed(elements)
@@ -212,10 +194,9 @@ class Window:
     ``elements``, the same values as a tuple of Python ints, is built when
     it is first read.  Each element is read as ``operator.index`` reads it:
     ints, numpy ints and bools give ints, anything else (a float, a string,
-    None, a nested sequence) raises TypeError.  An ascending range of
-    values that fit int64 is read as ``np.arange``; a tuple or list of ints
-    that fit int64 is packed into the array by ``struct``; other input, and
-    a tuple or list with an element ``struct`` refuses, goes through numpy,
+    None, a nested sequence) raises TypeError.  A tuple or list of ints that
+    fit int64 is packed into the array by ``struct``; other input, and a
+    tuple or list with an element ``struct`` refuses, goes through numpy,
     element by element where numpy cannot type it.  Windows are immutable
     values: equal and hashed as ``(elements, horizon)``.
     """
@@ -392,32 +373,6 @@ def _fft_size(n: int) -> int:
     return best
 
 
-def _counted_lags(offsets: np.ndarray, top: int) -> Optional[np.ndarray]:
-    # Which lags 1..top are in T - T, for T the offsets (0 and top among
-    # them), as a boolean array; None when it would cost more than the
-    # transform.  T ∩ [0, top-l] moved up by l and T ∩ [l, top] both lie in
-    # the top-l+1 points of [l, top]: holding more than top-l+1 elements
-    # between them, they meet, and l is a difference.  The lags this leaves
-    # open are met or not one by one on T's indicator, packed into an int.
-    hit = np.zeros(top + 1, dtype=bool)
-    hit[offsets] = True
-    below = np.cumsum(hit, dtype=np.int32)  # below[i] = |T ∩ [0, i]|
-    # |T ∩ [0, top-l]| + |T ∩ [l, top]| - (top-l+1), for l = 1..top
-    excess = below[top - 1 :: -1] - below[:top]
-    excess += offsets.size - top
-    excess += np.arange(top, dtype=np.int32)
-    is_lag = excess > 0
-    open_lags = np.flatnonzero(excess <= 0) + 1
-    # Lag l shifts top-l+1 bits: open lags cost a fixed part each plus their bits.
-    shifted = open_lags.size * (top + 1) - int(open_lags.sum())
-    if open_lags.size * _POINTS_PER_OPEN_LAG + shifted // _BITS_PER_POINT > 2 * top + _FFT_SETUP_POINTS:
-        return None
-    if open_lags.size:
-        mask = int.from_bytes(np.packbits(hit, bitorder="little").tobytes(), "little")
-        is_lag[[lag - 1 for lag in open_lags.tolist() if mask >> lag & mask]] = True
-    return is_lag
-
-
 def difference_set(w: Window) -> Window:
     """All positive differences {s - s' : s, s' in w, s > s'}.
 
@@ -425,21 +380,15 @@ def difference_set(w: Window) -> Window:
     and 0 would make every such test trivially pass.  Result horizon is the
     input horizon.
 
-    The lags are found on the common stride: with g the gcd of the offsets
-    from the least element b, S - S is g·(T - T) for T = (S - b)/g ⊂ [0, top],
-    so a progression of step m is an interval.  Three regimes:
-
-    * dense T, |T| past (top + 1)/2 by _DENSE_EXCESS_PER_ROOT·sqrt(top):
-      lag l is a difference when T ∩ [0, top-l] and T ∩ [l, top] hold more
-      than top-l+1 elements between them (pigeonhole), read off one running
-      count; the few lags this leaves open are met or not one by one on the
-      indicator, unless that would cost more than the transform, which then
-      decides instead;
-    * otherwise, when it is cheaper than the quadratic scan of all pairs,
-      the autocorrelation of T's indicator by FFT (counts are integers
-      <= |w|, so double-precision roundoff of ~1e-9 cannot cross the 0.5
-      decision threshold);
-    * sparse or extremely wide-spanned windows: the scan.
+    The autocorrelation runs on the common stride: with g the gcd of the
+    offsets from the least element b, S - S is g·(T - T) for T = (S - b)/g,
+    so a progression of step m costs a transform of about 2·span/m points.
+    That transform of the indicator is taken when it is cheaper than the
+    quadratic scan of all pairs (counts are integers <= |w|, so
+    double-precision FFT roundoff of ~1e-9 cannot cross the 0.5 decision
+    threshold); sparse or extremely wide-spanned windows use the scan.  A T
+    of top + 1 elements, top its largest, is all of [0, top] (a progression
+    is one): every lag 1..top is a difference, and no transform runs.
     """
     n = len(w)
     if n < 2:
@@ -448,11 +397,10 @@ def difference_set(w: Window) -> Window:
     stride = int(np.gcd.reduce(offsets))
     top = int(offsets[-1]) // stride
     if top <= _FFT_SPAN_CAP and 2 * top + _FFT_SETUP_POINTS < _FFT_POINTS_PER_PAIR * (n * (n - 1) // 2):
-        offsets = (offsets // stride).astype(np.int64, copy=False)
-        is_lag = None
-        if 2 * n - (top + 1) >= _DENSE_EXCESS_PER_ROOT * math.isqrt(top):
-            is_lag = _counted_lags(offsets, top)
-        if is_lag is None:
+        if n == top + 1:
+            is_lag = np.ones(top, dtype=bool)
+        else:
+            offsets = (offsets // stride).astype(np.int64, copy=False)
             ind = np.zeros(top + 1)
             ind[offsets] = 1.0
             # Lags -top..top fill 2·top+1 points, so no wrapped lag lands in 1..top.

@@ -270,37 +270,6 @@ def test_window_reads_elements_as_the_numpy_reader(elements, horizon):
         assert fast == reference, kind
 
 
-_RANGES = [
-    range(0),
-    range(7, 7),
-    range(9, 3),
-    range(2 ** 70, 2 ** 70 + 5),  # empty or not, bounds past int64 take the element reader
-    range(-3, 5),
-    range(-(2 ** 63), -(2 ** 63) + 3),
-    range(5, -3, -2),
-    range(3, 0, -1),
-    range(2 ** 63 - 4, 2 ** 63 + 3),
-    range(2 ** 63, 2 ** 63 + 10, 3),
-    range(2 ** 64, 2 ** 64 - 6, -2),
-    range(2 ** 63 - 5, 2 ** 63),
-    range(0, 2 ** 62 + 1, 2 ** 62),  # arange(0, 2**62 + 1, 2**62) has one element
-    range(0, 2 ** 63 - 1, 2 ** 62 + 12345),
-    range(5, 6, 2 ** 70),
-    range(0, 1000, 7),
-    range(10 ** 5),
-]
-
-
-@pytest.mark.parametrize("r", _RANGES, ids=repr)
-@pytest.mark.parametrize("horizon", [10, 10 ** 5, 2 ** 62, 2 ** 65])
-def test_window_reads_a_range_as_its_tuple(r, horizon):
-    # A range gives the tuple of its elements' window, or its exception and message.
-    got, want = _read_outcome(r, horizon), _read_outcome(tuple(r), horizon)
-    assert got == want
-    if got[0] is not ValueError and len(r):
-        assert Window(r, horizon) == Window(tuple(r), horizon)
-
-
 @given(
     st.lists(st.integers(0, 60), max_size=20, unique=True),
     st.sampled_from([0, 2 ** 62 - 30, 2 ** 63 - 30, 2 ** 70]),
@@ -553,25 +522,8 @@ def test_difference_set_matches_the_pair_scan_on_both_paths(elems, base, stride,
         elif path == "fft":
             mp.setattr(intsets, "_FFT_SETUP_POINTS", 0)
             mp.setattr(intsets, "_FFT_POINTS_PER_PAIR", 10 ** 9)
-            mp.setattr(intsets, "_DENSE_EXCESS_PER_ROOT", 10 ** 9)
         got = difference_set(w)
     assert got == _ref_difference_set(w)
-
-
-_PATHS = {
-    # Count and meet every open lag, however many: never the transform.
-    "count": {"_FFT_SETUP_POINTS": 0, "_FFT_POINTS_PER_PAIR": 10 ** 9, "_DENSE_EXCESS_PER_ROOT": -(10 ** 9),
-              "_POINTS_PER_OPEN_LAG": 0, "_BITS_PER_POINT": 2 ** 62},
-    # The transform, never the count.
-    "fft": {"_FFT_SETUP_POINTS": 0, "_FFT_POINTS_PER_PAIR": 10 ** 9, "_DENSE_EXCESS_PER_ROOT": 10 ** 9},
-}
-
-
-def _difference_set_on(path: str, w: Window) -> Window:
-    with pytest.MonkeyPatch.context() as mp:
-        for name, value in _PATHS.get(path, {}).items():
-            mp.setattr(intsets, name, value)
-        return difference_set(w)
 
 
 @st.composite
@@ -587,40 +539,40 @@ def _dense_offsets(draw):
     _dense_offsets(),
     st.sampled_from([1, 3, 2 ** 40, 2 ** 70]),
     st.sampled_from([0, 7, 2 ** 62 - 200_000]),
-    st.sampled_from(["default", "count", "fft"]),
+    st.sampled_from(["default", "fft"]),
 )
-@example(list(range(301)), 1, 0, "count")  # an interval: every lag is counted
-@example([t for t in range(301) if t != 150], 3, 7, "count")  # an interval minus one point
-# One open lag each: 39 lies in no pair of [0, 40] minus {1, 39}, and 8 is
-# 8 - 0 in [0, 11] minus {1, 3, 8, 9}; both have exactly top-l+1 elements
-# between T ∩ [0, top-l] and T ∩ [l, top].
-@example([t for t in range(41) if t not in (1, 39)], 1, 0, "count")
-@example([t for t in range(12) if t not in (1, 3, 8, 9)], 1, 0, "count")
-@example([t for t in range(41) if t not in (1, 39)], 2 ** 70, 2 ** 62 - 200_000, "count")
+@example(list(range(301)), 1, 0, "default")  # an interval: every lag, no transform
+@example(list(range(301)), 2 ** 70, 2 ** 62 - 200_000, "fft")
+@example([t for t in range(301) if t != 150], 3, 7, "default")  # an interval minus one point
+# 39 lies in no pair of [0, 40] minus {1, 39}, a set of density 0.95.
+@example([t for t in range(41) if t not in (1, 39)], 1, 0, "default")
+@example([t for t in range(41) if t not in (1, 39)], 2 ** 70, 2 ** 62 - 200_000, "fft")
+@example([0, 2], 1, 0, "fft")  # an interval once strided by 2: lag 1 is no difference
 @settings(max_examples=80, deadline=None)
 def test_dense_difference_sets_match_the_pair_scan(offsets, stride, base, path):
     w = Window(tuple(base + stride * t for t in offsets), base + stride * offsets[-1] + 5)
-    assert _difference_set_on(path, w) == _ref_difference_set(w)
+    with pytest.MonkeyPatch.context() as mp:
+        if path == "fft":  # the transform wherever the scan would run instead
+            mp.setattr(intsets, "_FFT_SETUP_POINTS", 0)
+            mp.setattr(intsets, "_FFT_POINTS_PER_PAIR", 10 ** 9)
+        got = difference_set(w)
+    assert got == _ref_difference_set(w)
 
 
-def test_difference_set_counts_lags_on_dense_windows_only(monkeypatch):
-    # With the transform disabled, dense windows are still answered: a
-    # progression (an interval once strided) and one open lag met on its own.
-    # Near density 1/2, and when the open lags cost more than the transform,
-    # the transform runs.
+def test_difference_set_takes_no_transform_on_an_interval(monkeypatch):
+    # A progression is an interval once strided: every multiple of its step
+    # up to its span is a difference, on int64 and on Python-int windows,
+    # with the transform disabled.  One point fewer and the transform runs.
     def transform(*args):
         raise AssertionError("transform")
 
-    one_open = Window(tuple(t for t in range(41) if t not in (1, 39)), 40)
-    want = _ref_difference_set(one_open)
     monkeypatch.setattr(intsets.np.fft, "rfft", transform)
-    assert difference_set(Window(tuple(range(0, 3001, 3)), 3000)) == Window(tuple(range(3, 3001, 3)), 3000)
-    assert difference_set(one_open) == want
+    for base, horizon in [(0, 3000), (2 ** 62, 2 ** 63)]:
+        got = difference_set(Window(tuple(range(base, base + 3001, 3)), horizon))
+        assert got == Window(tuple(range(3, 3001, 3)), horizon)
+        assert got.array.dtype == Window((), horizon).array.dtype
     with pytest.raises(AssertionError, match="transform"):
-        difference_set(Window(tuple(range(0, 4001, 2)) + (4001,), 4001))
-    monkeypatch.setattr(intsets, "_POINTS_PER_OPEN_LAG", 10 ** 9)
-    with pytest.raises(AssertionError, match="transform"):
-        difference_set(one_open)
+        difference_set(Window(tuple(t for t in range(0, 3001, 3) if t != 1500), 3000))
 
 
 @given(st.lists(st.integers(0, 500), min_size=2, max_size=40, unique=True), st.integers(0, 200))
@@ -1202,13 +1154,13 @@ def test_classifiers_with_parameters_up_to_the_horizon(elems, gap, length, base)
 @example(0, 0, 0.5, 1, 0)
 @example(0, 1, 0.5, 1, 0)
 @example(0, 1, 0.5, 1, 2 ** 63)
-@example(0, 401, 1.0, 12, 5)  # a progression: the count runs on an interval of 401 points
+@example(0, 401, 1.0, 12, 5)  # a progression: an interval of 401 points, no transform
 @example(0, 401, 1.0, 7, 2 ** 63)
 @settings(max_examples=60, deadline=None)
 def test_difference_set_matches_the_quadratic_scan(seed, count, density, stride, base):
     # Windows base + stride·S, with sizes on both sides of the 400-element
-    # switch to the FFT or the count, which run on S and scale their lags
-    # back by the common stride; base 2^63 builds the indicator from Python ints.
+    # switch to the FFT, which runs on S and scales its lags back by the
+    # common stride; base 2^63 builds the indicator from Python ints.
     rng = np.random.default_rng(seed)
     span = max(1, int(count / density))
     elems = [stride * e for e in np.sort(rng.choice(span, size=min(count, span), replace=False)).tolist()]
@@ -1249,8 +1201,7 @@ def test_difference_set_on_5_smooth_fft_lengths(span, seed):
     elems = [7, *sorted(int(e) + 7 for e in inner), span + 7]  # the span is pinned by both ends
     w = Window(tuple(elems), span + 20)
     assert len(w) > 400
-    want = Window(tuple(sorted({b - a for a, b in combinations(elems, 2)})), w.horizon)
-    assert difference_set(w) == _difference_set_on("fft", w) == want
+    assert difference_set(w) == Window(tuple(sorted({b - a for a, b in combinations(elems, 2)})), w.horizon)
 
 
 # -- the trusted constructor ---------------------------------------------------------

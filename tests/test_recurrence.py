@@ -47,7 +47,7 @@ from dynwindow import (
     shift_family_test,
     shifted_hit,
 )
-from dynwindow import intsets, recurrence
+from dynwindow import recurrence
 from dynwindow.cli import parse_system_spec
 from dynwindow.intsets import _BITMASK_HORIZON_CAP
 from dynwindow.recurrence import (
@@ -644,20 +644,20 @@ def test_crosscheck_internal_windows_coincide():
 
 
 @pytest.mark.parametrize("ext", [5003, 12018])
-def test_crosscheck_windows_are_the_same_through_the_transform(monkeypatch, ext):
-    # The difference windows of an M = 12 cross-check are counted (each
-    # progression is an interval once strided); forcing the transform on
-    # every one of them builds the same windows.
+def test_crosscheck_difference_windows_at_the_cli_horizons(ext):
+    # The M = 12 comparison windows at the horizons of the sequence-file
+    # cross-checks: each progression {r, r+m, ...} is an interval once
+    # strided, and its difference window is every multiple of m below its span.
     _comparison_windows.cache_clear()
     try:
-        counted = _comparison_table(ext, 12)[1]
-        _comparison_windows.cache_clear()
-        monkeypatch.setattr(intsets, "_DENSE_EXCESS_PER_ROOT", 10 ** 9)
-        transformed = _comparison_table(ext, 12)[1]
+        windows = _comparison_table(ext, 12)[1]
+        for m in range(1, 13):
+            for r in range(m):
+                d = _progression_difference_window(m, r, ext)
+                assert d in windows
+                assert d.array.dtype == np.int64 and np.array_equal(d.array, np.arange(m, ext + 1 - r, m))
     finally:
         _comparison_windows.cache_clear()
-    assert len(counted) == len(transformed) > 12
-    assert all(c == t and c.array.dtype == t.array.dtype for c, t in zip(counted, transformed))
 
 
 def test_crosscheck_keeps_windows_of_the_latest_horizon_only():
