@@ -643,23 +643,6 @@ def test_crosscheck_internal_windows_coincide():
                 assert d == difference_set(Window(tuple(range(r, horizon + 1, m)), horizon))
 
 
-@pytest.mark.parametrize("ext", [5003, 12018])
-def test_crosscheck_difference_windows_at_the_cli_horizons(ext):
-    # The M = 12 comparison windows at the horizons of the sequence-file
-    # cross-checks: each progression {r, r+m, ...} is an interval once
-    # strided, and its difference window is every multiple of m below its span.
-    _comparison_windows.cache_clear()
-    try:
-        windows = _comparison_table(ext, 12)[1]
-        for m in range(1, 13):
-            for r in range(m):
-                d = _progression_difference_window(m, r, ext)
-                assert d in windows
-                assert d.array.dtype == np.int64 and np.array_equal(d.array, np.arange(m, ext + 1 - r, m))
-    finally:
-        _comparison_windows.cache_clear()
-
-
 def test_crosscheck_keeps_windows_of_the_latest_horizon_only():
     w = _cyclic_return_window(3, 500)
     assert _cyclic_return_window(3, 500) is w
