@@ -9,8 +9,10 @@ that side won on ``ops_per_s``, the failed and attempted op counts and the
 median time of each op (from the run's details file); and
 once, the CPU count, the Python and numpy versions and the commit of each
 checkout.  The result is one named entry of a JSON file; entries already in
-the file under other names are kept.  Give the same checkout as A and B for
-a null comparison, whose spread is the noise floor:
+the file under other names are kept.  When a run's outputs were rejected
+(``correct`` false) or an op failed, the entry is still written, and the
+script exits 1 naming each workload and side.  Give the same checkout as A
+and B for a null comparison, whose spread is the noise floor:
 
     python3 scripts/bench_ab.py --a ../parent --b . --workload cli-files --pairs 6 \\
         --seconds 20 --name parent-vs-change --out BENCH.json
@@ -127,6 +129,11 @@ def main(argv: list[str] | None = None) -> int:
     doc = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
     doc[args.name] = entry
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    broken = [f"{w} side {side}" for w, result in entry["workloads"].items() for side in ("a", "b")
+              if not result[side]["correct"] or result[side]["failed"]]
+    if broken:  # the entry is written, but a speed whose outputs were rejected is no result
+        print(f"error: outputs rejected or ops failed on {', '.join(broken)}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -462,9 +462,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         report["params"] = _params_of(args)
         _emit(report, args.out, args.json)
         return code
-    except (CapExceededError, FileNotFoundError, ValueError) as exc:
-        # Bad input; ValueError covers SequenceFormatError, SystemSpecError and
-        # PolynomialSyntaxError.  Anything else is a bug and keeps its traceback.
+    except (CapExceededError, OSError, ValueError) as exc:
+        # Bad input; OSError covers a path that cannot be opened (missing, a
+        # directory, under a file), and ValueError SequenceFormatError,
+        # SystemSpecError, PolynomialSyntaxError and a file that is not UTF-8.
+        # Anything else is a bug and keeps its traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

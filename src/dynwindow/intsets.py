@@ -8,8 +8,11 @@ and FailsWithWitness are claims about the observed window only.
 """
 from __future__ import annotations
 
+import io
 import operator
+import re
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -446,8 +449,10 @@ def finite_ip(generators: Sequence[int]) -> Window:
     """All sums of nonempty sub-multisets of the generators, deduplicated.
 
     Horizon is the total sum.  Repeated generator values are allowed and
-    collapse the sum set (e.g. (3, 3) -> {3, 6}).  With k distinct values
-    this is exponential in k; callers wanting large blocks should repeat
+    collapse the sum set (e.g. (3, 3) -> {3, 6}): each distinct value g,
+    given c times, is added once, as the sums s + j·g for 0 <= j <= c.  The
+    cost is linear in each value's multiplicity and exponential only in the
+    number of distinct values; callers wanting large blocks should repeat
     values.
     """
     gens = list(generators)
@@ -456,8 +461,8 @@ def finite_ip(generators: Sequence[int]) -> Window:
     if any(g < 1 for g in gens):
         raise ValueError("generators must all be >= 1")
     sums = {0}
-    for g in gens:
-        sums |= {s + g for s in sums}
+    for g, c in Counter(gens).items():
+        sums = {s + j * g for s in sums for j in range(c + 1)}
     sums.discard(0)
     return Window(tuple(sorted(sums)), sum(gens))
 
@@ -492,42 +497,68 @@ def banach_density_estimate(w: Window, interval_length: int) -> Fraction:
 # UTF-8 text: a mandatory first directive line `!horizon N`, then one decimal
 # natural per line, strictly ascending; `#` starts a comment line.
 
+# What str.splitlines() splits on besides b"\n", as UTF-8: a comment holding
+# one is more than one line to the line loop.
+_LINE_BREAKS = re.compile(rb"[\r\x0b\x0c\x1c-\x1e]|\xc2\x85|\xe2\x80[\xa8\xa9]")
 
-def parse_sequence_text(text: str) -> Window:
-    window = _parse_well_formed(text)
+
+def parse_sequence_text(text: Union[str, bytes]) -> Window:
+    """The window a sequence file declares, from its text or its bytes.
+
+    Bytes are what ``parse_sequence_file`` reads: the common layout is
+    parsed from them as they are, and any other file is first decoded as
+    ``open(path, encoding="utf-8")`` decodes it (universal newlines, the
+    same ``UnicodeDecodeError``), then parsed as its text.
+    """
+    if isinstance(text, bytes):
+        window = _parse_well_formed(text)
+        if window is not None:
+            return window
+        text = io.TextIOWrapper(io.BytesIO(text), encoding="utf-8").read()
+    try:
+        window = _parse_well_formed(text.encode("utf-8"))
+    except UnicodeEncodeError:  # a lone surrogate, which no well-formed file holds
+        window = None
     return window if window is not None else _parse_lines(text)
 
 
-def _parse_well_formed(text: str) -> Optional[Window]:
+def _parse_well_formed(data: bytes) -> Optional[Window]:
     # The common file, checked and converted as arrays: '!horizon N' among
     # '#' and blank lines, then only lines of 1-18 ASCII digits, each ending in
-    # '\n', strictly ascending and at most N.  Anything else gives None, and
+    # '\n', strictly ascending and at most N.  The header must be UTF-8 whose
+    # comments hold no other line break.  Anything else gives None, and
     # _parse_lines then parses the text or reports the offending line.
     horizon, pos = None, 0
-    while pos < len(text):
-        end = text.find("\n", pos)
+    while pos < len(data):
+        end = data.find(b"\n", pos)
         if end < 0:
             return None
-        line = text[pos:end]
-        digits = line[9:] if line.startswith("!horizon ") else ""
-        if horizon is None and digits.isascii() and digits.isdigit():
+        line = data[pos:end]
+        digits = line[9:] if line.startswith(b"!horizon ") else b""
+        if horizon is None and digits.isdigit():  # bytes.isdigit() is ASCII only
             horizon = int(digits)
-        elif line and not (line[0] == "#" and line.splitlines() == [line]):
+        elif line and line[0] != ord("#"):
             break
         pos = end + 1
-    if horizon is None:
+    if horizon is None or _LINE_BREAKS.search(data, 0, pos):
         return None
-    body = text[pos:]
-    if not body:
+    try:
+        data[:pos].decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    if pos == len(data):
         return Window._trusted(np.zeros(0, dtype=np.int64), horizon)
-    if not body.isascii() or body[-1] != "\n":
+    if data[-1] != ord("\n"):
         return None
-    buf = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    buf = np.frombuffer(data, dtype=np.uint8, offset=pos)
     newline = buf == ord("\n")
     if not ((buf - np.uint8(ord("0")) < 10) | newline).all():
         return None
     ends = np.flatnonzero(newline)
-    lengths = np.diff(ends, prepend=-1) - 1
+    lengths = np.empty_like(ends)  # not np.diff(ends, prepend=-1) - 1, which costs 8 times as much
+    lengths[0] = ends[0]
+    np.subtract(ends[1:], ends[:-1], out=lengths[1:])
+    lengths[1:] -= 1
     if lengths.min() < 1 or lengths.max() > 18:  # 18 digits stay below 2^62
         return None
     # Word c of a line: the 8 bytes ending 8c bytes before its newline, read as
@@ -589,7 +620,7 @@ def _parse_lines(text: str) -> Window:
 
 
 def parse_sequence_file(path) -> Window:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         return parse_sequence_text(fh.read())
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -54,6 +54,10 @@ _CROSSCHECK_HORIZON_CAP = 1_000_000
 # _missing_residues recounts the periods its prefix leaves open in blocks of
 # lcm at most this: one bincount of that many counters per block.
 _RECOUNT_MODULUS_CAP = 2 ** 16
+
+# _missing_residues reduces a prefix of Python ints once per run of periods
+# whose lcm is at most this, then takes each period's remainder in int64.
+_REDUCE_MODULUS_CAP = 2 ** 62 - 1
 
 # birkhoff_window_test reads each start's orbit in slices of this many
 # times, then 4, 16, ... times as many: a return at index i costs O(i).
@@ -172,6 +176,18 @@ def _empty_residues(arr: np.ndarray, m: int) -> np.ndarray:
     return np.flatnonzero(counts == 0)
 
 
+def _lcm_runs(periods: Sequence[int], cap: int):
+    # The periods in runs of consecutive ones, each the longest whose lcm is at
+    # most cap, or one period: yields (run, its lcm).
+    i = 0
+    while i < len(periods):
+        j, modulus = i + 1, periods[i]
+        while j < len(periods) and math.lcm(modulus, periods[j]) <= cap:
+            modulus, j = math.lcm(modulus, periods[j]), j + 1
+        yield periods[i:j], modulus
+        i = j
+
+
 def _missing_residues(arr: np.ndarray, max_period: int) -> list:
     """The least class mod m that arr misses (None when it covers Z/m), for m = 1..max_period.
 
@@ -180,17 +196,18 @@ def _missing_residues(arr: np.ndarray, max_period: int) -> list:
     reduced against a block of periods at once and counted in one offset
     bincount, a segment per period; the first zero of a segment is that
     period's least missing class.  The prefix is reduced in int32 when its
-    last element is below 2^31, else in int64 (Python ints past 2^63, a
-    column at a time).  n elements hit at most n classes, so the least
-    class they miss is at most n: a segment counts the classes below
-    w = min(n, largest period) and pools the rest in one more counter,
-    which stays zero when every class below w is hit.  Residues are clamped
-    into the pool only when n is below the largest period; otherwise each
-    is already below w.  Blocks keep both the prefix × block matrix and the
-    bincount within _BATCH_ELEMENTS.  A prefix that covers Z/m settles m;
-    the m's it leaves uncovered are recounted on the whole array, in int64
-    or Python ints, mod the lcm of a block of them, and reduce its hit
-    classes mod m.
+    last element is below 2^31, else in int64; a prefix of Python ints (past
+    2^63) is reduced once per run of consecutive periods whose lcm is below
+    2^62, and its int64 remainders mod that lcm give each period's.  n
+    elements hit at most n classes, so the least class they miss is at most
+    n: a segment counts the classes below w = min(n, largest period) and
+    pools the rest in one more counter, which stays zero when every class
+    below w is hit.  Residues are clamped into the pool only when n is below
+    the largest period; otherwise each is already below w.  Blocks keep both
+    the prefix × block matrix and the bincount within _BATCH_ELEMENTS.  A
+    prefix that covers Z/m settles m; the m's it leaves uncovered are
+    recounted on the whole array, in int64 or Python ints, mod the lcm of a
+    block of them, and reduce its hit classes mod m.
     """
     arr = _small_ints(arr)
     head = arr[: 16 * max_period]
@@ -202,10 +219,11 @@ def _missing_residues(arr: np.ndarray, max_period: int) -> list:
     for m in range(1, max_period + 1, width):
         top = min(m + width, max_period + 1)  # one past the block's largest period
         w = max(1, min(head.size, top - 1))
-        if head.dtype == object:  # by columns: a matrix of Python ints would be ~5 times larger
+        if head.dtype == object:  # one Python-int reduction per lcm run, then int64 remainders
             residues = np.empty((head.size, top - m), dtype=np.int64)
-            for j, p in enumerate(range(m, top)):
-                residues[:, j] = head % p
+            for run, modulus in _lcm_runs(range(m, top), _REDUCE_MODULUS_CAP):
+                reduced = (head % modulus).astype(np.int64)
+                np.remainder(reduced[:, None], np.array(run), out=residues[:, run.start - m : run.stop - m])
         else:
             residues = np.remainder(head[:, None], np.arange(m, top, dtype=dtype))
         if head.size < top - 1:
@@ -217,11 +235,7 @@ def _missing_residues(arr: np.ndarray, max_period: int) -> list:
         least += [r if r < p else None for p, r in zip(range(m, top), first)]
     if head.size < arr.size:
         periods = [p for p, r in enumerate(least, start=1) if r is not None]
-        while periods:
-            k = 1  # the next block: the longest run of periods with lcm within the cap, or one period
-            while k < len(periods) and math.lcm(*periods[: k + 1]) <= _RECOUNT_MODULUS_CAP:
-                k += 1
-            block, periods, modulus = periods[:k], periods[k:], math.lcm(*periods[:k])
+        for block, modulus in _lcm_runs(periods, _RECOUNT_MODULUS_CAP):
             classes = np.flatnonzero(np.bincount((arr % modulus).astype(np.int64, copy=False), minlength=modulus))
             for p in block:
                 hit = np.bincount(classes % p, minlength=p)

@@ -454,6 +454,35 @@ def test_missing_file_is_operational_error(capsys):
     assert main(["classify", "/nonexistent/file.txt"]) == 1
 
 
+def test_directory_as_input_is_operational_error(tmp_path, capsys):
+    assert main(["classify", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: [Errno 21] Is a directory") and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["product", "cyclic:2", "cyclic:3", "--out", "{dir}"],
+        ["construct", "example", "--blocks", "2", "--out", "{dir}"],
+        ["construct", "example", "--blocks", "2", "--report", "{dir}"],
+        ["construct", "example", "--blocks", "2", "--schedule", "{dir}"],
+    ],
+    ids=["product-out", "construct-out", "construct-report", "construct-schedule"],
+)
+def test_directory_as_output_or_schedule_is_operational_error(tmp_path, capsys, argv):
+    assert main([a.format(dir=tmp_path) for a in argv]) == 1
+    assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory")
+
+
+@pytest.mark.parametrize("command", [["classify", "{path}"], ["product", "cyclic:2", "cyclic:3", "--out", "{path}"]])
+def test_path_under_a_regular_file_is_operational_error(tmp_path, capsys, command):
+    regular = tmp_path / "plain.txt"
+    regular.write_text("!horizon 1\n1\n", encoding="utf-8")
+    assert main([a.format(path=regular / "below.txt") for a in command]) == 1
+    assert capsys.readouterr().err.startswith("error: [Errno 20] Not a directory")
+
+
 def test_horizon_override(tmp_path, capsys):
     path = tmp_path / "seq.txt"
     write_sequence_file(path, Window((0, 2, 40), 50))

@@ -24,6 +24,7 @@ from dynwindow import (
     format_sequence,
     is_syndetic,
     is_thick,
+    parse_sequence_file,
     parse_sequence_text,
     piecewise_syndetic_certificate,
     shifted_hit,
@@ -674,6 +675,35 @@ def test_finite_ip_matches_subset_enumeration():
     assert got.horizon == sum(gens)
 
 
+def _finite_ip_set_loop(generators) -> Window:
+    # finite_ip as it stood before it added each distinct value once, kept verbatim as the reference.
+    gens = list(generators)
+    if not gens:
+        raise ValueError("generators must be nonempty")
+    if any(g < 1 for g in gens):
+        raise ValueError("generators must all be >= 1")
+    sums = {0}
+    for g in gens:
+        sums |= {s + g for s in sums}
+    sums.discard(0)
+    return Window(tuple(sorted(sums)), sum(gens))
+
+
+@given(
+    st.lists(st.sampled_from([1, 2, 3, 5, 12, 2 ** 62 - 1, 2 ** 62 + 3, 2 ** 64, 3 ** 90]), min_size=1, max_size=14),
+    st.randoms(use_true_random=False),
+)
+@example([7] * 31, None)  # a block of the construction: one value, repeated
+@example([2 ** 62 + 3] * 5 + [1, 1], None)
+@settings(max_examples=80, deadline=None)
+def test_finite_ip_matches_the_set_loop(gens, rnd):
+    # Repeated and distinct values, in any order, past 2^62 too: the same window.
+    if rnd is not None:
+        rnd.shuffle(gens)
+    got, want = finite_ip(gens), _finite_ip_set_loop(gens)
+    assert got == want and got.array.dtype == want.array.dtype
+
+
 def test_finite_ip_rejects_bad_generators():
     with pytest.raises(ValueError):
         finite_ip([])
@@ -903,6 +933,7 @@ def _sequence_texts(draw):
 @example("!horizon 10000000000000000000\n1\n1x3456789012345678\n")  # and in the third
 @example("!horizon 10000000000000000000\n1\n1 3456789012345678\n")
 @example("!horizon 99999999\n99999998\n99999999\n")
+@example("!horizon 10\n# \ud800\n3\n")  # a lone surrogate in a comment: no UTF-8 to read as bytes
 @settings(max_examples=400, deadline=None)
 def test_parse_matches_the_line_loop_on_every_text(text):
     assert _parse_outcome(parse_sequence_text, text) == _parse_outcome(_reference_parse, text)
@@ -910,10 +941,10 @@ def test_parse_matches_the_line_loop_on_every_text(text):
 
 def test_parse_well_formed_text_takes_the_array_path():
     text = "# made by hand\n!horizon 2000000000000000000\n# header comment\n\n0\n007\n19\n999999999999999999\n"
-    w = intsets._parse_well_formed(text)
+    w = intsets._parse_well_formed(text.encode())
     assert w == _reference_parse(text) and w.elements == (0, 7, 19, 10 ** 18 - 1)
     assert w.array.dtype == np.int64 and w.array.tolist() == list(w.elements)
-    assert intsets._parse_well_formed("!horizon 4\n") == Window((), 4)
+    assert intsets._parse_well_formed(b"!horizon 4\n") == Window((), 4)
 
 
 @pytest.mark.parametrize("zeros", [False, True])
@@ -922,7 +953,7 @@ def test_parse_reads_every_line_length_in_words(zeros):
     # zero-padded to 18 digits, which puts the leading zeros in other words.
     values = [int(("918273645" * 2)[:k]) for k in range(1, 19)]
     text = f"!horizon {10 ** 18}\n" + "".join(f"{v:018d}\n" if zeros else f"{v}\n" for v in values)
-    w = intsets._parse_well_formed(text)
+    w = intsets._parse_well_formed(text.encode())
     assert w is not None and w.elements == tuple(values) == _reference_parse(text).elements
 
 
@@ -938,7 +969,7 @@ def test_parse_reads_every_line_length_in_words(zeros):
     ids=["crlf", "body-comment", "space-inside", "19-digits", "above-2^62"],
 )
 def test_parse_falls_back_to_the_line_loop(text, expected):
-    assert intsets._parse_well_formed(text) is None
+    assert intsets._parse_well_formed(text.encode()) is None
     if isinstance(expected, SequenceFormatError):
         with pytest.raises(SequenceFormatError) as info:
             parse_sequence_text(text)
@@ -948,6 +979,74 @@ def test_parse_falls_back_to_the_line_loop(text, expected):
         assert w == expected
         assert w.array.dtype == (np.int64 if w.horizon < 2 ** 62 else object)
         assert w.array.tolist() == list(w.elements)
+
+
+def _text_mode_parse(path) -> Window:
+    # The reader as it stood before files were read as bytes, kept verbatim as the reference.
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_sequence_text(fh.read())
+
+
+def _file_outcome(parse, path):
+    try:
+        w = parse(path)
+    except (SequenceFormatError, UnicodeDecodeError) as exc:
+        return (type(exc), str(exc))
+    return ("window", w.elements, w.horizon, w.array.dtype)
+
+
+# Pieces of files near the read boundary: line ends of both kinds, comments,
+# directives, a BOM, bytes that are not UTF-8, NEL and U+2028 (line breaks
+# to str.splitlines), and non-ASCII digits.
+_FILE_PIECES = [
+    b"0", b"1", b"7", b"42", b"\n", b"\r", b"#", b" ", b"!horizon ", b"\xef\xbb\xbf", b"\xff",
+    b"\xc2\x85", b"\xe2\x80\xa8", "\u00b2".encode(), "\u0661".encode(),
+]
+
+
+@st.composite
+def _sequence_files(draw):
+    # A soup of pieces, or a well-formed file with pieces spliced into its header or body.
+    pieces = st.lists(st.sampled_from(_FILE_PIECES), max_size=12).map(b"".join)
+    if draw(st.booleans()):
+        return draw(pieces)
+    values = sorted(draw(st.lists(st.integers(0, 10 ** 6), max_size=8, unique=True)))
+    header = [b"!horizon 1000000\n"]
+    header.insert(draw(st.integers(0, 1)), b"#" + draw(pieces) + b"\n")
+    body = [b"%d\n" % v for v in values]
+    if draw(st.booleans()):
+        body.insert(draw(st.integers(0, len(body))), draw(pieces))
+    return b"".join(header + body)
+
+
+@given(_sequence_files())
+@example(b"!horizon 10\n1\n\xff\n")  # invalid UTF-8 in the body
+@example(b"# caf\xc3\xa9\n!horizon 10\n1\n")  # a non-ASCII comment
+@example(b"# \xff\n!horizon 10\n1\n")  # invalid UTF-8 in a comment
+@example(b"\xef\xbb\xbf!horizon 10\n1\n")  # a BOM before the directive
+@example(b"!horizon 10\n# a\x0cb\n1\n")  # a form feed inside a comment
+@example(b"!horizon 10\n# a\xe2\x80\xa8b\n1\n")  # U+2028 inside a comment
+@example(b"!horizon 10\r\n1\r\n5\r\n")  # CRLF
+@example(b"!horizon 10\r1\r5\r")  # CR
+@settings(max_examples=300, deadline=None)
+def test_a_file_read_as_bytes_parses_as_its_text(tmp_path_factory, data):
+    # The same window, dtype included, or the same exception and message, as
+    # the text-mode read that decodes the whole file first.
+    path = tmp_path_factory.getbasetemp() / "bytes-read.txt"
+    path.write_bytes(data)
+    assert _file_outcome(parse_sequence_file, path) == _file_outcome(_text_mode_parse, path)
+
+
+def test_a_file_of_the_common_layout_reaches_the_array_path_from_bytes(tmp_path, monkeypatch):
+    # A non-ASCII comment is read in place; a CRLF file once decoded.
+    def refuse(text):
+        raise AssertionError("the line loop ran")
+
+    monkeypatch.setattr(intsets, "_parse_lines", refuse)
+    for data in (b"# caf\xc3\xa9\n!horizon 10\n1\n5\n", b"!horizon 10\r\n1\r\n5\r\n"):
+        path = tmp_path / "seq.txt"
+        path.write_bytes(data)
+        assert parse_sequence_file(path) == Window((1, 5), 10)
 
 
 def test_a_parsed_window_retains_its_array_alone():

@@ -334,6 +334,88 @@ def test_missing_residues_match_a_set_scan_for_every_period(elems, kind, max_per
         assert _missing_residues(np.array(elements, dtype=dtype), max_period) == want
 
 
+def _column_loop_missing_residues(arr: np.ndarray, max_period: int) -> list:
+    # _missing_residues as it stood when it took Python-int residues one column
+    # (one period) at a time, kept verbatim as the reference; its two caps are
+    # the module's values at the time.
+    _BATCH_ELEMENTS, _RECOUNT_MODULUS_CAP = 2 ** 22, 2 ** 16
+    arr = _small_ints(arr)
+    head = arr[: 16 * max_period]
+    if head.dtype != object and head.size and head[-1] < 2 ** 31:
+        head = head.astype(np.int32)
+    dtype = np.int64 if head.dtype == object else head.dtype
+    width = max(1, _BATCH_ELEMENTS // (max(head.size, 1) + 1))  # periods per block
+    least = []  # per period: the least class missed, or None
+    for m in range(1, max_period + 1, width):
+        top = min(m + width, max_period + 1)  # one past the block's largest period
+        w = max(1, min(head.size, top - 1))
+        if head.dtype == object:  # by columns: a matrix of Python ints would be ~5 times larger
+            residues = np.empty((head.size, top - m), dtype=np.int64)
+            for j, p in enumerate(range(m, top)):
+                residues[:, j] = head % p
+        else:
+            residues = np.remainder(head[:, None], np.arange(m, top, dtype=dtype))
+        if head.size < top - 1:
+            np.minimum(residues, w, out=residues)
+        residues += np.arange(0, (top - m) * (w + 1), w + 1, dtype=dtype)
+        counts = np.bincount(residues.ravel(), minlength=(top - m) * (w + 1)).reshape(top - m, w + 1)
+        # A row hits at most n classes: with every class below w hit, the pool is empty.
+        first = counts.argmin(axis=1).tolist()  # its first zero: the least class missed, or w
+        least += [r if r < p else None for p, r in zip(range(m, top), first)]
+    if head.size < arr.size:
+        periods = [p for p, r in enumerate(least, start=1) if r is not None]
+        while periods:
+            k = 1  # the next block: the longest run of periods with lcm within the cap, or one period
+            while k < len(periods) and math.lcm(*periods[: k + 1]) <= _RECOUNT_MODULUS_CAP:
+                k += 1
+            block, periods, modulus = periods[:k], periods[k:], math.lcm(*periods[:k])
+            classes = np.flatnonzero(np.bincount((arr % modulus).astype(np.int64, copy=False), minlength=modulus))
+            for p in block:
+                hit = np.bincount(classes % p, minlength=p)
+                least[p - 1] = None if hit.all() else int(np.argmin(hit))
+    return least
+
+
+@given(
+    st.lists(st.integers(0, 5000), max_size=1200, unique=True),
+    st.sampled_from([2 ** 63, 2 ** 63 + 12345, 2 ** 200 + 7, 3 ** 150]),
+    st.integers(1, 60),
+    st.sampled_from([2 ** 62 - 1, 2 ** 20, 60, 12, 1]),
+    st.sampled_from([2 ** 22, 64, 1]),
+)
+@example([], 2 ** 63, 1, 2 ** 62 - 1, 2 ** 22)
+@example(list(range(0, 5000, 2)), 2 ** 200 + 7, 60, 2 ** 62 - 1, 2 ** 22)  # runs 1..42, 43..58, 59..60
+@example(list(range(0, 5000, 6)), 2 ** 63, 60, 1, 2 ** 22)  # a run per period
+@settings(max_examples=80, deadline=None)
+def test_missing_residues_on_python_ints_match_the_column_loop(elems, base, max_period, cap, batch):
+    # Elements past 2^63 and 2^200 stay Python ints: the prefix is reduced once
+    # per lcm run (smaller caps split the periods finer, down to one period a
+    # run) and per block of periods.
+    arr = np.array([base + e for e in sorted(elems)], dtype=object)
+    want = _column_loop_missing_residues(arr, max_period)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(recurrence, "_REDUCE_MODULUS_CAP", cap)
+        mp.setattr(recurrence, "_BATCH_ELEMENTS", batch)
+        assert _missing_residues(arr, max_period) == want
+
+
+@pytest.mark.parametrize(
+    "periods, cap, runs",
+    [
+        (list(range(1, 61)), 2 ** 62 - 1, [list(range(1, 43)), list(range(43, 59)), [59, 60]]),
+        ([2 ** 31 - 1, 2 ** 31, 3], 2 ** 62 - 1, [[2 ** 31 - 1, 2 ** 31], [3]]),  # lcm 2^62 - 2^31
+        ([2 ** 31 + 1, 2 ** 31, 3], 2 ** 62 - 1, [[2 ** 31 + 1], [2 ** 31, 3]]),  # lcm 2^62 + 2^31
+        ([2 ** 61, 4, 8, 3], 2 ** 62 - 1, [[2 ** 61, 4, 8], [3]]),
+        ([5, 7, 9], 4, [[5], [7], [9]]),  # a period past the cap is a run alone
+        ([], 2 ** 16, []),
+    ],
+)
+def test_lcm_runs_split_at_the_cap(periods, cap, runs):
+    got = list(recurrence._lcm_runs(periods, cap))
+    assert [list(run) for run, _ in got] == runs
+    assert [modulus for _, modulus in got] == [math.lcm(*run) for run in runs]
+
+
 def _per_period_missing(elements: list, max_period: int) -> list:
     # One bincount of the whole array per period: the least class it misses, or None.
     out = []
