@@ -5,7 +5,8 @@ on ``PYTHONPATH``, from an empty temporary directory, and prints one line per
 call: the exit code, the sha256 of stdout and stderr, and the sha256 of each
 file the call writes (the values of ``--out`` and ``--report``).  The calls
 cover every subcommand, the cli-files benchmark inputs of seed 1 (generated
-by ``perfbench/workloads.py``) and a set of malformed sequence files.  Then
+by ``perfbench/workloads.py``), a set of malformed sequence files and files
+at the read boundary (not UTF-8, a BOM, non-ASCII comments).  Then
 one line per library call of the metric-density benchmark, seed 1
 (``r_sequence_metric`` and ``birkhoff_window_test``): the sha256 of the
 ``repr`` of its result, named ``library <op name>``.  Last, one line for
@@ -58,7 +59,8 @@ ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 GOLDEN = ROOT / "tests" / "golden" / "cli.txt"
 
-# name -> file text, written byte for byte (no newline translation).
+# name -> file text, written byte for byte (no newline translation) as UTF-8,
+# or bytes, written as they are.
 FILES = {
     "squares.txt": "!horizon 10000\n# squares\n" + "".join(f"{n * n}\n" for n in range(101)),
     "evens.txt": "!horizon 1000\n" + "".join(f"{n}\n" for n in range(0, 1001, 2)),
@@ -109,6 +111,17 @@ MALFORMED = {
     "duplicate-directive.txt": "!horizon 10\n1\n!horizon 20\n2\n",
     "bad-directive.txt": "!horizon ten\n1\n",
     "empty.txt": "",
+}
+
+# Files at the read boundary, given as bytes: invalid UTF-8 in the body and in
+# a comment, a BOM, a non-ASCII comment before a well-formed body, and a form
+# feed, a line break to the line loop, inside a comment.
+ENCODED = {
+    "invalid-utf8-body.txt": b"!horizon 10\n1\n\xff\n",
+    "invalid-utf8-comment.txt": b"# \xff\n!horizon 10\n1\n",
+    "bom.txt": b"\xef\xbb\xbf!horizon 10\n1\n",
+    "cafe-comment.txt": "# café\n!horizon 10\n1\n5\n".encode("utf-8"),
+    "form-feed-comment.txt": b"!horizon 10\n# page\x0c7\n9\n",
 }
 
 CALLS = [
@@ -212,7 +225,9 @@ CALLS = [
     # A prefix below 2^31 and a tail past it.
     "recurrence straddle.txt cyclic:<=50",
     "recurrence straddle.txt cyclic:<=20 --shifts=-3..3",
-] + [f"classify {name}" for name in MALFORMED] + [f"recurrence {name} cyclic:<=5" for name in MALFORMED]
+] + [f"classify {name}" for name in MALFORMED] + [f"recurrence {name} cyclic:<=5" for name in MALFORMED] + [
+    f"classify {name}" for name in ENCODED
+]
 
 
 # return_times rows (spec, start, cell, cover eps), read at horizon 20,000:
@@ -357,8 +372,8 @@ def fingerprints() -> list[str]:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            for name, text in {**FILES, **MALFORMED}.items():
-                Path(name).write_bytes(text.encode("utf-8"))
+            for name, text in {**FILES, **MALFORMED, **ENCODED}.items():
+                Path(name).write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
             calls = [call.split() + ["--json"] for call in CALLS]
             calls += [op.params["argv"] for op in workloads.build_cli_files(1, Path("cli-files"))]
             lines = [fingerprint(cli_main, argv) for argv in calls]

@@ -551,10 +551,10 @@ def _parse_well_formed(data: bytes) -> Optional[Window]:
     if data[-1] != ord("\n"):
         return None
     buf = np.frombuffer(data, dtype=np.uint8, offset=pos)
-    newline = buf == ord("\n")
-    if not ((buf - np.uint8(ord("0")) < 10) | newline).all():
+    ends = np.flatnonzero(buf == ord("\n"))
+    # Digits and newlines are disjoint: the body holds nothing else iff they number its size.
+    if np.count_nonzero(buf - np.uint8(ord("0")) < 10) != buf.size - ends.size:
         return None
-    ends = np.flatnonzero(newline)
     lengths = np.empty_like(ends)  # not np.diff(ends, prepend=-1) - 1, which costs 8 times as much
     lengths[0] = ends[0]
     np.subtract(ends[1:], ends[:-1], out=lengths[1:])
@@ -562,19 +562,28 @@ def _parse_well_formed(data: bytes) -> Optional[Window]:
     if lengths.min() < 1 or lengths.max() > 18:  # 18 digits stay below 2^62
         return None
     # Word c of a line: the 8 bytes ending 8c bytes before its newline, read as
-    # a little-endian uint64 of a stride-1 view of the body behind 8·width zeros.
+    # a little-endian uint64 of a stride-1 view of the file.  The header lies
+    # before the body, so zeros go in front only when a first line's first word
+    # would start before the file.
     width = -(-int(lengths.max()) // 8)
-    padded = np.concatenate((np.zeros(8 * width, dtype=np.uint8), buf))
-    words = np.ndarray(padded.size - 7, dtype="<u8", buffer=padded, strides=(1,))
-    values = np.zeros(ends.size, dtype=np.uint64)
+    lead = max(0, 8 * width - pos - int(ends[0]))
+    base = bytes(lead) + data if lead else data
+    words = np.ndarray(len(base) - 7, dtype="<u8", buffer=base, strides=(1,))
+    at = ends + (lead + pos - 8 * width)  # word width - 1 of each line, then 8 bytes on per word
+    values = None
     for c in reversed(range(width)):
-        v = words[ends + 8 * (width - 1 - c)] & _DIGIT_MASKS[c].take(lengths)
+        v = words[at]
+        v &= _DIGIT_MASKS[c].take(lengths)
         for factor, shift, mask in _FOLDS:  # in place: a temporary costs more than the op
             v *= factor
             v >>= shift
             v &= mask
-        values *= np.uint64(10 ** 8)
-        values += v
+        if values is None:
+            values = v
+        else:
+            values *= np.uint64(10 ** 8)
+            values += v
+        at += 8
     values = values.view(np.int64)
     if (values[1:] <= values[:-1]).any() or int(values[-1]) > horizon:
         return None

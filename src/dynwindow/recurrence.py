@@ -196,18 +196,18 @@ def _missing_residues(arr: np.ndarray, max_period: int) -> list:
     reduced against a block of periods at once and counted in one offset
     bincount, a segment per period; the first zero of a segment is that
     period's least missing class.  The prefix is reduced in int32 when its
-    last element is below 2^31, else in int64; a prefix of Python ints (past
-    2^63) is reduced once per run of consecutive periods whose lcm is below
-    2^62, and its int64 remainders mod that lcm give each period's.  n
-    elements hit at most n classes, so the least class they miss is at most
-    n: a segment counts the classes below w = min(n, largest period) and
-    pools the rest in one more counter, which stays zero when every class
-    below w is hit.  Residues are clamped into the pool only when n is below
-    the largest period; otherwise each is already below w.  Blocks keep both
-    the prefix × block matrix and the bincount within _BATCH_ELEMENTS.  A
-    prefix that covers Z/m settles m; the m's it leaves uncovered are
-    recounted on the whole array, in int64 or Python ints, mod the lcm of a
-    block of them, and reduce its hit classes mod m.
+    last element is below 2^31, else in int64 (Python ints past 2^63 once
+    per run of periods whose lcm is below 2^62, then in int64 mod each
+    period).  n elements hit at most n classes, so the least
+    class they miss is at most n: a segment counts the classes below
+    w = min(n, largest period) and pools the rest in one more counter,
+    which stays zero when every class below w is hit.  Residues are clamped
+    into the pool only when n is below the largest period; otherwise each
+    is already below w.  Blocks keep both the prefix × block matrix and the
+    bincount within _BATCH_ELEMENTS.  A prefix that covers Z/m settles m;
+    the m's it leaves uncovered are recounted on the whole array, in int64
+    or Python ints, mod the lcm of a block of them, and reduce its hit
+    classes mod m.
     """
     arr = _small_ints(arr)
     head = arr[: 16 * max_period]
