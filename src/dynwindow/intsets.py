@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import io
 import operator
-import re
 import struct
 from collections import Counter
 from dataclasses import dataclass
@@ -497,10 +496,6 @@ def banach_density_estimate(w: Window, interval_length: int) -> Fraction:
 # UTF-8 text: a mandatory first directive line `!horizon N`, then one decimal
 # natural per line, strictly ascending; `#` starts a comment line.
 
-# What str.splitlines() splits on besides b"\n", as UTF-8: a comment holding
-# one is more than one line to the line loop.
-_LINE_BREAKS = re.compile(rb"[\r\x0b\x0c\x1c-\x1e]|\xc2\x85|\xe2\x80[\xa8\xa9]")
-
 
 def parse_sequence_text(text: Union[str, bytes]) -> Window:
     """The window a sequence file declares, from its text or its bytes.
@@ -540,11 +535,13 @@ def _parse_well_formed(data: bytes) -> Optional[Window]:
         elif line and line[0] != ord("#"):
             break
         pos = end + 1
-    if horizon is None or _LINE_BREAKS.search(data, 0, pos):
+    if horizon is None:
         return None
     try:
-        data[:pos].decode("utf-8")
+        header = data[:pos].decode("utf-8")
     except UnicodeDecodeError:
+        return None
+    if len(header.splitlines()) != header.count("\n"):  # a comment holds another line break
         return None
     if pos == len(data):
         return Window._trusted(np.zeros(0, dtype=np.int64), horizon)
@@ -562,17 +559,16 @@ def _parse_well_formed(data: bytes) -> Optional[Window]:
     if lengths.min() < 1 or lengths.max() > 18:  # 18 digits stay below 2^62
         return None
     # Word c of a line: the 8 bytes ending 8c bytes before its newline, read as
-    # a little-endian uint64 of a stride-1 view of the file.  The header lies
-    # before the body, so zeros go in front only when a first line's first word
-    # would start before the file.
+    # a little-endian uint64 of a stride-1 view of the file.  A word holding a
+    # digit of its line starts at most 7 bytes before the body, inside the
+    # header ('!horizon N\n' is 11 bytes or more), so a word that would start
+    # before the file is one its mask zeroes: it is read clipped to word 0.
     width = -(-int(lengths.max()) // 8)
-    lead = max(0, 8 * width - pos - int(ends[0]))
-    base = bytes(lead) + data if lead else data
-    words = np.ndarray(len(base) - 7, dtype="<u8", buffer=base, strides=(1,))
-    at = ends + (lead + pos - 8 * width)  # word width - 1 of each line, then 8 bytes on per word
+    words = np.ndarray(len(data) - 7, dtype="<u8", buffer=data, strides=(1,))
+    at = ends + (pos - 8 * width)  # word width - 1 of each line, then 8 bytes on per word
     values = None
     for c in reversed(range(width)):
-        v = words[at]
+        v = words.take(at, mode="clip")
         v &= _DIGIT_MASKS[c].take(lengths)
         for factor, shift, mask in _FOLDS:  # in place: a temporary costs more than the op
             v *= factor
