@@ -559,16 +559,17 @@ def _parse_well_formed(data: bytes) -> Optional[Window]:
     if lengths.min() < 1 or lengths.max() > 18:  # 18 digits stay below 2^62
         return None
     # Word c of a line: the 8 bytes ending 8c bytes before its newline, read as
-    # a little-endian uint64 of a stride-1 view of the file.  A word holding a
-    # digit of its line starts at most 7 bytes before the body, inside the
-    # header ('!horizon N\n' is 11 bytes or more), so a word that would start
-    # before the file is one its mask zeroes: it is read clipped to word 0.
+    # a little-endian uint64 of a stride-1 view of the file.  The header lies
+    # before the body, so zeros go in front only when a first line's first word
+    # would start before the file.  (ndarray.take would copy the whole view.)
     width = -(-int(lengths.max()) // 8)
-    words = np.ndarray(len(data) - 7, dtype="<u8", buffer=data, strides=(1,))
-    at = ends + (pos - 8 * width)  # word width - 1 of each line, then 8 bytes on per word
+    lead = max(0, 8 * width - pos - int(ends[0]))
+    base = bytes(lead) + data if lead else data
+    words = np.ndarray(len(base) - 7, dtype="<u8", buffer=base, strides=(1,))
+    at = ends + (lead + pos - 8 * width)  # word width - 1 of each line, then 8 bytes on per word
     values = None
     for c in reversed(range(width)):
-        v = words.take(at, mode="clip")
+        v = words[at]
         v &= _DIGIT_MASKS[c].take(lengths)
         for factor, shift, mask in _FOLDS:  # in place: a temporary costs more than the op
             v *= factor

@@ -933,7 +933,7 @@ def _sequence_texts(draw):
 @example("!horizon 10000000000000000000\n1\n1x3456789012345678\n")  # and in the third
 @example("!horizon 10000000000000000000\n1\n1 3456789012345678\n")
 @example("!horizon 99999999\n99999998\n99999999\n")
-@example("!horizon 10\n1\n000000000000000002\n")  # the first line's first word starts before the file
+@example("!horizon 10\n1\n000000000000000002\n")  # a first word before the file: zeros go in front
 @example("!horizon 100\n1:\n")  # ':' and '/' sit next to the digits
 @example("!horizon 100\n/5\n")
 @example("!horizon 10\n# \ud800\n3\n")  # a lone surrogate in a comment: no UTF-8 to read as bytes
