@@ -575,11 +575,7 @@ def _parse_well_formed(data: bytes) -> Optional[Window]:
             v *= factor
             v >>= shift
             v &= mask
-        if values is None:
-            values = v
-        else:
-            values *= np.uint64(10 ** 8)
-            values += v
+        values = v if values is None else values * np.uint64(10 ** 8) + v
         at += 8
     values = values.view(np.int64)
     if (values[1:] <= values[:-1]).any() or int(values[-1]) > horizon:
