@@ -552,7 +552,7 @@ def _parse_well_formed(data: bytes) -> Optional[Window]:
     # Digits and newlines are disjoint: the body holds nothing else iff they number its size.
     if np.count_nonzero(buf - np.uint8(ord("0")) < 10) != buf.size - ends.size:
         return None
-    lengths = np.empty_like(ends)  # not np.diff(ends, prepend=-1) - 1, which costs 8 times as much
+    lengths = np.empty_like(ends)  # np.diff(ends, prepend=-1) - 1 costs about 3 times as much
     lengths[0] = ends[0]
     np.subtract(ends[1:], ends[:-1], out=lengths[1:])
     lengths[1:] -= 1
