@@ -27,7 +27,10 @@ sha256 of the ``repr`` lines of ``birkhoff_window_test`` on each spec of
 Last, one line for ``difference_set`` on seeded windows, sparse, near
 density 1/2 and dense (``DIFFERENCE_SET_SPANS`` × ``DIFFERENCE_SET_DENSITIES``),
 each scaled by every stride of ``DIFFERENCE_SET_STRIDES``: the sha256 of the
-``repr`` lines of the results, named ``library difference-sets``.
+``repr`` lines of the results, named ``library difference-sets``.  Last, one
+line for start batches whose denominators differ: the sha256 of the ``repr``
+lines of ``r_sequence_metric`` and ``birkhoff_window_test`` on each row of
+``BATCH_DENOMINATORS`` over a seeded window, named ``library batch-denominators``.
 
 ``tests/golden/cli.txt`` holds these lines, and ``tests/test_cli_golden.py``
 regenerates them and names every call whose line moved.  A change that moves
@@ -266,6 +269,20 @@ DIFFERENCE_SET_DENSITIES = [0.02, 0.2, 0.5, 0.51, 0.53, 0.6, 0.95, 1.0]
 DIFFERENCE_SET_STRIDES = [1, 3, 2 ** 40, 2 ** 70]
 
 
+# r_sequence_metric and birkhoff_window_test rows (spec, start grid, eps, times)
+# whose start batches need different denominators, each over that many times
+# drawn from [1, 10^6]: on rot:1/3 and skew:1/3 the first start, 0.0, runs
+# over 3 and the rest over 12 (grid 0.25) or 3·2^55 (grid 0.1); on rot:golden
+# the first start runs over 2^64 and the rest over 2^66, on Python ints.  No
+# start's orbit is eps-dense, so every batch is read.
+BATCH_DENOMINATORS = [
+    ("rot:1/3", 0.25, 0.1, 300),
+    ("rot:1/3", 0.1, 0.1, 300),
+    ("skew:1/3", 0.1, 0.05, 200),
+    ("rot:golden", 1 / 5000, 0.01, 64),
+]
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -360,6 +377,21 @@ def difference_sets_digest() -> str:
     return f"repr={_sha(reprs.encode())} :: library difference-sets"
 
 
+def batch_denominators_digest() -> str:
+    import numpy as np
+
+    from dynwindow import Window, birkhoff_window_test, r_sequence_metric
+    from dynwindow.cli import parse_system_spec
+
+    reprs = ""
+    for seed, (spec, grid, eps, count) in enumerate(BATCH_DENOMINATORS):
+        times = np.sort(np.random.default_rng(seed).choice(10 ** 6, count, replace=False) + 1)
+        window, system = Window(times.tolist(), 10 ** 6), parse_system_spec(spec)
+        reprs += repr(r_sequence_metric(window, system, eps, grid)) + "\n"
+        reprs += repr(birkhoff_window_test(window, system, eps, grid)) + "\n"
+    return f"repr={_sha(reprs.encode())} :: library batch-denominators"
+
+
 def fingerprints() -> list[str]:
     """The line of every call, in list order, all run in one temporary directory of input files."""
     if str(PERFBENCH) not in sys.path:
@@ -385,6 +417,7 @@ def fingerprints() -> list[str]:
                 periodic_orbits_digest(),
                 birkhoff_classes_digest(),
                 difference_sets_digest(),
+                batch_denominators_digest(),
             ]
         finally:
             os.chdir(cwd)

@@ -503,13 +503,18 @@ def parse_sequence_text(text: Union[str, bytes]) -> Window:
     Bytes are what ``parse_sequence_file`` reads: the common layout is
     parsed from them as they are, and any other file is first decoded as
     ``open(path, encoding="utf-8")`` decodes it (universal newlines, the
-    same ``UnicodeDecodeError``), then parsed as its text.
+    same ``UnicodeDecodeError``), then parsed as its text.  That decode
+    changes only line breaks, so its text can reach the array path only
+    when the bytes held a carriage return.
     """
     if isinstance(text, bytes):
         window = _parse_well_formed(text)
         if window is not None:
             return window
+        retry = b"\r" in text
         text = io.TextIOWrapper(io.BytesIO(text), encoding="utf-8").read()
+        if not retry:
+            return _parse_lines(text)
     try:
         window = _parse_well_formed(text.encode("utf-8"))
     except UnicodeEncodeError:  # a lone surrogate, which no well-formed file holds

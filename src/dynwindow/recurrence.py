@@ -145,7 +145,7 @@ def return_times(sys, start, cell, horizon: int, cover=None) -> ReturnTimesResul
         hits = [np.zeros(0, dtype=np.int64)]
         for lo in blocks:
             block = np.arange(lo, min(lo + _RETURN_BLOCK, horizon + 1))
-            ids = sys.along(Window._trusted(block, horizon)).cells([start], cover)[0]
+            ids = sys.along(Window._trusted(block, horizon), [start]).cells(cover)[0]
             hits.append(block[ids == flat])
         times = np.concatenate(hits)
     return ReturnTimesResult(Window._trusted(times, horizon), cell, start)
@@ -298,7 +298,8 @@ def r_sequence_metric(a: Window, sys, eps: float, start_grid_resolution: float) 
     orbits of the doubles or exact rationals the system holds, as integer
     numerators, and each state's cell is its exact floor.  The first start
     is evaluated alone, then the other starts as one array, split at
-    ``_BATCH_ELEMENTS`` states.  A batch's cells are counted in one
+    ``_BATCH_ELEMENTS`` states; each batch is read by an engine whose
+    denominator its own starts fix.  A batch's cells are counted in one
     bincount when they are few against the window, and sorted per start
     otherwise (``_coverage``).  Exact rational angles (``rot:p/q``,
     ``skew:p/q``) skip the floating-point budget; finite systems and
@@ -315,11 +316,10 @@ def r_sequence_metric(a: Window, sys, eps: float, start_grid_resolution: float) 
         return RSequenceReport(family, Verdict.undecided(note=note), {})
     total = cover.cell_count()
     window_desc = f"{len(a)} elements on [0, {a.horizon}], eps={eps}"
-    orbits = sys.along(a)
     best = None  # (hit count, start, first empty cell)
     for batch in _start_batches(starts, len(a)):
         # Flat ids are clamped into the cells, so an orbit is eps-dense iff it hits `total` of them.
-        hits, empties = _coverage(orbits.cells(batch, cover), total)
+        hits, empties = _coverage(sys.along(a, batch).cells(cover), total)
         i = int(np.argmax(hits))
         if hits[i] == total:
             start = batch[i]
@@ -375,20 +375,18 @@ def birkhoff_window_test(a: Window, sys, eps: float, start_grid_resolution: floa
     if note is not None:
         return Verdict.undecided(note=note)
     starts = sys._class_starts(start_grid_resolution)
-    orbits = sys.along(a)
     first = int(len(a) > 0 and a.array[0] == 0)
     per_batch = max(1, _BATCH_ELEMENTS // max(1, len(a)))
     closest = None  # (distance, start, n)
     for b in range(0, len(starts), per_batch):
-        # den is fixed within a batch: distances stay numerators until batches are compared.
-        batch, limit = starts[b : b + per_batch], None
-        rows, witness = len(batch), None  # rows: the starts still in play
+        # One engine per batch: distances stay numerators over its den until batches are compared.
+        batch = starts[b : b + per_batch]
+        orbits = sys.along(a, batch)
+        limit, rows, witness = orbits.limit(eps), len(batch), None  # rows: the starts still in play
         least = None  # (numerator, row, time) of the closest return so far
         lo, hi = first, first + _FIRST_SLICE
         while lo < len(a) and rows:
-            d = orbits.distances(batch[:rows], lo, hi)
-            if limit is None:
-                limit = orbits.limit(eps)
+            d = orbits.distances(lo, hi, rows)
             i, j = divmod(int(np.argmin(d)), d.shape[1])  # row-major: the earliest row, then time
             if d[i, j] < limit:  # a start returns: the earliest one that does, at its first return
                 near = d < limit
@@ -432,7 +430,8 @@ def _shift_family_cyclic(a: Window, shifts: Iterable[int], max_period: int) -> V
     Shift n keeps the slice of a with -n <= e <= horizon - n and permutes Z/m,
     so the shifted copy misses (empty + n) mod m; no shifted window is built.
     m runs outermost (residues of Python ints are taken once per m), and only
-    shifts before the first failing one found so far are read.  Every slice
+    shifts before the first failing one found so far are read: once the first
+    shift fails, no m is left to read.  Every slice
     contains the core [max lo, min hi): when the core covers Z/m, no shift
     fails at m, and m is passed before any residue of the window is taken.
     The core's coverage of every m comes from one ``_missing_residues`` call.
@@ -446,6 +445,8 @@ def _shift_family_cyclic(a: Window, shifts: Iterable[int], max_period: int) -> V
     core_missing = _missing_residues(core, max_period)  # an empty core misses 0 mod every m
     failure = None  # (index, m, missing residue) of the first failing shift found so far
     for m in range(1, max_period + 1):
+        if failure is not None and failure[0] == 0:
+            break
         if core_missing[m - 1] is None:
             continue
         residues = arr if arr.dtype != object else (arr % m).astype(np.int64)

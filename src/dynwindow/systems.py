@@ -28,15 +28,17 @@ Cycles and odometers share ``FiniteSystem``; rotations and the skew product
 share ``TorusSystem``; ``ProductSystem`` answers componentwise, and its
 ``along`` answers ``cells`` only, joined from its factors' cells.
 
-``along(a)`` evaluates orbits over a whole window at once, for a batch of
-starts: ``cells(starts, cover)`` and ``distances(starts, lo, hi)`` answer
-one row per start; ``limit(eps)`` and ``value(d)`` read a distance against
-eps and as a number.  On every torus, exact rational angles included, a
-state is an exact integer numerator over the lcm of the angles' and starts'
-denominators (2^64 in wrapping uint64 for doubles): a start column plus the
-start-free phase ``n * angle``, computed once per window; its cell is
-floor(s·k / den).  A finite system's code at time n is (code + n) mod size,
-which is its cell's number, in one array operation for all starts.
+``along(a, starts)`` builds an engine for one window and one batch of
+starts, fixed when it is built: ``cells(cover)`` answers one row per
+start, and ``distances(lo, hi, rows=None)`` one per start, or per each of
+the first ``rows``; ``limit(eps)`` and ``value(d)`` read a distance
+against eps and as a number.  On every torus, exact rational angles
+included, a state is an exact integer numerator over the lcm of the
+angles' and this batch's starts' denominators (2^64 in wrapping uint64
+for doubles): a start column plus the start-free phase ``n * angle``; its
+cell is floor(s·k / den).  A finite system's code at time n is
+(code + n) mod size, which is its cell's number, in one array operation
+for all starts.
 A torus ``step(s)`` is ``orbit_at(s, 1)``; finite systems keep their own.
 """
 from __future__ import annotations
@@ -135,68 +137,50 @@ def _phase_numerators(times: np.ndarray, x, den: int, tri: bool = False) -> np.n
 
 
 class _TorusOrbits:
-    """T^n(start) for the times n of one window on a torus, as exact numerators over ``den``.
+    """T^n(start) for the times n of one window and one batch of starts on a torus, as numerators over ``den``.
 
-    ``den`` is the lcm of the angles' and the starts' denominators so far,
-    rebuilt for the whole window when a start widens it: a power of 2 up to
-    2^64 is 2^64 (wrapping uint64 for times below 2^64), a den below 2^31
-    takes times mod 2·den in uint64, any other den Python ints (``object``).
-    Every answer is for a batch of starts: one row per start, one column per
-    time.  The start-free phases are computed once per slice of the window
-    and shared by every row.  Slices are keyed by their bounds, so a caller
-    that walks the window in growing prefixes pays only for what it reads.
+    ``den`` is fixed at construction: the lcm of the angles' and the starts'
+    denominators, where a power of 2 up to 2^64 is 2^64 (wrapping uint64 for
+    times below 2^64), a den below 2^31 takes times mod 2·den in uint64, and
+    any other den Python ints (``object``).  ``columns`` holds the starts'
+    coordinates as numerators, one row per start.  Every answer has one row
+    per start, one column per time.
     """
 
-    def __init__(self, sys: "TorusSystem", a: Window):
-        self.sys, self.times, self.den, self._lcm, self._last = sys, a.array, None, 1, (None, None)
-        self._widen(v.as_integer_ratio()[1] for v in sys._angles)
+    def __init__(self, sys: "TorusSystem", a: Window, starts: Sequence):
+        coords = [sys._coords(s) for s in starts]
+        x = np.array(coords)  # dtype object if a coordinate is a Fraction, say: never read as a double
+        lcm = math.lcm(*(v.as_integer_ratio()[1] for v in sys._angles))
+        scaled = x * 2.0 ** 64 if x.dtype != object and lcm <= 2 ** 64 and not lcm & (lcm - 1) else None  # exact
+        if scaled is None or not ((x >= 0) & (x < 1) & (scaled == np.floor(scaled))).all():
+            # Some coordinate is not a multiple of 2^-64 in [0, 1), or the angles' den is no power of 2.
+            scaled, lcm = None, math.lcm(lcm, *(c.as_integer_ratio()[1] for row in coords for c in row))
+        den = 2 ** 64 if lcm <= 2 ** 64 and not lcm & (lcm - 1) else lcm
+        small = den < 2 ** 31
+        fits = small or den == 2 ** 64 and (not len(a) or int(a.array[-1]) < 2 ** 64)
+        times = (a.array % (2 * den) if small else a.array).astype(np.uint64 if fits else object)
+        if scaled is not None and fits:
+            columns = scaled.astype(np.uint64)
+        else:
+            columns = np.array([[_numerator(c, den) for c in row] for row in coords], dtype=times.dtype)
+        self.sys, self.den, self.columns, self._times = sys, den, columns, times
 
-    def _widen(self, dens) -> None:
-        self._lcm = math.lcm(self._lcm, *dens)
-        den = 2 ** 64 if self._lcm <= 2 ** 64 and not self._lcm & (self._lcm - 1) else self._lcm
-        if den != self.den:
-            small = den < 2 ** 31
-            fits = small or den == 2 ** 64 and (not len(self.times) or int(self.times[-1]) < 2 ** 64)
-            times = self.times % (2 * den) if small else self.times
-            self.den, self._slices, self._times = den, {}, times.astype(np.uint64 if fits else object)
-
-    def _columns(self, starts: Sequence) -> np.ndarray:
-        # The start coordinates as exact numerators, one row per start; the last batch's are kept.
-        if self._last[0] != tuple(starts):
-            coords = [self.sys._coords(s) for s in starts]
-            x = np.array(coords)  # dtype object if a coordinate is a Fraction, say: never read as a double
-            fast = self.den == 2 ** 64 and self._times.dtype == np.uint64 and x.dtype != object
-            scaled = x * 2.0 ** 64 if fast else None  # exact: a power of 2
-            if fast and ((x >= 0) & (x < 1) & (scaled == np.floor(scaled))).all():
-                columns = scaled.astype(np.uint64)  # every coordinate a multiple of 2^-64 in [0, 1)
-            else:
-                self._widen(c.as_integer_ratio()[1] for row in coords for c in row)
-                columns = np.array([[_numerator(c, self.den) for c in row] for row in coords], dtype=self._times.dtype)
-            self._last = tuple(starts), columns
-        return self._last[1]
-
-    def _moves(self, columns: np.ndarray, lo: int, hi: int) -> list:
-        # T^n(start) - start per coordinate, as numerators.
-        if (lo, hi) not in self._slices:
-            times = self._times[lo:hi]
-            self._slices[lo, hi] = times, self.sys._phases(times, self.den)
-        return self.sys._moves(columns, *self._slices[lo, hi], self.den)
-
-    def states(self, starts: Sequence, lo: int, hi: int) -> list:
+    def states(self, lo: int, hi: int) -> list:
         """One numerator array over ``den`` per coordinate, of shape (len(starts), len(times[lo:hi])): the states."""
-        columns = self._columns(starts)
-        return [_wrap(columns[:, j : j + 1] + m, self.den) for j, m in enumerate(self._moves(columns, lo, hi))]
+        moves = self.sys._moves(self.columns, self._times[lo:hi], self.den)
+        return [_wrap(self.columns[:, j : j + 1] + m, self.den) for j, m in enumerate(moves)]
 
-    def cells(self, starts: Sequence, cover: "TorusCover") -> np.ndarray:
-        return cover.flat_ids(self.states(starts, 0, len(self.times)), self.den)
+    def cells(self, cover: "TorusCover") -> np.ndarray:
+        return cover.flat_ids(self.states(0, len(self._times)), self.den)
 
-    def distances(self, starts: Sequence, lo: int, hi: int) -> np.ndarray:
-        """distance(T^n(start), start) over ``den`` for each start and time n in times[lo:hi]: min(d, den - d) of each move d."""
-        moves = self._moves(self._columns(starts), lo, hi)
+    def distances(self, lo: int, hi: int, rows: Optional[int] = None) -> np.ndarray:
+        """distance(T^n(start), start) over ``den`` for the first ``rows`` starts (all by default) and
+        each time n in times[lo:hi]: min(d, den - d) of each move d."""
+        columns = self.columns[:rows]
+        moves = self.sys._moves(columns, self._times[lo:hi], self.den)
         wraps = self.den == 2 ** 64 and moves[0].dtype == np.uint64  # then den - d is -d
-        gaps = [np.minimum(m, -m if wraps else self.den - m) for m in moves]
-        d = reduce(np.maximum, gaps)
-        return d if d.ndim == 2 else np.broadcast_to(d, (len(starts), d.size))
+        d = reduce(np.maximum, [np.minimum(m, -m if wraps else self.den - m) for m in moves])
+        return d if d.ndim == 2 else np.broadcast_to(d, (len(columns), d.size))
 
     def limit(self, eps: float) -> int:
         """The least numerator of a distance that is not below eps: d < limit iff d / den < eps."""
@@ -210,24 +194,24 @@ class _TorusOrbits:
 
 
 class _FiniteOrbits:
-    """T^n(start) for the times n of one window on a finite system, in closed form.
+    """T^n(start) for the times n of one window and one batch of starts on a finite system, in closed form.
 
     The code of T^n(s), which ``FiniteCover`` takes as its cell's number, is
     (encode(s) + n) mod size; a return distance is 0 at the multiples of size
     and 1 elsewhere.  Arrays are int64 while size <= 2^62, Python ints past it.
     """
 
-    def __init__(self, sys: "FiniteSystem", a: Window):
-        self.sys, self.dtype = sys, np.int64 if sys.size <= _FLAT_ID_CAP else object
-        times = a.array.astype(object) if self.dtype is object else a.array
-        self.residues = (times % sys.size).astype(self.dtype, copy=False)
+    def __init__(self, sys: "FiniteSystem", a: Window, starts: Sequence):
+        dtype = np.int64 if sys.size <= _FLAT_ID_CAP else object
+        times = a.array.astype(object) if dtype is object else a.array
+        self.size, self.residues = sys.size, (times % sys.size).astype(dtype, copy=False)
+        self.codes = np.array([sys.encode(s) for s in starts], dtype=dtype)
 
-    def cells(self, starts: Sequence, cover: "FiniteCover") -> np.ndarray:
-        codes = np.array([self.sys.encode(s) for s in starts], dtype=self.dtype)
-        return (codes[:, None] + self.residues) % self.sys.size
+    def cells(self, cover: "FiniteCover") -> np.ndarray:
+        return (self.codes[:, None] + self.residues) % self.size
 
-    def distances(self, starts: Sequence, lo: int, hi: int) -> np.ndarray:
-        return np.repeat((self.residues[lo:hi] != 0)[None], len(starts), axis=0)
+    def distances(self, lo: int, hi: int, rows: Optional[int] = None) -> np.ndarray:
+        return np.repeat((self.residues[lo:hi] != 0)[None], len(self.codes[:rows]), axis=0)
 
     def limit(self, eps: float) -> int:
         """The least distance that is not below eps: d < limit iff d < eps, for d in {0, 1}."""
@@ -245,8 +229,8 @@ class FiniteSystem:
     def orbit_at(self, start, n: int):
         return self.decode((self.encode(start) + n) % self.size)
 
-    def along(self, a: Window) -> _FiniteOrbits:
-        return _FiniteOrbits(self, a)
+    def along(self, a: Window, starts: Sequence) -> _FiniteOrbits:
+        return _FiniteOrbits(self, a, starts)
 
     def cover(self, eps: float) -> "FiniteCover":
         if not eps > 0:
@@ -374,9 +358,9 @@ class TorusSystem:
     def step(self, state):
         return self.orbit_at(state, 1)
 
-    def along(self, a: Window):
-        """Orbits over the window a, start by start, as arrays (see the module docstring)."""
-        return _TorusOrbits(self, a)
+    def along(self, a: Window, starts: Sequence) -> _TorusOrbits:
+        """The orbits of the starts over the window a, as arrays (see the module docstring)."""
+        return _TorusOrbits(self, a, starts)
 
     def cover(self, eps: float) -> "TorusCover":
         if not eps > 0:
@@ -443,11 +427,9 @@ class RotationSystem(TorusSystem):
 
     _angles = property(lambda self: self.angles)
 
-    def _phases(self, times, den: int) -> list:
+    def _moves(self, columns: np.ndarray, times, den: int) -> list:
+        # T^n(start) - start per coordinate, as numerators over den: n·angle, whatever the start.
         return [_phase_numerators(times, a, den) for a in self.angles]
-
-    def _moves(self, columns: np.ndarray, times, phases, den: int) -> list:
-        return phases
 
     def _class_starts(self, resolution: float) -> list:
         # d(T^n s, s) = d(T^n 0, 0): a return distance reads no coordinate of the start,
@@ -486,12 +468,10 @@ class SkewProductSystem(TorusSystem):
 
     _angles = property(lambda self: (self.angle,))
 
-    def _phases(self, times, den: int) -> list:
-        return [_phase_numerators(times, self.angle, den), _phase_numerators(times, self.angle, den, tri=True)]
-
-    def _moves(self, columns: np.ndarray, times, phases, den: int) -> list:
+    def _moves(self, columns: np.ndarray, times, den: int) -> list:
         # n x depends on the start's x only: one row per start.
-        return [phases[0], _wrap(columns[:, :1] * times + phases[1], den)]
+        tri = _phase_numerators(times, self.angle, den, tri=True)
+        return [_phase_numerators(times, self.angle, den), _wrap(columns[:, :1] * times + tri, den)]
 
     def _class_starts(self, resolution: float) -> list:
         # d(T^n s, s) = max(‖n a‖, ‖n x + n(n-1)/2 a‖) reads the start's x only.
@@ -524,8 +504,8 @@ class ProductSystem:
     def orbit_at(self, start, n: int):
         return (self.left.orbit_at(start[0], n), self.right.orbit_at(start[1], n))
 
-    def along(self, a: Window) -> "_ProductOrbits":
-        return _ProductOrbits(self, a)
+    def along(self, a: Window, starts: Sequence) -> "_ProductOrbits":
+        return _ProductOrbits(self, a, starts)
 
     def cover(self, eps: float) -> "ProductCover":
         return ProductCover(self, self.left.cover(eps), self.right.cover(eps))
@@ -550,14 +530,13 @@ class ProductSystem:
 
 
 class _ProductOrbits:
-    """T^n(start) for the times n of one window on a product: its factors' orbits, cells only."""
+    """T^n(start) for the times n of one window and one batch of starts on a product: its factors' orbits, cells only."""
 
-    def __init__(self, sys: ProductSystem, a: Window):
-        self.left, self.right = sys.left.along(a), sys.right.along(a)
+    def __init__(self, sys: ProductSystem, a: Window, starts: Sequence):
+        self.left, self.right = sys.left.along(a, [s[0] for s in starts]), sys.right.along(a, [s[1] for s in starts])
 
-    def cells(self, starts: Sequence, cover: "ProductCover") -> np.ndarray:
-        left = self.left.cells([s[0] for s in starts], cover.left)
-        return cover._join(left, self.right.cells([s[1] for s in starts], cover.right))
+    def cells(self, cover: "ProductCover") -> np.ndarray:
+        return cover._join(self.left.cells(cover.left), self.right.cells(cover.right))
 
 
 def orbit_at(sys, start, n: int):

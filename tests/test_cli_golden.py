@@ -10,8 +10,10 @@ all ``crosscheck_cyclic_equivalence`` results of the crosscheck-sweep
 benchmark, seed 1, one of the ``return_times`` windows of
 ``report_diff.RETURN_TIMES``, one of the orbits that repeat
 (``report_diff.PERIODIC_RETURN_TIMES`` and ``PERIODIC_BIRKHOFF``), one
-of the skews' return classes (``report_diff.BIRKHOFF_CLASSES``) and one of
-``difference_set`` on seeded windows (``report_diff.DIFFERENCE_SET_SPANS``).  A change
+of the skews' return classes (``report_diff.BIRKHOFF_CLASSES``), one of
+``difference_set`` on seeded windows (``report_diff.DIFFERENCE_SET_SPANS``)
+and one of start batches whose denominators differ
+(``report_diff.BATCH_DENOMINATORS``).  A change
 that moves a line on purpose rewrites the file with
 ``PYTHONPATH=src python3 scripts/report_diff.py --write`` and explains the
 moved line.  Every system spec the corpus reads parses back, from its
@@ -64,7 +66,7 @@ def _corpus_specs() -> list[str]:
             specs.append(argv[2])
         elif argv[0] == "product":
             specs += argv[1:3]
-    rows = report_diff.RETURN_TIMES + report_diff.PERIODIC_RETURN_TIMES
+    rows = report_diff.RETURN_TIMES + report_diff.PERIODIC_RETURN_TIMES + report_diff.BATCH_DENOMINATORS
     library = [row[0] for row in rows] + report_diff.PERIODIC_BIRKHOFF + report_diff.BIRKHOFF_CLASSES
     return list(dict.fromkeys(specs + library))
 

@@ -1052,6 +1052,22 @@ def test_a_file_of_the_common_layout_reaches_the_array_path_from_bytes(tmp_path,
         assert parse_sequence_file(path) == Window((1, 5), 10)
 
 
+def test_a_file_the_array_path_refuses_is_read_by_it_once(tmp_path, monkeypatch):
+    # A 19-digit element sends a file to the line loop; with no \r in it, the
+    # decoded text is the same bytes, and the kernel is not run on it again.
+    calls = []
+
+    def counted(data, parse=intsets._parse_well_formed):
+        calls.append(data)
+        return parse(data)
+
+    monkeypatch.setattr(intsets, "_parse_well_formed", counted)
+    path = tmp_path / "seq.txt"
+    path.write_bytes(f"!horizon {10 ** 19}\n1\n{10 ** 18}\n".encode())
+    assert parse_sequence_file(path) == Window((1, 10 ** 18), 10 ** 19)
+    assert len(calls) == 1
+
+
 def test_a_parsed_window_retains_its_array_alone():
     # Eight bytes an element for the int64 array; an elements tuple of Python
     # ints would add about 40 more.

@@ -63,7 +63,7 @@ from dynwindow.recurrence import (
     _small_ints,
     _step_table_times,
 )
-from dynwindow.systems import TorusSystem, _FiniteOrbits, _TorusOrbits
+from dynwindow.systems import FiniteSystem, TorusSystem
 
 
 # -- return_times ----------------------------------------------------------------
@@ -705,6 +705,26 @@ def test_cyclic_shift_family_edges():
     v = _shift_family_cyclic(interval(0, 10), [3, 11, -11, 0], 4)
     assert v == Verdict.fail(-11, note="shift -11 fails: residue 0 mod 1 never hit")
     assert v == _cyclic_shift_family(interval(0, 10), [3, 11, -11, 0], 4)
+
+
+def test_cyclic_shift_family_stops_once_the_first_shift_fails():
+    # Evens past 2^64 under shifts -1..1: shift -1 fails at m = 2, and no
+    # later m can find an earlier failing shift, so no other m <= 50 reduces
+    # the window.  700 <= 16·50 elements: the core is never recounted.
+    seen = set()
+
+    class Recorded(int):
+        def __mod__(self, m):
+            seen.add(m)
+            return int(self) % m
+
+    base = 2 ** 64
+    a = Window._trusted(np.array([Recorded(base + 2 * k) for k in range(700)], dtype=object), base + 1400)
+    v = _shift_family_cyclic(a, range(-1, 2), 50)
+    assert v == Verdict.fail(-1, note="shift -1 fails: residue 0 mod 2 never hit")
+    assert {m for m in seen if m <= 50} == {2}
+    plain = Window([base + 2 * k for k in range(700)], base + 1400)
+    assert v == _cyclic_shift_family(plain, range(-1, 2), 50)
 
 
 # -- crosscheck ------------------------------------------------------------------------
@@ -1448,12 +1468,12 @@ def test_class_starts_reject_what_starts_rejects():
 def test_birkhoff_reads_one_start_per_return_class(monkeypatch, spec, grid, rows):
     # A rotation, cycle or odometer has one return class; the skew product one per x of its grid.
     read = set()
-    for engine in (_FiniteOrbits, _TorusOrbits):
-        def distances(self, starts, lo, hi, distances=engine.distances):
+    for family in (FiniteSystem, TorusSystem):
+        def along(self, a, starts, along=family.along):
             read.update(starts)
-            return distances(self, starts, lo, hi)
+            return along(self, a, starts)
 
-        monkeypatch.setattr(engine, "distances", distances)
+        monkeypatch.setattr(family, "along", along)
     sys = parse_system_spec(spec)
     w = odds(999)
     v = birkhoff_window_test(w, sys, 0.01, grid)
@@ -1471,13 +1491,13 @@ def test_birkhoff_reads_one_start_per_return_class(monkeypatch, spec, grid, rows
 def test_birkhoff_keeps_the_angles_denominator_on_a_fine_grid(monkeypatch, sys, w, eps, grid, den):
     engines = []
 
-    def along(self, a, along=TorusSystem.along):
-        engines.append(along(self, a))
-        return engines[-1]
+    def along(self, a, starts, along=TorusSystem.along):
+        engines.append((list(starts), along(self, a, starts)))
+        return engines[-1][1]
 
     monkeypatch.setattr(TorusSystem, "along", along)
     v = birkhoff_window_test(w, sys, eps, grid)
-    assert [(e.den, e._times.dtype) for e in engines] == [(den, np.uint64)]
+    assert [(starts, e.den, e._times.dtype) for starts, e in engines] == [([0.0], den, np.uint64)]
     assert v.witness[0] == 0.0
 
 

@@ -558,14 +558,14 @@ def test_along_matches_per_state_cells_and_distances(sys, coords, times, eps, da
     # States, cells and distances are the exact reference's, exact rotations included.
     start = _start(sys, coords)
     w = Window(tuple(times), times[-1] if times else 0)
-    cover, orbits = sys.cover(eps), sys.along(w)
+    cover, orbits = sys.cover(eps), sys.along(w, [start])
     states = [ref.state(sys, start, n) for n in times]
-    assert orbits.cells([start], cover)[0].tolist() == [ref.flat_id(s, ref.sides(eps)) for s in states]
+    assert orbits.cells(cover)[0].tolist() == [ref.flat_id(s, ref.sides(eps)) for s in states]
     lo = data.draw(st.integers(0, len(times)))
     hi = data.draw(st.integers(lo, len(times) + 40))
-    got = [orbits.value(d) for d in orbits.distances([start], lo, hi)[0]]
+    got = [orbits.value(d) for d in orbits.distances(lo, hi)[0]]
     assert got == [ref.distance(s, start) for s in states[lo:hi]]
-    nums = orbits.states([start], 0, len(times))
+    nums = orbits.states(0, len(times))
     assert [tuple(Fraction(int(x[0, i]), orbits.den) for x in nums) for i in range(len(times))] == states
 
 
@@ -593,7 +593,7 @@ def test_per_state_orbits_and_cells_agree_with_along(sys, coords, times, eps):
     start = _start(sys, coords)
     cover = sys.cover(eps)
     per_state = cover.ids_of([sys.orbit_at(start, n) for n in times]).tolist()
-    along = sys.along(Window(tuple(times), times[-1] if times else 0)).cells([start], cover)[0].tolist()
+    along = sys.along(Window(tuple(times), times[-1] if times else 0), [start]).cells(cover)[0].tolist()
     assert per_state == along == [ref.flat_id(ref.state(sys, start, n), cover.k) for n in times]
     assert sys.step(sys.step(start)) == sys.orbit_at(start, 2)
 
@@ -614,22 +614,40 @@ def test_each_batch_row_is_the_single_start_row(sys, times, grid, eps, data):
     batch = data.draw(st.lists(st.sampled_from(sys.starts(grid)), min_size=1, max_size=6))
     lo = data.draw(st.integers(0, len(times)))
     hi = data.draw(st.integers(lo, len(times) + 40))
-    cover, orbits = sys.cover(eps), sys.along(w)
-    cells, distances = orbits.cells(batch, cover), orbits.distances(batch, lo, hi)
+    rows = data.draw(st.integers(0, len(batch)))
+    cover, orbits = sys.cover(eps), sys.along(w, batch)
+    cells, distances = orbits.cells(cover), orbits.distances(lo, hi)
     assert cells.shape == (len(batch), len(times)) and distances.shape == (len(batch), len(times[lo:hi]))
+    assert orbits.distances(lo, hi, rows).tolist() == distances[:rows].tolist()
     hits, empties = _coverage(cells, cover.cell_count())
     for i, start in enumerate(batch):
-        alone = sys.along(w)
-        assert cells[i].tolist() == alone.cells([start], cover)[0].tolist()
+        alone = sys.along(w, [start])
+        assert cells[i].tolist() == alone.cells(cover)[0].tolist()
         got = [orbits.value(d) for d in distances[i]]
-        assert got == [alone.value(d) for d in alone.distances([start], lo, hi)[0]]
+        assert got == [alone.value(d) for d in alone.distances(lo, hi)[0]]
         states = [ref.state(sys, start, n) for n in times]
         assert cells[i].tolist() == [ref.flat_id(s, ref.sides(eps)) for s in states]
         assert got == [ref.distance(s, start) for s in states[lo:hi]]
         seen = set(cells[i].tolist())
         assert (hits[i], empties[i]) == (len(seen), min(set(range(len(seen) + 1)) - seen))
-        rows = [[Fraction(int(v), orbits.den) for v in x[i]] for x in orbits.states(batch, lo, hi)]
-        assert rows == [[Fraction(int(v), alone.den) for v in x[0]] for x in alone.states([start], lo, hi)]
+        got = [[Fraction(int(v), orbits.den) for v in x[i]] for x in orbits.states(lo, hi)]
+        assert got == [[Fraction(int(v), alone.den) for v in x[0]] for x in alone.states(lo, hi)]
+
+
+def test_an_engine_is_fixed_for_its_batch():
+    # The starts fix the denominator when the engine is built; no call moves
+    # den, the start columns or the limit of a distance.
+    rot, w = RotationSystem.from_rationals(Fraction(1, 3)), Window(tuple(range(0, 40, 3)), 40)
+    cover = rot.cover(0.1)
+    for starts, den in (([0.0], 3), ([0.25, 0.5, 0.75], 12)):
+        orbits = rot.along(w, starts)
+        before = orbits.den, orbits.columns.tolist(), orbits.limit(0.1), orbits.limit(0.01)
+        assert before[0] == den and before[1] == [[den * Fraction(s) % den] for s in starts]
+        orbits.cells(cover)
+        orbits.distances(0, 5)
+        orbits.distances(2, len(w), rows=1)
+        orbits.states(1, 3)
+        assert (orbits.den, orbits.columns.tolist(), orbits.limit(0.1), orbits.limit(0.01)) == before
 
 
 def test_coverage_counts_each_row():
@@ -697,25 +715,28 @@ def test_along_past_two_to_the_64(sys):
         (7, 2 ** 64 + 7, 3 ** 45, 10 ** 30),
         (3 * 10 ** 9, 4 * 10 ** 9 + 1, 2 ** 61 - 1),
     ):
-        orbits = sys.along(Window(times, times[-1]))
         for coords in ((0.25, 0.75), (1e-30, 5e-300), (0.1, 0.3), (Fraction(1, 3), Fraction(2, 5))):
             start = _start(sys, coords)
+            orbits = sys.along(Window(times, times[-1]), [start])
             states = [ref.state(sys, start, n) for n in times]
-            got = orbits.distances([start], 0, len(times))[0]
+            got = orbits.distances(0, len(times))[0]
             assert [orbits.value(d) for d in got] == [ref.distance(s, start) for s in states]
-            assert orbits.cells([start], sys.cover(0.01))[0].tolist() == [ref.flat_id(s, 100) for s in states]
+            assert orbits.cells(sys.cover(0.01))[0].tolist() == [ref.flat_id(s, 100) for s in states]
             small = orbits.den < 2 ** 31 or orbits.den == 2 ** 64 and times[-1] < 2 ** 64
-            assert orbits.states([start], 0, len(times))[0].dtype == (np.uint64 if small else object)
+            assert orbits.states(0, len(times))[0].dtype == (np.uint64 if small else object)
 
 
 @pytest.mark.parametrize("sys", [CyclicSystem(6), OdometerSystem(3, 2)], ids=lambda v: v.spec_string())
 def test_finite_along_matches_per_state_distances(sys):
     times = (0, 1, 5, 6, 9, 12, 2 ** 70, 2 ** 70 + 3)
-    orbits = sys.along(Window(times, times[-1]))
+    w = Window(times, times[-1])
     for start in sys.starts(1.0):
+        orbits = sys.along(w, [start])
         expected = [sys.distance(sys.orbit_at(start, n), start) for n in times]
-        assert orbits.distances([start], 0, len(times))[0].tolist() == expected
-        assert orbits.distances([start], 2, 5)[0].tolist() == expected[2:5]
+        assert orbits.distances(0, len(times))[0].tolist() == expected
+        assert orbits.distances(2, 5)[0].tolist() == expected[2:5]
+    # Every start returns at the same times: the first two rows of a batch are that row.
+    assert sys.along(w, sys.starts(1.0)).distances(2, 5, rows=2).tolist() == [expected[2:5]] * 2
 
 
 def _ref_periodic_rows(sys, times, period, start, cover):
@@ -748,15 +769,16 @@ def test_periodic_rows_match_the_residue_comprehension(system, offsets, kind, da
     # and times past 2^63 (Python ints).
     (sys, period), (base, wide) = system, kind
     times = tuple(base + t for t in offsets)
-    orbits = sys.along(Window(times, (times[-1] if times else base) + wide))
+    w = Window(times, (times[-1] if times else base) + wide)
     cover = sys.cover(0.2)
     lo = data.draw(st.integers(0, len(times)))
     hi = data.draw(st.integers(lo, len(times) + 5))
     for start in [sys.decode(v) for v in sorted({0, 1 % sys.size, sys.size - 1})]:
+        orbits = sys.along(w, [start])
         cells, _ = _ref_periodic_rows(sys, times, period, start, cover)
         _, distances = _ref_periodic_rows(sys, times[lo:hi], period, start, cover)
-        assert orbits.cells([start], cover)[0].tolist() == cells
-        assert orbits.distances([start], lo, hi)[0].tolist() == distances
+        assert orbits.cells(cover)[0].tolist() == cells
+        assert orbits.distances(lo, hi)[0].tolist() == distances
 
 
 def test_torus_cover_flat_ids_in_canonical_order():
@@ -773,8 +795,7 @@ def test_torus_cover_ids_past_int64_are_python_ints():
     sys = RotationSystem((GOLDEN, 0.3))
     cover = sys.cover(1e-10)
     times = (1, 2, 10 ** 5)
-    orbits = sys.along(Window(times, times[-1]))
-    ids = orbits.cells([(0.5, 0.25)], cover)[0]
+    ids = sys.along(Window(times, times[-1]), [(0.5, 0.25)]).cells(cover)[0]
     assert ids.dtype == object
     expected = [ref.flat_id(ref.state(sys, (0.5, 0.25), n), cover.k) for n in times]
     assert ids.tolist() == expected and max(expected) > 2 ** 63
