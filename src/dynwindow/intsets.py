@@ -209,9 +209,8 @@ class Window:
         arr = _read_elements(elements)
         if arr.size and arr[0] < 0:
             raise ValueError(f"negative element {arr[0]}")
-        descents = np.flatnonzero(arr[1:] <= arr[:-1])  # no np.diff: it can wrap
-        if descents.size:
-            i = int(descents[0])
+        if (arr[1:] <= arr[:-1]).any():  # no np.diff: it can wrap
+            i = int(np.flatnonzero(arr[1:] <= arr[:-1])[0])
             raise ValueError(f"elements not strictly ascending at {arr[i]}, {arr[i + 1]}")
         if arr.size and int(arr[-1]) > horizon:
             raise ValueError(f"element {arr[-1]} exceeds horizon {horizon}")

@@ -188,6 +188,17 @@ def _lcm_runs(periods: Sequence[int], cap: int):
         i = j
 
 
+@lru_cache(maxsize=64)
+def _period_block(m: int, top: int, w: int, dtype) -> tuple:
+    # The periods p = m..top-1 of one block of _missing_residues, and each
+    # one's offset (p - m)·(w + 1) into the block's bincount, as columns in
+    # the residues' dtype: built once per block shape, read-only.
+    periods = np.arange(m, top, dtype=dtype)[:, None]
+    offsets = (periods - m) * (w + 1)
+    periods.flags.writeable = offsets.flags.writeable = False
+    return periods, offsets
+
+
 def _missing_residues(arr: np.ndarray, max_period: int) -> list:
     """The least class mod m that arr misses (None when it covers Z/m), for m = 1..max_period.
 
@@ -203,8 +214,10 @@ def _missing_residues(arr: np.ndarray, max_period: int) -> list:
     w = min(n, largest period) and pools the rest in one more counter,
     which stays zero when every class below w is hit.  Residues are clamped
     into the pool only when n is below the largest period; otherwise each
-    is already below w.  Blocks keep both the prefix × block matrix and the
-    bincount within _BATCH_ELEMENTS.  A prefix that covers Z/m settles m;
+    is already below w.  A block's periods and bincount offsets are columns
+    built once per block shape (``_period_block``), so the block × prefix
+    matrix is reduced a row per period.  Blocks keep both that matrix and
+    the bincount within _BATCH_ELEMENTS.  A prefix that covers Z/m settles m;
     the m's it leaves uncovered are recounted on the whole array, in int64
     or Python ints, mod the lcm of a block of them, and reduce its hit
     classes mod m.
@@ -219,16 +232,17 @@ def _missing_residues(arr: np.ndarray, max_period: int) -> list:
     for m in range(1, max_period + 1, width):
         top = min(m + width, max_period + 1)  # one past the block's largest period
         w = max(1, min(head.size, top - 1))
+        periods, offsets = _period_block(m, top, w, dtype)
         if head.dtype == object:  # one Python-int reduction per lcm run, then int64 remainders
-            residues = np.empty((head.size, top - m), dtype=np.int64)
+            residues = np.empty((top - m, head.size), dtype=np.int64)
             for run, modulus in _lcm_runs(range(m, top), _REDUCE_MODULUS_CAP):
                 reduced = (head % modulus).astype(np.int64)
-                np.remainder(reduced[:, None], np.array(run), out=residues[:, run.start - m : run.stop - m])
+                np.remainder(reduced, periods[run.start - m : run.stop - m], out=residues[run.start - m : run.stop - m])
         else:
-            residues = np.remainder(head[:, None], np.arange(m, top, dtype=dtype))
+            residues = np.remainder(head, periods)
         if head.size < top - 1:
             np.minimum(residues, w, out=residues)
-        residues += np.arange(0, (top - m) * (w + 1), w + 1, dtype=dtype)
+        residues += offsets
         counts = np.bincount(residues.ravel(), minlength=(top - m) * (w + 1)).reshape(top - m, w + 1)
         # A row hits at most n classes: with every class below w hit, the pool is empty.
         first = counts.argmin(axis=1).tolist()  # its first zero: the least class missed, or w
@@ -522,6 +536,13 @@ def _comparison_table(ext: int, max_period: int) -> tuple:
     return store["table", max_period]
 
 
+@lru_cache(maxsize=8)
+def _full_words(count: int, words: int) -> np.ndarray:
+    # The row of a position in all of count windows, as words little-endian
+    # uint64 words: built once per table shape, read-only as its bytes are.
+    return np.frombuffer(((1 << count) - 1).to_bytes(8 * words, "little"), dtype="<u8")
+
+
 def _shifted_hits(a: Window, shifts: Iterable[int], table: np.ndarray, windows: list) -> int:
     """The columns j, as bits, for which a + n meets windows[j] for every shift n.
 
@@ -532,8 +553,9 @@ def _shifted_hits(a: Window, shifts: Iterable[int], table: np.ndarray, windows: 
     M = 12), then 4, 16, ... times as many, and stops once every pair is
     met, or at _PREFIX_SCAN_CAP elements; each gather stays within
     _BATCH_ELEMENTS words, taking the shifts in blocks.  The first slice's
-    gather is the met pairs; the slice that reaches the prefix's end drops
-    no rows, as none is read again.  A prefix that is the whole window
+    gather is the met pairs, compared with an all-ones row built once per
+    table shape (``_full_words``); the slice that reaches the prefix's end
+    drops no rows, as none is read again.  A prefix that is the whole window
     decides every pair.  Otherwise stage 2 settles each window's open pairs
     on whole-window bitmasks and stops at the window's first miss: every
     window of a cross-check lies within _CROSSCHECK_HORIZON_CAP, where each
@@ -548,7 +570,7 @@ def _shifted_hits(a: Window, shifts: Iterable[int], table: np.ndarray, windows: 
     rows = np.array(steps, dtype=np.int64) + 1
     words = table.shape[1]
     every = (1 << len(windows)) - 1
-    full = np.frombuffer(every.to_bytes(8 * words, "little"), dtype="<u8")
+    full = _full_words(len(windows), words)
     end = min(len(a), _PREFIX_SCAN_CAP)
     met = np.zeros((rows.size, words), dtype=np.uint64) if end == 0 else None  # filled by the first slice
     lo, hi = 0, _SLICE_PER_WINDOW * len(windows)
@@ -597,7 +619,9 @@ def crosscheck_cyclic_equivalence(a: Window, max_period: int, shifts: Iterable[i
           difference set is built and met per class.
 
     (2) and (3) read their windows through one position table, each window
-    its own column (``_shifted_hits``).  Any disagreement is an
+    its own column (``_shifted_hits``).  When every column is hit and every
+    m is covered, all three hold for every m and the verdict is given at
+    once; otherwise each m is compared in turn.  Any disagreement is an
     implementation bug, reported as Fails with the offending (m, coverage,
     return-hit, difference-hit) tuple.  Exact agreement is guaranteed when
     the shift range spans at least max_period consecutive integers and every
@@ -622,17 +646,18 @@ def crosscheck_cyclic_equivalence(a: Window, max_period: int, shifts: Iterable[i
     table, windows, columns = _comparison_table(ext, max_period)
     hits = _shifted_hits(a, shifts, table, windows)
     missing = _missing_residues(a.array, max_period)
-    for m, (nuu, diffs) in enumerate(columns, start=1):
-        covered = missing[m - 1] is None
-        return_hit, diff_hit = hits & nuu == nuu, hits & diffs == diffs
-        if not (covered == return_hit == diff_hit):
-            return Verdict.fail(
-                (m, covered, return_hit, diff_hit),
-                note=(
-                    f"m={m}: residue coverage={covered}, "
-                    f"return-time hitting={return_hit}, difference-set hitting={diff_hit}"
-                ),
-            )
+    if hits != (1 << len(windows)) - 1 or missing.count(None) != max_period:  # not all three hold everywhere
+        for m, (nuu, diffs) in enumerate(columns, start=1):
+            covered = missing[m - 1] is None
+            return_hit, diff_hit = hits & nuu == nuu, hits & diffs == diffs
+            if not (covered == return_hit == diff_hit):
+                return Verdict.fail(
+                    (m, covered, return_hit, diff_hit),
+                    note=(
+                        f"m={m}: residue coverage={covered}, "
+                        f"return-time hitting={return_hit}, difference-set hitting={diff_hit}"
+                    ),
+                )
     return Verdict.hold(
         note=f"all three predicates agree for every m <= {max_period} across {len(shifts)} shifts"
     )
