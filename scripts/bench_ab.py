@@ -6,9 +6,14 @@ alternates from pair to pair, so a drift in the machine's speed falls on both
 sides alike.  For each workload and side it records the median and quartiles
 of ``ops_per_s``, ``setup_s`` and ``peak_rss_mb`` over the runs, the pairs
 that side won on ``ops_per_s``, the failed and attempted op counts and the
-median time of each op (from the run's details file); and
-once, the CPU count, the Python and numpy versions and the commit of each
-checkout.  The result is one named entry of a JSON file; entries already in
+median time of each op (from the run's details file).  It also judges
+each workload, writes the judgement into the entry and prints it: ``gain``
+says whether B won at least 9 of every 10 pairs (a tie counts for neither
+side) and whether the medians of ``ops_per_s`` differ by more than A's
+interquartile range; ``within_bound`` says, per end-to-end metric, whether
+B's median is no worse than A's by more than the bound ``BENCHMARK.json``
+gives it.  Once per entry it records the CPU count, the Python and numpy
+versions and the commit of each checkout.  The result is one named entry of a JSON file; entries already in
 the file under other names are kept.  When a run's outputs were rejected
 (``correct`` false) or an op failed, the entry is still written, and the
 script exits 1 naming each workload and side.  Give the same checkout as A
@@ -32,6 +37,7 @@ import sys
 from pathlib import Path
 
 METRICS = ("ops_per_s", "setup_s", "peak_rss_mb")
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -91,7 +97,33 @@ def compare(a: Path, b: Path, workload: str, pairs: int, seed: int, seconds: int
             "op_s_median": {op: statistics.median(r["op_s"][op] for r in runs[side]) for op in runs[side][0]["op_s"]},
         }
     out["b_vs_a_ops_per_s"] = out["b"]["ops_per_s"]["median"] / out["a"]["ops_per_s"]["median"] - 1
+    out.update(judge(out["a"], out["b"], pairs))
+    speed_a, speed_b = out["a"]["ops_per_s"], out["b"]["ops_per_s"]
+    print(f"{workload}: b won {out['b']['pairs_won']}/{pairs} pairs (9/10 met: {out['gain']['b_won_9_of_10']}); "
+          f"median gap {abs(speed_b['median'] - speed_a['median']):.1f} op/s against a's IQR "
+          f"{speed_a['q3'] - speed_a['q1']:.1f} (exceeds: {out['gain']['gap_exceeds_a_iqr']}); within bound: "
+          + ", ".join(f"{name} {ok}" for name, ok in out["within_bound"].items()), file=sys.stderr)
     return out
+
+
+def judge(a: dict, b: dict, pairs: int) -> dict:
+    """Whether B shows a gain on ``ops_per_s`` over A, and whether each end-to-end metric of B is within its bound."""
+    bounds = {m["name"]: m for m in json.loads(BENCHMARK.read_text(encoding="utf-8"))["end_to_end"]}
+    within = {}
+    for name in METRICS:
+        spec, median_a, median_b = bounds[name], a[name]["median"], b[name]["median"]
+        if spec["better"] == "higher":
+            within[name] = median_b >= median_a * (1 - spec["bound"])
+        else:
+            within[name] = median_b <= median_a * (1 + spec["bound"])
+    speed_a, speed_b = a["ops_per_s"], b["ops_per_s"]
+    return {
+        "gain": {
+            "b_won_9_of_10": 10 * b["pairs_won"] >= 9 * pairs,
+            "gap_exceeds_a_iqr": abs(speed_b["median"] - speed_a["median"]) > speed_a["q3"] - speed_a["q1"],
+        },
+        "within_bound": within,
+    }
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,4 +1,4 @@
-"""``scripts/bench_ab.py`` records a comparison, and exits 1 when a side's outputs were rejected.
+"""``scripts/bench_ab.py`` records a comparison, judges its gain and bounds, and exits 1 when a side's outputs were rejected.
 
 ``run_once`` is stubbed: each call returns the result of a run as
 ``perfbench/run.py`` prints it, so no benchmark runs here.
@@ -56,3 +56,64 @@ def test_a_rejected_side_is_written_then_exits_1(tmp_path, monkeypatch, capsys, 
         assert code == 0 and "error" not in err
     else:
         assert code == 1 and named in err.splitlines()[-1]
+
+
+def _stub_runs(monkeypatch, tmp_path, speeds_a, speeds_b, setup_b=0.1):
+    # Runs A and B at the given speeds, pair by pair, and returns the written entry of cli-files.
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir(), b.mkdir()
+    left = {a.resolve(): iter(speeds_a), b.resolve(): iter(speeds_b)}
+
+    def run_once(checkout, workload, seed, seconds):
+        run = _run(next(left[checkout]))
+        if checkout == b.resolve():
+            run["metrics"]["setup_s"]["value"] = setup_b
+        return run
+
+    monkeypatch.setattr(bench_ab, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    argv = ["--a", str(a), "--b", str(b), "--workload", "cli-files", "--pairs", str(len(speeds_a)),
+            "--name", "x", "--out", str(out)]
+    assert bench_ab.main(argv) == 0
+    return json.loads(out.read_text(encoding="utf-8"))["x"]["workloads"]["cli-files"]
+
+
+@pytest.mark.parametrize(
+    "speeds_b, won, gain",
+    [
+        ([110.0] * 9 + [90.0], 9, True),
+        ([110.0] * 8 + [90.0] * 2, 8, False),
+        ([110.0] * 9 + [100.0], 9, True),  # the tie counts for neither side
+        ([110.0] * 8 + [100.0] * 2, 8, False),
+    ],
+    ids=["9-of-10", "8-of-10", "9-and-a-tie", "8-and-two-ties"],
+)
+def test_a_gain_needs_9_of_10_pairs_won_ties_counting_for_neither(tmp_path, monkeypatch, capsys, speeds_b, won, gain):
+    entry = _stub_runs(monkeypatch, tmp_path, [100.0] * 10, speeds_b)
+    assert entry["b"]["pairs_won"] == won and entry["a"]["pairs_won"] == sum(s < 100.0 for s in speeds_b)
+    assert entry["gain"] == {"b_won_9_of_10": gain, "gap_exceeds_a_iqr": True}
+    assert f"b won {won}/10 pairs (9/10 met: {gain})" in capsys.readouterr().err
+
+
+def test_a_median_gap_within_a_iqr_is_no_gain(tmp_path, monkeypatch):
+    # A's runs spread over [90, 110] (IQR 10); B wins every pair, by 5 op/s at the median.
+    speeds_a = [90.0, 95.0, 100.0, 105.0, 110.0] * 2
+    entry = _stub_runs(monkeypatch, tmp_path, speeds_a, [s + 5.0 for s in speeds_a])
+    assert entry["a"]["ops_per_s"]["q3"] - entry["a"]["ops_per_s"]["q1"] == pytest.approx(10.0)
+    assert entry["gain"] == {"b_won_9_of_10": True, "gap_exceeds_a_iqr": False}
+
+
+@pytest.mark.parametrize(
+    "speed_b, setup_b, within",
+    [
+        (85.0, 0.12, {"ops_per_s": True, "setup_s": True, "peak_rss_mb": True}),
+        (70.0, 0.1, {"ops_per_s": False, "setup_s": True, "peak_rss_mb": True}),
+        (100.0, 0.13, {"ops_per_s": True, "setup_s": False, "peak_rss_mb": True}),
+    ],
+    ids=["slower-within-bounds", "ops-past-bound", "setup-past-bound"],
+)
+def test_a_median_worse_than_its_bound_reads_false(tmp_path, monkeypatch, capsys, speed_b, setup_b, within):
+    # BENCHMARK.json bounds ops_per_s (higher is better) at 0.2 and setup_s (lower is better) at 0.25.
+    entry = _stub_runs(monkeypatch, tmp_path, [100.0] * 3, [speed_b] * 3, setup_b=setup_b)
+    assert entry["within_bound"] == within
+    assert "within bound: " + ", ".join(f"{k} {v}" for k, v in within.items()) in capsys.readouterr().err
