@@ -31,6 +31,11 @@ each scaled by every stride of ``DIFFERENCE_SET_STRIDES``: the sha256 of the
 line for start batches whose denominators differ: the sha256 of the ``repr``
 lines of ``r_sequence_metric`` and ``birkhoff_window_test`` on each row of
 ``BATCH_DENOMINATORS`` over a seeded window, named ``library batch-denominators``.
+Last, one line for cross-checks whose predicates honestly disagree at the
+bottom edge: the sha256 of the ``repr`` lines (status, witness and note) of
+``crosscheck_cyclic_equivalence`` on ``Window((0, 1, 2, 3), 50)`` at
+M = 3 and on the seeded windows of ``CROSSCHECK_DISAGREEMENT_SEEDS``, named
+``library crosscheck-disagreements``.
 
 ``tests/golden/cli.txt`` holds these lines, and ``tests/test_cli_golden.py``
 regenerates them and names every call whose line moved.  A change that moves
@@ -282,6 +287,12 @@ BATCH_DENOMINATORS = [
     ("rot:golden", 1 / 5000, 0.01, 64),
 ]
 
+# Seeds of the cross-check windows at the bottom edge: seed s draws 2 to 24
+# elements of [1, top] (top in [20, 400]) besides 0, on [0, 400], checked at
+# M = 12 with shift 0 alone (odd s) or shifts -6..6 (even s).  16 of the 20
+# disagree, coverage against both hitting predicates, either way round.
+CROSSCHECK_DISAGREEMENT_SEEDS = range(20)
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -392,6 +403,21 @@ def batch_denominators_digest() -> str:
     return f"repr={_sha(reprs.encode())} :: library batch-denominators"
 
 
+def crosscheck_disagreements_digest() -> str:
+    import numpy as np
+
+    from dynwindow import Window, crosscheck_cyclic_equivalence
+
+    reprs = repr(crosscheck_cyclic_equivalence(Window((0, 1, 2, 3), 50), 3, range(-2, 3))) + "\n"
+    for seed in CROSSCHECK_DISAGREEMENT_SEEDS:
+        rng = np.random.default_rng(seed)
+        top, count = int(rng.integers(20, 401)), int(rng.integers(2, 25))
+        elements = [0] + sorted(rng.choice(np.arange(1, top + 1), count, replace=False).tolist())
+        shifts = range(0, 1) if seed % 2 else range(-6, 7)
+        reprs += repr(crosscheck_cyclic_equivalence(Window(elements, 400), 12, shifts)) + "\n"
+    return f"repr={_sha(reprs.encode())} :: library crosscheck-disagreements"
+
+
 def fingerprints() -> list[str]:
     """The line of every call, in list order, all run in one temporary directory of input files."""
     if str(PERFBENCH) not in sys.path:
@@ -418,6 +444,7 @@ def fingerprints() -> list[str]:
                 birkhoff_classes_digest(),
                 difference_sets_digest(),
                 batch_denominators_digest(),
+                crosscheck_disagreements_digest(),
             ]
         finally:
             os.chdir(cwd)

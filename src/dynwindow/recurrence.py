@@ -59,6 +59,10 @@ _RECOUNT_MODULUS_CAP = 2 ** 16
 # whose lcm is at most this, then takes each period's remainder in int64.
 _REDUCE_MODULUS_CAP = 2 ** 62 - 1
 
+# _missing_residues keeps the periods and offsets of a block of at most this
+# many periods, 64 blocks at most (1 MiB), and builds a larger block per call.
+_KEPT_BLOCK_PERIODS = 2 ** 10
+
 # birkhoff_window_test reads each start's orbit in slices of this many
 # times, then 4, 16, ... times as many: a return at index i costs O(i).
 _FIRST_SLICE = 32
@@ -192,7 +196,7 @@ def _lcm_runs(periods: Sequence[int], cap: int):
 def _period_block(m: int, top: int, w: int, dtype) -> tuple:
     # The periods p = m..top-1 of one block of _missing_residues, and each
     # one's offset (p - m)·(w + 1) into the block's bincount, as columns in
-    # the residues' dtype: built once per block shape, read-only.
+    # the residues' dtype: read-only, as a kept block is shared.
     periods = np.arange(m, top, dtype=dtype)[:, None]
     offsets = (periods - m) * (w + 1)
     periods.flags.writeable = offsets.flags.writeable = False
@@ -215,9 +219,10 @@ def _missing_residues(arr: np.ndarray, max_period: int) -> list:
     which stays zero when every class below w is hit.  Residues are clamped
     into the pool only when n is below the largest period; otherwise each
     is already below w.  A block's periods and bincount offsets are columns
-    built once per block shape (``_period_block``), so the block × prefix
-    matrix is reduced a row per period.  Blocks keep both that matrix and
-    the bincount within _BATCH_ELEMENTS.  A prefix that covers Z/m settles m;
+    (``_period_block``), built once per block shape for blocks of at most
+    _KEPT_BLOCK_PERIODS periods, so the block × prefix matrix is reduced a
+    row per period.  Blocks keep both that matrix and the bincount within
+    _BATCH_ELEMENTS.  A prefix that covers Z/m settles m;
     the m's it leaves uncovered are recounted on the whole array, in int64
     or Python ints, mod the lcm of a block of them, and reduce its hit
     classes mod m.
@@ -232,7 +237,8 @@ def _missing_residues(arr: np.ndarray, max_period: int) -> list:
     for m in range(1, max_period + 1, width):
         top = min(m + width, max_period + 1)  # one past the block's largest period
         w = max(1, min(head.size, top - 1))
-        periods, offsets = _period_block(m, top, w, dtype)
+        block = _period_block if top - m <= _KEPT_BLOCK_PERIODS else _period_block.__wrapped__
+        periods, offsets = block(m, top, w, dtype)
         if head.dtype == object:  # one Python-int reduction per lcm run, then int64 remainders
             residues = np.empty((top - m, head.size), dtype=np.int64)
             for run, modulus in _lcm_runs(range(m, top), _REDUCE_MODULUS_CAP):

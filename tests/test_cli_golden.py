@@ -11,9 +11,11 @@ benchmark, seed 1, one of the ``return_times`` windows of
 ``report_diff.RETURN_TIMES``, one of the orbits that repeat
 (``report_diff.PERIODIC_RETURN_TIMES`` and ``PERIODIC_BIRKHOFF``), one
 of the skews' return classes (``report_diff.BIRKHOFF_CLASSES``), one of
-``difference_set`` on seeded windows (``report_diff.DIFFERENCE_SET_SPANS``)
-and one of start batches whose denominators differ
-(``report_diff.BATCH_DENOMINATORS``).  A change
+``difference_set`` on seeded windows (``report_diff.DIFFERENCE_SET_SPANS``),
+one of start batches whose denominators differ
+(``report_diff.BATCH_DENOMINATORS``) and one of cross-checks whose
+predicates disagree at the bottom edge
+(``report_diff.CROSSCHECK_DISAGREEMENT_SEEDS``).  A change
 that moves a line on purpose rewrites the file with
 ``PYTHONPATH=src python3 scripts/report_diff.py --write`` and explains the
 moved line.  Every system spec the corpus reads parses back, from its

@@ -334,6 +334,23 @@ def test_missing_residues_match_a_set_scan_for_every_period(elems, kind, max_per
         assert _missing_residues(np.array(elements, dtype=dtype), max_period) == want
 
 
+def test_missing_residues_keep_only_small_read_only_blocks():
+    # A block of at most _KEPT_BLOCK_PERIODS periods is kept and shared, so it
+    # is read-only; a larger one is built per call and never kept.
+    arr = np.arange(0, 3000, 150)
+    recurrence._period_block.cache_clear()
+    try:
+        _missing_residues(arr, recurrence._KEPT_BLOCK_PERIODS + 1)
+        assert recurrence._period_block.cache_info().currsize == 0
+        assert _missing_residues(arr, 12) == _missing_residues(arr, 12)
+        info = recurrence._period_block.cache_info()
+        assert (info.currsize, info.hits) == (1, 1)
+        periods, offsets = recurrence._period_block(1, 13, 12, np.dtype(np.int32))
+        assert not periods.flags.writeable and not offsets.flags.writeable
+    finally:
+        recurrence._period_block.cache_clear()
+
+
 def _column_loop_missing_residues(arr: np.ndarray, max_period: int) -> list:
     # _missing_residues as it stood when it took Python-int residues one column
     # (one period) at a time, kept verbatim as the reference; its two caps are
@@ -1074,6 +1091,46 @@ def test_crosscheck_agreement_property(data):
     w = Window(tuple(sorted(elems)), 400)
     v = crosscheck_cyclic_equivalence(w, max_period, range(-span, span + 1))
     assert v.holds, v.note
+
+
+def _reference_crosscheck(a: Window, max_period: int, shifts: list) -> Verdict:
+    # The cross-check's verdict rebuilt from three sources: a set scan of the
+    # residues, shifted_hit against each window _comparison_table returns, and
+    # a comparison of the three predicates at every m in turn.
+    ext = a.horizon + max(shifts[-1], 0) + max_period
+    _, windows, columns = _comparison_table(ext, max_period)
+    hit = [all(shifted_hit(a, d, -n).holds for n in shifts) for d in windows]
+    for m, (nuu, diffs) in enumerate(columns, start=1):
+        covered = {e % m for e in a.elements} == set(range(m))
+        return_hit = all(hit[j] for j in range(len(windows)) if nuu >> j & 1)
+        diff_hit = all(hit[j] for j in range(len(windows)) if diffs >> j & 1)
+        if not covered == return_hit == diff_hit:
+            note = f"m={m}: residue coverage={covered}, return-time hitting={return_hit}, difference-set hitting={diff_hit}"
+            return Verdict.fail((m, covered, return_hit, diff_hit), note=note)
+    return Verdict.hold(note=f"all three predicates agree for every m <= {max_period} across {len(shifts)} shifts")
+
+
+def test_crosscheck_verdict_matches_a_reference_where_predicates_can_disagree():
+    # Windows from 0 up and shift ranges of 1 to 2M + 1 integers, some shorter
+    # than M, so the predicates can disagree honestly at the bottom edge: the
+    # whole verdict, witness and note included, must match the reference, and
+    # both agreeing and disagreeing windows must be drawn.
+    kinds = set()
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def check(data):
+        max_period = data.draw(st.integers(1, 15))
+        count = data.draw(st.integers(1, 2 * max_period + 1))
+        first = data.draw(st.integers(-max_period - 6, max_period + 6))
+        elems = data.draw(st.lists(st.integers(0, 400), max_size=60, unique=True))
+        w, shifts = Window(tuple(sorted(elems)), 400), list(range(first, first + count))
+        v = crosscheck_cyclic_equivalence(w, max_period, range(first, first + count))
+        assert v == _reference_crosscheck(w, max_period, shifts)
+        kinds.add(v.status)
+
+    check()
+    assert kinds == {Status.HOLDS, Status.FAILS}
 
 
 # -- finite_subcover ----------------------------------------------------------------
