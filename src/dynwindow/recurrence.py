@@ -549,7 +549,7 @@ def _full_words(count: int, words: int) -> np.ndarray:
     return np.frombuffer(((1 << count) - 1).to_bytes(8 * words, "little"), dtype="<u8")
 
 
-def _shifted_hits(a: Window, shifts: Iterable[int], table: np.ndarray, windows: list) -> int:
+def _shifted_hits(a: Window, shifts: Sequence[int], table: np.ndarray, windows: list) -> int:
     """The columns j, as bits, for which a + n meets windows[j] for every shift n.
 
     Stage 1 reads a prefix of a: the pair (n, j) is met when bit j of the
@@ -565,15 +565,17 @@ def _shifted_hits(a: Window, shifts: Iterable[int], table: np.ndarray, windows: 
     decides every pair.  Otherwise stage 2 settles each window's open pairs
     on whole-window bitmasks and stops at the window's first miss: every
     window of a cross-check lies within _CROSSCHECK_HORIZON_CAP, where each
-    has its bitmask.  A shift below -horizon - 1 or past the table meets
-    nothing, as that bound does, so shifts are clamped to those bounds and
+    has its bitmask.  shifts come ascending, as the cross-check sorts them
+    (a repeated shift reads the same row twice), and are read as given.  A
+    shift below -horizon - 1 or past the table meets nothing, as that bound
+    does, so when one is there, shifts are clamped to those bounds and
     taken once each.
     """
-    steps, top = sorted(set(shifts)), len(table) - 2  # top: past the largest position
+    steps, top = shifts, len(table) - 2  # top: past the largest position
     if steps and (steps[0] < -a.horizon - 1 or steps[-1] > top):
         steps = sorted({min(max(n, -a.horizon - 1), top) for n in steps})
     # The row offset n + 1 of each shift n still open: the row of x + n is x + n + 1.
-    rows = np.array(steps, dtype=np.int64) + 1
+    rows = np.array([n + 1 for n in steps], dtype=np.int64)
     words = table.shape[1]
     every = (1 << len(windows)) - 1
     full = _full_words(len(windows), words)

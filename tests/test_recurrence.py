@@ -949,9 +949,10 @@ def _kernel_windows(seed: int, count: int) -> list:
 @example(list(range(3, 400, 5)), 2, 16, [0, 3, -2], 0, 20)
 @settings(max_examples=120, deadline=None)
 def test_shifted_hits_hold_iff_every_shifted_hit_holds(a_elems, count, seed, shifts, far, cap):
-    # Shifts come duplicated and unsorted, or (far) all past int64 below
-    # -horizon or above every window; J reaches past one 64-bit word; a prefix
-    # cap under the window's length sends the open pairs to the bitmask settle.
+    # Shifts come duplicated, sorted as the cross-check passes them, or (far)
+    # all past int64 below -horizon or above every window; J reaches past one
+    # 64-bit word; a prefix cap under the window's length sends the open pairs
+    # to the bitmask settle.
     a = Window(tuple(sorted(a_elems)), 450)
     if far:
         shifts = [far * (a.horizon + 10 ** 20) + n for n in shifts]
@@ -960,7 +961,7 @@ def test_shifted_hits_hold_iff_every_shifted_hit_holds(a_elems, count, seed, shi
     assert all(np.array_equal(_column(table, j), w.array + 1) for j, w in enumerate(windows))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(recurrence, "_PREFIX_SCAN_CAP", cap)
-        hits = _shifted_hits(a, shifts, table, windows)
+        hits = _shifted_hits(a, sorted(shifts), table, windows)
     assert hits >> len(windows) == 0
     for j, d in enumerate(windows):
         assert bool(hits >> j & 1) == all(shifted_hit(a, d, -n).holds for n in shifts), j
