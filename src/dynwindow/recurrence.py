@@ -571,11 +571,11 @@ def _shifted_hits(a: Window, shifts: Sequence[int], table: np.ndarray, windows: 
     does, so when one is there, shifts are clamped to those bounds and
     taken once each.
     """
-    steps, top = shifts, len(table) - 2  # top: past the largest position
-    if steps and (steps[0] < -a.horizon - 1 or steps[-1] > top):
-        steps = sorted({min(max(n, -a.horizon - 1), top) for n in steps})
+    top = len(table) - 2  # past the largest position
+    if shifts and (shifts[0] < -a.horizon - 1 or shifts[-1] > top):
+        shifts = sorted({min(max(n, -a.horizon - 1), top) for n in shifts})
     # The row offset n + 1 of each shift n still open: the row of x + n is x + n + 1.
-    rows = np.array([n + 1 for n in steps], dtype=np.int64)
+    rows = np.array([n + 1 for n in shifts], dtype=np.int64)
     words = table.shape[1]
     every = (1 << len(windows)) - 1
     full = _full_words(len(windows), words)

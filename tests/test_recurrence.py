@@ -1126,7 +1126,7 @@ def test_crosscheck_verdict_matches_a_reference_where_predicates_can_disagree():
         first = data.draw(st.integers(-max_period - 6, max_period + 6))
         elems = data.draw(st.lists(st.integers(0, 400), max_size=60, unique=True))
         w, shifts = Window(tuple(sorted(elems)), 400), list(range(first, first + count))
-        v = crosscheck_cyclic_equivalence(w, max_period, range(first, first + count))
+        v = crosscheck_cyclic_equivalence(w, max_period, shifts)
         assert v == _reference_crosscheck(w, max_period, shifts)
         kinds.add(v.status)
 
