@@ -89,8 +89,8 @@ def _small_ints(arr: np.ndarray) -> np.ndarray:
 
 
 def _packed(elements: Sequence) -> np.ndarray:
-    # A tuple or list of ints packed into int64 by struct, _PACK_CHUNK at a
-    # time: one argument tuple per chunk, not one for the whole sequence.
+    # A tuple, list or range of ints packed into int64 by struct, _PACK_CHUNK
+    # at a time: one argument tuple per chunk, not one for the whole sequence.
     out = np.empty(len(elements), dtype=np.int64)
     for i in range(0, len(elements), _PACK_CHUNK):
         chunk = elements[i : i + _PACK_CHUNK]
@@ -99,13 +99,13 @@ def _packed(elements: Sequence) -> np.ndarray:
 
 
 def _read_elements(elements) -> np.ndarray:
-    # The elements, each read as operator.index reads it.  A tuple or list is
-    # packed into int64 by struct, which takes each element's __index__ at C
-    # speed; one it refuses (a float, a str, np.bool_, a value past int64, ...)
-    # falls through.  Then: int64 when numpy reads them as ints or bools that
-    # fit it, else Python ints (object), one operator.index per element, which
-    # raises TypeError on anything else.
-    if isinstance(elements, (tuple, list)):
+    # The elements, each read as operator.index reads it.  A tuple, list or
+    # range is packed into int64 by struct, which takes each element's
+    # __index__ at C speed; one it refuses (a float, a str, np.bool_, a value
+    # past int64, ...) falls through.  Then: int64 when numpy reads them as
+    # ints or bools that fit it, else Python ints (object), one operator.index
+    # per element, which raises TypeError on anything else.
+    if isinstance(elements, (tuple, list, range)):
         try:
             return _packed(elements)
         except (struct.error, TypeError, OverflowError):

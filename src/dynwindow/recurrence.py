@@ -482,35 +482,6 @@ def _shift_family_cyclic(a: Window, shifts: Iterable[int], max_period: int) -> V
     return Verdict.fail(shifts[i], note=f"shift {shifts[i]:+d} fails: residue {missing} mod {m} never hit")
 
 
-@lru_cache(maxsize=1)
-def _comparison_windows(horizon: int) -> dict:
-    # The cross-check's windows at one horizon, filled on demand, and one
-    # position table per max_period built from them.  Only the latest horizon
-    # is kept: a sweep shares one, and older ones hold MiBs.  A window holds
-    # its array, and its mask once a bitmask settle reads it, never an
-    # elements tuple.
-    return {}
-
-
-def _cyclic_return_window(m: int, horizon: int) -> Window:
-    # N(U,U) for the singleton cell {0} of Z/m, computed by honest stepping.
-    store = _comparison_windows(horizon)
-    if ("return", m) not in store:
-        store["return", m] = return_times(CyclicSystem(m), 0, 0, horizon).times
-    return store["return", m]
-
-
-def _progression_difference_window(m: int, r: int, horizon: int) -> Window:
-    # S - S for the syndetic progression S = {r, r+m, r+2m, ...} on [0, horizon].
-    # S is a translate of {0, m, ..., (k-1)m}, k = |S|, and S - S is translation
-    # invariant: one window per (m, k), built from the first S of that length.
-    store = _comparison_windows(horizon)
-    key = ("difference", m, (horizon - r) // m + 1)
-    if key not in store:
-        store[key] = difference_set(Window._trusted(np.arange(r, horizon + 1, m), horizon))
-    return store[key]
-
-
 def _position_table(windows: list) -> np.ndarray:
     # Row p + 1 for each position p from 0 to the largest element of any
     # window, between two all-zero rows; bit j of a row (bit j % 64 of its
@@ -523,33 +494,33 @@ def _position_table(windows: list) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=1)
 def _comparison_table(ext: int, max_period: int) -> tuple:
     # The cross-check's windows on [0, ext] for every m <= max_period, as
     # (position table, windows in column order, per m the bit of its return
-    # window's column and the bits of its difference windows' columns), kept
-    # beside the windows.
-    store = _comparison_windows(ext)
-    if ("table", max_period) not in store:
-        windows, columns = [], []
-        for m in range(1, max_period + 1):
-            # Progressions r <= ext mod m have one element more than the rest: two translation classes.
-            leaders = (0,) if ext % m == m - 1 else (0, ext % m + 1)
-            j = len(windows)
-            windows.append(_cyclic_return_window(m, ext))
-            windows += [_progression_difference_window(m, r, ext) for r in leaders]
-            columns.append((1 << j, (1 << len(windows)) - (2 << j)))
-        store["table", max_period] = (_position_table(windows), windows, columns)
-    return store["table", max_period]
+    # window's column and the bits of its difference windows' columns, the
+    # table's all-ones row as little-endian uint64 words, read-only as its
+    # bytes are).  Only the latest table is kept: a sweep shares one, and
+    # older ones hold MiBs.  A window holds its array, and its mask once a
+    # bitmask settle reads it, never an elements tuple.
+    windows, columns = [], []
+    for m in range(1, max_period + 1):
+        j = len(windows)
+        # N(U,U) for the singleton cell {0} of Z/m, computed by honest stepping.
+        windows.append(return_times(CyclicSystem(m), 0, 0, ext).times)
+        # S - S for the progressions S = {r, r+m, r+2m, ...} on [0, ext].  S is a
+        # translate of {0, m, ..., (k-1)m}, k = |S|, and S - S is translation
+        # invariant; progressions r <= ext mod m have one element more than the
+        # rest: two translation classes, one window each, built from the least r.
+        leaders = (0,) if ext % m == m - 1 else (0, ext % m + 1)
+        windows += [difference_set(Window._trusted(np.arange(r, ext + 1, m), ext)) for r in leaders]
+        columns.append((1 << j, (1 << len(windows)) - (2 << j)))
+    table = _position_table(windows)
+    full = np.frombuffer(((1 << len(windows)) - 1).to_bytes(8 * table.shape[1], "little"), dtype="<u8")
+    return table, windows, columns, full
 
 
-@lru_cache(maxsize=8)
-def _full_words(count: int, words: int) -> np.ndarray:
-    # The row of a position in all of count windows, as words little-endian
-    # uint64 words: built once per table shape, read-only as its bytes are.
-    return np.frombuffer(((1 << count) - 1).to_bytes(8 * words, "little"), dtype="<u8")
-
-
-def _shifted_hits(a: Window, shifts: Sequence[int], table: np.ndarray, windows: list) -> int:
+def _shifted_hits(a: Window, shifts: Sequence[int], table: np.ndarray, windows: list, full: np.ndarray) -> int:
     """The columns j, as bits, for which a + n meets windows[j] for every shift n.
 
     Stage 1 reads a prefix of a: the pair (n, j) is met when bit j of the
@@ -559,8 +530,8 @@ def _shifted_hits(a: Window, shifts: Sequence[int], table: np.ndarray, windows: 
     M = 12), then 4, 16, ... times as many, and stops once every pair is
     met, or at _PREFIX_SCAN_CAP elements; each gather stays within
     _BATCH_ELEMENTS words, taking the shifts in blocks.  The first slice's
-    gather is the met pairs, compared with an all-ones row built once per
-    table shape (``_full_words``); the slice that reaches the prefix's end
+    gather is the met pairs, compared with full, the table's all-ones row
+    (``_comparison_table`` builds it); the slice that reaches the prefix's end
     drops no rows, as none is read again.  A prefix that is the whole window
     decides every pair.  Otherwise stage 2 settles each window's open pairs
     on whole-window bitmasks and stops at the window's first miss: every
@@ -578,7 +549,6 @@ def _shifted_hits(a: Window, shifts: Sequence[int], table: np.ndarray, windows: 
     rows = np.array([n + 1 for n in shifts], dtype=np.int64)
     words = table.shape[1]
     every = (1 << len(windows)) - 1
-    full = _full_words(len(windows), words)
     end = min(len(a), _PREFIX_SCAN_CAP)
     met = np.zeros((rows.size, words), dtype=np.uint64) if end == 0 else None  # filled by the first slice
     lo, hi = 0, _SLICE_PER_WINDOW * len(windows)
@@ -627,7 +597,9 @@ def crosscheck_cyclic_equivalence(a: Window, max_period: int, shifts: Iterable[i
           difference set is built and met per class.
 
     (2) and (3) read their windows through one position table, each window
-    its own column (``_shifted_hits``).  When every column is hit and every
+    its own column (``_shifted_hits``); the table and its windows are built
+    once per (ext, max_period), and only the latest is kept
+    (``_comparison_table``).  When every column is hit and every
     m is covered, all three hold for every m and the verdict is given at
     once; otherwise each m is compared in turn.  Any disagreement is an
     implementation bug, reported as Fails with the offending (m, coverage,
@@ -651,8 +623,8 @@ def crosscheck_cyclic_equivalence(a: Window, max_period: int, shifts: Iterable[i
     if ext > _CROSSCHECK_HORIZON_CAP:
         raise ValueError(f"cross-check windows reach ext = horizon + max(largest shift, 0) + max_period = {a.horizon} + "
                          f"{max(shifts[-1], 0)} + {max_period} = {ext}, past the {_CROSSCHECK_HORIZON_CAP} cap")
-    table, windows, columns = _comparison_table(ext, max_period)
-    hits = _shifted_hits(a, shifts, table, windows)
+    table, windows, columns, full = _comparison_table(ext, max_period)
+    hits = _shifted_hits(a, shifts, table, windows, full)
     missing = _missing_residues(a.array, max_period)
     if hits != (1 << len(windows)) - 1 or missing.count(None) != max_period:  # not all three hold everywhere
         for m, (nuu, diffs) in enumerate(columns, start=1):

@@ -143,26 +143,18 @@ class _TorusOrbits:
     denominators, where a power of 2 up to 2^64 is 2^64 (wrapping uint64 for
     times below 2^64), a den below 2^31 takes times mod 2·den in uint64, and
     any other den Python ints (``object``).  ``columns`` holds the starts'
-    coordinates as numerators, one row per start.  Every answer has one row
-    per start, one column per time.
+    coordinates as numerators (``_numerator``, exact for a double too), one
+    row per start.  Every answer has one row per start, one column per time.
     """
 
     def __init__(self, sys: "TorusSystem", a: Window, starts: Sequence):
         coords = [sys._coords(s) for s in starts]
-        x = np.array(coords)  # dtype object if a coordinate is a Fraction, say: never read as a double
-        lcm = math.lcm(*(v.as_integer_ratio()[1] for v in sys._angles))
-        scaled = x * 2.0 ** 64 if x.dtype != object and lcm <= 2 ** 64 and not lcm & (lcm - 1) else None  # exact
-        if scaled is None or not ((x >= 0) & (x < 1) & (scaled == np.floor(scaled))).all():
-            # Some coordinate is not a multiple of 2^-64 in [0, 1), or the angles' den is no power of 2.
-            scaled, lcm = None, math.lcm(lcm, *(c.as_integer_ratio()[1] for row in coords for c in row))
+        lcm = math.lcm(*(v.as_integer_ratio()[1] for v in (*sys._angles, *(c for row in coords for c in row))))
         den = 2 ** 64 if lcm <= 2 ** 64 and not lcm & (lcm - 1) else lcm
         small = den < 2 ** 31
         fits = small or den == 2 ** 64 and (not len(a) or int(a.array[-1]) < 2 ** 64)
         times = (a.array % (2 * den) if small else a.array).astype(np.uint64 if fits else object)
-        if scaled is not None and fits:
-            columns = scaled.astype(np.uint64)
-        else:
-            columns = np.array([[_numerator(c, den) for c in row] for row in coords], dtype=times.dtype)
+        columns = np.array([[_numerator(c, den) for c in row] for row in coords], dtype=times.dtype)
         self.sys, self.den, self.columns, self._times = sys, den, columns, times
 
     def states(self, lo: int, hi: int) -> list:

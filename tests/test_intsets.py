@@ -30,7 +30,7 @@ from dynwindow import (
     shifted_hit,
 )
 from dynwindow.intsets import _BITMASK_HORIZON_CAP, _fft_size
-from dynwindow.recurrence import _comparison_windows, crosscheck_cyclic_equivalence
+from dynwindow.recurrence import _comparison_table, crosscheck_cyclic_equivalence
 
 
 # -- Window type ---------------------------------------------------------------
@@ -272,6 +272,24 @@ def test_window_reads_elements_as_the_numpy_reader(elements, horizon):
 
 
 @given(
+    st.one_of(st.integers(-5, 40), st.integers(2 ** 63 - 8, 2 ** 63 + 8), st.integers(2 ** 64 - 4, 2 ** 64 + 4)),
+    st.integers(0, 12),
+    st.integers(-4, 4).filter(bool),
+    st.sampled_from([50, 2 ** 62, 2 ** 64 + 8]),
+)
+@example(0, 10, 1, 50)
+@example(5, 5, -1, 50)  # descending: the message names 5, 4
+@example(2 ** 63 - 2, 4, 1, 2 ** 64 + 8)  # past int64: Python ints
+@example(-2, 5, 1, 50)
+@settings(max_examples=150, deadline=None)
+def test_window_reads_a_range_as_its_tuple(start, length, step, horizon):
+    # A range is packed as a tuple is: the same array and dtype, or the same
+    # exception type and message.
+    r = range(start, start + length * step, step)
+    assert _read_outcome(r, horizon) == _read_outcome(tuple(r), horizon)
+
+
+@given(
     st.lists(st.integers(0, 60), max_size=20, unique=True),
     st.sampled_from([0, 2 ** 62 - 30, 2 ** 63 - 30, 2 ** 70]),
     st.one_of(st.integers(-5, 90), st.sampled_from([2 ** 70, -(2 ** 70)])),
@@ -332,14 +350,15 @@ def test_window_bitmask_sets_one_bit_per_element(elems, slack):
     # cross-check's cached windows, beside their position table, hold no more.
     trusted = Window._trusted(w.array, w.horizon)
     assert trusted.bitmask == w.bitmask and set(trusted.__dict__) == {"array", "horizon", "bitmask"}
-    _comparison_windows.cache_clear()
+    _comparison_table.cache_clear()
     try:
         crosscheck_cyclic_equivalence(w, 3, range(-2, 3))
-        cached = _comparison_windows(w.horizon + 2 + 3)
-        windows = [c for key, c in cached.items() if key != ("table", 3)]
-        assert ("table", 3) in cached and windows and all(set(c.__dict__) <= {"array", "horizon", "bitmask"} for c in windows)
+        hits = _comparison_table.cache_info().hits
+        windows = _comparison_table(w.horizon + 2 + 3, 3)[1]
+        assert _comparison_table.cache_info().hits == hits + 1 and windows
+        assert all(set(c.__dict__) <= {"array", "horizon", "bitmask"} for c in windows)
     finally:
-        _comparison_windows.cache_clear()
+        _comparison_table.cache_clear()
 
 
 # -- is_syndetic ---------------------------------------------------------------

@@ -53,11 +53,8 @@ from dynwindow.intsets import _BITMASK_HORIZON_CAP
 from dynwindow.recurrence import (
     ReturnTimesResult,
     _comparison_table,
-    _comparison_windows,
-    _cyclic_return_window,
     _missing_residues,
     _position_table,
-    _progression_difference_window,
     _shift_family_cyclic,
     _shifted_hits,
     _small_ints,
@@ -747,30 +744,44 @@ def test_cyclic_shift_family_stops_once_the_first_shift_fails():
 # -- crosscheck ------------------------------------------------------------------------
 
 
+def _bits(mask: int) -> list:
+    # The columns j, ascending, whose bit is set in mask.
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
+
+
 def test_crosscheck_internal_windows_coincide():
     # The return-time path and the difference-set path must build the same set.
     # Horizons 500..511 take every residue mod m for each m, so every
     # progression, of either length, is read through its class window.
-    for horizon in range(500, 512):
-        for m in (1, 2, 5, 12):
-            nuu = _cyclic_return_window(m, horizon)
-            assert nuu.elements == tuple(range(m, horizon + 1, m))
-            for r in range(m):
-                d = _progression_difference_window(m, r, horizon)
-                assert d.elements == tuple(range(m, horizon + 1 - r, m))
-                assert d is _progression_difference_window(m, 0 if r <= horizon % m else horizon % m + 1, horizon)
-                assert d == difference_set(Window(tuple(range(r, horizon + 1, m)), horizon))
+    _comparison_table.cache_clear()
+    try:
+        for horizon in range(500, 512):
+            _, windows, columns, _ = _comparison_table(horizon, 12)
+            for m in (1, 2, 5, 12):
+                nuu, diffs = columns[m - 1]
+                assert [windows[j].elements for j in _bits(nuu)] == [tuple(range(m, horizon + 1, m))]
+                classes = [windows[j] for j in _bits(diffs)]
+                assert len(classes) == len({(horizon - r) // m + 1 for r in range(m)})
+                for r in range(m):
+                    d = difference_set(Window(tuple(range(r, horizon + 1, m)), horizon))
+                    assert d.elements == tuple(range(m, horizon + 1 - r, m))
+                    assert d in classes
+    finally:
+        _comparison_table.cache_clear()
 
 
 def test_crosscheck_keeps_windows_of_the_latest_horizon_only():
-    w = _cyclic_return_window(3, 500)
-    assert _cyclic_return_window(3, 500) is w
-    assert _progression_difference_window(3, 1, 500) is _progression_difference_window(3, 1, 500)
-    ref = weakref.ref(w)
-    del w
-    _cyclic_return_window(3, 501)
-    gc.collect()
-    assert ref() is None
+    _comparison_table.cache_clear()
+    try:
+        w = _comparison_table(500, 3)[1][0]
+        assert _comparison_table(500, 3)[1][0] is w
+        ref = weakref.ref(w)
+        del w
+        _comparison_table(501, 3)
+        gc.collect()
+        assert ref() is None
+    finally:
+        _comparison_table.cache_clear()
 
 
 @pytest.mark.parametrize("base", [0, 2 ** 63])
@@ -798,7 +809,7 @@ def test_engine_entry_points_build_no_elements_tuple(base):
             lambda w: birkhoff_window_test(w, rot, 0.001, 0.5),
             lambda w: crosscheck_cyclic_equivalence(w, 12, range(-6, 7)),
         ]
-    _comparison_windows.cache_clear()
+    _comparison_table.cache_clear()
     try:
         for call in calls:
             w = Window([base + e for e in range(50, 2000, 3)] + [base + 2001], base + 2100)
@@ -806,12 +817,12 @@ def test_engine_entry_points_build_no_elements_tuple(base):
             assert "elements" not in w.__dict__
             assert not isinstance(out, Window) or "elements" not in out.__dict__
         if base == 0:
-            cached = _comparison_windows(2100 + 6 + 12)
-            windows = [c for key, c in cached.items() if key != ("table", 12)]
-            assert ("table", 12) in cached and windows
+            hits = _comparison_table.cache_info().hits
+            windows = _comparison_table(2100 + 6 + 12, 12)[1]
+            assert _comparison_table.cache_info().hits == hits + 1 and windows
             assert all("elements" not in c.__dict__ for c in windows)
     finally:
-        _comparison_windows.cache_clear()
+        _comparison_table.cache_clear()
 
 
 def test_crosscheck_odds_agree_on_failure():
@@ -854,11 +865,11 @@ def test_crosscheck_sees_a_corrupted_step(monkeypatch):
     w = interval(20, 400)
     assert crosscheck_cyclic_equivalence(w, 6, range(-6, 7)).holds
     monkeypatch.setattr(CyclicSystem, "step", corrupted)
-    _comparison_windows.cache_clear()
+    _comparison_table.cache_clear()
     try:
         v = crosscheck_cyclic_equivalence(w, 6, range(-6, 7))
     finally:
-        _comparison_windows.cache_clear()
+        _comparison_table.cache_clear()
     assert v.fails and v.witness == (5, True, False, True)
 
 
@@ -873,11 +884,11 @@ def test_crosscheck_sees_a_corrupted_difference_set(monkeypatch):
     w = interval(20, 400)
     assert crosscheck_cyclic_equivalence(w, 6, range(-6, 7)).holds
     monkeypatch.setattr(recurrence, "difference_set", corrupted)
-    _comparison_windows.cache_clear()
+    _comparison_table.cache_clear()
     try:
         v = crosscheck_cyclic_equivalence(w, 6, range(-6, 7))
     finally:
-        _comparison_windows.cache_clear()
+        _comparison_table.cache_clear()
     assert v.fails and v.witness == (5, True, True, False)
 
 
@@ -893,13 +904,13 @@ def test_crosscheck_builds_one_difference_set_per_translation_class(monkeypatch)
         return difference_set(w)
 
     monkeypatch.setattr(recurrence, "difference_set", counted)
-    _comparison_windows.cache_clear()
+    _comparison_table.cache_clear()
     try:
         v = crosscheck_cyclic_equivalence(interval(20, 2000), 12, range(-6, 7))
         ext = 2000 + 6 + 12
-        table, windows, columns = _comparison_windows(ext)["table", 12]
+        table, windows, columns, _ = _comparison_table(ext, 12)
     finally:
-        _comparison_windows.cache_clear()
+        _comparison_table.cache_clear()
     assert v.holds
     assert len(calls) == len({(m, (ext - r) // m + 1) for m in range(1, 13) for r in range(m)}) <= 23
     assert len(windows) == len(columns) + len(calls) == 12 + len(calls)
@@ -959,9 +970,10 @@ def test_shifted_hits_hold_iff_every_shifted_hit_holds(a_elems, count, seed, shi
     windows = _kernel_windows(seed, count)
     table = _position_table(windows)
     assert all(np.array_equal(_column(table, j), w.array + 1) for j, w in enumerate(windows))
+    full = np.array([(1 << min(64, count - 64 * k)) - 1 for k in range(table.shape[1])], dtype=np.uint64)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(recurrence, "_PREFIX_SCAN_CAP", cap)
-        hits = _shifted_hits(a, sorted(shifts), table, windows)
+        hits = _shifted_hits(a, sorted(shifts), table, windows, full)
     assert hits >> len(windows) == 0
     for j, d in enumerate(windows):
         assert bool(hits >> j & 1) == all(shifted_hit(a, d, -n).holds for n in shifts), j
@@ -973,17 +985,17 @@ def test_shifted_hits_gather_the_shifts_in_blocks(batch):
     # in blocks (one shift a block at 1, two at 600 for the 8·35-element
     # first slice), and their met pairs join in shift order.
     a = Window(tuple(n for n in range(50, 2_001) if n % 7 != 3), 2_000)
-    _comparison_windows.cache_clear()
+    _comparison_table.cache_clear()
     try:
-        table, windows, _ = _comparison_table(2_000 + 6 + 12, 12)
+        table, windows, _, full = _comparison_table(2_000 + 6 + 12, 12)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(recurrence, "_BATCH_ELEMENTS", batch)
-            hits = _shifted_hits(a, range(-6, 7), table, windows)
+            hits = _shifted_hits(a, range(-6, 7), table, windows, full)
         for j, d in enumerate(windows):
             assert bool(hits >> j & 1) == all(shifted_hit(a, d, -n).holds for n in range(-6, 7)), j
         assert hits != (1 << len(windows)) - 1
     finally:
-        _comparison_windows.cache_clear()
+        _comparison_table.cache_clear()
 
 
 @pytest.mark.parametrize("missed", [0, 3])
@@ -993,33 +1005,33 @@ def test_shifted_hits_settle_a_window_longer_than_the_prefix_cap(missed):
     # read does.
     a = Window(tuple(n for n in range(50, 10_001) if n % 7 != missed), 10_000)
     assert len(a) > recurrence._PREFIX_SCAN_CAP
-    _comparison_windows.cache_clear()
+    _comparison_table.cache_clear()
     try:
-        table, windows, _ = _comparison_table(10_000 + 6 + 12, 12)
-        hits = _shifted_hits(a, range(-6, 7), table, windows)
+        table, windows, _, full = _comparison_table(10_000 + 6 + 12, 12)
+        hits = _shifted_hits(a, range(-6, 7), table, windows, full)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(recurrence, "_PREFIX_SCAN_CAP", len(a))
-            assert _shifted_hits(a, range(-6, 7), table, windows) == hits
+            assert _shifted_hits(a, range(-6, 7), table, windows, full) == hits
         for j, d in enumerate(windows):
             assert bool(hits >> j & 1) == all(shifted_hit(a, d, -n).holds for n in range(-6, 7)), j
         assert hits != (1 << len(windows)) - 1
         assert crosscheck_cyclic_equivalence(a, 12, range(-6, 7)).holds
     finally:
-        _comparison_windows.cache_clear()
+        _comparison_table.cache_clear()
 
 
 def test_crosscheck_shifts_far_below_the_window_allocate_nothing_for_them():
     # A shift below -horizon meets nothing and is read as -horizon - 1: the
     # table is never padded by the shift range.
     w = interval(50, 10_000)
-    _comparison_windows.cache_clear()
+    _comparison_table.cache_clear()
     tracemalloc.start()
     try:
         v = crosscheck_cyclic_equivalence(w, 12, range(-10 ** 9, -10 ** 9 + 3))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        _comparison_windows.cache_clear()
+        _comparison_table.cache_clear()
     assert peak < 2 * 2 ** 20
     note = "m=1: residue coverage=True, return-time hitting=False, difference-set hitting=False"
     assert v == Verdict.fail((1, True, False, False), note=note)
@@ -1053,12 +1065,12 @@ def test_crosscheck_cap_bounds_the_comparison_windows(monkeypatch, shift, refuse
     # 980 + 13 + 7 = 1000 is the cap and passes, one more is refused, and
     # shifts below 0 add nothing.
     monkeypatch.setattr(recurrence, "_CROSSCHECK_HORIZON_CAP", 1000)
-    _comparison_windows.cache_clear()
+    _comparison_table.cache_clear()
     w = Window(tuple(range(100, 981, 3)), 980)
     if refused:
         with pytest.raises(ValueError, match=r"= 980 \+ 14 \+ 7 = 1001, past the 1000 cap"):
             crosscheck_cyclic_equivalence(w, 7, [-2, shift])
-        assert _comparison_windows.cache_info().currsize == 0  # refused before any window is built
+        assert _comparison_table.cache_info().currsize == 0  # refused before any window is built
     else:
         crosscheck_cyclic_equivalence(w, 7, [-2, shift])
 
@@ -1099,7 +1111,7 @@ def _reference_crosscheck(a: Window, max_period: int, shifts: list) -> Verdict:
     # residues, shifted_hit against each window _comparison_table returns, and
     # a comparison of the three predicates at every m in turn.
     ext = a.horizon + max(shifts[-1], 0) + max_period
-    _, windows, columns = _comparison_table(ext, max_period)
+    _, windows, columns, _ = _comparison_table(ext, max_period)
     hit = [all(shifted_hit(a, d, -n).holds for n in shifts) for d in windows]
     for m, (nuu, diffs) in enumerate(columns, start=1):
         covered = {e % m for e in a.elements} == set(range(m))
