@@ -130,15 +130,16 @@ def parse_system_spec(spec: str):
 
 
 def _parse_shifts(text: str) -> range:
+    # argparse prints an ArgumentTypeError's message (exit 2), where it replaces a ValueError's.
     lo, sep, hi = text.partition("..")
     if not sep:
-        raise SystemSpecError(f"shift range must look like 'a..b', got {text!r}")
+        raise argparse.ArgumentTypeError(f"shift range must look like 'a..b', got {text!r}")
     try:
         a, b = int(lo), int(hi)
     except ValueError as exc:
-        raise SystemSpecError(f"bad shift range {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"bad shift range {text!r}") from exc
     if b < a:
-        raise SystemSpecError(f"empty shift range {text!r}")
+        raise argparse.ArgumentTypeError(f"empty shift range {text!r}")
     return range(a, b + 1)
 
 

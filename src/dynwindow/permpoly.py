@@ -111,15 +111,7 @@ class PolyModP:
         return acc
 
     def __str__(self) -> str:
-        parts = []
-        for e in range(self.degree, 0, -1):
-            c = self.coeffs[e]
-            x = "x" if e == 1 else f"x^{e}"
-            if c:
-                parts.append(x if c == 1 else f"{c}{x}")
-        if self.coeffs and self.coeffs[0]:
-            parts.append(str(self.coeffs[0]))
-        return "+".join(parts) or "0"
+        return format_int_polynomial(self.coeffs)
 
 
 def _dtype(p: int, terms: int = 1):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -449,12 +450,12 @@ def _shift_family_cyclic(a: Window, shifts: Iterable[int], max_period: int) -> V
 
     Shift n keeps the slice of a with -n <= e <= horizon - n and permutes Z/m,
     so the shifted copy misses (empty + n) mod m; no shifted window is built.
-    m runs outermost (residues of Python ints are taken once per m), and only
-    shifts before the first failing one found so far are read: once the first
-    shift fails, no m is left to read.  Every slice
-    contains the core [max lo, min hi): when the core covers Z/m, no shift
-    fails at m, and m is passed before any residue of the window is taken.
-    The core's coverage of every m comes from one ``_missing_residues`` call.
+    Every slice contains the core [max lo, min hi): when the core covers Z/m,
+    no shift fails at m, so only the periods one ``_missing_residues`` call
+    on the core leaves open are read.  Shifts run in ascending order, each
+    over its open periods in ascending order, up to the first miss: the least
+    failing shift at its least failing period.  A Python-int window is
+    reduced mod m once per period.
     """
     shifts = sorted(shifts)
     if shifts and max_period < 1:
@@ -463,23 +464,17 @@ def _shift_family_cyclic(a: Window, shifts: Iterable[int], max_period: int) -> V
     bounds = [_span(a, -n, a.horizon - n) for n in shifts]
     core = arr[max((lo for lo, _ in bounds), default=0) : min((hi for _, hi in bounds), default=0)]
     core_missing = _missing_residues(core, max_period)  # an empty core misses 0 mod every m
-    failure = None  # (index, m, missing residue) of the first failing shift found so far
-    for m in range(1, max_period + 1):
-        if failure is not None and failure[0] == 0:
-            break
-        if core_missing[m - 1] is None:
-            continue
-        residues = arr if arr.dtype != object else (arr % m).astype(np.int64)
-        for i in range(len(shifts) if failure is None else failure[0]):
-            lo, hi = bounds[i]
-            empty = _empty_residues(residues[lo:hi], m)
+    periods = [m for m in range(1, max_period + 1) if core_missing[m - 1] is not None]
+    residues = {}
+    for n, (lo, hi) in zip(shifts, bounds):
+        for m in periods:
+            if m not in residues:
+                residues[m] = arr if arr.dtype != object else (arr % m).astype(np.int64)
+            empty = _empty_residues(residues[m][lo:hi], m)
             if empty.size:
-                failure = (i, m, int(((empty + shifts[i] % m) % m).min()))
-                break
-    if failure is None:
-        return Verdict.hold(note=f"all {len(shifts)} shifts pass")
-    i, m, missing = failure
-    return Verdict.fail(shifts[i], note=f"shift {shifts[i]:+d} fails: residue {missing} mod {m} never hit")
+                missing = int(((empty + n % m) % m).min())
+                return Verdict.fail(n, note=f"shift {n:+d} fails: residue {missing} mod {m} never hit")
+    return Verdict.hold(note=f"all {len(shifts)} shifts pass")
 
 
 def _position_table(windows: list) -> np.ndarray:
@@ -698,28 +693,26 @@ def product_transitive_finite(m: int, n: int) -> ProductTransitivityResult:
     return ProductTransitivityResult(m, n, math.gcd(m, n) == 1, size, size == m * n)
 
 
-def _mult_angle_mod1(n: int, x: float) -> float:
-    # n·x mod 1, exact for the dyadic x, rounded once: the Cesàro pair's own, apart from the orbit engine.
-    num, den = float(x).as_integer_ratio()
-    return ((n * num) % den) / den
-
-
 def cesaro_average_along(a: Window, sys: RotationSystem, k: int, start: float = 0.0) -> list[float]:
     """Magnitudes |1/N * sum_{i<=N} e^{2 pi i k (start + a_i alpha)}| per prefix N.
 
     The character average along the window: it decays when the orbit along a
-    equidistributes, stays at 1 when the orbit is a single point.  Phases are
-    reduced mod 1 exactly; prefix sums accumulate in extended precision.
+    equidistributes, stays at 1 when the orbit is a single point.  a_i·alpha
+    mod 1 is the orbit engine's numerator over den (alpha read as its double,
+    exactly), k times it is reduced mod den and rounded once; k·start mod 1
+    is added in double.  Prefix sums accumulate in extended precision.
     """
     if k == 0:
         raise ValueError("k must be nonzero: the constant character is trivial")
     if not isinstance(sys, RotationSystem) or sys.dimension != 1:
         raise TypeError("cesaro_average_along expects a 1-dimensional RotationSystem")
-    if not len(a):
-        return []
-    alpha = sys.angles[0]
-    base = _mult_angle_mod1(k, float(start)) if start else 0.0
-    phases = np.array([(base + _mult_angle_mod1(k * n, alpha)) % 1.0 for n in a.array.tolist()])
+    orbits = RotationSystem.from_angle(sys.angles[0]).along(a, [0.0])
+    states = orbits.states(0, len(a))[0][0]
+    if states.dtype == object:
+        phases = (states * k % orbits.den / orbits.den).astype(float)
+    else:  # uint64 numerators over den = 2^64
+        phases = (states * np.uint64(k % 2 ** 64)) / 2.0 ** 64
+    phases = (float(k * Fraction(float(start)) % 1) + phases) % 1.0
     terms = np.exp(2j * np.pi * phases).astype(np.clongdouble)
     sums = np.cumsum(terms)
     mags = np.abs(sums) / np.arange(1, len(terms) + 1, dtype=np.longdouble)
@@ -729,16 +722,18 @@ def cesaro_average_along(a: Window, sys: RotationSystem, k: int, start: float = 
 def cesaro_interval_closed_form(n_terms: int, alpha: float, k: int) -> float:
     """|1/N * sum_{n=1}^{N} e^{2 pi i k n alpha}| via the geometric sum.
 
-    Cross-check for cesaro_average_along on the full interval [1, N].
+    Cross-check for cesaro_average_along on the full interval [1, N]; the
+    double of alpha is read exactly, as there.
     """
     if k == 0:
         raise ValueError("k must be nonzero")
     if n_terms < 1:
         raise ValueError("need at least one term")
-    y1 = _mult_angle_mod1(k, alpha)
+    x = Fraction(float(alpha))
+    y1 = float(k * x % 1)
     if y1 == 0.0:
         return 1.0
-    y_top = _mult_angle_mod1(k * n_terms, alpha)
+    y_top = float(k * n_terms * x % 1)
     return abs(math.sin(math.pi * y_top)) / (n_terms * abs(math.sin(math.pi * y1)))
 
 

@@ -357,7 +357,7 @@ class TorusSystem:
     def cover(self, eps: float) -> "TorusCover":
         if not eps > 0:
             raise ValueError("eps must be > 0")
-        return TorusCover(self, self.dimension, max(1, math.ceil(1.0 / eps)), eps)
+        return TorusCover(self, self.dimension, max(1, math.ceil(1.0 / eps)))
 
     def distance(self, s1, s2) -> float:
         """Max circular distance over the coordinates, exact, then rounded once."""
@@ -408,14 +408,7 @@ class RotationSystem(TorusSystem):
         return len(self.angles)
 
     def orbit_at(self, start, n: int):
-        # (c + n p/q) mod 1 over the common denominator: one gcd, not three.
-        out = []
-        for c, a in zip(self._coords(start), self.angles):
-            num, den = c.as_integer_ratio()
-            p, q = a.as_integer_ratio()
-            d = den * q
-            out.append(Fraction((num * q + n * p * den) % d, d))
-        return self._state(out)
+        return self._state([(Fraction(c) + n * Fraction(a)) % 1 for c, a in zip(self._coords(start), self.angles)])
 
     _angles = property(lambda self: self.angles)
 
@@ -546,7 +539,6 @@ class FiniteCover:
 
     system: FiniteSystem
     size: int
-    resolution: float = 1.0
 
     def cell_of(self, state):
         return self.system.encode(state)
@@ -570,7 +562,6 @@ class TorusCover:
     system: TorusSystem
     dimension: int
     k: int
-    resolution: float
 
     def _coord_cell(self, x) -> int:
         # The exact floor of x·k, clamped into the cells.
@@ -627,10 +618,6 @@ class ProductCover:
     system: ProductSystem
     left: object
     right: object
-
-    @property
-    def resolution(self) -> float:
-        return max(self.left.resolution, self.right.resolution)
 
     def cell_of(self, state):
         sl, sr = state

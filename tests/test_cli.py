@@ -446,6 +446,29 @@ def test_missing_directive_is_operational_error(tmp_path, capsys):
     assert "horizon" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, message", [
+    (["recurrence", "FILE", "rot:1/0"], "bad rational angle '1/0'"),
+    (["recurrence", "FILE", "odo:2^x"], "bad odometer spec '2^x'"),
+    (["permpoly", "check", "x^2"], "permpoly check needs --p"),
+])
+def test_bad_spec_exits_1_with_its_message(squares_file, capsys, command, message):
+    assert main([squares_file if a == "FILE" else a for a in command]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("command", [["recurrence", "FILE", "cyclic:<=3"], ["crosscheck", "FILE"]])
+@pytest.mark.parametrize("shifts, message", [
+    ("5..1", "empty shift range '5..1'"),
+    ("abc", "shift range must look like 'a..b', got 'abc'"),
+    ("1..x", "bad shift range '1..x'"),
+])
+def test_bad_shift_range_is_a_usage_error_with_its_message(squares_file, capsys, command, shifts, message):
+    with pytest.raises(SystemExit) as exc:
+        main([squares_file if a == "FILE" else a for a in command] + [f"--shifts={shifts}"])
+    assert exc.value.code == 2 and capsys.readouterr().err.endswith(f"error: argument --shifts: {message}\n")
+
+
 def test_unknown_family_is_operational_error(squares_file, capsys):
     assert main(["recurrence", squares_file, "nonsense:3"]) == 1
 

@@ -68,6 +68,13 @@ def test_poly_validation():
     assert PolyModP.make(3, ()).is_zero
 
 
+@pytest.mark.parametrize("coeffs, text", [
+    ((1, 3, 1), "x^2+3x+1"), ((1, 0, 6), "6x^2+1"), ((0, 1), "x"), ((5,), "5"), ((), "0"), ((7,), "0"),
+])
+def test_poly_str_lists_the_nonzero_terms_from_the_top(coeffs, text):
+    assert str(PolyModP.make(7, coeffs)) == text
+
+
 # -- reduction mod (x^p - x) ---------------------------------------------------------
 
 

@@ -562,6 +562,8 @@ def test_metric_budget_inconclusive():
     w = Window((10 ** 16,), 10 ** 16)
     report = r_sequence_metric(w, RotationSystem.from_angle(GOLDEN), 0.05, 1.0)
     assert report.verdict.inconclusive and "budget" in report.verdict.note
+    v = birkhoff_window_test(w, RotationSystem.from_angle(GOLDEN), 0.05)
+    assert v.inconclusive and "budget" in v.note
 
 
 def test_exact_skew_has_no_budget():
@@ -1223,6 +1225,50 @@ def test_cesaro_reads_the_double_of_an_exact_angle():
     exact, double = RotationSystem.from_rationals(Fraction(1, 3)), RotationSystem.from_angle(1 / 3)
     for k in (1, 5):
         assert cesaro_average_along(w, exact, k, 0.25) == cesaro_average_along(w, double, k, 0.25)
+
+
+def _reference_cesaro(a, sys, k, start=0.0):
+    # One exact n·x mod 1 per element, each rounded once, then the same sums as the engine.
+    def mult_angle_mod1(n, x):
+        num, den = float(x).as_integer_ratio()
+        return ((n * num) % den) / den
+
+    if not len(a):
+        return []
+    base = mult_angle_mod1(k, float(start)) if start else 0.0
+    phases = np.array([(base + mult_angle_mod1(k * n, sys.angles[0])) % 1.0 for n in a.array.tolist()])
+    terms = np.exp(2j * np.pi * phases).astype(np.clongdouble)
+    mags = np.abs(np.cumsum(terms)) / np.arange(1, len(terms) + 1, dtype=np.longdouble)
+    return [float(x) for x in mags]
+
+
+_CESARO_ANGLES = [GOLDEN, 0.0, 0.5, 0.1, 1 / 3, 5e-300, 1 - 2 ** -53, Fraction(1, 3), Fraction(5, 7)]
+
+
+@given(
+    st.sampled_from(_CESARO_ANGLES),
+    st.sampled_from([0, 2 ** 40, 2 ** 63 - 50, 2 ** 64 - 20, 2 ** 70]),
+    st.lists(st.integers(0, 200), max_size=40, unique=True),
+    st.integers(-(2 ** 70), 2 ** 70).filter(bool),
+    st.sampled_from([0.0, 0.25, 0.3, -0.7, 5e-300, Fraction(2, 5)]),
+)
+@settings(max_examples=200, deadline=None)
+@example(5e-300, 2 ** 64 - 20, [0, 19, 20, 21, 200], -3, 0.3)
+@example(GOLDEN, 2 ** 70, [1, 2, 3], 2 ** 64 + 1, 0.0)
+def test_cesaro_matches_the_per_element_reference(alpha, base, offsets, k, start):
+    # Times past 2^64, exact and double angles (an exact one is read as its double), starts, k of both signs.
+    a = Window(sorted(base + x for x in offsets), base + 200)
+    if isinstance(alpha, Fraction):
+        sys = RotationSystem.from_rationals(alpha)
+    else:
+        sys = RotationSystem.from_angle(alpha)
+    assert cesaro_average_along(a, sys, k, start) == _reference_cesaro(a, sys, k, start)
+
+
+@pytest.mark.parametrize("alpha, k", [(0.5, 2), (0.25, -4), (0.0, 3), (Fraction(3, 4), 4)])
+def test_cesaro_closed_form_is_one_when_k_alpha_is_an_integer(alpha, k):
+    # Every term is e^0: the geometric sum degenerates, and the average is 1.
+    assert cesaro_interval_closed_form(7, alpha, k) == 1.0
 
 
 def test_cesaro_k_zero_rejected():

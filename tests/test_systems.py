@@ -281,7 +281,7 @@ def test_torus_cover_flat_ids_in_two_dimensions_at_float_cell_edges():
     # Both coordinates on, or rounding onto, a cell edge (x * 33 rounds up to
     # 11.0, 22.0 and 30.0 for the first three): the array ids, built digit by
     # digit, are ids_of's and the exact floors' for every pair.
-    cover = TorusCover(RotationSystem((GOLDEN, 0.3)), 2, 33, 1 / 33)
+    cover = TorusCover(RotationSystem((GOLDEN, 0.3)), 2, 33)
     xs = [0.3333333333333333, 0.6666666666666666, 0.9090909090909091, 0.9999999999999999, 0.0, 0.5, 1 / 33, 32 / 33]
     pairs = list(itertools.product(xs, repeat=2))
     x, y = (_numerators([p[i] for p in pairs]).reshape(len(xs), len(xs)) for i in (0, 1))
@@ -305,7 +305,7 @@ def test_torus_cover_flat_ids_in_two_dimensions_at_float_cell_edges():
 def test_cell_kernel_is_the_exact_floor_for_every_k_below_two_to_the_32(k, data):
     # floor(s·k / 2^64) from the 32-bit halves of s equals Python's s*k >> 64
     # at both ends and on either side of cell edges j/k.
-    cover = TorusCover(RotationSystem.from_angle(GOLDEN), 1, k, 1.0 / k)
+    cover = TorusCover(RotationSystem.from_angle(GOLDEN), 1, k)
     js = [1, k - 1, k // 2] + ([] if data is None else data.draw(st.lists(st.integers(0, k - 1), max_size=8)))
     s = {0, 2 ** 64 - 1}
     for j in js:
@@ -314,7 +314,7 @@ def test_cell_kernel_is_the_exact_floor_for_every_k_below_two_to_the_32(k, data)
     s = sorted(s)
     assert cover.flat_ids([np.array(s, dtype=np.uint64)], 2 ** 64).tolist() == [v * k >> 64 for v in s]
     # In two dimensions, past 2^31 cells a side the ids are Python ints.
-    square = TorusCover(RotationSystem((GOLDEN, 0.3)), 2, k, 1.0 / k)
+    square = TorusCover(RotationSystem((GOLDEN, 0.3)), 2, k)
     ids = square.flat_ids([np.array(s, dtype=np.uint64), np.array(s[::-1], dtype=np.uint64)], 2 ** 64)
     assert ids.dtype == (object if k * k > 2 ** 62 else np.int64)
     assert ids.tolist() == [(a * k >> 64) * k + (b * k >> 64) for a, b in zip(s, s[::-1])]
@@ -354,6 +354,10 @@ def test_totally_minimal_examples():
     assert v.fails and v.witness == 2
     v = is_totally_minimal(CyclicSystem(6))
     assert v.fails and v.witness == 2  # smallest prime factor
+    v = is_totally_minimal(CyclicSystem(9))
+    assert v.fails and v.witness == 3  # the search steps past 2
+    v = is_totally_minimal(RotationSystem.from_rationals(Fraction(1, 25)))
+    assert v.fails and v.witness == 5
 
 
 def test_totally_minimal_irrational_holds_with_caveat():
