@@ -1257,11 +1257,7 @@ _CESARO_ANGLES = [GOLDEN, 0.0, 0.5, 0.1, 1 / 3, 5e-300, 1 - 2 ** -53, Fraction(1
 @example(GOLDEN, 2 ** 70, [1, 2, 3], 2 ** 64 + 1, 0.0)
 def test_cesaro_matches_the_per_element_reference(alpha, base, offsets, k, start):
     # Times past 2^64, exact and double angles (an exact one is read as its double), starts, k of both signs.
-    a = Window(sorted(base + x for x in offsets), base + 200)
-    if isinstance(alpha, Fraction):
-        sys = RotationSystem.from_rationals(alpha)
-    else:
-        sys = RotationSystem.from_angle(alpha)
+    a, sys = Window(sorted(base + x for x in offsets), base + 200), RotationSystem((alpha,))
     assert cesaro_average_along(a, sys, k, start) == _reference_cesaro(a, sys, k, start)
 
 
