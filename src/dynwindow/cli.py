@@ -102,7 +102,12 @@ def parse_system_spec(spec: str):
     """cyclic:m | rot:angle[,angle...] | odo:p^d | skew:angle | prod(a,b); an angle is golden, p/q or a decimal."""
     spec = spec.strip()
     if spec.startswith("prod(") and spec.endswith(")"):
-        inner = _split_top_level(spec[5:-1])
+        inner = []
+        for part in _split_top_level(spec[5:-1]):  # a part with no kind continues the one before: rot:a,b
+            if inner and ":" not in part and not part.strip().startswith("prod("):
+                inner[-1] += "," + part
+            else:
+                inner.append(part)
         if len(inner) != 2:
             raise SystemSpecError(f"prod(...) takes exactly two specs: {spec!r}")
         return ProductSystem(parse_system_spec(inner[0]), parse_system_spec(inner[1]))
@@ -239,7 +244,10 @@ def _cmd_recurrence(args) -> tuple[dict, list[str], int]:
     w = _load_window(args.path, args.horizon)
     family = args.family.strip()
     if family.startswith("cyclic:<="):
-        max_period = int(family[len("cyclic:<="):])
+        try:
+            max_period = int(family[len("cyclic:<="):])
+        except ValueError as exc:
+            raise SystemSpecError(f"bad cyclic bound in {family!r}") from exc
         family_str = f"cyclic m <= {max_period}"
 
         def tester(window):

@@ -212,7 +212,6 @@ def verify_shifted_recurrence(
     some value <= max_period, the answer is Inconclusive: the construction's
     recurrence argument needs each such shift value to occur.
     """
-    shifts = sorted(shift_range)
     if isinstance(seq, BuiltSequence) and not seq.schedule.uses_default_t:
         present = set(seq.schedule.t)
         missing = [v for v in range(1, max_period + 1) if v not in present]
@@ -223,5 +222,4 @@ def verify_shifted_recurrence(
                     "the window check would not be evidence for the construction"
                 )
             )
-    w = _to_window(seq)
-    return _shift_family_cyclic(w, shifts, max_period)
+    return _shift_family_cyclic(_to_window(seq), shift_range, max_period)

@@ -48,6 +48,9 @@ __all__ = [
 
 DEFAULT_SWEEP_SEED = 1729
 
+# random_windows' least element and the range of its log-uniform window densities.
+_SWEEP_MIN_ELEMENT, _SWEEP_DENSITY_RANGE = 50, (5e-4, 0.5)
+
 # Horizon beyond which the cross-check would have to materialize
 # impractically large return-time / difference windows.
 _CROSSCHECK_HORIZON_CAP = 1_000_000
@@ -450,10 +453,12 @@ def _shift_family_cyclic(a: Window, shifts: Iterable[int], max_period: int) -> V
 
     Shift n keeps the slice of a with -n <= e <= horizon - n and permutes Z/m,
     so the shifted copy misses (empty + n) mod m; no shifted window is built.
-    Every slice contains the core [max lo, min hi): when the core covers Z/m,
+    Both ends of that slice fall as n grows, so every slice contains the
+    core -shifts[0] <= e <= horizon - shifts[-1]: when the core covers Z/m,
     no shift fails at m, so only the periods one ``_missing_residues`` call
-    on the core leaves open are read.  Shifts run in ascending order, each
-    over its open periods in ascending order, up to the first miss: the least
+    on the core leaves open are read, and a shift's own slice is found only
+    when some period is open.  Shifts run in ascending order, each over its
+    open periods in ascending order, up to the first miss: the least
     failing shift at its least failing period.  A Python-int window is
     reduced mod m once per period.
     """
@@ -461,12 +466,12 @@ def _shift_family_cyclic(a: Window, shifts: Iterable[int], max_period: int) -> V
     if shifts and max_period < 1:
         raise ValueError("max_period must be >= 1")
     arr = _small_ints(a.array)
-    bounds = [_span(a, -n, a.horizon - n) for n in shifts]
-    core = arr[max((lo for lo, _ in bounds), default=0) : min((hi for _, hi in bounds), default=0)]
+    core = arr[slice(*_span(a, -shifts[0], a.horizon - shifts[-1]))] if shifts else arr[:0]
     core_missing = _missing_residues(core, max_period)  # an empty core misses 0 mod every m
     periods = [m for m in range(1, max_period + 1) if core_missing[m - 1] is not None]
     residues = {}
-    for n, (lo, hi) in zip(shifts, bounds):
+    for n in shifts if periods else ():
+        lo, hi = _span(a, -n, a.horizon - n)
         for m in periods:
             if m not in residues:
                 residues[m] = arr if arr.dtype != object else (arr % m).astype(np.int64)
@@ -737,29 +742,22 @@ def cesaro_interval_closed_form(n_terms: int, alpha: float, k: int) -> float:
     return abs(math.sin(math.pi * y_top)) / (n_terms * abs(math.sin(math.pi * y1)))
 
 
-def random_windows(
-    count: int,
-    horizon: int,
-    seed: int = DEFAULT_SWEEP_SEED,
-    min_element: int = 50,
-    density_range: tuple[float, float] = (5e-4, 0.5),
-) -> list[Window]:
+def random_windows(count: int, horizon: int, seed: int = DEFAULT_SWEEP_SEED) -> list[Window]:
     """Seeded random windows with per-window density varied log-uniformly.
 
-    Support starts at min_element so the cross-check's bottom-edge caveat
-    never triggers; identical (count, horizon, seed, ...) give identical
+    Support starts at _SWEEP_MIN_ELEMENT so the cross-check's bottom-edge
+    caveat never triggers; identical (count, horizon, seed) give identical
     windows byte for byte.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if min_element > horizon:
-        raise ValueError(f"horizon {horizon} is below the sweep's support floor min_element = {min_element}")
+    if _SWEEP_MIN_ELEMENT > horizon:
+        raise ValueError(f"horizon {horizon} is below the sweep's support floor min_element = {_SWEEP_MIN_ELEMENT}")
     rng = np.random.default_rng(seed)
-    lo, hi = density_range
     out = []
-    span = horizon - min_element + 1
+    span = horizon - _SWEEP_MIN_ELEMENT + 1
     for _ in range(count):
-        density = 10.0 ** rng.uniform(math.log10(lo), math.log10(hi))
+        density = 10.0 ** rng.uniform(*map(math.log10, _SWEEP_DENSITY_RANGE))
         mask = rng.random(span) < density
-        out.append(Window(np.flatnonzero(mask) + min_element, horizon))
+        out.append(Window(np.flatnonzero(mask) + _SWEEP_MIN_ELEMENT, horizon))
     return out

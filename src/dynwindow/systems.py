@@ -21,9 +21,10 @@ distance reads no start coordinate: one class, whose first start is the
 grid's first.  The skew product's reads x only: one class per x of the
 grid, first (x, 0.0).  ``cover(eps)`` raises ValueError unless eps > 0;
 its cover partitions the space into cells of mesh <= eps, numbered
-0..cell_count()-1, and answers ``cell_of``, ``ids_of`` (many states' cell
-numbers, as an array), ``flat_id`` (a cell's number), ``cell_at`` (the
-cell with a number) and ``cell_count`` for its ``system``.
+0..cell_count()-1, and answers ``cell_of``, ``flat_id`` (a cell's
+number, so a state's is ``flat_id(cell_of(s))``), ``cell_at`` (the cell
+with a number) and ``cell_count`` for its ``system``, which it reads and
+never copies.
 Cycles and odometers share ``FiniteSystem``; rotations and the skew product
 share ``TorusSystem``; ``ProductSystem`` answers componentwise, and its
 ``along`` answers ``cells`` only, joined from its factors' cells.
@@ -227,7 +228,7 @@ class FiniteSystem:
     def cover(self, eps: float) -> "FiniteCover":
         if not eps > 0:
             raise ValueError("eps must be > 0")
-        return FiniteCover(self, self.size)
+        return FiniteCover(self)
 
     def distance(self, s1, s2) -> float:
         return 0.0 if self.encode(s1) == self.encode(s2) else 1.0
@@ -357,7 +358,7 @@ class TorusSystem:
     def cover(self, eps: float) -> "TorusCover":
         if not eps > 0:
             raise ValueError("eps must be > 0")
-        return TorusCover(self, self.dimension, max(1, math.ceil(1.0 / eps)))
+        return TorusCover(self, max(1, math.ceil(1.0 / eps)))
 
     def distance(self, s1, s2) -> float:
         """Max circular distance over the coordinates, exact, then rounded once."""
@@ -521,7 +522,11 @@ class _ProductOrbits:
         self.left, self.right = sys.left.along(a, [s[0] for s in starts]), sys.right.along(a, [s[1] for s in starts])
 
     def cells(self, cover: "ProductCover") -> np.ndarray:
-        return cover._join(self.left.cells(cover.left), self.right.cells(cover.right))
+        # Cell (l, r) is numbered l * right.cell_count() + r, as Python ints past 2^62 cells.
+        left = self.left.cells(cover.left)
+        if cover.cell_count() > _FLAT_ID_CAP:
+            left = left.astype(object)
+        return left * cover.right.cell_count() + self.right.cells(cover.right)
 
 
 def orbit_at(sys, start, n: int):
@@ -538,13 +543,9 @@ class FiniteCover:
     """Singleton cells for a finite system; ids are cycle positions 0..size-1."""
 
     system: FiniteSystem
-    size: int
 
     def cell_of(self, state):
         return self.system.encode(state)
-
-    def ids_of(self, states) -> np.ndarray:
-        return _id_array([self.cell_of(s) for s in states], self.size)
 
     def cell_at(self, flat: int):
         return flat
@@ -552,7 +553,7 @@ class FiniteCover:
     flat_id = cell_at  # a cell is its number
 
     def cell_count(self) -> int:
-        return self.size
+        return self.system.size
 
 
 @dataclass(frozen=True)
@@ -560,7 +561,6 @@ class TorusCover:
     """Half-open boxes [k/K, (k+1)/K)^d with K = ceil(1/eps), tiling exactly."""
 
     system: TorusSystem
-    dimension: int
     k: int
 
     def _coord_cell(self, x) -> int:
@@ -581,17 +581,13 @@ class TorusCover:
     def cell_at(self, flat: int):
         """The cell numbered flat; the inverse of flat_id."""
         digits = []
-        for _ in range(self.dimension):
+        for _ in range(self.system.dimension):
             flat, c = divmod(flat, self.k)
             digits.append(c)
-        return digits[0] if self.dimension == 1 else tuple(reversed(digits))
-
-    def ids_of(self, states) -> np.ndarray:
-        """flat_id(cell_of(s)) for each state; int64, or Python ints past 2^62 cells."""
-        return _id_array([self.flat_id(self.cell_of(s)) for s in states], self.cell_count())
+        return self.system._state(digits[::-1])
 
     def flat_ids(self, coords: Sequence[np.ndarray], den: int) -> np.ndarray:
-        """ids_of for states given as numerator arrays over den (uint64, or Python ints) of any one shape.
+        """The cell numbers of states given as numerator arrays over den (uint64, or Python ints) of any one shape.
 
         A coordinate s is in cell floor(s·k / den): for uint64 and k < 2^32, s·k // den
         for den < 2^31, else (hi·k + (lo·k >> 32)) >> 32 on the 32-bit halves of s.
@@ -608,7 +604,7 @@ class TorusCover:
         return ids
 
     def cell_count(self) -> int:
-        return self.k ** self.dimension
+        return self.k ** self.system.dimension
 
 
 @dataclass(frozen=True)
@@ -623,15 +619,6 @@ class ProductCover:
         sl, sr = state
         return (self.left.cell_of(sl), self.right.cell_of(sr))
 
-    def ids_of(self, states) -> np.ndarray:
-        return self._join(self.left.ids_of([s[0] for s in states]), self.right.ids_of([s[1] for s in states]))
-
-    def _join(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        # Python ints past 2^62 cells, as _id_array numbers them.
-        if self.cell_count() > _FLAT_ID_CAP:
-            left = left.astype(object)
-        return left * self.right.cell_count() + right
-
     def flat_id(self, cell) -> int:
         return self.left.flat_id(cell[0]) * self.right.cell_count() + self.right.flat_id(cell[1])
 
@@ -641,11 +628,6 @@ class ProductCover:
 
     def cell_count(self) -> int:
         return self.left.cell_count() * self.right.cell_count()
-
-
-def _id_array(ids: list, cells: int) -> np.ndarray:
-    # Cell numbers are int64, or Python ints past 2^62 cells.
-    return np.array(ids, dtype=np.int64 if cells <= _FLAT_ID_CAP else object)
 
 
 def _coverage(ids: np.ndarray, cells: int) -> tuple[np.ndarray, np.ndarray]:
@@ -686,7 +668,8 @@ def eps_dense(sys, states: Sequence, cover) -> Verdict:
     if cover.system != sys:
         raise CoverMismatchError(f"cover built for {cover.system!r}, not {sys!r}")
     total = cover.cell_count()
-    hits, empties = _coverage(cover.ids_of(states)[None], total)
+    ids = np.array([cover.flat_id(cover.cell_of(s)) for s in states], dtype=np.int64 if total <= _FLAT_ID_CAP else object)
+    hits, empties = _coverage(ids[None], total)
     if int(hits[0]) < total:
         cell = cover.cell_at(int(empties[0]))
         return Verdict.fail(cell, note=f"cell {cell} of {total} is unvisited")

@@ -52,7 +52,8 @@ def test_parse_system_specs():
 
 
 def test_parse_system_spec_errors():
-    for bad in ("cyclic", "cyclic:x", "odo:8", "rot:one", "prod(cyclic:2)", "blah:3"):
+    for bad in ("cyclic", "cyclic:x", "odo:8", "rot:one", "prod(cyclic:2)", "blah:3",
+                "prod(0.1,cyclic:3)", "prod(skew:0.1,0.2)"):
         with pytest.raises(SystemSpecError):
             parse_system_spec(bad)
 
@@ -83,6 +84,11 @@ def test_recurrence_finite_family_spec_is_operational_error(squares_file, capsys
     # odo/cyclic single systems are not metric families for `recurrence`
     assert main(["recurrence", squares_file, "odo:2^3"]) == 1
     assert "metric" in capsys.readouterr().err
+
+
+def test_recurrence_bad_cyclic_bound_is_operational_error(squares_file, capsys):
+    assert main(["recurrence", squares_file, "cyclic:<=x"]) == 1
+    assert capsys.readouterr().err == "error: bad cyclic bound in 'cyclic:<=x'\n"
 
 
 def test_recurrence_squares_vs_small_cycles(squares_file, capsys):

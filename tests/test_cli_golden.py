@@ -76,8 +76,15 @@ def _corpus_specs() -> list[str]:
 # Specs of the corpus that no system holds: their golden lines pin the error.
 _REJECTED = {"rot:nan", "rot:inf", "skew:1e400"}
 
+# Products with a multi-angle rotation factor, whose angles follow the factor's kind.
+_MULTI_ANGLE_PRODUCTS = [
+    "prod(rot:0.1,0.2,cyclic:3)",
+    "prod(cyclic:3,rot:1/3,2/5)",
+    "prod(prod(rot:golden,0.3,cyclic:2),rot:0.25,0.5)",
+]
 
-@pytest.mark.parametrize("spec", [s for s in _corpus_specs() if s not in _REJECTED])
+
+@pytest.mark.parametrize("spec", [s for s in _corpus_specs() if s not in _REJECTED] + _MULTI_ANGLE_PRODUCTS)
 def test_corpus_spec_round_trips(spec):
     # A spec_string denotes the system it came from, and is a fixed point.
     from dynwindow.cli import parse_system_spec

@@ -1,6 +1,7 @@
 """IP-block construction: spacing, sparsity, residue coverage, both verifier halves."""
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -39,12 +40,30 @@ def test_schedule_validation():
     assert sched.uses_default_t
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (dict(t=(), k=()), "need at least one block"),
+        (dict(t=(1, 2), k=(2,)), "t and k must have equal length"),
+        (dict(t=(1,), k=(2,), base=(3, 3)), "base must have one entry per block"),
+        (dict(t=(1, 2), k=(2, 3), base=(None, 0)), "base values must be >= 1"),
+        (dict(t=(1,), k=(2,), generators=()), "generators must have one multiset per block"),
+        (dict(t=(1,), k=(2,), initial_gap=0), "initial_gap must be >= 1"),
+    ],
+)
+def test_schedule_rejects_each_bad_field(fields, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        IPBlockSchedule(**fields)
+
+
 def test_schedule_from_json():
     sched = IPBlockSchedule.from_json({"t": [1, 2, 3], "k": [2, 3, 4], "base": 23})
     assert sched.base == (23, 23, 23)
     assert not sched.uses_default_t  # (1, 2, 3) != (1, 2, 1)
     sched = IPBlockSchedule.from_json({"t": [1, 2], "k": [2, 3]})
     assert sched.base is None and sched.uses_default_t
+    sched = IPBlockSchedule.from_json({"t": [1, 2], "k": [2, 3], "base": [None, 7]})
+    assert sched.base == (None, 7)  # None derives that block's base from the origin
 
 
 def test_single_block_with_generator_one():

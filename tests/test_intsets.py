@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import bisect
 import operator
+import re
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
@@ -1371,3 +1372,26 @@ def test_trusted_window_keeps_the_array_cap_and_the_horizon_check():
     assert Window((0, 3), 10).restrict(20) == Window((0, 3), 20)
     far = Window((0, 3), 10).restrict(2 ** 70)
     assert far == Window((0, 3), 2 ** 70) and far.array.dtype == object
+
+
+_BELOW_ONE = "need 1 <= interval_length <= horizon + 1"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: is_syndetic(interval(0, 9), 0), "gap_bound must be >= 1", id="is_syndetic"),
+        pytest.param(lambda: is_thick(interval(0, 9), 0), "run_length must be >= 1", id="is_thick"),
+        pytest.param(lambda: piecewise_syndetic_certificate(interval(0, 9), 0, 3), "gap_bound must be >= 1",
+                     id="piecewise_syndetic_certificate"),
+        pytest.param(lambda: banach_density_estimate(interval(0, 9), 0), _BELOW_ONE, id="banach-length-0"),
+        pytest.param(lambda: banach_density_estimate(interval(0, 9), 11), _BELOW_ONE, id="banach-length-past-horizon"),
+    ],
+)
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def test_window_past_the_bitmask_cap_has_no_bitmask():
+    assert Window((1,), _BITMASK_HORIZON_CAP + 1).bitmask is None

@@ -4,6 +4,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -194,6 +195,8 @@ def test_find_prime_respects_leading_bound():
     # lead 9 forces p > 9, so candidates start at 11
     res = find_non_surjective_prime((0, 0, 9), 100)
     assert res.p == 11
+    # A trailing zero is trimmed first: 3x^2 + 0x^3 leads with 3, so p > 3.
+    assert find_non_surjective_prime([0, 0, 3, 0], 100).p == 5
 
 
 def test_find_prime_errors():
@@ -225,6 +228,7 @@ def test_parse_examples():
     assert parse_int_polynomial("x") == (0, 1)
     assert parse_int_polynomial("2x^2 - x^2") == (0, 0, 1)
     assert parse_int_polynomial("5*x^2") == (0, 0, 5)
+    assert parse_int_polynomial("x^2-x^2+1") == (1,)  # cancelled terms are trimmed
 
 
 def test_parse_rejects_garbage():
@@ -535,3 +539,18 @@ def test_hermite_loop_picks_its_dtype_at_the_int64_bound(monkeypatch, degree):
     below, above = _prime_from(bound, -1), _prime_from(bound + 1, 1)
     assert _dtype(below, terms) is np.int64 and terms * (below - 1) ** 2 < 2 ** 63
     assert _dtype(above, terms) is object and terms * (above - 1) ** 2 > 2 ** 63 - 1
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda: poly_mul(PolyModP.make(5, (1, 1)), PolyModP.make(7, (1, 1))), ValueError, "mixed fields",
+                     id="poly_mul"),
+        pytest.param(lambda: pow_reduced(PolyModP.make(5, (1, 1)), -1), ValueError, "k must be >= 0", id="pow_reduced"),
+        pytest.param(lambda: parse_int_polynomial("x+"), PolynomialSyntaxError, "cannot tokenize 'x+'",
+                     id="parse_int_polynomial"),
+    ],
+)
+def test_input_checks(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()

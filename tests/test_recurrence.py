@@ -5,6 +5,7 @@ import cmath
 import gc
 import math
 import random
+import re
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -1645,3 +1646,21 @@ def test_metric_huge_cover_reports_without_listing_cells():
     report = r_sequence_metric(w, rot, 1e-10, 0.5)
     assert report.verdict.fails and report.verdict.witness == (0, 1)
     assert report.per_system == {"(0.0, 0.0)": {"cells_hit": hit, "cells": 10 ** 20, "empty_cell": (0, 1)}}
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: return_times(CyclicSystem(3), 0, 0, 0), "horizon must be >= 1", id="return_times"),
+        pytest.param(lambda: r_sequence_cyclic(interval(0, 9), 0), "max_period must be >= 1", id="r_sequence_cyclic"),
+        pytest.param(lambda: crosscheck_cyclic_equivalence(interval(0, 9), 3, []), "shift range must be nonempty",
+                     id="crosscheck_cyclic_equivalence"),
+        pytest.param(lambda: finite_subcover(interval(0, 9), 0), "m must be >= 1", id="finite_subcover"),
+        pytest.param(lambda: product_transitive_finite(0, 3), "m, n must be >= 1", id="product_transitive_finite"),
+        pytest.param(lambda: cesaro_interval_closed_form(5, GOLDEN, 0), "k must be nonzero", id="cesaro-k"),
+        pytest.param(lambda: cesaro_interval_closed_form(0, GOLDEN, 1), "need at least one term", id="cesaro-terms"),
+    ],
+)
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

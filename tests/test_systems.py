@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -160,7 +161,7 @@ def test_eps_dense_golden_orbit_by_three_distance_oracle():
 def _ref_cells(cover):
     # Every cell in canonical order, listed lazily from the cover's structure.
     if isinstance(cover, FiniteCover):
-        yield from range(cover.size)
+        yield from range(cover.system.size)
     elif isinstance(cover, ProductCover):
         for left in _ref_cells(cover.left):
             for right in _ref_cells(cover.right):
@@ -173,7 +174,8 @@ def _ref_cells(cover):
                 for c in range(cover.k):
                     for rest in digits(d - 1):
                         yield (c,) + rest
-        yield from (cell[0] if cover.dimension == 1 else cell for cell in digits(cover.dimension))
+        dim = cover.system.dimension
+        yield from (cell[0] if dim == 1 else cell for cell in digits(dim))
 
 
 def _ref_eps_dense(sys, states, cover) -> Verdict:
@@ -227,7 +229,8 @@ def test_eps_dense_matches_the_set_scan_on_covers_past_2_62_cells():
     ]
     for sys, states in cases:
         cover = sys.cover(1e-10)
-        assert cover.cell_count() > 2 ** 62 and cover.ids_of(states).dtype == object
+        last = cover.cell_count() - 1
+        assert last > 2 ** 63 and cover.flat_id(cover.cell_at(last)) == last
         assert eps_dense(sys, states, cover) == _ref_eps_dense(sys, states, cover)
 
 
@@ -280,20 +283,20 @@ def test_torus_cover_cell_is_the_exact_floor_at_float_cell_edges():
 def test_torus_cover_flat_ids_in_two_dimensions_at_float_cell_edges():
     # Both coordinates on, or rounding onto, a cell edge (x * 33 rounds up to
     # 11.0, 22.0 and 30.0 for the first three): the array ids, built digit by
-    # digit, are ids_of's and the exact floors' for every pair.
-    cover = TorusCover(RotationSystem((GOLDEN, 0.3)), 2, 33)
+    # digit, are the per-state numbers' and the exact floors' for every pair.
+    cover = TorusCover(RotationSystem((GOLDEN, 0.3)), 33)
     xs = [0.3333333333333333, 0.6666666666666666, 0.9090909090909091, 0.9999999999999999, 0.0, 0.5, 1 / 33, 32 / 33]
     pairs = list(itertools.product(xs, repeat=2))
     x, y = (_numerators([p[i] for p in pairs]).reshape(len(xs), len(xs)) for i in (0, 1))
     ids = cover.flat_ids([x, y], 2 ** 64)
     assert ids.shape == (len(xs), len(xs)) and ids.dtype == np.int64
-    assert ids.ravel().tolist() == cover.ids_of(pairs).tolist()
+    assert ids.ravel().tolist() == [cover.flat_id(cover.cell_of(p)) for p in pairs]
     assert ids.ravel().tolist() == [math.floor(Fraction(a) * 33) * 33 + math.floor(Fraction(b) * 33) for a, b in pairs]
     # Numerators are on the torus by construction; per state, a coordinate
     # off the torus is clamped into [0, 32].
     off = list(itertools.product([-1.5, -1.0, -0.25, 1.0, 1.25, 0.5], repeat=2))
     clamp = [min(max(math.floor(Fraction(v) * 33), 0), 32) for v in (-1.5, -1.0, -0.25, 1.0, 1.25, 0.5)]
-    assert cover.ids_of(off).tolist() == [a * 33 + b for a, b in itertools.product(clamp, repeat=2)]
+    assert [cover.flat_id(cover.cell_of(p)) for p in off] == [a * 33 + b for a, b in itertools.product(clamp, repeat=2)]
 
 
 @given(st.integers(1, 2 ** 32 - 1), st.data())
@@ -305,7 +308,7 @@ def test_torus_cover_flat_ids_in_two_dimensions_at_float_cell_edges():
 def test_cell_kernel_is_the_exact_floor_for_every_k_below_two_to_the_32(k, data):
     # floor(s·k / 2^64) from the 32-bit halves of s equals Python's s*k >> 64
     # at both ends and on either side of cell edges j/k.
-    cover = TorusCover(RotationSystem.from_angle(GOLDEN), 1, k)
+    cover = TorusCover(RotationSystem.from_angle(GOLDEN), k)
     js = [1, k - 1, k // 2] + ([] if data is None else data.draw(st.lists(st.integers(0, k - 1), max_size=8)))
     s = {0, 2 ** 64 - 1}
     for j in js:
@@ -314,7 +317,7 @@ def test_cell_kernel_is_the_exact_floor_for_every_k_below_two_to_the_32(k, data)
     s = sorted(s)
     assert cover.flat_ids([np.array(s, dtype=np.uint64)], 2 ** 64).tolist() == [v * k >> 64 for v in s]
     # In two dimensions, past 2^31 cells a side the ids are Python ints.
-    square = TorusCover(RotationSystem((GOLDEN, 0.3)), 2, k)
+    square = TorusCover(RotationSystem((GOLDEN, 0.3)), k)
     ids = square.flat_ids([np.array(s, dtype=np.uint64), np.array(s[::-1], dtype=np.uint64)], 2 ** 64)
     assert ids.dtype == (object if k * k > 2 ** 62 else np.int64)
     assert ids.tolist() == [(a * k >> 64) * k + (b * k >> 64) for a, b in zip(s, s[::-1])]
@@ -596,7 +599,7 @@ def test_per_state_orbits_and_cells_agree_with_along(sys, coords, times, eps):
     # orbit_at, step and cell_of give the exact orbit's cells, as along and the reference do.
     start = _start(sys, coords)
     cover = sys.cover(eps)
-    per_state = cover.ids_of([sys.orbit_at(start, n) for n in times]).tolist()
+    per_state = [cover.flat_id(cover.cell_of(sys.orbit_at(start, n))) for n in times]
     along = sys.along(Window(tuple(times), times[-1] if times else 0), [start]).cells(cover)[0].tolist()
     assert per_state == along == [ref.flat_id(ref.state(sys, start, n), cover.k) for n in times]
     assert sys.step(sys.step(start)) == sys.orbit_at(start, 2)
@@ -750,7 +753,8 @@ def _ref_periodic_rows(sys, times, period, start, cover):
     index = np.array([first.setdefault(n % period, len(first)) for n in times], dtype=np.intp)
     states = [sys.orbit_at(start, m) for m in first]
     distances = np.array([sys.distance(s, start) for s in states], dtype=np.float64)
-    return cover.ids_of(states)[index].tolist(), distances[index].tolist()
+    ids = [cover.flat_id(cover.cell_of(s)) for s in states]
+    return [ids[i] for i in index], distances[index].tolist()
 
 
 PERIODIC_SYSTEMS = [
@@ -795,11 +799,28 @@ def test_torus_cover_flat_ids_in_canonical_order():
 
 
 def test_torus_cover_ids_past_int64_are_python_ints():
-    # 10^10 x 10^10 cells do not fit int64 flat ids.
-    sys = RotationSystem((GOLDEN, 0.3))
-    cover = sys.cover(1e-10)
+    # 10^10 x 10^10 cells do not fit int64 flat ids, on the 2-torus or on a
+    # product of two circles, which numbers its cells as the torus does.
+    torus = RotationSystem((GOLDEN, 0.3))
     times = (1, 2, 10 ** 5)
-    ids = sys.along(Window(times, times[-1]), [(0.5, 0.25)]).cells(cover)[0]
-    assert ids.dtype == object
-    expected = [ref.flat_id(ref.state(sys, (0.5, 0.25), n), cover.k) for n in times]
-    assert ids.tolist() == expected and max(expected) > 2 ** 63
+    expected = [ref.flat_id(ref.state(torus, (0.5, 0.25), n), ref.sides(1e-10)) for n in times]
+    for sys in (torus, ProductSystem(RotationSystem.from_angle(GOLDEN), RotationSystem.from_angle(0.3))):
+        ids = sys.along(Window(times, times[-1]), [(0.5, 0.25)]).cells(sys.cover(1e-10))[0]
+        assert ids.dtype == object
+        assert ids.tolist() == expected and max(expected) > 2 ** 63
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: CyclicSystem(0), "period must be >= 1", id="cyclic-period"),
+        pytest.param(lambda: OdometerSystem(1, 2), "base must be >= 2", id="odometer-base"),
+        pytest.param(lambda: OdometerSystem(2, 0), "depth must be >= 1", id="odometer-depth"),
+        pytest.param(lambda: OdometerSystem(2, 2).encode(4), "state 4 outside [0, 4)", id="odometer-int-state"),
+        pytest.param(lambda: OdometerSystem(2, 2).encode((0, 2)), "bad digit state (0, 2)", id="odometer-digit-state"),
+        pytest.param(lambda: RotationSystem(()), "need at least one angle", id="rotation-angles"),
+    ],
+)
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
