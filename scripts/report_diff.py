@@ -1,41 +1,18 @@
 """Fingerprint a fixed list of CLI and library calls, to pin and to diff their output.
 
-Runs in-process ``dynwindow.cli.main`` calls against the ``dynwindow`` found
-on ``PYTHONPATH``, from an empty temporary directory, and prints one line per
-call: the exit code, the sha256 of stdout and stderr, and the sha256 of each
-file the call writes (the values of ``--out`` and ``--report``).  The calls
-cover every subcommand, the cli-files benchmark inputs of seed 1 (generated
-by ``perfbench/workloads.py``), a set of malformed sequence files and files
-at the read boundary (not UTF-8, a BOM, non-ASCII comments).  Then
-one line per library call of the metric-density benchmark, seed 1
-(``r_sequence_metric`` and ``birkhoff_window_test``): the sha256 of the
-``repr`` of its result, named ``library <op name>``.  Last, one line for
-all the calls of the crosscheck-sweep benchmark, seed 1
-(``crosscheck_cyclic_equivalence``): the sha256 of their ``repr`` lines in
-op order, named ``library crosscheck-sweep``.  Each of them holds, with
-the same note, so a line per call would repeat one digest.  Then one line
-for the ``return_times`` windows of ``RETURN_TIMES`` at horizon 20,000:
-the sha256 of their ``repr`` lines, named ``library return-times``.  Then
-one line for the orbits that repeat (cycles, odometers and exact rotations,
-alone and in products): the sha256 of the ``repr`` lines of the
-``return_times`` windows of ``PERIODIC_RETURN_TIMES`` at horizon 20,000 and
-of ``birkhoff_window_test`` on every third time of [1, 3000) for each spec
-of ``PERIODIC_BIRKHOFF``, named ``library periodic-orbits``.  Then one line
-for the skew products, whose return distance reads a start's x only: the
-sha256 of the ``repr`` lines of ``birkhoff_window_test`` on each spec of
-``BIRKHOFF_CLASSES`` over seeded windows, named ``library birkhoff-classes``.
-Last, one line for ``difference_set`` on seeded windows, sparse, near
-density 1/2 and dense (``DIFFERENCE_SET_SPANS`` × ``DIFFERENCE_SET_DENSITIES``),
-each scaled by every stride of ``DIFFERENCE_SET_STRIDES``: the sha256 of the
-``repr`` lines of the results, named ``library difference-sets``.  Last, one
-line for start batches whose denominators differ: the sha256 of the ``repr``
-lines of ``r_sequence_metric`` and ``birkhoff_window_test`` on each row of
-``BATCH_DENOMINATORS`` over a seeded window, named ``library batch-denominators``.
-Last, one line for cross-checks whose predicates honestly disagree at the
-bottom edge: the sha256 of the ``repr`` lines (status, witness and note) of
-``crosscheck_cyclic_equivalence`` on ``Window((0, 1, 2, 3), 50)`` at
-M = 3 and on the seeded windows of ``CROSSCHECK_DISAGREEMENT_SEEDS``, named
-``library crosscheck-disagreements``.
+Runs the calls against the ``dynwindow`` found on ``PYTHONPATH``, from an
+empty temporary directory, and prints one line per call, of one of three
+kinds:
+
+- a CLI call, an in-process ``dynwindow.cli.main`` call of ``CALLS`` or of the
+  cli-files benchmark, seed 1 (generated by ``perfbench/workloads.py``): its
+  exit code, the sha256 of its stdout and stderr, and the sha256 of each file
+  it writes (the values of ``--out`` and ``--report``);
+- a metric-density op, one library call of the metric-density benchmark,
+  seed 1: the sha256 of the ``repr`` of its result, named ``library <op name>``;
+- a group of library calls, one line per entry of the mapping in
+  ``fingerprints()``: the sha256 of the ``repr`` lines of its results in
+  order, named ``library <group>``.
 
 ``tests/golden/cli.txt`` holds these lines, and ``tests/test_cli_golden.py``
 regenerates them and names every call whose line moved.  A change that moves
@@ -58,10 +35,17 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import os
 import sys
 import tempfile
 from pathlib import Path
+
+import dynwindow
+import numpy as np
+from dynwindow import Window, birkhoff_window_test, crosscheck_cyclic_equivalence, difference_set
+from dynwindow import r_sequence_metric, return_times
+from dynwindow.cli import main as cli_main, parse_system_spec
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -321,109 +305,30 @@ def fingerprint(main, argv: list[str]) -> str:
     return " ".join(fields) + " :: " + " ".join(argv)
 
 
-def library_fingerprint(op) -> str:
-    return f"repr={_sha(repr(op.call(0)).encode())} :: library {op.name}"
-
-
-def library_digest(name: str, ops) -> str:
-    reprs = "".join(repr(op.call(0)) + "\n" for op in ops)
-    return f"repr={_sha(reprs.encode())} :: library {name}"
-
-
-def _return_times_reprs(rows) -> str:
-    from dynwindow import return_times
-    from dynwindow.cli import parse_system_spec
-
-    reprs = ""
+def _return_times(rows):
+    # Each row's return-time window N(x, U) at horizon 20,000.
     for spec, start, cell, eps in rows:
         system = parse_system_spec(spec)
-        reprs += repr(return_times(system, start, cell, 20_000, cover=system.cover(eps))) + "\n"
-    return reprs
+        yield return_times(system, start, cell, 20_000, cover=system.cover(eps))
 
 
-def return_times_digest() -> str:
-    return f"repr={_sha(_return_times_reprs(RETURN_TIMES).encode())} :: library return-times"
+def _draw(seed: int, count: int) -> np.ndarray:
+    # count distinct times drawn from [1, 10^6], sorted.
+    return np.sort(np.random.default_rng(seed).choice(10 ** 6, count, replace=False) + 1)
 
 
-def periodic_orbits_digest() -> str:
-    from dynwindow import Window, birkhoff_window_test
-    from dynwindow.cli import parse_system_spec
-
-    reprs = _return_times_reprs(PERIODIC_RETURN_TIMES)
-    window = Window(range(1, 3000, 3), 3000)
-    for spec in PERIODIC_BIRKHOFF:
-        reprs += repr(birkhoff_window_test(window, parse_system_spec(spec), 0.05, 0.25)) + "\n"
-    return f"repr={_sha(reprs.encode())} :: library periodic-orbits"
-
-
-def birkhoff_classes_digest() -> str:
-    import numpy as np
-
-    from dynwindow import Window, birkhoff_window_test
-    from dynwindow.cli import parse_system_spec
-
-    reprs = ""
-    for seed in BIRKHOFF_CLASS_SEEDS:
-        drawn = np.sort(np.random.default_rng(seed).choice(10 ** 6, 40, replace=False) + 1)
-        for times in (drawn, 3 * drawn + 1):
-            window = Window(times.tolist(), int(times[-1]))
-            for spec in BIRKHOFF_CLASSES:
-                for grid in (0.25, 0.1):
-                    for eps in (0.02, 0.002):
-                        reprs += repr(birkhoff_window_test(window, parse_system_spec(spec), eps, grid)) + "\n"
-    return f"repr={_sha(reprs.encode())} :: library birkhoff-classes"
-
-
-def difference_sets_digest() -> str:
-    import numpy as np
-
-    from dynwindow import Window, difference_set
-
-    reprs = ""
-    for seed, (span, density) in enumerate((s, d) for s in DIFFERENCE_SET_SPANS for d in DIFFERENCE_SET_DENSITIES):
-        offsets = np.sort(np.random.default_rng(seed).choice(span + 1, round(density * (span + 1)), replace=False))
-        for stride in DIFFERENCE_SET_STRIDES:
-            window = Window([7 + stride * t for t in offsets.tolist()], 7 + stride * span)
-            reprs += repr(difference_set(window)) + "\n"
-    return f"repr={_sha(reprs.encode())} :: library difference-sets"
-
-
-def batch_denominators_digest() -> str:
-    import numpy as np
-
-    from dynwindow import Window, birkhoff_window_test, r_sequence_metric
-    from dynwindow.cli import parse_system_spec
-
-    reprs = ""
-    for seed, (spec, grid, eps, count) in enumerate(BATCH_DENOMINATORS):
-        times = np.sort(np.random.default_rng(seed).choice(10 ** 6, count, replace=False) + 1)
-        window, system = Window(times.tolist(), 10 ** 6), parse_system_spec(spec)
-        reprs += repr(r_sequence_metric(window, system, eps, grid)) + "\n"
-        reprs += repr(birkhoff_window_test(window, system, eps, grid)) + "\n"
-    return f"repr={_sha(reprs.encode())} :: library batch-denominators"
-
-
-def crosscheck_disagreements_digest() -> str:
-    import numpy as np
-
-    from dynwindow import Window, crosscheck_cyclic_equivalence
-
-    reprs = repr(crosscheck_cyclic_equivalence(Window((0, 1, 2, 3), 50), 3, range(-2, 3))) + "\n"
-    for seed in CROSSCHECK_DISAGREEMENT_SEEDS:
-        rng = np.random.default_rng(seed)
-        top, count = int(rng.integers(20, 401)), int(rng.integers(2, 25))
-        elements = [0] + sorted(rng.choice(np.arange(1, top + 1), count, replace=False).tolist())
-        shifts = range(0, 1) if seed % 2 else range(-6, 7)
-        reprs += repr(crosscheck_cyclic_equivalence(Window(elements, 400), 12, shifts)) + "\n"
-    return f"repr={_sha(reprs.encode())} :: library crosscheck-disagreements"
+def _disagreement(seed: int) -> tuple:
+    # The window, M and shifts that seed draws (CROSSCHECK_DISAGREEMENT_SEEDS).
+    rng = np.random.default_rng(seed)
+    top, count = int(rng.integers(20, 401)), int(rng.integers(2, 25))
+    elements = [0] + sorted(rng.choice(np.arange(1, top + 1), count, replace=False).tolist())
+    return Window(elements, 400), 12, range(0, 1) if seed % 2 else range(-6, 7)
 
 
 def fingerprints() -> list[str]:
     """The line of every call, in list order, all run in one temporary directory of input files."""
     if str(PERFBENCH) not in sys.path:
         sys.path.insert(0, str(PERFBENCH))
-    from dynwindow.cli import main as cli_main
-
     import workloads
 
     cwd = os.getcwd()
@@ -435,16 +340,57 @@ def fingerprints() -> list[str]:
             calls = [call.split() + ["--json"] for call in CALLS]
             calls += [op.params["argv"] for op in workloads.build_cli_files(1, Path("cli-files"))]
             lines = [fingerprint(cli_main, argv) for argv in calls]
-            lines += [library_fingerprint(op) for op in workloads.build_metric_density(1, Path("metric-density"))]
-            sweep = workloads.build_crosscheck_sweep(1, Path("crosscheck-sweep"))
+            lines += [
+                f"repr={_sha(repr(op.call(0)).encode())} :: library {op.name}"
+                for op in workloads.build_metric_density(1, Path("metric-density"))
+            ]
+            groups = {
+                # crosscheck_cyclic_equivalence on the crosscheck-sweep benchmark, seed 1, in op order.
+                "crosscheck-sweep": (op.call(0) for op in workloads.build_crosscheck_sweep(1, Path("crosscheck-sweep"))),
+                # The return-time sets of a rotation, the skew product, a cycle and a product.
+                "return-times": _return_times(RETURN_TIMES),
+                # Orbits that repeat: their return-time sets, then their returns on every third time of [1, 3000).
+                "periodic-orbits": itertools.chain(
+                    _return_times(PERIODIC_RETURN_TIMES),
+                    (
+                        birkhoff_window_test(Window(range(1, 3000, 3), 3000), parse_system_spec(spec), 0.05, 0.25)
+                        for spec in PERIODIC_BIRKHOFF
+                    ),
+                ),
+                # The skews' return classes, one per x of the grid, over seeded times t and 3t + 1.
+                "birkhoff-classes": (
+                    birkhoff_window_test(Window(times.tolist(), int(times[-1])), parse_system_spec(spec), eps, grid)
+                    for seed in BIRKHOFF_CLASS_SEEDS
+                    for times in (_draw(seed, 40), 3 * _draw(seed, 40) + 1)
+                    for spec in BIRKHOFF_CLASSES
+                    for grid in (0.25, 0.1)
+                    for eps in (0.02, 0.002)
+                ),
+                # difference_set on seeded windows, sparse to dense, at every stride.
+                "difference-sets": (
+                    difference_set(Window([7 + stride * t for t in offsets.tolist()], 7 + stride * span))
+                    for seed, (span, density) in enumerate(itertools.product(DIFFERENCE_SET_SPANS, DIFFERENCE_SET_DENSITIES))
+                    for offsets in [
+                        np.sort(np.random.default_rng(seed).choice(span + 1, round(density * (span + 1)), replace=False))
+                    ]
+                    for stride in DIFFERENCE_SET_STRIDES
+                ),
+                # Both metric tests on start batches whose denominators differ.
+                "batch-denominators": (
+                    test(Window(_draw(seed, count).tolist(), 10 ** 6), parse_system_spec(spec), eps, grid)
+                    for seed, (spec, grid, eps, count) in enumerate(BATCH_DENOMINATORS)
+                    for test in (r_sequence_metric, birkhoff_window_test)
+                ),
+                # Cross-checks whose predicates honestly disagree at the bottom edge: status, witness and note.
+                "crosscheck-disagreements": (
+                    crosscheck_cyclic_equivalence(*args)
+                    for args in [(Window((0, 1, 2, 3), 50), 3, range(-2, 3))]
+                    + [_disagreement(seed) for seed in CROSSCHECK_DISAGREEMENT_SEEDS]
+                ),
+            }
             return lines + [
-                library_digest("crosscheck-sweep", sweep),
-                return_times_digest(),
-                periodic_orbits_digest(),
-                birkhoff_classes_digest(),
-                difference_sets_digest(),
-                batch_denominators_digest(),
-                crosscheck_disagreements_digest(),
+                "repr=" + _sha("".join(repr(r) + "\n" for r in results).encode()) + " :: library " + name
+                for name, results in groups.items()
             ]
         finally:
             os.chdir(cwd)
@@ -456,8 +402,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--write", action="store_true", help=f"write the lines to {GOLDEN.relative_to(ROOT)}")
     args = parser.parse_args(argv)
-    import dynwindow
-
     print(f"dynwindow from {Path(dynwindow.__file__).parent}", file=sys.stderr)
     text = "".join(line + "\n" for line in fingerprints())
     if args.write:

@@ -81,7 +81,7 @@ _SLICE_PER_WINDOW = 8
 _RETURN_BLOCK = 2 ** 16
 
 # The metric tests evaluate starts in batches of at most this many states
-# per coordinate array (32 MiB of float64); a larger grid is split.
+# per coordinate array (32 MiB of uint64 numerators, or as many Python ints); a larger grid is split.
 _BATCH_ELEMENTS = 2 ** 22
 
 # The cross-check's shifted hits read at most this many elements of the window
@@ -302,11 +302,13 @@ def _metric_budget_note(a: Window, sys, eps: float) -> Optional[str]:
     return None
 
 
-def _start_batches(starts: list, length: int):
-    # The first start alone: a dense orbit is usually found there.
-    # Then the rest, at most _BATCH_ELEMENTS states per coordinate array at a time.
+def _start_batches(sys, resolution: float, length: int):
+    # The grid's first start alone, taken without building the grid: a dense orbit
+    # is usually found there.  Then the rest of the grid, built only now, at most
+    # _BATCH_ELEMENTS states per coordinate array at a time.
+    yield sys._class_starts(resolution)[:1]
+    starts = sys.starts(resolution)
     rows = max(1, _BATCH_ELEMENTS // max(1, length))
-    yield starts[:1]
     for i in range(1, len(starts), rows):
         yield starts[i : i + rows]
 
@@ -321,7 +323,8 @@ def r_sequence_metric(a: Window, sys, eps: float, start_grid_resolution: float) 
     whole window at once (``sys.along``): on every torus they are the exact
     orbits of the doubles or exact rationals the system holds, as integer
     numerators, and each state's cell is its exact floor.  The first start
-    is evaluated alone, then the other starts as one array, split at
+    is evaluated alone, taken without building the grid; only then is the
+    rest of the grid built and evaluated as one array, split at
     ``_BATCH_ELEMENTS`` states; each batch is read by an engine whose
     denominator its own starts fix.  A batch's cells are counted in one
     bincount when they are few against the window, and sorted per start
@@ -334,14 +337,14 @@ def r_sequence_metric(a: Window, sys, eps: float, start_grid_resolution: float) 
         raise TypeError(f"not a metric catalog system: {sys!r}")
     family = f"{sys.spec_string()} eps={eps}"
     cover = sys.cover(eps)
-    starts = sys.starts(start_grid_resolution)
+    sys._grid(start_grid_resolution)  # a grid <= 0 raises here, before the budget is read
     note = _metric_budget_note(a, sys, eps)
     if note is not None:
         return RSequenceReport(family, Verdict.undecided(note=note), {})
     total = cover.cell_count()
     window_desc = f"{len(a)} elements on [0, {a.horizon}], eps={eps}"
     best = None  # (hit count, start, first empty cell)
-    for batch in _start_batches(starts, len(a)):
+    for batch in _start_batches(sys, start_grid_resolution, len(a)):
         # Flat ids are clamped into the cells, so an orbit is eps-dense iff it hits `total` of them.
         hits, empties = _coverage(sys.along(a, batch).cells(cover), total)
         i = int(np.argmax(hits))

@@ -3,20 +3,10 @@
 A line of the file is one call's exit code and the sha256 of its stdout, its
 stderr and each file it writes.  Every call prints its summary and its JSON
 report (``--json``), so a change to either shows here.  The last lines pin
-the library metric path: the sha256 of the ``repr`` of each
-``r_sequence_metric`` and ``birkhoff_window_test`` result of the
-metric-density benchmark, seed 1, and one sha256 of the ``repr`` lines of
-all ``crosscheck_cyclic_equivalence`` results of the crosscheck-sweep
-benchmark, seed 1, one of the ``return_times`` windows of
-``report_diff.RETURN_TIMES``, one of the orbits that repeat
-(``report_diff.PERIODIC_RETURN_TIMES`` and ``PERIODIC_BIRKHOFF``), one
-of the skews' return classes (``report_diff.BIRKHOFF_CLASSES``), one of
-``difference_set`` on seeded windows (``report_diff.DIFFERENCE_SET_SPANS``),
-one of start batches whose denominators differ
-(``report_diff.BATCH_DENOMINATORS``) and one of cross-checks whose
-predicates disagree at the bottom edge
-(``report_diff.CROSSCHECK_DISAGREEMENT_SEEDS``).  A change
-that moves a line on purpose rewrites the file with
+the library calls: one per op of the metric-density benchmark, seed 1, and
+one per group of the mapping in ``report_diff.fingerprints()``, each the
+sha256 of its results' ``repr`` lines.  A change that moves a line on
+purpose rewrites the file with
 ``PYTHONPATH=src python3 scripts/report_diff.py --write`` and explains the
 moved line.  Every system spec the corpus reads parses back, from its
 ``spec_string()``, to an equal system.

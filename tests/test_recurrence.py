@@ -567,6 +567,13 @@ def test_metric_budget_inconclusive():
     assert v.inconclusive and "budget" in v.note
 
 
+@pytest.mark.parametrize("grid", [0.0, -1.0])
+def test_metric_rejects_a_nonpositive_grid_before_the_budget(grid):
+    # The window blows the floating-point budget, yet the grid is checked first.
+    with pytest.raises(ValueError, match="start grid"):
+        r_sequence_metric(Window((10 ** 16,), 10 ** 16), RotationSystem.from_angle(GOLDEN), 0.05, grid)
+
+
 def test_exact_skew_has_no_budget():
     # skew:1/3 holds the Fraction 1/3, so times near 10^15 (n·2^-53 = 0.11 >
     # eps/10) get a verdict from the exact orbit, not the floating-point budget.
@@ -1477,6 +1484,35 @@ def test_metric_dense_only_from_a_later_start(sys, w, eps, grid, start):
     assert report.to_json() == _exact_metric(w, sys, eps, grid)
 
 
+@pytest.fixture
+def grids_built(monkeypatch) -> list:
+    # The resolution of every start grid built, in call order.
+    built = []
+
+    def starts(self, resolution, starts=TorusSystem.starts):
+        built.append(resolution)
+        return starts(self, resolution)
+
+    monkeypatch.setattr(TorusSystem, "starts", starts)
+    return built
+
+
+@pytest.mark.parametrize("sys", [RotationSystem((GOLDEN, 0.41421356237309503)), SkewProductSystem(GOLDEN)])
+def test_metric_builds_no_grid_when_the_first_start_is_dense(grids_built, sys):
+    report = r_sequence_metric(interval(1, 20000), sys, 0.1, 0.002)
+    assert report.verdict.holds and report.verdict.witness == (0.0, 0.0)
+    assert grids_built == []
+
+
+@pytest.mark.parametrize("sys, w, eps, grid", [case[:4] for case in LATER_START_CASES] + [
+    (RotationSystem((GOLDEN, 0.3)), interval(0, 10), 0.1, 0.5),  # no start is dense
+])
+def test_metric_builds_the_grid_once_past_the_first_start(grids_built, sys, w, eps, grid):
+    report = r_sequence_metric(w, sys, eps, grid)
+    assert grids_built == [grid]
+    assert report.to_json() == _exact_metric(w, sys, eps, grid)
+
+
 def test_exact_rotation_returns_at_the_distance_below_the_double_eps():
     # The exact distance 1/10 lies below the double 0.1, and 1/5 below 0.2:
     # the return is within eps, as it is exactly.
@@ -1620,7 +1656,7 @@ def test_metric_tests_split_large_batches(monkeypatch, cap):
     monkeypatch.setattr(recurrence, "_BATCH_ELEMENTS", cap)
     rows = max(1, cap // 30)
     starts = SkewProductSystem(GOLDEN).starts(0.25)
-    batches = list(recurrence._start_batches(starts, 30))
+    batches = list(recurrence._start_batches(SkewProductSystem(GOLDEN), 0.25, 30))
     assert [len(b) for b in batches] == [1] + [rows] * (15 // rows) + ([15 % rows] if 15 % rows else [])
     assert [s for b in batches for s in b] == starts
     squares30 = Window(tuple(n * n for n in range(30)), 29 ** 2)
