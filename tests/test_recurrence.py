@@ -1655,8 +1655,9 @@ def test_metric_tests_split_large_batches(monkeypatch, cap):
     # Windows of 30 times: batches of 1, 2 and 3 starts after the first one.
     monkeypatch.setattr(recurrence, "_BATCH_ELEMENTS", cap)
     rows = max(1, cap // 30)
-    starts = SkewProductSystem(GOLDEN).starts(0.25)
-    batches = list(recurrence._start_batches(SkewProductSystem(GOLDEN), 0.25, 30))
+    skew = SkewProductSystem(GOLDEN)
+    starts = skew.starts(0.25)
+    batches = list(recurrence._start_batches(skew, 0.25, 30))
     assert [len(b) for b in batches] == [1] + [rows] * (15 // rows) + ([15 % rows] if 15 % rows else [])
     assert [s for b in batches for s in b] == starts
     squares30 = Window(tuple(n * n for n in range(30)), 29 ** 2)
