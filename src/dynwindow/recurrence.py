@@ -59,6 +59,14 @@ _CROSSCHECK_HORIZON_CAP = 1_000_000
 # lcm at most this: one bincount of that many counters per block.
 _RECOUNT_MODULUS_CAP = 2 ** 16
 
+# _missing_residues reads the periods up to this from one table of
+# lcm(1..12) = 27,720 rows (443 kB), the largest lcm(1..P) within
+# _RECOUNT_MODULUS_CAP.
+_TABLE_PERIODS = 12
+
+# Period p's segment of the class table's bits: its offset p(p-1)/2, and its value when every class is hit.
+_SEGMENTS = tuple((p * (p - 1) // 2, (1 << p) - 1) for p in range(1, _TABLE_PERIODS + 1))
+
 # _missing_residues reduces a prefix of Python ints once per run of periods
 # whose lcm is at most this, then takes each period's remainder in int64.
 _REDUCE_MODULUS_CAP = 2 ** 62 - 1
@@ -75,7 +83,7 @@ _FIRST_SLICE = 32
 # many per comparison window, then 4, 16, ... times as many.  One gather
 # then settles every (window, shift) pair of all 250 crosscheck-sweep
 # windows (seed 1), where a slice of 32 elements leaves 144 to a second.
-_SLICE_PER_WINDOW = 8
+_SLICE_PER_WINDOW = 4
 
 # return_times reads orbits in blocks of this many times: 5.6 MiB at the peak for 10^6 on skew:golden, not 76.
 _RETURN_BLOCK = 2 ** 16
@@ -196,6 +204,23 @@ def _lcm_runs(periods: Sequence[int], cap: int):
         i = j
 
 
+@lru_cache(maxsize=None)
+def _class_table() -> np.ndarray:
+    # Column r, for r below lcm(1.._TABLE_PERIODS), sets bit p(p-1)/2 + r mod p
+    # for each period p <= _TABLE_PERIODS: a segment of p bits per period, in
+    # little-endian uint64 words, one row per word.  Built on the first call,
+    # by ORs in place over a (words, columns / p, p) view per period;
+    # read-only, as it is shared.
+    size, words = math.lcm(*range(1, _TABLE_PERIODS + 1)), -(-(_SEGMENTS[-1][0] + _TABLE_PERIODS) // 64)
+    table = np.zeros((words, size), dtype=np.uint64)
+    for p, (offset, _) in enumerate(_SEGMENTS, start=1):
+        bits = [1 << offset + c for c in range(p)]
+        view = table.reshape(words, size // p, p)
+        view |= np.array([[b >> 64 * k & 2 ** 64 - 1 for b in bits] for k in range(words)], dtype=np.uint64)[:, None]
+    table.flags.writeable = False
+    return table
+
+
 @lru_cache(maxsize=64)
 def _period_block(m: int, top: int, w: int, dtype) -> tuple:
     # The periods p = m..top-1 of one block of _missing_residues, and each
@@ -211,34 +236,45 @@ def _missing_residues(arr: np.ndarray, max_period: int) -> list:
     """The least class mod m that arr misses (None when it covers Z/m), for m = 1..max_period.
 
     arr holds the ascending, non-negative elements of a window, so its last
-    element bounds the rest.  A prefix of n = 16·max_period elements is
-    reduced against a block of periods at once and counted in one offset
-    bincount, a segment per period; the first zero of a segment is that
-    period's least missing class.  The prefix is reduced in int32 when its
-    last element is below 2^31, else in int64 (Python ints past 2^63 once
-    per run of periods whose lcm is below 2^62, then in int64 mod each
-    period).  n elements hit at most n classes, so the least
-    class they miss is at most n: a segment counts the classes below
-    w = min(n, largest period) and pools the rest in one more counter,
-    which stays zero when every class below w is hit.  Residues are clamped
-    into the pool only when n is below the largest period; otherwise each
-    is already below w.  A block's periods and bincount offsets are columns
-    (``_period_block``), built once per block shape for blocks of at most
-    _KEPT_BLOCK_PERIODS periods, so the block × prefix matrix is reduced a
-    row per period.  Blocks keep both that matrix and the bincount within
-    _BATCH_ELEMENTS.  A prefix that covers Z/m settles m;
-    the m's it leaves uncovered are recounted on the whole array, in int64
-    or Python ints, mod the lcm of a block of them, and reduce its hit
-    classes mod m.
+    element bounds the rest.  A prefix of n = 16·max_period elements is read
+    first.  Its periods up to _TABLE_PERIODS come from the class table
+    (``_class_table``): the OR of the rows of its elements mod the table's
+    lcm holds a segment per period whose bits are the classes the prefix
+    hits, and the segment's lowest zero bit is that period's least missing
+    class.  The periods past _TABLE_PERIODS are reduced against a block of
+    periods at once and counted in one offset bincount, a segment per
+    period; the first zero of a segment is that period's least missing
+    class.  That prefix is reduced in int32 when its last element is below
+    2^31, else in int64 (Python ints past 2^63 once per run of periods whose
+    lcm is below 2^62, then in int64 mod each period).  n elements hit at
+    most n classes, so the least class they miss is at most n: a segment
+    counts the classes below w = min(n, largest period) and pools the rest
+    in one more counter, which stays zero when every class below w is hit.
+    Residues are clamped into the pool only when n is below the largest
+    period; otherwise each is already below w.  A block's periods and
+    bincount offsets are columns (``_period_block``), built once per block
+    shape for blocks of at most _KEPT_BLOCK_PERIODS periods, so the block ×
+    prefix matrix is reduced a row per period.  Blocks keep both that matrix
+    and the bincount within _BATCH_ELEMENTS.  A prefix that covers Z/m
+    settles m; the m's it leaves uncovered are recounted on the whole array,
+    in int64 or Python ints, mod the lcm of a block of them, and reduce its
+    hit classes mod m.
     """
     arr = _small_ints(arr)
     head = arr[: 16 * max_period]
-    if head.dtype != object and head.size and head[-1] < 2 ** 31:
+    table = _class_table()
+    rows = head % table.shape[1] if head.size and head[-1] >= table.shape[1] else head  # the last bounds the rest
+    hit = int.from_bytes(np.bitwise_or.reduce(table.take(rows.astype(np.intp, copy=False), axis=1), axis=1).tobytes(),
+                         "little")
+    least = []  # per period: the least class missed, or None
+    for offset, full in _SEGMENTS[:max_period]:
+        seg = hit >> offset & full  # the classes the prefix hits
+        least.append(None if seg == full else (~seg & seg + 1).bit_length() - 1)  # its lowest zero bit
+    if max_period > _TABLE_PERIODS and head.dtype != object and head.size and head[-1] < 2 ** 31:
         head = head.astype(np.int32)
     dtype = np.int64 if head.dtype == object else head.dtype
     width = max(1, _BATCH_ELEMENTS // (max(head.size, 1) + 1))  # periods per block
-    least = []  # per period: the least class missed, or None
-    for m in range(1, max_period + 1, width):
+    for m in range(_TABLE_PERIODS + 1, max_period + 1, width):
         top = min(m + width, max_period + 1)  # one past the block's largest period
         w = max(1, min(head.size, top - 1))
         block = _period_block if top - m <= _KEPT_BLOCK_PERIODS else _period_block.__wrapped__

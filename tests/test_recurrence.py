@@ -333,18 +333,24 @@ def test_missing_residues_match_a_set_scan_for_every_period(elems, kind, max_per
 
 
 def test_missing_residues_keep_only_small_read_only_blocks():
-    # A block of at most _KEPT_BLOCK_PERIODS periods is kept and shared, so it
-    # is read-only; a larger one is built per call and never kept.
+    # The periods up to _TABLE_PERIODS read one class table, built once and
+    # read-only.  Past them, a block of at most _KEPT_BLOCK_PERIODS periods
+    # is kept and shared, so it is read-only; a larger one is built per call
+    # and never kept.
     arr = np.arange(0, 3000, 150)
     recurrence._period_block.cache_clear()
+    recurrence._class_table.cache_clear()
     try:
-        _missing_residues(arr, recurrence._KEPT_BLOCK_PERIODS + 1)
+        _missing_residues(arr, recurrence._TABLE_PERIODS + recurrence._KEPT_BLOCK_PERIODS + 1)
         assert recurrence._period_block.cache_info().currsize == 0
-        assert _missing_residues(arr, 12) == _missing_residues(arr, 12)
+        assert _missing_residues(arr, 20) == _missing_residues(arr, 20)
         info = recurrence._period_block.cache_info()
         assert (info.currsize, info.hits) == (1, 1)
-        periods, offsets = recurrence._period_block(1, 13, 12, np.dtype(np.int32))
+        periods, offsets = recurrence._period_block(13, 21, 20, np.dtype(np.int32))
         assert not periods.flags.writeable and not offsets.flags.writeable
+        info = recurrence._class_table.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        assert not recurrence._class_table().flags.writeable
     finally:
         recurrence._period_block.cache_clear()
 
