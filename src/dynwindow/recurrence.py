@@ -59,9 +59,9 @@ _CROSSCHECK_HORIZON_CAP = 1_000_000
 # lcm at most this: one bincount of that many counters per block.
 _RECOUNT_MODULUS_CAP = 2 ** 16
 
-# _missing_residues reads the periods up to this from one table of
-# lcm(1..12) = 27,720 rows (443 kB), the largest lcm(1..P) within
-# _RECOUNT_MODULUS_CAP.
+# _missing_residues reads the periods up to this from one class table of
+# lcm(1..12) = 27,720 columns of two uint64 words (443 kB): 12 is the
+# largest P with lcm(1..P) within _RECOUNT_MODULUS_CAP.
 _TABLE_PERIODS = 12
 
 # Period p's segment of the class table's bits: its offset p(p-1)/2, and its value when every class is hit.
@@ -80,9 +80,11 @@ _KEPT_BLOCK_PERIODS = 2 ** 10
 _FIRST_SLICE = 32
 
 # The cross-check's shifted hits read a window's elements in slices of this
-# many per comparison window, then 4, 16, ... times as many.  One gather
-# then settles every (window, shift) pair of all 250 crosscheck-sweep
-# windows (seed 1), where a slice of 32 elements leaves 144 to a second.
+# many per comparison window, then 4, 16, ... times as many.  At 4 (140
+# elements for the 35 windows of M = 12) one gather still settles every
+# (window, shift) pair of each of the 250 crosscheck-sweep windows at seeds
+# 1, 2 and 3, whose pairs are all met within their first 91, 96 and 94
+# elements; a pass gathers about 299k rows, against 508k at 8.
 _SLICE_PER_WINDOW = 4
 
 # return_times reads orbits in blocks of this many times: 5.6 MiB at the peak for 10^6 on skew:golden, not 76.
@@ -208,9 +210,11 @@ def _lcm_runs(periods: Sequence[int], cap: int):
 def _class_table() -> np.ndarray:
     # Column r, for r below lcm(1.._TABLE_PERIODS), sets bit p(p-1)/2 + r mod p
     # for each period p <= _TABLE_PERIODS: a segment of p bits per period, in
-    # little-endian uint64 words, one row per word.  Built on the first call,
-    # by ORs in place over a (words, columns / p, p) view per period;
-    # read-only, as it is shared.
+    # little-endian uint64 words, one row per word (each word's OR over a
+    # prefix then runs along a row: 1.9 µs against 3.6 µs across the rows of
+    # a (27,720, 2) table, for 157 elements on a 2-vCPU x86-64 host).  Built
+    # on the first call, by ORs in place over a (words, columns / p, p) view
+    # per period; read-only, as it is shared.
     size, words = math.lcm(*range(1, _TABLE_PERIODS + 1)), -(-(_SEGMENTS[-1][0] + _TABLE_PERIODS) // 64)
     table = np.zeros((words, size), dtype=np.uint64)
     for p, (offset, _) in enumerate(_SEGMENTS, start=1):
@@ -237,14 +241,15 @@ def _missing_residues(arr: np.ndarray, max_period: int) -> list:
 
     arr holds the ascending, non-negative elements of a window, so its last
     element bounds the rest.  A prefix of n = 16·max_period elements is read
-    first.  Its periods up to _TABLE_PERIODS come from the class table
-    (``_class_table``): the OR of the rows of its elements mod the table's
-    lcm holds a segment per period whose bits are the classes the prefix
-    hits, and the segment's lowest zero bit is that period's least missing
-    class.  The periods past _TABLE_PERIODS are reduced against a block of
-    periods at once and counted in one offset bincount, a segment per
-    period; the first zero of a segment is that period's least missing
-    class.  That prefix is reduced in int32 when its last element is below
+    first.  The periods up to _TABLE_PERIODS are read from the class table
+    (``_class_table``): the OR of its columns at the prefix's elements mod
+    the table's lcm (no reduction when the last is below it) holds a p-bit
+    segment per period p, whose set bits are the classes the prefix hits, and
+    the segment's lowest zero bit is p's least missing class.  The periods
+    from _TABLE_PERIODS + 1 on are reduced against a block of periods at once
+    and counted in one offset bincount, a segment per period; the first zero
+    of a segment is that period's least missing class.  There the prefix is
+    reduced in int32 when its last element is below
     2^31, else in int64 (Python ints past 2^63 once per run of periods whose
     lcm is below 2^62, then in int64 mod each period).  n elements hit at
     most n classes, so the least class they miss is at most n: a segment
@@ -263,9 +268,9 @@ def _missing_residues(arr: np.ndarray, max_period: int) -> list:
     arr = _small_ints(arr)
     head = arr[: 16 * max_period]
     table = _class_table()
-    rows = head % table.shape[1] if head.size and head[-1] >= table.shape[1] else head  # the last bounds the rest
-    hit = int.from_bytes(np.bitwise_or.reduce(table.take(rows.astype(np.intp, copy=False), axis=1), axis=1).tobytes(),
-                         "little")
+    rows = head % table.shape[1] if head.size and head[-1] >= table.shape[1] else head
+    seen = np.bitwise_or.reduce(table.take(rows.astype(np.intp, copy=False), axis=1), axis=1)
+    hit = int.from_bytes(seen.tobytes(), "little")  # bit p(p-1)/2 + c: the prefix hits c mod p
     least = []  # per period: the least class missed, or None
     for offset, full in _SEGMENTS[:max_period]:
         seg = hit >> offset & full  # the classes the prefix hits
@@ -565,7 +570,7 @@ def _shifted_hits(a: Window, shifts: Sequence[int], table: np.ndarray, windows: 
     Stage 1 reads a prefix of a: the pair (n, j) is met when bit j of the
     row of x + n is set for some x in it, a position off the table reading
     an all-zero row.  The prefix grows in slices sized to the table,
-    _SLICE_PER_WINDOW elements per window (280 for the 35 windows of
+    _SLICE_PER_WINDOW elements per window (140 for the 35 windows of
     M = 12), then 4, 16, ... times as many, and stops once every pair is
     met, or at _PREFIX_SCAN_CAP elements; each gather stays within
     _BATCH_ELEMENTS words, taking the shifts in blocks.  The first slice's
@@ -741,21 +746,15 @@ def cesaro_average_along(a: Window, sys: RotationSystem, k: int, start: float = 
     """Magnitudes |1/N * sum_{i<=N} e^{2 pi i k (start + a_i alpha)}| per prefix N.
 
     The character average along the window: it decays when the orbit along a
-    equidistributes, stays at 1 when the orbit is a single point.  a_i·alpha
-    mod 1 is the orbit engine's numerator over den (alpha read as its double,
-    exactly), k times it is reduced mod den and rounded once; k·start mod 1
-    is added in double.  Prefix sums accumulate in extended precision.
+    equidistributes, stays at 1 when the orbit is a single point.  k·a_i·alpha
+    mod 1 is the orbit engine's phase (alpha read as its double, exactly),
+    rounded once; k·start mod 1 is added in double.  Prefix sums accumulate in extended precision.
     """
     if k == 0:
         raise ValueError("k must be nonzero: the constant character is trivial")
     if not isinstance(sys, RotationSystem) or sys.dimension != 1:
         raise TypeError("cesaro_average_along expects a 1-dimensional RotationSystem")
-    orbits = RotationSystem.from_angle(sys.angles[0]).along(a, [0.0])
-    states = orbits.states(0, len(a))[0][0]
-    if states.dtype == object:
-        phases = (states * k % orbits.den / orbits.den).astype(float)
-    else:  # uint64 numerators over den = 2^64
-        phases = (states * np.uint64(k % 2 ** 64)) / 2.0 ** 64
+    phases = RotationSystem.from_angle(sys.angles[0]).along(a, [0.0]).phases(k)[0][0]
     phases = (float(k * Fraction(float(start)) % 1) + phases) % 1.0
     terms = np.exp(2j * np.pi * phases).astype(np.clongdouble)
     sums = np.cumsum(terms)

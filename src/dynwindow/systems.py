@@ -166,6 +166,14 @@ class _TorusOrbits:
     def cells(self, cover: "TorusCover") -> np.ndarray:
         return cover.flat_ids(self.states(0, len(self._times)), self.den)
 
+    def phases(self, k: int) -> list:
+        """k·T^n(start) mod 1 per coordinate, shaped as ``states``: each exact numerator times k, reduced
+        mod den and rounded once to a double."""
+        states = self.states(0, len(self._times))
+        if self._times.dtype == object:
+            return [(s * k % self.den / self.den).astype(float) for s in states]
+        return [_wrap(s * np.uint64(k % self.den), self.den) / float(self.den) for s in states]
+
     def distances(self, lo: int, hi: int, rows: Optional[int] = None) -> np.ndarray:
         """distance(T^n(start), start) over ``den`` for the first ``rows`` starts (all by default) and
         each time n in times[lo:hi]: min(d, den - d) of each move d."""

@@ -476,6 +476,34 @@ def test_uncovered_periods_recount_as_per_period_bincounts(max_period, skipped, 
     assert got == _per_period_missing(elements, max_period)
 
 
+@given(
+    st.integers(1, 30),
+    st.tuples(st.integers(2, 30), st.integers(0, 29)),
+    st.integers(0, 1500),
+    st.sampled_from([(0, np.int64), (0, object), (2 ** 64 + 3, object)]),
+    st.randoms(use_true_random=False),
+)
+@example(30, (3, 1), 1000, (0, np.int64), random.Random(0))  # 1 mod 3, so 1 mod 6, 9, ..., 30
+@example(30, (4, 2), 1000, (2 ** 64 + 3, object), random.Random(1))
+@example(24, (8, 5), 100, (0, np.int64), random.Random(2))  # the whole array is the prefix
+@example(12, (2, 0), 1500, (0, object), random.Random(3))  # the table only, then the recount
+@settings(max_examples=80, deadline=None)
+def test_missing_residues_respect_the_cyclic_family_law(max_period, skipped, size, kind, rnd):
+    # Z/m -> Z/d is a factor map of cycles for d | m: a window that hits c mod
+    # m hits c mod d.  So when it misses r mod d, it misses r mod m (r < d <= m),
+    # and the least class it misses mod m is at most r.  Arrays are shorter
+    # and longer than the 16·max_period prefix, so the prefix settles some
+    # and the whole-array recount others; a period past _TABLE_PERIODS and
+    # its divisors below it are answered by different stages.
+    (k, r), (base, dtype) = skipped, kind
+    span = range(base, base + 2 * size + 10)
+    elements = sorted(x for x in rnd.sample(span, min(size, len(span))) if x % k != r % k)
+    least = _missing_residues(np.array(elements, dtype=dtype), max_period)
+    for m in range(1, max_period + 1):
+        for d in (d for d in range(1, m + 1) if m % d == 0 and least[d - 1] is not None):
+            assert least[m - 1] is not None and least[m - 1] <= least[d - 1], (d, m)
+
+
 @given(st.lists(st.integers(0, 2000), min_size=0, max_size=150, unique=True), st.integers(1, 20))
 @settings(max_examples=60, deadline=None)
 def test_exactness_bridge_cyclic_vs_eps_dense(elems, m):
@@ -969,10 +997,11 @@ def _kernel_windows(seed: int, count: int) -> list:
 @example(list(range(0, 400, 3)), 70, 1, [2, -5, 2, 0, -5, 9], 0, 20)
 @example(list(range(1, 400, 2)), 66, 2, [4, -3, 1, 0], -1, 8)
 @example(list(range(1, 400, 2)), 66, 3, [4, -3, 1, 0], 1, 8)
-# Two windows: the first slice reads 16 elements, and window 1 meets
-# a + 0, a + 3 and a - 2 first at elements 24, 17 and 18, in the second and
-# last slice.  A cap of 20 ends that slice with a + 0 still open.
-@example(list(range(3, 400, 5)), 2, 16, [0, 3, -2], 0, 80)
+# Two windows: the first slice reads 8 elements, and window 1 meets
+# a + 0, a + 3 and a - 2 first at elements 24, 17 and 18, in the second
+# slice (elements 8..39).  A window of 40 elements ends with that slice, its
+# last; a cap of 20 ends it with a + 0 still open.
+@example(list(range(3, 200, 5)), 2, 16, [0, 3, -2], 0, 80)
 @example(list(range(3, 400, 5)), 2, 16, [0, 3, -2], 0, 20)
 @settings(max_examples=120, deadline=None)
 def test_shifted_hits_hold_iff_every_shifted_hit_holds(a_elems, count, seed, shifts, far, cap):
@@ -998,7 +1027,7 @@ def test_shifted_hits_hold_iff_every_shifted_hit_holds(a_elems, count, seed, shi
 @pytest.mark.parametrize("batch", [1, 600, 2 ** 22])
 def test_shifted_hits_gather_the_shifts_in_blocks(batch):
     # A gather of rows x slice x words past _BATCH_ELEMENTS takes the shifts
-    # in blocks (one shift a block at 1, two at 600 for the 8·35-element
+    # in blocks (one shift a block at 1, four at 600 for the 4·34-element
     # first slice), and their met pairs join in shift order.
     a = Window(tuple(n for n in range(50, 2_001) if n % 7 != 3), 2_000)
     _comparison_table.cache_clear()
