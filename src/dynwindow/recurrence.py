@@ -218,9 +218,9 @@ def _class_table() -> np.ndarray:
     size, words = math.lcm(*range(1, _TABLE_PERIODS + 1)), -(-(_SEGMENTS[-1][0] + _TABLE_PERIODS) // 64)
     table = np.zeros((words, size), dtype=np.uint64)
     for p, (offset, _) in enumerate(_SEGMENTS, start=1):
-        bits = [1 << offset + c for c in range(p)]
         view = table.reshape(words, size // p, p)
-        view |= np.array([[b >> 64 * k & 2 ** 64 - 1 for b in bits] for k in range(words)], dtype=np.uint64)[:, None]
+        for c in range(p):
+            view[(offset + c) // 64, :, c] |= np.uint64(1 << (offset + c) % 64)
     table.flags.writeable = False
     return table
 
@@ -748,7 +748,8 @@ def cesaro_average_along(a: Window, sys: RotationSystem, k: int, start: float = 
     The character average along the window: it decays when the orbit along a
     equidistributes, stays at 1 when the orbit is a single point.  k·a_i·alpha
     mod 1 is the orbit engine's phase (alpha read as its double, exactly),
-    rounded once; k·start mod 1 is added in double.  Prefix sums accumulate in extended precision.
+    rounded once; k·start mod 1 is added in double.  Prefix sums accumulate
+    in extended precision.
     """
     if k == 0:
         raise ValueError("k must be nonzero: the constant character is trivial")
