@@ -272,7 +272,7 @@ def _missing_residues(arr: np.ndarray, max_period: int) -> list:
     seen = np.bitwise_or.reduce(table.take(rows.astype(np.intp, copy=False), axis=1), axis=1)
     hit = int.from_bytes(seen.tobytes(), "little")  # bit p(p-1)/2 + c: the prefix hits c mod p
     least = []  # per period: the least class missed, or None
-    for offset, full in _SEGMENTS[:max_period]:
+    for offset, full in _SEGMENTS[: max(max_period, 0)]:
         seg = hit >> offset & full  # the classes the prefix hits
         least.append(None if seg == full else (~seg & seg + 1).bit_length() - 1)  # its lowest zero bit
     if max_period > _TABLE_PERIODS and head.dtype != object and head.size and head[-1] < 2 ** 31:

@@ -332,6 +332,13 @@ def test_missing_residues_match_a_set_scan_for_every_period(elems, kind, max_per
         assert _missing_residues(np.array(elements, dtype=dtype), max_period) == want
 
 
+@pytest.mark.parametrize("max_period", [0, -1, -13])
+def test_missing_residues_answer_no_period_below_one(max_period):
+    # A shifted family with no shift reads its empty core at any max_period.
+    assert _missing_residues(np.arange(0, 3000, 150), max_period) == []
+    assert _missing_residues(np.arange(0, 3000, 150).astype(object) + 2 ** 64, max_period) == []
+
+
 def test_missing_residues_keep_only_small_read_only_blocks():
     # The periods up to _TABLE_PERIODS read one class table, built once and
     # read-only.  Past them, a block of at most _KEPT_BLOCK_PERIODS periods
