@@ -6,7 +6,9 @@ alternates from pair to pair, so a drift in the machine's speed falls on both
 sides alike.  For each workload and side it records the median and quartiles
 of ``ops_per_s``, ``setup_s`` and ``peak_rss_mb`` over the runs, the pairs
 that side won on ``ops_per_s``, the failed and attempted op counts and the
-median time of each op (from the run's details file).  It also judges
+median time of each op (from the run's details file), and the OS counters
+``ru_nvcsw`` (voluntary context switches) and ``ru_oublock`` (blocks written)
+of each run, from ``getrusage(RUSAGE_CHILDREN)`` around it.  It also judges
 each workload, writes the judgement into the entry and prints it: ``gain``
 says whether B won at least 9 of every 10 pairs (a tie counts for neither
 side) and whether the medians of ``ops_per_s`` differ by more than A's
@@ -31,26 +33,32 @@ import hashlib
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 METRICS = ("ops_per_s", "setup_s", "peak_rss_mb")
+COUNTERS = ("ru_nvcsw", "ru_oublock")
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     """One benchmark run in the checkout: the JSON object its last line of output holds,
-    with each op's time from the run's details file under ``op_s``."""
+    with each op's time from the run's details file under ``op_s`` and the run's
+    ``COUNTERS`` (the whole process, setup included) under their names."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     if proc.returncode:
         raise SystemExit(f"{' '.join(argv)} in {checkout} exited {proc.returncode}:\n{proc.stderr}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     details = json.loads((checkout / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.json").read_text())
     result["op_s"] = {op["name"]: op["op_s"] for op in details["ops"]}
+    result.update({name: getattr(after, name) - getattr(before, name) for name in COUNTERS})
     return result
 
 
@@ -90,6 +98,7 @@ def compare(a: Path, b: Path, workload: str, pairs: int, seed: int, seconds: int
         rival = [r["metrics"]["ops_per_s"]["value"] for r in runs[other]]
         out[side] = {
             **{m: summary([r["metrics"][m]["value"] for r in runs[side]]) for m in METRICS},
+            **{c: summary([r[c] for r in runs[side]]) for c in COUNTERS},
             "pairs_won": sum(x > y for x, y in zip(speed, rival)),
             "failed": sum(r["failed"] for r in runs[side]),
             "attempted": sum(r["attempted"] for r in runs[side]),
@@ -102,7 +111,9 @@ def compare(a: Path, b: Path, workload: str, pairs: int, seed: int, seconds: int
     print(f"{workload}: b won {out['b']['pairs_won']}/{pairs} pairs (9/10 met: {out['gain']['b_won_9_of_10']}); "
           f"median gap {abs(speed_b['median'] - speed_a['median']):.1f} op/s against a's IQR "
           f"{speed_a['q3'] - speed_a['q1']:.1f} (exceeds: {out['gain']['gap_exceeds_a_iqr']}); within bound: "
-          + ", ".join(f"{name} {ok}" for name, ok in out["within_bound"].items()), file=sys.stderr)
+          + ", ".join(f"{name} {ok}" for name, ok in out["within_bound"].items()) + "; median per run: "
+          + ", ".join(f"{c} a {out['a'][c]['median']:g} b {out['b'][c]['median']:g}" for c in COUNTERS),
+          file=sys.stderr)
     return out
 
 

@@ -1,7 +1,7 @@
 """Batch front-end: sequence files and system specs in, deterministic reports out.
 
 Subcommands return their report, summary lines and exit code; ``main`` alone
-prints, stamps the run parameters and writes.  JSON is the single machine-readable
+stamps the run parameters, writes the report and then prints.  JSON is the single machine-readable
 output; the summary is rendered from the same values as the report.  Identical
 inputs and params give byte-identical reports.  Exit code 0 means a verdict was
 computed (even a failing one); nonzero is reserved for operational errors.
@@ -19,6 +19,7 @@ from typing import Optional
 from .intsets import (
     Verdict,
     Window,
+    _write_text,
     banach_density_estimate,
     is_syndetic,
     is_thick,
@@ -185,15 +186,6 @@ def _render(value, pad: str = "") -> str:
         return json.dumps(value)
     opening, closing = "{}" if isinstance(value, dict) else "[]"
     return f"{opening}\n{inner}{body}\n{pad}{closing}"
-
-
-def _emit(report: dict, path: Optional[str], to_stdout: bool) -> None:
-    doc = _render(report) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(doc)
-    if to_stdout:
-        sys.stdout.write(doc)
 
 
 def _params_of(args) -> dict:
@@ -466,10 +458,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         report, summary, code = args.func(args)
+        report["params"] = _params_of(args)
+        doc = _render(report) + "\n"
+        if args.out:  # written before anything is printed, so a report that cannot be written leaves stdout empty
+            _write_text(args.out, doc)
         for line in summary:
             print(line)
-        report["params"] = _params_of(args)
-        _emit(report, args.out, args.json)
+        if args.json:
+            sys.stdout.write(doc)
         return code
     except (CapExceededError, OSError, ValueError) as exc:
         # Bad input; OSError covers a path that cannot be opened (missing, a

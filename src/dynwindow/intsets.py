@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import io
 import operator
+import os
+import stat
 import struct
 from collections import Counter
 from dataclasses import dataclass
@@ -638,6 +640,30 @@ def format_sequence(w: Window, comment: str = "") -> str:
     return "\n".join(lines) + "\n"
 
 
+def _open_in_place(path, flags):
+    # open(path, "w")'s flags and mode less O_TRUNC: truncating a file that holds data
+    # frees its blocks, and on some filesystems the writer then waits for the disk.
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+def _write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as ``open(path, "w", encoding="utf-8")`` would, in place.
+
+    An existing regular file is overwritten and then cut at the end of ``text``, so
+    it ends up with exactly these bytes; a new file gets the mode ``open`` gives it.
+    Anything else (``/dev/null``, a FIFO) is written as ``open`` writes it, since it
+    cannot be truncated.  Like ``open(path, "w")`` this is not atomic.
+    """
+    with open(path, "w", encoding="utf-8", opener=_open_in_place) as fh:
+        fh.write(text)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
+
+
 def write_sequence_file(path, w: Window, comment: str = "") -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_sequence(w, comment))
+    """Write ``w`` to ``path`` in the sequence file format, ``comment`` as ``#`` lines after the horizon.
+
+    ``parse_sequence_file`` reads it back as an equal window.  An existing file is
+    overwritten in place and ends up with exactly the new text.
+    """
+    _write_text(path, format_sequence(w, comment))

@@ -1,13 +1,15 @@
 """``scripts/bench_ab.py`` records a comparison, judges its gain and bounds, and exits 1 when a side's outputs were rejected.
 
 ``run_once`` is stubbed: each call returns the result of a run as
-``perfbench/run.py`` prints it, so no benchmark runs here.
+``perfbench/run.py`` prints it, so no benchmark runs here.  Its own test stubs
+``subprocess.run`` and ``resource.getrusage`` instead.
 """
 from __future__ import annotations
 
 import importlib.util
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,7 +19,7 @@ bench_ab = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_ab)
 
 
-def _run(speed: float, correct: bool = True, failed: int = 0) -> dict:
+def _run(speed: float, correct: bool = True, failed: int = 0, nvcsw: int = 0, oublock: int = 0) -> dict:
     metrics = {"ops_per_s": speed, "setup_s": 0.1, "peak_rss_mb": 60.0}
     return {
         "correct": correct,
@@ -25,6 +27,8 @@ def _run(speed: float, correct: bool = True, failed: int = 0) -> dict:
         "attempted": 10,
         "metrics": {name: {"value": value} for name, value in metrics.items()},
         "op_s": {"op": 1.0 / speed},
+        "ru_nvcsw": nvcsw,
+        "ru_oublock": oublock,
     }
 
 
@@ -117,3 +121,37 @@ def test_a_median_worse_than_its_bound_reads_false(tmp_path, monkeypatch, capsys
     entry = _stub_runs(monkeypatch, tmp_path, [100.0] * 3, [speed_b] * 3, setup_b=setup_b)
     assert entry["within_bound"] == within
     assert "within bound: " + ", ".join(f"{k} {v}" for k, v in within.items()) in capsys.readouterr().err
+
+
+def test_run_once_records_the_childrens_counters_around_the_run(tmp_path, monkeypatch):
+    # getrusage(RUSAGE_CHILDREN) is cumulative: the run's counters are the difference across it.
+    out = tmp_path / "perfbench" / "out"
+    out.mkdir(parents=True)
+    (out / "cli-files-seed1-trace0.json").write_text(json.dumps({"ops": [{"name": "op", "op_s": 0.5}]}))
+    usage = iter([SimpleNamespace(ru_nvcsw=100, ru_oublock=7000), SimpleNamespace(ru_nvcsw=129, ru_oublock=8032)])
+    monkeypatch.setattr(bench_ab.resource, "getrusage", lambda who: next(usage))
+    printed = json.dumps({"correct": True, "failed": 0, "attempted": 27, "metrics": {}})
+    monkeypatch.setattr(bench_ab.subprocess, "run", lambda argv, **kw: SimpleNamespace(returncode=0, stdout=printed + "\n"))
+    result = bench_ab.run_once(tmp_path, "cli-files", 1, 10)
+    assert (result["ru_nvcsw"], result["ru_oublock"]) == (29, 1032)
+    assert result["op_s"] == {"op": 0.5} and next(usage, None) is None
+
+
+def test_counters_are_summarised_per_side_and_printed(tmp_path, monkeypatch, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir(), b.mkdir()
+    counters = {a.resolve(): iter([(30, 1000), (28, 1040), (29, 1032)]), b.resolve(): iter([(0, 40), (1, 41), (0, 39)])}
+
+    def run_once(checkout, workload, seed, seconds):
+        nvcsw, oublock = next(counters[checkout])
+        return _run(100.0, nvcsw=nvcsw, oublock=oublock)
+
+    monkeypatch.setattr(bench_ab, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    argv = ["--a", str(a), "--b", str(b), "--workload", "cli-files", "--pairs", "3", "--name", "x", "--out", str(out)]
+    assert bench_ab.main(argv) == 0
+    entry = json.loads(out.read_text(encoding="utf-8"))["x"]["workloads"]["cli-files"]
+    assert entry["a"]["ru_nvcsw"] == {"median": 29, "q1": 28.5, "q3": 29.5, "runs": [30, 28, 29]}
+    assert entry["b"]["ru_oublock"]["runs"] == [40, 41, 39] and entry["b"]["ru_oublock"]["median"] == 40
+    assert set(entry["gain"]) == {"b_won_9_of_10", "gap_exceeds_a_iqr"}  # the counters are recorded, not judged
+    assert "median per run: ru_nvcsw a 29 b 0, ru_oublock a 1032 b 40" in capsys.readouterr().err

@@ -501,7 +501,8 @@ def test_directory_as_input_is_operational_error(tmp_path, capsys):
 )
 def test_directory_as_output_or_schedule_is_operational_error(tmp_path, capsys, argv):
     assert main([a.format(dir=tmp_path) for a in argv]) == 1
-    assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory")
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: [Errno 21] Is a directory") and captured.out == ""
 
 
 @pytest.mark.parametrize("command", [["classify", "{path}"], ["product", "cyclic:2", "cyclic:3", "--out", "{path}"]])
@@ -509,7 +510,54 @@ def test_path_under_a_regular_file_is_operational_error(tmp_path, capsys, comman
     regular = tmp_path / "plain.txt"
     regular.write_text("!horizon 1\n1\n", encoding="utf-8")
     assert main([a.format(path=regular / "below.txt") for a in command]) == 1
-    assert capsys.readouterr().err.startswith("error: [Errno 20] Not a directory")
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: [Errno 20] Not a directory") and captured.out == ""
+
+
+def test_classify_into_a_missing_directory_prints_nothing(squares_file, tmp_path, capsys):
+    # The report is written before the summary is printed, so a failed write leaves stdout empty.
+    assert main(["classify", squares_file, "--out", str(tmp_path / "missing" / "x.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: [Errno 2] No such file or directory") and captured.out == ""
+
+
+@pytest.mark.parametrize("before", [b"x" * 5000, b"{}"], ids=["longer", "shorter"])
+def test_a_report_written_over_a_file_holds_exactly_the_new_report(squares_file, tmp_path, capsys, before):
+    out = tmp_path / "report.json"
+    out.write_bytes(before)
+    assert main(["classify", squares_file, "--out", str(out), "--json"]) == 0
+    printed = capsys.readouterr().out
+    assert out.read_bytes() == printed[printed.index("{"):].encode()
+
+
+def test_a_report_to_the_null_device_exits_0(squares_file, capsys):
+    assert main(["classify", squares_file, "--out", os.devnull]) == 0
+    assert capsys.readouterr().out.startswith("sequence ")
+
+
+def test_a_new_report_gets_the_mode_open_gives_it(tmp_path, capsys):
+    assert main(["product", "cyclic:2", "cyclic:3", "--out", str(tmp_path / "new.json")]) == 0
+    with open(tmp_path / "by-open.json", "w", encoding="utf-8"):
+        pass
+    assert (tmp_path / "new.json").stat().st_mode == (tmp_path / "by-open.json").stat().st_mode
+
+
+def test_reports_and_sequence_files_are_opened_without_o_trunc(tmp_path, monkeypatch, capsys):
+    # Truncating a file that holds data makes the writer wait for the disk once per
+    # call; a write that goes back to open(path, "w") would not call os.open at all.
+    flags, os_open = [], os.open
+
+    def recording(path, flag, *args, **kwargs):
+        flags.append(flag)
+        return os_open(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording)
+    seq, report = tmp_path / "seq.txt", tmp_path / "report.json"
+    for _ in range(2):  # the second pass writes over the first pass's files
+        assert main(["construct", "example", "--blocks", "2", "--out", str(seq), "--report", str(report)]) == 0
+        assert main(["product", "cyclic:2", "cyclic:3", "--out", str(report)]) == 0
+    assert len(flags) == 6 and not any(f & os.O_TRUNC for f in flags)
+    assert json.loads(report.read_text(encoding="utf-8"))["params"]["command"] == "product"
 
 
 def test_horizon_override(tmp_path, capsys):

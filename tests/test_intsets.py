@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import bisect
 import operator
+import os
 import re
 import tracemalloc
 from fractions import Fraction
@@ -29,6 +30,7 @@ from dynwindow import (
     parse_sequence_text,
     piecewise_syndetic_certificate,
     shifted_hit,
+    write_sequence_file,
 )
 from dynwindow.intsets import _BITMASK_HORIZON_CAP, _fft_size
 from dynwindow.recurrence import _comparison_table, crosscheck_cyclic_equivalence
@@ -1086,6 +1088,45 @@ def test_a_file_the_array_path_refuses_is_read_by_it_once(tmp_path, monkeypatch)
     path.write_bytes(f"!horizon {10 ** 19}\n1\n{10 ** 18}\n".encode())
     assert parse_sequence_file(path) == Window((1, 10 ** 18), 10 ** 19)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("before", [b"9" * 4000 + b"\n", b"!horizon 1\n"], ids=["longer", "shorter"])
+def test_a_sequence_file_written_over_a_file_holds_exactly_the_new_text(tmp_path, before):
+    w = Window((0, 3, 10 ** 20), 10 ** 21)
+    path = tmp_path / "seq.txt"
+    path.write_bytes(before)
+    write_sequence_file(path, w, "over\nan old file")
+    assert path.read_bytes() == format_sequence(w, "over\nan old file").encode()
+    assert parse_sequence_file(path) == w
+
+
+def test_a_new_sequence_file_gets_the_mode_open_gives_it(tmp_path):
+    write_sequence_file(tmp_path / "new.txt", Window((1,), 1))
+    with open(tmp_path / "by-open.txt", "w", encoding="utf-8"):
+        pass
+    assert (tmp_path / "new.txt").stat().st_mode == (tmp_path / "by-open.txt").stat().st_mode
+
+
+def test_a_sequence_file_is_opened_without_o_trunc(tmp_path, monkeypatch):
+    # Truncating a file that holds data makes the writer wait for the disk; a
+    # write that goes back to open(path, "w") would not call os.open at all.
+    flags, os_open = [], os.open
+
+    def recording(path, flag, *args, **kwargs):
+        flags.append(flag)
+        return os_open(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording)
+    path = tmp_path / "seq.txt"
+    for w in (Window((1, 2, 3), 10), Window((1,), 10)):
+        write_sequence_file(path, w)
+    assert len(flags) == 2 and not any(f & os.O_TRUNC for f in flags)
+    assert path.read_bytes() == b"!horizon 10\n1\n"
+
+
+def test_a_sequence_file_can_be_written_to_a_device(tmp_path):
+    # A device cannot be truncated: it is written as open(path, "w") writes it.
+    write_sequence_file(os.devnull, Window((1,), 1))
 
 
 def test_a_parsed_window_retains_its_array_alone():
