@@ -1,10 +1,11 @@
 """Batch front-end: sequence files and system specs in, deterministic reports out.
 
 Subcommands return their report, summary lines and exit code; ``main`` alone
-stamps the run parameters, writes the report and then prints.  JSON is the single machine-readable
-output; the summary is rendered from the same values as the report.  Identical
-inputs and params give byte-identical reports.  Exit code 0 means a verdict was
-computed (even a failing one); nonzero is reserved for operational errors.
+stamps the run parameters, writes the report and then prints.  JSON is the
+single machine-readable output; the summary is rendered from the same values
+as the report.  Identical inputs and params give byte-identical reports.  Exit
+code 0 means a verdict was computed (even a failing one); nonzero is reserved
+for operational errors.
 """
 from __future__ import annotations
 
@@ -460,7 +461,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         report, summary, code = args.func(args)
         report["params"] = _params_of(args)
         doc = _render(report) + "\n"
-        if args.out:  # written before anything is printed, so a report that cannot be written leaves stdout empty
+        if args.out:  # before any print: a report that cannot be written leaves stdout empty
             _write_text(args.out, doc)
         for line in summary:
             print(line)

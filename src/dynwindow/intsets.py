@@ -642,7 +642,7 @@ def format_sequence(w: Window, comment: str = "") -> str:
 
 def _open_in_place(path, flags):
     # open(path, "w")'s flags and mode less O_TRUNC: truncating a file that holds data
-    # frees its blocks, and on some filesystems the writer then waits for the disk.
+    # frees its blocks, and on ext4 the writer then waits for the disk once per write.
     return os.open(path, flags & ~os.O_TRUNC, 0o666)
 
 

@@ -1124,7 +1124,7 @@ def test_a_sequence_file_is_opened_without_o_trunc(tmp_path, monkeypatch):
     assert path.read_bytes() == b"!horizon 10\n1\n"
 
 
-def test_a_sequence_file_can_be_written_to_a_device(tmp_path):
+def test_a_sequence_file_can_be_written_to_a_device():
     # A device cannot be truncated: it is written as open(path, "w") writes it.
     write_sequence_file(os.devnull, Window((1,), 1))
 
