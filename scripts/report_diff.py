@@ -43,9 +43,10 @@ from pathlib import Path
 
 import dynwindow
 import numpy as np
-from dynwindow import Window, birkhoff_window_test, crosscheck_cyclic_equivalence, difference_set
-from dynwindow import r_sequence_metric, return_times
+from dynwindow import CoverageError, Window, birkhoff_window_test, crosscheck_cyclic_equivalence, difference_set
+from dynwindow import finite_subcover, r_sequence_metric, return_times
 from dynwindow.cli import main as cli_main, parse_system_spec
+from dynwindow.recurrence import _shift_family_cyclic
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -277,6 +278,54 @@ BATCH_DENOMINATORS = [
 # disagree, coverage against both hitting predicates, either way round.
 CROSSCHECK_DISAGREEMENT_SEEDS = range(20)
 
+# finite_subcover rows (elements, horizon, m): windows that cover Z/m and
+# windows that miss a class, among them the empty window, {0, 1} mod 3, a
+# window shorter than m, small elements under a horizon past 2^62, and
+# elements past 2^63 and 2^64, which stay Python ints.
+FINITE_SUBCOVERS = [
+    (range(101), 100, 7),
+    ((), 10, 1),
+    ((), 10, 3),
+    ((0, 1, 3, 4, 6, 7, 9, 10), 10, 3),
+    ((0, 1, 2), 10, 5),
+    ([k * k for k in range(101)], 10_000, 5),
+    ([k * k for k in range(101)], 2 ** 63, 12),
+    ([k * k for k in range(101)], 2 ** 63, 8),
+    ([2 ** 63 + k for k in range(0, 300, 7)], 2 ** 63 + 300, 12),
+    ([2 ** 64 + k * k for k in range(101)], 2 ** 64 + 10_000, 5),
+    ([2 ** 64 + k * k for k in range(101)], 2 ** 64 + 10_000, 9),
+    ([2 ** 64 + 3 * k for k in range(200)], 2 ** 64 + 600, 3),
+    ([2 ** 64 + 3 * k for k in range(200)], 2 ** 64 + 600, 6),
+]
+
+# [10, 989] without its multiples of 7: with 994 added, shifts up to 6 keep
+# 994 and cover Z/7, and shift 7 drops it.
+NO_SEVENS = tuple(n for n in range(10, 990) if n % 7)
+
+# Shifted cyclic families (elements, horizon, shifts, M): every shift passes;
+# the core (the elements every shift keeps) is empty, with every shift passing
+# or a late one failing; shifts pass and then one fails; shifts far past the
+# horizon; and each on Python ints, past 2^63 and 2^64, where e + n can pass
+# 2^63.
+SHIFTED_CYCLIC = [
+    (range(3001), 3000, range(-3, 4), 12),
+    (range(100), 99, range(-60, 61, 40), 6),
+    (range(100), 99, [-60, -20, 20, 60, 95], 6),
+    ((*range(10, 991, 2), 995), 1000, range(0, 11), 3),
+    ((*range(10, 991, 2), 995), 1000, range(0, 11), 20),
+    ((*NO_SEVENS, 994), 1000, range(-3, 12), 12),
+    (range(11), 10, [-2 ** 70, 0, 2 ** 70], 3),
+    ([2 ** 64 + 2 * k for k in range(700)], 2 ** 64 + 1400, range(-1, 2), 50),
+    ([2 ** 64 + k for k in range(3001)], 2 ** 64 + 3000, range(-3, 4), 20),
+    ([2 ** 64 + k for k in range(100)], 2 ** 64 + 99, [-60, -20, 20, 60, 95], 6),
+    ([2 ** 64 + e for e in (*range(10, 991, 2), 995)], 2 ** 64 + 1000, range(0, 11), 3),
+    ([2 ** 64 + e for e in (*NO_SEVENS, 994)], 2 ** 64 + 1000, range(-3, 12), 12),
+    (range(2 ** 63 - 200, 2 ** 63 - 1), 2 ** 63 + 100, range(-5, 120, 3), 12),
+    ((*range(2 ** 63 - 400, 2 ** 63 - 1, 2), 2 ** 63 - 1), 2 ** 63 + 100, range(90, 110, 3), 3),
+    (range(2 ** 63 - 12, 2 ** 63), 2 ** 63 + 100, range(-2, 110), 12),
+    ([k * k for k in range(101)], 2 ** 63, range(-2, 3), 12),
+]
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -323,6 +372,14 @@ def _disagreement(seed: int) -> tuple:
     top, count = int(rng.integers(20, 401)), int(rng.integers(2, 25))
     elements = [0] + sorted(rng.choice(np.arange(1, top + 1), count, replace=False).tolist())
     return Window(elements, 400), 12, range(0, 1) if seed % 2 else range(-6, 7)
+
+
+def _subcover(elements, horizon: int, m: int):
+    # finite_subcover's window, or the period and class of its CoverageError.
+    try:
+        return finite_subcover(Window(elements, horizon), m)
+    except CoverageError as exc:
+        return ("CoverageError", exc.period, exc.missing, str(exc))
 
 
 def fingerprints() -> list[str]:
@@ -386,6 +443,13 @@ def fingerprints() -> list[str]:
                     crosscheck_cyclic_equivalence(*args)
                     for args in [(Window((0, 1, 2, 3), 50), 3, range(-2, 3))]
                     + [_disagreement(seed) for seed in CROSSCHECK_DISAGREEMENT_SEEDS]
+                ),
+                # finite_subcover: the least element of each class, or the class a window misses.
+                "finite-subcovers": (_subcover(*row) for row in FINITE_SUBCOVERS),
+                # The cyclic engine's shifted families: verdict, witness and note.
+                "shifted-cyclic": (
+                    _shift_family_cyclic(Window(elements, horizon), shifts, max_period)
+                    for elements, horizon, shifts, max_period in SHIFTED_CYCLIC
                 ),
             }
             return lines + [

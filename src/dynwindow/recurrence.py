@@ -71,10 +71,6 @@ _SEGMENTS = tuple((p * (p - 1) // 2, (1 << p) - 1) for p in range(1, _TABLE_PERI
 # whose lcm is at most this, then takes each period's remainder in int64.
 _REDUCE_MODULUS_CAP = 2 ** 62 - 1
 
-# _missing_residues keeps the periods and offsets of a block of at most this
-# many periods, 64 blocks at most (1 MiB), and builds a larger block per call.
-_KEPT_BLOCK_PERIODS = 2 ** 10
-
 # birkhoff_window_test reads each start's orbit in slices of this many
 # times, then 4, 16, ... times as many: a return at index i costs O(i).
 _FIRST_SLICE = 32
@@ -184,16 +180,6 @@ def _step_table_times(sys: FiniteSystem, start, cell, horizon: int, cover) -> np
     return np.flatnonzero(inside[orbit[1 : horizon + 1]]) + 1
 
 
-def _empty_residues(arr: np.ndarray, m: int) -> np.ndarray:
-    # The classes mod m that arr misses, ascending.  A prefix of 16·m elements
-    # is counted first: if it covers Z/m, so does arr, and the rest is not read.
-    head = arr[: 16 * m]
-    counts = np.bincount((head % m).astype(np.int64, copy=False), minlength=m)
-    if head.size < arr.size and not counts.all():
-        counts = np.bincount((arr % m).astype(np.int64, copy=False), minlength=m)
-    return np.flatnonzero(counts == 0)
-
-
 def _lcm_runs(periods: Sequence[int], cap: int):
     # The periods in runs of consecutive ones, each the longest whose lcm is at
     # most cap, or one period: yields (run, its lcm).
@@ -225,17 +211,6 @@ def _class_table() -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=64)
-def _period_block(m: int, top: int, w: int, dtype) -> tuple:
-    # The periods p = m..top-1 of one block of _missing_residues, and each
-    # one's offset (p - m)·(w + 1) into the block's bincount, as columns in
-    # the residues' dtype: read-only, as a kept block is shared.
-    periods = np.arange(m, top, dtype=dtype)[:, None]
-    offsets = (periods - m) * (w + 1)
-    periods.flags.writeable = offsets.flags.writeable = False
-    return periods, offsets
-
-
 def _missing_residues(arr: np.ndarray, max_period: int) -> list:
     """The least class mod m that arr misses (None when it covers Z/m), for m = 1..max_period.
 
@@ -257,13 +232,14 @@ def _missing_residues(arr: np.ndarray, max_period: int) -> list:
     in one more counter, which stays zero when every class below w is hit.
     Residues are clamped into the pool only when n is below the largest
     period; otherwise each is already below w.  A block's periods and
-    bincount offsets are columns (``_period_block``), built once per block
-    shape for blocks of at most _KEPT_BLOCK_PERIODS periods, so the block ×
-    prefix matrix is reduced a row per period.  Blocks keep both that matrix
-    and the bincount within _BATCH_ELEMENTS.  A prefix that covers Z/m
-    settles m; the m's it leaves uncovered are recounted on the whole array,
-    in int64 or Python ints, mod the lcm of a block of them, and reduce its
-    hit classes mod m.
+    bincount offsets are columns, built per call, so the block × prefix
+    matrix is reduced a row per period.  Blocks keep both that matrix and
+    the bincount within _BATCH_ELEMENTS.  A prefix that covers Z/m settles
+    m; the m's it leaves uncovered are recounted on the whole array, in
+    int64 or Python ints, mod the lcm of a block of them, and reduce its hit
+    classes mod m.  This is the cyclic engine's one coverage kernel:
+    r_sequence_cyclic, the cross-check and the cyclic shift families (the
+    core and each shifted window) read it.
     """
     arr = _small_ints(arr)
     head = arr[: 16 * max_period]
@@ -282,8 +258,8 @@ def _missing_residues(arr: np.ndarray, max_period: int) -> list:
     for m in range(_TABLE_PERIODS + 1, max_period + 1, width):
         top = min(m + width, max_period + 1)  # one past the block's largest period
         w = max(1, min(head.size, top - 1))
-        block = _period_block if top - m <= _KEPT_BLOCK_PERIODS else _period_block.__wrapped__
-        periods, offsets = block(m, top, w, dtype)
+        periods = np.arange(m, top, dtype=dtype)[:, None]
+        offsets = (periods - m) * (w + 1)  # period p's segment of the bincount starts at (p - m)·(w + 1)
         if head.dtype == object:  # one Python-int reduction per lcm run, then int64 remainders
             residues = np.empty((top - m, head.size), dtype=np.int64)
             for run, modulus in _lcm_runs(range(m, top), _REDUCE_MODULUS_CAP):
@@ -495,34 +471,25 @@ def shift_family_test(a: Window, shifts: Iterable[int], tester: Callable) -> Ver
 def _shift_family_cyclic(a: Window, shifts: Iterable[int], max_period: int) -> Verdict:
     """shift_family_test(a, shifts, lambda w: r_sequence_cyclic(w, max_period)), verdict for verdict.
 
-    Shift n keeps the slice of a with -n <= e <= horizon - n and permutes Z/m,
-    so the shifted copy misses (empty + n) mod m; no shifted window is built.
-    Both ends of that slice fall as n grows, so every slice contains the
-    core -shifts[0] <= e <= horizon - shifts[-1]: when the core covers Z/m,
-    no shift fails at m, so only the periods one ``_missing_residues`` call
-    on the core leaves open are read, and a shift's own slice is found only
-    when some period is open.  Shifts run in ascending order, each over its
-    open periods in ascending order, up to the first miss: the least
-    failing shift at its least failing period.  A Python-int window is
-    reduced mod m once per period.
+    Shift n keeps the slice of a with -n <= e <= horizon - n.  Both ends of
+    that slice fall as n grows, so every slice contains the core
+    -shifts[0] <= e <= horizon - shifts[-1], and a shift permutes Z/m: when
+    one ``_missing_residues`` call on the core covers Z/m for every m, every
+    shift passes.  Otherwise each shifted window (``Window.shift``, in the
+    window's own dtype, so e + n may pass 2^63) gets one ``_missing_residues``
+    call, in ascending order of shift, up to the first that misses a class:
+    the least failing shift, at its least failing period and that period's
+    least missing class.
     """
     shifts = sorted(shifts)
     if shifts and max_period < 1:
         raise ValueError("max_period must be >= 1")
-    arr = _small_ints(a.array)
-    core = arr[slice(*_span(a, -shifts[0], a.horizon - shifts[-1]))] if shifts else arr[:0]
-    core_missing = _missing_residues(core, max_period)  # an empty core misses 0 mod every m
-    periods = [m for m in range(1, max_period + 1) if core_missing[m - 1] is not None]
-    residues = {}
-    for n in shifts if periods else ():
-        lo, hi = _span(a, -n, a.horizon - n)
-        for m in periods:
-            if m not in residues:
-                residues[m] = arr if arr.dtype != object else (arr % m).astype(np.int64)
-            empty = _empty_residues(residues[m][lo:hi], m)
-            if empty.size:
-                missing = int(((empty + n % m) % m).min())
-                return Verdict.fail(n, note=f"shift {n:+d} fails: residue {missing} mod {m} never hit")
+    core = a.array[slice(*_span(a, -shifts[0], a.horizon - shifts[-1]))] if shifts else a.array[:0]
+    if any(missing is not None for missing in _missing_residues(core, max_period)):  # an empty core misses 0
+        for n in shifts:
+            for m, missing in enumerate(_missing_residues(a.shift(n).array, max_period), start=1):
+                if missing is not None:
+                    return Verdict.fail(n, note=f"shift {n:+d} fails: residue {missing} mod {m} never hit")
     return Verdict.hold(note=f"all {len(shifts)} shifts pass")
 
 
@@ -690,16 +657,17 @@ def crosscheck_cyclic_equivalence(a: Window, max_period: int, shifts: Iterable[i
 def finite_subcover(a: Window, m: int) -> Window:
     """Minimal-cardinality B ⊆ a whose residues cover Z/m (the least element per class).
 
-    Raises CoverageError with the missing residue if a does not cover mod m.
+    Raises CoverageError with the least missing class if a does not cover
+    Z/m: the classes a hits ascend, so that is the first one that differs
+    from its index, or their count when none does (0 for an empty window).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    arr = _small_ints(a.array)
-    empty = _empty_residues(arr, m)
-    if empty.size:
-        raise CoverageError(m, int(empty[0]))
     # a ascends, so the first index of each class holds its least element.
-    first = np.unique(arr % m, return_index=True)[1]
+    classes, first = np.unique(_small_ints(a.array) % m, return_index=True)
+    if classes.size < m:
+        gaps = np.flatnonzero(classes != np.arange(classes.size))
+        raise CoverageError(m, int(gaps[0]) if gaps.size else classes.size)
     return Window._trusted(a.array[np.sort(first)], a.horizon)
 
 

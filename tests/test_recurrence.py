@@ -339,27 +339,15 @@ def test_missing_residues_answer_no_period_below_one(max_period):
     assert _missing_residues(np.arange(0, 3000, 150).astype(object) + 2 ** 64, max_period) == []
 
 
-def test_missing_residues_keep_only_small_read_only_blocks():
-    # The periods up to _TABLE_PERIODS read one class table, built once and
-    # read-only.  Past them, a block of at most _KEPT_BLOCK_PERIODS periods
-    # is kept and shared, so it is read-only; a larger one is built per call
-    # and never kept.
+def test_missing_residues_build_one_read_only_class_table():
+    # The periods up to _TABLE_PERIODS read one class table, built on the
+    # first call, shared by every later one, and so read-only.
     arr = np.arange(0, 3000, 150)
-    recurrence._period_block.cache_clear()
     recurrence._class_table.cache_clear()
-    try:
-        _missing_residues(arr, recurrence._TABLE_PERIODS + recurrence._KEPT_BLOCK_PERIODS + 1)
-        assert recurrence._period_block.cache_info().currsize == 0
-        assert _missing_residues(arr, 20) == _missing_residues(arr, 20)
-        info = recurrence._period_block.cache_info()
-        assert (info.currsize, info.hits) == (1, 1)
-        periods, offsets = recurrence._period_block(13, 21, 20, np.dtype(np.int32))
-        assert not periods.flags.writeable and not offsets.flags.writeable
-        info = recurrence._class_table.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
-        assert not recurrence._class_table().flags.writeable
-    finally:
-        recurrence._period_block.cache_clear()
+    assert _missing_residues(arr, 20) == _missing_residues(arr, 20)
+    info = recurrence._class_table.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert not recurrence._class_table().flags.writeable
 
 
 def _column_loop_missing_residues(arr: np.ndarray, max_period: int) -> list:
@@ -468,6 +456,9 @@ def _per_period_missing(elements: list, max_period: int) -> list:
 # The 192-element prefix lies below 2^31 and is reduced in int32; the tail
 # passes 2^31, and the periods left open (7 at least) are recounted in int64.
 @example(12, (7, 3), 3000, (2 ** 31 - 3000, np.int64), 2 ** 16, random.Random(3))
+# 20 elements at M = 1,037: past the class table, one block of 1,025 periods,
+# each clamped into a pool of w = 20 classes.
+@example(1037, (7, 3), 20, (0, np.int64), 2 ** 16, random.Random(4))
 @settings(max_examples=60, deadline=None)
 def test_uncovered_periods_recount_as_per_period_bincounts(max_period, skipped, size, kind, cap, rnd):
     # Arrays longer than the 16·max_period prefix, most of them missing one
@@ -772,24 +763,45 @@ def test_cyclic_shift_family_edges():
     assert v == _cyclic_shift_family(interval(0, 10), [3, 11, -11, 0], 4)
 
 
-def test_cyclic_shift_family_stops_once_the_first_shift_fails():
-    # Evens past 2^64 under shifts -1..1: shift -1 fails at m = 2, and no
-    # later m can find an earlier failing shift, so no other m <= 50 reduces
-    # the window.  700 <= 16·50 elements: the core is never recounted.
-    seen = set()
+@pytest.mark.parametrize(
+    "elements, shifts, max_period, fails",
+    [
+        (range(2 ** 63 - 200, 2 ** 63 - 1), range(-5, 120, 3), 12, False),
+        # Evens and 2^63 - 1 cover Z/2 until shift 102 drops 2^63 - 1.
+        ((*range(2 ** 63 - 400, 2 ** 63 - 1, 2), 2 ** 63 - 1), range(90, 110, 3), 3, True),
+        # 12 elements, each its own prefix: shifts 1..101 move the last past
+        # 2^63 and keep Z/12 covered; shift 102 drops 2^63 - 1.
+        (range(2 ** 63 - 12, 2 ** 63), range(-2, 110), 12, True),
+    ],
+)
+def test_cyclic_shift_family_shifts_past_2_63(elements, shifts, max_period, fails):
+    # Elements just below 2^63 under a horizon past it: e + n passes 2^63, so
+    # the shifted windows stay Python ints.
+    a = Window(elements, 2 ** 63 + 100)
+    got = _shift_family_cyclic(a, shifts, max_period)
+    assert got == _cyclic_shift_family(a, shifts, max_period) == _scan_shift_family(a, shifts, max_period)
+    assert got.fails == fails
 
-    class Recorded(int):
-        def __mod__(self, m):
-            seen.add(m)
-            return int(self) % m
 
+def test_cyclic_shift_family_stops_once_the_first_shift_fails(monkeypatch):
+    # Evens past 2^64 under shifts -1..1: the core misses 1 mod 2, so shift
+    # -1's slice is read, fails at m = 2, and no later shift is read.  The
+    # kernel runs twice: on the core, then on shift -1's shifted slice.
     base = 2 ** 64
-    a = Window._trusted(np.array([Recorded(base + 2 * k) for k in range(700)], dtype=object), base + 1400)
+    a = Window([base + 2 * k for k in range(700)], base + 1400)
+    calls = []
+
+    def recorded(arr, max_period):
+        calls.append((arr.tolist(), max_period))
+        return _missing_residues(arr, max_period)
+
+    monkeypatch.setattr(recurrence, "_missing_residues", recorded)
     v = _shift_family_cyclic(a, range(-1, 2), 50)
     assert v == Verdict.fail(-1, note="shift -1 fails: residue 0 mod 2 never hit")
-    assert {m for m in seen if m <= 50} == {2}
-    plain = Window([base + 2 * k for k in range(700)], base + 1400)
-    assert v == _cyclic_shift_family(plain, range(-1, 2), 50)
+    # Every element lies in the core 1 <= e <= horizon - 1, and in shift -1's slice.
+    assert calls == [(list(a.elements), 50), ([e - 1 for e in a.elements], 50)]
+    monkeypatch.undo()
+    assert v == _cyclic_shift_family(a, range(-1, 2), 50)
 
 
 # -- crosscheck ------------------------------------------------------------------------
@@ -1223,6 +1235,30 @@ def test_subcover_minimal_and_replayable(elems, m):
         assert len(b) == m  # one element per class is forced and minimal
         assert {e % m for e in b.elements} == set(range(m))
         assert set(b.elements) <= set(a.elements)
+
+
+@given(
+    st.lists(st.integers(0, 400), max_size=80, unique=True),
+    st.sampled_from([0, 2 ** 62, 2 ** 64 + 5]),
+    st.integers(1, 40),
+)
+@example([], 0, 1)  # an empty window misses 0
+@example([], 2 ** 64 + 5, 7)
+@example([0, 1, 3, 4, 6, 7], 0, 3)  # {0, 1} mod 3: 2 is missing
+@example(list(range(0, 400, 2)), 2 ** 64 + 5, 4)  # past 2^64, 1 and 3 mod 4: 0 is missing
+@example([0, 1, 2], 0, 40)  # m larger than the window: every class below it is hit, 3 is missing
+@settings(max_examples=80, deadline=None)
+def test_subcover_failure_names_the_least_missing_class(elems, base, m):
+    # finite_subcover's CoverageError carries the class the coverage kernel
+    # reports for m; a window that covers Z/m gets its subcover.
+    a = Window(tuple(base + e for e in sorted(elems)), base + 400)
+    entry = r_sequence_cyclic(a, m).per_system[f"cyclic:{m}"]
+    if entry["covered"]:
+        assert len(finite_subcover(a, m)) == m
+    else:
+        with pytest.raises(CoverageError) as info:
+            finite_subcover(a, m)
+        assert (info.value.period, info.value.missing) == (m, entry["missing"])
 
 
 # -- product transitivity --------------------------------------------------------------
