@@ -1,7 +1,8 @@
 """Batch front-end: sequence files and system specs in, deterministic reports out.
 
-Subcommands return their report, summary lines and exit code; ``main`` alone
-stamps the run parameters, writes the report and then prints.  JSON is the
+Subcommands return their report, summary lines, exit code and the files to
+write (path to text); ``main`` alone stamps the run parameters, writes the
+report, then the files, and then prints.  JSON is the
 single machine-readable output; the summary is rendered from the same values
 as the report.  Identical inputs and params give byte-identical reports.  Exit
 code 0 means a verdict was computed (even a failing one); nonzero is reserved
@@ -22,11 +23,11 @@ from .intsets import (
     Window,
     _write_text,
     banach_density_estimate,
+    format_sequence,
     is_syndetic,
     is_thick,
     parse_sequence_file,
     piecewise_syndetic_certificate,
-    write_sequence_file,
 )
 from .systems import (
     GOLDEN,
@@ -206,7 +207,7 @@ def _verdict_line(label: str, v: Verdict) -> str:
     return f"{label}: {v.status.value}{extra}{note}"
 
 
-def _cmd_classify(args) -> tuple[dict, list[str], int]:
+def _cmd_classify(args) -> tuple[dict, list[str], int, dict]:
     if args.density_length < 1:
         raise ValueError(f"--density-length must be >= 1, got {args.density_length}")
     w = _load_window(args.path, args.horizon)
@@ -230,10 +231,10 @@ def _cmd_classify(args) -> tuple[dict, list[str], int]:
         _verdict_line(f"piecewise-syndetic certificate (gap {args.gap}, block {args.block})", checks["piecewise_syndetic"]),
         f"banach density (length {density_length}): {density} = {float(density):.6g}",
     ]
-    return report, summary, 0
+    return report, summary, 0, {}
 
 
-def _cmd_recurrence(args) -> tuple[dict, list[str], int]:
+def _cmd_recurrence(args) -> tuple[dict, list[str], int, dict]:
     w = _load_window(args.path, args.horizon)
     family = args.family.strip()
     if family.startswith("cyclic:<="):
@@ -264,10 +265,10 @@ def _cmd_recurrence(args) -> tuple[dict, list[str], int]:
         cyclic = family.startswith("cyclic:<=")
         verdict = _shift_family_cyclic(w, args.shifts, max_period) if cyclic else shift_family_test(w, args.shifts, tester)
         report.update(per_system=[], family=family_str + ", shifted", **verdict.to_json())
-    return report, [_verdict_line(f"recurrence vs {family}", verdict)], 0
+    return report, [_verdict_line(f"recurrence vs {family}", verdict)], 0, {}
 
 
-def _cmd_crosscheck(args) -> tuple[dict, list[str], int]:
+def _cmd_crosscheck(args) -> tuple[dict, list[str], int, dict]:
     if args.path:
         windows = [(_load_window(args.path, args.horizon), args.path)]
     else:
@@ -289,10 +290,10 @@ def _cmd_crosscheck(args) -> tuple[dict, list[str], int]:
         **overall.to_json(),
     }
     label = f"cross-check ({len(windows)} windows, m <= {args.max_period}, shifts {args.shifts.start}..{args.shifts.stop - 1})"
-    return report, [_verdict_line(label, overall)], 0
+    return report, [_verdict_line(label, overall)], 0, {}
 
 
-def _cmd_permpoly(args) -> tuple[dict, list[str], int]:
+def _cmd_permpoly(args) -> tuple[dict, list[str], int, dict]:
     coeffs = parse_int_polynomial(args.polynomial)
     if args.action == "check":
         if args.p is None:
@@ -321,10 +322,10 @@ def _cmd_permpoly(args) -> tuple[dict, list[str], int]:
             f"{report['polynomial']}: p = {res.p}, missing residue {res.missing} "
             f"(image size {len(res.image)} of {res.p})"
         )
-    return report, [line], 0
+    return report, [line], 0, {}
 
 
-def _cmd_construct(args) -> tuple[dict, list[str], int]:
+def _cmd_construct(args) -> tuple[dict, list[str], int, dict]:
     if args.schedule:
         with open(args.schedule, "r", encoding="utf-8") as fh:
             schedule = IPBlockSchedule.from_json(json.load(fh))
@@ -335,13 +336,13 @@ def _cmd_construct(args) -> tuple[dict, list[str], int]:
     not_pws = verify_not_pws(built, args.gap, args.block_length)
     shifted = verify_shifted_recurrence(built, args.max_period, args.shifts)
     spacing_law = built.spacing_law_holds()
-    summary = []
+    summary, files = [], {}
     if args.sequence:
         comment = (
             f"ip-block sequence: {schedule.block_count} blocks, "
             f"t-schedule {'default' if schedule.uses_default_t else 'custom'}"
         )
-        write_sequence_file(args.sequence, w, comment)
+        files[args.sequence] = format_sequence(w, comment)
         summary.append(f"wrote {len(w)} elements to {args.sequence}")
     report = {
         "sequence": _sequence_info(args.sequence or "<not written>", w),
@@ -363,10 +364,10 @@ def _cmd_construct(args) -> tuple[dict, list[str], int]:
             shifted,
         ),
     ]
-    return report, summary, 0
+    return report, summary, 0, files
 
 
-def _cmd_product(args) -> tuple[dict, list[str], int]:
+def _cmd_product(args) -> tuple[dict, list[str], int, dict]:
     left = parse_system_spec(args.left)
     right = parse_system_spec(args.right)
     if not isinstance(left, CyclicSystem) or not isinstance(right, CyclicSystem):
@@ -377,7 +378,7 @@ def _cmd_product(args) -> tuple[dict, list[str], int]:
         f"(orbit of (0,0) has {res.orbit_size} states of {res.m * res.n}; "
         f"enumeration {'agrees' if res.agrees else 'DISAGREES'})"
     )
-    return res.to_json(), [line], 0 if res.agrees else 1
+    return res.to_json(), [line], 0 if res.agrees else 1, {}
 
 
 @functools.cache
@@ -458,11 +459,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        report, summary, code = args.func(args)
+        report, summary, code, files = args.func(args)
         report["params"] = _params_of(args)
         doc = _render(report) + "\n"
         if args.out:  # before any print: a report that cannot be written leaves stdout empty
             _write_text(args.out, doc)
+        for path, text in files.items():  # after the report: a failed report writes no other file
+            _write_text(path, text)
         for line in summary:
             print(line)
         if args.json:

@@ -514,6 +514,16 @@ def test_path_under_a_regular_file_is_operational_error(tmp_path, capsys, comman
     assert captured.err.startswith("error: [Errno 20] Not a directory") and captured.out == ""
 
 
+def test_construct_whose_report_fails_writes_no_sequence_file(tmp_path, capsys):
+    # The sequence file is written after the report, so a report that cannot be
+    # written leaves no sequence file behind.
+    seq = tmp_path / "seq.txt"
+    assert main(["construct", "example", "--blocks", "2", "--out", str(seq), "--report", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: [Errno 21] Is a directory") and captured.out == ""
+    assert not seq.exists()
+
+
 def test_classify_into_a_missing_directory_prints_nothing(squares_file, tmp_path, capsys):
     # The report is written before the summary is printed, so a failed write leaves stdout empty.
     assert main(["classify", squares_file, "--out", str(tmp_path / "missing" / "x.json")]) == 1
