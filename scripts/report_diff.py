@@ -14,6 +14,9 @@ kinds:
   ``fingerprints()``: the sha256 of the ``repr`` lines of its results in
   order, named ``library <group>``.
 
+A call that raises is recorded as ``raised <exception type>`` in place of its
+exit code or digest, and the list goes on.
+
 ``tests/golden/cli.txt`` holds these lines, and ``tests/test_cli_golden.py``
 regenerates them and names every call whose line moved.  A change that moves
 a line on purpose rewrites the file and explains the line:
@@ -354,6 +357,15 @@ def fingerprint(main, argv: list[str]) -> str:
     return " ".join(fields) + " :: " + " ".join(argv)
 
 
+def _library_line(name: str, text_of) -> str:
+    # The sha256 of the text of a library op or group, or the exception it raised.
+    try:
+        digest = _sha(text_of().encode())
+    except Exception as exc:  # a bug: record it instead of stopping the list
+        return f"repr=raised {type(exc).__name__} :: library {name}"
+    return f"repr={digest} :: library {name}"
+
+
 def _return_times(rows):
     # Each row's return-time window N(x, U) at horizon 20,000.
     for spec, start, cell, eps in rows:
@@ -398,7 +410,7 @@ def fingerprints() -> list[str]:
             calls += [op.params["argv"] for op in workloads.build_cli_files(1, Path("cli-files"))]
             lines = [fingerprint(cli_main, argv) for argv in calls]
             lines += [
-                f"repr={_sha(repr(op.call(0)).encode())} :: library {op.name}"
+                _library_line(op.name, lambda op=op: repr(op.call(0)))
                 for op in workloads.build_metric_density(1, Path("metric-density"))
             ]
             groups = {
@@ -453,7 +465,7 @@ def fingerprints() -> list[str]:
                 ),
             }
             return lines + [
-                "repr=" + _sha("".join(repr(r) + "\n" for r in results).encode()) + " :: library " + name
+                _library_line(name, lambda results=results: "".join(repr(r) + "\n" for r in results))
                 for name, results in groups.items()
             ]
         finally:

@@ -11,6 +11,15 @@ added or changed lines, or, for a pure deletion, the line on either side
 of the gap.  It prints the changed lines, then, per workload, the ops that
 run one of them and which ones they run.
 
+    python3 scripts/touched_ops.py PARENT --bench BENCH.json --entry NAME
+
+also reads the entry NAME of a file that ``scripts/bench_ab.py`` wrote and
+prints, per workload of the entry, the median B/A ratio of the per-op times
+(``op_s_median``) over the touched ops and over the untouched ops.  The
+untouched ops run no changed line, so their ratio is a control taken in the
+same runs: it reads near 1.00, a few per cent either way, unless the machine
+or the order of the runs favoured a side.
+
 Only line events count: calling a function does not run its ``def`` line,
 and lines run at import (module constants, ``def`` statements) are not
 traced.  Caches are as the ops in order leave them, as in a benchmark's
@@ -20,8 +29,10 @@ that built it.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import re
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -89,11 +100,28 @@ def _ranges(lines) -> str:
     return ", ".join(f"{a}" if a == b else f"{a}-{b}" for a, b in runs)
 
 
+def op_time_ratios(entry: dict, touched: dict[str, set[str]]) -> dict[str, dict]:
+    """Per workload of a bench_ab.py entry: the median B/A per-op time ratio and the op count,
+    over the ops named in ``touched[workload]`` and over the other ops (None for no op)."""
+    out = {}
+    for workload, result in entry["workloads"].items():
+        a, b = result["a"]["op_s_median"], result["b"]["op_s_median"]
+        groups = {"touched": [], "untouched": []}
+        for op in a:
+            groups["touched" if op in touched.get(workload, ()) else "untouched"].append(b[op] / a[op])
+        out[workload] = {side: (statistics.median(r) if r else None, len(r)) for side, r in groups.items()}
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="List the benchmark ops that run source lines changed since PARENT.")
     parser.add_argument("parent", help="the commit to diff this checkout's src against")
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--bench", type=Path, help="a file of scripts/bench_ab.py entries")
+    parser.add_argument("--entry", help="the entry of --bench whose per-op times to compare")
     args = parser.parse_args(argv)
+    if (args.bench is None) != (args.entry is None):
+        parser.error("--bench and --entry go together")
     diff = subprocess.run(
         ["git", "-C", str(ROOT), "diff", "-U0", "--no-color", "--no-ext-diff", "--src-prefix=a/",
          "--dst-prefix=b/", args.parent, "--", "src"],
@@ -108,6 +136,7 @@ def main(argv: list[str] | None = None) -> int:
     import workloads
 
     cwd = os.getcwd()
+    touched_by_workload = {}
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
@@ -123,8 +152,14 @@ def main(argv: list[str] | None = None) -> int:
                     files = sorted({path for path, _ in hit})
                     where = "; ".join(f"{path}:{_ranges(n for p, n in hit if p == path)}" for path in files)
                     print(f"  {op_name}  {where}")
+                touched_by_workload[name] = {op_name for op_name, _ in touched}
         finally:
             os.chdir(cwd)
+    if args.bench is not None:
+        entry = json.loads(args.bench.read_text(encoding="utf-8"))[args.entry]
+        for workload, sides in op_time_ratios(entry, touched_by_workload).items():
+            print(f"{args.entry} {workload}: median B/A per-op time, "
+                  + ", ".join(f"{side} {'-' if r is None else f'{r:.3f}'} ({n} ops)" for side, (r, n) in sides.items()))
     return 0
 
 

@@ -66,14 +66,20 @@ _INT64_HORIZON_CAP = 2 ** 62
 _PACK_CHUNK = 2 ** 14
 _PACK_CODE = "l" if struct.calcsize("l") == 8 else "q"
 
-# _DIGIT_MASKS[c, L] keeps the low nibbles of word c's bytes inside a line of
-# L <= 18 digits; _FOLDS (factor, shift, mask) turn a word's digits, first byte
-# most significant, into byte pairs 10a + b, then 100p + q, then 10^4·p + q.
+# _DIGIT_MASKS[c, L] keeps the low nibbles of the bytes of word c (the 8 bytes
+# ending 8c bytes before a line's newline) that lie inside a line of L <= 18
+# digits: one scalar mask for a whole run of lines of length L.  _FOLDS (factor,
+# shift, mask) turn a word's digits, first byte most significant, into byte
+# pairs 10a + b, then 100p + q, then 10^4·p + q.
 _DIGIT_MASKS = np.array(
     [[0x0F0F0F0F0F0F0F0F & -(1 << 64 - 8 * min(max(L - 8 * c, 0), 8)) for L in range(19)] for c in range(3)], np.uint64
 )
 _FOLDS = [tuple(map(np.uint64, fold)) for fold in (
     (10 << 8 | 1, 8, 0x00FF00FF00FF00FF), (100 << 16 | 1, 16, 0x0000FFFF0000FFFF), (10_000 << 32 | 1, 32, 2 ** 32 - 1))]
+
+# A run's line count is read from its newline column this many lines at first,
+# then 8 times as many lines a step.
+_RUN_PROBE = 64
 
 Witness = Union[int, tuple, None]
 
@@ -526,7 +532,8 @@ def parse_sequence_text(text: Union[str, bytes]) -> Window:
 def _parse_well_formed(data: bytes) -> Optional[Window]:
     # The common file, checked and converted as arrays: '!horizon N' among
     # '#' and blank lines, then only lines of 1-18 ASCII digits, each ending in
-    # '\n', strictly ascending and at most N.  The header must be UTF-8 whose
+    # '\n' and none shorter than the line before (a shorter line needs leading
+    # zeros), strictly ascending and at most N.  The header must be UTF-8 whose
     # comments hold no other line break.  Anything else gives None, and
     # _parse_lines then parses the text or reports the offending line.
     horizon, pos = None, 0
@@ -551,38 +558,64 @@ def _parse_well_formed(data: bytes) -> Optional[Window]:
         return None
     if pos == len(data):
         return Window._trusted(np.zeros(0, dtype=np.int64), horizon)
+    end = len(data)
     if data[-1] != ord("\n"):
         return None
-    buf = np.frombuffer(data, dtype=np.uint8, offset=pos)
-    ends = np.flatnonzero(buf == ord("\n"))
-    # Digits and newlines are disjoint: the body holds nothing else iff they number its size.
-    if np.count_nonzero(buf - np.uint8(ord("0")) < 10) != buf.size - ends.size:
+    # The last line is then the longest, so every line has at most 18 digits
+    # (which stay below 2^62) iff it has.  A file past that (every file construct
+    # writes) goes to the line loop before its body is read.
+    if end - 2 - data.rfind(b"\n", 0, end - 1) > 18:
         return None
-    lengths = np.empty_like(ends)  # np.diff(ends, prepend=-1) - 1 costs about 3 times as much
-    lengths[0] = ends[0]
-    np.subtract(ends[1:], ends[:-1], out=lengths[1:])
-    lengths[1:] -= 1
-    if lengths.min() < 1 or lengths.max() > 18:  # 18 digits stay below 2^62
+    # The body as runs of lines of one length, each run's line count found by
+    # galloping over its newline column.  A line of the next run is longer.
+    buf = np.frombuffer(data, dtype=np.uint8)
+    runs, s, shortest = [], pos, 1
+    while s < end:
+        length = data.find(b"\n", s) - s
+        if length < shortest:  # a blank line, or a line shorter than the one before
+            return None
+        column, k, probe = buf[s + length :: length + 1], 0, _RUN_PROBE
+        while True:  # k: the newlines at the head of the column
+            other = column[k : k + probe] != ord("\n")
+            if other.any():
+                k += int(other.argmax())
+                break
+            k += other.size
+            if other.size < probe:
+                break
+            probe *= 8
+        runs.append((s, length, k))
+        s, shortest = s + k * (length + 1), length
+    # The runs' newline columns tile the body; it holds nothing else (no newline
+    # among a run's digits, no other byte) iff its other bytes are all digits.
+    lines = sum(k for _, _, k in runs)
+    body = buf[pos:]
+    if np.count_nonzero(body - np.uint8(ord("0")) < 10) != body.size - lines:
         return None
-    # Word c of a line: the 8 bytes ending 8c bytes before its newline, read as
-    # a little-endian uint64 of a stride-1 view of the file.  The header lies
-    # before the body, so zeros go in front only when a first line's first word
-    # would start before the file.  (ndarray.take would copy the whole view.)
-    width = -(-int(lengths.max()) // 8)
-    lead = max(0, 8 * width - pos - int(ends[0]))
-    base = bytes(lead) + data if lead else data
-    words = np.ndarray(len(base) - 7, dtype="<u8", buffer=base, strides=(1,))
-    at = ends + (lead + pos - 8 * width)  # word width - 1 of each line, then 8 bytes on per word
-    values = None
-    for c in reversed(range(width)):
-        v = words[at]
-        v &= _DIGIT_MASKS[c].take(lengths)
+    # Word c of a line: the 8 bytes ending 8c bytes before its newline, read as a
+    # little-endian uint64 through a view with the run's line stride, and masked
+    # to the line's digits.  The header ("!horizon N\n", 11 bytes at least) lies
+    # before the body, so a first line's first word starts inside the file.  Lines
+    # never get shorter, so the lines that have a word c are a suffix of the body:
+    # words_of[c] holds their words, from line first on.
+    words_of, k0 = [], 0
+    for s, length, k in runs:
+        for c in range(-(-length // 8)):
+            if c == len(words_of):
+                words_of.append((k0, np.empty(lines - k0, dtype=np.uint64)))
+            first, words = words_of[c]
+            view = np.ndarray(k, dtype="<u8", buffer=data, offset=s + length - 8 * (c + 1), strides=(length + 1,))
+            np.bitwise_and(view, _DIGIT_MASKS[c, length], out=words[k0 - first : k0 - first + k])
+        k0 += k
+    values = words_of[0][1]
+    for c, (first, words) in enumerate(words_of):
         for factor, shift, mask in _FOLDS:  # in place: a temporary costs more than the op
-            v *= factor
-            v >>= shift
-            v &= mask
-        values = v if values is None else values * np.uint64(10 ** 8) + v
-        at += 8
+            words *= factor
+            words >>= shift
+            words &= mask
+        if c:
+            words *= np.uint64(10 ** (8 * c))
+            values[first:] += words
     values = values.view(np.int64)
     if (values[1:] <= values[:-1]).any() or int(values[-1]) > horizon:
         return None

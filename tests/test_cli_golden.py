@@ -83,3 +83,11 @@ def test_corpus_spec_round_trips(spec):
     again = parse_system_spec(system.spec_string())
     assert again == system and type(again) is type(system)
     assert again.spec_string() == system.spec_string()
+
+
+def test_a_library_call_that_raises_is_recorded_and_the_list_goes_on():
+    def raising():
+        raise OverflowError("int too big to convert")
+
+    assert report_diff._library_line("shifted-cyclic", raising) == "repr=raised OverflowError :: library shifted-cyclic"
+    assert report_diff._library_line("ok", lambda: "") == f"repr={report_diff._sha(b'')} :: library ok"

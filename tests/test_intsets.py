@@ -965,11 +965,92 @@ def test_parse_matches_the_line_loop_on_every_text(text):
 
 
 def test_parse_well_formed_text_takes_the_array_path():
-    text = "# made by hand\n!horizon 2000000000000000000\n# header comment\n\n0\n007\n19\n999999999999999999\n"
+    text = "# made by hand\n!horizon 2000000000000000000\n# header comment\n\n0\n007\n019\n999999999999999999\n"
     w = intsets._parse_well_formed(text.encode())
     assert w == _reference_parse(text) and w.elements == (0, 7, 19, 10 ** 18 - 1)
     assert w.array.dtype == np.int64 and w.array.tolist() == list(w.elements)
     assert intsets._parse_well_formed(b"!horizon 4\n") == Window((), 4)
+    # 007 then 19 is a shorter line: the line loop reads it, to the same window and dtype.
+    descent = text.replace("\n019\n", "\n19\n")
+    assert intsets._parse_well_formed(descent.encode()) is None
+    w = parse_sequence_text(descent)
+    assert w == _reference_parse(descent) and w.elements == (0, 7, 19, 10 ** 18 - 1)
+    assert w.array.dtype == np.int64 and w.array.tolist() == list(w.elements)
+
+
+@st.composite
+def _runs_of_equal_lines(draw):
+    # Lines whose lengths never decrease, as runs of 1-18 digits with leading
+    # zeros allowed: each run's values ascend from the run before's, below 10^L.
+    lengths = sorted(draw(st.sets(st.integers(1, 18), min_size=1, max_size=4)))
+    probe = intsets._RUN_PROBE
+    counts = st.one_of(st.integers(1, 3), st.sampled_from([probe - 1, probe, probe + 1, 9 * probe]), st.integers(1, 700))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    lines, start = [], 0
+    for length in lengths:
+        count = min(draw(counts), 10 ** length - start)
+        room = min(10 ** length - start - count, 10 ** draw(st.integers(0, length)))  # spread, or bunched near start
+        offsets = np.sort(rng.integers(0, room, count, endpoint=True, dtype=np.uint64)).tolist()
+        values = [start + r + i for i, r in enumerate(offsets)]
+        lines += [f"{v:0{length}d}" for v in values]
+        start = values[-1] + 1
+    header = draw(st.sampled_from(["", "# a comment\n", "\n# café\n\n"]))
+    after = draw(st.sampled_from(["", "# after\n", "\n"]))
+    return f"{header}!horizon {start - 1 + draw(st.integers(0, 2))}\n{after}" + "".join(line + "\n" for line in lines)
+
+
+def _one_run(count, length=4, then=""):
+    # count lines of length digits, 0, 1, ... zero-padded, then the text then.
+    return f"!horizon {10 ** 6}\n" + "".join(f"{v:0{length}d}\n" for v in range(count)) + then
+
+
+@given(_runs_of_equal_lines())
+@example(_one_run(intsets._RUN_PROBE))  # exactly the gallop's first window of lines
+@example(_one_run(intsets._RUN_PROBE - 1))
+@example(_one_run(intsets._RUN_PROBE + 1))
+@example(_one_run(9 * intsets._RUN_PROBE))  # the first two windows
+@example(_one_run(intsets._RUN_PROBE, then="12345\n"))  # a window's worth, then a longer run
+@example(_one_run(3000))  # a run past every window that ends at the end of the file
+@example("!horizon 5\n5\n")  # a one-line body
+@example(f"!horizon {10 ** 18}\n" + "".join(f"{10 ** k - 1}\n" for k in range(1, 19)))  # 18 runs of one line
+@settings(max_examples=150, deadline=None)
+def test_parse_well_formed_reads_every_file_whose_lines_never_get_shorter(text):
+    # The differential test above cannot see a kernel that refuses too often:
+    # the line loop would give the same window.  Here the array path must answer.
+    w = intsets._parse_well_formed(text.encode())
+    assert w is not None
+    assert w == _reference_parse(text) and w.array.tolist() == list(w.elements)
+    assert w.array.dtype == (np.int64 if w.horizon < 2 ** 62 else object)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _one_run(intsets._RUN_PROBE + 5, then="99\n"),  # a run, then a shorter line
+        "!horizon 100\n007\n19\n",
+        "!horizon 9\n005\n6\n7\n",  # "6\n7" fills a line of the run of length 3: its newline sits among the digits
+        _one_run(71, length=5, then="71\n72\n"),  # "71\n72" fills a line of a run of 5 digits, past the first window
+    ],
+    ids=["run-then-shorter", "descent", "newline-in-a-run", "newline-in-a-long-run"],
+)
+def test_a_line_shorter_than_the_one_before_goes_to_the_line_loop(text):
+    assert intsets._parse_well_formed(text.encode()) is None
+    w = parse_sequence_text(text)
+    assert w == _reference_parse(text) and w.array.dtype == np.int64 and w.array.tolist() == list(w.elements)
+
+
+def test_a_construct_file_is_refused_before_its_body_is_read(monkeypatch):
+    # Its last line has more than 18 digits; under the rule the last line is the
+    # longest, so the kernel refuses the file without one array operation.
+    from dynwindow.constructions import IPBlockSchedule, build_ip_block_sequence
+
+    w = build_ip_block_sequence(IPBlockSchedule.default(20)).window
+    assert len(str(w.elements[-1])) > 18
+    data = format_sequence(w, "ip-block sequence: 20 blocks").encode()
+    monkeypatch.setattr(intsets, "np", None)  # any array operation raises
+    assert intsets._parse_well_formed(data) is None
+    monkeypatch.undo()
+    assert parse_sequence_text(data) == w
 
 
 @pytest.mark.parametrize("zeros", [False, True])

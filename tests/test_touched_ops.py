@@ -1,8 +1,10 @@
-"""The hunk parser of ``scripts/touched_ops.py`` on a canned ``git diff -U0``."""
+"""The hunk parser and the per-op ratio split of ``scripts/touched_ops.py``, on canned input."""
 from __future__ import annotations
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 _SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "touched_ops.py"
 _spec = importlib.util.spec_from_file_location("touched_ops", _SCRIPT)
@@ -70,3 +72,27 @@ def test_changed_lines_of_no_diff_are_none():
 
 def test_ranges_join_consecutive_lines():
     assert touched_ops._ranges([9, 3, 5, 4, 11, 12]) == "3-5, 9, 11-12"
+
+
+def _sides(a: dict, b: dict) -> dict:
+    return {"a": {"op_s_median": a}, "b": {"op_s_median": b}}
+
+
+ENTRY = {
+    "workloads": {
+        "cli-files": _sides(
+            {"classify:random": 2.0, "classify:small": 1.0, "permpoly:x3": 4.0, "construct:20": 1.0, "product:6": 3.0},
+            {"classify:random": 1.0, "classify:small": 0.8, "permpoly:x3": 4.4, "construct:20": 1.0, "product:6": 2.7},
+        ),
+        "metric-density": _sides({"m": 1.0}, {"m": 1.1}),
+    }
+}
+
+
+def test_op_time_ratios_split_touched_from_untouched_ops():
+    # Touched: 0.5 and 0.8 (median 0.65); untouched: 1.1, 1.0 and 0.9 (median 1.0);
+    # a workload with no touched op has no touched ratio.
+    ratios = touched_ops.op_time_ratios(ENTRY, {"cli-files": {"classify:random", "classify:small"}})
+    assert ratios["cli-files"]["touched"] == (pytest.approx(0.65), 2)
+    assert ratios["cli-files"]["untouched"] == (pytest.approx(1.0), 3)
+    assert ratios["metric-density"] == {"touched": (None, 0), "untouched": (pytest.approx(1.1), 1)}
