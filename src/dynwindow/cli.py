@@ -29,14 +29,7 @@ from .intsets import (
     parse_sequence_file,
     piecewise_syndetic_certificate,
 )
-from .systems import (
-    GOLDEN,
-    CyclicSystem,
-    OdometerSystem,
-    ProductSystem,
-    RotationSystem,
-    SkewProductSystem,
-)
+from .systems import CyclicSystem, SystemSpecError, TorusSystem, parse_system_spec
 from .recurrence import (
     _CROSSCHECK_HORIZON_CAP,
     DEFAULT_SWEEP_SEED,
@@ -62,79 +55,6 @@ from .constructions import (
     verify_not_pws,
     verify_shifted_recurrence,
 )
-
-
-class SystemSpecError(ValueError):
-    pass
-
-
-def _parse_angle_token(token: str):
-    """'golden' | 'p/q' | decimal float -> GOLDEN, the Fraction p/q or the float."""
-    token = token.strip()
-    if token == "golden":
-        return GOLDEN
-    if "/" in token:
-        num, _, den = token.partition("/")
-        try:
-            return Fraction(int(num), int(den))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SystemSpecError(f"bad rational angle {token!r}") from exc
-    try:
-        return float(token)
-    except ValueError as exc:
-        raise SystemSpecError(f"bad angle {token!r}") from exc
-
-
-def _split_top_level(text: str) -> list[str]:
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return parts
-
-
-def parse_system_spec(spec: str):
-    """cyclic:m | rot:angle[,angle...] | odo:p^d | skew:angle | prod(a,b); an angle is golden, p/q or a decimal."""
-    spec = spec.strip()
-    if spec.startswith("prod(") and spec.endswith(")"):
-        inner = []
-        for part in _split_top_level(spec[5:-1]):  # a part with no kind continues the one before: rot:a,b
-            if inner and ":" not in part and not part.strip().startswith("prod("):
-                inner[-1] += "," + part
-            else:
-                inner.append(part)
-        if len(inner) != 2:
-            raise SystemSpecError(f"prod(...) takes exactly two specs: {spec!r}")
-        return ProductSystem(parse_system_spec(inner[0]), parse_system_spec(inner[1]))
-    kind, sep, arg = spec.partition(":")
-    if not sep:
-        raise SystemSpecError(f"bad system spec {spec!r}")
-    if kind == "cyclic":
-        try:
-            return CyclicSystem(int(arg))
-        except ValueError as exc:
-            raise SystemSpecError(f"bad cyclic period {arg!r}") from exc
-    if kind == "rot":
-        return RotationSystem(tuple(_parse_angle_token(t) for t in arg.split(",")))
-    if kind == "odo":
-        base, sep2, depth = arg.partition("^")
-        if not sep2:
-            raise SystemSpecError(f"odometer spec needs p^d, got {arg!r}")
-        try:
-            return OdometerSystem(int(base), int(depth))
-        except ValueError as exc:
-            raise SystemSpecError(f"bad odometer spec {arg!r}") from exc
-    if kind == "skew":
-        return SkewProductSystem(_parse_angle_token(arg))
-    raise SystemSpecError(f"unknown system kind {kind!r}")
 
 
 def _parse_shifts(text: str) -> range:
@@ -237,7 +157,8 @@ def _cmd_classify(args) -> tuple[dict, list[str], int, dict]:
 def _cmd_recurrence(args) -> tuple[dict, list[str], int, dict]:
     w = _load_window(args.path, args.horizon)
     family = args.family.strip()
-    if family.startswith("cyclic:<="):
+    cyclic = family.startswith("cyclic:<=")
+    if cyclic:
         try:
             max_period = int(family[len("cyclic:<="):])
         except ValueError as exc:
@@ -249,7 +170,7 @@ def _cmd_recurrence(args) -> tuple[dict, list[str], int, dict]:
 
     else:
         sys_obj = parse_system_spec(family)
-        if not family.startswith(("rot:", "skew:")):
+        if not isinstance(sys_obj, TorusSystem):
             raise SystemSpecError(f"recurrence takes cyclic:<=M or a metric system (rot:..., skew:...), not {family!r}")
         family_str = f"{family} eps={args.eps}"
 
@@ -262,7 +183,6 @@ def _cmd_recurrence(args) -> tuple[dict, list[str], int, dict]:
         verdict = result.verdict
         report.update(result.to_json())
     else:
-        cyclic = family.startswith("cyclic:<=")
         verdict = _shift_family_cyclic(w, args.shifts, max_period) if cyclic else shift_family_test(w, args.shifts, tester)
         report.update(per_system=[], family=family_str + ", shifted", **verdict.to_json())
     return report, [_verdict_line(f"recurrence vs {family}", verdict)], 0, {}

@@ -104,22 +104,19 @@ class IPBlockSchedule:
 
     @classmethod
     def from_json(cls, data: dict) -> "IPBlockSchedule":
-        if not isinstance(data, dict) or "t" not in data or "k" not in data:
+        if not (isinstance(data, dict) and isinstance(data.get("t"), list) and isinstance(data.get("k"), list)):
             raise ValueError("schedule JSON needs 't' and 'k' arrays")
-        try:
-            t = tuple(int(x) for x in data["t"])
-            k = tuple(int(x) for x in data["k"])
-            base = data.get("base")
-            if base is None:
-                base_t = None
-            elif isinstance(base, (int, float)):
-                base_t = (int(base),) * len(t)
-            else:
-                base_t = tuple(None if b is None else int(b) for b in base)
-            gap = int(data.get("initial_gap", _DEFAULT_INITIAL_GAP))
-        except TypeError as exc:  # a value of the wrong JSON type is bad input
-            raise ValueError(f"malformed schedule JSON: {exc}") from exc
-        return cls(t=t, k=k, base=base_t, initial_gap=gap)
+        t, k, base = tuple(data["t"]), tuple(data["k"]), data.get("base")
+        if isinstance(base, list):
+            base = tuple(base)
+        elif base is not None:
+            base = (base,) * len(t)
+        gap = data.get("initial_gap", _DEFAULT_INITIAL_GAP)
+        # Numbers are JSON integers (a base entry may be null): no float, string or bool is truncated.
+        for v in (*t, *k, *(b for b in base or () if b is not None), gap):
+            if type(v) is not int:
+                raise ValueError(f"malformed schedule JSON: {v!r} is not an integer")
+        return cls(t=t, k=k, base=base, initial_gap=gap)
 
 
 @dataclass(frozen=True)

@@ -70,12 +70,12 @@ _PACK_CODE = "l" if struct.calcsize("l") == 8 else "q"
 # ending 8c bytes before a line's newline) that lie inside a line of L <= 18
 # digits: one scalar mask for a whole run of lines of length L.  _FOLDS (factor,
 # shift, mask) turn a word's digits, first byte most significant, into byte
-# pairs 10a + b, then 100p + q, then 10^4·p + q.
+# pairs 10a + b, then 100p + q, then 10^4·p + q (unmasked: >> 32 leaves 32 bits).
 _DIGIT_MASKS = np.array(
     [[0x0F0F0F0F0F0F0F0F & -(1 << 64 - 8 * min(max(L - 8 * c, 0), 8)) for L in range(19)] for c in range(3)], np.uint64
 )
-_FOLDS = [tuple(map(np.uint64, fold)) for fold in (
-    (10 << 8 | 1, 8, 0x00FF00FF00FF00FF), (100 << 16 | 1, 16, 0x0000FFFF0000FFFF), (10_000 << 32 | 1, 32, 2 ** 32 - 1))]
+_FOLDS = [(np.uint64(factor), np.uint64(shift), mask and np.uint64(mask)) for factor, shift, mask in (
+    (10 << 8 | 1, 8, 0x00FF00FF00FF00FF), (100 << 16 | 1, 16, 0x0000FFFF0000FFFF), (10_000 << 32 | 1, 32, None))]
 
 # A run's line count is read from its newline column this many lines at first,
 # then 8 times as many lines a step.
@@ -612,7 +612,8 @@ def _parse_well_formed(data: bytes) -> Optional[Window]:
         for factor, shift, mask in _FOLDS:  # in place: a temporary costs more than the op
             words *= factor
             words >>= shift
-            words &= mask
+            if mask is not None:
+                words &= mask
         if c:
             words *= np.uint64(10 ** (8 * c))
             values[first:] += words
@@ -627,13 +628,12 @@ def _parse_lines(text: str) -> Window:
     horizon = None
     elements: list[int] = []
     prev = -1
-    saw_directive = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith("!"):
-            if saw_directive:
+            if horizon is not None:
                 raise SequenceFormatError("duplicate directive", lineno)
             parts = line[1:].split()
             if len(parts) != 2 or parts[0] != "horizon" or not (
@@ -641,9 +641,8 @@ def _parse_lines(text: str) -> Window:
             ):
                 raise SequenceFormatError(f"bad directive {line!r}, expected '!horizon N'", lineno)
             horizon = int(parts[1])
-            saw_directive = True
             continue
-        if not saw_directive:
+        if horizon is None:
             raise SequenceFormatError("missing '!horizon N' directive before data", lineno)
         if not (line.isascii() and line.isdigit()):
             raise SequenceFormatError(f"not a decimal natural: {line!r}", lineno)
@@ -654,7 +653,7 @@ def _parse_lines(text: str) -> Window:
             raise SequenceFormatError(f"element {value} exceeds horizon {horizon}", lineno)
         elements.append(value)
         prev = value
-    if not saw_directive:
+    if horizon is None:
         raise SequenceFormatError("missing '!horizon N' directive", 1)
     # Each line was checked above: ascending naturals, none past the horizon.
     return Window._trusted(np.array(elements, dtype=object), horizon)

@@ -41,6 +41,8 @@ cell is floor(s·k / den).  A finite system's code at time n is
 (code + n) mod size, which is its cell's number, in one array operation
 for all starts.
 A torus ``step(s)`` is ``orbit_at(s, 1)``; finite systems keep their own.
+The spec codec is here: ``spec_string()`` writes a system's spec and
+``parse_system_spec`` reads it back, or raises ``SystemSpecError``.
 """
 from __future__ import annotations
 
@@ -71,6 +73,8 @@ __all__ = [
     "orbit_at",
     "eps_dense",
     "is_totally_minimal",
+    "SystemSpecError",
+    "parse_system_spec",
 ]
 
 # (sqrt(5) - 1) / 2, the classical well-distributed rotation angle.
@@ -716,3 +720,76 @@ def is_totally_minimal(sys) -> Verdict:
             "rationally independent; not decidable from floats"
         )
     return Verdict.hold(note=note)
+
+
+class SystemSpecError(ValueError):
+    pass
+
+
+def _parse_angle_token(token: str):
+    """'golden' | 'p/q' | decimal float -> GOLDEN, the Fraction p/q or the float."""
+    token = token.strip()
+    if token == "golden":
+        return GOLDEN
+    if "/" in token:
+        num, _, den = token.partition("/")
+        try:
+            return Fraction(int(num), int(den))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise SystemSpecError(f"bad rational angle {token!r}") from exc
+    try:
+        return float(token)
+    except ValueError as exc:
+        raise SystemSpecError(f"bad angle {token!r}") from exc
+
+
+def _split_top_level(text: str) -> list[str]:
+    parts, depth, cur = [], 0, []
+    for ch in text:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        if ch == "," and depth == 0:
+            parts.append("".join(cur))
+            cur = []
+        else:
+            cur.append(ch)
+    parts.append("".join(cur))
+    return parts
+
+
+def parse_system_spec(spec: str):
+    """cyclic:m | rot:angle[,angle...] | odo:p^d | skew:angle | prod(a,b); an angle is golden, p/q or a decimal."""
+    spec = spec.strip()
+    if spec.startswith("prod(") and spec.endswith(")"):
+        inner = []
+        for part in _split_top_level(spec[5:-1]):  # a part with no kind continues the one before: rot:a,b
+            if inner and ":" not in part and not part.strip().startswith("prod("):
+                inner[-1] += "," + part
+            else:
+                inner.append(part)
+        if len(inner) != 2:
+            raise SystemSpecError(f"prod(...) takes exactly two specs: {spec!r}")
+        return ProductSystem(parse_system_spec(inner[0]), parse_system_spec(inner[1]))
+    kind, sep, arg = spec.partition(":")
+    if not sep:
+        raise SystemSpecError(f"bad system spec {spec!r}")
+    if kind == "cyclic":
+        try:
+            return CyclicSystem(int(arg))
+        except ValueError as exc:
+            raise SystemSpecError(f"bad cyclic period {arg!r}") from exc
+    if kind == "rot":
+        return RotationSystem(tuple(_parse_angle_token(t) for t in arg.split(",")))
+    if kind == "odo":
+        base, sep2, depth = arg.partition("^")
+        if not sep2:
+            raise SystemSpecError(f"odometer spec needs p^d, got {arg!r}")
+        try:
+            return OdometerSystem(int(base), int(depth))
+        except ValueError as exc:
+            raise SystemSpecError(f"bad odometer spec {arg!r}") from exc
+    if kind == "skew":
+        return SkewProductSystem(_parse_angle_token(arg))
+    raise SystemSpecError(f"unknown system kind {kind!r}")

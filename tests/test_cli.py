@@ -611,7 +611,15 @@ def test_recurrence_non_metric_spec_is_operational_error(squares_file, capsys, s
 
 def test_malformed_schedule_is_operational_error(tmp_path, capsys):
     sched = tmp_path / "sched.json"
-    for doc in ({"t": 5, "k": [2]}, {"t": [None], "k": [2]}, [1, 2], 7):
+    docs = (
+        {"t": 5, "k": [2]},
+        {"t": [None], "k": [2]},
+        [1, 2],
+        7,
+        {"t": [1.7, 2], "k": [2, "3"], "base": 2.9},
+        {"t": [True], "k": [2], "initial_gap": "5"},
+    )
+    for doc in docs:
         sched.write_text(json.dumps(doc))
         assert main(["construct", "example", "--schedule", str(sched)]) == 1
         assert "schedule JSON" in capsys.readouterr().err

@@ -77,7 +77,7 @@ _MULTI_ANGLE_PRODUCTS = [
 @pytest.mark.parametrize("spec", [s for s in _corpus_specs() if s not in _REJECTED] + _MULTI_ANGLE_PRODUCTS)
 def test_corpus_spec_round_trips(spec):
     # A spec_string denotes the system it came from, and is a fixed point.
-    from dynwindow.cli import parse_system_spec
+    from dynwindow.systems import parse_system_spec
 
     system = parse_system_spec(spec)
     again = parse_system_spec(system.spec_string())

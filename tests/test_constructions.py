@@ -66,6 +66,24 @@ def test_schedule_from_json():
     assert sched.base == (None, 7)  # None derives that block's base from the origin
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"t": [1.7, 2], "k": [2, 3]},
+        {"t": [1, 2], "k": [2, "3"]},
+        {"t": [1, 2], "k": [2, 3], "base": 2.9},
+        {"t": [1, 2], "k": [2, 3], "base": [None, 7.0]},
+        {"t": [True], "k": [2]},
+        {"t": [1], "k": [2], "initial_gap": "5"},
+        {"t": "12", "k": [2, 3]},
+    ],
+)
+def test_schedule_from_json_refuses_non_integers(doc):
+    # t and k are arrays, and every t, k and base entry and initial_gap is a JSON integer; nothing is truncated.
+    with pytest.raises(ValueError, match="schedule JSON"):
+        IPBlockSchedule.from_json(doc)
+
+
 def test_single_block_with_generator_one():
     sched = IPBlockSchedule(t=(1,), k=(1,), generators=((1,),))
     built = build_ip_block_sequence(sched)

@@ -11,10 +11,11 @@ Y's cover is a function of the cell of s in X's.
 - ``odo:p^d -> cyclic:p^j`` (j <= d): code c -> c mod p^j, the j low digits.
 
 The laws call only the public API (``along`` and ``cover``,
-``r_sequence_metric``, ``birkhoff_window_test``) and run on hypothesis
-windows with double and p/q angles and with times past 2^64.  Each law has a
+``r_sequence_metric``, ``birkhoff_window_test``, ``return_times``) and run on
+hypothesis windows with double and p/q angles and with times past 2^64; the
+return-times law runs on horizons up to 2·10^4 instead.  Each law has a
 mutation check: a map that is not a factor map breaks it on a fixed list of
-windows, where the true map keeps it.
+windows or horizons, where the true map keeps it.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynwindow import Window, birkhoff_window_test, r_sequence_metric
+from dynwindow import Window, birkhoff_window_test, r_sequence_metric, return_times
 from dynwindow.systems import CyclicSystem, OdometerSystem, RotationSystem, SkewProductSystem, TorusSystem
 
 EPS = (0.5, 0.34, 0.25, 0.1)
@@ -131,6 +132,23 @@ def return_law(f: Factor, a: Window, starts, eps: float, grid: float = 0.25) -> 
     return not (yv.fails and not xv.fails) and xv.inconclusive == yv.inconclusive
 
 
+def return_times_law(f: Factor, start, eps: float, horizon: int) -> bool:
+    """N_X(s, pi^-1 V) = N_Y(pi(s), V) for every cell V of Y: the times up to horizon at which
+    s visits a cell over V are the times at which pi(s) visits V."""
+    source, target = f.source.cover(eps), f.target.cover(eps)
+    over = {}
+    for n in range(source.cell_count()):
+        over.setdefault(f.cell(source.cell_at(n)), []).append(source.cell_at(n))
+    for n in range(target.cell_count()):
+        cell = target.cell_at(n)
+        union = set()
+        for c in over.get(cell, ()):
+            union.update(return_times(f.source, start, c, horizon, source).times.elements)
+        if union != set(return_times(f.target, f.state(start), cell, horizon, target).times.elements):
+            return False
+    return True
+
+
 # -- inputs --------------------------------------------------------------------------
 
 _doubles = st.floats(0.0, 1.0, exclude_max=True, allow_subnormal=False)
@@ -196,6 +214,16 @@ def test_a_return_within_eps_is_one_on_the_factor(kind, angles, data, a, eps):
     assert return_law(f, a, starts, eps)
 
 
+@pytest.mark.parametrize(
+    "kind, angles", [("skew", "double"), ("skew", "p/q"), ("odo", None)], ids=["skew-double", "skew-p/q", "odo"]
+)
+@given(data=st.data(), eps=st.sampled_from(EPS), horizon=st.integers(1, 2 * 10 ** 4))
+@settings(max_examples=25, deadline=None)
+def test_the_returns_over_a_cell_are_the_factor_s_returns_to_it(kind, angles, data, eps, horizon):
+    f, starts = data.draw(factors(kind, angles))
+    assert return_times_law(f, starts[0], eps, horizon)
+
+
 # -- mutation checks -----------------------------------------------------------------
 
 
@@ -235,3 +263,12 @@ def test_a_map_that_is_not_a_factor_map_breaks_the_law(name, law, mutant):
     wrong = mutant(f)
     wrong_starts = [f.state(s) for s in starts] if mutant is converse else starts
     assert not all(law(wrong, a, wrong_starts, eps) for a, eps in cases)
+
+
+@pytest.mark.parametrize("name", ["skew-double", "skew-p/q"])
+def test_the_skew_s_y_digit_is_not_a_factor_cell(name):
+    # Reading the skew's cell (i, j) as j instead of i breaks the return-times law.
+    f, starts = _FIXED[name]
+    cases = [(s, eps, horizon) for s in starts for eps in EPS for horizon in (60, 3000)]
+    assert all(return_times_law(f, s, eps, horizon) for s, eps, horizon in cases)
+    assert not all(return_times_law(swapped_digits(f), s, eps, horizon) for s, eps, horizon in cases)

@@ -49,7 +49,7 @@ from dynwindow import (
     shifted_hit,
 )
 from dynwindow import recurrence
-from dynwindow.cli import parse_system_spec
+from dynwindow.systems import parse_system_spec
 from dynwindow.intsets import _BITMASK_HORIZON_CAP
 from dynwindow.recurrence import (
     ReturnTimesResult,

@@ -441,6 +441,34 @@ def test_spec_strings():
     assert ProductSystem(CyclicSystem(2), CyclicSystem(3)).spec_string() == "prod(cyclic:2,cyclic:3)"
 
 
+_ANGLES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(Fraction, st.integers(-(10 ** 6), 10 ** 6), st.integers(1, 10 ** 6)),
+)
+_LEAF_SYSTEMS = st.one_of(
+    st.builds(CyclicSystem, st.integers(1, 10 ** 6)),
+    st.builds(OdometerSystem, st.integers(2, 50), st.integers(1, 8)),
+    st.lists(_ANGLES, min_size=1, max_size=2).map(lambda angles: RotationSystem(tuple(angles))),
+    st.builds(SkewProductSystem, _ANGLES),
+)
+
+
+def _products(inner):
+    return st.builds(ProductSystem, inner, inner)
+
+
+@given(st.one_of(_LEAF_SYSTEMS, _products(st.one_of(_LEAF_SYSTEMS, _products(_LEAF_SYSTEMS)))))
+@example(RotationSystem((0.1 + 0.2, GOLDEN)))
+@example(ProductSystem(CyclicSystem(3), RotationSystem((Fraction(1, 3), Fraction(2, 5)))))
+@example(ProductSystem(ProductSystem(RotationSystem((GOLDEN, 0.3)), CyclicSystem(2)), SkewProductSystem(0.25)))
+def test_spec_string_round_trips_through_the_reader(system):
+    # parse_system_spec reads back the system a spec_string came from, and the spec is a fixed point.
+    # A torus system's == reads spec_string, so its fields are compared through repr as well.
+    again = systems.parse_system_spec(system.spec_string())
+    assert again == system and type(again) is type(system) and repr(again) == repr(system)
+    assert again.spec_string() == system.spec_string()
+
+
 # -- the system protocol -------------------------------------------------------------
 
 
