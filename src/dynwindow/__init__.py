@@ -67,8 +67,6 @@ from .permpoly import (
     hermite_check,
     is_permutation,
     parse_int_polynomial,
-    pow_reduced,
-    reduce_mod_field_poly,
 )
 from .constructions import (
     BlockInfo,

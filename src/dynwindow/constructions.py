@@ -95,12 +95,8 @@ class IPBlockSchedule:
         return self.t == default_t_sequence(self.block_count)
 
     @classmethod
-    def default(cls, block_count: int, initial_gap: int = _DEFAULT_INITIAL_GAP) -> "IPBlockSchedule":
-        return cls(
-            t=default_t_sequence(block_count),
-            k=tuple(range(2, block_count + 2)),
-            initial_gap=initial_gap,
-        )
+    def default(cls, block_count: int) -> "IPBlockSchedule":
+        return cls(t=default_t_sequence(block_count), k=tuple(range(2, block_count + 2)))
 
     @classmethod
     def from_json(cls, data: dict) -> "IPBlockSchedule":

@@ -22,9 +22,6 @@ __all__ = [
     "CapExceededError",
     "PolynomialSyntaxError",
     "is_prime",
-    "reduce_mod_field_poly",
-    "poly_mul",
-    "pow_reduced",
     "hermite_check",
     "brute_permutation_check",
     "decide_permutation",
@@ -115,17 +112,13 @@ class PolyModP:
 
 
 def _dtype(p: int, terms: int = 1):
-    # int64 while a sum of `terms` products of residues fits (a Horner step is one term).
+    # int64 while a sum of `terms` products of residues fits, terms·p^2 < 2^63 (a Horner
+    # step is one term, so up to p ≈ 3.04·10^9); Python ints (object) beyond.
     return np.int64 if terms * p * p < 2 ** 63 else object
 
 
 def _array(f: PolyModP) -> np.ndarray:
     return np.array(f.coeffs or (0,), dtype=_dtype(f.p))  # the zero polynomial is [0]
-
-
-def _convolve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    dtype = _dtype(p, min(a.size, b.size))
-    return np.convolve(a.astype(dtype, copy=False), b.astype(dtype, copy=False)) % p
 
 
 def _fold(coeffs: np.ndarray, p: int) -> np.ndarray:
@@ -141,33 +134,6 @@ def _fold(coeffs: np.ndarray, p: int) -> np.ndarray:
     tail = np.zeros(rows * (p - 1), dtype=coeffs.dtype)
     tail[: coeffs.size - 1] = coeffs[1:]
     return np.concatenate((coeffs[:1], tail.reshape(-1, p - 1).sum(axis=0) % p))
-
-
-def poly_mul(f: PolyModP, g: PolyModP) -> PolyModP:
-    """Plain convolution product over F_p (no field-polynomial reduction)."""
-    if f.p != g.p:
-        raise ValueError("mixed fields")
-    return PolyModP.make(f.field, _convolve(_array(f), _array(g), f.p).tolist())
-
-
-def reduce_mod_field_poly(f: PolyModP) -> PolyModP:
-    """Remainder of f mod (x^p - x); see `_fold`."""
-    return PolyModP.make(f.field, _fold(_array(f), f.p).tolist())
-
-
-def pow_reduced(f: PolyModP, k: int) -> PolyModP:
-    """reduce(f^k) by square-and-multiply, reducing after every product."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    p = f.p
-    result = np.ones(1, dtype=_dtype(p))
-    base = _fold(_array(f), p)
-    while k:
-        if k & 1:
-            result = _fold(_convolve(result, base, p), p)
-        base = _fold(_convolve(base, base, p), p)
-        k >>= 1
-    return PolyModP.make(f.field, result.tolist())
 
 
 def hermite_check(f: PolyModP) -> tuple[bool, dict]:

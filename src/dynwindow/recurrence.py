@@ -306,7 +306,8 @@ def r_sequence_cyclic(a: Window, max_period: int) -> RSequenceReport:
 
 def _metric_budget_note(a: Window, sys, eps: float) -> Optional[str]:
     # Angle representation error (half an ulp of a number < 1) amplified by
-    # the largest time must stay well under the cell size.  Exact orbits
+    # the largest time (the horizon when the window is empty) must stay well
+    # under the cell size: t·2^-53 > eps/10 is inconclusive.  Exact orbits
     # carry no such error.
     if sys.exact_orbits:
         return None
@@ -446,7 +447,7 @@ def birkhoff_window_test(a: Window, sys, eps: float, start_grid_resolution: floa
         if least is not None and (closest is None or orbits.value(least[0]) < closest[0]):
             closest = (orbits.value(least[0]), batch[least[1]], least[2])
     if closest is None:
-        return Verdict.fail(min(a.horizon, 0), note="window has no positive elements")
+        return Verdict.fail(0, note="window has no positive elements")
     d, start, n = closest
     return Verdict.fail((start, n), note=f"closest return distance {float(d):.3g} >= eps = {eps}")
 
@@ -522,7 +523,8 @@ def _comparison_table(ext: int, max_period: int) -> tuple:
         # S - S for the progressions S = {r, r+m, r+2m, ...} on [0, ext].  S is a
         # translate of {0, m, ..., (k-1)m}, k = |S|, and S - S is translation
         # invariant; progressions r <= ext mod m have one element more than the
-        # rest: two translation classes, one window each, built from the least r.
+        # rest: two translation classes, one window each, built from the least r
+        # (at most 2·max_period - 1 windows in all, not max_period·(max_period + 1)/2).
         leaders = (0,) if ext % m == m - 1 else (0, ext % m + 1)
         windows += [difference_set(Window._trusted(np.arange(r, ext + 1, m), ext)) for r in leaders]
         columns.append((1 << j, (1 << len(windows)) - (2 << j)))

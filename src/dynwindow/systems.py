@@ -542,7 +542,7 @@ class _ProductOrbits:
 
 
 def orbit_at(sys, start, n: int):
-    """T^n(start) by closed form: ``sys.orbit_at(start, n)``."""
+    """T^n(start) by closed form: ``sys.orbit_at(start, n)``; the benchmark tracer wraps it by name."""
     return sys.orbit_at(start, n)
 
 

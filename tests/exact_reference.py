@@ -157,6 +157,6 @@ def birkhoff(times, horizon: int, sys, eps: float, resolution: float = 1.0) -> t
             if closest is None or d < closest[0]:
                 closest = (d, start, n)
     if closest is None:
-        return "fails", min(horizon, 0), "window has no positive elements"
+        return "fails", 0, "window has no positive elements"
     d, start, n = closest
     return "fails", (start, n), f"closest return distance {float(d):.3g} >= eps = {eps}"

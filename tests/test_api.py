@@ -29,7 +29,6 @@ PUBLIC_NAMES = {
     "CapExceededError", "NonSurjectiveResult", "OracleDisagreementError", "PolyModP",
     "PolynomialSyntaxError", "PrimeField", "brute_permutation_check",
     "find_non_surjective_prime", "hermite_check", "is_permutation", "parse_int_polynomial",
-    "pow_reduced", "reduce_mod_field_poly",
     # constructions
     "BlockInfo", "BuiltSequence", "IPBlockSchedule", "build_ip_block_sequence",
     "default_t_sequence", "verify_not_pws", "verify_shifted_recurrence",

@@ -456,6 +456,8 @@ def test_missing_directive_is_operational_error(tmp_path, capsys):
     (["recurrence", "FILE", "rot:1/0"], "bad rational angle '1/0'"),
     (["recurrence", "FILE", "odo:2^x"], "bad odometer spec '2^x'"),
     (["permpoly", "check", "x^2"], "permpoly check needs --p"),
+    (["permpoly", "check", "x", "--p", "4"], "4 is not prime"),
+    (["permpoly", "check", "x", "--p", "1"], "1 is not prime"),
 ])
 def test_bad_spec_exits_1_with_its_message(squares_file, capsys, command, message):
     assert main([squares_file if a == "FILE" else a for a in command]) == 1

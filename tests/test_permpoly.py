@@ -21,22 +21,18 @@ from dynwindow import (
     hermite_check,
     is_permutation,
     parse_int_polynomial,
-    pow_reduced,
-    reduce_mod_field_poly,
 )
 from dynwindow import permpoly
 from dynwindow.permpoly import (
     NonSurjectiveResult,
     OracleDisagreementError,
     _array,
-    _convolve,
     _dtype,
     _fold,
     _int_poly_image_mod_p,
     decide_permutation,
     format_int_polynomial,
     is_prime,
-    poly_mul,
 )
 
 
@@ -90,11 +86,16 @@ def _naive_reduce(coeffs, p):
     return tuple(c)
 
 
+def _reduce(f: PolyModP) -> PolyModP:
+    """f mod (x^p - x) through the array kernel, ``_fold``."""
+    return PolyModP.make(f.field, _fold(_array(f), f.p).tolist())
+
+
 def test_reduce_examples():
     for p in (2, 3, 5, 7):
-        assert reduce_mod_field_poly(mono(p, p)).coeffs == (0, 1)  # x^p -> x
-        assert reduce_mod_field_poly(mono(p, p - 1)).coeffs == mono(p, p - 1).coeffs
-    assert reduce_mod_field_poly(mono(5, 9)).coeffs == (0, 1)  # x^9 = x^(2p-1) -> x
+        assert _reduce(mono(p, p)).coeffs == (0, 1)  # x^p -> x
+        assert _reduce(mono(p, p - 1)).coeffs == mono(p, p - 1).coeffs
+    assert _reduce(mono(5, 9)).coeffs == (0, 1)  # x^9 = x^(2p-1) -> x
 
 
 @given(st.integers(0, 2), st.lists(st.integers(0, 12), min_size=0, max_size=18))
@@ -102,19 +103,11 @@ def test_reduce_examples():
 def test_reduce_matches_substitution_and_is_idempotent(pi, coeffs):
     p = (2, 5, 13)[pi]
     f = PolyModP.make(p, [c % p for c in coeffs])
-    reduced = reduce_mod_field_poly(f)
+    reduced = _reduce(f)
     assert reduced.coeffs == _naive_reduce(f.coeffs, p)
-    assert reduce_mod_field_poly(reduced) == reduced
+    assert _reduce(reduced) == reduced
     # same induced function on F_p
     assert all(f.evaluate(x) == reduced.evaluate(x) for x in range(p))
-
-
-def test_pow_reduced_matches_iterated_products():
-    f = PolyModP.make(7, (3, 1, 5))
-    acc = PolyModP.make(7, (1,))
-    for k in range(1, 15):
-        acc = reduce_mod_field_poly(poly_mul(acc, f))
-        assert pow_reduced(f, k) == acc
 
 
 # -- the two deciders -------------------------------------------------------------------
@@ -302,19 +295,6 @@ def _ref_reduce_mod_field_poly(f: PolyModP) -> PolyModP:
     return PolyModP.make(p, out)
 
 
-def _ref_pow_reduced(f: PolyModP, k: int) -> PolyModP:
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    result = PolyModP.make(f.p, (1,))
-    base = _ref_reduce_mod_field_poly(f)
-    while k:
-        if k & 1:
-            result = _ref_reduce_mod_field_poly(_ref_poly_mul(result, base))
-        base = _ref_reduce_mod_field_poly(_ref_poly_mul(base, base))
-        k >>= 1
-    return result
-
-
 def _ref_hermite_check(f: PolyModP) -> tuple[bool, dict]:
     p = f.p
     g = PolyModP.make(p, (1,))
@@ -403,26 +383,15 @@ def test_array_engine_matches_the_python_loops(f, seed):
     p = f.p
     assert hermite_check(f) == _ref_hermite_check(f)
     assert brute_permutation_check(f) == _ref_brute_permutation_check(f)
-    assert reduce_mod_field_poly(f) == _ref_reduce_mod_field_poly(f)
+    assert _reduce(f) == _ref_reduce_mod_field_poly(f)
     rng = random.Random(seed)
     g = PolyModP.make(p, [rng.randrange(p) for _ in range(rng.randrange(2 * p + 3))])
-    product = poly_mul(f, g)
-    assert product == _ref_poly_mul(f, g) == _ref_poly_mul(g, f)
-    assert reduce_mod_field_poly(product) == _ref_reduce_mod_field_poly(product)  # degree up to 4p + 2
+    product = _ref_poly_mul(f, g)  # degree up to 4p + 2
     for dtype in (np.int64, object):  # the kernel itself returns residues, on either dtype
         folded = _fold(np.array(product.coeffs or (0,), dtype=dtype), p).tolist()
         while folded and folded[-1] == 0:
             folded.pop()
         assert tuple(folded) == _ref_reduce_mod_field_poly(product).coeffs
-
-
-@given(field_polys(max_degree=lambda p: min(2 * p + 1, 40)), st.integers(0, 40))
-@example(PolyModP.make(2, ()), 0)
-@example(PolyModP.make(2, ()), 3)
-@example(PolyModP.make(2, (1, 1)), 5)
-@settings(max_examples=60, deadline=None)
-def test_pow_reduced_matches_the_python_loop(f, k):
-    assert pow_reduced(f, k) == _ref_pow_reduced(f, k)
 
 
 @given(
@@ -461,16 +430,19 @@ def _prime_from(n: int, step: int) -> int:
 def test_kernel_on_both_sides_of_the_int64_bound(terms):
     # The largest p whose `terms`-term sums of residue products fit in int64;
     # for terms = 1 it is about 3.04e9, the Horner and constant-factor bound.
+    # A convolution of a `terms`-coefficient array in the dtype picked for
+    # `terms`, as the criterion's loop takes it, then `_fold`, is exact there.
     bound = math.isqrt((2 ** 63 - 1) // terms)
     below, above = _prime_from(bound, -1), _prime_from(bound + 1, 1)
     assert _dtype(below, terms) is np.int64 and _dtype(above, terms) is object
     for p in (below, above):
         f = PolyModP.make(p, [p - 1] * terms)  # every product term is (p-1)^2
         g = PolyModP.make(p, [p - 1, p - 2] * terms + [p - 1])
-        assert poly_mul(f, g) == _ref_poly_mul(f, g)
-        assert poly_mul(g, f) == _ref_poly_mul(g, f)
-        assert reduce_mod_field_poly(poly_mul(f, g)) == _ref_reduce_mod_field_poly(_ref_poly_mul(f, g))
-        assert pow_reduced(f, 5) == _ref_pow_reduced(f, 5)
+        dtype = _dtype(p, terms)
+        for a, b in ((f, g), (g, f)):
+            product = np.convolve(_array(a).astype(dtype), _array(b).astype(dtype)) % p
+            assert PolyModP.make(p, product.tolist()) == _ref_poly_mul(a, b)
+            assert PolyModP.make(p, _fold(product, p).tolist()) == _ref_reduce_mod_field_poly(_ref_poly_mul(a, b))
     # Past the bound the largest sum really leaves int64: int64 there would wrap.
     assert terms * (above - 1) ** 2 > 2 ** 63 - 1
 
@@ -480,12 +452,12 @@ def test_kernel_on_both_sides_of_the_int64_bound(terms):
 
 def _convolve_fold_hermite_check(f: PolyModP) -> tuple[bool, dict]:
     # The criterion as it ran before each power became one product and one
-    # shifted add: _convolve (with its own % p), then _fold, per power.
+    # shifted add: np.convolve, then % p, then _fold, per power.
     p = f.p
     base = _fold(_array(f), p)
     g = np.ones(1, dtype=base.dtype)
     for k in range(1, p):
-        g = _fold(_convolve(g, base, p), p)
+        g = _fold(np.convolve(g, base) % p, p)
         if k <= p - 2 and g.size == p and g[-1]:
             return False, {"reason": "power_degree_full", "k": k, "degree": p - 1}
     nonzero = np.flatnonzero(g)  # g = reduce(f^(p-1))
@@ -544,9 +516,6 @@ def test_hermite_loop_picks_its_dtype_at_the_int64_bound(monkeypatch, degree):
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        pytest.param(lambda: poly_mul(PolyModP.make(5, (1, 1)), PolyModP.make(7, (1, 1))), ValueError, "mixed fields",
-                     id="poly_mul"),
-        pytest.param(lambda: pow_reduced(PolyModP.make(5, (1, 1)), -1), ValueError, "k must be >= 0", id="pow_reduced"),
         pytest.param(lambda: parse_int_polynomial("x+"), PolynomialSyntaxError, "cannot tokenize 'x+'",
                      id="parse_int_polynomial"),
     ],

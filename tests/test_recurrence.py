@@ -662,6 +662,14 @@ def test_birkhoff_compares_the_exact_distance_with_eps():
     assert birkhoff_window_test(w, rot, math.inf).holds  # past 1/2, every distance is below eps
 
 
+@pytest.mark.parametrize("elements", [(), (0,)])
+@pytest.mark.parametrize("spec", ["cyclic:3", "rot:1/2"])
+def test_birkhoff_window_with_no_positive_element_fails_at_0(spec, elements):
+    # Element 0 is the trivial return, so no start has a time to return at.
+    v = birkhoff_window_test(Window(elements, 5), parse_system_spec(spec), 0.5)
+    assert v == Verdict.fail(0, note="window has no positive elements")
+
+
 @pytest.mark.parametrize("eps", [0.0, -1.0])
 @pytest.mark.parametrize("sys", [CyclicSystem(3), RotationSystem.from_angle(GOLDEN)])
 def test_birkhoff_rejects_nonpositive_eps(sys, eps):
