@@ -10,8 +10,9 @@ median time of each op (from the run's details file), and the OS counters
 ``ru_nvcsw`` (voluntary context switches) and ``ru_oublock`` (blocks written)
 of each run, from ``getrusage(RUSAGE_CHILDREN)`` around it.  It also judges
 each workload, writes the judgement into the entry and prints it: ``gain``
-says whether B won at least 9 of every 10 pairs (a tie counts for neither
-side) and whether the medians of ``ops_per_s`` differ by more than A's
+says whether B won at least 9 of every 10 pairs over at least 10 pairs (a
+tie counts for neither side, and fewer pairs never read as a gain) and
+whether the medians of ``ops_per_s`` differ by more than A's
 interquartile range; ``within_bound`` says, per end-to-end metric, whether
 B's median is no worse than A's by more than the bound ``BENCHMARK.json``
 gives it.  Once per entry it records the CPU count, the Python and numpy
@@ -21,9 +22,9 @@ the file under other names are kept.  When a run's outputs were rejected
 script exits 1 naming each workload and side.  Give the same checkout as A
 and B for a null comparison, whose spread is the noise floor:
 
-    python3 scripts/bench_ab.py --a ../parent --b . --workload cli-files --pairs 6 \\
+    python3 scripts/bench_ab.py --a ../parent --b . --workload cli-files --pairs 10 \\
         --seconds 20 --name parent-vs-change --out BENCH.json
-    python3 scripts/bench_ab.py --a . --b . --workload cli-files --pairs 6 \\
+    python3 scripts/bench_ab.py --a . --b . --workload cli-files --pairs 10 \\
         --seconds 20 --name null --out BENCH.json
 """
 from __future__ import annotations
@@ -130,7 +131,7 @@ def judge(a: dict, b: dict, pairs: int) -> dict:
     speed_a, speed_b = a["ops_per_s"], b["ops_per_s"]
     return {
         "gain": {
-            "b_won_9_of_10": 10 * b["pairs_won"] >= 9 * pairs,
+            "b_won_9_of_10": pairs >= 10 and 10 * b["pairs_won"] >= 9 * pairs,
             "gap_exceeds_a_iqr": abs(speed_b["median"] - speed_a["median"]) > speed_a["q3"] - speed_a["q1"],
         },
         "within_bound": within,
@@ -143,7 +144,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--b", type=Path, required=True, help="checkout B (the change)")
     parser.add_argument("--workload", action="append", required=True,
                         choices=("cli-files", "crosscheck-sweep", "metric-density"))
-    parser.add_argument("--pairs", type=int, default=6)
+    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=int, default=20)
     parser.add_argument("--name", required=True, help="the entry's name in the output file")

@@ -71,10 +71,6 @@ _SEGMENTS = tuple((p * (p - 1) // 2, (1 << p) - 1) for p in range(1, _TABLE_PERI
 # whose lcm is at most this, then takes each period's remainder in int64.
 _REDUCE_MODULUS_CAP = 2 ** 62 - 1
 
-# birkhoff_window_test reads each start's orbit in slices of this many
-# times, then 4, 16, ... times as many: a return at index i costs O(i).
-_FIRST_SLICE = 32
-
 # The cross-check's shifted hits read a window's elements in slices of this
 # many per comparison window, then 4, 16, ... times as many.  At 4 (140
 # elements for the 35 windows of M = 12) one gather still settles every
@@ -320,15 +316,18 @@ def _metric_budget_note(a: Window, sys, eps: float) -> Optional[str]:
     return None
 
 
+def _batches(starts: list, length: int, first: int = 0):
+    # starts[first:] in batches of at most _BATCH_ELEMENTS states per coordinate
+    # array over a window of length elements.
+    rows = max(1, _BATCH_ELEMENTS // max(1, length))
+    return (starts[i : i + rows] for i in range(first, len(starts), rows))
+
+
 def _start_batches(sys, resolution: float, length: int):
     # The grid's first start alone, taken without building the grid: a dense orbit
-    # is usually found there.  Then the rest of the grid, built only now, at most
-    # _BATCH_ELEMENTS states per coordinate array at a time.
+    # is usually found there.  Then the rest of the grid, built only now.
     yield sys._class_starts(resolution)[:1]
-    starts = sys.starts(resolution)
-    rows = max(1, _BATCH_ELEMENTS // max(1, length))
-    for i in range(1, len(starts), rows):
-        yield starts[i : i + rows]
+    yield from _batches(sys.starts(resolution), length, first=1)
 
 
 def r_sequence_metric(a: Window, sys, eps: float, start_grid_resolution: float) -> RSequenceReport:
@@ -355,7 +354,7 @@ def r_sequence_metric(a: Window, sys, eps: float, start_grid_resolution: float) 
         raise TypeError(f"not a metric catalog system: {sys!r}")
     family = f"{sys.spec_string()} eps={eps}"
     cover = sys.cover(eps)
-    sys._grid(start_grid_resolution)  # a grid <= 0 raises here, before the budget is read
+    sys._grid(start_grid_resolution, sys.dimension)  # a grid <= 0, or too fine, raises before the budget is read
     note = _metric_budget_note(a, sys, eps)
     if note is not None:
         return RSequenceReport(family, Verdict.undecided(note=note), {})
@@ -405,14 +404,11 @@ def birkhoff_window_test(a: Window, sys, eps: float, start_grid_resolution: floa
     witness rule is unchanged by this: a later start of a class returns iff
     the first one does, at the same times and distances, so the least start
     that returns, and the earliest start of a closest return, are the first
-    of their class.  These starts go as one batch (split at
-    ``_BATCH_ELEMENTS`` states), read in slices of the window that grow four
-    times in length, so an early return at index i costs O(i).  After a
-    slice, only starts before the earliest one that returned stay in the
-    batch.  The witness does not depend on the slicing: it is the least
-    start that returns, at its first return; with no return at all, the
-    closest return is the least distance, the earliest start and time first
-    among equals.
+    of their class.  These starts are read in batches of at most
+    ``_BATCH_ELEMENTS`` states, each over the whole window, at a cost of
+    O(len(a) · class starts).  The witness is the least start that returns,
+    at its first return; with no return at all, the closest return is the
+    least distance, the earliest start and time first among equals.
     """
     if not eps > 0:
         raise ValueError("eps must be > 0")
@@ -420,32 +416,22 @@ def birkhoff_window_test(a: Window, sys, eps: float, start_grid_resolution: floa
     if note is not None:
         return Verdict.undecided(note=note)
     starts = sys._class_starts(start_grid_resolution)
-    first = int(len(a) > 0 and a.array[0] == 0)
-    per_batch = max(1, _BATCH_ELEMENTS // max(1, len(a)))
+    positive = Window._trusted(a.array[1:] if len(a) and a.array[0] == 0 else a.array, a.horizon)
     closest = None  # (distance, start, n)
-    for b in range(0, len(starts), per_batch):
+    for batch in _batches(starts, len(positive)):
         # One engine per batch: distances stay numerators over its den until batches are compared.
-        batch = starts[b : b + per_batch]
-        orbits = sys.along(a, batch)
-        limit, rows, witness = orbits.limit(eps), len(batch), None  # rows: the starts still in play
-        least = None  # (numerator, row, time) of the closest return so far
-        lo, hi = first, first + _FIRST_SLICE
-        while lo < len(a) and rows:
-            d = orbits.distances(lo, hi, rows)
-            i, j = divmod(int(np.argmin(d)), d.shape[1])  # row-major: the earliest row, then time
-            if d[i, j] < limit:  # a start returns: the earliest one that does, at its first return
-                near = d < limit
-                rows = int(np.argmax(near.any(axis=1)))
-                j = int(np.argmax(near[rows]))
-                witness = (batch[rows], int(a.array[lo + j]), int(d[rows, j]))
-            elif witness is None and (least is None or (int(d[i, j]), i) < least[:2]):
-                least = (int(d[i, j]), i, int(a.array[lo + j]))
-            lo, hi = hi, 5 * hi - 4 * lo
-        if witness is not None:
-            start, n, dist = witness
-            return Verdict.hold((start, n), note=f"T^{n} returns within {float(orbits.value(dist)):.3g} < {eps}")
-        if least is not None and (closest is None or orbits.value(least[0]) < closest[0]):
-            closest = (orbits.value(least[0]), batch[least[1]], least[2])
+        orbits = sys.along(positive, batch)
+        d = orbits.distances()
+        near = d < orbits.limit(eps)
+        if near.any():  # the earliest start that returns, at its first return
+            i = int(np.argmax(near.any(axis=1)))
+            j = int(np.argmax(near[i]))
+            n = int(positive.array[j])
+            return Verdict.hold((batch[i], n), note=f"T^{n} returns within {float(orbits.value(d[i, j])):.3g} < {eps}")
+        if d.size:  # row-major: the earliest start, then time, of the least distance
+            i, j = divmod(int(np.argmin(d)), d.shape[1])
+            if closest is None or orbits.value(d[i, j]) < closest[0]:
+                closest = (orbits.value(d[i, j]), batch[i], int(positive.array[j]))
     if closest is None:
         return Verdict.fail(0, note="window has no positive elements")
     d, start, n = closest

@@ -30,9 +30,8 @@ share ``TorusSystem``; ``ProductSystem`` answers componentwise, and its
 ``along`` answers ``cells`` only, joined from its factors' cells.
 
 ``along(a, starts)`` builds an engine for one window and one batch of
-starts, fixed when it is built: ``cells(cover)`` answers one row per
-start, and ``distances(lo, hi, rows=None)`` one per start, or per each of
-the first ``rows``; ``limit(eps)`` and ``value(d)`` read a distance
+starts, fixed when it is built: ``cells(cover)`` and ``distances()``
+answer one row per start; ``limit(eps)`` and ``value(d)`` read a distance
 against eps and as a number.  On every torus, exact rational angles
 included, a state is an exact integer numerator over the lcm of the
 angles' and this batch's starts' denominators (2^64 in wrapping uint64
@@ -82,6 +81,9 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 # Covers with more cells than this number their cells with Python ints.
 _FLAT_ID_CAP = 2 ** 62
+
+# A start grid lists at most this many starts: a finer one is refused before its list is built.
+_MAX_STARTS = 2 ** 22
 
 # _coverage counts rows of cell numbers when a row has at least one number per
 # this many cells, and sorts them otherwise.  Measured on a 2-vCPU x86-64 host
@@ -162,30 +164,28 @@ class _TorusOrbits:
         columns = np.array([[_numerator(c, den) for c in row] for row in coords], dtype=times.dtype)
         self.sys, self.den, self.columns, self._times = sys, den, columns, times
 
-    def states(self, lo: int, hi: int) -> list:
-        """One numerator array over ``den`` per coordinate, of shape (len(starts), len(times[lo:hi])): the states."""
-        moves = self.sys._moves(self.columns, self._times[lo:hi], self.den)
+    def states(self) -> list:
+        """One numerator array over ``den`` per coordinate, of shape (len(starts), len(times)): the states."""
+        moves = self.sys._moves(self.columns, self._times, self.den)
         return [_wrap(self.columns[:, j : j + 1] + m, self.den) for j, m in enumerate(moves)]
 
     def cells(self, cover: "TorusCover") -> np.ndarray:
-        return cover.flat_ids(self.states(0, len(self._times)), self.den)
+        return cover.flat_ids(self.states(), self.den)
 
     def phases(self, k: int) -> list:
         """k·T^n(start) mod 1 per coordinate, shaped as ``states``: each exact numerator times k, reduced
         mod den and rounded once to a double."""
-        states = self.states(0, len(self._times))
+        states = self.states()
         if self._times.dtype == object:
             return [(s * k % self.den / self.den).astype(float) for s in states]
         return [_wrap(s * np.uint64(k % self.den), self.den) / float(self.den) for s in states]
 
-    def distances(self, lo: int, hi: int, rows: Optional[int] = None) -> np.ndarray:
-        """distance(T^n(start), start) over ``den`` for the first ``rows`` starts (all by default) and
-        each time n in times[lo:hi]: min(d, den - d) of each move d."""
-        columns = self.columns[:rows]
-        moves = self.sys._moves(columns, self._times[lo:hi], self.den)
+    def distances(self) -> np.ndarray:
+        """distance(T^n(start), start) over ``den`` for each start and time n: min(d, den - d) of each move d."""
+        moves = self.sys._moves(self.columns, self._times, self.den)
         wraps = self.den == 2 ** 64 and moves[0].dtype == np.uint64  # then den - d is -d
         d = reduce(np.maximum, [np.minimum(m, -m if wraps else self.den - m) for m in moves])
-        return d if d.ndim == 2 else np.broadcast_to(d, (len(columns), d.size))
+        return d if d.ndim == 2 else np.broadcast_to(d, (len(self.columns), d.size))
 
     def limit(self, eps: float) -> int:
         """The least numerator of a distance that is not below eps: d < limit iff d / den < eps."""
@@ -215,8 +215,8 @@ class _FiniteOrbits:
     def cells(self, cover: "FiniteCover") -> np.ndarray:
         return (self.codes[:, None] + self.residues) % self.size
 
-    def distances(self, lo: int, hi: int, rows: Optional[int] = None) -> np.ndarray:
-        return np.repeat((self.residues[lo:hi] != 0)[None], len(self.codes[:rows]), axis=0)
+    def distances(self) -> np.ndarray:
+        return np.repeat((self.residues != 0)[None], len(self.codes), axis=0)
 
     def limit(self, eps: float) -> int:
         """The least distance that is not below eps: d < limit iff d < eps, for d in {0, 1}."""
@@ -377,14 +377,18 @@ class TorusSystem:
         gaps = [(Fraction(a) - Fraction(b)) % 1 for a, b in zip(self._coords(s1), self._coords(s2))]
         return float(max(min(d, 1 - d) for d in gaps))
 
-    def _grid(self, resolution: float) -> int:
+    def _grid(self, resolution: float, axes: int = 0) -> int:
         # k = ceil(1/resolution): the start grid's coordinates are i/k for i < k on each axis.
+        # A list of k^axes starts past _MAX_STARTS raises; k stops at 2^64, as 1/resolution may be inf.
         if not resolution > 0:
             raise ValueError(f"start grid resolution must be > 0, got {resolution}")
-        return max(1, math.ceil(1.0 / resolution))
+        k = max(1, math.ceil(min(1.0 / resolution, 2.0 ** 64)))
+        if k ** axes > _MAX_STARTS:
+            raise ValueError(f"start grid resolution {resolution} gives more than 2^22 starts")
+        return k
 
     def starts(self, resolution: float) -> list:
-        k = self._grid(resolution)
+        k = self._grid(resolution, self.dimension)
         return [self._state(p) for p in itertools.product([i / k for i in range(k)], repeat=self.dimension)]
 
 
@@ -473,7 +477,7 @@ class SkewProductSystem(TorusSystem):
 
     def _class_starts(self, resolution: float) -> list:
         # d(T^n s, s) = max(‖n a‖, ‖n x + n(n-1)/2 a‖) reads the start's x only.
-        k = self._grid(resolution)
+        k = self._grid(resolution, 1)
         return [(i / k, 0.0) for i in range(k)]
 
     def rational_structure(self) -> tuple[Optional[int], bool, bool]:

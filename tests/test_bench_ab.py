@@ -155,3 +155,37 @@ def test_counters_are_summarised_per_side_and_printed(tmp_path, monkeypatch, cap
     assert entry["b"]["ru_oublock"]["runs"] == [40, 41, 39] and entry["b"]["ru_oublock"]["median"] == 40
     assert set(entry["gain"]) == {"b_won_9_of_10", "gap_exceeds_a_iqr"}  # the counters are recorded, not judged
     assert "median per run: ru_nvcsw a 29 b 0, ru_oublock a 1032 b 40" in capsys.readouterr().err
+
+
+
+def _recorded_series() -> dict:
+    # (file, entry, workload) -> (pairs, pairs B won, judgement) for every recorded
+    # series with pairs won, judged again by today's rule.
+    series = {}
+    for path in sorted(_SCRIPT.parent.parent.glob("BENCH_*.json")):
+        for name, entry in json.loads(path.read_text(encoding="utf-8")).items():
+            for workload, result in entry.get("workloads", {}).items():
+                if "pairs_won" in result.get("b", {}):
+                    gain = bench_ab.judge(result["a"], result["b"], entry["pairs"])["gain"]
+                    series[path.name, name, workload] = (entry["pairs"], result["b"]["pairs_won"], gain)
+    return series
+
+
+def test_a_recorded_series_of_fewer_than_10_pairs_never_reads_as_a_gain():
+    series = _recorded_series()
+    assert {key[0] for key in series} >= {f"BENCH_{n}.json" for n in (27, 28, 29, *range(31, 41))}
+    assert [key for key, (pairs, _, gain) in series.items() if pairs < 10 and gain["b_won_9_of_10"]] == []
+    # B won 5 of 5 pairs in these, which 9 of every 10 once passed, and its median is past A's IQR.
+    for key in [
+        ("BENCH_31.json", "earlier-922f89d-other-workloads-seed1", "metric-density"),
+        ("BENCH_36.json", "crosscheck-sweep-seed2", "crosscheck-sweep"),
+        ("BENCH_36.json", "crosscheck-sweep-seed2-first-pass", "crosscheck-sweep"),
+        ("BENCH_39.json", "draft-crosscheck-sweep-seed1", "crosscheck-sweep"),
+    ]:
+        assert series[key] == (5, 5, {"b_won_9_of_10": False, "gap_exceeds_a_iqr": True})
+    for key in [
+        ("BENCH_31.json", "crosscheck-sweep-seed1", "crosscheck-sweep"),
+        ("BENCH_31.json", "crosscheck-sweep-seed2", "crosscheck-sweep"),
+        ("BENCH_36.json", "crosscheck-sweep-seed1", "crosscheck-sweep"),
+    ]:
+        assert series[key] == (10, 10, {"b_won_9_of_10": True, "gap_exceeds_a_iqr": True})

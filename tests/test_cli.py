@@ -209,6 +209,17 @@ def test_recurrence_nonpositive_eps_or_grid_is_operational_error(squares_file, c
     assert captured.err.startswith("error:") and captured.out == ""
 
 
+@pytest.mark.parametrize("family", ["rot:golden", "rot:golden,0.3", "skew:golden"])
+def test_recurrence_grid_of_more_than_2_to_the_22_starts_is_operational_error(tmp_path, capsys, family):
+    # An empty window: no start is dense, and the grid is refused before it is listed.
+    path = tmp_path / "e5.txt"
+    write_sequence_file(path, Window((), 5))
+    assert main(["recurrence", str(path), family, "--start-grid", "1e-300"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: start grid resolution 1e-300 gives more than 2^22 starts\n"
+
+
 @pytest.mark.parametrize("family", ["rot:nan", "rot:inf", "rot:-inf", "rot:1e400", "rot:0.3,nan", "skew:nan", "skew:1e400"])
 def test_non_finite_angle_is_operational_error(squares_file, capsys, family):
     assert main(["recurrence", squares_file, family]) == 1

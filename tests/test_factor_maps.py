@@ -9,6 +9,7 @@ Y's cover is a function of the cell of s in X's.
 - ``skew:a -> rot:a``: (x, y) -> x, cell (i, j) -> i.
 - ``rot:a1,a2 -> rot:ai``: (x1, x2) -> xi, cell (i1, i2) -> ii.
 - ``odo:p^d -> cyclic:p^j`` (j <= d): code c -> c mod p^j, the j low digits.
+- ``cyclic:m -> cyclic:d`` (d | m): state and cell c -> c mod d.
 
 The laws call only the public API (``along`` and ``cover``,
 ``r_sequence_metric``, ``birkhoff_window_test``, ``return_times``) and run on
@@ -64,6 +65,10 @@ def odometer_to_cycle(p: int, d: int, j: int) -> Factor:
     return Factor(odo, CyclicSystem(p ** j), lambda s: odo.encode(s) % p ** j, lambda c: c % p ** j, odo.decode)
 
 
+def cycle_to_cycle(m: int, d: int) -> Factor:
+    return Factor(CyclicSystem(m), CyclicSystem(d), lambda c: c % d, lambda c: c % d, lambda c: c)
+
+
 def swapped_digits(f: Factor) -> Factor:
     """The cell map applied to the cell with its digits swapped: the skew's (j, i), the
     2-torus's (i2, i1), an odometer's code with its base-p digits reversed."""
@@ -71,6 +76,12 @@ def swapped_digits(f: Factor) -> Factor:
         odo = f.source
         return Factor(odo, f.target, f.state, lambda c: f.cell(odo.encode(odo.decode(c)[::-1])), f.lift)
     return Factor(f.source, f.target, f.state, lambda c: f.cell(c[::-1]), f.lift)
+
+
+def high_part(f: Factor) -> Factor:
+    """A cycle map's cell map read off the high part of the cell: c -> (c // (m/d)) mod d."""
+    step = f.source.period // f.target.period
+    return Factor(f.source, f.target, f.state, lambda c: c // step % f.target.period, f.lift)
 
 
 def converse(f: Factor) -> Factor:
@@ -94,7 +105,7 @@ def _dense_from(sys, a: Window, start, eps: float) -> bool:
 def _returns(sys, a: Window, starts, eps: float) -> list:
     # For each start and time of a: whether d(T^n s, s) < eps.
     orbits = sys.along(a, starts)
-    return (orbits.distances(0, len(a)) < orbits.limit(eps)).tolist()
+    return (orbits.distances() < orbits.limit(eps)).tolist()
 
 
 def cell_law(f: Factor, a: Window, starts, eps: float) -> bool:
@@ -178,6 +189,10 @@ def factors(draw, kind: str, angles: str):
         d = draw(st.integers(1, 3))
         f = odometer_to_cycle(p, d, draw(st.integers(1, d)))
         return f, [f.source.decode(c) for c in draw(st.lists(st.integers(0, p ** d - 1), min_size=1, max_size=4))]
+    if kind == "cycle":
+        d = draw(st.integers(1, 8))
+        f = cycle_to_cycle(d * draw(st.integers(1, 8)), d)
+        return f, draw(st.lists(st.integers(0, f.source.period - 1), min_size=1, max_size=4))
     angle, coord = _ANGLES[angles], _ANGLES[angles]
     if kind == "skew":
         f = skew_to_rotation(draw(angle))
@@ -186,7 +201,7 @@ def factors(draw, kind: str, angles: str):
     return f, draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=4))
 
 
-KINDS = [("skew", "double"), ("skew", "p/q"), ("rot2", "double"), ("rot2", "p/q"), ("odo", None)]
+KINDS = [("skew", "double"), ("skew", "p/q"), ("rot2", "double"), ("rot2", "p/q"), ("odo", None), ("cycle", None)]
 _IDS = [f"{kind}-{angles}" if angles else kind for kind, angles in KINDS]
 
 
@@ -214,9 +229,7 @@ def test_a_return_within_eps_is_one_on_the_factor(kind, angles, data, a, eps):
     assert return_law(f, a, starts, eps)
 
 
-@pytest.mark.parametrize(
-    "kind, angles", [("skew", "double"), ("skew", "p/q"), ("odo", None)], ids=["skew-double", "skew-p/q", "odo"]
-)
+@pytest.mark.parametrize("kind, angles", KINDS, ids=_IDS)
 @given(data=st.data(), eps=st.sampled_from(EPS), horizon=st.integers(1, 2 * 10 ** 4))
 @settings(max_examples=25, deadline=None)
 def test_the_returns_over_a_cell_are_the_factor_s_returns_to_it(kind, angles, data, eps, horizon):
@@ -272,3 +285,15 @@ def test_the_skew_s_y_digit_is_not_a_factor_cell(name):
     cases = [(s, eps, horizon) for s in starts for eps in EPS for horizon in (60, 3000)]
     assert all(return_times_law(f, s, eps, horizon) for s, eps, horizon in cases)
     assert not all(return_times_law(swapped_digits(f), s, eps, horizon) for s, eps, horizon in cases)
+
+
+@pytest.mark.parametrize(
+    "fixed, mutant",
+    [(_FIXED["rot2-double"], swapped_digits), (_FIXED["rot2-p/q"], swapped_digits), ((cycle_to_cycle(12, 4), [0, 7]), high_part)],
+    ids=["rot2-double-swapped-digits", "rot2-p/q-swapped-digits", "cycle-high-part"],
+)
+def test_a_cell_map_that_is_not_the_factor_s_breaks_the_return_times_law(fixed, mutant):
+    f, starts = fixed
+    cases = [(s, eps, horizon) for s in starts for eps in EPS for horizon in (5, 60, 3000)]
+    assert all(return_times_law(f, s, eps, horizon) for s, eps, horizon in cases)
+    assert not all(return_times_law(mutant(f), s, eps, horizon) for s, eps, horizon in cases)

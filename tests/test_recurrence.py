@@ -1482,7 +1482,7 @@ def test_finite_birkhoff_matches_per_state_loop(sys, eps):
 
 
 def test_birkhoff_late_return_crosses_slices():
-    # Returns after several doubled slices, and the closest return when the
+    # A late return (at 377 for eps 0.001), and the closest return when the
     # first start never comes back.
     rot = RotationSystem.from_angle(GOLDEN)
     w = Window(tuple(range(1, 400)), 400)
@@ -1494,9 +1494,9 @@ def test_birkhoff_late_return_crosses_slices():
 
 @pytest.mark.parametrize("zero", [False, True])
 def test_birkhoff_return_at_every_slice_edge(zero):
-    # Only the time at index b returns on Z/7; b runs across the first
-    # three slice boundaries (32, 160 and 672 times), and to the last time,
-    # with and without a leading 0.
+    # Only the time at index b returns on Z/7; b runs over indices 29-35,
+    # 157-163 and 669-675, and the last, 699, with and without a leading 0:
+    # the witness is that one time wherever it lies in the window.
     sys = CyclicSystem(7)
     for b in [*range(29, 36), *range(157, 164), *range(669, 676), 699]:
         times = [7 * i + 1 + i % 6 for i in range(700)]
@@ -1515,12 +1515,12 @@ def test_birkhoff_return_at_every_slice_edge(zero):
     st.sampled_from([0.25, 0.5]),
     st.booleans(),
 )
-@example((2, 7), 700, 1, [1.0], 0.25, False)  # a return at the last time, in the third slice
+@example((2, 7), 700, 1, [1.0], 0.25, False)  # a return at the last time
 @example((3, 10), 900, 2, [], 0.5, True)  # no return: the first start and time of the least distance
 @settings(max_examples=40, deadline=None)
 def test_birkhoff_ties_and_late_returns_match_every_start_at_every_time(angle, count, seed, planted, grid, wide):
     # Rotation by p/q along times off the multiples of q: no return below
-    # 1/q, and the least distance is tied at many times in many slices.
+    # 1/q, and the least distance is tied at many times across the window.
     # Multiples of q planted at fractions of the window, up to its last time,
     # return exactly.
     p, q = angle
@@ -1546,8 +1546,8 @@ def test_birkhoff_ties_and_late_returns_match_every_start_at_every_time(angle, c
 )
 @settings(max_examples=20, deadline=None)
 def test_birkhoff_long_windows_match_every_start_at_every_time(sys, count, seed, eps):
-    # Windows that reach the second and third slices, on irrational rotations
-    # and the skew product: a late return or the closest one.
+    # Windows of 150-800 times on irrational rotations and the skew product:
+    # a late return or the closest one.
     times = np.sort(np.random.default_rng(seed).choice(10 ** 7, size=count, replace=False) + 1)
     w = Window(times.tolist(), int(times[-1]))
     assert birkhoff_window_test(w, sys, eps, 0.5) == _exact_birkhoff(w, sys, eps, 0.5)
@@ -1635,9 +1635,8 @@ def test_metric_tests_break_exact_ties_by_the_first_start():
 
 
 def test_birkhoff_an_earlier_start_that_returns_later_wins():
-    # In the batch of x classes, x = 0.75 returns at index 24 (first slice)
-    # and x = 0.5 at index 38 (second slice): the earlier start wins, so the
-    # batch shrinks to the rows before it and reads on.
+    # In the batch of x classes, x = 0.75 returns at index 24 and x = 0.5
+    # at index 38: the earlier start wins over the earlier time.
     skew = SkewProductSystem(GOLDEN)
     w = Window((15, 48, 57, 61, 74, 76, 93, 94, 126, 142, 149, 159, 160, 171, 176, 187, 190, 197, 205, 242,
                 257, 280, 282, 295, 301, 306, 320, 329, 333, 348, 353, 369, 370, 376, 382, 384, 389, 408, 411), 600)
@@ -1657,8 +1656,8 @@ def test_birkhoff_a_later_x_class_returns_first():
 
 def test_birkhoff_closest_return_tied_across_x_classes():
     # Odd times on skew:3/8 stay 1/8 away in x: every x class comes as close
-    # as 1/8, x = 0 only at index 48 (second slice) and the others in the
-    # first slice.  The earliest start wins over the earliest time.
+    # as 1/8, x = 0 only at index 48 and the others before index 32.  The
+    # earliest start wins over the earliest time.
     skew = SkewProductSystem(Fraction(3, 8))
     times = 2 * np.sort(np.random.default_rng(18).choice(10 ** 6, 60, replace=False)) + 1
     w = Window(times.tolist(), int(times[-1]))
@@ -1694,6 +1693,36 @@ def test_class_starts_reject_what_starts_rejects():
         SkewProductSystem(GOLDEN)._class_starts(-1.0)
     with pytest.raises(TypeError):
         ProductSystem(CyclicSystem(2), CyclicSystem(3))._class_starts(1.0)
+
+
+@pytest.mark.parametrize("sys", [RotationSystem.from_angle(GOLDEN), RotationSystem((GOLDEN, 0.3)), SkewProductSystem(GOLDEN)],
+                         ids=lambda v: v.spec_string())
+@pytest.mark.parametrize("grid", [1e-300, 5e-324, 2.0 ** -22 * 0.999])
+def test_a_grid_of_more_than_2_to_the_22_starts_is_refused_before_it_is_listed(monkeypatch, sys, grid):
+    # The full grid is checked before the first start is read, so the refusal
+    # does not hang on listing the grid and does not depend on whether the
+    # first start is dense (in an empty window none is).
+    real = TorusSystem.starts
+    monkeypatch.setattr(TorusSystem, "starts", lambda self, resolution: pytest.fail("the grid was listed"))
+    with pytest.raises(ValueError, match=re.escape("gives more than 2^22 starts")):
+        r_sequence_metric(Window((), 5), sys, 0.1, grid)
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match=re.escape("gives more than 2^22 starts")):
+        real(sys, grid)
+    w = Window((1, 2), 5)
+    if isinstance(sys, SkewProductSystem):  # one class start per x of the grid
+        with pytest.raises(ValueError, match=re.escape("gives more than 2^22 starts")):
+            birkhoff_window_test(w, sys, 0.1, grid)
+    else:  # one class start, whatever the grid
+        assert birkhoff_window_test(w, sys, 0.1, grid) == birkhoff_window_test(w, sys, 0.1, 1.0)
+
+
+def test_a_grid_of_2_to_the_22_starts_is_not_refused():
+    for sys, axes in ((RotationSystem((GOLDEN, 0.3)), 2), (SkewProductSystem(GOLDEN), 1)):
+        k = round((2 ** 22) ** (1 / axes))
+        assert sys._grid(1 / k, axes) == k and k ** axes == 2 ** 22
+        with pytest.raises(ValueError, match=re.escape("gives more than 2^22 starts")):
+            sys._grid(1 / (k + 1), axes)
 
 
 @pytest.mark.parametrize("spec, grid, rows", [

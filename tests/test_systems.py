@@ -586,21 +586,18 @@ def _start(sys, coords):
     st.tuples(unit_floats, unit_floats),
     window_times,
     st.sampled_from([0.5, 0.1, 0.02, 0.003]),
-    st.data(),
 )
 @settings(max_examples=150, deadline=None)
-def test_along_matches_per_state_cells_and_distances(sys, coords, times, eps, data):
+def test_along_matches_per_state_cells_and_distances(sys, coords, times, eps):
     # States, cells and distances are the exact reference's, exact rotations included.
     start = _start(sys, coords)
     w = Window(tuple(times), times[-1] if times else 0)
     cover, orbits = sys.cover(eps), sys.along(w, [start])
     states = [ref.state(sys, start, n) for n in times]
     assert orbits.cells(cover)[0].tolist() == [ref.flat_id(s, ref.sides(eps)) for s in states]
-    lo = data.draw(st.integers(0, len(times)))
-    hi = data.draw(st.integers(lo, len(times) + 40))
-    got = [orbits.value(d) for d in orbits.distances(lo, hi)[0]]
-    assert got == [ref.distance(s, start) for s in states[lo:hi]]
-    nums = orbits.states(0, len(times))
+    got = [orbits.value(d) for d in orbits.distances()[0]]
+    assert got == [ref.distance(s, start) for s in states]
+    nums = orbits.states()
     assert [tuple(Fraction(int(x[0, i]), orbits.den) for x in nums) for i in range(len(times))] == states
 
 
@@ -647,26 +644,22 @@ def test_each_batch_row_is_the_single_start_row(sys, times, grid, eps, data):
     # rows are compared as the numbers they stand for.
     w = Window(tuple(times), times[-1] if times else 0)
     batch = data.draw(st.lists(st.sampled_from(sys.starts(grid)), min_size=1, max_size=6))
-    lo = data.draw(st.integers(0, len(times)))
-    hi = data.draw(st.integers(lo, len(times) + 40))
-    rows = data.draw(st.integers(0, len(batch)))
     cover, orbits = sys.cover(eps), sys.along(w, batch)
-    cells, distances = orbits.cells(cover), orbits.distances(lo, hi)
-    assert cells.shape == (len(batch), len(times)) and distances.shape == (len(batch), len(times[lo:hi]))
-    assert orbits.distances(lo, hi, rows).tolist() == distances[:rows].tolist()
+    cells, distances = orbits.cells(cover), orbits.distances()
+    assert cells.shape == distances.shape == (len(batch), len(times))
     hits, empties = _coverage(cells, cover.cell_count())
     for i, start in enumerate(batch):
         alone = sys.along(w, [start])
         assert cells[i].tolist() == alone.cells(cover)[0].tolist()
         got = [orbits.value(d) for d in distances[i]]
-        assert got == [alone.value(d) for d in alone.distances(lo, hi)[0]]
+        assert got == [alone.value(d) for d in alone.distances()[0]]
         states = [ref.state(sys, start, n) for n in times]
         assert cells[i].tolist() == [ref.flat_id(s, ref.sides(eps)) for s in states]
-        assert got == [ref.distance(s, start) for s in states[lo:hi]]
+        assert got == [ref.distance(s, start) for s in states]
         seen = set(cells[i].tolist())
         assert (hits[i], empties[i]) == (len(seen), min(set(range(len(seen) + 1)) - seen))
-        got = [[Fraction(int(v), orbits.den) for v in x[i]] for x in orbits.states(lo, hi)]
-        assert got == [[Fraction(int(v), alone.den) for v in x[0]] for x in alone.states(lo, hi)]
+        got = [[Fraction(int(v), orbits.den) for v in x[i]] for x in orbits.states()]
+        assert got == [[Fraction(int(v), alone.den) for v in x[0]] for x in alone.states()]
 
 
 def test_an_engine_is_fixed_for_its_batch():
@@ -679,9 +672,8 @@ def test_an_engine_is_fixed_for_its_batch():
         before = orbits.den, orbits.columns.tolist(), orbits.limit(0.1), orbits.limit(0.01)
         assert before[0] == den and before[1] == [[den * Fraction(s) % den] for s in starts]
         orbits.cells(cover)
-        orbits.distances(0, 5)
-        orbits.distances(2, len(w), rows=1)
-        orbits.states(1, 3)
+        orbits.distances()
+        orbits.states()
         assert (orbits.den, orbits.columns.tolist(), orbits.limit(0.1), orbits.limit(0.01)) == before
 
 
@@ -754,11 +746,11 @@ def test_along_past_two_to_the_64(sys):
             start = _start(sys, coords)
             orbits = sys.along(Window(times, times[-1]), [start])
             states = [ref.state(sys, start, n) for n in times]
-            got = orbits.distances(0, len(times))[0]
+            got = orbits.distances()[0]
             assert [orbits.value(d) for d in got] == [ref.distance(s, start) for s in states]
             assert orbits.cells(sys.cover(0.01))[0].tolist() == [ref.flat_id(s, 100) for s in states]
             small = orbits.den < 2 ** 31 or orbits.den == 2 ** 64 and times[-1] < 2 ** 64
-            assert orbits.states(0, len(times))[0].dtype == (np.uint64 if small else object)
+            assert orbits.states()[0].dtype == (np.uint64 if small else object)
 
 
 @pytest.mark.parametrize("sys", [CyclicSystem(6), OdometerSystem(3, 2)], ids=lambda v: v.spec_string())
@@ -768,10 +760,7 @@ def test_finite_along_matches_per_state_distances(sys):
     for start in sys.starts(1.0):
         orbits = sys.along(w, [start])
         expected = [sys.distance(sys.orbit_at(start, n), start) for n in times]
-        assert orbits.distances(0, len(times))[0].tolist() == expected
-        assert orbits.distances(2, 5)[0].tolist() == expected[2:5]
-    # Every start returns at the same times: the first two rows of a batch are that row.
-    assert sys.along(w, sys.starts(1.0)).distances(2, 5, rows=2).tolist() == [expected[2:5]] * 2
+        assert orbits.distances()[0].tolist() == expected
 
 
 def _ref_periodic_rows(sys, times, period, start, cover):
@@ -797,24 +786,20 @@ PERIODIC_SYSTEMS = [
     st.sampled_from(PERIODIC_SYSTEMS),
     st.lists(st.integers(0, 10 ** 6), max_size=50, unique=True).map(sorted),
     st.sampled_from([(0, 0), (0, 2 ** 63), (2 ** 63, 0), (2 ** 70, 0)]),
-    st.data(),
 )
 @settings(max_examples=80, deadline=None)
-def test_periodic_rows_match_the_residue_comprehension(system, offsets, kind, data):
+def test_periodic_rows_match_the_residue_comprehension(system, offsets, kind):
     # int64 times, small times under a horizon past 2^62 (converted to int64),
     # and times past 2^63 (Python ints).
     (sys, period), (base, wide) = system, kind
     times = tuple(base + t for t in offsets)
     w = Window(times, (times[-1] if times else base) + wide)
     cover = sys.cover(0.2)
-    lo = data.draw(st.integers(0, len(times)))
-    hi = data.draw(st.integers(lo, len(times) + 5))
     for start in [sys.decode(v) for v in sorted({0, 1 % sys.size, sys.size - 1})]:
         orbits = sys.along(w, [start])
-        cells, _ = _ref_periodic_rows(sys, times, period, start, cover)
-        _, distances = _ref_periodic_rows(sys, times[lo:hi], period, start, cover)
+        cells, distances = _ref_periodic_rows(sys, times, period, start, cover)
         assert orbits.cells(cover)[0].tolist() == cells
-        assert orbits.distances(lo, hi)[0].tolist() == distances
+        assert orbits.distances()[0].tolist() == distances
 
 
 def test_torus_cover_flat_ids_in_canonical_order():
