@@ -78,7 +78,7 @@ FILES = {
     "straddle.txt": f"!horizon {2 ** 31 + 1000}\n"
     + "".join(f"{n}\n" for n in [n for n in range(2 ** 31 - 1700, 2 ** 31, 2) if n % 37 != 5][-800:])
     + "".join(f"{n}\n" for n in range(2 ** 31, 2 ** 31 + 400) if n % 37 != 5),
-    # 17,101 elements, none 0 mod 7: longer than the cross-check's prefix scan reads.
+    # 17,101 elements, none 0 mod 7: the cross-check's prefix leaves the m = 7 pairs open for the bitmask settle.
     "no-sevens.txt": "!horizon 20000\n" + "".join(f"{n}\n" for n in range(50, 20001) if n % 7),
     # Lines of 1 to 18 digits (one, two and three eight-digit words), 10^k
     # written with leading zeros to 18 digits for odd k.

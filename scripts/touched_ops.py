@@ -11,6 +11,15 @@ added or changed lines, or, for a pure deletion, the line on either side
 of the gap.  It prints the changed lines, then, per workload, the ops that
 run one of them and which ones they run.
 
+    python3 scripts/touched_ops.py PARENT --ignore cli.main [--ignore ...]
+
+leaves out the changed lines inside the ``def`` of MODULE.QUALNAME in
+``src/dynwindow`` (``Class.method`` names a method): its lines ``lineno``
+to ``end_lineno`` in this checkout, as ``ast`` gives them.  It prints each
+span it leaves out.  A change to the CLI's shell then still leaves the ops
+that run no other changed line as a control.  A name with no such ``def``
+is a usage error.
+
     python3 scripts/touched_ops.py PARENT --bench BENCH.json --entry NAME
 
 also reads the entry NAME of a file that ``scripts/bench_ab.py`` wrote and
@@ -29,6 +38,7 @@ that built it.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import re
@@ -65,6 +75,28 @@ def changed_lines(diff: str) -> dict[str, set[int]]:
             start, count = int(hunk.group(1)), int(hunk.group(2) or 1)
             lines = range(start, start + count) if count else [n for n in (start, start + 1) if n > 0]
             out.setdefault(path, set()).update(lines)
+    return out
+
+
+def def_span(source: str, qualname: str) -> range | None:
+    """The lines lineno..end_lineno of the def (or class) named qualname in source, or None."""
+    body, node = ast.parse(source).body, None
+    for name in qualname.split("."):
+        node = next((n for n in body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                     and n.name == name), None)
+        if node is None:
+            return None
+        body = node.body
+    return range(node.lineno, node.end_lineno + 1)
+
+
+def drop_spans(by_file: dict[str, set[int]], spans: dict[str, list[range]]) -> dict[str, set[int]]:
+    """by_file without the lines inside spans (per file); a file left with none is dropped."""
+    out = {}
+    for path, lines in by_file.items():
+        kept = {n for n in lines if not any(n in span for span in spans.get(path, ()))}
+        if kept:
+            out[path] = kept
     return out
 
 
@@ -119,15 +151,27 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--bench", type=Path, help="a file of scripts/bench_ab.py entries")
     parser.add_argument("--entry", help="the entry of --bench whose per-op times to compare")
+    parser.add_argument("--ignore", action="append", default=[], metavar="MODULE.QUALNAME",
+                        help="leave out the changed lines inside this def of src/dynwindow (repeatable)")
     args = parser.parse_args(argv)
     if (args.bench is None) != (args.entry is None):
         parser.error("--bench and --entry go together")
+    spans: dict[str, list[range]] = {}
+    for name in args.ignore:
+        module, _, qualname = name.partition(".")
+        path = SRC / "dynwindow" / f"{module}.py"
+        span = def_span(path.read_text(encoding="utf-8"), qualname) if qualname and path.is_file() else None
+        if span is None:
+            parser.error(f"--ignore {name}: no such def in src/dynwindow")
+        rel = str(path.relative_to(ROOT))
+        spans.setdefault(rel, []).append(span)
+        print(f"ignored: {rel}:{span.start}-{span.stop - 1} ({name})")
     diff = subprocess.run(
         ["git", "-C", str(ROOT), "diff", "-U0", "--no-color", "--no-ext-diff", "--src-prefix=a/",
          "--dst-prefix=b/", args.parent, "--", "src"],
         capture_output=True, text=True, check=True,
     ).stdout
-    by_file = changed_lines(diff)
+    by_file = drop_spans(changed_lines(diff), spans)
     for path, lines in sorted(by_file.items()):
         print(f"changed: {path}: {_ranges(lines)}")
     changed = {(path, n) for path, lines in by_file.items() for n in lines}

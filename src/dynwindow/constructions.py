@@ -52,14 +52,12 @@ class IPBlockSchedule:
     t: per-block shifts; k: strictly increasing generator counts; base: an
     optional per-block generator value (block i is then the k_i-fold repeat
     of base_i — a finite IP set whose sums form a progression); None derives
-    a base from the running origin at build time.  generators overrides
-    everything with explicit per-block multisets.
+    a base from the running origin at build time.
     """
 
     t: tuple[int, ...]
     k: tuple[int, ...]
     base: Optional[tuple[Optional[int], ...]] = None
-    generators: Optional[tuple[tuple[int, ...], ...]] = None
     initial_gap: int = _DEFAULT_INITIAL_GAP
 
     def __post_init__(self) -> None:
@@ -77,12 +75,6 @@ class IPBlockSchedule:
                 raise ValueError("base must have one entry per block")
             if any(b is not None and b < 1 for b in self.base):
                 raise ValueError("base values must be >= 1")
-        if self.generators is not None:
-            if len(self.generators) != n:
-                raise ValueError("generators must have one multiset per block")
-            for gens, kk in zip(self.generators, self.k):
-                if len(gens) != kk:
-                    raise ValueError("generator multiset sizes must match k")
         if self.initial_gap < 1:
             raise ValueError("initial_gap must be >= 1")
 
@@ -157,13 +149,10 @@ def build_ip_block_sequence(schedule: IPBlockSchedule) -> BuiltSequence:
     elements: list[int] = []
     blocks: list[BlockInfo] = []
     for i in range(schedule.block_count):
-        if schedule.generators is not None:
-            gens: tuple[int, ...] = tuple(schedule.generators[i])
-        else:
-            base = schedule.base[i] if schedule.base is not None else None
-            if base is None:
-                base = _derive_base(origin)
-            gens = (base,) * schedule.k[i]
+        base = schedule.base[i] if schedule.base is not None else None
+        if base is None:
+            base = _derive_base(origin)
+        gens = (base,) * schedule.k[i]
         raw = finite_ip(gens)
         offset = origin + schedule.t[i]
         block = [offset + x for x in raw.elements]

@@ -55,6 +55,11 @@ _SWEEP_MIN_ELEMENT, _SWEEP_DENSITY_RANGE = 50, (5e-4, 0.5)
 # impractically large return-time / difference windows.
 _CROSSCHECK_HORIZON_CAP = 1_000_000
 
+# product_transitive_finite enumerates the orbit of (0, 0), lcm(m, n) states
+# held in a set: 4,192,256 of them took 4.3 s and 638 MB, so a larger orbit
+# is refused.
+_PRODUCT_ORBIT_CAP = 2 ** 22
+
 # _missing_residues recounts the periods its prefix leaves open in blocks of
 # lcm at most this: one bincount of that many counters per block.
 _RECOUNT_MODULUS_CAP = 2 ** 16
@@ -71,12 +76,13 @@ _SEGMENTS = tuple((p * (p - 1) // 2, (1 << p) - 1) for p in range(1, _TABLE_PERI
 # whose lcm is at most this, then takes each period's remainder in int64.
 _REDUCE_MODULUS_CAP = 2 ** 62 - 1
 
-# The cross-check's shifted hits read a window's elements in slices of this
-# many per comparison window, then 4, 16, ... times as many.  At 4 (140
-# elements for the 35 windows of M = 12) one gather still settles every
-# (window, shift) pair of each of the 250 crosscheck-sweep windows at seeds
-# 1, 2 and 3, whose pairs are all met within their first 91, 96 and 94
-# elements; a pass gathers about 299k rows, against 508k at 8.
+# The cross-check's shifted hits read this many of a window's elements per
+# comparison window against the position table, and settle the pairs left
+# open on bitmasks.  At 4 (140 elements for the 35 windows of M = 12) one
+# gather settles every (window, shift) pair of each of the 250
+# crosscheck-sweep windows at seeds 1, 2 and 3, whose pairs are all met
+# within their first 91, 96 and 94 elements; a pass gathers about 299k rows,
+# against 508k at 8.
 _SLICE_PER_WINDOW = 4
 
 # return_times reads orbits in blocks of this many times: 5.6 MiB at the peak for 10^6 on skew:golden, not 76.
@@ -85,15 +91,6 @@ _RETURN_BLOCK = 2 ** 16
 # The metric tests evaluate starts in batches of at most this many states
 # per coordinate array (32 MiB of uint64 numerators, or as many Python ints); a larger grid is split.
 _BATCH_ELEMENTS = 2 ** 22
-
-# The cross-check's shifted hits read at most this many elements of the window
-# against the position table; the (window, shift) pairs they leave open are
-# settled on bitmasks, whose cost grows with the horizon.  With 7 of 13 shifts
-# open, reading a whole window cost as much as settling it at about 3,000
-# elements for horizon 10^4, 8,000-16,000 for 10^5 and 50,000 for 10^6
-# (2-vCPU x86-64 host); past the cap, a read wasted on a window the settle
-# decides costs about 0.2 ms.
-_PREFIX_SCAN_CAP = 2 ** 12
 
 
 class CoverageError(ValueError):
@@ -496,11 +493,10 @@ def _position_table(windows: list) -> np.ndarray:
 def _comparison_table(ext: int, max_period: int) -> tuple:
     # The cross-check's windows on [0, ext] for every m <= max_period, as
     # (position table, windows in column order, per m the bit of its return
-    # window's column and the bits of its difference windows' columns, the
-    # table's all-ones row as little-endian uint64 words, read-only as its
-    # bytes are).  Only the latest table is kept: a sweep shares one, and
-    # older ones hold MiBs.  A window holds its array, and its mask once a
-    # bitmask settle reads it, never an elements tuple.
+    # window's column and the bits of its difference windows' columns).  Only
+    # the latest table is kept: a sweep shares one, and older ones hold MiBs.
+    # A window holds its array, and its mask once a bitmask settle reads it,
+    # never an elements tuple.
     windows, columns = [], []
     for m in range(1, max_period + 1):
         j = len(windows)
@@ -514,24 +510,17 @@ def _comparison_table(ext: int, max_period: int) -> tuple:
         leaders = (0,) if ext % m == m - 1 else (0, ext % m + 1)
         windows += [difference_set(Window._trusted(np.arange(r, ext + 1, m), ext)) for r in leaders]
         columns.append((1 << j, (1 << len(windows)) - (2 << j)))
-    table = _position_table(windows)
-    full = np.frombuffer(((1 << len(windows)) - 1).to_bytes(8 * table.shape[1], "little"), dtype="<u8")
-    return table, windows, columns, full
+    return _position_table(windows), windows, columns
 
 
-def _shifted_hits(a: Window, shifts: Sequence[int], table: np.ndarray, windows: list, full: np.ndarray) -> int:
+def _shifted_hits(a: Window, shifts: Sequence[int], table: np.ndarray, windows: list) -> int:
     """The columns j, as bits, for which a + n meets windows[j] for every shift n.
 
-    Stage 1 reads a prefix of a: the pair (n, j) is met when bit j of the
-    row of x + n is set for some x in it, a position off the table reading
-    an all-zero row.  The prefix grows in slices sized to the table,
-    _SLICE_PER_WINDOW elements per window (140 for the 35 windows of
-    M = 12), then 4, 16, ... times as many, and stops once every pair is
-    met, or at _PREFIX_SCAN_CAP elements; each gather stays within
-    _BATCH_ELEMENTS words, taking the shifts in blocks.  The first slice's
-    gather is the met pairs, compared with full, the table's all-ones row
-    (``_comparison_table`` builds it); the slice that reaches the prefix's end
-    drops no rows, as none is read again.  A prefix that is the whole window
+    Stage 1 reads a prefix of a, its first _SLICE_PER_WINDOW elements per
+    window (140 for the 35 windows of M = 12): the pair (n, j) is met when
+    bit j of the row of x + n is set for some x in it, a position off the
+    table reading an all-zero row.  The gather stays within _BATCH_ELEMENTS
+    words, taking the shifts in blocks.  A prefix that is the whole window
     decides every pair.  Otherwise stage 2 settles each window's open pairs
     on whole-window bitmasks and stops at the window's first miss: every
     window of a cross-check lies within _CROSSCHECK_HORIZON_CAP, where each
@@ -544,31 +533,17 @@ def _shifted_hits(a: Window, shifts: Sequence[int], table: np.ndarray, windows: 
     top = len(table) - 2  # past the largest position
     if shifts and (shifts[0] < -a.horizon - 1 or shifts[-1] > top):
         shifts = sorted({min(max(n, -a.horizon - 1), top) for n in shifts})
-    # The row offset n + 1 of each shift n still open: the row of x + n is x + n + 1.
+    # The row offset n + 1 of each shift n: the row of x + n is x + n + 1.
     rows = np.array([n + 1 for n in shifts], dtype=np.int64)
-    words = table.shape[1]
-    every = (1 << len(windows)) - 1
-    end = min(len(a), _PREFIX_SCAN_CAP)
-    met = np.zeros((rows.size, words), dtype=np.uint64) if end == 0 else None  # filled by the first slice
-    lo, hi = 0, _SLICE_PER_WINDOW * len(windows)
-    while lo < end and rows.size:
-        hi = min(hi, end)
-        x = a.array[lo:hi]
-        block = max(1, _BATCH_ELEMENTS // (x.size * words))
-        # mode="clip" sends a row index off the table to the zero row at that end.
-        parts = [np.bitwise_or.reduce(table.take(rows[i : i + block, None] + x, axis=0, mode="clip"), axis=1)
-                 for i in range(0, rows.size, block)]
-        seen = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        met = seen if met is None else met | seen
-        if hi < end:  # the rows still open read on
-            still = (met != full).any(axis=1)
-            if not still.all():
-                rows, met = rows[still], met[still]
-        lo, hi = hi, 5 * hi - 4 * lo
-    if not rows.size:
-        return every
-    hits = every & int.from_bytes(np.bitwise_and.reduce(met, axis=0).tobytes(), "little")
-    if lo >= len(a):
+    x = a.array[: _SLICE_PER_WINDOW * len(windows)]
+    block = max(1, _BATCH_ELEMENTS // max(1, x.size * table.shape[1]))
+    # mode="clip" sends a row index off the table to the zero row at that end;
+    # with no shift, one empty block gives met no row, and every column is hit.
+    parts = [np.bitwise_or.reduce(table.take(rows[i : i + block, None] + x, axis=0, mode="clip"), axis=1)
+             for i in range(0, max(rows.size, 1), block)]
+    met = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    hits = (1 << len(windows)) - 1 & int.from_bytes(np.bitwise_and.reduce(met, axis=0).tobytes(), "little")
+    if x.size == len(a):
         return hits
     for j, d in enumerate(windows):
         if hits >> j & 1:
@@ -622,8 +597,8 @@ def crosscheck_cyclic_equivalence(a: Window, max_period: int, shifts: Iterable[i
     if ext > _CROSSCHECK_HORIZON_CAP:
         raise ValueError(f"cross-check windows reach ext = horizon + max(largest shift, 0) + max_period = {a.horizon} + "
                          f"{max(shifts[-1], 0)} + {max_period} = {ext}, past the {_CROSSCHECK_HORIZON_CAP} cap")
-    table, windows, columns, full = _comparison_table(ext, max_period)
-    hits = _shifted_hits(a, shifts, table, windows, full)
+    table, windows, columns = _comparison_table(ext, max_period)
+    hits = _shifted_hits(a, shifts, table, windows)
     missing = _missing_residues(a.array, max_period)
     if hits != (1 << len(windows)) - 1 or missing.count(None) != max_period:  # not all three hold everywhere
         for m, (nuu, diffs) in enumerate(columns, start=1):
@@ -685,9 +660,16 @@ class ProductTransitivityResult:
 
 
 def product_transitive_finite(m: int, n: int) -> ProductTransitivityResult:
-    """Is Z/m x Z/n a single orbit?  Formula gcd(m,n)=1, verified by enumeration."""
+    """Is Z/m x Z/n a single orbit?  Formula gcd(m,n)=1, verified by enumeration.
+
+    The orbit of (0, 0) has lcm(m, n) states; past _PRODUCT_ORBIT_CAP it is
+    refused with ValueError before any state is built.
+    """
     if m < 1 or n < 1:
         raise ValueError("m, n must be >= 1")
+    if math.lcm(m, n) > _PRODUCT_ORBIT_CAP:
+        raise ValueError(f"the orbit of (0,0) has lcm(m, n) = {math.lcm(m, n)} states, "
+                         f"past the {_PRODUCT_ORBIT_CAP} cap")
     sys = ProductSystem(CyclicSystem(m), CyclicSystem(n))
     seen = set()
     state = (0, 0)

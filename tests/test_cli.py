@@ -190,6 +190,13 @@ def test_product_rejects_non_cyclic(capsys):
     assert main(["product", "rot:golden", "cyclic:2"]) == 1
 
 
+def test_product_refuses_a_large_orbit(capsys):
+    assert main(["product", "cyclic:100003", "cyclic:100019"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "lcm(m, n) = 10002200057 states, past the 4194304 cap" in err
+
+
 def test_crosscheck_sweep(capsys):
     code = main(["crosscheck", "--count", "5", "--horizon", "500", "--seed", "7"])
     assert code == 0

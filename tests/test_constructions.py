@@ -32,8 +32,6 @@ def test_schedule_validation():
         IPBlockSchedule(t=(1, 2), k=(3, 3))  # counts not strictly increasing
     with pytest.raises(ValueError):
         IPBlockSchedule(t=(0,), k=(2,))  # shift below 1
-    with pytest.raises(ValueError):
-        IPBlockSchedule(t=(1,), k=(2,), generators=((1,),))  # size mismatch
     sched = IPBlockSchedule.default(30)
     assert sched.block_count == 30
     assert sched.k == tuple(range(2, 32))
@@ -47,7 +45,6 @@ def test_schedule_validation():
         (dict(t=(1, 2), k=(2,)), "t and k must have equal length"),
         (dict(t=(1,), k=(2,), base=(3, 3)), "base must have one entry per block"),
         (dict(t=(1, 2), k=(2, 3), base=(None, 0)), "base values must be >= 1"),
-        (dict(t=(1,), k=(2,), generators=()), "generators must have one multiset per block"),
         (dict(t=(1,), k=(2,), initial_gap=0), "initial_gap must be >= 1"),
     ],
 )
@@ -85,20 +82,20 @@ def test_schedule_from_json_refuses_non_integers(doc):
 
 
 def test_single_block_with_generator_one():
-    sched = IPBlockSchedule(t=(1,), k=(1,), generators=((1,),))
+    sched = IPBlockSchedule(t=(1,), k=(1,), base=(1,))
     built = build_ip_block_sequence(sched)
     assert built.window.elements == (2,)  # FS({1}) + t_1 = {1} + 1
     assert built.window.horizon == 2
 
 
 def test_two_blocks_replay_spacing_law():
-    sched = IPBlockSchedule(t=(1, 2), k=(1, 2), generators=((1,), (1, 2)))
+    sched = IPBlockSchedule(t=(1, 2), k=(1, 2), base=(1, 1))
     built = build_ip_block_sequence(sched)
     first, second = built.blocks
     assert built.window.elements[:1] == (2,)
-    # second block is finite_ip({1,2}) = {1,2,3} placed at origin + 2, min beyond 2
+    # second block is finite_ip({1,1}) = {1,2} placed at origin + 2, min beyond 2
     assert second.lo > first.hi
-    raw = finite_ip((1, 2))
+    raw = finite_ip((1, 1))
     placed = tuple(second.offset + x for x in raw.elements)
     assert built.window.elements[1:] == placed
     assert built.spacing_law_holds()

@@ -11,6 +11,9 @@ Y's cover is a function of the cell of s in X's.
 - ``odo:p^d -> cyclic:p^j`` (j <= d): code c -> c mod p^j, the j low digits.
 - ``cyclic:m -> cyclic:d`` (d | m): state and cell c -> c mod d.
 
+``rot:p/q`` (gcd(p, q) = 1) is conjugate to ``cyclic:q``: the rotation's
+point c/q, in cell c of its q cells, is the cycle's state c·p^-1 mod q.
+
 The laws call only the public API (``along`` and ``cover``,
 ``r_sequence_metric``, ``birkhoff_window_test``, ``return_times``) and run on
 hypothesis windows with double and p/q angles and with times past 2^64; the
@@ -20,6 +23,7 @@ windows or horizons, where the true map keeps it.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,7 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynwindow import Window, birkhoff_window_test, r_sequence_metric, return_times
-from dynwindow.systems import CyclicSystem, OdometerSystem, RotationSystem, SkewProductSystem, TorusSystem
+from dynwindow.systems import CyclicSystem, OdometerSystem, RotationSystem, SkewProductSystem, TorusCover, TorusSystem
 
 EPS = (0.5, 0.34, 0.25, 0.1)
 
@@ -297,3 +301,51 @@ def test_a_cell_map_that_is_not_the_factor_s_breaks_the_return_times_law(fixed, 
     cases = [(s, eps, horizon) for s in starts for eps in EPS for horizon in (5, 60, 3000)]
     assert all(return_times_law(f, s, eps, horizon) for s, eps, horizon in cases)
     assert not all(return_times_law(mutant(f), s, eps, horizon) for s, eps, horizon in cases)
+
+
+# -- rot:p/q and cyclic:q ----------------------------------------------------------
+
+
+def rational_rotation_law(p: int, q: int, cls: Callable, a: Window, eps: float, horizon: int) -> bool:
+    """rot:p/q from 0 is cyclic:q from 0, its cell c read as the cycle's class cls(c):
+    the returns to cell c are the returns to cls(c); the orbit along a is dense iff a
+    covers Z/q, and the class cls(c) of an empty cell c is one a misses; Birkhoff gives
+    the same status on both, and the same return time when it holds.
+
+    The metric test runs at eps = 1/(q - 0.5), whose cover has q cells: 1/q itself
+    would not do, as ceil(1.0 / (1/q)) is q + 1 for q = 49, 98, 103, ..., so that the
+    cover has a cell no orbit point enters.  Birkhoff runs at eps below 1/q: at 1/q
+    itself the exact distance 1/q can lie below the double 1/q (rot:27/52 returns at
+    T^25 within 0.0192 < 0.019230769230769232), where the cycle does not return."""
+    rot, cyc = RotationSystem.from_rationals(Fraction(p, q)), CyclicSystem(q)
+    cover = TorusCover(rot, q)
+    for c in range(q):
+        if (return_times(rot, 0.0, cover.cell_at(c), horizon, cover).times.elements
+                != return_times(cyc, 0, cls(c), horizon).times.elements):
+            return False
+    classes = {t % q for t in a.elements}
+    verdict = r_sequence_metric(a, rot, 1 / (q - 0.5), 1.0).verdict
+    if verdict.holds != (len(classes) == q) or (verdict.fails and cls(verdict.witness) in classes):
+        return False
+    xv, yv = birkhoff_window_test(a, rot, eps), birkhoff_window_test(a, cyc, eps)
+    return xv.status == yv.status and (not xv.holds or xv.witness[1] == yv.witness[1])
+
+
+@st.composite
+def rational_angles(draw) -> tuple:
+    q = draw(st.integers(1, 60))
+    return draw(st.integers(0, q - 1).filter(lambda p: math.gcd(p, q) == 1)), q
+
+
+@given(angle=rational_angles(), a=windows(), below=st.floats(1e-6, 1.0, exclude_max=True), horizon=st.integers(1, 3000))
+@settings(max_examples=60, deadline=None)
+def test_a_rational_rotation_is_the_cycle_of_its_denominator(angle, a, below, horizon):
+    p, q = angle
+    assert rational_rotation_law(p, q, lambda c: c * pow(p, -1, q) % q, a, below / q, horizon)
+
+
+def test_the_class_of_a_cell_is_c_times_the_inverse_of_p():
+    # Reading cell c of rot:2/5 as the class c·p instead of c·p^-1 breaks the law.
+    cases = [(a, below / 5, horizon) for a in _fixed_windows() for below in (0.5, 0.99) for horizon in (5, 60, 3000)]
+    assert all(rational_rotation_law(2, 5, lambda c: c * 3 % 5, *case) for case in cases)
+    assert not all(rational_rotation_law(2, 5, lambda c: c * 2 % 5, *case) for case in cases)

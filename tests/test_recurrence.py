@@ -827,7 +827,7 @@ def test_crosscheck_internal_windows_coincide():
     _comparison_table.cache_clear()
     try:
         for horizon in range(500, 512):
-            _, windows, columns, _ = _comparison_table(horizon, 12)
+            _, windows, columns = _comparison_table(horizon, 12)
             for m in (1, 2, 5, 12):
                 nuu, diffs = columns[m - 1]
                 assert [windows[j].elements for j in _bits(nuu)] == [tuple(range(m, horizon + 1, m))]
@@ -979,7 +979,7 @@ def test_crosscheck_builds_one_difference_set_per_translation_class(monkeypatch)
     try:
         v = crosscheck_cyclic_equivalence(interval(20, 2000), 12, range(-6, 7))
         ext = 2000 + 6 + 12
-        table, windows, columns, _ = _comparison_table(ext, 12)
+        table, windows, columns = _comparison_table(ext, 12)
     finally:
         _comparison_table.cache_clear()
     assert v.holds
@@ -1018,34 +1018,29 @@ def _kernel_windows(seed: int, count: int) -> list:
     st.integers(0, 2 ** 32 - 1),
     st.lists(st.integers(-600, 600), max_size=12),
     st.sampled_from([0, -1, 1]),
-    st.integers(0, 70),
 )
-@example([], 3, 0, [0], 0, 32)  # an empty window
-@example(list(range(0, 400, 3)), 70, 1, [2, -5, 2, 0, -5, 9], 0, 20)
-@example(list(range(1, 400, 2)), 66, 2, [4, -3, 1, 0], -1, 8)
-@example(list(range(1, 400, 2)), 66, 3, [4, -3, 1, 0], 1, 8)
-# Two windows: the first slice reads 8 elements, and window 1 meets
-# a + 0, a + 3 and a - 2 first at elements 24, 17 and 18, in the second
-# slice (elements 8..39).  A window of 40 elements ends with that slice, its
-# last; a cap of 20 ends it with a + 0 still open.
-@example(list(range(3, 200, 5)), 2, 16, [0, 3, -2], 0, 80)
-@example(list(range(3, 400, 5)), 2, 16, [0, 3, -2], 0, 20)
+@example([], 3, 0, [0], 0)  # an empty window
+@example(list(range(0, 400, 3)), 70, 1, [2, -5, 2, 0, -5, 9], 0)
+@example(list(range(1, 400, 2)), 66, 2, [4, -3, 1, 0], -1)
+@example(list(range(1, 400, 2)), 66, 3, [4, -3, 1, 0], 1)
+# Two windows: the prefix reads 8 elements, and window 1 meets a + 0, a + 3
+# and a - 2 first at elements 24, 17 and 18, past it, so the bitmask settle
+# decides them, on a window of 40 elements and on one of 80.
+@example(list(range(3, 200, 5)), 2, 16, [0, 3, -2], 0)
+@example(list(range(3, 400, 5)), 2, 16, [0, 3, -2], 0)
 @settings(max_examples=120, deadline=None)
-def test_shifted_hits_hold_iff_every_shifted_hit_holds(a_elems, count, seed, shifts, far, cap):
+def test_shifted_hits_hold_iff_every_shifted_hit_holds(a_elems, count, seed, shifts, far):
     # Shifts come duplicated, sorted as the cross-check passes them, or (far)
     # all past int64 below -horizon or above every window; J reaches past one
-    # 64-bit word; a prefix cap under the window's length sends the open pairs
-    # to the bitmask settle.
+    # 64-bit word; a window longer than the prefix sends its open pairs to the
+    # bitmask settle.
     a = Window(tuple(sorted(a_elems)), 450)
     if far:
         shifts = [far * (a.horizon + 10 ** 20) + n for n in shifts]
     windows = _kernel_windows(seed, count)
     table = _position_table(windows)
     assert all(np.array_equal(_column(table, j), w.array + 1) for j, w in enumerate(windows))
-    full = np.array([(1 << min(64, count - 64 * k)) - 1 for k in range(table.shape[1])], dtype=np.uint64)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(recurrence, "_PREFIX_SCAN_CAP", cap)
-        hits = _shifted_hits(a, sorted(shifts), table, windows, full)
+    hits = _shifted_hits(a, sorted(shifts), table, windows)
     assert hits >> len(windows) == 0
     for j, d in enumerate(windows):
         assert bool(hits >> j & 1) == all(shifted_hit(a, d, -n).holds for n in shifts), j
@@ -1053,16 +1048,16 @@ def test_shifted_hits_hold_iff_every_shifted_hit_holds(a_elems, count, seed, shi
 
 @pytest.mark.parametrize("batch", [1, 600, 2 ** 22])
 def test_shifted_hits_gather_the_shifts_in_blocks(batch):
-    # A gather of rows x slice x words past _BATCH_ELEMENTS takes the shifts
+    # A gather of rows x prefix x words past _BATCH_ELEMENTS takes the shifts
     # in blocks (one shift a block at 1, four at 600 for the 4·34-element
-    # first slice), and their met pairs join in shift order.
+    # prefix), and their met pairs join in shift order.
     a = Window(tuple(n for n in range(50, 2_001) if n % 7 != 3), 2_000)
     _comparison_table.cache_clear()
     try:
-        table, windows, _, full = _comparison_table(2_000 + 6 + 12, 12)
+        table, windows, _ = _comparison_table(2_000 + 6 + 12, 12)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(recurrence, "_BATCH_ELEMENTS", batch)
-            hits = _shifted_hits(a, range(-6, 7), table, windows, full)
+            hits = _shifted_hits(a, range(-6, 7), table, windows)
         for j, d in enumerate(windows):
             assert bool(hits >> j & 1) == all(shifted_hit(a, d, -n).holds for n in range(-6, 7)), j
         assert hits != (1 << len(windows)) - 1
@@ -1072,22 +1067,37 @@ def test_shifted_hits_gather_the_shifts_in_blocks(batch):
 
 @pytest.mark.parametrize("missed", [0, 3])
 def test_shifted_hits_settle_a_window_longer_than_the_prefix_cap(missed):
-    # Past the prefix cap the pairs left open (the shifts n = -missed mod 7,
-    # at m = 7) go to the bitmask settle, which must answer as a whole-window
-    # read does.
+    # Past the prefix the pairs left open (the shifts n = -missed mod 7, at
+    # m = 7) go to the bitmask settle, which must answer as shifted_hit does.
     a = Window(tuple(n for n in range(50, 10_001) if n % 7 != missed), 10_000)
-    assert len(a) > recurrence._PREFIX_SCAN_CAP
     _comparison_table.cache_clear()
     try:
-        table, windows, _, full = _comparison_table(10_000 + 6 + 12, 12)
-        hits = _shifted_hits(a, range(-6, 7), table, windows, full)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(recurrence, "_PREFIX_SCAN_CAP", len(a))
-            assert _shifted_hits(a, range(-6, 7), table, windows, full) == hits
+        table, windows, _ = _comparison_table(10_000 + 6 + 12, 12)
+        assert len(a) > recurrence._SLICE_PER_WINDOW * len(windows)
+        hits = _shifted_hits(a, range(-6, 7), table, windows)
         for j, d in enumerate(windows):
             assert bool(hits >> j & 1) == all(shifted_hit(a, d, -n).holds for n in range(-6, 7)), j
         assert hits != (1 << len(windows)) - 1
         assert crosscheck_cyclic_equivalence(a, 12, range(-6, 7)).holds
+    finally:
+        _comparison_table.cache_clear()
+
+
+def test_shifted_hits_settle_a_window_one_element_past_the_prefix():
+    # The prefix holds only elements = 1 mod 7, so no pair at m = 7 is met in
+    # it; the one element left unread, a multiple of 7, meets every m = 7
+    # window, which the settle must see.
+    _comparison_table.cache_clear()
+    try:
+        table, windows, columns = _comparison_table(2_000 + 0 + 7, 7)
+        prefix = recurrence._SLICE_PER_WINDOW * len(windows)
+        a = Window(tuple(range(1, 7 * prefix, 7)) + (7 * prefix,), 2_000)
+        assert len(a) == prefix + 1
+        hits = _shifted_hits(a, [0], table, windows)
+        for j, d in enumerate(windows):
+            assert bool(hits >> j & 1) == shifted_hit(a, d, 0).holds, j
+        nuu, diffs = columns[6]
+        assert hits & (nuu | diffs) == nuu | diffs
     finally:
         _comparison_table.cache_clear()
 
@@ -1183,7 +1193,7 @@ def _reference_crosscheck(a: Window, max_period: int, shifts: list) -> Verdict:
     # residues, shifted_hit against each window _comparison_table returns, and
     # a comparison of the three predicates at every m in turn.
     ext = a.horizon + max(shifts[-1], 0) + max_period
-    _, windows, columns, _ = _comparison_table(ext, max_period)
+    _, windows, columns = _comparison_table(ext, max_period)
     hit = [all(shifted_hit(a, d, -n).holds for n in shifts) for d in windows]
     for m, (nuu, diffs) in enumerate(columns, start=1):
         covered = {e % m for e in a.elements} == set(range(m))
@@ -1277,6 +1287,30 @@ def test_product_transitive_examples():
     assert r.coprime and r.orbit_size == 6 and r.agrees
     r = product_transitive_finite(2, 2)
     assert not r.coprime and r.orbit_size == 2 and r.agrees
+
+
+def test_product_refuses_a_large_orbit_before_building_a_state(monkeypatch):
+    # lcm(100003, 100019) states would not fit in memory: the refusal comes first.
+    def reached(self, state):
+        raise AssertionError("a state was built")
+
+    monkeypatch.setattr(ProductSystem, "step", reached)
+    with pytest.raises(ValueError, match=r"lcm\(m, n\) = 10002200057 states, past the 4194304 cap"):
+        product_transitive_finite(100_003, 100_019)
+
+
+def test_product_cap_reads_the_orbit_not_the_product():
+    # m·n = 2^22, but the orbit of (0, 0) has lcm = 2048 states.
+    r = product_transitive_finite(2048, 2048)
+    assert not r.coprime and r.orbit_size == 2048 and r.agrees
+
+
+def test_product_cap_boundary(monkeypatch):
+    monkeypatch.setattr(recurrence, "_PRODUCT_ORBIT_CAP", 12)
+    assert product_transitive_finite(3, 4).orbit_size == 12  # the cap itself
+    assert product_transitive_finite(4, 6).orbit_size == 12  # m·n = 24 past it
+    with pytest.raises(ValueError, match="lcm\\(m, n\\) = 15 states, past the 12 cap"):
+        product_transitive_finite(3, 5)
 
 
 # -- cesaro averages ---------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""The hunk parser and the per-op ratio split of ``scripts/touched_ops.py``, on canned input."""
+"""The hunk parser, the ``--ignore`` span filter and the per-op ratio split of
+``scripts/touched_ops.py``, on canned input."""
 from __future__ import annotations
 
 import importlib.util
@@ -68,6 +69,81 @@ def test_changed_lines_take_each_hunks_new_side():
 
 def test_changed_lines_of_no_diff_are_none():
     assert touched_ops.changed_lines("") == {}
+
+
+SOURCE = """\
+import os
+
+
+def helper(x):
+    return x
+
+
+class Engine:
+    def run(self):
+        return 1
+
+    def stop(self):
+        return 0
+
+
+def main(argv=None):
+    code = helper(1)
+    return code
+"""
+
+
+def test_def_span_reads_a_function_or_method_from_def_to_its_last_line():
+    assert touched_ops.def_span(SOURCE, "helper") == range(4, 6)
+    assert touched_ops.def_span(SOURCE, "Engine.stop") == range(12, 14)
+    assert touched_ops.def_span(SOURCE, "Engine") == range(8, 14)
+    assert touched_ops.def_span(SOURCE, "main") == range(16, 19)
+    assert touched_ops.def_span(SOURCE, "missing") is None
+    assert touched_ops.def_span(SOURCE, "Engine.missing") is None
+    assert touched_ops.def_span(SOURCE, "helper.x") is None  # a def's body holds no def named x
+
+
+# A diff whose new side is SOURCE: the import, helper's body, Engine.run's
+# body, the blank line after it, and main's body changed.
+SOURCE_DIFF = """\
+diff --git a/src/dynwindow/engine.py b/src/dynwindow/engine.py
+--- a/src/dynwindow/engine.py
++++ b/src/dynwindow/engine.py
+@@ -1 +1 @@
+-import re
++import os
+@@ -5 +5 @@ def helper(x):
+-    return x + 0
++    return x
+@@ -10,2 +10,2 @@ class Engine:
+-        return 2
+-    
++        return 1
++
+@@ -17 +17,2 @@ def main(argv=None):
+-    return helper(1)
++    code = helper(1)
++    return code
+"""
+
+
+def test_drop_spans_leaves_out_the_lines_of_an_ignored_def():
+    by_file = touched_ops.changed_lines(SOURCE_DIFF)
+    assert by_file == {"src/dynwindow/engine.py": {1, 5, 10, 11, 17, 18}}
+    # main (16-18) takes 17 and 18; Engine.run (9-10) takes 10 but not the blank 11 after it.
+    spans = {"src/dynwindow/engine.py": [touched_ops.def_span(SOURCE, "main"), touched_ops.def_span(SOURCE, "Engine.run")]}
+    assert touched_ops.drop_spans(by_file, spans) == {"src/dynwindow/engine.py": {1, 5, 11}}
+    # Spans of another file leave this one as it is; a file left with no line is dropped.
+    assert touched_ops.drop_spans(by_file, {"src/dynwindow/cli.py": [range(1, 100)]}) == by_file
+    assert touched_ops.drop_spans(by_file, {"src/dynwindow/engine.py": [range(1, 19)]}) == {}
+
+
+def test_an_unknown_ignore_name_is_a_usage_error(capsys):
+    for name in ("cli.no_such_def", "no_such_module.main", "cli"):
+        with pytest.raises(SystemExit) as exit_:
+            touched_ops.main(["HEAD", "--ignore", name])
+        assert exit_.value.code == 2
+        assert f"--ignore {name}: no such def in src/dynwindow" in capsys.readouterr().err
 
 
 def test_ranges_join_consecutive_lines():
