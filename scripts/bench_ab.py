@@ -13,19 +13,28 @@ each workload, writes the judgement into the entry and prints it: ``gain``
 says whether B won at least 9 of every 10 pairs over at least 10 pairs (a
 tie counts for neither side, and fewer pairs never read as a gain) and
 whether the medians of ``ops_per_s`` differ by more than A's
-interquartile range; ``within_bound`` says, per end-to-end metric, whether
+interquartile range, and whether the median of the pairs' B/A ratios lies
+more than the null floor above 1 (``"not judged"`` when there is no null
+floor); ``within_bound`` says, per end-to-end metric, whether
 B's median is no worse than A's by more than the bound ``BENCHMARK.json``
 gives it.  Once per entry it records the CPU count, the Python and numpy
 versions and the commit of each checkout.  The result is one named entry of a JSON file; entries already in
 the file under other names are kept.  When a run's outputs were rejected
 (``correct`` false) or an op failed, the entry is still written, and the
-script exits 1 naming each workload and side.  Give the same checkout as A
-and B for a null comparison, whose spread is the noise floor:
+script exits 1 naming each workload and side.
+
+The null floor is the largest |A'/A - 1| over the pairs of a null series,
+where A' is a second run of checkout A.  With ``--null`` every pair also
+runs A', the order of (A, B, A') rotating from pair to pair, and the entry
+records the A'/A ratios and their floor under ``null``.  Without it, the
+floor is that of a null series of the workload already recorded: in the
+output file if it holds one, or else in the highest-numbered
+``BENCH_<n>.json`` beside ``BENCHMARK.json`` that does; in that file, the
+first entry by name that is one (an entry with a ``null``, or an older entry
+that ran the same sources as A and B):
 
     python3 scripts/bench_ab.py --a ../parent --b . --workload cli-files --pairs 10 \\
-        --seconds 20 --name parent-vs-change --out BENCH.json
-    python3 scripts/bench_ab.py --a . --b . --workload cli-files --pairs 10 \\
-        --seconds 20 --name null --out BENCH.json
+        --seconds 20 --null --name parent-vs-change --out BENCH.json
 """
 from __future__ import annotations
 
@@ -34,6 +43,7 @@ import hashlib
 import json
 import os
 import platform
+import re
 import resource
 import statistics
 import subprocess
@@ -84,15 +94,42 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
-def compare(a: Path, b: Path, workload: str, pairs: int, seed: int, seconds: int) -> dict:
-    runs = {"a": [], "b": []}
+def null_ratios(result: dict, entry: dict) -> list[float] | None:
+    """The A'/A ratios of a recorded workload result, if it holds a null series."""
+    if "null" in result:
+        return result["null"]["ratios"]
+    if entry["a"].get("src_sha256") == entry["b"].get("src_sha256"):  # A against itself
+        return [y / x for x, y in zip(result["a"]["ops_per_s"]["runs"], result["b"]["ops_per_s"]["runs"])]
+    return None
+
+
+def committed_null(workload: str, first: Path | None = None) -> tuple[str, float] | None:
+    """A recorded null series of the workload, named by file and entry, and its floor.
+
+    The file ``first`` is searched first (the file a series is recorded in), then
+    the committed files from the highest number down; in a file, entries by name.
+    """
+    files = sorted(BENCHMARK.parent.glob("BENCH_*.json"), key=lambda p: int(re.sub(r"\D", "", p.name) or 0))
+    for path in ([first] if first is not None and first.exists() else []) + files[::-1]:
+        for name, entry in sorted(json.loads(path.read_text(encoding="utf-8")).items()):
+            result = entry.get("workloads", {}).get(workload)
+            ratios = result and null_ratios(result, entry)
+            if ratios:
+                return f"{path.name} {name}", max(abs(r - 1) for r in ratios)
+    return None
+
+
+def compare(a: Path, b: Path, workload: str, pairs: int, seed: int, seconds: int, null: bool = False,
+            out_file: Path | None = None) -> dict:
+    sides = ("a", "b", "a2") if null else ("a", "b")
+    runs = {side: [] for side in sides}
     for i in range(pairs):
-        order = ("a", "b") if i % 2 == 0 else ("b", "a")
+        order = sides[i % len(sides) :] + sides[: i % len(sides)]
         for side in order:
-            runs[side].append(run_once(a if side == "a" else b, workload, seed, seconds))
+            runs[side].append(run_once(b if side == "b" else a, workload, seed, seconds))
         speeds = {side: runs[side][-1]["metrics"]["ops_per_s"]["value"] for side in runs}
-        print(f"{workload} pair {i + 1}/{pairs} ({order[0]} first): a {speeds['a']:.1f} op/s, "
-              f"b {speeds['b']:.1f} op/s", file=sys.stderr)
+        print(f"{workload} pair {i + 1}/{pairs} ({order[0]} first): "
+              + ", ".join(f"{side} {speed:.1f} op/s" for side, speed in speeds.items()), file=sys.stderr)
     out = {}
     for side, other in (("a", "b"), ("b", "a")):
         speed = [r["metrics"]["ops_per_s"]["value"] for r in runs[side]]
@@ -107,19 +144,34 @@ def compare(a: Path, b: Path, workload: str, pairs: int, seed: int, seconds: int
             "op_s_median": {op: statistics.median(r["op_s"][op] for r in runs[side]) for op in runs[side][0]["op_s"]},
         }
     out["b_vs_a_ops_per_s"] = out["b"]["ops_per_s"]["median"] / out["a"]["ops_per_s"]["median"] - 1
-    out.update(judge(out["a"], out["b"], pairs))
+    if null:
+        ratios = [y["metrics"]["ops_per_s"]["value"] / x["metrics"]["ops_per_s"]["value"]
+                  for x, y in zip(runs["a"], runs["a2"])]
+        out["null"] = {"ratios": ratios, "floor": max(abs(r - 1) for r in ratios),
+                       "ops_per_s": summary([r["metrics"]["ops_per_s"]["value"] for r in runs["a2"]])}
+        source, floor = "this entry", out["null"]["floor"]
+    else:
+        source, floor = committed_null(workload, out_file) or (None, None)
+    out["null_floor"] = {"from": source, "floor": floor}
+    out.update(judge(out["a"], out["b"], pairs, floor))
     speed_a, speed_b = out["a"]["ops_per_s"], out["b"]["ops_per_s"]
+    floor_text = "none" if floor is None else f"{floor:.4f} from {source}"
     print(f"{workload}: b won {out['b']['pairs_won']}/{pairs} pairs (9/10 met: {out['gain']['b_won_9_of_10']}); "
           f"median gap {abs(speed_b['median'] - speed_a['median']):.1f} op/s against a's IQR "
-          f"{speed_a['q3'] - speed_a['q1']:.1f} (exceeds: {out['gain']['gap_exceeds_a_iqr']}); within bound: "
+          f"{speed_a['q3'] - speed_a['q1']:.1f} (exceeds: {out['gain']['gap_exceeds_a_iqr']}); median b/a ratio "
+          f"{out['median_pair_ratio']:.4f} against null floor {floor_text} "
+          f"(past: {out['gain']['past_null_floor']}); within bound: "
           + ", ".join(f"{name} {ok}" for name, ok in out["within_bound"].items()) + "; median per run: "
           + ", ".join(f"{c} a {out['a'][c]['median']:g} b {out['b'][c]['median']:g}" for c in COUNTERS),
           file=sys.stderr)
     return out
 
 
-def judge(a: dict, b: dict, pairs: int) -> dict:
-    """Whether B shows a gain on ``ops_per_s`` over A, and whether each end-to-end metric of B is within its bound."""
+def judge(a: dict, b: dict, pairs: int, floor: float | None) -> dict:
+    """Whether B shows a gain on ``ops_per_s`` over A, and whether each end-to-end metric of B is within its bound.
+
+    ``floor`` is the null floor, the largest |A'/A - 1| of a null series; None reads as "not judged".
+    """
     bounds = {m["name"]: m for m in json.loads(BENCHMARK.read_text(encoding="utf-8"))["end_to_end"]}
     within = {}
     for name in METRICS:
@@ -129,11 +181,14 @@ def judge(a: dict, b: dict, pairs: int) -> dict:
         else:
             within[name] = median_b <= median_a * (1 + spec["bound"])
     speed_a, speed_b = a["ops_per_s"], b["ops_per_s"]
+    ratio = statistics.median(y / x for x, y in zip(speed_a["runs"], speed_b["runs"]))
     return {
         "gain": {
             "b_won_9_of_10": pairs >= 10 and 10 * b["pairs_won"] >= 9 * pairs,
             "gap_exceeds_a_iqr": abs(speed_b["median"] - speed_a["median"]) > speed_a["q3"] - speed_a["q1"],
+            "past_null_floor": "not judged" if floor is None else ratio - 1 > floor,
         },
+        "median_pair_ratio": ratio,
         "within_bound": within,
     }
 
@@ -147,6 +202,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=int, default=20)
+    parser.add_argument("--null", action="store_true", help="also run A again in every pair, for the null floor")
     parser.add_argument("--name", required=True, help="the entry's name in the output file")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
@@ -166,7 +222,7 @@ def main(argv: list[str] | None = None) -> int:
         "numpy": numpy.__version__,
         "machine": platform.machine(),
         "workloads": {
-            w: compare(args.a.resolve(), args.b.resolve(), w, args.pairs, args.seed, args.seconds)
+            w: compare(args.a.resolve(), args.b.resolve(), w, args.pairs, args.seed, args.seconds, args.null, args.out)
             for w in args.workload
         },
     }

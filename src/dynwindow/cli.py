@@ -18,6 +18,8 @@ from json.encoder import encode_basestring_ascii
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from .intsets import (
     Verdict,
     Window,
@@ -80,30 +82,67 @@ def _sequence_info(source: str, w: Window) -> dict:
     return {"source": source, "horizon": w.horizon, "count": len(w)}
 
 
+@functools.cache
+def _digit_words() -> np.ndarray:
+    # Word i of 10^4 holds the four ASCII digits of i, zero-padded, first digit first in memory.
+    i = np.arange(10_000)
+    digits = np.stack((i // 1000, i // 100 % 10, i // 10 % 10, i % 10), axis=1).astype(np.uint8) + ord("0")
+    return digits.view(np.uint32).ravel()
+
+
+def _decimal_lines(values: np.ndarray, sep: str) -> str:
+    """``sep.join(map(str, values))`` for a non-empty 1-D int64 array of ascending naturals.
+
+    As in the sequence-file reader, ascending values come in at most 19 runs of
+    one decimal length.  A run of length L is one byte matrix, a row per value:
+    the separator, then the value's base-10^4 chunks as table words, cut to the
+    last L digits.  Every row is written with its separator; the first one is dropped.
+    """
+    words, width = _digit_words(), len(sep)
+    lengths = range(len(str(values[0])), len(str(values[-1])) + 1)
+    bounds = [0, *np.searchsorted(values, [10 ** L for L in lengths[:-1]]).tolist(), values.size]
+    out = np.empty(sum((b - a) * (width + L) for L, a, b in zip(lengths, bounds, bounds[1:])), dtype=np.uint8)
+    separator, offset = np.frombuffer(sep.encode("ascii"), dtype=np.uint8), 0
+    for L, a, b in zip(lengths, bounds, bounds[1:]):
+        run, chunks = values[a:b], -(-L // 4)
+        rows = out[offset : offset + (b - a) * (width + L)].reshape(b - a, width + L)
+        rows[:, :width] = separator
+        padded = np.empty((b - a, chunks), dtype=np.uint32)
+        for c in range(chunks - 1, 0, -1):  # the low chunks, last column first
+            run, low = np.divmod(run, 10_000)
+            padded[:, c] = words[low]
+        padded[:, 0] = words[run]
+        rows[:, width:] = padded.view(np.uint8)[:, 4 * chunks - L :]
+        offset += rows.size
+    return str(memoryview(out)[width:], "ascii")
+
+
 def _render(value, pad: str = "") -> str:
-    # json.dumps(value, sort_keys=True, indent=2), byte for byte, reading a Verdict as to_json()
-    # and a Fraction as {"exact", "float"}: with indent set the stdlib encodes in pure Python.
-    # str, int, None and bool leaves go straight to the text json.dumps gives them, and a list of
-    # exact ints takes one "%d" per element in a single % call ("%d" of an int is its repr).
+    # json.dumps(value, sort_keys=True, indent=2), byte for byte, reading a Verdict as to_json(),
+    # a Fraction as {"exact", "float"} and an ndarray as tolist(): with indent set the stdlib
+    # encodes in pure Python.  str, int, None and bool leaves go straight to the text json.dumps
+    # gives them, and a 1-D int64 array of ascending naturals to _decimal_lines.
     if type(value) is str:
         return encode_basestring_ascii(value)
     if type(value) is int:
         return int.__repr__(value)
     if value is None or type(value) is bool:
         return {None: "null", True: "true", False: "false"}[value]
+    inner = pad + "  "
+    sep = f",\n{inner}"
     if isinstance(value, Verdict):
         value = value.to_json()
     elif isinstance(value, Fraction):
         value = {"exact": f"{value.numerator}/{value.denominator}", "float": float(value)}
-    inner = pad + "  "
-    sep = f",\n{inner}"
+    elif isinstance(value, np.ndarray):
+        ascending = value.ndim == 1 and value.dtype == np.int64 and value.size and not (value[1:] < value[:-1]).any()
+        if ascending and value[0] >= 0:
+            return f"[\n{inner}{_decimal_lines(value, sep)}\n{pad}]"
+        value = value.tolist()
     if isinstance(value, dict) and value:
         body = sep.join(f"{_render(k)}: {_render(v, inner)}" for k, v in sorted(value.items()))
     elif isinstance(value, (list, tuple)) and value:
-        if set(map(type, value)) == {int}:  # bool is not int here
-            body = sep.join(("%d",) * len(value)) % tuple(value)
-        else:
-            body = sep.join(_render(v, inner) for v in value)
+        body = sep.join(_render(v, inner) for v in value)
     else:
         return json.dumps(value)
     opening, closing = "{}" if isinstance(value, dict) else "[]"
@@ -226,7 +265,7 @@ def _cmd_permpoly(args) -> tuple[dict, list[str], int, dict]:
             "is_permutation": permutes,
             "criterion_evidence": evidence,
             "image_size": len(image),
-            "image": list(image),
+            "image": image,
         }
         line = f"{report['polynomial']} over F_{args.p}: " + (
             "permutation" if permutes else f"not a permutation (image size {len(image)})"
@@ -236,7 +275,7 @@ def _cmd_permpoly(args) -> tuple[dict, list[str], int, dict]:
         report = {
             "polynomial": format_int_polynomial(coeffs),
             **res.to_json(),
-            "image": list(res.image),
+            "image": res.image,
         }
         line = (
             f"{report['polynomial']}: p = {res.p}, missing residue {res.missing} "

@@ -13,6 +13,7 @@ import operator
 import os
 import stat
 import struct
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -686,11 +687,24 @@ def _write_text(path, text: str) -> None:
     An existing regular file is overwritten and then cut at the end of ``text``, so
     it ends up with exactly these bytes; a new file gets the mode ``open`` gives it.
     Anything else (``/dev/null``, a FIFO) is written as ``open`` writes it, since it
-    cannot be truncated.  Like ``open(path, "w")`` this is not atomic.
+    cannot be truncated.  The file stdout writes (``/dev/stdout``, or the file it
+    is redirected to) is written through stdout, after what stdout holds, and is
+    not cut: the path opened anew would start at offset 0.  Like
+    ``open(path, "w")`` this is not atomic.
     """
     with open(path, "w", encoding="utf-8", opener=_open_in_place) as fh:
+        st = os.fstat(fh.fileno())
+        try:
+            to_stdout = os.path.samestat(st, os.fstat(1))
+        except OSError:  # fd 1 is closed
+            to_stdout = False
+        if to_stdout:
+            sys.stdout.flush()
+            with open(1, "w", encoding="utf-8", closefd=False) as out:
+                out.write(text)
+            return
         fh.write(text)
-        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        if stat.S_ISREG(st.st_mode):
             fh.truncate()
 
 

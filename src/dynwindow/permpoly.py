@@ -146,18 +146,19 @@ def hermite_check(f: PolyModP) -> tuple[bool, dict]:
     reduce(g·f) = reduce(g·reduce(f)), each power is one product with
     reduce(f): both factors have degree <= p-1, so the product's exponents
     p..2p-2 fold onto 1..p-1 by one shifted add before the single `% p`.
+    The product is a correlation with reduce(f) reversed once, up front.
     """
     p = f.p
     base = _fold(_array(f), p)
     # A folded coefficient adds two sums of at most base.size residue products.
-    base = base.astype(_dtype(p, 2 * base.size), copy=False)
-    g = np.ones(1, dtype=base.dtype)
+    reversed_base = np.ascontiguousarray(base[::-1], dtype=_dtype(p, 2 * base.size))
+    g = np.ones(1, dtype=reversed_base.dtype)
     for k in range(1, p):
-        c = np.convolve(g, base)
-        if c.size > p:
-            c[1 : c.size - p + 1] += c[p:]
-            c = c[:p]
-        g = c % p
+        g = np.correlate(g, reversed_base, "full")
+        if g.size > p:
+            g[1 : g.size - p + 1] += g[p:]
+            g = g[:p]
+        g %= p
         if k <= p - 2 and g.size == p and g[-1]:
             return False, {"reason": "power_degree_full", "k": k, "degree": p - 1}
     nonzero = np.flatnonzero(g)  # g = reduce(f^(p-1))
@@ -168,23 +169,31 @@ def hermite_check(f: PolyModP) -> tuple[bool, dict]:
     return True, {"reason": "ok"}
 
 
-def brute_permutation_check(f: PolyModP) -> tuple[bool, tuple[int, ...]]:
+def _image(hit: np.ndarray) -> np.ndarray:
+    # The residues a hit mask marks, ascending, as a read-only int64 array.
+    image = np.flatnonzero(hit)
+    image.flags.writeable = False
+    return image
+
+
+def brute_permutation_check(f: PolyModP) -> tuple[bool, np.ndarray]:
     """Evaluate f at all p points; True iff the image has p distinct values.
 
-    Always returns the image set (sorted) — this is the authoritative oracle.
+    Always returns the image set (ascending, a read-only int64 array) — this is
+    the authoritative oracle.
     """
-    image = tuple(np.flatnonzero(_int_poly_image_mod_p(f.coeffs, f.p)).tolist())
-    return len(image) == f.p, image
+    image = _image(_int_poly_image_mod_p(f.coeffs, f.p))
+    return image.size == f.p, image
 
 
-def decide_permutation(f: PolyModP) -> tuple[bool, dict, tuple[int, ...]]:
+def decide_permutation(f: PolyModP) -> tuple[bool, dict, np.ndarray]:
     """Both deciders, compared: (verdict, evidence, image); raises OracleDisagreementError on mismatch."""
     via_criterion, evidence = hermite_check(f)
     via_brute, image = brute_permutation_check(f)
     if via_criterion != via_brute:
         raise OracleDisagreementError(
             f"permutation deciders disagree on {f} over F_{f.p}: "
-            f"criterion={via_criterion} ({evidence}), brute={via_brute} (image {image})"
+            f"criterion={via_criterion} ({evidence}), brute={via_brute} (image {image!r})"
         )
     return via_brute, evidence, image
 
@@ -194,13 +203,25 @@ def is_permutation(f: PolyModP) -> bool:
     return decide_permutation(f)[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NonSurjectiveResult:
-    """A prime p where the integer polynomial misses a residue class."""
+    """A prime p where the integer polynomial misses a residue class.
+
+    ``image`` is the residues f hits, ascending, as a read-only int64 array;
+    two results are equal when p, missing and the image's values are.
+    """
 
     p: int
     missing: int
-    image: tuple[int, ...]
+    image: np.ndarray
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, NonSurjectiveResult):
+            return NotImplemented
+        return (self.p, self.missing) == (other.p, other.missing) and np.array_equal(self.image, other.image)
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.missing, len(self.image)))  # equal images have equal sizes
 
     def to_json(self) -> dict:
         return {"p": self.p, "missing": self.missing, "image_size": len(self.image)}
@@ -210,10 +231,14 @@ def _int_poly_image_mod_p(coeffs: Sequence[int], p: int) -> np.ndarray:
     """Boolean mask of the residues hit by f over F_p: Horner's rule at all p points at once."""
     dtype = _dtype(p)
     x = np.arange(p, dtype=dtype)
-    acc = np.zeros(p, dtype=dtype)
-    for c in reversed(coeffs):
-        acc = (acc * x + c % p) % p
-    return np.bincount(acc.astype(np.int64), minlength=p) > 0
+    acc = np.full(p, coeffs[-1] % p if coeffs else 0, dtype=dtype)
+    for c in reversed(coeffs[:-1]):  # in place: each step's temporaries cost more than its ops
+        acc *= x
+        acc += c % p
+        np.remainder(acc, p, out=acc)
+    hit = np.zeros(p, dtype=bool)
+    hit[acc.astype(np.int64, copy=False)] = True
+    return hit
 
 
 def find_non_surjective_prime(coeffs: Sequence[int], prime_cap: int) -> NonSurjectiveResult:
@@ -241,7 +266,7 @@ def find_non_surjective_prime(coeffs: Sequence[int], prime_cap: int) -> NonSurje
             hit = _int_poly_image_mod_p(trimmed, p)
             if not hit.all():
                 # argmin of a boolean mask is its first False: the least missing residue.
-                return NonSurjectiveResult(p, int(np.argmin(hit)), tuple(np.flatnonzero(hit).tolist()))
+                return NonSurjectiveResult(p, int(np.argmin(hit)), _image(hit))
         p += degree
     raise CapExceededError(
         f"no prime p ≡ 1 (mod {degree}) with p > {lead} and a proper image found up to "

@@ -62,10 +62,12 @@ def test_a_rejected_side_is_written_then_exits_1(tmp_path, monkeypatch, capsys, 
         assert code == 1 and named in err.splitlines()[-1]
 
 
-def _stub_runs(monkeypatch, tmp_path, speeds_a, speeds_b, setup_b=0.1):
-    # Runs A and B at the given speeds, pair by pair, and returns the written entry of cli-files.
+def _stub_runs(monkeypatch, tmp_path, speeds_a, speeds_b, setup_b=0.1, floor=0.02):
+    # Runs A and B at the given speeds, pair by pair, against a committed null floor, and
+    # returns the written entry of cli-files.
     a, b = tmp_path / "a", tmp_path / "b"
     a.mkdir(), b.mkdir()
+    monkeypatch.setattr(bench_ab, "committed_null", lambda workload, first=None: ("BENCH_0.json stub", floor))
     left = {a.resolve(): iter(speeds_a), b.resolve(): iter(speeds_b)}
 
     def run_once(checkout, workload, seed, seconds):
@@ -95,7 +97,7 @@ def _stub_runs(monkeypatch, tmp_path, speeds_a, speeds_b, setup_b=0.1):
 def test_a_gain_needs_9_of_10_pairs_won_ties_counting_for_neither(tmp_path, monkeypatch, capsys, speeds_b, won, gain):
     entry = _stub_runs(monkeypatch, tmp_path, [100.0] * 10, speeds_b)
     assert entry["b"]["pairs_won"] == won and entry["a"]["pairs_won"] == sum(s < 100.0 for s in speeds_b)
-    assert entry["gain"] == {"b_won_9_of_10": gain, "gap_exceeds_a_iqr": True}
+    assert entry["gain"] == {"b_won_9_of_10": gain, "gap_exceeds_a_iqr": True, "past_null_floor": True}
     assert f"b won {won}/10 pairs (9/10 met: {gain})" in capsys.readouterr().err
 
 
@@ -104,7 +106,7 @@ def test_a_median_gap_within_a_iqr_is_no_gain(tmp_path, monkeypatch):
     speeds_a = [90.0, 95.0, 100.0, 105.0, 110.0] * 2
     entry = _stub_runs(monkeypatch, tmp_path, speeds_a, [s + 5.0 for s in speeds_a])
     assert entry["a"]["ops_per_s"]["q3"] - entry["a"]["ops_per_s"]["q1"] == pytest.approx(10.0)
-    assert entry["gain"] == {"b_won_9_of_10": True, "gap_exceeds_a_iqr": False}
+    assert entry["gain"] == {"b_won_9_of_10": True, "gap_exceeds_a_iqr": False, "past_null_floor": True}
 
 
 @pytest.mark.parametrize(
@@ -153,9 +155,13 @@ def test_counters_are_summarised_per_side_and_printed(tmp_path, monkeypatch, cap
     entry = json.loads(out.read_text(encoding="utf-8"))["x"]["workloads"]["cli-files"]
     assert entry["a"]["ru_nvcsw"] == {"median": 29, "q1": 28.5, "q3": 29.5, "runs": [30, 28, 29]}
     assert entry["b"]["ru_oublock"]["runs"] == [40, 41, 39] and entry["b"]["ru_oublock"]["median"] == 40
-    assert set(entry["gain"]) == {"b_won_9_of_10", "gap_exceeds_a_iqr"}  # the counters are recorded, not judged
+    assert set(entry["gain"]) == {"b_won_9_of_10", "gap_exceeds_a_iqr", "past_null_floor"}  # the counters are recorded, not judged
     assert "median per run: ru_nvcsw a 29 b 0, ru_oublock a 1032 b 40" in capsys.readouterr().err
 
+
+
+def _is_gain(gain: dict) -> bool:
+    return all(value is True for value in gain.values())
 
 
 def _recorded_series() -> dict:
@@ -166,7 +172,11 @@ def _recorded_series() -> dict:
         for name, entry in json.loads(path.read_text(encoding="utf-8")).items():
             for workload, result in entry.get("workloads", {}).items():
                 if "pairs_won" in result.get("b", {}):
-                    gain = bench_ab.judge(result["a"], result["b"], entry["pairs"])["gain"]
+                    if "null" in result:  # recorded with --null: its own floor
+                        floor = result["null"]["floor"]
+                    else:
+                        floor = (bench_ab.committed_null(workload, path) or (None, None))[1]
+                    gain = bench_ab.judge(result["a"], result["b"], entry["pairs"], floor)["gain"]
                     series[path.name, name, workload] = (entry["pairs"], result["b"]["pairs_won"], gain)
     return series
 
@@ -182,10 +192,101 @@ def test_a_recorded_series_of_fewer_than_10_pairs_never_reads_as_a_gain():
         ("BENCH_36.json", "crosscheck-sweep-seed2-first-pass", "crosscheck-sweep"),
         ("BENCH_39.json", "draft-crosscheck-sweep-seed1", "crosscheck-sweep"),
     ]:
-        assert series[key] == (5, 5, {"b_won_9_of_10": False, "gap_exceeds_a_iqr": True})
+        pairs, won, gain = series[key]
+        assert (pairs, won, gain["b_won_9_of_10"], gain["gap_exceeds_a_iqr"]) == (5, 5, False, True)
     for key in [
         ("BENCH_31.json", "crosscheck-sweep-seed1", "crosscheck-sweep"),
         ("BENCH_31.json", "crosscheck-sweep-seed2", "crosscheck-sweep"),
         ("BENCH_36.json", "crosscheck-sweep-seed1", "crosscheck-sweep"),
     ]:
-        assert series[key] == (10, 10, {"b_won_9_of_10": True, "gap_exceeds_a_iqr": True})
+        pairs, won, gain = series[key]
+        assert (pairs, won, gain["b_won_9_of_10"], gain["gap_exceeds_a_iqr"]) == (10, 10, True, True)
+
+
+def test_a_null_runs_a_again_in_every_pair_rotating_the_order(tmp_path, monkeypatch):
+    # A' is checkout A once more; the pairs run (a, b, a2), (b, a2, a), (a2, a, b), ...
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir(), b.mkdir()
+    speeds = {a.resolve(): iter([100.0, 104.0, 99.0, 100.0, 101.0, 100.0, 100.0, 97.0]), b.resolve(): iter([120.0] * 4)}
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds):
+        calls.append("b" if checkout == b.resolve() else "a")
+        return _run(next(speeds[checkout]))
+
+    monkeypatch.setattr(bench_ab, "run_once", run_once)
+    monkeypatch.setattr(bench_ab, "committed_null", lambda workload, first=None: pytest.fail("read a committed null"))
+    out = tmp_path / "bench.json"
+    argv = ["--a", str(a), "--b", str(b), "--workload", "cli-files", "--pairs", "4", "--null", "--name", "x", "--out", str(out)]
+    assert bench_ab.main(argv) == 0
+    assert calls == ["a", "b", "a", "b", "a", "a", "a", "a", "b", "a", "b", "a"]
+    entry = json.loads(out.read_text(encoding="utf-8"))["x"]["workloads"]["cli-files"]
+    # The A runs of the pairs come as a, a2 | a2, a | a2, a | a, a2.
+    assert entry["a"]["ops_per_s"]["runs"] == [100.0, 100.0, 100.0, 100.0]
+    assert entry["null"]["ratios"] == pytest.approx([1.04, 0.99, 1.01, 0.97])
+    assert entry["null"]["floor"] == pytest.approx(0.04)
+    assert entry["null_floor"] == {"from": "this entry", "floor": entry["null"]["floor"]}
+    assert entry["median_pair_ratio"] == pytest.approx(1.2) and entry["gain"]["past_null_floor"] is True
+
+
+def _bench_files(tmp_path, monkeypatch, files: dict) -> None:
+    # A repository root holding BENCHMARK.json and the given BENCH files.
+    (tmp_path / "BENCHMARK.json").write_text(bench_ab.BENCHMARK.read_text(encoding="utf-8"), encoding="utf-8")
+    for name, doc in files.items():
+        (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.setattr(bench_ab, "BENCHMARK", tmp_path / "BENCHMARK.json")
+
+
+def _entry(src_a: str, src_b: str, speeds_a, speeds_b, null=None) -> dict:
+    result = {"a": {"ops_per_s": {"runs": speeds_a}}, "b": {"ops_per_s": {"runs": speeds_b}}}
+    if null is not None:
+        result["null"] = {"ratios": null}
+    return {"a": {"src_sha256": src_a}, "b": {"src_sha256": src_b}, "workloads": {"cli-files": result}}
+
+
+def test_the_latest_committed_null_is_the_floor_without_one(tmp_path, monkeypatch):
+    _bench_files(tmp_path, monkeypatch, {
+        "BENCH_12.json": {
+            "b-null": _entry("x", "x", [100.0, 100.0], [110.0, 95.0]),
+            "a-change": _entry("x", "y", [100.0], [150.0], null=[1.02, 0.99]),
+            "c-change": _entry("x", "y", [100.0], [150.0]),
+        },
+        "BENCH_3.json": {"null": _entry("z", "z", [100.0], [140.0])},  # 3 < 12, though "3" > "12"
+    })
+    source, floor = bench_ab.committed_null("cli-files")
+    assert source == "BENCH_12.json a-change" and floor == pytest.approx(0.02)
+    assert bench_ab.committed_null("cli-files", tmp_path / "BENCH_3.json") == ("BENCH_3.json null", pytest.approx(0.4))
+    assert bench_ab.committed_null("cli-files", tmp_path / "BENCH_new.json")[0] == "BENCH_12.json a-change"
+    assert bench_ab.committed_null("metric-density") is None
+
+
+def test_no_null_at_all_is_not_judged(tmp_path, monkeypatch, capsys):
+    _bench_files(tmp_path, monkeypatch, {"BENCH_1.json": {"change": _entry("x", "y", [100.0], [150.0])}})
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir(), b.mkdir()
+    monkeypatch.setattr(bench_ab, "run_once", lambda checkout, *rest: _run(100.0 if checkout == a.resolve() else 150.0))
+    out = tmp_path / "bench.json"
+    argv = ["--a", str(a), "--b", str(b), "--workload", "cli-files", "--pairs", "10", "--name", "x", "--out", str(out)]
+    assert bench_ab.main(argv) == 0
+    entry = json.loads(out.read_text(encoding="utf-8"))["x"]["workloads"]["cli-files"]
+    assert entry["gain"] == {"b_won_9_of_10": True, "gap_exceeds_a_iqr": True, "past_null_floor": "not judged"}
+    assert entry["null_floor"] == {"from": None, "floor": None} and not _is_gain(entry["gain"])
+    assert "against null floor none (past: not judged)" in capsys.readouterr().err
+
+
+def test_every_committed_series_is_judged_again_against_its_null():
+    gains = {key for key, (_, _, gain) in _recorded_series().items() if _is_gain(gain)}
+    for path in sorted(_SCRIPT.parent.parent.glob("BENCH_*.json")):
+        for name, entry in json.loads(path.read_text(encoding="utf-8")).items():
+            for workload, result in entry.get("workloads", {}).items():
+                if "pairs_won" in result.get("b", {}) and (
+                        entry["pairs"] < 10 or entry["a"].get("src_sha256") == entry["b"].get("src_sha256")):
+                    assert (path.name, name, workload) not in gains
+    # B won 10 of 10 pairs here, its median past A's IQR, but its median pair ratio is 1.025,
+    # inside the floor of the null recorded beside it (0.145).
+    assert ("BENCH_35.json", "cli-files-seed1", "cli-files") not in gains
+    assert {
+        ("BENCH_31.json", "crosscheck-sweep-seed1", "crosscheck-sweep"),
+        ("BENCH_31.json", "crosscheck-sweep-seed2", "crosscheck-sweep"),
+        ("BENCH_36.json", "crosscheck-sweep-seed1", "crosscheck-sweep"),
+    } <= gains

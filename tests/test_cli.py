@@ -9,6 +9,7 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -370,9 +371,73 @@ def test_report_writer_matches_json_dumps(value):
     (3, -4, 0),
 ])
 def test_report_writer_formats_int_lists_like_json_dumps(ints):
-    # One "%d" per element, alone, nested and beside other values.
+    # Alone, nested and beside other values.
     for value in (ints, [ints, [ints]], {"image": ints, "rest": [ints, "x", None]}):
         assert cli._render(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+_DECIMAL_EDGES = [0, 2 ** 63 - 1, *(10 ** k for k in range(19)), *(10 ** k - 1 for k in range(1, 19))]
+_NATURALS = st.sampled_from(_DECIMAL_EDGES) | st.integers(0, 2 ** 63 - 1) | st.integers(0, 10 ** 5)
+_ASCENDING = st.lists(_NATURALS, min_size=1, max_size=60).map(lambda xs: np.array(sorted(xs), dtype=np.int64))
+_FALLBACK = [
+    np.array([-1, 0, 5]),
+    np.array([9, 10, 3]),
+    np.array([4, 4, 3]),
+    np.array([1, 10, 100], dtype=np.int32),
+    np.array([1, 10, 2 ** 64 - 1], dtype=np.uint64),
+    np.array([False, True]),
+    np.array([0.5, 10.0]),
+    np.arange(6).reshape(2, 3),
+    np.zeros(0, dtype=np.int64),
+]
+_ARRAY_REPORTS = st.recursive(
+    _SCALARS | _ASCENDING | st.sampled_from(_FALLBACK),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _as_lists(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {k: _as_lists(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_as_lists(v) for v in value]
+    return value
+
+
+@given(_ARRAY_REPORTS)
+@example({"image": np.array(_DECIMAL_EDGES[:1] + sorted(_DECIMAL_EDGES[2:]) + _DECIMAL_EDGES[1:2]), "p": 7})
+@example([np.array([7]), [np.array([0, 0, 9, 10])], {"x": np.array([10 ** 18 - 1, 10 ** 18])}])
+@settings(max_examples=150, deadline=None)
+def test_report_writer_renders_int64_arrays_as_their_lists(value):
+    assert cli._render(value) == json.dumps(_as_lists(value), sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("array", _FALLBACK, ids=[
+    "negative", "descending", "repeated-then-descending", "int32", "uint64", "bool", "float", "2-D", "empty"])
+def test_report_writer_renders_any_other_array_as_its_tolist(monkeypatch, array):
+    monkeypatch.setattr(cli, "_decimal_lines", lambda values, sep: pytest.fail("took the int64 kernel"))
+    for value in (array, {"image": [array]}):
+        assert cli._render(value) == json.dumps(_as_lists(value), sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("k", range(1, 19))
+def test_decimal_lines_cut_each_run_at_its_power_of_ten(k):
+    # 10^k - 1 closes the run of k digits and 10^k opens the run of k + 1.
+    values = np.array([0, 10 ** k - 2, 10 ** k - 1, 10 ** k, 10 ** k + 1, 2 ** 63 - 1])
+    assert cli._decimal_lines(values, ",\n  ") == ",\n  ".join(map(str, values.tolist()))
+
+
+def test_the_digit_table_is_built_on_first_use():
+    env = {**os.environ, "PYTHONPATH": str(Path(dynwindow.__file__).resolve().parent.parent)}
+    probe = (
+        "import numpy as np, dynwindow.cli as cli; built = cli._digit_words.cache_info().currsize; "
+        "cli._render(np.arange(3)); print(built, cli._digit_words.cache_info().currsize)"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.split() == ["0", "1"]
 
 
 def _ref_jsonify(value):
@@ -563,6 +628,25 @@ def test_a_report_written_over_a_file_holds_exactly_the_new_report(squares_file,
 def test_a_report_to_the_null_device_exits_0(squares_file, capsys):
     assert main(["classify", squares_file, "--out", os.devnull]) == 0
     assert capsys.readouterr().out.startswith("sequence ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+@pytest.mark.parametrize("mode", ["ab", "wb"], ids=["appended", "written"])
+def test_out_naming_the_file_stdout_writes_keeps_what_it_held(tmp_path, mode):
+    # `echo earlier >> f; dynwindow ... >> f` and `(echo earlier; dynwindow ...) > f`: the file
+    # holds its earlier bytes, then the report, then the summary.
+    argv = [sys.executable, "-m", "dynwindow", "product", "cyclic:2", "cyclic:3"]
+    env = {**os.environ, "PYTHONPATH": str(Path(dynwindow.__file__).resolve().parent.parent)}
+    printed = subprocess.run(argv + ["--json"], capture_output=True, env=env, check=True).stdout
+    summary, report = printed.split(b"\n", 1)
+    f = tmp_path / "f"
+    f.write_bytes(b"x" * 4000)  # what "> f" truncates
+    with open(f, mode) as fh:
+        fh.write(b"earlier\n")
+        fh.flush()
+        subprocess.run(argv + ["--out", "/dev/stdout"], stdout=fh, env=env, check=True)
+    kept = b"x" * 4000 if mode == "ab" else b""
+    assert f.read_bytes() == kept + b"earlier\n" + report + summary + b"\n"
 
 
 def test_a_new_report_gets_the_mode_open_gives_it(tmp_path, capsys):

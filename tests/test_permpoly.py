@@ -123,11 +123,11 @@ def test_hermite_examples():
 
 def test_brute_examples():
     ok, image = brute_permutation_check(PolyModP.make(7, (3, 1)))  # x + 3
-    assert ok and image == tuple(range(7))
+    assert ok and image.tolist() == list(range(7))
     ok, image = brute_permutation_check(mono(3, 2))
-    assert not ok and image == (0, 1)
+    assert not ok and image.tolist() == [0, 1]
     ok, image = brute_permutation_check(PolyModP.make(2, (0, 2)))  # 2x = 0
-    assert not ok and image == (0,)
+    assert not ok and image.tolist() == [0]
 
 
 def test_oracle_equivalence_exhaustive_small():
@@ -160,7 +160,7 @@ def test_monomial_law():
 
 def test_find_prime_for_x_squared():
     res = find_non_surjective_prime((0, 0, 1), 100)
-    assert res.p == 3 and res.missing == 2 and res.image == (0, 1)
+    assert res.p == 3 and res.missing == 2 and res.image.tolist() == [0, 1]
 
 
 def test_find_prime_for_x_cubed():
@@ -173,7 +173,7 @@ def test_find_prime_for_x_cubed():
 def test_find_prime_for_x_squared_plus_x():
     # first qualifying prime is 3 (image {0, 2} mod 3), not 5
     res = find_non_surjective_prime((0, 1, 1), 100)
-    assert res.p == 3 and res.missing == 1 and res.image == (0, 2)
+    assert res.p == 3 and res.missing == 1 and res.image.tolist() == [0, 2]
 
 
 def test_find_prime_result_replays():
@@ -244,20 +244,47 @@ def test_format_parse_roundtrip(coeffs):
 
 def test_decide_permutation_returns_both_deciders_results():
     f = PolyModP.make(7, (3, 1))  # x + 3
-    assert decide_permutation(f) == (True, hermite_check(f)[1], brute_permutation_check(f)[1])
+    permutes, evidence, image = decide_permutation(f)
+    assert (permutes, evidence, image.tolist()) == (True, hermite_check(f)[1], brute_permutation_check(f)[1].tolist())
     f = mono(5, 2)
     permutes, evidence, image = decide_permutation(f)
-    assert not permutes and evidence["reason"] == "power_degree_full" and image == (0, 1, 4)
+    assert not permutes and evidence["reason"] == "power_degree_full" and image.tolist() == [0, 1, 4]
 
 
 def test_decide_permutation_raises_when_deciders_disagree(monkeypatch):
     import dynwindow.permpoly as permpoly
 
     monkeypatch.setattr(permpoly, "hermite_check", lambda f: (False, {"reason": "forced"}))
-    with pytest.raises(OracleDisagreementError):
+    with pytest.raises(OracleDisagreementError, match=re.escape("(image array([0, 1, 2, 3, 4, 5, 6]))")):
         decide_permutation(PolyModP.make(7, (3, 1)))
     with pytest.raises(OracleDisagreementError):
         is_permutation(PolyModP.make(7, (3, 1)))
+
+
+def test_images_are_read_only_int64_arrays():
+    f = mono(7, 3)
+    res = find_non_surjective_prime((0, 0, 0, 1), 100)
+    for image in (brute_permutation_check(f)[1], decide_permutation(f)[2], res.image):
+        assert image.dtype == np.int64 and image.ndim == 1 and not image.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            image[0] = 1
+    assert brute_permutation_check(f)[1].tolist() == [0, 1, 6]
+
+
+def test_non_surjective_results_are_equal_and_hash_by_value():
+    res = find_non_surjective_prime((0, 0, 1), 100)  # x^2: p = 3, image [0, 1]
+    twins = [NonSurjectiveResult(3, 2, np.array([0, 1])), NonSurjectiveResult(3, 2, (0, 1))]
+    for twin in twins:
+        assert res == twin and twin == res and hash(res) == hash(twin)
+    assert len({res, *twins}) == 1
+    for other in (
+        NonSurjectiveResult(3, 1, res.image),
+        NonSurjectiveResult(5, 2, res.image),
+        NonSurjectiveResult(3, 2, np.array([0, 2])),
+        NonSurjectiveResult(3, 2, np.array([0])),
+    ):
+        assert res != other
+    assert res != (3, 2, res.image) and res.to_json() == {"p": 3, "missing": 2, "image_size": 2}
 
 
 # -- the array engine against the pure-Python loops it replaced --------------------------
@@ -382,7 +409,8 @@ def field_polys(draw, max_degree=lambda p: 2 * p + 1):
 def test_array_engine_matches_the_python_loops(f, seed):
     p = f.p
     assert hermite_check(f) == _ref_hermite_check(f)
-    assert brute_permutation_check(f) == _ref_brute_permutation_check(f)
+    permutes, image = brute_permutation_check(f)
+    assert (permutes, tuple(image.tolist())) == _ref_brute_permutation_check(f)
     assert _reduce(f) == _ref_reduce_mod_field_poly(f)
     rng = random.Random(seed)
     g = PolyModP.make(p, [rng.randrange(p) for _ in range(rng.randrange(2 * p + 3))])
