@@ -23,6 +23,15 @@ the file under other names are kept.  When a run's outputs were rejected
 (``correct`` false) or an op failed, the entry is still written, and the
 script exits 1 naming each workload and side.
 
+With ``--trace`` every pair also runs ``perfbench/run.py --trace 1`` once in
+each checkout, A and B in the pair's order, after its untraced runs; each
+side then records, under ``layers``, the median and quartiles of every
+per-layer metric over its traced runs, and the three ``self_s`` layers whose
+medians moved most are printed.  Traced runs count towards ``correct``,
+``failed`` and ``attempted``, never towards the end-to-end metrics or the
+judgement.  ``perfbench/out/`` is created in a checkout before each run,
+as a traced run writes its spans there before the directory would be made.
+
 The null floor is the largest |A'/A - 1| over the pairs of a null series,
 where A' is a second run of checkout A.  With ``--null`` every pair also
 runs A', the order of (A, B, A') rotating from pair to pair, and the entry
@@ -55,19 +64,20 @@ COUNTERS = ("ru_nvcsw", "ru_oublock")
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds: int, trace: int = 0) -> dict:
     """One benchmark run in the checkout: the JSON object its last line of output holds,
     with each op's time from the run's details file under ``op_s`` and the run's
     ``COUNTERS`` (the whole process, setup included) under their names."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+            "--seconds", str(seconds), "--trace", str(trace)]
+    (checkout / "perfbench" / "out").mkdir(parents=True, exist_ok=True)
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     if proc.returncode:
         raise SystemExit(f"{' '.join(argv)} in {checkout} exited {proc.returncode}:\n{proc.stderr}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    details = json.loads((checkout / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.json").read_text())
+    details = json.loads((checkout / "perfbench" / "out" / f"{workload}-seed{seed}-trace{trace}.json").read_text())
     result["op_s"] = {op["name"]: op["op_s"] for op in details["ops"]}
     result.update({name: getattr(after, name) - getattr(before, name) for name in COUNTERS})
     return result
@@ -120,13 +130,17 @@ def committed_null(workload: str, first: Path | None = None) -> tuple[str, float
 
 
 def compare(a: Path, b: Path, workload: str, pairs: int, seed: int, seconds: int, null: bool = False,
-            out_file: Path | None = None) -> dict:
+            out_file: Path | None = None, trace: bool = False) -> dict:
     sides = ("a", "b", "a2") if null else ("a", "b")
     runs = {side: [] for side in sides}
+    traced = {"a": [], "b": []}
     for i in range(pairs):
         order = sides[i % len(sides) :] + sides[: i % len(sides)]
         for side in order:
             runs[side].append(run_once(b if side == "b" else a, workload, seed, seconds))
+        if trace:
+            for side in (side for side in order if side != "a2"):
+                traced[side].append(run_once(b if side == "b" else a, workload, seed, seconds, trace=1))
         speeds = {side: runs[side][-1]["metrics"]["ops_per_s"]["value"] for side in runs}
         print(f"{workload} pair {i + 1}/{pairs} ({order[0]} first): "
               + ", ".join(f"{side} {speed:.1f} op/s" for side, speed in speeds.items()), file=sys.stderr)
@@ -134,15 +148,19 @@ def compare(a: Path, b: Path, workload: str, pairs: int, seed: int, seconds: int
     for side, other in (("a", "b"), ("b", "a")):
         speed = [r["metrics"]["ops_per_s"]["value"] for r in runs[side]]
         rival = [r["metrics"]["ops_per_s"]["value"] for r in runs[other]]
+        checked = runs[side] + traced[side]
         out[side] = {
             **{m: summary([r["metrics"][m]["value"] for r in runs[side]]) for m in METRICS},
             **{c: summary([r[c] for r in runs[side]]) for c in COUNTERS},
             "pairs_won": sum(x > y for x, y in zip(speed, rival)),
-            "failed": sum(r["failed"] for r in runs[side]),
-            "attempted": sum(r["attempted"] for r in runs[side]),
-            "correct": all(r["correct"] for r in runs[side]),
+            "failed": sum(r["failed"] for r in checked),
+            "attempted": sum(r["attempted"] for r in checked),
+            "correct": all(r["correct"] for r in checked),
             "op_s_median": {op: statistics.median(r["op_s"][op] for r in runs[side]) for op in runs[side][0]["op_s"]},
         }
+        if trace:
+            out[side]["layers"] = {m: summary([r["metrics"][m]["value"] for r in traced[side]])
+                                   for m in traced[side][0]["metrics"]}
     out["b_vs_a_ops_per_s"] = out["b"]["ops_per_s"]["median"] / out["a"]["ops_per_s"]["median"] - 1
     if null:
         ratios = [y["metrics"]["ops_per_s"]["value"] / x["metrics"]["ops_per_s"]["value"]
@@ -164,6 +182,14 @@ def compare(a: Path, b: Path, workload: str, pairs: int, seed: int, seconds: int
           + ", ".join(f"{name} {ok}" for name, ok in out["within_bound"].items()) + "; median per run: "
           + ", ".join(f"{c} a {out['a'][c]['median']:g} b {out['b'][c]['median']:g}" for c in COUNTERS),
           file=sys.stderr)
+    if trace:
+        layers_a, layers_b = out["a"]["layers"], out["b"]["layers"]
+        change = {m: layers_b[m]["median"] - layers_a[m]["median"] for m in layers_a
+                  if m.endswith(".self_s") and m in layers_b}
+        moved = sorted((m for m in change if change[m]), key=lambda m: -abs(change[m]))[:3]
+        print(f"{workload}: per-layer medians over {pairs} traced runs a -> b: "
+              + ", ".join(f"{m} {layers_a[m]['median']:.6g} -> {layers_b[m]['median']:.6g} s" for m in moved),
+              file=sys.stderr)
     return out
 
 
@@ -203,6 +229,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=int, default=20)
     parser.add_argument("--null", action="store_true", help="also run A again in every pair, for the null floor")
+    parser.add_argument("--trace", action="store_true",
+                        help="also run each checkout traced in every pair, for the per-layer metrics")
     parser.add_argument("--name", required=True, help="the entry's name in the output file")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
@@ -222,7 +250,8 @@ def main(argv: list[str] | None = None) -> int:
         "numpy": numpy.__version__,
         "machine": platform.machine(),
         "workloads": {
-            w: compare(args.a.resolve(), args.b.resolve(), w, args.pairs, args.seed, args.seconds, args.null, args.out)
+            w: compare(args.a.resolve(), args.b.resolve(), w, args.pairs, args.seed, args.seconds, args.null, args.out,
+                       args.trace)
             for w in args.workload
         },
     }

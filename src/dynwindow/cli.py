@@ -35,6 +35,7 @@ from .systems import CyclicSystem, SystemSpecError, TorusSystem, parse_system_sp
 from .recurrence import (
     _CROSSCHECK_HORIZON_CAP,
     DEFAULT_SWEEP_SEED,
+    _comparison_reach,
     _shift_family_cyclic,
     crosscheck_cyclic_equivalence,
     product_transitive_finite,
@@ -57,6 +58,12 @@ from .constructions import (
     verify_not_pws,
     verify_shifted_recurrence,
 )
+
+# permpoly check refuses a --p past this.  Its two deciders take time about
+# quadratic in p: 0.79 s at p = 10,007 and 3.35 s at 20,021 on a 2-vCPU
+# x86-64 host, and a p of 19 digits would first cost is_prime some 10^9 trial
+# divisions.
+_CHECK_PRIME_CAP = 20_000
 
 
 def _parse_shifts(text: str) -> range:
@@ -234,6 +241,7 @@ def _cmd_crosscheck(args) -> tuple[dict, list[str], int, dict]:
         horizon = 10_000 if args.horizon is None else args.horizon
         if horizon > _CROSSCHECK_HORIZON_CAP:
             raise ValueError(f"sweep horizon {horizon} exceeds the cross-check's {_CROSSCHECK_HORIZON_CAP} cap")
+        _comparison_reach(horizon, args.max_period, args.shifts)  # a sweep's windows share it: refused before the draw
         windows = [(w, f"seeded[{i}]") for i, w in enumerate(random_windows(args.count, horizon, seed=args.seed))]
     verdicts = [crosscheck_cyclic_equivalence(w, args.max_period, args.shifts) for w, _ in windows]
     entries = [{"sequence": _sequence_info(name, w), **v.to_json()} for (w, name), v in zip(windows, verdicts)]
@@ -257,6 +265,8 @@ def _cmd_permpoly(args) -> tuple[dict, list[str], int, dict]:
     if args.action == "check":
         if args.p is None:
             raise SystemSpecError("permpoly check needs --p")
+        if args.p > _CHECK_PRIME_CAP:
+            raise ValueError(f"--p {args.p} is past the permpoly check cap of {_CHECK_PRIME_CAP}")
         f = PolyModP.make(args.p, coeffs)
         permutes, evidence, image = decide_permutation(f)
         report = {
@@ -386,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("permpoly", help="permutation-polynomial checks over prime fields")
     p.add_argument("action", choices=("check", "find-prime"))
     p.add_argument("polynomial", help='e.g. "x^2+3x+1"')
-    p.add_argument("--p", type=int, default=None, help="prime field for 'check'")
+    p.add_argument("--p", type=int, default=None, help=f"prime field for 'check', at most {_CHECK_PRIME_CAP}")
     p.add_argument("--cap", type=int, default=10_000, help="prime cap for 'find-prime'")
     add_common(p)
     p.set_defaults(func=_cmd_permpoly)

@@ -101,6 +101,9 @@ def _packed(elements: Sequence) -> np.ndarray:
     # A tuple, list or range of ints packed into int64 by struct, _PACK_CHUNK
     # at a time: one argument tuple per chunk, not one for the whole sequence.
     out = np.empty(len(elements), dtype=np.int64)
+    if len(elements) <= _PACK_CHUNK:  # one chunk: no slice, no loop
+        struct.pack_into(f"{len(elements)}{_PACK_CODE}", out, 0, *elements)
+        return out
     for i in range(0, len(elements), _PACK_CHUNK):
         chunk = elements[i : i + _PACK_CHUNK]
         struct.pack_into(f"{len(chunk)}{_PACK_CODE}", out, 8 * i, *chunk)
@@ -207,23 +210,27 @@ class Window:
     it is first read.  Each element is read as ``operator.index`` reads it:
     ints, numpy ints and bools give ints, anything else (a float, a string,
     None, a nested sequence) raises TypeError.  A tuple or list of ints that
-    fit int64 is packed into the array by ``struct``; other input, and a
-    tuple or list with an element ``struct`` refuses, goes through numpy,
-    element by element where numpy cannot type it.  Windows are immutable
-    values: equal and hashed as ``(elements, horizon)``.
+    fit int64 is packed into the array by ``struct``, in one call when it
+    has at most _PACK_CHUNK elements; other input, and a tuple or list with
+    an element ``struct`` refuses, goes through numpy, element by element
+    where numpy cannot type it.  The array's three checks (non-negative,
+    strictly ascending by one ``count_nonzero`` over the pairs, within the
+    horizon) run only when it is non-empty.  Windows are immutable values:
+    equal and hashed as ``(elements, horizon)``.
     """
 
     def __init__(self, elements: Iterable[int], horizon: int) -> None:
         if horizon < 0:
             raise ValueError(f"horizon must be >= 0, got {horizon}")
         arr = _read_elements(elements)
-        if arr.size and arr[0] < 0:
-            raise ValueError(f"negative element {arr[0]}")
-        if (arr[1:] <= arr[:-1]).any():  # no np.diff: it can wrap
-            i = int(np.flatnonzero(arr[1:] <= arr[:-1])[0])
-            raise ValueError(f"elements not strictly ascending at {arr[i]}, {arr[i + 1]}")
-        if arr.size and int(arr[-1]) > horizon:
-            raise ValueError(f"element {arr[-1]} exceeds horizon {horizon}")
+        if arr.size:  # an empty array passes all three checks
+            if arr[0] < 0:
+                raise ValueError(f"negative element {arr[0]}")
+            if np.count_nonzero(arr[1:] <= arr[:-1]):  # no np.diff: it can wrap
+                i = int(np.flatnonzero(arr[1:] <= arr[:-1])[0])
+                raise ValueError(f"elements not strictly ascending at {arr[i]}, {arr[i + 1]}")
+            if int(arr[-1]) > horizon:
+                raise ValueError(f"element {arr[-1]} exceeds horizon {horizon}")
         self.__dict__.update(array=arr.astype(_dtype(horizon), copy=False), horizon=horizon)
 
     @classmethod

@@ -55,6 +55,14 @@ _SWEEP_MIN_ELEMENT, _SWEEP_DENSITY_RANGE = 50, (5e-4, 0.5)
 # impractically large return-time / difference windows.
 _CROSSCHECK_HORIZON_CAP = 1_000_000
 
+# The cross-check refuses a position table that could pass this many uint64
+# words (128 MiB): (ext + 3) rows of one bit for each of at most
+# 3·max_period - 1 windows (fewer by the divisors of ext + 1 up to
+# max_period, at most 240 below 10^6).  Near the cap, at 15,989,600 words
+# (ext = 999,347, max_period = 341), a cross-check took 3.13 s and a peak
+# RSS of 320 MiB on a 2-vCPU x86-64 host.
+_CROSSCHECK_TABLE_WORDS = 2 ** 24
+
 # product_transitive_finite enumerates the orbit of (0, 0), lcm(m, n) states
 # held in a set: 4,192,256 of them took 4.3 s and 638 MB, so a larger orbit
 # is refused.
@@ -213,8 +221,12 @@ def _missing_residues(arr: np.ndarray, max_period: int) -> list:
     (``_class_table``): the OR of its columns at the prefix's elements mod
     the table's lcm (no reduction when the last is below it) holds a p-bit
     segment per period p, whose set bits are the classes the prefix hits, and
-    the segment's lowest zero bit is p's least missing class.  The periods
-    from _TABLE_PERIODS + 1 on are reduced against a block of periods at once
+    the segment's lowest zero bit is p's least missing class.  The segments of
+    periods 1..k tile the OR's low k(k+1)/2 bits, so when those are all set,
+    for k = min(max_period, _TABLE_PERIODS), one compare answers every table
+    period at once; only otherwise are the segments read one by one.  The
+    periods from _TABLE_PERIODS + 1 on, when max_period reaches past the
+    table, are reduced against a block of periods at once
     and counted in one offset bincount, a segment per period; the first zero
     of a segment is that period's least missing class.  There the prefix is
     reduced in int32 when its last element is below
@@ -240,33 +252,39 @@ def _missing_residues(arr: np.ndarray, max_period: int) -> list:
     rows = head % table.shape[1] if head.size and head[-1] >= table.shape[1] else head
     seen = np.bitwise_or.reduce(table.take(rows.astype(np.intp, copy=False), axis=1), axis=1)
     hit = int.from_bytes(seen.tobytes(), "little")  # bit p(p-1)/2 + c: the prefix hits c mod p
-    least = []  # per period: the least class missed, or None
-    for offset, full in _SEGMENTS[: max(max_period, 0)]:
-        seg = hit >> offset & full  # the classes the prefix hits
-        least.append(None if seg == full else (~seg & seg + 1).bit_length() - 1)  # its lowest zero bit
-    if max_period > _TABLE_PERIODS and head.dtype != object and head.size and head[-1] < 2 ** 31:
-        head = head.astype(np.int32)
-    dtype = np.int64 if head.dtype == object else head.dtype
-    width = max(1, _BATCH_ELEMENTS // (max(head.size, 1) + 1))  # periods per block
-    for m in range(_TABLE_PERIODS + 1, max_period + 1, width):
-        top = min(m + width, max_period + 1)  # one past the block's largest period
-        w = max(1, min(head.size, top - 1))
-        periods = np.arange(m, top, dtype=dtype)[:, None]
-        offsets = (periods - m) * (w + 1)  # period p's segment of the bincount starts at (p - m)·(w + 1)
-        if head.dtype == object:  # one Python-int reduction per lcm run, then int64 remainders
-            residues = np.empty((top - m, head.size), dtype=np.int64)
-            for run, modulus in _lcm_runs(range(m, top), _REDUCE_MODULUS_CAP):
-                reduced = (head % modulus).astype(np.int64)
-                np.remainder(reduced, periods[run.start - m : run.stop - m], out=residues[run.start - m : run.stop - m])
-        else:
-            residues = np.remainder(head, periods)
-        if head.size < top - 1:
-            np.minimum(residues, w, out=residues)
-        residues += offsets
-        counts = np.bincount(residues.ravel(), minlength=(top - m) * (w + 1)).reshape(top - m, w + 1)
-        # A row hits at most n classes: with every class below w hit, the pool is empty.
-        first = counts.argmin(axis=1).tolist()  # its first zero: the least class missed, or w
-        least += [r if r < p else None for p, r in zip(range(m, top), first)]
+    k = min(max(max_period, 0), _TABLE_PERIODS)
+    every = (1 << k * (k + 1) // 2) - 1  # the segments of periods 1..k, which tile bits 0..k(k+1)/2 - 1
+    if hit & every == every:  # every class of every table period hit: one compare answers them all
+        least = [None] * k
+    else:
+        least = []  # per period: the least class missed, or None
+        for offset, full in _SEGMENTS[:k]:
+            seg = hit >> offset & full  # the classes the prefix hits
+            least.append(None if seg == full else (~seg & seg + 1).bit_length() - 1)  # its lowest zero bit
+    if max_period > _TABLE_PERIODS:  # the periods past the table, counted in blocks
+        if head.dtype != object and head.size and head[-1] < 2 ** 31:
+            head = head.astype(np.int32)
+        dtype = np.int64 if head.dtype == object else head.dtype
+        width = max(1, _BATCH_ELEMENTS // (max(head.size, 1) + 1))  # periods per block
+        for m in range(_TABLE_PERIODS + 1, max_period + 1, width):
+            top = min(m + width, max_period + 1)  # one past the block's largest period
+            w = max(1, min(head.size, top - 1))
+            periods = np.arange(m, top, dtype=dtype)[:, None]
+            offsets = (periods - m) * (w + 1)  # period p's segment of the bincount starts at (p - m)·(w + 1)
+            if head.dtype == object:  # one Python-int reduction per lcm run, then int64 remainders
+                residues = np.empty((top - m, head.size), dtype=np.int64)
+                for run, modulus in _lcm_runs(range(m, top), _REDUCE_MODULUS_CAP):
+                    part = slice(run.start - m, run.stop - m)
+                    np.remainder((head % modulus).astype(np.int64), periods[part], out=residues[part])
+            else:
+                residues = np.remainder(head, periods)
+            if head.size < top - 1:
+                np.minimum(residues, w, out=residues)
+            residues += offsets
+            counts = np.bincount(residues.ravel(), minlength=(top - m) * (w + 1)).reshape(top - m, w + 1)
+            # A row hits at most n classes: with every class below w hit, the pool is empty.
+            first = counts.argmin(axis=1).tolist()  # its first zero: the least class missed, or w
+            least += [r if r < p else None for p, r in zip(range(m, top), first)]
     if head.size < arr.size:
         periods = [p for p, r in enumerate(least, start=1) if r is not None]
         for block, modulus in _lcm_runs(periods, _RECOUNT_MODULUS_CAP):
@@ -489,6 +507,21 @@ def _position_table(windows: list) -> np.ndarray:
     return table
 
 
+def _comparison_reach(horizon: int, max_period: int, shifts: Sequence[int]) -> int:
+    # ext = horizon + max(largest shift, 0) + max_period, the reach of a
+    # cross-check's comparison windows for ascending shifts, or ValueError past
+    # the horizon cap, or when their table could pass _CROSSCHECK_TABLE_WORDS.
+    ext = horizon + max(shifts[-1], 0) + max_period
+    if ext > _CROSSCHECK_HORIZON_CAP:
+        raise ValueError(f"cross-check windows reach ext = horizon + max(largest shift, 0) + max_period = {horizon} + "
+                         f"{max(shifts[-1], 0)} + {max_period} = {ext}, past the {_CROSSCHECK_HORIZON_CAP} cap")
+    per_row = -(-(3 * max_period - 1) // 64)
+    if (ext + 3) * per_row > _CROSSCHECK_TABLE_WORDS:
+        raise ValueError(f"cross-check table of up to (ext + 3) x ceil((3·max_period - 1) / 64) = {ext + 3} x {per_row} "
+                         f"= {(ext + 3) * per_row} words, past the {_CROSSCHECK_TABLE_WORDS} cap")
+    return ext
+
+
 @lru_cache(maxsize=1)
 def _comparison_table(ext: int, max_period: int) -> tuple:
     # The cross-check's windows on [0, ext] for every m <= max_period, as
@@ -519,9 +552,11 @@ def _shifted_hits(a: Window, shifts: Sequence[int], table: np.ndarray, windows: 
     Stage 1 reads a prefix of a, its first _SLICE_PER_WINDOW elements per
     window (140 for the 35 windows of M = 12): the pair (n, j) is met when
     bit j of the row of x + n is set for some x in it, a position off the
-    table reading an all-zero row.  The gather stays within _BATCH_ELEMENTS
-    words, taking the shifts in blocks.  A prefix that is the whole window
-    decides every pair.  Otherwise stage 2 settles each window's open pairs
+    table reading an all-zero row.  The gather is one take when the shifts
+    fit one block of _BATCH_ELEMENTS words, and takes them in blocks
+    otherwise.  A prefix that hits every column, or that is the whole
+    window, decides every pair: the hits are returned at once, and no
+    window is walked.  Otherwise stage 2 settles each window's open pairs
     on whole-window bitmasks and stops at the window's first miss: every
     window of a cross-check lies within _CROSSCHECK_HORIZON_CAP, where each
     has its bitmask.  shifts come ascending, as the cross-check sorts them
@@ -538,12 +573,15 @@ def _shifted_hits(a: Window, shifts: Sequence[int], table: np.ndarray, windows: 
     x = a.array[: _SLICE_PER_WINDOW * len(windows)]
     block = max(1, _BATCH_ELEMENTS // max(1, x.size * table.shape[1]))
     # mode="clip" sends a row index off the table to the zero row at that end;
-    # with no shift, one empty block gives met no row, and every column is hit.
-    parts = [np.bitwise_or.reduce(table.take(rows[i : i + block, None] + x, axis=0, mode="clip"), axis=1)
-             for i in range(0, max(rows.size, 1), block)]
-    met = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    hits = (1 << len(windows)) - 1 & int.from_bytes(np.bitwise_and.reduce(met, axis=0).tobytes(), "little")
-    if x.size == len(a):
+    # with no shift, the one gather gives met no row, and every column is hit.
+    if rows.size <= block:
+        met = np.bitwise_or.reduce(table.take(rows[:, None] + x, axis=0, mode="clip"), axis=1)
+    else:
+        met = np.concatenate([np.bitwise_or.reduce(table.take(rows[i : i + block, None] + x, axis=0, mode="clip"), axis=1)
+                              for i in range(0, rows.size, block)])
+    every = (1 << len(windows)) - 1
+    hits = every & int.from_bytes(np.bitwise_and.reduce(met, axis=0).tobytes(), "little")
+    if hits == every or x.size == len(a):  # every column hit, or the prefix is the whole window
         return hits
     for j, d in enumerate(windows):
         if hits >> j & 1:
@@ -573,9 +611,15 @@ def crosscheck_cyclic_equivalence(a: Window, max_period: int, shifts: Iterable[i
     (2) and (3) read their windows through one position table, each window
     its own column (``_shifted_hits``); the table and its windows are built
     once per (ext, max_period), and only the latest is kept
-    (``_comparison_table``).  When every column is hit and every
-    m is covered, all three hold for every m and the verdict is given at
-    once; otherwise each m is compared in turn.  Any disagreement is an
+    (``_comparison_table``).  A table past _CROSSCHECK_TABLE_WORDS words,
+    counted from (ext, max_period) as (ext + 3) rows of one bit for each of
+    at most 3·max_period - 1 windows, is refused with ValueError before any
+    window is built, as is an ext past _CROSSCHECK_HORIZON_CAP
+    (``_comparison_reach``, which a CLI sweep also calls before it draws its
+    windows).  When every column is hit and every m is covered, all
+    three hold for every m and the verdict is given at once, one frozen
+    value per (max_period, number of shifts) (``_agreement``); otherwise
+    each m is compared in turn.  Any disagreement is an
     implementation bug, reported as Fails with the offending (m, coverage,
     return-hit, difference-hit) tuple.  Exact agreement is guaranteed when
     the shift range spans at least max_period consecutive integers and every
@@ -593,10 +637,7 @@ def crosscheck_cyclic_equivalence(a: Window, max_period: int, shifts: Iterable[i
     shifts = sorted(shifts)
     if not shifts:
         raise ValueError("shift range must be nonempty")
-    ext = a.horizon + max(shifts[-1], 0) + max_period
-    if ext > _CROSSCHECK_HORIZON_CAP:
-        raise ValueError(f"cross-check windows reach ext = horizon + max(largest shift, 0) + max_period = {a.horizon} + "
-                         f"{max(shifts[-1], 0)} + {max_period} = {ext}, past the {_CROSSCHECK_HORIZON_CAP} cap")
+    ext = _comparison_reach(a.horizon, max_period, shifts)
     table, windows, columns = _comparison_table(ext, max_period)
     hits = _shifted_hits(a, shifts, table, windows)
     missing = _missing_residues(a.array, max_period)
@@ -612,9 +653,13 @@ def crosscheck_cyclic_equivalence(a: Window, max_period: int, shifts: Iterable[i
                         f"return-time hitting={return_hit}, difference-set hitting={diff_hit}"
                     ),
                 )
-    return Verdict.hold(
-        note=f"all three predicates agree for every m <= {max_period} across {len(shifts)} shifts"
-    )
+    return _agreement(max_period, len(shifts))
+
+
+@lru_cache
+def _agreement(max_period: int, count: int) -> Verdict:
+    # The cross-check's holds, one frozen value per (max_period, number of shifts).
+    return Verdict.hold(note=f"all three predicates agree for every m <= {max_period} across {count} shifts")
 
 
 def finite_subcover(a: Window, m: int) -> Window:

@@ -290,3 +290,70 @@ def test_every_committed_series_is_judged_again_against_its_null():
         ("BENCH_31.json", "crosscheck-sweep-seed2", "crosscheck-sweep"),
         ("BENCH_36.json", "crosscheck-sweep-seed1", "crosscheck-sweep"),
     } <= gains
+
+
+def test_a_trace_runs_each_side_traced_once_a_pair_and_summarises_its_layers(tmp_path, monkeypatch, capsys):
+    # Untraced runs (a, b), then traced ones in the same order: (a, b), then (b, a).
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir(), b.mkdir()
+    layer = "recurrence.crosscheck_cyclic_equivalence.self_s"
+    self_s = {a.resolve(): iter([0.020, 0.018, 0.024]), b.resolve(): iter([0.015, 0.013, 0.016])}
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds, trace=0):
+        side = "b" if checkout == b.resolve() else "a"
+        calls.append(side + "*" * trace)
+        if not trace:
+            return _run(100.0 if side == "a" else 110.0)
+        run = _run(50.0)  # a traced run prints per-layer metrics, and no end-to-end ones
+        run["metrics"] = {layer: {"value": next(self_s[checkout])}, "intsets.Window_init.calls": {"value": 250.0}}
+        return run
+
+    monkeypatch.setattr(bench_ab, "run_once", run_once)
+    monkeypatch.setattr(bench_ab, "committed_null", lambda workload, first=None: None)
+    out = tmp_path / "bench.json"
+    argv = ["--a", str(a), "--b", str(b), "--workload", "crosscheck-sweep", "--pairs", "3", "--trace",
+            "--name", "x", "--out", str(out)]
+    assert bench_ab.main(argv) == 0
+    assert calls == ["a", "b", "a*", "b*", "b", "a", "b*", "a*", "a", "b", "a*", "b*"]
+    entry = json.loads(out.read_text(encoding="utf-8"))["x"]["workloads"]["crosscheck-sweep"]
+    assert entry["a"]["layers"][layer] == pytest.approx({"median": 0.020, "q1": 0.019, "q3": 0.022, "runs": [0.020, 0.018, 0.024]})
+    assert entry["b"]["layers"][layer]["median"] == 0.015
+    assert entry["b"]["layers"]["intsets.Window_init.calls"]["median"] == 250.0
+    # The traced runs' speed enters no end-to-end summary, but their checks count.
+    assert entry["a"]["ops_per_s"]["runs"] == [100.0] * 3 and entry["b"]["attempted"] == 60
+    assert f"per-layer medians over 3 traced runs a -> b: {layer} 0.02 -> 0.015 s" in capsys.readouterr().err
+
+
+def test_a_rejected_traced_run_marks_its_side(tmp_path, monkeypatch, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir(), b.mkdir()
+
+    def run_once(checkout, workload, seed, seconds, trace=0):
+        run = _run(100.0, correct=not (trace and checkout == b.resolve()))
+        if trace:
+            run["metrics"] = {"intsets.Window_init.self_s": {"value": 0.004}}
+        return run
+
+    monkeypatch.setattr(bench_ab, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    argv = ["--a", str(a), "--b", str(b), "--workload", "cli-files", "--pairs", "1", "--trace", "--name", "x",
+            "--out", str(out)]
+    assert bench_ab.main(argv) == 1
+    assert "cli-files side b" in capsys.readouterr().err.splitlines()[-1]
+
+
+def test_a_traced_run_creates_the_output_directory_and_reads_its_details(tmp_path, monkeypatch):
+    # In a fresh tree perfbench/out/ is missing, and run.py --trace 1 writes its spans there before it makes it.
+    argvs = []
+
+    def run(argv, cwd, **kw):
+        out = Path(cwd) / "perfbench" / "out"
+        assert out.is_dir()
+        (out / "crosscheck-sweep-seed3-trace1.json").write_text(json.dumps({"ops": [{"name": "op", "op_s": 0.25}]}))
+        argvs.append(argv)
+        return SimpleNamespace(returncode=0, stdout=json.dumps({"correct": True, "metrics": {}}) + "\n")
+
+    monkeypatch.setattr(bench_ab.subprocess, "run", run)
+    result = bench_ab.run_once(tmp_path, "crosscheck-sweep", 3, 5, trace=1)
+    assert argvs[0][-2:] == ["--trace", "1"] and result["op_s"] == {"op": 0.25}

@@ -707,6 +707,56 @@ def test_permpoly_check_runs_each_decider_once(monkeypatch, capsys):
     assert doc["is_permutation"] is True and doc["image_size"] == 11
 
 
+
+def _fail_if_reached(monkeypatch, module, *names):
+    def reached(*args, **kwargs):
+        raise AssertionError("the kernel was reached")
+
+    for name in names:
+        monkeypatch.setattr(module, name, reached)
+
+
+@pytest.mark.parametrize("p", [20_011, 10 ** 18 + 9])
+def test_permpoly_check_refuses_a_large_p_before_testing_it(monkeypatch, capsys, p):
+    # Past the cap neither is_prime (10^9 trial divisions at 19 digits) nor the Hermite loop runs.
+    import dynwindow.permpoly as permpoly
+
+    _fail_if_reached(monkeypatch, permpoly, "is_prime", "hermite_check")
+    assert main(["permpoly", "check", "x^3+1", "--p", str(p), "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --p {p} is past the permpoly check cap of 20000\n" and captured.out == ""
+
+
+def test_permpoly_check_runs_at_its_cap(monkeypatch, capsys):
+    # 409, the largest p a test, README example or golden line checks, is the cap here.
+    monkeypatch.setattr(cli, "_CHECK_PRIME_CAP", 409)
+    assert main(["permpoly", "check", "x^3+1", "--p", "409"]) == 0
+    assert main(["permpoly", "check", "x^3+1", "--p", "419"]) == 1
+    assert capsys.readouterr().err == "error: --p 419 is past the permpoly check cap of 409\n"
+
+
+def test_crosscheck_refuses_a_large_table_before_building_a_window(squares_file, monkeypatch, capsys):
+    # ext = 800,000 + 6 + 100,000 is inside the horizon cap, but its table would take about 34 GB.
+    import dynwindow.recurrence as recurrence
+
+    _fail_if_reached(monkeypatch, recurrence, "return_times", "difference_set")
+    assert main(["crosscheck", squares_file, "--max-period", "100000", "--horizon", "800000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.endswith("words, past the 16777216 cap\n") and captured.out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--horizon", "800000", "--max-period", "100000"], "= 900009 x 4688 = 4219242192 words, past the 16777216 cap"),
+    (["--horizon", "999990", "--shifts=-6..6"], "= 999990 + 6 + 12 = 1000008, past the 1000000 cap"),
+])
+def test_crosscheck_sweep_past_a_comparison_cap_draws_nothing(monkeypatch, capsys, argv, message):
+    # Every window of a sweep shares its horizon, so the reach and the table are refused before the draw.
+    _fail_if_reached(monkeypatch, cli, "random_windows")
+    assert main(["crosscheck", "--count", "1000", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.endswith(f"{message}\n") and captured.out == ""
+
+
 @pytest.mark.parametrize("spec", ["cyclic:5", "prod(cyclic:2,cyclic:3)", "prod(rot:golden,rot:golden)"])
 def test_recurrence_non_metric_spec_is_operational_error(squares_file, capsys, spec):
     assert main(["recurrence", squares_file, spec]) == 1

@@ -350,6 +350,34 @@ def test_missing_residues_build_one_read_only_class_table():
     assert not recurrence._class_table().flags.writeable
 
 
+
+@given(
+    st.sampled_from([1, 12, 13]) | st.integers(1, 14),
+    st.none() | st.integers(1, 12).flatmap(lambda p: st.tuples(st.just(p), st.integers(0, p - 1))),
+    st.integers(0, 10 ** 6),
+    st.integers(0, 30),
+)
+# The last class of the last table period, the mask's top bit, missed by the
+# prefix and the whole window (M = 12), or by the prefix alone (M = 13).
+@example(12, (12, 11), 0, 0)
+@example(13, (12, 11), 27_720 - 100, 30)
+@example(1, (1, 0), 5, 3)  # M = 1: a prefix of nothing, then three elements
+@example(1, None, 0, 0)
+@settings(max_examples=100, deadline=None)
+def test_missing_residues_answer_every_table_period_of_a_covering_prefix_at_once(max_period, dropped, start, tail):
+    # The prefix is 16·M consecutive naturals from start, less the class c mod
+    # p when dropped = (p, c), so it covers every table period or misses c mod
+    # p (and the classes of period multiples of p that lie in it); then `tail`
+    # consecutive naturals, which may bring the class back for the recount.
+    # M = 1, 12 and 13 are the edges of the mask over the table's periods.
+    prefix = [e for e in range(start, start + 32 * max_period) if dropped is None or e % dropped[0] != dropped[1]]
+    prefix = prefix[: 16 * max_period] if dropped != (1, 0) else []
+    last = prefix[-1] if prefix else start
+    w = Window(tuple(prefix) + tuple(range(last + 1, last + 1 + tail)), last + tail + 1)
+    want = [_scan_missing_residue(w, m) for m in range(1, max_period + 1)]
+    assert _missing_residues(w.array, max_period) == want
+
+
 def _column_loop_missing_residues(arr: np.ndarray, max_period: int) -> list:
     # _missing_residues as it stood when it took Python-int residues one column
     # (one period) at a time, kept verbatim as the reference; its two caps are
@@ -1102,6 +1130,40 @@ def test_shifted_hits_settle_a_window_one_element_past_the_prefix():
         _comparison_table.cache_clear()
 
 
+
+class _UnwalkedList(list):
+    # The comparison windows, as a list whose walk fails the test.
+    def __iter__(self):
+        raise AssertionError("a comparison window was walked")
+
+
+def test_shifted_hits_answer_a_prefix_that_hits_every_column_at_once(monkeypatch):
+    # A window longer than its prefix whose prefix already meets every window
+    # at every shift: the hits are returned without walking the windows or
+    # reading a bitmask.
+    def read(self):
+        raise AssertionError("a bitmask was read")
+
+    a = Window(tuple(range(50, 10_001)), 10_000)
+    _comparison_table.cache_clear()
+    try:
+        table, windows, _ = _comparison_table(10_000 + 6 + 12, 12)
+        assert len(a) > recurrence._SLICE_PER_WINDOW * len(windows)
+        monkeypatch.setattr(Window, "bitmask", property(read))
+        assert _shifted_hits(a, list(range(-6, 7)), table, _UnwalkedList(windows)) == (1 << len(windows)) - 1
+    finally:
+        _comparison_table.cache_clear()
+
+
+
+def test_shifted_hits_settle_the_one_column_a_prefix_leaves_open():
+    # Two windows, so an 8-element prefix: it meets {3} but not {100}, which
+    # only the ninth element meets; one open column is still settled.
+    a = Window((*range(8), 100), 200)
+    windows = [Window((3,), 200), Window((100,), 200)]
+    assert _shifted_hits(a, [0], _position_table(windows), windows) == 0b11
+
+
 def test_crosscheck_shifts_far_below_the_window_allocate_nothing_for_them():
     # A shift below -horizon meets nothing and is read as -horizon - 1: the
     # table is never padded by the shift range.
@@ -1169,6 +1231,46 @@ def test_crosscheck_refuses_a_far_shift_before_building_windows():
     assert peak < 2 ** 20
 
 
+
+def _refuse_windows(monkeypatch):
+    # return_times and difference_set, as the comparison windows' builders, fail the test when reached.
+    def reached(*args, **kwargs):
+        raise AssertionError("a comparison window was built")
+
+    monkeypatch.setattr(recurrence, "return_times", reached)
+    monkeypatch.setattr(recurrence, "difference_set", reached)
+
+
+@pytest.mark.parametrize("cap, refused", [(2022, False), (2021, True)])
+def test_crosscheck_refuses_a_table_past_the_word_cap_before_building_a_window(monkeypatch, cap, refused):
+    # ext = 983 + 3 + 22 = 1008, and ext + 1 = 1009 is prime: every m <= 22 but
+    # 1 has two difference windows, 65 windows in all, so the table is at its
+    # largest, 1011 rows of 2 words.
+    w = Window(tuple(range(100, 981, 3)), 983)
+    monkeypatch.setattr(recurrence, "_CROSSCHECK_TABLE_WORDS", cap)
+    _comparison_table.cache_clear()
+    try:
+        if refused:
+            _refuse_windows(monkeypatch)
+            with pytest.raises(ValueError, match=r"= 1011 x 2 = 2022 words, past the 2021 cap"):
+                crosscheck_cyclic_equivalence(w, 22, range(-3, 4))
+        else:  # the cap itself runs
+            assert crosscheck_cyclic_equivalence(w, 22, range(-3, 4)).holds
+            table, windows, _ = _comparison_table(1008, 22)
+            assert len(windows) == 65 and table.shape == (1011, 2)
+    finally:
+        _comparison_table.cache_clear()
+
+
+def test_crosscheck_refuses_a_34_gigabyte_table_at_the_real_cap(monkeypatch):
+    # crosscheck --max-period 100000 --horizon 800000: ext = 900,006, inside the
+    # horizon cap, but 900,009 rows of 4,688 words.
+    _refuse_windows(monkeypatch)
+    w = Window((50, 77), 800_000)
+    with pytest.raises(ValueError, match=r"= 900009 x 4688 = 4219242192 words, past the 16777216 cap"):
+        crosscheck_cyclic_equivalence(w, 100_000, range(-6, 7))
+
+
 def test_crosscheck_rejects_max_period_below_one():
     # As r_sequence_cyclic does: no m <= 0 to agree on, so nothing holds vacuously.
     for max_period in (0, -1):
@@ -1203,6 +1305,17 @@ def _reference_crosscheck(a: Window, max_period: int, shifts: list) -> Verdict:
             note = f"m={m}: residue coverage={covered}, return-time hitting={return_hit}, difference-set hitting={diff_hit}"
             return Verdict.fail((m, covered, return_hit, diff_hit), note=note)
     return Verdict.hold(note=f"all three predicates agree for every m <= {max_period} across {len(shifts)} shifts")
+
+
+
+def test_crosscheck_holds_with_one_cached_agreement_verdict():
+    # The agreement is one frozen value per (max_period, number of shifts), equal to a fresh one with its note.
+    first = crosscheck_cyclic_equivalence(interval(50, 400), 12, range(-6, 7))
+    fresh = Verdict.hold(note="all three predicates agree for every m <= 12 across 13 shifts")
+    assert first == fresh and first.to_json() == fresh.to_json()
+    assert crosscheck_cyclic_equivalence(interval(60, 500), 12, range(-6, 7)) is first
+    assert crosscheck_cyclic_equivalence(interval(60, 500), 12, range(-5, 7)) == Verdict.hold(
+        note="all three predicates agree for every m <= 12 across 12 shifts")
 
 
 def test_crosscheck_verdict_matches_a_reference_where_predicates_can_disagree():
