@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from .intsets import Verdict, Window, finite_ip, piecewise_syndetic_certificate
-from .recurrence import _shift_family_cyclic
+from .recurrence import _check_period_cap, _shift_family_cyclic
 
 __all__ = [
     "IPBlockSchedule",
@@ -192,8 +192,10 @@ def verify_shifted_recurrence(
 
     For a BuiltSequence with a custom t-schedule whose built prefix misses
     some value <= max_period, the answer is Inconclusive: the construction's
-    recurrence argument needs each such shift value to occur.
+    recurrence argument needs each such shift value to occur.  A max_period
+    past the cyclic family's cap raises ValueError before anything is read.
     """
+    _check_period_cap(max_period)
     if isinstance(seq, BuiltSequence) and not seq.schedule.uses_default_t:
         present = set(seq.schedule.t)
         missing = [v for v in range(1, max_period + 1) if v not in present]

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -67,6 +67,14 @@ _CROSSCHECK_TABLE_WORDS = 2 ** 24
 # held in a set: 4,192,256 of them took 4.3 s and 638 MB, so a larger orbit
 # is refused.
 _PRODUCT_ORBIT_CAP = 2 ** 22
+
+# r_sequence_cyclic and the cyclic shift families refuse a max_period past
+# this, as their work and r_sequence_cyclic's report grow with it, one entry
+# per period: `recurrence FILE 'cyclic:<=M'` on a 2-element window took
+# 0.31 s at M = 10^4, 0.68 s and a peak RSS of 102 MiB at 10^5 (8.8 MB of
+# JSON), 1.54 s and 240 MiB at 3·10^5, and 5.10 s and 676 MiB at 10^6 on a
+# 2-vCPU x86-64 host, 0.29 s of each being the interpreter's start.
+_CYCLIC_PERIOD_CAP = 100_000
 
 # _missing_residues recounts the periods its prefix leaves open in blocks of
 # lcm at most this: one bincount of that many counters per block.
@@ -242,7 +250,8 @@ def _missing_residues(arr: np.ndarray, max_period: int) -> list:
     the bincount within _BATCH_ELEMENTS.  A prefix that covers Z/m settles
     m; the m's it leaves uncovered are recounted on the whole array, in
     int64 or Python ints, mod the lcm of a block of them, and reduce its hit
-    classes mod m.  This is the cyclic engine's one coverage kernel:
+    classes mod m; when the prefix settles every period, nothing is
+    recounted.  This is the cyclic engine's one coverage kernel:
     r_sequence_cyclic, the cross-check and the cyclic shift families (the
     core and each shifted window) read it.
     """
@@ -285,7 +294,7 @@ def _missing_residues(arr: np.ndarray, max_period: int) -> list:
             # A row hits at most n classes: with every class below w hit, the pool is empty.
             first = counts.argmin(axis=1).tolist()  # its first zero: the least class missed, or w
             least += [r if r < p else None for p, r in zip(range(m, top), first)]
-    if head.size < arr.size:
+    if head.size < arr.size and least.count(None) < len(least):  # a period the prefix leaves open
         periods = [p for p, r in enumerate(least, start=1) if r is not None]
         for block, modulus in _lcm_runs(periods, _RECOUNT_MODULUS_CAP):
             classes = np.flatnonzero(np.bincount((arr % modulus).astype(np.int64, copy=False), minlength=modulus))
@@ -295,15 +304,23 @@ def _missing_residues(arr: np.ndarray, max_period: int) -> list:
     return least
 
 
+def _check_period_cap(max_period: int) -> None:
+    # ValueError for a max_period past _CYCLIC_PERIOD_CAP, before any per-period work.
+    if max_period > _CYCLIC_PERIOD_CAP:
+        raise ValueError(f"max_period {max_period} is past the cyclic family's {_CYCLIC_PERIOD_CAP} cap")
+
+
 def r_sequence_cyclic(a: Window, max_period: int) -> RSequenceReport:
     """Exact orbit-density test against every cycle of period m <= max_period.
 
     On Z/m, "the orbit of some point along a is dense" is exactly "a covers
     every residue class mod m".  Holds iff all m pass; the failure witness is
-    (m, smallest missing residue) for the smallest failing m.
+    (m, smallest missing residue) for the smallest failing m.  max_period < 1
+    or past _CYCLIC_PERIOD_CAP raises ValueError.
     """
     if max_period < 1:
         raise ValueError("max_period must be >= 1")
+    _check_period_cap(max_period)
     per_system = {}
     verdict = None
     for m, missing in enumerate(_missing_residues(a.array, max_period), start=1):
@@ -481,8 +498,10 @@ def _shift_family_cyclic(a: Window, shifts: Iterable[int], max_period: int) -> V
     window's own dtype, so e + n may pass 2^63) gets one ``_missing_residues``
     call, in ascending order of shift, up to the first that misses a class:
     the least failing shift, at its least failing period and that period's
-    least missing class.
+    least missing class.  A max_period past _CYCLIC_PERIOD_CAP raises
+    ValueError first, with or without shifts.
     """
+    _check_period_cap(max_period)
     shifts = sorted(shifts)
     if shifts and max_period < 1:
         raise ValueError("max_period must be >= 1")
@@ -522,14 +541,13 @@ def _comparison_reach(horizon: int, max_period: int, shifts: Sequence[int]) -> i
     return ext
 
 
-@lru_cache(maxsize=1)
 def _comparison_table(ext: int, max_period: int) -> tuple:
     # The cross-check's windows on [0, ext] for every m <= max_period, as
     # (position table, windows in column order, per m the bit of its return
-    # window's column and the bits of its difference windows' columns).  Only
-    # the latest table is kept: a sweep shares one, and older ones hold MiBs.
-    # A window holds its array, and its mask once a bitmask settle reads it,
-    # never an elements tuple.
+    # window's column and the bits of its difference windows' columns).  Built
+    # once per plan (``_comparison_plan``), which alone keeps it.  A window
+    # holds its array, and its mask once a bitmask settle reads it, never an
+    # elements tuple.
     windows, columns = [], []
     for m in range(1, max_period + 1):
         j = len(windows)
@@ -546,47 +564,75 @@ def _comparison_table(ext: int, max_period: int) -> tuple:
     return _position_table(windows), windows, columns
 
 
-def _shifted_hits(a: Window, shifts: Sequence[int], table: np.ndarray, windows: list) -> int:
-    """The columns j, as bits, for which a + n meets windows[j] for every shift n.
+class _Plan(NamedTuple):
+    """What every cross-check call at one (horizon, max_period, shifts) reads."""
+
+    table: np.ndarray  # the position table of the windows (``_position_table``)
+    windows: list  # the comparison windows, in column order
+    columns: list  # per m, the bit of its return window's column and the bits of its difference windows'
+    rows: np.ndarray  # per shift n, ascending, its row offset n + 1, shaped (shifts, 1) for the gather
+    every: int  # the bits of every column
+    count: int  # the number of shifts, repeats included
+
+
+def _plan(horizon: int, shifts: Sequence[int], table: np.ndarray, windows: list, columns: list = ()) -> _Plan:
+    # The plan of ascending shifts against windows[j] through table, for
+    # windows of this horizon.  A shift below -horizon - 1 or past the table
+    # meets nothing, as that bound does, so when one is there, shifts are
+    # clamped to those bounds and taken once each: the row offsets stay
+    # within the table's reach, whatever the shifts.
+    top = len(table) - 2  # past the largest position
+    offsets = shifts
+    if shifts and (shifts[0] < -horizon - 1 or shifts[-1] > top):
+        offsets = sorted({min(max(n, -horizon - 1), top) for n in shifts})
+    rows = np.array([n + 1 for n in offsets], dtype=np.int64)[:, None]  # the row of x + n is x + n + 1
+    return _Plan(table, windows, columns, rows, (1 << len(windows)) - 1, len(shifts))
+
+
+@lru_cache(maxsize=1)
+def _comparison_plan(horizon: int, max_period: int, shifts: Sequence[int]) -> _Plan:
+    # The cross-check's plan at one setting; shifts a range or a tuple, in
+    # any order.  Only the latest plan is kept: a sweep shares one, and an
+    # older one's table holds MiBs.  An empty shift list and a reach past
+    # either cap raise ValueError before any window is built.
+    shifts = sorted(shifts)
+    if not shifts:
+        raise ValueError("shift range must be nonempty")
+    return _plan(horizon, shifts, *_comparison_table(_comparison_reach(horizon, max_period, shifts), max_period))
+
+
+def _shifted_hits(a: Window, plan: _Plan) -> int:
+    """The columns j, as bits, for which a + n meets plan.windows[j] for every shift n.
 
     Stage 1 reads a prefix of a, its first _SLICE_PER_WINDOW elements per
     window (140 for the 35 windows of M = 12): the pair (n, j) is met when
     bit j of the row of x + n is set for some x in it, a position off the
-    table reading an all-zero row.  The gather is one take when the shifts
-    fit one block of _BATCH_ELEMENTS words, and takes them in blocks
-    otherwise.  A prefix that hits every column, or that is the whole
-    window, decides every pair: the hits are returned at once, and no
-    window is walked.  Otherwise stage 2 settles each window's open pairs
-    on whole-window bitmasks and stops at the window's first miss: every
-    window of a cross-check lies within _CROSSCHECK_HORIZON_CAP, where each
-    has its bitmask.  shifts come ascending, as the cross-check sorts them
-    (a repeated shift reads the same row twice), and are read as given.  A
-    shift below -horizon - 1 or past the table meets nothing, as that bound
-    does, so when one is there, shifts are clamped to those bounds and
-    taken once each.
+    table reading an all-zero row.  The gather is one take of the plan's
+    row offsets when the shifts fit one block of _BATCH_ELEMENTS words, and
+    takes them in blocks otherwise.  A prefix that hits every column, or
+    that is the whole window, decides every pair: the hits are returned at
+    once, and no window is walked.  Otherwise stage 2 settles each window's
+    open pairs on whole-window bitmasks and stops at the window's first
+    miss: every window of a cross-check lies within _CROSSCHECK_HORIZON_CAP,
+    where each has its bitmask.  A repeated shift reads the same row twice.
     """
-    top = len(table) - 2  # past the largest position
-    if shifts and (shifts[0] < -a.horizon - 1 or shifts[-1] > top):
-        shifts = sorted({min(max(n, -a.horizon - 1), top) for n in shifts})
-    # The row offset n + 1 of each shift n: the row of x + n is x + n + 1.
-    rows = np.array([n + 1 for n in shifts], dtype=np.int64)
+    table, windows, rows = plan.table, plan.windows, plan.rows
     x = a.array[: _SLICE_PER_WINDOW * len(windows)]
     block = max(1, _BATCH_ELEMENTS // max(1, x.size * table.shape[1]))
     # mode="clip" sends a row index off the table to the zero row at that end;
     # with no shift, the one gather gives met no row, and every column is hit.
-    if rows.size <= block:
-        met = np.bitwise_or.reduce(table.take(rows[:, None] + x, axis=0, mode="clip"), axis=1)
+    if len(rows) <= block:
+        met = np.bitwise_or.reduce(table.take(rows + x, axis=0, mode="clip"), axis=1)
     else:
-        met = np.concatenate([np.bitwise_or.reduce(table.take(rows[i : i + block, None] + x, axis=0, mode="clip"), axis=1)
-                              for i in range(0, rows.size, block)])
-    every = (1 << len(windows)) - 1
-    hits = every & int.from_bytes(np.bitwise_and.reduce(met, axis=0).tobytes(), "little")
-    if hits == every or x.size == len(a):  # every column hit, or the prefix is the whole window
+        met = np.concatenate([np.bitwise_or.reduce(table.take(rows[i : i + block] + x, axis=0, mode="clip"), axis=1)
+                              for i in range(0, len(rows), block)])
+    hits = plan.every & int.from_bytes(np.bitwise_and.reduce(met, axis=0).tobytes(), "little")
+    if hits == plan.every or x.size == len(a):  # every column hit, or the prefix is the whole window
         return hits
     for j, d in enumerate(windows):
         if hits >> j & 1:
             continue
-        open_ = [r - 1 for r, bits in zip(rows.tolist(), met[:, j // 64].tolist()) if not bits >> j % 64 & 1]
+        open_ = [r - 1 for r, bits in zip(rows[:, 0].tolist(), met[:, j // 64].tolist()) if not bits >> j % 64 & 1]
         mask_a, mask_d = a.bitmask, d.bitmask
         hit = all((mask_a << n if n >= 0 else mask_a >> -n) & mask_d for n in open_)
         hits |= hit << j
@@ -609,23 +655,29 @@ def crosscheck_cyclic_equivalence(a: Window, max_period: int, shifts: Iterable[i
           difference set is built and met per class.
 
     (2) and (3) read their windows through one position table, each window
-    its own column (``_shifted_hits``); the table and its windows are built
-    once per (ext, max_period), and only the latest is kept
-    (``_comparison_table``).  A table past _CROSSCHECK_TABLE_WORDS words,
-    counted from (ext, max_period) as (ext + 3) rows of one bit for each of
-    at most 3·max_period - 1 windows, is refused with ValueError before any
-    window is built, as is an ext past _CROSSCHECK_HORIZON_CAP
-    (``_comparison_reach``, which a CLI sweep also calls before it draws its
-    windows).  When every column is hit and every m is covered, all
-    three hold for every m and the verdict is given at once, one frozen
-    value per (max_period, number of shifts) (``_agreement``); otherwise
-    each m is compared in turn.  Any disagreement is an
-    implementation bug, reported as Fails with the offending (m, coverage,
-    return-hit, difference-hit) tuple.  Exact agreement is guaranteed when
-    the shift range spans at least max_period consecutive integers and every
-    inhabited residue class has an element >= max_period + |most negative
-    shift|; windows hugging 0 can disagree honestly at the bottom edge.
-    max_period < 1 raises ValueError.
+    its own column (``_shifted_hits``).  Once per (horizon, max_period,
+    shifts) a plan is built (``_comparison_plan``): the sorted shifts, the
+    reach ext of the windows and its caps, the windows on [0, ext] with
+    their table and columns, the shifts' row offsets into it, clamped to
+    its reach, and the bits of every column.  Only the latest plan is kept;
+    a range of shifts keys it by value, and any other iterable is read once
+    into a tuple.  Per window, only the prefix gather of (2) and (3), the
+    residue coverage of (1) (``_missing_residues``) and, when they leave a
+    pair open, the bitmask settle run.  A table past
+    _CROSSCHECK_TABLE_WORDS words, counted from (ext, max_period) as
+    (ext + 3) rows of one bit for each of at most 3·max_period - 1 windows,
+    is refused with ValueError before any window is built, as is an ext
+    past _CROSSCHECK_HORIZON_CAP (``_comparison_reach``, which a CLI sweep
+    also calls before it draws its windows).  When every column is hit and
+    every m is covered, all three hold for every m and the verdict is given
+    at once, one frozen value per (max_period, number of shifts, repeats
+    included) (``_agreement``); otherwise each m is compared in turn.  Any
+    disagreement is an implementation bug, reported as Fails with the
+    offending (m, coverage, return-hit, difference-hit) tuple.  Exact
+    agreement is guaranteed when the shift range spans at least max_period
+    consecutive integers and every inhabited residue class has an element
+    >= max_period + |most negative shift|; windows hugging 0 can disagree
+    honestly at the bottom edge.  max_period < 1 raises ValueError.
     """
     if max_period < 1:
         raise ValueError("max_period must be >= 1")
@@ -634,15 +686,11 @@ def crosscheck_cyclic_equivalence(a: Window, max_period: int, shifts: Iterable[i
             f"cross-check materializes comparison windows up to the horizon; "
             f"{a.horizon} exceeds the {_CROSSCHECK_HORIZON_CAP} cap"
         )
-    shifts = sorted(shifts)
-    if not shifts:
-        raise ValueError("shift range must be nonempty")
-    ext = _comparison_reach(a.horizon, max_period, shifts)
-    table, windows, columns = _comparison_table(ext, max_period)
-    hits = _shifted_hits(a, shifts, table, windows)
+    plan = _comparison_plan(a.horizon, max_period, shifts if isinstance(shifts, range) else tuple(shifts))
+    hits = _shifted_hits(a, plan)
     missing = _missing_residues(a.array, max_period)
-    if hits != (1 << len(windows)) - 1 or missing.count(None) != max_period:  # not all three hold everywhere
-        for m, (nuu, diffs) in enumerate(columns, start=1):
+    if hits != plan.every or missing.count(None) != max_period:  # not all three hold everywhere
+        for m, (nuu, diffs) in enumerate(plan.columns, start=1):
             covered = missing[m - 1] is None
             return_hit, diff_hit = hits & nuu == nuu, hits & diffs == diffs
             if not (covered == return_hit == diff_hit):
@@ -653,7 +701,7 @@ def crosscheck_cyclic_equivalence(a: Window, max_period: int, shifts: Iterable[i
                         f"return-time hitting={return_hit}, difference-set hitting={diff_hit}"
                     ),
                 )
-    return _agreement(max_period, len(shifts))
+    return _agreement(max_period, plan.count)
 
 
 @lru_cache

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from dynwindow import intsets
-from dynwindow.recurrence import _comparison_table
+from dynwindow.recurrence import _comparison_plan
 
 _PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 if str(_PERFBENCH) not in sys.path:
@@ -46,10 +46,10 @@ def test_crosscheck_sweep_windows_are_decided_within_the_prefix(seed, tmp_path, 
         raise AssertionError("a crosscheck-sweep window reached the bitmask settle")
 
     ops = workloads.build_crosscheck_sweep(seed, tmp_path)
-    _comparison_table.cache_clear()
+    _comparison_plan.cache_clear()
     monkeypatch.setattr(intsets.Window, "bitmask", property(read))
     try:
         for op in ops:
             assert op.check(op.call(0)) is None, op.name
     finally:
-        _comparison_table.cache_clear()
+        _comparison_plan.cache_clear()

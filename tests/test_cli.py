@@ -757,6 +757,54 @@ def test_crosscheck_sweep_past_a_comparison_cap_draws_nothing(monkeypatch, capsy
     assert captured.err.endswith(f"{message}\n") and captured.out == ""
 
 
+def _cyclic_bound_argv(path, schedule, kind, bound):
+    # One argv per path that reads a cyclic bound M: r_sequence_cyclic, the
+    # cyclic shift family, and verify_shifted_recurrence with the default
+    # t-schedule and with a custom one, whose scan over 1..M runs first.
+    return {
+        "recurrence": ["recurrence", path, f"cyclic:<={bound}"],
+        "shifted": ["recurrence", path, f"cyclic:<={bound}", "--shifts=-1..1"],
+        "construct": ["construct", "example", "--blocks", "3", "--max-period", str(bound)],
+        "schedule": ["construct", "example", "--schedule", schedule, "--max-period", str(bound)],
+    }[kind]
+
+
+@pytest.fixture
+def schedule_file(tmp_path):
+    path = tmp_path / "sched.json"
+    path.write_text(json.dumps({"t": [1, 2, 1], "k": [2, 3, 4], "base": 23}))
+    return str(path)
+
+
+_CYCLIC_BOUND_PATHS = ["recurrence", "shifted", "construct", "schedule"]
+
+
+@pytest.mark.parametrize("bound", [100_001, 10 ** 7, 10 ** 18])
+@pytest.mark.parametrize("kind", _CYCLIC_BOUND_PATHS)
+def test_a_cyclic_bound_past_its_cap_is_refused_before_any_period(squares_file, schedule_file, monkeypatch, capsys, kind, bound):
+    # Past the cap no period is read: neither the coverage kernel nor a
+    # custom schedule's scan over 1..M (it reads the schedule's t first) is reached.
+    import dynwindow.constructions as constructions
+    import dynwindow.recurrence as recurrence
+
+    _fail_if_reached(monkeypatch, recurrence, "_missing_residues")
+    monkeypatch.setattr(constructions.IPBlockSchedule, "uses_default_t", property(lambda self: pytest.fail("t read")))
+    assert main(_cyclic_bound_argv(squares_file, schedule_file, kind, bound)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: max_period {bound} is past the cyclic family's 100000 cap\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("kind", _CYCLIC_BOUND_PATHS)
+def test_a_cyclic_bound_at_its_cap_runs(squares_file, schedule_file, monkeypatch, capsys, kind):
+    # The cap patched to 50: M = 50 runs to a verdict, and 51 is refused.
+    import dynwindow.recurrence as recurrence
+
+    monkeypatch.setattr(recurrence, "_CYCLIC_PERIOD_CAP", 50)
+    assert main(_cyclic_bound_argv(squares_file, schedule_file, kind, 50)) == 0
+    assert main(_cyclic_bound_argv(squares_file, schedule_file, kind, 51)) == 1
+    assert capsys.readouterr().err == "error: max_period 51 is past the cyclic family's 50 cap\n"
+
+
 @pytest.mark.parametrize("spec", ["cyclic:5", "prod(cyclic:2,cyclic:3)", "prod(rot:golden,rot:golden)"])
 def test_recurrence_non_metric_spec_is_operational_error(squares_file, capsys, spec):
     assert main(["recurrence", squares_file, spec]) == 1

@@ -33,7 +33,7 @@ from dynwindow import (
     write_sequence_file,
 )
 from dynwindow.intsets import _BITMASK_HORIZON_CAP, _fft_size
-from dynwindow.recurrence import _comparison_table, crosscheck_cyclic_equivalence
+from dynwindow.recurrence import _comparison_plan, crosscheck_cyclic_equivalence
 
 
 # -- Window type ---------------------------------------------------------------
@@ -353,15 +353,15 @@ def test_window_bitmask_sets_one_bit_per_element(elems, slack):
     # cross-check's cached windows, beside their position table, hold no more.
     trusted = Window._trusted(w.array, w.horizon)
     assert trusted.bitmask == w.bitmask and set(trusted.__dict__) == {"array", "horizon", "bitmask"}
-    _comparison_table.cache_clear()
+    _comparison_plan.cache_clear()
     try:
         crosscheck_cyclic_equivalence(w, 3, range(-2, 3))
-        hits = _comparison_table.cache_info().hits
-        windows = _comparison_table(w.horizon + 2 + 3, 3)[1]
-        assert _comparison_table.cache_info().hits == hits + 1 and windows
+        hits = _comparison_plan.cache_info().hits
+        windows = _comparison_plan(w.horizon, 3, range(-2, 3)).windows
+        assert _comparison_plan.cache_info().hits == hits + 1 and windows
         assert all(set(c.__dict__) <= {"array", "horizon", "bitmask"} for c in windows)
     finally:
-        _comparison_table.cache_clear()
+        _comparison_plan.cache_clear()
 
 
 # -- is_syndetic ---------------------------------------------------------------

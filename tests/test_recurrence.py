@@ -53,8 +53,10 @@ from dynwindow.systems import parse_system_spec
 from dynwindow.intsets import _BITMASK_HORIZON_CAP
 from dynwindow.recurrence import (
     ReturnTimesResult,
+    _comparison_plan,
     _comparison_table,
     _missing_residues,
+    _plan,
     _position_table,
     _shift_family_cyclic,
     _shifted_hits,
@@ -376,6 +378,19 @@ def test_missing_residues_answer_every_table_period_of_a_covering_prefix_at_once
     w = Window(tuple(prefix) + tuple(range(last + 1, last + 1 + tail)), last + tail + 1)
     want = [_scan_missing_residue(w, m) for m in range(1, max_period + 1)]
     assert _missing_residues(w.array, max_period) == want
+
+
+@pytest.mark.parametrize("max_period", [1, 12, 20])
+def test_missing_residues_recount_nothing_when_the_prefix_settles_every_period(monkeypatch, max_period):
+    # A covering window longer than its 16·M-element prefix: the prefix covers
+    # every period (past the table too at M = 20), so no recount starts.
+    def reached(*args):
+        raise AssertionError("a recount was started")
+
+    arr = np.arange(50, 10_000)
+    assert arr.size > 16 * max_period
+    monkeypatch.setattr(recurrence, "_lcm_runs", reached)
+    assert _missing_residues(arr, max_period) == [None] * max_period
 
 
 def _column_loop_missing_residues(arr: np.ndarray, max_period: int) -> list:
@@ -799,6 +814,16 @@ def test_cyclic_shift_family_edges():
     assert v == _cyclic_shift_family(interval(0, 10), [3, 11, -11, 0], 4)
 
 
+@pytest.mark.parametrize("shifts", [[], [0], range(-3, 4)])
+def test_cyclic_shift_family_refuses_a_bound_past_the_cap_first(monkeypatch, shifts):
+    # With or without shifts, a max_period past the cap reads no period; the cap itself runs.
+    monkeypatch.setattr(recurrence, "_CYCLIC_PERIOD_CAP", 30)
+    assert _shift_family_cyclic(interval(0, 100), shifts, 30).holds
+    monkeypatch.setattr(recurrence, "_missing_residues", lambda arr, max_period: pytest.fail("a period was read"))
+    with pytest.raises(ValueError, match="max_period 31 is past the cyclic family's 30 cap"):
+        _shift_family_cyclic(interval(0, 100), shifts, 31)
+
+
 @pytest.mark.parametrize(
     "elements, shifts, max_period, fails",
     [
@@ -852,35 +877,51 @@ def test_crosscheck_internal_windows_coincide():
     # The return-time path and the difference-set path must build the same set.
     # Horizons 500..511 take every residue mod m for each m, so every
     # progression, of either length, is read through its class window.
-    _comparison_table.cache_clear()
-    try:
-        for horizon in range(500, 512):
-            _, windows, columns = _comparison_table(horizon, 12)
-            for m in (1, 2, 5, 12):
-                nuu, diffs = columns[m - 1]
-                assert [windows[j].elements for j in _bits(nuu)] == [tuple(range(m, horizon + 1, m))]
-                classes = [windows[j] for j in _bits(diffs)]
-                assert len(classes) == len({(horizon - r) // m + 1 for r in range(m)})
-                for r in range(m):
-                    d = difference_set(Window(tuple(range(r, horizon + 1, m)), horizon))
-                    assert d.elements == tuple(range(m, horizon + 1 - r, m))
-                    assert d in classes
-    finally:
-        _comparison_table.cache_clear()
+    for horizon in range(500, 512):
+        _, windows, columns = _comparison_table(horizon, 12)
+        for m in (1, 2, 5, 12):
+            nuu, diffs = columns[m - 1]
+            assert [windows[j].elements for j in _bits(nuu)] == [tuple(range(m, horizon + 1, m))]
+            classes = [windows[j] for j in _bits(diffs)]
+            assert len(classes) == len({(horizon - r) // m + 1 for r in range(m)})
+            for r in range(m):
+                d = difference_set(Window(tuple(range(r, horizon + 1, m)), horizon))
+                assert d.elements == tuple(range(m, horizon + 1 - r, m))
+                assert d in classes
 
 
-def test_crosscheck_keeps_windows_of_the_latest_horizon_only():
-    _comparison_table.cache_clear()
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ((500, 3, range(-1, 2)), (501, 3, range(-1, 2))),
+        ((500, 3, range(-1, 2)), (500, 3, range(-2, 2))),  # the same ext, 504, from other shifts
+        ((500, 3, range(-1, 2)), (501, 3, range(-2, 1))),  # the same ext from another horizon
+        ((500, 3, range(-1, 2)), (500, 4, range(-1, 2))),
+        ((500, 3, (1, -1, 0)), (500, 3, [1, 0, -1, 0])),
+    ],
+)
+def test_crosscheck_keeps_the_plan_of_the_latest_setting_only(first, second):
+    # A second window at one (horizon, max_period, shifts) reads the same
+    # plan; a cross-check at a second setting replaces it, so the first
+    # setting's position table and windows are no longer referenced.
+    _comparison_plan.cache_clear()
     try:
-        w = _comparison_table(500, 3)[1][0]
-        assert _comparison_table(500, 3)[1][0] is w
-        ref = weakref.ref(w)
-        del w
-        _comparison_table(501, 3)
+        horizon, max_period, shifts = first
+        key = shifts if isinstance(shifts, range) else tuple(shifts)
+        assert crosscheck_cyclic_equivalence(interval(50, horizon), max_period, shifts).holds
+        plan = _comparison_plan(horizon, max_period, key)
+        assert crosscheck_cyclic_equivalence(interval(60, horizon), max_period, shifts).holds
+        assert _comparison_plan(horizon, max_period, key) is plan
+        assert _comparison_plan.cache_info().hits == 3  # the lookups and the second window's
+        refs = [weakref.ref(plan.table), weakref.ref(plan.windows[0])]
+        del plan
+        horizon, max_period, shifts = second
+        assert crosscheck_cyclic_equivalence(interval(50, horizon), max_period, shifts).holds
         gc.collect()
-        assert ref() is None
+        assert [ref() for ref in refs] == [None, None]
+        assert _comparison_plan.cache_info().currsize == 1
     finally:
-        _comparison_table.cache_clear()
+        _comparison_plan.cache_clear()
 
 
 @pytest.mark.parametrize("base", [0, 2 ** 63])
@@ -908,7 +949,7 @@ def test_engine_entry_points_build_no_elements_tuple(base):
             lambda w: birkhoff_window_test(w, rot, 0.001, 0.5),
             lambda w: crosscheck_cyclic_equivalence(w, 12, range(-6, 7)),
         ]
-    _comparison_table.cache_clear()
+    _comparison_plan.cache_clear()
     try:
         for call in calls:
             w = Window([base + e for e in range(50, 2000, 3)] + [base + 2001], base + 2100)
@@ -916,12 +957,12 @@ def test_engine_entry_points_build_no_elements_tuple(base):
             assert "elements" not in w.__dict__
             assert not isinstance(out, Window) or "elements" not in out.__dict__
         if base == 0:
-            hits = _comparison_table.cache_info().hits
-            windows = _comparison_table(2100 + 6 + 12, 12)[1]
-            assert _comparison_table.cache_info().hits == hits + 1 and windows
+            hits = _comparison_plan.cache_info().hits
+            windows = _comparison_plan(2100, 12, range(-6, 7)).windows
+            assert _comparison_plan.cache_info().hits == hits + 1 and windows
             assert all("elements" not in c.__dict__ for c in windows)
     finally:
-        _comparison_table.cache_clear()
+        _comparison_plan.cache_clear()
 
 
 def test_crosscheck_odds_agree_on_failure():
@@ -964,11 +1005,11 @@ def test_crosscheck_sees_a_corrupted_step(monkeypatch):
     w = interval(20, 400)
     assert crosscheck_cyclic_equivalence(w, 6, range(-6, 7)).holds
     monkeypatch.setattr(CyclicSystem, "step", corrupted)
-    _comparison_table.cache_clear()
+    _comparison_plan.cache_clear()
     try:
         v = crosscheck_cyclic_equivalence(w, 6, range(-6, 7))
     finally:
-        _comparison_table.cache_clear()
+        _comparison_plan.cache_clear()
     assert v.fails and v.witness == (5, True, False, True)
 
 
@@ -983,11 +1024,11 @@ def test_crosscheck_sees_a_corrupted_difference_set(monkeypatch):
     w = interval(20, 400)
     assert crosscheck_cyclic_equivalence(w, 6, range(-6, 7)).holds
     monkeypatch.setattr(recurrence, "difference_set", corrupted)
-    _comparison_table.cache_clear()
+    _comparison_plan.cache_clear()
     try:
         v = crosscheck_cyclic_equivalence(w, 6, range(-6, 7))
     finally:
-        _comparison_table.cache_clear()
+        _comparison_plan.cache_clear()
     assert v.fails and v.witness == (5, True, True, False)
 
 
@@ -1003,13 +1044,13 @@ def test_crosscheck_builds_one_difference_set_per_translation_class(monkeypatch)
         return difference_set(w)
 
     monkeypatch.setattr(recurrence, "difference_set", counted)
-    _comparison_table.cache_clear()
+    _comparison_plan.cache_clear()
     try:
         v = crosscheck_cyclic_equivalence(interval(20, 2000), 12, range(-6, 7))
         ext = 2000 + 6 + 12
-        table, windows, columns = _comparison_table(ext, 12)
+        table, windows, columns = _comparison_plan(2000, 12, range(-6, 7))[:3]
     finally:
-        _comparison_table.cache_clear()
+        _comparison_plan.cache_clear()
     assert v.holds
     assert len(calls) == len({(m, (ext - r) // m + 1) for m in range(1, 13) for r in range(m)}) <= 23
     assert len(windows) == len(columns) + len(calls) == 12 + len(calls)
@@ -1068,7 +1109,7 @@ def test_shifted_hits_hold_iff_every_shifted_hit_holds(a_elems, count, seed, shi
     windows = _kernel_windows(seed, count)
     table = _position_table(windows)
     assert all(np.array_equal(_column(table, j), w.array + 1) for j, w in enumerate(windows))
-    hits = _shifted_hits(a, sorted(shifts), table, windows)
+    hits = _shifted_hits(a, _plan(a.horizon, sorted(shifts), table, windows))
     assert hits >> len(windows) == 0
     for j, d in enumerate(windows):
         assert bool(hits >> j & 1) == all(shifted_hit(a, d, -n).holds for n in shifts), j
@@ -1080,17 +1121,18 @@ def test_shifted_hits_gather_the_shifts_in_blocks(batch):
     # in blocks (one shift a block at 1, four at 600 for the 4·34-element
     # prefix), and their met pairs join in shift order.
     a = Window(tuple(n for n in range(50, 2_001) if n % 7 != 3), 2_000)
-    _comparison_table.cache_clear()
+    _comparison_plan.cache_clear()
     try:
-        table, windows, _ = _comparison_table(2_000 + 6 + 12, 12)
+        plan = _comparison_plan(2_000, 12, range(-6, 7))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(recurrence, "_BATCH_ELEMENTS", batch)
-            hits = _shifted_hits(a, range(-6, 7), table, windows)
+            hits = _shifted_hits(a, plan)
+        windows = plan.windows
         for j, d in enumerate(windows):
             assert bool(hits >> j & 1) == all(shifted_hit(a, d, -n).holds for n in range(-6, 7)), j
         assert hits != (1 << len(windows)) - 1
     finally:
-        _comparison_table.cache_clear()
+        _comparison_plan.cache_clear()
 
 
 @pytest.mark.parametrize("missed", [0, 3])
@@ -1098,36 +1140,38 @@ def test_shifted_hits_settle_a_window_longer_than_the_prefix_cap(missed):
     # Past the prefix the pairs left open (the shifts n = -missed mod 7, at
     # m = 7) go to the bitmask settle, which must answer as shifted_hit does.
     a = Window(tuple(n for n in range(50, 10_001) if n % 7 != missed), 10_000)
-    _comparison_table.cache_clear()
+    _comparison_plan.cache_clear()
     try:
-        table, windows, _ = _comparison_table(10_000 + 6 + 12, 12)
+        plan = _comparison_plan(10_000, 12, range(-6, 7))
+        windows = plan.windows
         assert len(a) > recurrence._SLICE_PER_WINDOW * len(windows)
-        hits = _shifted_hits(a, range(-6, 7), table, windows)
+        hits = _shifted_hits(a, plan)
         for j, d in enumerate(windows):
             assert bool(hits >> j & 1) == all(shifted_hit(a, d, -n).holds for n in range(-6, 7)), j
         assert hits != (1 << len(windows)) - 1
         assert crosscheck_cyclic_equivalence(a, 12, range(-6, 7)).holds
     finally:
-        _comparison_table.cache_clear()
+        _comparison_plan.cache_clear()
 
 
 def test_shifted_hits_settle_a_window_one_element_past_the_prefix():
     # The prefix holds only elements = 1 mod 7, so no pair at m = 7 is met in
     # it; the one element left unread, a multiple of 7, meets every m = 7
     # window, which the settle must see.
-    _comparison_table.cache_clear()
+    _comparison_plan.cache_clear()
     try:
-        table, windows, columns = _comparison_table(2_000 + 0 + 7, 7)
+        plan = _comparison_plan(2_000, 7, (0,))
+        windows, columns = plan.windows, plan.columns
         prefix = recurrence._SLICE_PER_WINDOW * len(windows)
         a = Window(tuple(range(1, 7 * prefix, 7)) + (7 * prefix,), 2_000)
         assert len(a) == prefix + 1
-        hits = _shifted_hits(a, [0], table, windows)
+        hits = _shifted_hits(a, plan)
         for j, d in enumerate(windows):
             assert bool(hits >> j & 1) == shifted_hit(a, d, 0).holds, j
         nuu, diffs = columns[6]
         assert hits & (nuu | diffs) == nuu | diffs
     finally:
-        _comparison_table.cache_clear()
+        _comparison_plan.cache_clear()
 
 
 
@@ -1145,14 +1189,11 @@ def test_shifted_hits_answer_a_prefix_that_hits_every_column_at_once(monkeypatch
         raise AssertionError("a bitmask was read")
 
     a = Window(tuple(range(50, 10_001)), 10_000)
-    _comparison_table.cache_clear()
-    try:
-        table, windows, _ = _comparison_table(10_000 + 6 + 12, 12)
-        assert len(a) > recurrence._SLICE_PER_WINDOW * len(windows)
-        monkeypatch.setattr(Window, "bitmask", property(read))
-        assert _shifted_hits(a, list(range(-6, 7)), table, _UnwalkedList(windows)) == (1 << len(windows)) - 1
-    finally:
-        _comparison_table.cache_clear()
+    table, windows, _ = _comparison_table(10_000 + 6 + 12, 12)
+    assert len(a) > recurrence._SLICE_PER_WINDOW * len(windows)
+    monkeypatch.setattr(Window, "bitmask", property(read))
+    plan = _plan(a.horizon, list(range(-6, 7)), table, _UnwalkedList(windows))
+    assert _shifted_hits(a, plan) == (1 << len(windows)) - 1
 
 
 
@@ -1161,21 +1202,21 @@ def test_shifted_hits_settle_the_one_column_a_prefix_leaves_open():
     # only the ninth element meets; one open column is still settled.
     a = Window((*range(8), 100), 200)
     windows = [Window((3,), 200), Window((100,), 200)]
-    assert _shifted_hits(a, [0], _position_table(windows), windows) == 0b11
+    assert _shifted_hits(a, _plan(a.horizon, [0], _position_table(windows), windows)) == 0b11
 
 
 def test_crosscheck_shifts_far_below_the_window_allocate_nothing_for_them():
     # A shift below -horizon meets nothing and is read as -horizon - 1: the
     # table is never padded by the shift range.
     w = interval(50, 10_000)
-    _comparison_table.cache_clear()
+    _comparison_plan.cache_clear()
     tracemalloc.start()
     try:
         v = crosscheck_cyclic_equivalence(w, 12, range(-10 ** 9, -10 ** 9 + 3))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        _comparison_table.cache_clear()
+        _comparison_plan.cache_clear()
     assert peak < 2 * 2 ** 20
     note = "m=1: residue coverage=True, return-time hitting=False, difference-set hitting=False"
     assert v == Verdict.fail((1, True, False, False), note=note)
@@ -1209,12 +1250,12 @@ def test_crosscheck_cap_bounds_the_comparison_windows(monkeypatch, shift, refuse
     # 980 + 13 + 7 = 1000 is the cap and passes, one more is refused, and
     # shifts below 0 add nothing.
     monkeypatch.setattr(recurrence, "_CROSSCHECK_HORIZON_CAP", 1000)
-    _comparison_table.cache_clear()
+    _comparison_plan.cache_clear()
     w = Window(tuple(range(100, 981, 3)), 980)
     if refused:
         with pytest.raises(ValueError, match=r"= 980 \+ 14 \+ 7 = 1001, past the 1000 cap"):
             crosscheck_cyclic_equivalence(w, 7, [-2, shift])
-        assert _comparison_table.cache_info().currsize == 0  # refused before any window is built
+        assert _comparison_plan.cache_info().currsize == 0  # refused before any window is built
     else:
         crosscheck_cyclic_equivalence(w, 7, [-2, shift])
 
@@ -1248,7 +1289,7 @@ def test_crosscheck_refuses_a_table_past_the_word_cap_before_building_a_window(m
     # largest, 1011 rows of 2 words.
     w = Window(tuple(range(100, 981, 3)), 983)
     monkeypatch.setattr(recurrence, "_CROSSCHECK_TABLE_WORDS", cap)
-    _comparison_table.cache_clear()
+    _comparison_plan.cache_clear()
     try:
         if refused:
             _refuse_windows(monkeypatch)
@@ -1256,10 +1297,10 @@ def test_crosscheck_refuses_a_table_past_the_word_cap_before_building_a_window(m
                 crosscheck_cyclic_equivalence(w, 22, range(-3, 4))
         else:  # the cap itself runs
             assert crosscheck_cyclic_equivalence(w, 22, range(-3, 4)).holds
-            table, windows, _ = _comparison_table(1008, 22)
+            table, windows = _comparison_plan(983, 22, range(-3, 4))[:2]
             assert len(windows) == 65 and table.shape == (1011, 2)
     finally:
-        _comparison_table.cache_clear()
+        _comparison_plan.cache_clear()
 
 
 def test_crosscheck_refuses_a_34_gigabyte_table_at_the_real_cap(monkeypatch):
@@ -1322,23 +1363,44 @@ def test_crosscheck_verdict_matches_a_reference_where_predicates_can_disagree():
     # Windows from 0 up and shift ranges of 1 to 2M + 1 integers, some shorter
     # than M, so the predicates can disagree honestly at the bottom edge: the
     # whole verdict, witness and note included, must match the reference, and
-    # both agreeing and disagreeing windows must be drawn.
-    kinds = set()
+    # both agreeing and disagreeing windows must be drawn.  The horizon, M up
+    # to 30 (a two-word table from 22 on) and the kind of the shift iterable
+    # are drawn: a range, an unsorted list with repeats, a tuple, a generator,
+    # or a list with shifts below -horizon - 1 (a shift past the table cannot
+    # be drawn here, as ext grows with the largest shift).  Two windows are
+    # checked per setting, so the second reads the first one's plan, and the
+    # next example's setting replaces it.
+    kinds, widths = set(), set()
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def check(data):
-        max_period = data.draw(st.integers(1, 15))
+        horizon = data.draw(st.integers(1, 600))
+        max_period = data.draw(st.integers(1, 30))
         count = data.draw(st.integers(1, 2 * max_period + 1))
         first = data.draw(st.integers(-max_period - 6, max_period + 6))
-        elems = data.draw(st.lists(st.integers(0, 400), max_size=60, unique=True))
-        w, shifts = Window(tuple(sorted(elems)), 400), list(range(first, first + count))
-        v = crosscheck_cyclic_equivalence(w, max_period, shifts)
-        assert v == _reference_crosscheck(w, max_period, shifts)
-        kinds.add(v.status)
+        shifts = list(range(first, first + count))
+        kind = data.draw(st.sampled_from(["range", "list", "tuple", "generator", "far"]))
+        if kind in ("list", "far"):
+            shifts = data.draw(st.permutations(shifts + data.draw(st.lists(st.sampled_from(shifts), max_size=4))))
+        if kind == "far":
+            shifts += data.draw(st.lists(st.integers(-horizon - 10 ** 20, -horizon - 2), min_size=1, max_size=3))
+        hits = _comparison_plan.cache_info().hits
+        for _ in range(2):
+            elems = data.draw(st.lists(st.integers(0, horizon), max_size=60, unique=True))
+            w = Window(tuple(sorted(elems)), horizon)
+            given_shifts = {"range": range(first, first + count), "tuple": tuple(shifts),
+                            "generator": (n for n in shifts)}.get(kind, shifts)
+            v = crosscheck_cyclic_equivalence(w, max_period, given_shifts)
+            assert v == _reference_crosscheck(w, max_period, sorted(shifts))
+            kinds.add(v.status)
+        assert _comparison_plan.cache_info().hits > hits  # the second window read the first one's plan
+        key = given_shifts if kind == "range" else tuple(shifts)  # how the cross-check keys its plan
+        widths.add(_comparison_plan(horizon, max_period, key).table.shape[1])
 
     check()
     assert kinds == {Status.HOLDS, Status.FAILS}
+    assert widths == {1, 2}
 
 
 # -- finite_subcover ----------------------------------------------------------------
