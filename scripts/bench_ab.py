@@ -38,7 +38,9 @@ runs A', the order of (A, B, A') rotating from pair to pair, and the entry
 records the A'/A ratios and their floor under ``null``.  Without it, the
 floor is that of a null series of the workload already recorded: in the
 output file if it holds one, or else in the highest-numbered
-``BENCH_<n>.json`` beside ``BENCHMARK.json`` that does; in that file, the
+``BENCH_<n>.json`` beside ``BENCHMARK.json`` that does (when the output file
+is numbered, the highest numbered below it, or else the lowest above it);
+in that file, the
 first entry by name that is one (an entry with a ``null``, or an older entry
 that ran the same sources as A and B):
 
@@ -113,14 +115,27 @@ def null_ratios(result: dict, entry: dict) -> list[float] | None:
     return None
 
 
+def _number(path: Path) -> int | None:
+    # n of BENCH_<n>.json, or None for a name without digits.
+    digits = re.sub(r"\D", "", path.name)
+    return int(digits) if digits else None
+
+
 def committed_null(workload: str, first: Path | None = None) -> tuple[str, float] | None:
     """A recorded null series of the workload, named by file and entry, and its floor.
 
     The file ``first`` is searched first (the file a series is recorded in), then
-    the committed files from the highest number down; in a file, entries by name.
+    the committed files from the highest number down.  When ``first`` is
+    numbered, only the files numbered below it are read that way, and the
+    files above it after them, from the lowest up: a series is judged against
+    the nearest null recorded up to it, or else the first recorded after it,
+    and a file added later never moves that floor.  In a file, entries by name.
     """
-    files = sorted(BENCHMARK.parent.glob("BENCH_*.json"), key=lambda p: int(re.sub(r"\D", "", p.name) or 0))
-    for path in ([first] if first is not None and first.exists() else []) + files[::-1]:
+    files = sorted(BENCHMARK.parent.glob("BENCH_*.json"), key=lambda p: _number(p) or 0)[::-1]
+    top = None if first is None else _number(first)
+    if top is not None:
+        files = [p for p in files if (_number(p) or 0) <= top] + [p for p in files[::-1] if (_number(p) or 0) > top]
+    for path in ([first] if first is not None and first.exists() else []) + files:
         for name, entry in sorted(json.loads(path.read_text(encoding="utf-8")).items()):
             result = entry.get("workloads", {}).get(workload)
             ratios = result and null_ratios(result, entry)

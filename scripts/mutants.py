@@ -80,6 +80,34 @@ ROWS = [
         "the prefix's hits return at once only when every column is hit",
     ),
     (
+        "translated-offset-sign-flipped",
+        RECURRENCE,
+        "(np.arange(k) * (fine // k)).astype(np.uint32)",
+        "(-np.arange(k) % k * (fine // k)).astype(np.uint32)",
+        "a translated start i/k moves its class orbit by +i/k, not -i/k",
+    ),
+    (
+        "translated-wrap-dropped",
+        RECURRENCE,
+        "np.minimum(x, x - np.uint32(fine), out=x)",
+        "np.minimum(x, x, out=x)",
+        "a translated fine cell wraps mod F",
+    ),
+    (
+        "translated-shift-one-too-far",
+        RECURRENCE,
+        "shift, f = (fine // big).bit_length() - 1,",
+        "shift, f = (fine // big).bit_length(),",
+        "a fine cell's cover cell is its number >> log2(F/K)",
+    ),
+    (
+        "distinct-cells-axes-swapped",
+        RECURRENCE,
+        "f = [(hit // fine ** (d - 1 - j) % fine)[None] for j in range(d)]",
+        "f = [(hit // fine ** j % fine)[None] for j in range(d)]",
+        "the distinct fine cells of a 2-d orbit are split back first axis first",
+    ),
+    (
         "ascent-blind-to-the-last-pair",
         "src/dynwindow/intsets.py",
         "np.count_nonzero(arr[1:] <= arr[:-1])",

@@ -19,12 +19,15 @@ import numpy as np
 
 from .intsets import Verdict, Window, _small_ints, _span, difference_set
 from .systems import (
+    _CELLS_PER_ID_COUNTED,
+    _FLAT_ID_CAP,
     CyclicSystem,
     FiniteSystem,
     ProductSystem,
     RotationSystem,
     TorusSystem,
     _coverage,
+    _floor_cells,
 )
 
 __all__ = [
@@ -362,6 +365,58 @@ def _start_batches(sys, resolution: float, length: int):
     yield from _batches(sys.starts(resolution), length, first=1)
 
 
+def _grid_ids(sys: TorusSystem, a: Window, cover, resolution: float, total: int):
+    # (the start of each row, by its index, and the rows' cell ids) for the grid's first start alone, then for
+    # the rest of the grid in batches of at most _BATCH_ELEMENTS ids, in grid order (see r_sequence_metric).
+    batches = _start_batches(sys, resolution, len(a))
+    first = next(batches)
+    orbits = sys.along(a, first)
+    states = orbits.states()
+    yield first.__getitem__, cover.flat_ids(states, orbits.den)
+    k, d, fixed, big = sys._grid(resolution), sys.dimension, sys._class_axes, cover.k
+    fine = math.lcm(big, k)  # F: the cells of 1/F refine both the cover's and the grid's
+    if k & (k - 1) or fine >= 2 ** 31 or not len(a) or k * len(a) > _BATCH_ELEMENTS or total > _FLAT_ID_CAP:
+        for batch in batches:  # starts i/k not dyadic, cells past int64, or k times the window too long
+            yield batch.__getitem__, sys.along(a, batch).cells(cover)
+        return
+    if k == 1:  # the first start was the whole grid
+        return
+    # Per axis, the class orbits' fine cells floor(F·s/den), one row per class: the first start's, then,
+    # when leading axes fix the class, the other classes' in one batch.  A cell is its fine cell >> log2(F/K).
+    shift, f = (fine // big).bit_length() - 1, [_floor_cells(s, fine, orbits.den) for s in states]
+    if fixed:
+        more = sys.along(a, sys._class_starts(resolution)[1:])
+        f = [np.concatenate((x, _floor_cells(s, fine, more.den))) for x, s in zip(f, more.states())]
+    elif fine ** d <= _CELLS_PER_ID_COUNTED * len(a):  # one class: its distinct fine cells stand for it
+        flat = f[0]
+        for x in f[1:]:
+            flat = flat * fine + x
+        hit = np.flatnonzero(np.bincount(flat.ravel(), minlength=fine ** d))
+        f = [(hit // fine ** (d - 1 - j) % fine)[None] for j in range(d)]
+    # The start i/k moves a fine cell x by F·i/k, an integer: its cell is (x + F·i/k) mod F >> log2(F/K).
+    f, offsets = [x.astype(np.uint32) for x in f], (np.arange(k) * (fine // k)).astype(np.uint32)
+
+    def moved(x, o):  # x + o lies in [0, 2F): below F, x + o - F wraps past 2^32, so the lesser is x + o mod F
+        x = x + o
+        np.minimum(x, x - np.uint32(fine), out=x)
+        return x >> shift
+
+    # A unit is the k starts that differ on the last axis only, of one class; with the first start
+    # dropped, units [lo, hi) hold the grid indices from max(k·lo, 1) up to k·hi.
+    units, width = max(1, _BATCH_ELEMENTS // (k * f[0].shape[1])), f[0].shape[1]
+    for lo in range(0, k ** (d - 1), units):
+        u = np.arange(lo, min(lo + units, k ** (d - 1)))
+        c = u // k ** (d - 1 - fixed) if fixed else slice(None)  # each unit's class row
+        head = np.zeros((1, 1), dtype=np.int64)
+        for j in range(d - 1):
+            head = head * big + (moved(f[j][c], offsets[u // k ** (d - 2 - j) % k, None]) if j >= fixed
+                                 else f[j][c] >> shift)
+        ids = (head * big)[..., None, :] + moved(f[-1][c][:, None, :], offsets[:, None])
+        skip = 1 if lo == 0 else 0
+        yield lambda i, g=k * lo + skip: sys._state([((g + i) // k ** (d - 1 - j) % k) / k for j in range(d)]), \
+            ids.reshape(-1, width)[skip:]
+
+
 def r_sequence_metric(a: Window, sys, eps: float, start_grid_resolution: float) -> RSequenceReport:
     """Numeric orbit-density test on a rotation or skew product.
 
@@ -372,10 +427,17 @@ def r_sequence_metric(a: Window, sys, eps: float, start_grid_resolution: float) 
     whole window at once (``sys.along``): on every torus they are the exact
     orbits of the doubles or exact rationals the system holds, as integer
     numerators, and each state's cell is its exact floor.  The first start
-    is evaluated alone, taken without building the grid; only then is the
-    rest of the grid built and evaluated as one array, split at
-    ``_BATCH_ELEMENTS`` states; each batch is read by an engine whose
-    denominator its own starts fix.  A batch's cells are counted in one
+    is evaluated alone, taken without building the grid.  On a grid of
+    k = 2^j points a side, whose points i/k are exact, the rest is read by
+    translation (``_grid_ids``): a start's orbit is its class's orbit
+    (``sys._class_starts``) moved by the start along the axes past
+    ``sys._class_axes``, so with F = lcm(K, k) for K = ``cover.k``, i/k adds
+    the integer F·i/k, mod F, to each fine cell floor(F·s).  Any other
+    grid, an empty window, an F from 2^31 on, cells past int64 or k times
+    the window's length past ``_BATCH_ELEMENTS`` is read start by start:
+    the rest of the grid is built and evaluated as one array, split at
+    ``_BATCH_ELEMENTS`` states, each batch by an engine whose denominator
+    its own starts fix.  A batch's cells are counted in one
     bincount when they are few against the window, and sorted per start
     otherwise (``_coverage``).  Exact rational angles (``rot:p/q``,
     ``skew:p/q``) skip the floating-point budget; finite systems and
@@ -393,12 +455,12 @@ def r_sequence_metric(a: Window, sys, eps: float, start_grid_resolution: float) 
     total = cover.cell_count()
     window_desc = f"{len(a)} elements on [0, {a.horizon}], eps={eps}"
     best = None  # (hit count, start, first empty cell)
-    for batch in _start_batches(sys, start_grid_resolution, len(a)):
-        # Flat ids are clamped into the cells, so an orbit is eps-dense iff it hits `total` of them.
-        hits, empties = _coverage(sys.along(a, batch).cells(cover), total)
+    for start_of, ids in _grid_ids(sys, a, cover, start_grid_resolution, total):
+        # Flat ids lie within the cells, so an orbit is eps-dense iff it hits `total` of them.
+        hits, empties = _coverage(ids, total)
         i = int(np.argmax(hits))
         if hits[i] == total:
-            start = batch[i]
+            start = start_of(i)
             detail = {str(start): {"cells_hit": total, "cells": total}}
             return RSequenceReport(
                 family,
@@ -406,7 +468,7 @@ def r_sequence_metric(a: Window, sys, eps: float, start_grid_resolution: float) 
                 detail,
             )
         if best is None or hits[i] > best[0]:
-            best = (int(hits[i]), batch[i], cover.cell_at(int(empties[i])))
+            best = (int(hits[i]), start_of(i), cover.cell_at(int(empties[i])))
     hit, start, empty = best
     detail = {str(start): {"cells_hit": hit, "cells": total, "empty_cell": empty}}
     verdict = Verdict.fail(

@@ -19,9 +19,12 @@ starts of one class have equal return distances d(T^n s, s) at every
 time n.  A rotation, cycle or odometer is a group rotation, so its return
 distance reads no start coordinate: one class, whose first start is the
 grid's first.  The skew product's reads x only: one class per x of the
-grid, first (x, 0.0).  ``cover(eps)`` raises ValueError unless eps > 0;
-its cover partitions the space into cells of mesh <= eps, numbered
-0..cell_count()-1, and answers ``cell_of``, ``flat_id`` (a cell's
+grid, first (x, 0.0).  A torus also answers ``_class_axes``: a start's
+class is its first ``_class_axes`` coordinates (none on a rotation, x on
+the skew product), and its orbit is its class's first start's orbit
+translated by its other coordinates.  ``cover(eps)`` raises ValueError
+unless eps > 0; its cover partitions the space into cells of mesh <= eps,
+numbered 0..cell_count()-1, and answers ``cell_of``, ``flat_id`` (a cell's
 number, so a state's is ``flat_id(cell_of(s))``), ``cell_at`` (the cell
 with a number) and ``cell_count`` for its ``system``, which it reads and
 never copies.
@@ -138,8 +141,8 @@ def _phase_numerators(times: np.ndarray, x, den: int, tri: bool = False) -> np.n
     num = _numerator(x, den)
     if times.dtype == object:
         return (times * (times - 1) // 2 if tri else times) * num % den
-    if tri:
-        times = _wrap(np.where(times & 1, times * (times >> 1), (times >> 1) * (times - 1)), den)
+    if tri:  # n(n-1)/2 is n//2 times n - 1 or n, whichever is odd
+        times = _wrap((times >> 1) * ((times - 1) | 1), den)
     return _wrap(times * np.uint64(num), den)
 
 
@@ -438,6 +441,8 @@ class RotationSystem(TorusSystem):
         # so the one class starts at the grid's first point, 0/k on every axis.
         return [self._state((0 / self._grid(resolution),) * self.dimension)]
 
+    _class_axes = 0  # T^n(s) = T^n(0) + s: the one class, translated along every axis
+
     def rational_structure(self) -> tuple[Optional[int], bool, bool]:
         # Float angles: no rational factor, asserted under the irrationality caveat.
         if not self.exact_orbits:
@@ -479,6 +484,8 @@ class SkewProductSystem(TorusSystem):
         # d(T^n s, s) = max(‖n a‖, ‖n x + n(n-1)/2 a‖) reads the start's x only.
         k = self._grid(resolution, 1)
         return [(i / k, 0.0) for i in range(k)]
+
+    _class_axes = 1  # T^n(x, y) = T^n(x, 0) + (0, y): a class per x, translated along y
 
     def rational_structure(self) -> tuple[Optional[int], bool, bool]:
         # A rational angle leaves orbit closures finitely many circles: not minimal.
@@ -608,19 +615,24 @@ class TorusCover:
         A coordinate s is in cell floor(s·k / den): for uint64 and k < 2^32, s·k // den
         for den < 2^31, else (hi·k + (lo·k >> 32)) >> 32 on the 32-bit halves of s.
         """
-        ids, dtype, k = None, np.int64 if self.cell_count() <= _FLAT_ID_CAP else object, np.uint64(self.k)
+        ids, dtype = None, np.int64 if self.cell_count() <= _FLAT_ID_CAP else object
         for s in coords:
-            if s.dtype == object or self.k >= 2 ** 32 or dtype is object:
-                cells = (s.astype(object) * self.k // den).astype(dtype)
-            elif den < 2 ** 64:
-                cells = (s * k // np.uint64(den)).view(np.int64)
-            else:
-                cells = (((s >> 32) * k + ((s & 0xFFFFFFFF) * k >> 32)) >> 32).view(np.int64)
+            cells = _floor_cells(s, self.k, den, dtype)
             ids = cells if ids is None else ids * self.k + cells
         return ids
 
     def cell_count(self) -> int:
         return self.k ** self.system.dimension
+
+
+def _floor_cells(s: np.ndarray, k: int, den: int, dtype=np.int64) -> np.ndarray:
+    # floor(s·k / den) of numerators s over den (see TorusCover.flat_ids), in dtype.
+    if s.dtype == object or k >= 2 ** 32 or dtype is object:
+        return (s.astype(object) * k // den).astype(dtype)
+    if den < 2 ** 64:
+        return (s * np.uint64(k) // np.uint64(den)).view(np.int64)
+    k = np.uint64(k)
+    return (((s >> 32) * k + ((s & 0xFFFFFFFF) * k >> 32)) >> 32).view(np.int64)
 
 
 @dataclass(frozen=True)

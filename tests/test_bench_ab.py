@@ -260,6 +260,23 @@ def test_the_latest_committed_null_is_the_floor_without_one(tmp_path, monkeypatc
     assert bench_ab.committed_null("metric-density") is None
 
 
+def test_a_committed_series_is_judged_against_no_later_null(tmp_path, monkeypatch):
+    # A series recorded in BENCH_3 without a null of its own keeps the floor of BENCH_2,
+    # whatever a later file records; one in BENCH_1 takes the first null after it, and
+    # a file named without a number the highest.
+    _bench_files(tmp_path, monkeypatch, {
+        "BENCH_2.json": {"null": _entry("x", "x", [100.0], [103.0])},
+        "BENCH_3.json": {"change": _entry("x", "y", [100.0], [150.0])},
+        "BENCH_12.json": {"null": _entry("y", "y", [100.0], [130.0])},
+    })
+    assert bench_ab.committed_null("cli-files", tmp_path / "BENCH_3.json") == ("BENCH_2.json null", pytest.approx(0.03))
+    assert bench_ab.committed_null("cli-files", tmp_path / "BENCH_12.json") == ("BENCH_12.json null", pytest.approx(0.3))
+    assert bench_ab.committed_null("cli-files", tmp_path / "BENCH_2.json") == ("BENCH_2.json null", pytest.approx(0.03))
+    assert bench_ab.committed_null("cli-files", tmp_path / "BENCH_1.json")[0] == "BENCH_2.json null"
+    assert bench_ab.committed_null("cli-files", tmp_path / "bench.json")[0] == "BENCH_12.json null"
+    assert bench_ab.committed_null("cli-files")[0] == "BENCH_12.json null"
+
+
 def test_no_null_at_all_is_not_judged(tmp_path, monkeypatch, capsys):
     _bench_files(tmp_path, monkeypatch, {"BENCH_1.json": {"change": _entry("x", "y", [100.0], [150.0])}})
     a, b = tmp_path / "a", tmp_path / "b"

@@ -1801,11 +1801,111 @@ def test_metric_builds_no_grid_when_the_first_start_is_dense(grids_built, sys):
 
 @pytest.mark.parametrize("sys, w, eps, grid", [case[:4] for case in LATER_START_CASES] + [
     (RotationSystem((GOLDEN, 0.3)), interval(0, 10), 0.1, 0.5),  # no start is dense
+    (RotationSystem((GOLDEN, 0.3)), interval(0, 10), 0.1, 0.3),  # and on a grid that is not dyadic
+    (SkewProductSystem(GOLDEN), interval(0, 10), 0.1, 0.3),
 ])
 def test_metric_builds_the_grid_once_past_the_first_start(grids_built, sys, w, eps, grid):
+    # A dyadic grid's starts are named by their index, and the list is never built;
+    # any other grid's is built once, past its first start.
     report = r_sequence_metric(w, sys, eps, grid)
-    assert grids_built == [grid]
+    dyadic = not sys._grid(grid) & (sys._grid(grid) - 1)
+    assert grids_built == ([] if dyadic else [grid])
     assert report.to_json() == _exact_metric(w, sys, eps, grid)
+
+
+# -- the rest of a dyadic grid, read by translation ----------------------------------
+#
+# On a grid of k = 2^j starts a side, a start's orbit is its class's first
+# start's orbit translated by the start, and r_sequence_metric reads it so.
+# The engine that reads every start by its own batch is reached by making no
+# cover small enough for that (_FLAT_ID_CAP at 0).
+
+TRANSLATED_SYSTEMS = [
+    RotationSystem.from_angle(GOLDEN),
+    RotationSystem.from_angle(0.25),
+    RotationSystem((GOLDEN, math.sqrt(2.0) - 1.0)),
+    SkewProductSystem(GOLDEN),
+    SkewProductSystem(Fraction(2, 7)),
+    RotationSystem.from_rationals(Fraction(1, 3)),
+    RotationSystem.from_rationals(Fraction(2, 7), Fraction(1, 4)),
+]
+
+
+def _translated_and_per_start(w, sys, eps, grid, batch=None) -> tuple:
+    # (the report, whether the start grid was listed, the report of the per-start engine).
+    built = []
+
+    def starts(self, resolution, starts=TorusSystem.starts):
+        built.append(resolution)
+        return starts(self, resolution)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(TorusSystem, "starts", starts)
+        if batch is not None:
+            mp.setattr(recurrence, "_BATCH_ELEMENTS", batch)
+        report = r_sequence_metric(w, sys, eps, grid)
+        mp.setattr(recurrence, "_FLAT_ID_CAP", 0)
+        return report, bool(built), r_sequence_metric(w, sys, eps, grid)
+
+
+@st.composite
+def translated_windows(draw):
+    # Empty, one time, an interval, sparse times up to 10^12 and multiples of q (3 or 7).
+    kind = draw(st.sampled_from(["empty", "one", "dense", "sparse", "multiples"]))
+    count = draw(st.integers(1, 40))
+    if kind == "empty":
+        times = []
+    elif kind == "one":
+        times = [draw(st.integers(0, 10 ** 12))]
+    elif kind == "dense":
+        lo = draw(st.integers(0, 10 ** 6))
+        times = list(range(lo, lo + count))
+    elif kind == "sparse":
+        times = sorted(set(draw(st.lists(st.integers(0, 10 ** 12), min_size=1, max_size=count))))
+    else:
+        q, lo = draw(st.sampled_from([3, 7])), draw(st.integers(0, 10 ** 12))
+        times = [q * (lo + i) for i in range(count)]
+    return Window(times, max(times, default=0) + draw(st.integers(0, 3)))
+
+
+@given(
+    st.sampled_from(TRANSLATED_SYSTEMS),
+    translated_windows(),
+    st.sampled_from([1 / 49, 0.3, 0.25, 0.1, 0.6, 0.75, 2.0]),
+    st.sampled_from([1.0, 0.5, 0.25, 0.125, 1 / 16, 0.1, 0.3]),
+    st.sampled_from([None, 200, 700]),
+)
+@settings(max_examples=300, deadline=None)
+def test_translated_grid_matches_the_per_start_engine_and_the_exact_reference(sys, w, eps, grid, batch):
+    report, built, per_start = _translated_and_per_start(w, sys, eps, grid, batch)
+    assert report.to_json() == per_start.to_json()
+    k = sys._grid(grid)
+    fine = math.lcm(sys.cover(eps).k, k)
+    translated = not k & (k - 1) and fine < 2 ** 31 and len(w) and k * len(w) <= (batch or recurrence._BATCH_ELEMENTS)
+    if report.verdict.fails:  # the grid is listed only when it is not read by translation
+        assert built == (not translated)
+    if len(w) <= 12 or k <= 4:  # the exact reference reads every start in Fractions
+        assert report.to_json() == _exact_metric(w, sys, eps, grid)
+
+
+@pytest.mark.parametrize("sys, w, eps, grid", [
+    # The distinct fine cells of a 2-d orbit, read along both axes: F = 10 with cells of two
+    # fine cells (starts that differ by a cell's fraction differ in count), and F = 4 = K.
+    (RotationSystem((0.3, GOLDEN)), interval(870, 907), 0.2, 0.5),
+    (RotationSystem((GOLDEN, math.sqrt(2.0) - 1.0)), interval(1, 40), 0.3, 0.25),
+    (RotationSystem((0.3, GOLDEN)), odds(81), 0.3, 0.25),
+    (RotationSystem.from_rationals(Fraction(1, 5), Fraction(2, 3)), interval(0, 30), 0.3, 0.25),
+    # Every state, and batches of one or two units.
+    (RotationSystem((GOLDEN, math.sqrt(2.0) - 1.0)), interval(1, 20), 0.05, 0.25),
+    (SkewProductSystem(GOLDEN), interval(1, 20), 0.05, 0.25),
+    (SkewProductSystem(Fraction(3, 7)), odds(41), 0.1, 0.125),
+])
+@pytest.mark.parametrize("units", [None, 1, 2])
+def test_translated_grid_on_2_axes_and_in_batches(sys, w, eps, grid, units):
+    # A unit is the k starts that differ on the last axis: batches of one unit, two, or all.
+    batch = units and units * sys._grid(grid) * len(w)
+    report, built, per_start = _translated_and_per_start(w, sys, eps, grid, batch)
+    assert not built and report.to_json() == per_start.to_json() == _exact_metric(w, sys, eps, grid)
 
 
 def test_exact_rotation_returns_at_the_distance_below_the_double_eps():
@@ -2007,6 +2107,14 @@ def test_metric_huge_cover_reports_without_listing_cells():
     report = r_sequence_metric(w, rot, 1e-10, 0.5)
     assert report.verdict.fails and report.verdict.witness == (0, 1)
     assert report.per_system == {"(0.0, 0.0)": {"cells_hit": hit, "cells": 10 ** 20, "empty_cell": (0, 1)}}
+
+
+def test_metric_exact_rotation_with_a_cover_of_2_to_the_64_cells_or_more():
+    # eps = 1e-20 gives K = 10^20 cells, past uint64: the cells are taken in Python ints.
+    w, rot = interval(1, 49), RotationSystem.from_rationals(Fraction(1, 3))
+    report = r_sequence_metric(w, rot, 1e-20, 0.5)
+    assert report.per_system == {"0.0": {"cells_hit": 3, "cells": 10 ** 20, "empty_cell": 1}}
+    assert report.to_json() == _exact_metric(w, rot, 1e-20, 0.5)
 
 
 @pytest.mark.parametrize(

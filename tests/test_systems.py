@@ -837,3 +837,20 @@ def test_torus_cover_ids_past_int64_are_python_ints():
 def test_input_checks(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+@given(
+    st.lists(st.one_of(st.integers(0, 2), st.integers(2 ** 64 - 2 ** 20, 2 ** 64 - 1), st.integers(0, 2 ** 64 - 1)),
+             min_size=1, max_size=40),
+    st.sampled_from([GOLDEN, 0.3, 2.0 ** -60, Fraction(2, 7), Fraction(5, 12), Fraction(1, 2 ** 30 + 3)]),
+)
+@example([0, 1, 2, 2 ** 64 - 2, 2 ** 64 - 1], GOLDEN)
+@settings(max_examples=150, deadline=None)
+def test_skew_phase_is_n_choose_2_times_the_angle(times, angle):
+    # n(n-1)/2 · angle mod 1 as a numerator over den: uint64 times wrap mod 2^64 over
+    # den = 2^64 (a double), and are taken mod 2·den over a den below 2^31 (a Fraction).
+    den = angle.denominator if isinstance(angle, Fraction) else 2 ** 64
+    arr = np.array([t if den == 2 ** 64 else t % (2 * den) for t in times], dtype=np.uint64)
+    num = systems._numerator(angle, den)
+    got = systems._phase_numerators(arr, angle, den, tri=True)
+    assert got.dtype == np.uint64 and got.tolist() == [t * (t - 1) // 2 * num % den for t in times]
